@@ -1,7 +1,8 @@
 //! Microbenches of the simulator's hot paths: executor spawn/sleep,
-//! timer cancellation, channels, histogram recording, and redo-log entry
-//! encoding. These guard the harness's own performance (a slow simulator
-//! means slow paper regeneration).
+//! timer cancellation, channels, histogram recording, redo-log entry
+//! encoding, the cached GET, and the 2PC commit pipeline. These guard
+//! the harness's own performance (a slow simulator means slow paper
+//! regeneration).
 //!
 //! Dependency-free harness (no criterion, so the workspace builds
 //! offline): each bench runs a fixed number of iterations and reports
@@ -16,6 +17,7 @@
 //! wall time of every fig sweep at smoke scale under the current
 //! `PRDMA_PAR`, so the perf trajectory has machine-readable data points.
 
+use prdma::txn::build_sharded_txn;
 use prdma::{
     build_sharded_durable_cached, encode_entry, CacheConfig, DurableConfig, DurableKind, OpCode,
     Request, RpcClient, RpcOperator, ServerProfile, ShardMap,
@@ -27,6 +29,8 @@ use prdma_node::{Cluster, ClusterConfig};
 use prdma_rnic::Payload;
 use prdma_simnet::metrics::{Key, Metrics};
 use prdma_simnet::{channel, timeout, Histogram, Sim, SimDuration};
+use prdma_workloads::txn_mix::{run_txn_mix, TxnMixConfig};
+use std::rc::Rc;
 use std::time::Instant;
 
 struct BenchResult {
@@ -271,6 +275,43 @@ fn bench_cached_get(iters: u32) -> BenchResult {
     })
 }
 
+fn bench_txn_commit(iters: u32) -> BenchResult {
+    // Host cost of the whole 2PC pipeline per attempted txn: 4 clients
+    // x 250 txns (2R+2W, theta 0.9) over 4 shards, the `fig_txn` /
+    // perfbench `txn_2pc` shape. Guards the prepare path against paying
+    // a recovery-only cost (a coordinator ring scan per prepare made
+    // this row 4x slower: BENCH_simcore.json `txn_decision_table`).
+    const SHARDS: usize = 4;
+    const CLIENTS: usize = 4;
+    bench("txn/commit_2pc_1k", 1_000, iters, || {
+        let mut sim = Sim::new(1);
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(SHARDS, CLIENTS));
+        let map = ShardMap::new(SHARDS);
+        let cfg = DurableConfig {
+            profile: ServerProfile::light(),
+            slot_payload: 1024,
+            object_slot: 1024,
+            store_capacity: map.local_span(1_000) * 1024,
+            log_slots: 256,
+            ..Default::default()
+        };
+        let client_nodes: Vec<usize> = (SHARDS..SHARDS + CLIENTS).collect();
+        let svc = build_sharded_txn(&cluster, map, &client_nodes, &cfg);
+        let clients: Vec<_> = svc.clients.into_iter().map(Rc::new).collect();
+        let mix = TxnMixConfig {
+            txns: 250,
+            objects: 1_000,
+            theta: 0.9,
+            ..Default::default()
+        };
+        let h = sim.handle();
+        let r = sim.block_on(async move { run_txn_mix(&h, &clients, &mix).await });
+        sim.run();
+        assert_eq!(r.attempted, 1_000);
+        (r.committed, sim.events_processed())
+    })
+}
+
 /// Time every fig sweep at smoke scale under the current `PRDMA_PAR`.
 fn time_figs() -> Vec<(&'static str, f64)> {
     let s = Scale::smoke();
@@ -288,6 +329,7 @@ fn time_figs() -> Vec<(&'static str, f64)> {
         ("fig19", Box::new(move || exp::fig19(s).len())),
         ("fig20", Box::new(move || exp::fig20(s).len())),
         ("table2", Box::new(move || exp::table2(s).len())),
+        ("fig_txn", Box::new(move || exp::fig_txn(s).len())),
     ];
     let mut out = Vec::with_capacity(figs.len());
     for (name, f) in figs {
@@ -350,6 +392,7 @@ fn main() {
         bench_metrics(iters),
         bench_log_encode(iters),
         bench_cached_get(iters),
+        bench_txn_commit(iters),
     ];
     let figs = if smoke { Vec::new() } else { time_figs() };
     write_json(&micro, &figs);

@@ -370,15 +370,38 @@ impl RedoLog {
         self.applied_ids.borrow().contains(&id)
     }
 
-    /// Scan every ring slot's *current* resident entry from the
-    /// persistent view, regardless of cursor state. Each slot stores the
-    /// sequence number of the entry occupying it; a slot whose resident
-    /// seq maps back to itself and whose commit word validates yields
-    /// that entry. Used by transaction recovery to look up a
-    /// coordinator's decided record from the logs alone — valid for any
-    /// record appended within the last ring lap, which covers in-flight
-    /// transactions (their prepare records hold participant heads back).
-    pub fn scan_ring(&self) -> Vec<LogEntry> {
+    /// Find the resident `(opcode, obj_id)` entries in the *persistent*
+    /// view of the ring, regardless of cursor state, in slot order. Each
+    /// slot stores the sequence number of the entry occupying it; only
+    /// the 40-byte header is read per slot, and a slot whose resident seq
+    /// maps back to itself and whose header matches is then validated
+    /// (commit word) and its payload copied. Used by transaction
+    /// recovery to look up a coordinator's decided record from the logs
+    /// alone — valid for any record appended within the last ring lap,
+    /// which covers in-flight transactions (their prepare records hold
+    /// participant heads back).
+    pub fn find_in_ring(&self, opcode: OpCode, obj_id: u64) -> impl Iterator<Item = LogEntry> + '_ {
+        let want = opcode.to_u64();
+        (0..self.layout.slots).filter_map(move |slot| {
+            let header = self
+                .pm
+                .read_persistent_view(self.layout.slot_addr(slot), ENTRY_HEADER);
+            let seq = u64_at(&header, 0);
+            if seq % self.layout.slots != slot
+                || u64_at(&header, 8) != want
+                || u64_at(&header, 16) != obj_id
+            {
+                return None;
+            }
+            self.read_entry_from(seq, true)
+        })
+    }
+
+    /// Every ring slot's resident entry from the persistent view, fully
+    /// materialised: the reference [`find_in_ring`](RedoLog::find_in_ring)
+    /// is tested against.
+    #[cfg(test)]
+    pub(crate) fn scan_ring(&self) -> Vec<LogEntry> {
         let mut out = Vec::new();
         for slot in 0..self.layout.slots {
             let addr = self.layout.region.offset + LOG_HEADER_BYTES + slot * self.layout.slot_size;

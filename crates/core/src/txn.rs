@@ -29,9 +29,11 @@
 //! **In-doubt resolution.** A prepare record is *not* marked done until
 //! its transaction resolves, so a crashed participant's replay re-sees
 //! it. Replay re-stages the writes (locks held) and consults the
-//! coordinator's decided record through the [`TxnDirectory`] — a scan of
-//! the coordinator shard's log rings, i.e. the logs alone; no client
-//! retransmit — applying on commit, discarding on abort, and holding the
+//! coordinator's decided record through the [`TxnDirectory`] — for a txn
+//! whose decide was issued, a scan of the coordinator shard's persistent
+//! log rings, i.e. the logs alone; no client retransmit (a txn whose
+//! decide was never issued has no such record, and no PM is read on its
+//! behalf) — applying on commit, discarding on abort, and holding the
 //! stage (locks and log head) while the outcome is genuinely unknown
 //! (presumed-abort would race a live coordinator client that decides
 //! commit after the participant recovered).
@@ -133,28 +135,51 @@ fn decode_decide(payload: &[u8]) -> Option<DecideRecord> {
 // Directory: decision lookup from the logs alone
 // ---------------------------------------------------------------------------
 
-/// A registry of every shard's redo logs plus a volatile decision cache.
+/// A registry of every shard's redo logs plus a volatile decision table.
 ///
 /// In-doubt resolution asks "did txn T's coordinator decide?". The
-/// durable ground truth is the coordinator shard's `TxnDecide` record;
-/// [`decision`](TxnDirectory::decision) scans the registered logs' ring
-/// slots from the *persistent* view — exactly what a recovering node can
-/// see — and caches what it learns. The cache is only an optimization:
-/// [`forget_volatile`](TxnDirectory::forget_volatile) drops it (recovery
-/// paths do this first), forcing the next lookup back to the logs.
+/// durable ground truth is the coordinator shard's `TxnDecide` record,
+/// and a positive answer the table does not already hold comes only from
+/// the *persistent* view of the coordinator's rings — exactly what a
+/// recovering node can see. The table decides *whether* PM is read, never
+/// what it says: a client marks a txn [`Issued`](Decision::Issued) before
+/// it posts the `TxnDecide` append, so a txn with no entry has no decided
+/// record in any ring and resolves to `None` without a scan. Like the
+/// shared [`LogCursor`](crate::log::LogCursor), the mark is harness-side
+/// knowledge that survives a crash; outcomes do not —
+/// [`forget_volatile`](TxnDirectory::forget_volatile) (recovery paths
+/// call it first) downgrades them to `Issued`, forcing the next lookup
+/// back to the logs.
 #[derive(Clone, Default)]
 pub struct TxnDirectory {
     inner: Rc<DirInner>,
+}
+
+/// What the directory knows about one txn's decided record.
+#[derive(Clone, Copy)]
+enum Decision {
+    /// The `TxnDecide` append was (or is about to be) posted; whether it
+    /// persisted, and what it says, is in the coordinator's rings.
+    Issued,
+    /// A decide / commit record was processed, or a scan found commit.
+    Committed,
+    /// An abort record was processed, or a scan found abort.
+    Aborted,
 }
 
 #[derive(Default)]
 struct DirInner {
     /// Shard → every redo log hosted by that shard (one per client lane).
     logs: RefCell<BTreeMap<usize, Vec<RedoLog>>>,
-    /// Volatile decision cache: txn id → committed?
-    decisions: RefCell<BTreeMap<u64, bool>>,
-    /// Decisions resolved by an actual log-ring scan (not the cache).
+    /// Txn id → decision state; absent = no decide was ever issued.
+    decisions: RefCell<BTreeMap<u64, Decision>>,
+    /// Lookups that read a coordinator's rings.
+    ring_scans: Cell<u64>,
+    /// Ring scans that found a decided record.
     scan_resolved: Cell<u64>,
+    /// Lookups cross-checked against the full-scan reference.
+    #[cfg(test)]
+    oracle_checks: Cell<u64>,
 }
 
 impl TxnDirectory {
@@ -173,47 +198,108 @@ impl TxnDirectory {
             .push(log);
     }
 
+    /// Announce that txn `txn`'s `TxnDecide` append is about to be
+    /// posted. Must precede the append: from here on a lookup reads PM.
+    fn note_issued(&self, txn: u64) {
+        self.inner
+            .decisions
+            .borrow_mut()
+            .entry(txn)
+            .or_insert(Decision::Issued);
+    }
+
     /// Record a decision observed in-band (processing a decide / commit /
     /// abort record). Volatile — survives nothing; the log records do.
     fn note_decision(&self, txn: u64, commit: bool) {
-        self.inner.decisions.borrow_mut().insert(txn, commit);
+        let d = if commit {
+            Decision::Committed
+        } else {
+            Decision::Aborted
+        };
+        self.inner.decisions.borrow_mut().insert(txn, d);
     }
 
-    /// Drop the volatile decision cache, forcing the next lookup to the
-    /// durable log records. Recovery calls this so in-doubt resolution
-    /// provably comes from the logs alone.
+    /// Forget every volatile outcome (keeping only that a decide was
+    /// issued), forcing the next lookup to the durable log records.
+    /// Recovery calls this so in-doubt resolution provably comes from
+    /// the logs alone.
     pub fn forget_volatile(&self) {
-        self.inner.decisions.borrow_mut().clear();
+        for d in self.inner.decisions.borrow_mut().values_mut() {
+            *d = Decision::Issued;
+        }
+    }
+
+    /// Lookups that read a coordinator's log rings so far (whether or
+    /// not they found a decided record). Zero in fault-free operation.
+    pub fn ring_scans(&self) -> u64 {
+        self.inner.ring_scans.get()
     }
 
     /// Decisions that were resolved by scanning a coordinator's log rings
-    /// (rather than the volatile cache) so far.
+    /// (rather than the volatile table) so far.
     pub fn scan_resolved(&self) -> u64 {
         self.inner.scan_resolved.get()
     }
 
-    /// Look up txn `txn`'s outcome: the volatile cache, else a persistent
-    /// ring scan of the coordinator shard's logs for its `TxnDecide`
-    /// record. `None` means genuinely undecided (no decided record has
-    /// persisted) — the caller must hold the transaction in-doubt.
+    /// Look up txn `txn`'s outcome: the volatile table, else — only if
+    /// its decide was issued — a persistent ring scan of the coordinator
+    /// shard's logs for its `TxnDecide` record. `None` means genuinely
+    /// undecided (no decided record has persisted) — the caller must
+    /// hold the transaction in-doubt.
     pub fn decision(&self, coord: usize, txn: u64) -> Option<bool> {
-        if let Some(&d) = self.inner.decisions.borrow().get(&txn) {
-            return Some(d);
-        }
-        let logs = self.inner.logs.borrow();
-        for log in logs.get(&coord)? {
-            for e in log.scan_ring() {
-                if e.op.opcode == OpCode::TxnDecide && e.op.obj_id == txn {
-                    let d = decode_decide(&e.payload)?;
-                    self.inner
-                        .scan_resolved
-                        .set(self.inner.scan_resolved.get() + 1);
-                    self.inner.decisions.borrow_mut().insert(txn, d.commit);
-                    return Some(d.commit);
-                }
-            }
-        }
-        None
+        let known = self.inner.decisions.borrow().get(&txn).copied();
+        let answer = match known {
+            Some(Decision::Committed) => return Some(true),
+            Some(Decision::Aborted) => return Some(false),
+            Some(Decision::Issued) => self.scan_coordinator(coord, txn),
+            None => None,
+        };
+        #[cfg(test)]
+        self.check_against_full_scan(coord, txn, answer);
+        answer
+    }
+
+    /// Search `coord`'s persistent rings for txn `txn`'s decided record.
+    /// A malformed record is skipped, not trusted: a valid retry
+    /// duplicate may sit in a later slot or ring.
+    fn scan_coordinator(&self, coord: usize, txn: u64) -> Option<bool> {
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+        bump(&self.inner.ring_scans);
+        let commit = self
+            .inner
+            .logs
+            .borrow()
+            .get(&coord)
+            .into_iter()
+            .flatten()
+            .flat_map(|log| log.find_in_ring(OpCode::TxnDecide, txn))
+            .find_map(|e| decode_decide(&e.payload))?
+            .commit;
+        bump(&self.inner.scan_resolved);
+        self.note_decision(txn, commit);
+        Some(commit)
+    }
+
+    /// The reference lookup — materialise every resident entry of every
+    /// coordinator ring, whatever the table says — must agree with every
+    /// answer the table did not already hold.
+    #[cfg(test)]
+    fn check_against_full_scan(&self, coord: usize, txn: u64, answer: Option<bool>) {
+        let reference = self
+            .inner
+            .logs
+            .borrow()
+            .get(&coord)
+            .into_iter()
+            .flatten()
+            .flat_map(RedoLog::scan_ring)
+            .filter(|e| e.op.opcode == OpCode::TxnDecide && e.op.obj_id == txn)
+            .find_map(|e| decode_decide(&e.payload))
+            .map(|d| d.commit);
+        assert_eq!(answer, reference, "decision({coord}, {txn:#x})");
+        self.inner
+            .oracle_checks
+            .set(self.inner.oracle_checks.get() + 1);
     }
 }
 
@@ -766,8 +852,11 @@ impl TxnClient {
         // Phase 2: the decided record at the coordinator shard. Its
         // flush ACK is the commit point. A failure here is indeterminate
         // (the record may have persisted): surface the error, append no
-        // aborts, and let recovery resolve from the logs.
+        // aborts, and let recovery resolve from the logs. The directory
+        // hears of the append before it is posted: from here on (and
+        // only from here on) a lookup for this txn reads PM.
         let decide = encode_decide(true, &participants);
+        self.states[coord].inner.dir.note_issued(id);
         self.append(coord, OpCode::TxnDecide, id, decide).await?;
         self.jot(EventKind::TxnDecide, id, coord as u64, 1);
         self.phase(TxnPhase::AfterDecide);
@@ -832,8 +921,8 @@ impl ShardedTxn {
         &self.directory
     }
 
-    /// Node-crash recovery for shard `shard`: drop the volatile decision
-    /// cache (resolution must come from the logs alone), then replay
+    /// Node-crash recovery for shard `shard`: forget the volatile decision
+    /// outcomes (resolution must come from the logs alone), then replay
     /// every per-connection log on that server. Replayed prepare records
     /// re-stage and resolve through the directory; genuinely undecided
     /// ones stay staged and locked. Returns the entries re-enqueued.
@@ -938,22 +1027,54 @@ pub fn build_sharded_txn(
 mod tests {
     use super::*;
     use crate::durable::DurableKind;
-    use crate::rpc::ServerProfile;
+    use crate::rpc::{RetryPolicy, ServerProfile};
     use prdma_node::ClusterConfig;
-    use prdma_simnet::Sim;
+    use prdma_simnet::{Sim, SimDuration};
 
-    fn txn_fixture(sim: &Sim, shards: usize, clients: usize) -> ShardedTxn {
+    fn fixture(
+        sim: &Sim,
+        shards: usize,
+        clients: usize,
+        profile: ServerProfile,
+        retry: RetryPolicy,
+    ) -> (Cluster, ShardedTxn) {
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(shards, clients));
         let cfg = DurableConfig {
-            profile: ServerProfile::light(),
+            profile,
             slot_payload: 1024,
             object_slot: 1024,
             store_capacity: 1 << 20,
             log_slots: 64,
+            retry,
             ..Default::default()
         };
         let client_nodes: Vec<usize> = (shards..shards + clients).collect();
-        build_sharded_txn(&cluster, ShardMap::new(shards), &client_nodes, &cfg)
+        let svc = build_sharded_txn(&cluster, ShardMap::new(shards), &client_nodes, &cfg);
+        (cluster, svc)
+    }
+
+    fn txn_fixture(sim: &Sim, shards: usize, clients: usize) -> ShardedTxn {
+        let (profile, retry) = (ServerProfile::light(), RetryPolicy::default());
+        fixture(sim, shards, clients, profile, retry).1
+    }
+
+    /// Heavy-profile fixture with a flat, short retry schedule, as in
+    /// `tests/txn_commit_crash.rs`: `max_retries` decides whether an
+    /// append rides out an outage or gives up.
+    fn crash_fixture(
+        sim: &Sim,
+        shards: usize,
+        clients: usize,
+        max_retries: u32,
+    ) -> (Cluster, ShardedTxn) {
+        let retry = RetryPolicy {
+            request_timeout: SimDuration::from_micros(300),
+            max_retries,
+            backoff: SimDuration::from_micros(100),
+            backoff_cap: SimDuration::from_micros(100),
+            jitter_pct: 0,
+        };
+        fixture(sim, shards, clients, ServerProfile::heavy(), retry)
     }
 
     #[test]
@@ -1153,6 +1274,220 @@ mod tests {
             before + 1,
             "resolution must scan the log"
         );
+        // A txn whose decide was never issued has no record to find:
+        // `None`, and no ring is read to say so.
+        let scans = dir.ring_scans();
+        assert_eq!(dir.decision(0, TXN_ID_BASE | 0xDEAD), None);
+        assert_eq!(dir.ring_scans(), scans, "never-issued lookup read PM");
+    }
+
+    #[test]
+    fn fault_free_commits_never_scan_a_ring() {
+        const CLIENTS: u64 = 4;
+        const TXNS: u64 = 50;
+        let mut sim = Sim::new(137);
+        let svc = txn_fixture(&sim, 4, CLIENTS as usize);
+        let dir = svc.directory.clone();
+        let joins: Vec<_> = svc
+            .clients
+            .into_iter()
+            .zip(0u64..)
+            .map(|(client, c)| {
+                sim.spawn(async move {
+                    for i in 0..TXNS {
+                        // Four fresh keys, one per shard (striped map).
+                        let mut txn = client.begin();
+                        for s in 0..4 {
+                            let key = (c * TXNS + i) * 4 + s;
+                            txn.put(key, &Payload::from_bytes(vec![key as u8; 32]));
+                        }
+                        assert_eq!(client.commit(txn).await.unwrap(), TxnOutcome::Committed);
+                    }
+                })
+            })
+            .collect();
+        sim.block_on(async move {
+            for j in joins {
+                j.await;
+            }
+        });
+        sim.run();
+        for st in &svc.states {
+            assert_eq!(st.applied_txns(), CLIENTS * TXNS);
+            assert_eq!(st.staged_count(), 0);
+        }
+        assert_eq!(dir.ring_scans(), 0, "steady-state 2PC read a log ring");
+        assert_eq!(dir.scan_resolved(), 0);
+        // Every prepare's lookup was still cross-checked against the
+        // full-scan reference: the `None`s were exact, not assumed.
+        assert!(dir.inner.oracle_checks.get() >= CLIENTS * TXNS * 4);
+    }
+
+    #[test]
+    fn corrupt_decide_record_does_not_hide_a_valid_duplicate() {
+        let mut sim = Sim::new(139);
+        let svc = txn_fixture(&sim, 1, 1);
+        let client = svc.clients.into_iter().next().unwrap();
+        let dir = svc.directory.clone();
+        let id = TXN_ID_BASE | 77;
+        dir.note_issued(id);
+        sim.block_on(async move {
+            // Slot 0: a truncated decide (no commit flag to decode).
+            // Slot 1: the valid retry duplicate.
+            let torn = Payload::from_bytes(vec![1, 0, 0]);
+            client.append(0, OpCode::TxnDecide, id, torn).await.unwrap();
+            client
+                .append(0, OpCode::TxnDecide, id, encode_decide(true, &[0]))
+                .await
+                .unwrap();
+        });
+        sim.run();
+        dir.forget_volatile();
+        assert_eq!(dir.decision(0, id), Some(true));
+        assert_eq!(dir.scan_resolved(), 1);
+    }
+
+    /// One 2-shard txn with node `victim` crashed at `at`, restarted and
+    /// replayed 3 ms later. Every `decision` call on the way runs the
+    /// `cfg(test)` full-scan cross-check; returns the service and the
+    /// commit result.
+    fn crash_during_commit(
+        seed: u64,
+        victim: usize,
+        at: TxnPhase,
+        max_retries: u32,
+    ) -> (Rc<ShardedTxn>, RpcResult<TxnOutcome>) {
+        let mut sim = Sim::new(seed);
+        let (cluster, mut svc) = crash_fixture(&sim, 2, 1, max_retries);
+        let client = svc.clients.remove(0);
+        let node = cluster.node(victim).clone();
+        {
+            let node = node.clone();
+            client.set_phase_hook(move |ph| {
+                if ph == at {
+                    node.crash();
+                }
+            });
+        }
+        let svc = Rc::new(svc);
+        let h = sim.handle();
+        let out = sim.block_on({
+            let svc = Rc::clone(&svc);
+            async move {
+                let commit = h.spawn(async move {
+                    let mut t = client.begin();
+                    t.put(0, &Payload::from_bytes(vec![0xA5; 64]));
+                    t.put(1, &Payload::from_bytes(vec![0x5A; 64]));
+                    client.commit(t).await
+                });
+                h.sleep(SimDuration::from_millis(3)).await;
+                node.restart();
+                svc.recover_shard(victim);
+                let out = commit.await;
+                h.sleep(SimDuration::from_millis(5)).await;
+                out
+            }
+        });
+        sim.run();
+        assert!(svc.directory.inner.oracle_checks.get() > 0);
+        (svc, out)
+    }
+
+    #[test]
+    fn decisions_match_the_full_scan_reference_across_commit_crashes() {
+        // Participant dies after the decide persisted; commit-record
+        // retries exhaust, so its replay resolves by scan.
+        let (svc, out) = crash_during_commit(0x27C2, 1, TxnPhase::AfterDecide, 3);
+        assert_eq!(out.unwrap(), TxnOutcome::Committed);
+        assert_eq!(svc.directory.scan_resolved(), 1);
+        assert_eq!(svc.states[1].applied_txns(), 1);
+
+        // Coordinator dies after both prepares; the decide rides out the
+        // outage. Its replayed prepare finds nothing issued: no scan.
+        let (svc, out) = crash_during_commit(0xC0DE, 0, TxnPhase::AfterPrepare(2), 200);
+        assert_eq!(out.unwrap(), TxnOutcome::Committed);
+        assert_eq!(
+            svc.states[0].applied_txns() + svc.states[1].applied_txns(),
+            2
+        );
+
+        // Coordinator down past the decide retries: issued, never
+        // persisted. Replay scans, finds nothing, stays in doubt.
+        let (svc, out) = crash_during_commit(0xD0BB, 0, TxnPhase::AfterPrepare(2), 3);
+        assert!(out.is_err());
+        assert!(svc.directory.ring_scans() > 0);
+        assert_eq!(svc.directory.scan_resolved(), 0);
+        assert_eq!(svc.in_doubt(0), 1);
+    }
+
+    #[test]
+    fn decisions_match_the_full_scan_reference_in_a_seeded_mix_with_crashes() {
+        use prdma_simnet::fault::FaultPlan;
+        use prdma_simnet::rng::SmallRng;
+        use prdma_simnet::SimTime;
+
+        const SHARDS: usize = 4;
+        const KEYS: u64 = 64;
+        let mut sim = Sim::new(0x5EED);
+        let (cluster, svc) = crash_fixture(&sim, SHARDS, 4, 200);
+        // A node crash every 150 us, round-robin over the shards (each
+        // is back up, 400 us later, before its next turn).
+        const CRASHES: u64 = 16;
+        let plan = (0..CRASHES).fold(FaultPlan::new(), |plan, i| {
+            plan.at(
+                SimTime::from_nanos(30_000 + i * 150_000),
+                i as usize % SHARDS,
+                FaultKind::NodeCrash {
+                    down_for: SimDuration::from_micros(400),
+                },
+            )
+        });
+        let inj = cluster.inject_faults(plan);
+        svc.wire_recovery(&inj);
+        let dir = svc.directory.clone();
+        let h = sim.handle();
+        let joins: Vec<_> = svc
+            .clients
+            .into_iter()
+            .zip(0u64..)
+            .map(|(client, c)| {
+                let h = h.clone();
+                sim.spawn(async move {
+                    // The txn_mix shape: 2 reads + 2 writes over a small
+                    // shared keyspace, so clients collide and abort too.
+                    let mut rng = SmallRng::seed_from_u64(0x5EED ^ c);
+                    let mut committed = 0u64;
+                    for _ in 0..60 {
+                        let mut t = client.begin();
+                        for _ in 0..2 {
+                            let _ = client.read(&mut t, rng.gen_range(0..KEYS), 32).await;
+                        }
+                        for _ in 0..2 {
+                            let key = rng.gen_range(0..KEYS);
+                            t.put(key, &Payload::from_bytes(vec![key as u8; 32]));
+                        }
+                        if let Ok(TxnOutcome::Committed) = client.commit(t).await {
+                            committed += 1;
+                        }
+                        h.sleep(SimDuration::from_micros(20)).await;
+                    }
+                    committed
+                })
+            })
+            .collect();
+        let committed = sim.block_on(async move {
+            let mut committed = 0u64;
+            for j in joins {
+                committed += j.await;
+            }
+            h.sleep(SimDuration::from_millis(5)).await;
+            committed
+        });
+        sim.run();
+        assert_eq!(inj.stats().node_crashes, CRASHES);
+        assert!(committed > 0);
+        assert!(dir.ring_scans() > 0, "no crash opened a scan window");
+        assert!(dir.inner.oracle_checks.get() > committed);
     }
 
     #[test]

@@ -116,6 +116,69 @@ fn decided_txn_resolves_on_participant_from_logs_alone() {
     }
 }
 
+/// The persisted-but-unprocessed window: both shards' *services* are
+/// stalled (`ServiceCrash`: NIC and PM keep absorbing one-sided
+/// appends), so the prepares and the decide are all flush-ACKed and the
+/// client sees commit with nothing processed anywhere. The participant
+/// comes back first; the coordinator's service is still down, so its
+/// decide is persisted but unprocessed and no in-band outcome exists.
+/// The participant's prepare must still resolve *commit* — from the
+/// coordinator's persistent ring, by exactly one scan. Sender-initiated
+/// kinds only: a receiver-initiated persist ACK needs the stalled CPU.
+#[test]
+fn decide_at_a_stalled_coordinator_resolves_from_its_persistent_ring() {
+    for kind in [DurableKind::SFlush, DurableKind::WFlush] {
+        let mut sim = Sim::new(0x57A1 ^ kind as u64);
+        let (cluster, mut svc) = txn_cluster(&sim, kind, 3);
+        let client = svc.clients.remove(0);
+        let stall = |us| FaultKind::ServiceCrash {
+            down_for: SimDuration::from_micros(us),
+        };
+        let t0 = SimTime::from_nanos(1_000);
+        let plan = FaultPlan::new()
+            .at(t0, 0, stall(2_000)) // coordinator
+            .at(t0, 1, stall(500)); // participant
+        let inj = cluster.inject_faults(plan);
+        let dir = svc.directory().clone();
+        let states = svc.states.clone();
+        let h = sim.handle();
+        sim.block_on(async move {
+            h.sleep(SimDuration::from_micros(5)).await;
+            let mut t = client.begin();
+            t.put(0, &Payload::from_bytes(vec![0xC3; VAL])); // shard 0 (coordinator)
+            t.put(1, &Payload::from_bytes(vec![0x3C; VAL])); // shard 1
+            let out = client
+                .commit(t)
+                .await
+                .expect("the NIC alone ACKs persistence");
+            assert_eq!(out, TxnOutcome::Committed, "{kind:?}");
+            assert_eq!(dir.ring_scans(), 0, "{kind:?}: nothing processed yet");
+            // t = 1 ms: participant back for 0.5 ms, coordinator still down.
+            h.sleep(SimDuration::from_millis(1)).await;
+            assert_eq!(states[0].applied_txns(), 0, "{kind:?}: coordinator ran");
+            assert_eq!(states[1].applied_txns(), 1, "{kind:?}: not resolved");
+            assert_eq!(dir.ring_scans(), 1, "{kind:?}");
+            assert_eq!(dir.scan_resolved(), 1, "{kind:?}");
+        });
+        sim.run();
+        assert_eq!(inj.stats().service_crashes, 2, "{kind:?}");
+        for shard in 0..2usize {
+            assert_eq!(svc.in_doubt(shard), 0, "{kind:?} shard {shard}");
+            assert_eq!(
+                svc.states[shard].applied_txns(),
+                1,
+                "{kind:?} shard {shard}"
+            );
+        }
+        assert_eq!(
+            svc.directory().ring_scans(),
+            1,
+            "{kind:?}: later lookups hit the table"
+        );
+        cluster.audit_journal().assert_ok();
+    }
+}
+
 /// Coordinator shard's server killed after both prepares ACKed but
 /// before the decided append: the decide retries ride out the outage,
 /// the restarted coordinator replays its prepare into an in-doubt stage
