@@ -1,60 +1,26 @@
 //! Prints determinism fingerprints (events processed, virtual elapsed
-//! time, journal byte length + FNV-1a hash) for representative journaled
-//! runs. Used to pin the regression constants in
-//! `tests/determinism_and_properties.rs`.
+//! time, journal byte length + FNV-1a hash) for every pinned input of
+//! `prdma_suite::fingerprint`. Used to pin the regression constants in
+//! `tests/determinism_and_properties.rs`. `FP_OPS` overrides the
+//! operation count (the pinned constants use 300).
 
-use prdma_suite::baselines::{build_system, SystemKind, SystemOpts};
-use prdma_suite::core::ServerProfile;
-use prdma_suite::node::{Cluster, ClusterConfig};
-use prdma_suite::simnet::journal;
-use prdma_suite::simnet::Sim;
-use prdma_suite::workloads::micro::{run_micro, MicroConfig};
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use prdma_suite::fingerprint::{run, Input};
 
 fn main() {
-    for kind in [
-        SystemKind::WFlush,
-        SystemKind::SRFlush,
-        SystemKind::Farm,
-        SystemKind::Darpc,
-    ] {
-        let seed = 20211114;
-        let mut sim = Sim::new(seed);
-        let mut ccfg = ClusterConfig::with_nodes(2);
-        ccfg.journal = true;
-        let cluster = Cluster::new(sim.handle(), ccfg);
-        let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
-        let client = build_system(&cluster, kind, 1, 0, 0, &opts);
-        let ops: u64 = std::env::var("FP_OPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(300);
-        let cfg = MicroConfig {
-            objects: 500,
-            ops,
-            object_size: 1024,
-            seed,
-            ..Default::default()
-        };
-        let h = sim.handle();
-        let r = sim.block_on(async move { run_micro(client.as_ref(), &h, &cfg).await });
-        let jsonl = journal::to_jsonl(&cluster.journal_records());
+    let ops: u64 = std::env::var("FP_OPS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(300);
+    for input in Input::all() {
+        let fp = run(input, ops);
         println!(
-            "{:<12} events={} elapsed_ns={} ops={} journal_bytes={} journal_fnv={:#018x}",
-            kind.name(),
-            sim.events_processed(),
-            r.elapsed.as_nanos(),
-            r.ops,
-            jsonl.len(),
-            fnv1a(jsonl.as_bytes()),
+            "{:<24} events={} elapsed_ns={} ops={} journal_bytes={} journal_fnv={:#018x}",
+            format!("{input:?}"),
+            fp.events,
+            fp.elapsed_ns,
+            ops,
+            fp.journal_len,
+            fp.journal_fnv,
         );
     }
 }

@@ -1,0 +1,210 @@
+//! Whole-stack determinism fingerprints: one journaled run per [`Input`],
+//! reduced to events processed, virtual elapsed time, and the journal
+//! export's length and FNV-1a hash. `examples/fingerprint.rs` prints
+//! them; `tests/determinism_and_properties.rs` pins them.
+
+use std::rc::Rc;
+
+use crate::baselines::{build_system, SystemKind, SystemOpts};
+use crate::core::txn::build_sharded_txn;
+use crate::core::{
+    build_durable, build_replicated, build_sharded_durable_cached, CacheConfig, DurableConfig,
+    DurableKind, Request, RpcClient, ServerProfile, ShardMap,
+};
+use crate::node::{Cluster, ClusterConfig};
+use crate::rnic::Payload;
+use crate::simnet::{journal, Sim};
+use crate::workloads::micro::{run_micro, MicroConfig};
+use crate::workloads::txn_mix::{run_txn_mix, TxnMixConfig};
+
+/// Every run uses this seed (the paper's conference date).
+pub const SEED: u64 = 20211114;
+
+/// One pinned run shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Input {
+    /// 1:1 read/write micro-benchmark through one connection of a
+    /// registry system (single puts: `do_put`).
+    Micro(SystemKind),
+    /// `call_batch` rounds of 8 puts on one durable connection; every
+    /// fourth round carries a GET mid-batch, splitting the put run.
+    Batch(DurableKind),
+    /// The micro-benchmark through a 2-replica `build_replicated` group
+    /// (tagged puts fanned out to both replicas).
+    Replicated(DurableKind),
+    /// A 2R+2W transactional mix over a 2-shard `build_sharded_txn`
+    /// service (2PC record appends: `append_record`).
+    Txn(DurableKind),
+    /// A 95 % GET / 5 % put micro-benchmark through a 1-shard cached
+    /// fleet (lease bumps on the put path, cache + mirror reads).
+    Cached(DurableKind),
+}
+
+impl Input {
+    /// Every pinned input: the four registry systems pinned since the
+    /// executor rewrite, the other two durable kinds, then each
+    /// multi-entry path under all four kinds.
+    pub fn all() -> Vec<Input> {
+        let mut v: Vec<Input> = [
+            SystemKind::WFlush,
+            SystemKind::SRFlush,
+            SystemKind::Farm,
+            SystemKind::Darpc,
+            SystemKind::SFlush,
+            SystemKind::WRFlush,
+        ]
+        .map(Input::Micro)
+        .to_vec();
+        for shape in [Input::Batch, Input::Replicated, Input::Txn, Input::Cached] {
+            v.extend(DurableKind::ALL.map(shape));
+        }
+        v
+    }
+}
+
+/// What a run reduces to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// Executor events processed.
+    pub events: u64,
+    /// Virtual time the client-side workload took.
+    pub elapsed_ns: u64,
+    /// JSONL journal export length in bytes.
+    pub journal_len: usize,
+    /// FNV-1a 64 of the JSONL journal export.
+    pub journal_fnv: u64,
+}
+
+/// FNV-1a 64-bit.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+fn durable_cfg(kind: DurableKind) -> DurableConfig {
+    DurableConfig {
+        kind,
+        profile: ServerProfile::light(),
+        slot_payload: 1024,
+        object_slot: 1024,
+        store_capacity: 1 << 20,
+        ..Default::default()
+    }
+}
+
+fn micro_cfg(ops: u64, read_ratio: f64) -> MicroConfig {
+    MicroConfig {
+        objects: 500,
+        ops,
+        object_size: 1024,
+        read_ratio,
+        seed: SEED,
+    }
+}
+
+/// Run `input` at `ops` operations (the pinned constants use 300) with
+/// the journal on. `Micro` runs stop when the workload returns, as they
+/// always have; the other shapes then drain the simulation so decoupled
+/// server-side processing and background 2PC records are in the journal.
+pub fn run(input: Input, ops: u64) -> Fingerprint {
+    let mut sim = Sim::new(SEED);
+    let h = sim.handle();
+    let journaled = |mut ccfg: ClusterConfig| {
+        ccfg.journal = true;
+        Cluster::new(h.clone(), ccfg)
+    };
+    let (cluster, elapsed_ns) = match input {
+        Input::Micro(kind) => {
+            let cluster = journaled(ClusterConfig::with_nodes(2));
+            let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
+            let client = build_system(&cluster, kind, 1, 0, 0, &opts);
+            let cfg = micro_cfg(ops, 0.5);
+            let r = sim.block_on(async move { run_micro(client.as_ref(), &h, &cfg).await });
+            (cluster, r.elapsed.as_nanos())
+        }
+        Input::Batch(kind) => {
+            let cluster = journaled(ClusterConfig::with_nodes(2));
+            let (client, server) = build_durable(&cluster, 1, 0, 0, durable_cfg(kind));
+            server.start();
+            let ns = sim.block_on(async move {
+                let t0 = h.now();
+                for round in 0..ops / 8 {
+                    let mut reqs: Vec<Request> = (0..8)
+                        .map(|i| Request::Put {
+                            obj: (round * 8 + i) % 500,
+                            data: Payload::synthetic(1024, round * 8 + i),
+                        })
+                        .collect();
+                    if round % 4 == 3 {
+                        let get = Request::Get {
+                            obj: round % 500,
+                            len: 1024,
+                        };
+                        reqs.insert(4, get);
+                    }
+                    let n = reqs.len();
+                    let resps = client.call_batch(reqs).await.expect("batch");
+                    assert_eq!(resps.len(), n);
+                }
+                (h.now() - t0).as_nanos()
+            });
+            sim.run();
+            (cluster, ns)
+        }
+        Input::Replicated(kind) => {
+            let cluster = journaled(ClusterConfig::with_nodes(3));
+            let (client, _group) = build_replicated(&cluster, 2, &[0, 1], durable_cfg(kind));
+            let cfg = micro_cfg(ops, 0.5);
+            let r = sim.block_on(async move { run_micro(&client, &h, &cfg).await });
+            assert_eq!(r.failed, 0);
+            sim.run();
+            (cluster, r.elapsed.as_nanos())
+        }
+        Input::Txn(kind) => {
+            let cluster = journaled(ClusterConfig::with_servers(2, 1));
+            let svc = build_sharded_txn(&cluster, ShardMap::new(2), &[2], &durable_cfg(kind));
+            let clients: Vec<_> = svc.clients.into_iter().map(Rc::new).collect();
+            let cfg = TxnMixConfig {
+                txns: ops / 4,
+                objects: 500,
+                seed: SEED,
+                ..Default::default()
+            };
+            let r = sim.block_on(async move { run_txn_mix(&h, &clients, &cfg).await });
+            assert!(r.committed > 0);
+            sim.run();
+            (cluster, r.elapsed.as_nanos())
+        }
+        Input::Cached(kind) => {
+            let cluster = journaled(ClusterConfig::with_servers(1, 1));
+            let cache = CacheConfig {
+                hot_threshold: 1,
+                ..Default::default()
+            };
+            let (svc, _leases) = build_sharded_durable_cached(
+                &cluster,
+                ShardMap::new(1),
+                &[1],
+                &durable_cfg(kind),
+                &cache,
+            );
+            let client = svc.clients.into_iter().next().expect("one client");
+            let cfg = micro_cfg(ops, 0.95);
+            let r = sim.block_on(async move { run_micro(&client, &h, &cfg).await });
+            assert_eq!(r.failed, 0);
+            sim.run();
+            (cluster, r.elapsed.as_nanos())
+        }
+    };
+    let jsonl = journal::to_jsonl(&cluster.journal_records());
+    Fingerprint {
+        events: sim.events_processed(),
+        elapsed_ns,
+        journal_len: jsonl.len(),
+        journal_fnv: fnv1a(jsonl.as_bytes()),
+    }
+}

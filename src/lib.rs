@@ -11,3 +11,5 @@ pub use prdma_pmem as pmem;
 pub use prdma_rnic as rnic;
 pub use prdma_simnet as simnet;
 pub use prdma_workloads as workloads;
+
+pub mod fingerprint;

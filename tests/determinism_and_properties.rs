@@ -10,6 +10,7 @@ use prdma_suite::baselines::{build_system, SystemKind, SystemOpts};
 use prdma_suite::core::{
     build_durable, DurableConfig, DurableKind, Request, RpcClient, ServerProfile,
 };
+use prdma_suite::fingerprint::{self, Fingerprint, Input};
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::journal;
@@ -256,21 +257,17 @@ fn payload_composite_invariants() {
     }
 }
 
-/// FNV-1a 64-bit, matching `examples/fingerprint.rs`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Pinned whole-stack fingerprints: event counts, virtual elapsed time,
-/// and journal bytes for representative journaled runs, captured before
-/// the executor hot-path rewrite (timer slab + unsynchronized ready
-/// queue). Any schedule-visible regression in the executor, network,
-/// or protocol layers trips this test.
+/// and journal bytes for representative journaled runs
+/// (`prdma_suite::fingerprint`). Any schedule-visible regression in the
+/// executor, network, or protocol layers trips this test.
+///
+/// The first four rows were captured before the executor hot-path
+/// rewrite (timer slab + unsynchronized ready queue). The rest were
+/// captured on the three-send-path `core::durable` before it was folded
+/// into one persist path: the other two durable kinds' single puts, and
+/// — for all four kinds — batched puts, 2-replica tagged puts, 2-shard
+/// 2PC record appends, and a 1-shard cached fleet at 5 % puts.
 ///
 /// Regenerate the constants with `cargo run --release --example
 /// fingerprint` *only* when a deliberate, understood semantic change
@@ -288,58 +285,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// for all four systems — metrics consume zero simulated time.
 #[test]
 fn pinned_whole_stack_fingerprints() {
-    // (kind, events_processed, elapsed_ns, journal_len, journal_fnv)
-    let pinned: [(SystemKind, u64, u64, usize, u64); 4] = [
-        (
-            SystemKind::WFlush,
-            8866,
-            1184203,
-            571894,
-            0x54c7f211e4d11575,
-        ),
-        (
-            SystemKind::SRFlush,
-            9630,
-            1293452,
-            631704,
-            0xb8b840aeb270c4b1,
-        ),
-        (SystemKind::Farm, 7064, 1154355, 511207, 0xfd75b30a64fbf97c),
-        (SystemKind::Darpc, 9164, 2528207, 634468, 0x622a32a960cda0a4),
+    use Input::{Batch, Cached, Micro, Replicated, Txn};
+    // (input, events_processed, elapsed_ns, journal_len, journal_fnv)
+    #[rustfmt::skip]
+    let pinned: [(Input, u64, u64, usize, u64); 22] = [
+        (Micro(SystemKind::WFlush), 8866, 1184203, 571894, 0x54c7f211e4d11575),
+        (Micro(SystemKind::SRFlush), 9630, 1293452, 631704, 0xb8b840aeb270c4b1),
+        (Micro(SystemKind::Farm), 7064, 1154355, 511207, 0xfd75b30a64fbf97c),
+        (Micro(SystemKind::Darpc), 9164, 2528207, 634468, 0x622a32a960cda0a4),
+        (Micro(SystemKind::SFlush), 9306, 2349203, 634766, 0xf7e5b67d328de0f2),
+        (Micro(SystemKind::WRFlush), 9355, 1098302, 570785, 0xb628c219ba8eab92),
+        (Batch(DurableKind::SRFlush), 10018, 711498, 703240, 0x9a0b6a3a6ed02275),
+        (Batch(DurableKind::SFlush), 6974, 1009348, 526857, 0x59bc77fb7272dafb),
+        (Batch(DurableKind::WRFlush), 8295, 875214, 591205, 0x6ae017f8f1db797c),
+        (Batch(DurableKind::WFlush), 5511, 496948, 414171, 0xdcbddfd36457854f),
+        (Replicated(DurableKind::SRFlush), 16131, 1296386, 1161934, 0xb1bd206bed367233),
+        (Replicated(DurableKind::SFlush), 15482, 2351485, 1167476, 0x100899a5ca8df904),
+        (Replicated(DurableKind::WRFlush), 15855, 1101236, 1067790, 0x3f9c777922fd2d0d),
+        (Replicated(DurableKind::WFlush), 14877, 1186485, 1069864, 0xe75d9f06e103fd1c),
+        (Txn(DurableKind::SRFlush), 14331, 1185520, 984878, 0x0eda9c6040912adf),
+        (Txn(DurableKind::SFlush), 13946, 2457856, 1005603, 0x5fc879b31308b565),
+        (Txn(DurableKind::WRFlush), 14028, 1008540, 896025, 0x93cf093503104dfd),
+        (Txn(DurableKind::WFlush), 13355, 1120324, 911982, 0x4b7cc8205f84ad93),
+        (Cached(DurableKind::SRFlush), 4346, 551378, 291330, 0x37c16c67cb5e86cc),
+        (Cached(DurableKind::SFlush), 4320, 635579, 291470, 0x8e0f72e6246176c6),
+        (Cached(DurableKind::WRFlush), 4095, 526688, 263761, 0x0e7ad5d9d216a5e9),
+        (Cached(DurableKind::WFlush), 4056, 533539, 263813, 0xd76f7481dec4ace2),
     ];
-    for (kind, events, elapsed_ns, len, fnv) in pinned {
-        let seed = 20211114;
-        let mut sim = Sim::new(seed);
-        let mut ccfg = ClusterConfig::with_nodes(2);
-        ccfg.journal = true;
-        let cluster = Cluster::new(sim.handle(), ccfg);
-        let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
-        let client = build_system(&cluster, kind, 1, 0, 0, &opts);
-        let cfg = MicroConfig {
-            objects: 500,
-            ops: 300,
-            object_size: 1024,
-            seed,
-            ..Default::default()
-        };
-        let h = sim.handle();
-        let r = sim.block_on(async move { run_micro(client.as_ref(), &h, &cfg).await });
-        let jsonl = journal::to_jsonl(&cluster.journal_records());
-        assert_eq!(
-            sim.events_processed(),
+    for (input, events, elapsed_ns, journal_len, journal_fnv) in pinned {
+        let want = Fingerprint {
             events,
-            "{kind:?}: events_processed drifted from pinned fingerprint"
-        );
-        assert_eq!(
-            r.elapsed.as_nanos(),
             elapsed_ns,
-            "{kind:?}: virtual elapsed time drifted from pinned fingerprint"
-        );
-        assert_eq!(jsonl.len(), len, "{kind:?}: journal export length drifted");
+            journal_len,
+            journal_fnv,
+        };
         assert_eq!(
-            fnv1a(jsonl.as_bytes()),
-            fnv,
-            "{kind:?}: journal export bytes drifted (FNV-1a mismatch)"
+            fingerprint::run(input, 300),
+            want,
+            "{input:?}: drifted from pinned fingerprint"
         );
     }
 }
