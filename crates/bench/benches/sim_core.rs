@@ -19,8 +19,8 @@
 
 use prdma::txn::build_sharded_txn;
 use prdma::{
-    build_sharded_durable_cached, encode_entry, CacheConfig, DurableConfig, DurableKind, OpCode,
-    Request, RpcClient, RpcOperator, ServerProfile, ShardMap,
+    build_fleet, encode_entry, CacheConfig, DurableConfig, DurableKind, FleetSpec, OpCode, Request,
+    RpcClient, RpcOperator, ServerProfile, ShardMap,
 };
 use prdma_bench::exp;
 use prdma_bench::report::output_dir;
@@ -248,8 +248,11 @@ fn bench_cached_get(iters: u32) -> BenchResult {
             mirror: false,
             ..Default::default()
         };
-        let (svc, _leases) =
-            build_sharded_durable_cached(&cluster, ShardMap::new(1), &[1], &cfg, &cache);
+        let spec = FleetSpec {
+            replicas: 1,
+            cache: Some(cache),
+        };
+        let svc = build_fleet(&cluster, ShardMap::new(1), &[1], &cfg, spec);
         let client = svc.clients.into_iter().next().expect("one client");
         let sum = sim.block_on(async move {
             client

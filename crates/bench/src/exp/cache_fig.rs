@@ -22,8 +22,8 @@
 //! assertions (the CI `cache-smoke` job sets it).
 
 use prdma::{
-    build_sharded_durable, build_sharded_durable_cached, CacheConfig, DurableConfig, DurableKind,
-    RpcClient, ServerProfile, ShardMap,
+    build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, RpcClient, ServerProfile,
+    ShardMap,
 };
 use prdma_baselines::{build_system, SystemKind, SystemOpts};
 use prdma_node::{Cluster, ClusterConfig};
@@ -98,23 +98,18 @@ fn cache_point(
                 log_slots: 256,
                 ..Default::default()
             };
-            if cached {
-                // Fill on first miss and tolerate a little write churn:
-                // the figure measures the steady-state read path, not the
-                // admission policy.
-                let cache = CacheConfig {
-                    capacity,
-                    hot_threshold: 1,
-                    churn_demote: 4,
-                    ..Default::default()
-                };
-                let (svc, _leases) =
-                    build_sharded_durable_cached(&cluster, map, &[1], &dcfg, &cache);
-                Box::new(svc.clients.into_iter().next().expect("one client"))
-            } else {
-                let svc = build_sharded_durable(&cluster, map, &[1], &dcfg);
-                Box::new(svc.clients.into_iter().next().expect("one client"))
-            }
+            // Fill on first miss and tolerate a little write churn: the
+            // figure measures the steady-state read path, not the
+            // admission policy.
+            let cache = cached.then(|| CacheConfig {
+                capacity,
+                hot_threshold: 1,
+                churn_demote: 4,
+                ..Default::default()
+            });
+            let spec = FleetSpec { replicas: 1, cache };
+            let svc = build_fleet(&cluster, map, &[1], &dcfg, spec);
+            Box::new(svc.clients.into_iter().next().expect("one client"))
         }
     };
     let h = sim.handle();

@@ -2,8 +2,8 @@
 //! recovery (Fig. 12), and the latency breakdown (Fig. 20).
 
 use prdma::{
-    build_sharded_durable_cached, CacheConfig, DurableConfig, DurableKind, RpcClient,
-    ServerProfile, ShardMap,
+    build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, RpcClient, ServerProfile,
+    ShardMap,
 };
 use prdma_baselines::{build_system, SystemKind, SystemOpts};
 use prdma_node::{Cluster, ClusterConfig};
@@ -140,7 +140,11 @@ fn ycsb_cached_cell(w: YcsbWorkload, scale: Scale) -> String {
         churn_demote: 4,
         ..Default::default()
     };
-    let (svc, _leases) = build_sharded_durable_cached(&cluster, map, &[1], &dcfg, &cache);
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: Some(cache),
+    };
+    let svc = build_fleet(&cluster, map, &[1], &dcfg, spec);
     let client: Box<dyn RpcClient> = Box::new(svc.clients.into_iter().next().expect("one client"));
     let cfg = YcsbConfig {
         records: scale.objects,

@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use prdma::span::PHASES;
 use prdma::{
-    build_replicated_sharded_cached, build_span_trees, tail_report, CacheConfig, DurableConfig,
-    DurableKind, RpcClient, ServerProfile, ShardMap, TailReport,
+    build_fleet, build_span_trees, tail_report, CacheConfig, DurableConfig, DurableKind, FleetSpec,
+    RpcClient, ServerProfile, ShardMap, TailReport,
 };
 use prdma_baselines::SystemKind;
 use prdma_node::{Cluster, ClusterConfig};
@@ -98,14 +98,12 @@ fn obs_run(scale: Scale) -> ObsRun {
     // Front every shard's replica group with the hot-key lease cache so
     // the dashboard also shows the cache columns (hits, invalidations,
     // and the lease revocations a backup promotion triggers).
-    let (sys, _leases) = build_replicated_sharded_cached(
-        &cluster,
-        map,
-        &(shards..shards + clients).collect::<Vec<_>>(),
+    let spec = FleetSpec {
         replicas,
-        &dcfg,
-        &CacheConfig::default(),
-    );
+        cache: Some(CacheConfig::default()),
+    };
+    let client_nodes: Vec<usize> = (shards..shards + clients).collect();
+    let sys = build_fleet(&cluster, map, &client_nodes, &dcfg, spec);
     let cfg = MicroConfig {
         objects,
         ops: (scale.micro_ops / 16).max(200),

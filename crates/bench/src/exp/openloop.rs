@@ -14,7 +14,7 @@
 //! capacity number for each durable kind.
 
 use prdma::{
-    build_replicated_sharded, DurableConfig, DurableKind, RpcClient, ServerProfile, ShardMap,
+    build_fleet, DurableConfig, DurableKind, FleetSpec, RpcClient, ServerProfile, ShardMap,
 };
 use prdma_node::{Cluster, ClusterConfig};
 use prdma_simnet::{Sim, SimDuration};
@@ -66,13 +66,12 @@ pub fn openloop_point(kind: DurableKind, rate_kops: f64, scale: Scale) -> OpenLo
         log_slots: 512,
         ..Default::default()
     };
-    let sys = build_replicated_sharded(
-        &cluster,
-        map,
-        &(SHARDS..SHARDS + ENDPOINTS).collect::<Vec<_>>(),
-        REPLICAS,
-        &dcfg,
-    );
+    let spec = FleetSpec {
+        replicas: REPLICAS,
+        cache: None,
+    };
+    let client_nodes: Vec<usize> = (SHARDS..SHARDS + ENDPOINTS).collect();
+    let sys = build_fleet(&cluster, map, &client_nodes, &dcfg, spec);
     let endpoints: Vec<Box<dyn RpcClient>> = sys
         .clients
         .into_iter()

@@ -30,8 +30,9 @@ use prdma_simnet::{channel, OneshotPool, OneshotSender, Receiver, Sender, SimDur
 
 use crate::flush::{FlushImpl, FlushOps};
 use crate::log::{
-    entry_data_part, entry_index_from_image, LogCursor, LogEntry, LogLayout, OpCode, RedoLog,
-    RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES, REPL_ID_BYTES,
+    align8, entry_data_part, entry_index_from_image, LogCursor, LogEntry, LogLayout, OpCode,
+    RedoLog, RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES,
+    REPL_ID_BYTES,
 };
 use crate::rpc::{
     Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult, ServerProfile,
@@ -251,6 +252,50 @@ pub struct DurableClient {
     next_batch_id: Cell<u64>,
 }
 
+/// One redo-log entry on its way through [`DurableClient::persist`].
+struct Entry {
+    op: RpcOperator,
+    data: Payload,
+    /// Object whose lease epoch the append bumps (puts; `None` for
+    /// transaction records, whose commit path revokes leases itself).
+    lease_obj: Option<u64>,
+    /// Causal root to `ReplLink` this entry's rpc id to (replicated puts).
+    link: Option<u64>,
+    /// Journal rpc id (`lane << 40 | index`), set once appended.
+    rpc_id: Cell<u64>,
+}
+
+impl Entry {
+    fn new(
+        opcode: OpCode,
+        obj_id: u64,
+        data: Payload,
+        lease_obj: Option<u64>,
+        link: Option<u64>,
+    ) -> Self {
+        Entry {
+            op: RpcOperator { opcode, obj_id },
+            data,
+            lease_obj,
+            link,
+            rpc_id: Cell::new(NO_ID),
+        }
+    }
+
+    /// A put logged as [`OpCode::RPut`]: causal id `id` prefixed to the
+    /// payload for apply-time dedup.
+    fn rput(obj: u64, data: Payload, id: u64, link: Option<u64>) -> Self {
+        let tagged = Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]);
+        Entry::new(OpCode::RPut, obj, tagged, Some(obj), link)
+    }
+}
+
+/// The response to every durable put.
+const DURABLE: Response = Response {
+    payload: None,
+    durable: true,
+};
+
 /// Causal-id namespace for batched puts: distinct from replication ids
 /// (`1 << 60 | ...`), transaction ids (`1 << 59 | ...`), log-derived rpc
 /// ids (`lane << 40 | index`), and allocator ids (`1 << 32 + ...`).
@@ -274,17 +319,21 @@ struct ClientMetrics {
 
 /// The server endpoint of a durable RPC connection.
 pub struct DurableServer {
+    ctx: Rc<ServerCtx>,
+    log_qp_server: Qp,
+    get_qp_server: Qp,
+    work_rx: RefCell<Option<Receiver<Work>>>,
+    arrival_rx: RefCell<Option<Receiver<Arrival>>>,
+}
+
+/// What every server task (arrival loops, worker pool) works against.
+struct ServerCtx {
+    shared: Rc<Shared>,
     node: Node,
     log: RedoLog,
     store: ObjectStore,
     resp_qp: Qp,
-    log_qp_server: Qp,
-    get_qp_server: Qp,
-    shared: Rc<Shared>,
-    work_rx: RefCell<Option<Receiver<Work>>>,
-    arrival_rx: RefCell<Option<Receiver<Arrival>>>,
     profile: ServerProfile,
-    kind: DurableKind,
 }
 
 /// Build a durable RPC connection between `client_idx` and `server_idx`
@@ -429,82 +478,72 @@ pub fn build_durable(
         next_batch_id: Cell::new(0),
     };
     let server_ep = DurableServer {
-        node: server,
-        log,
-        store,
-        resp_qp,
+        ctx: Rc::new(ServerCtx {
+            shared,
+            node: server,
+            log,
+            store,
+            resp_qp,
+            profile: cfg.profile,
+        }),
         log_qp_server,
         get_qp_server,
-        shared,
         work_rx: RefCell::new(Some(work_rx)),
         arrival_rx: RefCell::new(Some(arrival_rx)),
-        profile: cfg.profile,
-        kind: cfg.kind,
     };
     (client_ep, server_ep)
-}
-
-#[inline]
-fn align8(v: u64) -> u64 {
-    (v + 7) & !7
 }
 
 impl DurableServer {
     /// The redo log (tests, recovery drills).
     pub fn log(&self) -> &RedoLog {
-        &self.log
+        &self.ctx.log
     }
 
     /// The object store.
     pub fn store(&self) -> &ObjectStore {
-        &self.store
+        &self.ctx.store
     }
 
     /// The server node.
     pub fn node(&self) -> &Node {
-        &self.node
+        &self.ctx.node
     }
 
     /// Puts processed (applied + marked done) so far.
     pub fn puts_processed(&self) -> u64 {
-        self.shared.puts_processed.get()
+        self.ctx.shared.puts_processed.get()
     }
 
     /// Entries logged (arrived durable-or-staged) so far.
     pub fn puts_logged(&self) -> u64 {
-        self.shared.puts_logged.get()
+        self.ctx.shared.puts_logged.get()
     }
 
     /// Replicated-put retry duplicates skipped at apply time.
     pub fn puts_deduped(&self) -> u64 {
-        self.shared.puts_deduped.get()
+        self.ctx.shared.puts_deduped.get()
     }
 
     /// Start the server loops: arrival listeners and the worker pool.
     pub fn start(&self) {
         let h = self.log_qp_server.local().handle().clone();
+        let ctx = Rc::clone(&self.ctx);
 
-        if self.kind.is_send_based() {
+        if ctx.shared.kind.is_send_based() {
             // Recv loop over the log QP, pre-posting recv buffers at
             // upcoming slots (models the SFlush RNIC resolving the
             // destination address from the packet itself).
             let qp = self.log_qp_server.clone();
-            let layout = *self.log.layout();
-            let shared = Rc::clone(&self.shared);
-            let node = self.node.clone();
-            let resp_qp = self.resp_qp.clone();
-            let log = self.log.clone();
-            let window = (layout.slots / 2).max(1);
-            for i in 0..window {
-                qp.post_recv(MemTarget::Pm(layout.slot_addr(i)));
-            }
-            shared.next_recv_index.set(window);
+            let layout = *ctx.log.layout();
+            self.arm_recv_ring(0);
+            let ctx = Rc::clone(&ctx);
             h.spawn(async move {
                 loop {
                     let c = qp.recv().await;
-                    let next = shared.next_recv_index.get();
+                    let next = ctx.shared.next_recv_index.get();
                     qp.post_recv(MemTarget::Pm(layout.slot_addr(next)));
-                    shared.next_recv_index.set(next + 1);
+                    ctx.shared.next_recv_index.set(next + 1);
                     // The packet identifies its own entry (the SFlush
                     // RNIC resolves the destination from the message).
                     // Counting completions instead would desynchronise
@@ -513,21 +552,7 @@ impl DurableServer {
                     let Some(index) = entry_index_from_image(&c.payload) else {
                         continue;
                     };
-                    // Software handling stalls while the service is down;
-                    // the NIC-side absorption above (recv into PM slots)
-                    // keeps running — that is the log-absorption property.
-                    node.wait_service_up().await;
-                    let arrival =
-                        handle_arrival(&shared, &node, &resp_qp, &log, index, c.payload, c.durable);
-                    if shared.kind.is_receiver_initiated() {
-                        // RFlush: the client waits for the persist-ACK this
-                        // path produces — it is on the critical path.
-                        arrival.await;
-                    } else {
-                        // SFlush: the client returned at the flush ACK;
-                        // arrival handling is decoupled.
-                        node.tracer().offpath_scope(arrival).await;
-                    }
+                    ctx.on_arrival(index, c.payload, c.durable).await;
                 }
             });
 
@@ -556,23 +581,10 @@ impl DurableServer {
                 .borrow_mut()
                 .take()
                 .expect("server already started");
-            let shared = Rc::clone(&self.shared);
-            let node = self.node.clone();
-            let resp_qp = self.resp_qp.clone();
-            let log = self.log.clone();
+            let ctx = Rc::clone(&ctx);
             h.spawn(async move {
                 while let Some(a) = rx.recv().await {
-                    // One-sided appends land regardless of software
-                    // liveness; *noticing* them needs a live service.
-                    node.wait_service_up().await;
-                    let arrival =
-                        handle_arrival(&shared, &node, &resp_qp, &log, a.index, a.data, a.durable);
-                    if shared.kind.is_receiver_initiated() {
-                        arrival.await;
-                    } else {
-                        // WFlush: decoupled from the client's flush ACK.
-                        node.tracer().offpath_scope(arrival).await;
-                    }
+                    ctx.on_arrival(a.index, a.data, a.durable).await;
                 }
             });
         }
@@ -585,34 +597,30 @@ impl DurableServer {
             .borrow_mut()
             .take()
             .expect("server already started");
-        let pool = prdma_simnet::Semaphore::new(self.profile.worker_threads.max(1));
-        let node = self.node.clone();
-        let log = self.log.clone();
-        let store = self.store.clone();
-        let resp_qp = self.resp_qp.clone();
-        let shared = Rc::clone(&self.shared);
-        let profile = self.profile.clone();
+        let pool = prdma_simnet::Semaphore::new(ctx.profile.worker_threads.max(1));
+        // Every handler marks entries done through its own copy of this
+        // copy of the log handle — the arrangement every pinned journal was
+        // captured under. `RedoLog` keeps its persisted-head bookkeeping per
+        // copy, so a handler's copy never learns of an earlier head flush
+        // and flushes the head more often than `head_persist_interval`
+        // asks; sharing one handle would change journals and PM write
+        // counts, which is a change for its own PR (ROADMAP item 5).
+        let log = ctx.log.clone();
         h.clone().spawn(async move {
             while let Some(work) = rx.recv().await {
-                node.wait_service_up().await;
+                ctx.node.wait_service_up().await;
                 let permit = pool.acquire().await;
-                let node = node.clone();
+                let ctx = Rc::clone(&ctx);
                 let log = log.clone();
-                let store = store.clone();
-                let resp_qp = resp_qp.clone();
-                let shared = Rc::clone(&shared);
-                let profile = profile.clone();
                 h.spawn(async move {
                     let _permit = permit;
                     match work {
                         Work::Entry { index, data } => {
                             // Processing is decoupled from the durability
                             // ACK under every kind — off the critical path.
-                            node.tracer()
-                                .offpath_scope(process_entry(
-                                    &node, &log, &store, &profile, &shared, index, data,
-                                ))
-                                .await;
+                            let processing = ctx.process_entry(&log, index, data);
+                            ctx.node.tracer().offpath_scope(processing).await;
+                            let shared = &ctx.shared;
                             shared.puts_processed.set(shared.puts_processed.get() + 1);
                             if let Some(c) = &shared.m_puts_processed {
                                 c.incr(1);
@@ -623,26 +631,47 @@ impl DurableServer {
                             len,
                             count,
                             reply,
-                        } => {
-                            serve_get(&node, &store, &resp_qp, &profile, obj, len, count, reply)
-                                .await;
-                        }
+                        } => ctx.serve_get(obj, len, count, reply).await,
                     }
                 });
             }
         });
     }
 
+    /// Post a full window of recv WQEs at the log slots from index `from`
+    /// on, and point the recv loop's re-arm cursor past it.
+    fn arm_recv_ring(&self, from: u64) {
+        let layout = self.ctx.log.layout();
+        let window = (layout.slots / 2).max(1);
+        for i in from..from + window {
+            self.log_qp_server
+                .post_recv(MemTarget::Pm(layout.slot_addr(i)));
+        }
+        self.ctx.shared.next_recv_index.set(from + window);
+    }
+
+    /// Hand logged entries to the worker pool.
+    fn requeue(&self, entries: impl IntoIterator<Item = LogEntry>) {
+        for e in entries {
+            let _ = self.ctx.shared.work_tx.send(Work::Entry {
+                index: e.index,
+                data: Payload::from_bytes(e.payload),
+            });
+        }
+    }
+
     /// Crash recovery: scan the log for incomplete entries and re-enqueue
     /// them for processing (no client re-transmission — the paper's
     /// headline recovery property). Returns what was recovered.
     pub fn recover_and_requeue(&self) -> Vec<LogEntry> {
-        let pending = self.log.recover();
-        self.shared.puts_logged.set(self.log.cursor().tail());
-        if let Some(m) = self.node.metrics() {
+        let ctx = &self.ctx;
+        let pending = ctx.log.recover();
+        let tail = ctx.log.cursor().tail();
+        ctx.shared.puts_logged.set(tail);
+        if let Some(m) = ctx.node.metrics() {
             m.incr(Key::new("log_replayed"), pending.len() as u64);
         }
-        if self.kind.is_send_based() {
+        if ctx.shared.kind.is_send_based() {
             // Re-arm the recv ring. A send in flight at the crash
             // consumed a recv WQE that can never complete (the NIC that
             // would have written its CQE lost power), so the surviving
@@ -651,22 +680,10 @@ impl DurableServer {
             // dropped as invalid, wedging the connection for good.
             // Flush the ring — QP-error semantics — and re-post a full
             // window starting at the slot the client will append next.
-            let layout = *self.log.layout();
-            let window = (layout.slots / 2).max(1);
-            let tail = self.log.cursor().tail();
             self.log_qp_server.flush_recvs();
-            for i in tail..tail + window {
-                self.log_qp_server
-                    .post_recv(MemTarget::Pm(layout.slot_addr(i)));
-            }
-            self.shared.next_recv_index.set(tail + window);
+            self.arm_recv_ring(tail);
         }
-        for e in &pending {
-            let _ = self.shared.work_tx.send(Work::Entry {
-                index: e.index,
-                data: Payload::from_bytes(e.payload.clone()),
-            });
-        }
+        self.requeue(pending.iter().cloned());
         pending
     }
 
@@ -680,185 +697,182 @@ impl DurableServer {
     ///
     /// [`recover_and_requeue`]: DurableServer::recover_and_requeue
     pub fn recover_service_and_requeue(&self) -> usize {
-        let pending = self.log.scan_pending();
+        let pending = self.ctx.log.scan_pending();
         let n = pending.len();
-        for e in pending {
-            let _ = self.shared.work_tx.send(Work::Entry {
-                index: e.index,
-                data: Payload::from_bytes(e.payload),
-            });
-        }
+        self.requeue(pending);
         n
     }
 }
 
-/// Handle an arrived log entry: receiver-initiated kinds persist and ACK;
-/// all kinds enqueue processing work.
-async fn handle_arrival(
-    shared: &Rc<Shared>,
-    node: &Node,
-    resp_qp: &Qp,
-    log: &RedoLog,
-    index: u64,
-    image: Payload,
-    durable_on_arrival: bool,
-) {
-    // An arrival whose slot never became a valid committed entry (its DMA
-    // was aborted by a crash) or that was already applied (a stale
-    // notification after a recovery replay) must not be counted, ACKed,
-    // or processed — recovery accounts for it instead.
-    match log.read_entry(index) {
-        Some(e) if !e.done => {}
-        _ => return,
+impl ServerCtx {
+    /// The tail both arrival loops share. The NIC-side absorption (recv
+    /// into PM slots, one-sided appends) lands regardless of software
+    /// liveness — that is the log-absorption property; *noticing* an
+    /// entry needs a live service.
+    async fn on_arrival(&self, index: u64, image: Payload, durable_on_arrival: bool) {
+        self.node.wait_service_up().await;
+        let arrival = self.handle_arrival(index, image, durable_on_arrival);
+        if self.shared.kind.is_receiver_initiated() {
+            // RFlush: the client waits for the persist-ACK this path
+            // produces — it is on the critical path.
+            arrival.await;
+        } else {
+            // SFlush / WFlush: the client returned at the flush ACK;
+            // arrival handling is decoupled.
+            self.node.tracer().offpath_scope(arrival).await;
+        }
     }
-    shared.puts_logged.set(shared.puts_logged.get() + 1);
-    if let Some(c) = &shared.m_puts_logged {
-        c.incr(1);
-    }
-    let data = entry_data_part(&image);
 
-    // The receiver CPU notices the message by polling.
-    node.cpu.poll_dispatch().await;
+    /// Handle an arrived log entry: receiver-initiated kinds persist and
+    /// ACK; all kinds enqueue processing work.
+    async fn handle_arrival(&self, index: u64, image: Payload, durable_on_arrival: bool) {
+        let shared = &self.shared;
+        // An arrival whose slot never became a valid committed entry (its DMA
+        // was aborted by a crash) or that was already applied (a stale
+        // notification after a recovery replay) must not be counted, ACKed,
+        // or processed — recovery accounts for it instead.
+        match self.log.read_entry(index) {
+            Some(e) if !e.done => {}
+            _ => return,
+        }
+        shared.puts_logged.set(shared.puts_logged.get() + 1);
+        if let Some(c) = &shared.m_puts_logged {
+            c.incr(1);
+        }
+        let data = entry_data_part(&image);
 
-    if shared.kind.is_receiver_initiated() {
-        // RFlush: ensure durability, then ACK persistence immediately.
-        if !durable_on_arrival {
-            // DDIO routed it into the LLC: flush the entry range.
-            let layout = log.layout();
-            let addr = layout.slot_addr(index);
-            let len = ENTRY_HEADER + align8(data.len()) + ENTRY_FOOTER;
-            if node.pm.is_persisted(addr, len) {
-                // Synthetic payload path: charge the flush time.
-                node.pm.simulate_clflush_time(len).await;
-            } else {
-                let _ = node.pm.clflush(addr, len).await;
+        // The receiver CPU notices the message by polling.
+        self.node.cpu.poll_dispatch().await;
+
+        if shared.kind.is_receiver_initiated() {
+            // RFlush: ensure durability, then ACK persistence immediately.
+            if !durable_on_arrival {
+                // DDIO routed it into the LLC: flush the entry range.
+                let layout = self.log.layout();
+                let addr = layout.slot_addr(index);
+                let len = ENTRY_HEADER + align8(data.len()) + ENTRY_FOOTER;
+                if self.node.pm.is_persisted(addr, len) {
+                    // Synthetic payload path: charge the flush time.
+                    self.node.pm.simulate_clflush_time(len).await;
+                } else {
+                    let _ = self.node.pm.clflush(addr, len).await;
+                }
+            }
+            // Persist-ACK: small write into the client's ack slot. The client
+            // waiter fires only on the entry it is waiting for (the last of a
+            // batch).
+            if let Ok(tok) = self
+                .resp_qp
+                .write(MemTarget::Dram(ACK_ADDR), Payload::synthetic(8, index))
+                .await
+            {
+                let waiter = if shared.puts_logged.get() >= shared.ack_after.get() {
+                    shared.ack_waiter.borrow_mut().take()
+                } else {
+                    None
+                };
+                let h = self.resp_qp.local().handle().clone();
+                h.spawn(async move {
+                    tok.wait().await;
+                    if let Some(w) = waiter {
+                        w.send(());
+                    }
+                });
             }
         }
-        // Persist-ACK: small write into the client's ack slot. The client
-        // waiter fires only on the entry it is waiting for (the last of a
-        // batch).
-        if let Ok(tok) = resp_qp
-            .write(MemTarget::Dram(ACK_ADDR), Payload::synthetic(8, index))
-            .await
-        {
-            let waiter = if shared.puts_logged.get() >= shared.ack_after.get() {
-                shared.ack_waiter.borrow_mut().take()
-            } else {
-                None
-            };
-            let h = resp_qp.local().handle().clone();
-            h.spawn(async move {
-                tok.wait().await;
-                if let Some(w) = waiter {
-                    w.send(());
-                }
-            });
+
+        let _ = shared.work_tx.send(Work::Entry { index, data });
+    }
+
+    /// Charge the injected RPC processing time (the paper: up to 100 µs).
+    async fn inject_processing(&self) {
+        if self.profile.processing_time > SimDuration::ZERO {
+            self.node.cpu.compute(self.profile.processing_time).await;
         }
     }
 
-    let _ = shared.work_tx.send(Work::Entry { index, data });
-}
-
-/// Process one logged entry: thread dispatch, the injected RPC processing
-/// time, apply to the object store, and durable completion marking.
-async fn process_entry(
-    node: &Node,
-    log: &RedoLog,
-    store: &ObjectStore,
-    profile: &ServerProfile,
-    shared: &Rc<Shared>,
-    index: u64,
-    data: Payload,
-) {
-    // Idempotence guard: a service-restart replay can race an
-    // already-queued arrival (or a retried client append) for the same
-    // entry; only the first processing applies it.
-    let Some(entry) = log.read_entry(index) else {
-        return;
-    };
-    if entry.done {
-        return;
-    }
-    node.cpu.dispatch_thread().await;
-    if matches!(
-        entry.op.opcode,
-        OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort
-    ) {
-        crate::txn::process_txn_entry(node, log, store, shared.txn.as_ref(), &entry).await;
-        return;
-    }
-    if entry.op.opcode == OpCode::RPut {
-        // Replicated put: the payload's first REPL_ID_BYTES are the
-        // causal put id. A retry after a partial replication failure
-        // re-appends the same id; only the first apply hits the store
-        // (exactly-once apply under at-least-once append).
-        let id = u64::from_le_bytes(
-            entry.payload[..REPL_ID_BYTES as usize]
-                .try_into()
-                .expect("RPut payload shorter than its id prefix"),
-        );
-        if !log.note_applied(id) {
-            shared.puts_deduped.set(shared.puts_deduped.get() + 1);
-            let _ = log.mark_done(index).await;
+    /// Process one logged entry: thread dispatch, the injected RPC
+    /// processing time, apply to the object store, and durable completion
+    /// marking.
+    async fn process_entry(&self, log: &RedoLog, index: u64, data: Payload) {
+        let shared = &self.shared;
+        // Idempotence guard: a service-restart replay can race an
+        // already-queued arrival (or a retried client append) for the same
+        // entry; only the first processing applies it.
+        let Some(entry) = log.read_entry(index) else {
+            return;
+        };
+        if entry.done {
             return;
         }
-        if profile.processing_time > SimDuration::ZERO {
-            node.cpu.compute(profile.processing_time).await;
+        self.node.cpu.dispatch_thread().await;
+        if matches!(
+            entry.op.opcode,
+            OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort
+        ) {
+            crate::txn::process_txn_entry(
+                &self.node,
+                log,
+                &self.store,
+                shared.txn.as_ref(),
+                &entry,
+            )
+            .await;
+            return;
         }
-        let body = Payload::from_bytes(entry.payload[REPL_ID_BYTES as usize..].to_vec());
-        let _ = store.put(entry.op.obj_id, &body).await;
+        // Apply: the operator comes from the log entry, the data travelled
+        // with the work item.
+        let mut body = data;
+        if entry.op.opcode == OpCode::RPut {
+            // Replicated put: the payload's first REPL_ID_BYTES are the
+            // causal put id. A retry after a partial replication failure
+            // re-appends the same id; only the first apply hits the store
+            // (exactly-once apply under at-least-once append).
+            let (id, rest) = entry.payload.split_at(REPL_ID_BYTES as usize);
+            let id = u64::from_le_bytes(id.try_into().expect("RPut id prefix"));
+            if !log.note_applied(id) {
+                shared.puts_deduped.set(shared.puts_deduped.get() + 1);
+                let _ = log.mark_done(index).await;
+                return;
+            }
+            body = Payload::from_bytes(rest.to_vec());
+        }
+        self.inject_processing().await;
+        let _ = self.store.put(entry.op.obj_id, &body).await;
         let _ = log.mark_done(index).await;
-        return;
     }
-    if profile.processing_time > SimDuration::ZERO {
-        node.cpu.compute(profile.processing_time).await;
-    }
-    // Apply: the operator comes from the log entry, the data travelled
-    // with the work item.
-    let _ = store.put(entry.op.obj_id, &data).await;
-    let _ = log.mark_done(index).await;
-}
 
-/// Serve a Get/Scan: processing time, media reads, response write.
-#[allow(clippy::too_many_arguments)]
-async fn serve_get(
-    node: &Node,
-    store: &ObjectStore,
-    resp_qp: &Qp,
-    profile: &ServerProfile,
-    obj: u64,
-    len: u64,
-    count: u32,
-    reply: OneshotSender<Payload>,
-) {
-    // Read-only requests are served run-to-completion on the polling core
-    // (FaRM/HERD-style); only logged updates take the handler-pool hop.
-    node.cpu.poll_dispatch().await;
-    if profile.processing_time > SimDuration::ZERO {
-        node.cpu.compute(profile.processing_time).await;
-    }
-    let mut total = 0u64;
-    for i in 0..count.max(1) as u64 {
-        let p = store
-            .get(obj + i, len)
+    /// Serve a Get/Scan: processing time, media reads, response write.
+    async fn serve_get(&self, obj: u64, len: u64, count: u32, reply: OneshotSender<Payload>) {
+        // Read-only requests are served run-to-completion on the polling core
+        // (FaRM/HERD-style); only logged updates take the handler-pool hop.
+        self.node.cpu.poll_dispatch().await;
+        self.inject_processing().await;
+        let mut total = 0u64;
+        for i in 0..count.max(1) as u64 {
+            let p = self
+                .store
+                .get(obj + i, len)
+                .await
+                .unwrap_or(Payload::synthetic(0, 0));
+            total += p.len();
+        }
+        let payload = Payload::synthetic(total, obj);
+        if let Ok(tok) = self
+            .resp_qp
+            .write(MemTarget::Dram(RESP_ADDR), payload.clone())
             .await
-            .unwrap_or(Payload::synthetic(0, 0));
-        total += p.len();
-    }
-    let payload = Payload::synthetic(total, obj);
-    if let Ok(tok) = resp_qp
-        .write(MemTarget::Dram(RESP_ADDR), payload.clone())
-        .await
-    {
-        let h = resp_qp.local().handle().clone();
-        h.spawn(async move {
-            tok.wait().await;
-            reply.send(payload);
-        });
-    } else {
-        // Server->client path failed (client down?): the dropped reply
-        // resolves the caller's oneshot to None and surfaces an error.
-        drop(reply);
+        {
+            let h = self.resp_qp.local().handle().clone();
+            h.spawn(async move {
+                tok.wait().await;
+                reply.send(payload);
+            });
+        } else {
+            // Server->client path failed (client down?): the dropped reply
+            // resolves the caller's oneshot to None and surfaces an error.
+            drop(reply);
+        }
     }
 }
 
@@ -877,27 +891,117 @@ impl DurableClient {
         }
     }
 
-    /// Link a replicated put's causal root id (`tag`) to this sub-put's
-    /// log-derived rpc id — the span-tree edge the analyzer follows from
-    /// the root to each replica's fan-out leg.
-    fn jot_link(&self, tag: Option<u64>, rpc_id: u64, bytes: u64) {
-        if let (Some(root), Some(j)) = (tag, self.client_node.journal()) {
-            j.record(Subsystem::Rpc, EventKind::ReplLink, root, rpc_id, bytes);
+    /// The one durable persist path (paper Fig. 4), shared by single,
+    /// tagged and batched puts and transaction records. For `entries`
+    /// (never empty), in order: register the persist-ACK waiter, append
+    /// every entry to the remote redo log, journal its dispatch (and
+    /// `ReplLink`), bump its lease, hand its arrival to the server, wait
+    /// for this kind's durability signal once, journal the completions.
+    /// Each entry's `rpc_id` is filled in as it is appended.
+    ///
+    /// `batched` entries come from `call_batch`: write-based kinds post
+    /// them with one doorbell (even a batch of one) and journal dispatch
+    /// bytes as 0 — the `LogAppend` records already count the payloads.
+    /// Send-based kinds cannot coalesce doorbells the same way; they
+    /// pipeline the sends and still flush / await the ACK once.
+    async fn persist(&self, entries: &[Entry], batched: bool) -> RpcResult<()> {
+        let send_based = self.kind.is_send_based();
+        // Receiver-initiated kinds: register the persist-ack waiter before
+        // anything can arrive; it fires on the last entry's persist-ACK.
+        let ack_rx = self.kind.is_receiver_initiated().then(|| {
+            let (tx, rx) = self.ack_pool.oneshot();
+            *self.shared.ack_waiter.borrow_mut() = Some(tx);
+            self.shared
+                .ack_after
+                .set(self.shared.puts_logged.get() + entries.len() as u64);
+            rx
+        });
+
+        // Composite span: the whole log-append + persistence-wait leg.
+        let _persist = self.client_node.tracer().span(Phase::LogPersist);
+
+        // Doorbell-batched entries are all posted here; every other entry
+        // is appended in the loop below, one verb each.
+        let doorbell = batched && !send_based;
+        let accounted = |e: &Entry| if doorbell { 0 } else { e.data.len() };
+        let mut posted = if doorbell {
+            let items = entries.iter().map(|e| (e.op, &e.data));
+            self.writer.append_write_batch(items).await?
+        } else {
+            Vec::new()
         }
+        .into_iter();
+        let mut probe = None;
+        for e in entries {
+            let appended = match posted.next() {
+                Some(a) => a,
+                None if send_based => self.writer.append_send(e.op, &e.data).await?,
+                None => self.writer.append_write(e.op, &e.data).await?,
+            };
+            let bytes = accounted(e);
+            let rpc_id = self.writer.journal_id(appended.index);
+            e.rpc_id.set(rpc_id);
+            self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
+            // Span-tree edge from a replicated put's causal root to this
+            // replica's fan-out leg.
+            if let (Some(root), Some(j)) = (e.link, self.client_node.journal()) {
+                j.record(Subsystem::Rpc, EventKind::ReplLink, root, rpc_id, bytes);
+            }
+            // Revoke outstanding leases between the log append and the
+            // flush wait, so the journaled invalidation always precedes
+            // the put's completion (invariant I5a) and no cached read can
+            // outlive the data it covers.
+            if let (Some(obj), Some(lease)) = (e.lease_obj, &self.lease) {
+                lease.bump(obj, rpc_id, self.client_node.journal());
+            }
+            probe = Some(appended.probe);
+            if !send_based {
+                // Arrival notification: when the entry's DMA lands, the
+                // server polling thread picks it up (handle_arrival).
+                let shared = Rc::clone(&self.shared);
+                let (index, token, data) = (appended.index, appended.token, e.data.clone());
+                let h = self.get_qp.local().handle().clone();
+                h.spawn(async move {
+                    let durable = token.wait().await;
+                    let _ = shared.arrival_tx.send(Arrival {
+                        index,
+                        data,
+                        durable,
+                    });
+                });
+            }
+        }
+
+        let probe = probe.expect("persist needs at least one entry");
+        match self.kind {
+            DurableKind::SFlush => self.writer.flush().sflush(probe).await?,
+            DurableKind::WFlush => self.writer.flush().wflush(probe).await?,
+            DurableKind::SRFlush | DurableKind::WRFlush => {
+                let wait = self.client_node.tracer().span(Phase::FlushWait);
+                if ack_rx.expect("registered").await.is_none() {
+                    return Err(RpcError::ServerDown);
+                }
+                wait.end();
+                self.client_node.cpu.poll_dispatch().await;
+            }
+        }
+        for e in entries {
+            self.jot_rpc(EventKind::RpcComplete, e.rpc_id.get(), accounted(e));
+        }
+        Ok(())
     }
 
-    /// Revoke outstanding leases on `obj` for the put `rpc_id`. Sits
-    /// between the log append and the flush wait, so the journaled
-    /// invalidation always precedes the put's completion (invariant I5a)
-    /// and no cached read can outlive the data it covers.
-    fn lease_bump(&self, obj: u64, rpc_id: u64) {
-        if let Some(lease) = &self.lease {
-            lease.bump(obj, rpc_id, self.client_node.journal());
+    /// Persist `entries` as puts and count them.
+    async fn put_entries(&self, entries: &[Entry], batched: bool) -> RpcResult<()> {
+        self.persist(entries, batched).await?;
+        if let Some(m) = &self.metrics {
+            m.puts.incr(entries.len() as u64);
+            // `put_bytes` has only ever counted unbatched puts.
+            if !batched {
+                m.put_bytes.incr(entries.iter().map(|e| e.data.len()).sum());
+            }
         }
-    }
-
-    async fn do_put(&self, obj: u64, data: Payload) -> RpcResult<Response> {
-        self.do_put_inner(obj, data, None).await
+        Ok(())
     }
 
     /// A put carrying a causal replication id: logged as [`OpCode::RPut`]
@@ -906,8 +1010,10 @@ impl DurableClient {
     /// on a replica that already ACKed. Runs under this client's
     /// [`RetryPolicy`] like [`RpcClient::call`].
     pub async fn put_tagged(&self, obj: u64, data: Payload, put_id: u64) -> RpcResult<Response> {
-        self.retry_loop(|| self.do_put_inner(obj, data.clone(), Some(put_id)))
-            .await
+        let entry = Entry::rput(obj, data, put_id, Some(put_id));
+        self.retry_loop(|| self.put_entries(std::slice::from_ref(&entry), false))
+            .await?;
+        Ok(DURABLE)
     }
 
     /// Durably append an arbitrary log record (transaction prepare /
@@ -916,195 +1022,19 @@ impl DurableClient {
     /// per the configured durable kind. Returns the record's journal rpc
     /// id. The record is *not* applied to the object store here; the
     /// server's worker pool interprets it (see `process_txn_entry`).
-    /// Appends are at-least-once under the retry wrapper; interpreters
-    /// must tolerate duplicate records for one txn id.
+    /// Runs under this connection's [`RetryPolicy`], so appends are
+    /// at-least-once; interpreters must tolerate duplicate records for
+    /// one txn id.
     pub async fn append_record(
         &self,
         opcode: OpCode,
         obj_id: u64,
         data: Payload,
     ) -> RpcResult<u64> {
-        let op = RpcOperator { opcode, obj_id };
-        let bytes = data.len();
-        let ack_rx = if self.kind.is_receiver_initiated() {
-            let (tx, rx) = self.ack_pool.oneshot();
-            *self.shared.ack_waiter.borrow_mut() = Some(tx);
-            self.shared.ack_after.set(self.shared.puts_logged.get() + 1);
-            Some(rx)
-        } else {
-            None
-        };
-        let _persist = self.client_node.tracer().span(Phase::LogPersist);
-        let rpc_id;
-        if self.kind.is_send_based() {
-            let appended = self.writer.append_send(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
-            match self.kind {
-                DurableKind::SFlush => {
-                    self.writer.flush().sflush(appended.probe).await?;
-                }
-                DurableKind::SRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let appended = self.writer.append_write(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
-            {
-                let shared = Rc::clone(&self.shared);
-                let token = appended.token;
-                let index = appended.index;
-                let h = self.get_qp.local().handle().clone();
-                h.spawn(async move {
-                    let durable = token.wait().await;
-                    let _ = shared.arrival_tx.send(Arrival {
-                        index,
-                        data,
-                        durable,
-                    });
-                });
-            }
-            match self.kind {
-                DurableKind::WFlush => {
-                    self.writer.flush().wflush(appended.probe).await?;
-                }
-                DurableKind::WRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        }
-        self.jot_rpc(EventKind::RpcComplete, rpc_id, bytes);
-        Ok(rpc_id)
-    }
-
-    /// [`append_record`] under this connection's [`RetryPolicy`].
-    ///
-    /// [`append_record`]: DurableClient::append_record
-    pub async fn append_record_retried(
-        &self,
-        opcode: OpCode,
-        obj_id: u64,
-        data: Payload,
-    ) -> RpcResult<u64> {
-        self.retry_loop(|| self.append_record(opcode, obj_id, data.clone()))
-            .await
-    }
-
-    async fn do_put_inner(&self, obj: u64, data: Payload, tag: Option<u64>) -> RpcResult<Response> {
-        let (op, data) = match tag {
-            Some(id) => (
-                RpcOperator {
-                    opcode: OpCode::RPut,
-                    obj_id: obj,
-                },
-                Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]),
-            ),
-            None => (
-                RpcOperator {
-                    opcode: OpCode::Put,
-                    obj_id: obj,
-                },
-                data,
-            ),
-        };
-        let put_bytes = data.len();
-
-        // Receiver-initiated kinds: register the persist-ack waiter before
-        // anything can arrive.
-        let ack_rx = if self.kind.is_receiver_initiated() {
-            let (tx, rx) = self.ack_pool.oneshot();
-            *self.shared.ack_waiter.borrow_mut() = Some(tx);
-            self.shared.ack_after.set(self.shared.puts_logged.get() + 1);
-            Some(rx)
-        } else {
-            None
-        };
-
-        // Composite span: the whole log-append + persistence-wait leg.
-        let _persist = self.client_node.tracer().span(Phase::LogPersist);
-
-        let rpc_id;
-        if self.kind.is_send_based() {
-            let appended = self.writer.append_send(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, put_bytes);
-            self.jot_link(tag, rpc_id, put_bytes);
-            self.lease_bump(obj, rpc_id);
-            match self.kind {
-                DurableKind::SFlush => {
-                    self.writer.flush().sflush(appended.probe).await?;
-                }
-                DurableKind::SRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let appended = self.writer.append_write(op, &data).await?;
-            rpc_id = self.writer.journal_id(appended.index);
-            self.jot_rpc(EventKind::RpcDispatch, rpc_id, put_bytes);
-            self.jot_link(tag, rpc_id, put_bytes);
-            self.lease_bump(obj, rpc_id);
-            // Arrival notification: when the entry's DMA lands, the server
-            // polling thread picks it up (handle_arrival).
-            {
-                let shared = Rc::clone(&self.shared);
-                let token = appended.token;
-                let index = appended.index;
-                let h = self.get_qp.local().handle().clone();
-                h.spawn(async move {
-                    let durable = token.wait().await;
-                    let _ = shared.arrival_tx.send(Arrival {
-                        index,
-                        data,
-                        durable,
-                    });
-                });
-            }
-            match self.kind {
-                DurableKind::WFlush => {
-                    self.writer.flush().wflush(appended.probe).await?;
-                }
-                DurableKind::WRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        }
-
-        self.jot_rpc(EventKind::RpcComplete, rpc_id, put_bytes);
-        if let Some(m) = &self.metrics {
-            m.puts.incr(1);
-            m.put_bytes.incr(put_bytes);
-        }
-        Ok(Response {
-            payload: None,
-            durable: true,
-        })
+        let entry = Entry::new(opcode, obj_id, data, None, None);
+        self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
+            .await?;
+        Ok(entry.rpc_id.get())
     }
 
     async fn do_get(&self, obj: u64, len: u64, count: u32) -> RpcResult<Response> {
@@ -1113,38 +1043,27 @@ impl DurableClient {
             .journal()
             .map_or(NO_ID, |j| j.next_rpc_id());
         self.jot_rpc(EventKind::RpcDispatch, rpc_id, GET_DESC_BYTES);
-        let (tx, rx) = self.reply_pool.oneshot();
+        let (reply, rx) = self.reply_pool.oneshot();
+        let work = Work::Get {
+            obj,
+            len,
+            count,
+            reply,
+        };
+        let desc = Payload::synthetic(GET_DESC_BYTES, obj);
         if self.kind.is_send_based() {
-            self.get_qp
-                .send(Payload::synthetic(GET_DESC_BYTES, obj))
-                .await?;
-            let _ = self.shared.work_tx.send(Work::Get {
-                obj,
-                len,
-                count,
-                reply: tx,
-            });
+            self.get_qp.send(desc).await?;
+            let _ = self.shared.work_tx.send(work);
         } else {
             // One-sided descriptor write into the server's request slot,
             // detected by the server's polling thread when the DMA lands.
-            let req_addr = self.lane as u64 * REQ_SLOT_BYTES;
-            let token = self
-                .get_qp
-                .write(
-                    MemTarget::Dram(req_addr),
-                    Payload::synthetic(GET_DESC_BYTES, obj),
-                )
-                .await?;
+            let req_slot = MemTarget::Dram(self.lane as u64 * REQ_SLOT_BYTES);
+            let token = self.get_qp.write(req_slot, desc).await?;
             let shared = Rc::clone(&self.shared);
             let h = self.get_qp.local().handle().clone();
             h.spawn(async move {
                 let _ = token.wait().await;
-                let _ = shared.work_tx.send(Work::Get {
-                    obj,
-                    len,
-                    count,
-                    reply: tx,
-                });
+                let _ = shared.work_tx.send(work);
             });
         }
         let payload = rx.await.ok_or(RpcError::ServerDown)?;
@@ -1158,9 +1077,7 @@ impl DurableClient {
             durable: true,
         })
     }
-}
 
-impl DurableClient {
     /// Allocate the next per-op causal id for a batched put. Allocated
     /// once per logical op in `call_batch` *before* its retry loop, so a
     /// whole-batch retry after a mid-batch crash re-appends the same ids
@@ -1169,140 +1086,6 @@ impl DurableClient {
         let n = self.next_batch_id.get();
         self.next_batch_id.set(n + 1);
         BATCH_ID_BASE | ((self.client_node.id.0 as u64) << 36) | ((self.lane as u64) << 24) | n
-    }
-
-    /// Batched puts (paper Fig. 19 / Section 4.3): one doorbell for the
-    /// writes, one coalesced flush (sender-initiated kinds) or one final
-    /// persist-ACK (receiver-initiated kinds). Each item carries its
-    /// caller-allocated causal id; entries are logged as [`OpCode::RPut`]
-    /// with the id prefixed so apply-time dedup survives batch retries.
-    async fn do_put_batch(&self, items: Vec<(u64, Payload, u64)>) -> RpcResult<Vec<Response>> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let k = items.len();
-        let items: Vec<(u64, Payload)> = items
-            .into_iter()
-            .map(|(obj, data, id)| {
-                (
-                    obj,
-                    Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]),
-                )
-            })
-            .collect();
-        let ack_rx = if self.kind.is_receiver_initiated() {
-            let (tx, rx) = self.ack_pool.oneshot();
-            *self.shared.ack_waiter.borrow_mut() = Some(tx);
-            self.shared
-                .ack_after
-                .set(self.shared.puts_logged.get() + k as u64);
-            Some(rx)
-        } else {
-            None
-        };
-
-        let _persist = self.client_node.tracer().span(Phase::LogPersist);
-
-        let mut rpc_ids = Vec::with_capacity(k);
-        if self.kind.is_send_based() {
-            // Sends cannot be doorbell-coalesced the same way; pipeline
-            // them and flush/ack once at the end.
-            let mut last_probe = None;
-            for (obj, data) in items {
-                let op = RpcOperator {
-                    opcode: OpCode::RPut,
-                    obj_id: obj,
-                };
-                let bytes = data.len();
-                let appended = self.writer.append_send(op, &data).await?;
-                let rid = self.writer.journal_id(appended.index);
-                self.jot_rpc(EventKind::RpcDispatch, rid, bytes);
-                self.lease_bump(obj, rid);
-                rpc_ids.push((rid, bytes));
-                last_probe = Some(appended.probe);
-            }
-            match self.kind {
-                DurableKind::SFlush => {
-                    self.writer
-                        .flush()
-                        .sflush(last_probe.expect("non-empty batch"))
-                        .await?;
-                }
-                DurableKind::SRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let ops: Vec<(RpcOperator, Payload)> = items
-                .iter()
-                .map(|(obj, data)| {
-                    (
-                        RpcOperator {
-                            opcode: OpCode::RPut,
-                            obj_id: *obj,
-                        },
-                        data.clone(),
-                    )
-                })
-                .collect();
-            let receipts = self.writer.append_write_batch(ops).await?;
-            let last_probe = receipts.last().expect("non-empty batch").probe;
-            for (a, (obj, _)) in receipts.iter().zip(items.iter()) {
-                let rid = self.writer.journal_id(a.index);
-                // The batch shares one doorbell; dispatch bytes are the
-                // entry payloads already counted by the LogAppend records.
-                self.jot_rpc(EventKind::RpcDispatch, rid, 0);
-                self.lease_bump(*obj, rid);
-                rpc_ids.push((rid, 0));
-            }
-            for (appended, (_, data)) in receipts.into_iter().zip(items) {
-                let shared = Rc::clone(&self.shared);
-                let token = appended.token;
-                let index = appended.index;
-                let h = self.get_qp.local().handle().clone();
-                h.spawn(async move {
-                    let durable = token.wait().await;
-                    let _ = shared.arrival_tx.send(Arrival {
-                        index,
-                        data,
-                        durable,
-                    });
-                });
-            }
-            match self.kind {
-                DurableKind::WFlush => {
-                    self.writer.flush().wflush(last_probe).await?;
-                }
-                DurableKind::WRFlush => {
-                    let wait = self.client_node.tracer().span(Phase::FlushWait);
-                    if ack_rx.expect("registered").await.is_none() {
-                        return Err(RpcError::ServerDown);
-                    }
-                    wait.end();
-                    self.client_node.cpu.poll_dispatch().await;
-                }
-                _ => unreachable!(),
-            }
-        }
-        for (rid, bytes) in rpc_ids {
-            self.jot_rpc(EventKind::RpcComplete, rid, bytes);
-        }
-        if let Some(m) = &self.metrics {
-            m.puts.incr(k as u64);
-        }
-        Ok(vec![
-            Response {
-                payload: None,
-                durable: true,
-            };
-            k
-        ])
     }
 }
 
@@ -1364,7 +1147,12 @@ impl DurableClient {
 
     async fn dispatch_one(&self, req: Request) -> RpcResult<Response> {
         match req {
-            Request::Put { obj, data } => self.do_put(obj, data).await,
+            Request::Put { obj, data } => {
+                let entry = Entry::new(OpCode::Put, obj, data, Some(obj), None);
+                self.put_entries(std::slice::from_ref(&entry), false)
+                    .await?;
+                Ok(DURABLE)
+            }
             Request::Get { obj, len } => self.do_get(obj, len, 1).await,
             Request::Scan { start, count, len } => self.do_get(start, len, count).await,
         }
@@ -1378,26 +1166,27 @@ impl RpcClient for DurableClient {
 
     fn call_batch(&self, reqs: Vec<Request>) -> crate::rpc::RpcBatchFuture<'_> {
         Box::pin(async move {
-            // Batch contiguous puts; other requests run individually.
-            // Causal ids are fixed here, outside the retry loop, so a
-            // whole-batch re-send after a mid-batch crash deduplicates at
-            // apply time (exactly-once per logical op).
+            // Batched puts (paper Fig. 19 / Section 4.3): contiguous puts
+            // share one doorbell and one coalesced flush or final
+            // persist-ACK; other requests run individually. Every put is
+            // logged as [`OpCode::RPut`] under a causal id fixed here,
+            // outside the retry loop, so a whole-batch re-send after a
+            // mid-batch crash deduplicates at apply time (exactly-once
+            // per logical op).
             let mut out = Vec::with_capacity(reqs.len());
-            let mut puts: Vec<(u64, Payload, u64)> = Vec::new();
-            for req in reqs {
-                match req {
-                    Request::Put { obj, data } => puts.push((obj, data, self.alloc_batch_id())),
-                    other => {
-                        if !puts.is_empty() {
-                            let chunk = std::mem::take(&mut puts);
-                            out.extend(self.retry_loop(|| self.do_put_batch(chunk.clone())).await?);
-                        }
-                        out.push(self.call(other).await?);
-                    }
+            let mut puts: Vec<Entry> = Vec::new();
+            for req in reqs.into_iter().map(Some).chain([None]) {
+                if let Some(Request::Put { obj, data }) = req {
+                    puts.push(Entry::rput(obj, data, self.alloc_batch_id(), None));
+                    continue;
                 }
-            }
-            if !puts.is_empty() {
-                out.extend(self.retry_loop(|| self.do_put_batch(puts.clone())).await?);
+                if !puts.is_empty() {
+                    self.retry_loop(|| self.put_entries(&puts, true)).await?;
+                    out.extend(puts.drain(..).map(|_| DURABLE));
+                }
+                if let Some(other) = req {
+                    out.push(self.call(other).await?);
+                }
             }
             Ok(out)
         })

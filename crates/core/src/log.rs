@@ -172,7 +172,7 @@ impl LogLayout {
 }
 
 #[inline]
-fn align8(v: u64) -> u64 {
+pub(crate) fn align8(v: u64) -> u64 {
     (v + 7) & !7
 }
 
@@ -713,57 +713,60 @@ impl RemoteLogWriter {
         }
     }
 
-    /// Append via one-sided RDMA write (WFlush / W-RFlush RPC families).
-    /// Returns once the sender's WC fires (data in remote SRAM); call
-    /// [`FlushOps::wflush`] on `probe` (or await a receiver ACK) for
-    /// durability.
-    pub async fn append_write(&self, op: RpcOperator, data: &Payload) -> RdmaResult<Appended> {
+    /// The slot-staging prelude every append shares: check the payload
+    /// fits a slot, claim the next index, journal the append, and compose
+    /// the entry's DMA image.
+    fn stage(&self, op: RpcOperator, data: &Payload) -> (u64, Payload) {
         assert!(
             data.len() <= self.layout.max_payload(),
             "payload {} exceeds slot capacity {}",
             data.len(),
             self.layout.max_payload()
         );
-        self.flow_control().await;
         let index = self.cursor.advance_tail();
         self.jot_append(index, data.len());
+        (index, encode_entry(index, op, data))
+    }
+
+    fn receipt(&self, index: u64, len: u64, token: PersistToken) -> Appended {
+        Appended {
+            index,
+            probe: MemTarget::Pm(self.layout.probe_addr(index, len)),
+            token,
+        }
+    }
+
+    /// Append via one-sided RDMA write (WFlush / W-RFlush RPC families).
+    /// Returns once the sender's WC fires (data in remote SRAM); call
+    /// [`FlushOps::wflush`] on `probe` (or await a receiver ACK) for
+    /// durability.
+    pub async fn append_write(&self, op: RpcOperator, data: &Payload) -> RdmaResult<Appended> {
+        self.flow_control().await;
+        let (index, image) = self.stage(op, data);
         // Stamp the QP so the NIC-level journal records (doorbell, wire
         // segments, ACK) of this append carry the entry's rpc id — the
         // span analyzer stitches them into the per-RPC causal tree.
         self.qp.tag_rpc(self.journal_id(index));
-        let image = encode_entry(index, op, data);
-        let token = self
-            .qp
-            .write(MemTarget::Pm(self.layout.slot_addr(index)), image)
-            .await?;
-        Ok(Appended {
-            index,
-            probe: MemTarget::Pm(self.layout.probe_addr(index, data.len())),
-            token,
-        })
+        let slot = MemTarget::Pm(self.layout.slot_addr(index));
+        let token = self.qp.write(slot, image).await?;
+        Ok(self.receipt(index, data.len(), token))
     }
 
     /// Doorbell-batched appends (paper Fig. 19 / Section 4.3): `k` entries
     /// posted with one doorbell, pipelined on the wire, single coalesced
     /// RC ACK. Flush once on the last receipt's probe.
-    pub async fn append_write_batch(
+    pub async fn append_write_batch<'a>(
         &self,
-        items: Vec<(RpcOperator, Payload)>,
+        items: impl Iterator<Item = (RpcOperator, &'a Payload)>,
     ) -> RdmaResult<Vec<Appended>> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
         self.flow_control().await;
-        let mut writes = Vec::with_capacity(items.len());
-        let mut metas = Vec::with_capacity(items.len());
-        for (op, data) in items {
-            assert!(data.len() <= self.layout.max_payload(), "payload too large");
-            let index = self.cursor.advance_tail();
-            self.jot_append(index, data.len());
-            let image = encode_entry(index, op, &data);
-            writes.push((MemTarget::Pm(self.layout.slot_addr(index)), image));
-            metas.push((index, data.len()));
-        }
+        let (writes, metas): (Vec<_>, Vec<_>) = items
+            .map(|(op, data)| {
+                let (index, image) = self.stage(op, data);
+                let slot = MemTarget::Pm(self.layout.slot_addr(index));
+                ((slot, image), (index, data.len()))
+            })
+            .unzip();
         // One doorbell for the whole batch: its NIC records carry the
         // first entry's id (the batch is a single causal unit).
         if let Some((first, _)) = metas.first() {
@@ -773,11 +776,7 @@ impl RemoteLogWriter {
         Ok(metas
             .into_iter()
             .zip(tokens)
-            .map(|((index, len), token)| Appended {
-                index,
-                probe: MemTarget::Pm(self.layout.probe_addr(index, len)),
-                token,
-            })
+            .map(|((index, len), token)| self.receipt(index, len, token))
             .collect())
     }
 
@@ -785,18 +784,11 @@ impl RemoteLogWriter {
     /// The server must keep recv buffers posted at the upcoming slots (the
     /// model of the RNIC resolving the destination address itself).
     pub async fn append_send(&self, op: RpcOperator, data: &Payload) -> RdmaResult<Appended> {
-        assert!(data.len() <= self.layout.max_payload(), "payload too large");
         self.flow_control().await;
-        let index = self.cursor.advance_tail();
-        self.jot_append(index, data.len());
+        let (index, image) = self.stage(op, data);
         self.qp.tag_rpc(self.journal_id(index));
-        let image = encode_entry(index, op, data);
         let token = self.qp.send(image).await?;
-        Ok(Appended {
-            index,
-            probe: MemTarget::Pm(self.layout.probe_addr(index, data.len())),
-            token,
-        })
+        Ok(self.receipt(index, data.len(), token))
     }
 }
 

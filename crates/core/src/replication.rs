@@ -242,18 +242,15 @@ pub fn build_replicated(
         0,
         client_idx as u64,
         None,
-        None,
     )
 }
 
 /// Group builder shared with the sharded topology: `lane_base` offsets
 /// the per-replica connection lanes, `group_tag` namespaces the causal
 /// put ids, `store_region` (when given) overrides the object-store
-/// PM region name so co-hosted groups keep their object spaces apart,
-/// and `lease` (when given) wires the shard's lease table into every
-/// replica's put path so durable puts revoke client caches before their
-/// flush ACK.
-#[allow(clippy::too_many_arguments)]
+/// PM region name so co-hosted groups keep their object spaces apart.
+/// A lease table in `cfg.lease` is wired into every replica's put path,
+/// so durable puts revoke client caches before their flush ACK.
 pub(crate) fn build_replicated_group(
     cluster: &Cluster,
     client_idx: usize,
@@ -262,11 +259,9 @@ pub(crate) fn build_replicated_group(
     lane_base: usize,
     group_tag: u64,
     store_region: Option<String>,
-    lease: Option<crate::cache::LeaseState>,
 ) -> (ReplicatedClient, ReplicaGroup) {
     assert!(!server_idxs.is_empty(), "need at least one replica");
     let mut sub_cfg = cfg.clone();
-    sub_cfg.lease = lease;
     // Make room for the causal put id prefixed to every RPut payload.
     sub_cfg.slot_payload = cfg.slot_payload + REPL_ID_BYTES;
     // Probe policy: one quick retry per round; the ReplicatedClient's
@@ -398,11 +393,41 @@ impl ReplicatedClient {
         }
     }
 
+    /// Run `leg` against every replica slot in `targets`, spawned
+    /// concurrently and **all joined** — no outcome is abandoned, so when
+    /// this returns no spawned leg is still mutating a store. A failed
+    /// leg marks its replica down (promoting if it was the primary).
+    async fn fan_out<Fut>(
+        &self,
+        targets: impl Iterator<Item = usize>,
+        leg: impl Fn(Rc<DurableClient>) -> Fut,
+    ) -> Vec<ReplicaOutcome>
+    where
+        Fut: std::future::Future<Output = RpcResult<()>> + 'static,
+    {
+        let joins: Vec<_> = targets
+            .map(|slot| {
+                let replica = Rc::clone(&self.replicas[slot]);
+                (slot, self.handle.spawn(leg(replica)))
+            })
+            .collect();
+        let mut outcomes = Vec::with_capacity(joins.len());
+        for (replica, join) in joins {
+            let result = join.await;
+            if result.is_err() {
+                self.state.mark_down(replica);
+            }
+            outcomes.push(ReplicaOutcome {
+                replica,
+                node: self.state.nodes[replica],
+                result,
+            });
+        }
+        outcomes
+    }
+
     /// One fan-out round of `put_tagged(obj, data, id)` to every replica
-    /// in `targets`, spawned concurrently and **all joined** — no
-    /// outcome is abandoned, so when this returns no spawned sub-put is
-    /// still mutating a store. Failures mark the replica down (promoting
-    /// if it was the primary).
+    /// in `targets` (see [`fan_out`](ReplicatedClient::fan_out)).
     async fn fan_out_round(
         &self,
         obj: u64,
@@ -410,29 +435,11 @@ impl ReplicatedClient {
         id: u64,
         targets: &[usize],
     ) -> Vec<ReplicaOutcome> {
-        let mut joins = Vec::with_capacity(targets.len());
-        for &slot in targets {
-            let r = Rc::clone(&self.replicas[slot]);
+        let leg = |r: Rc<DurableClient>| {
             let data = data.clone();
-            joins.push((
-                slot,
-                self.handle
-                    .spawn(async move { r.put_tagged(obj, data, id).await.map(|_| ()) }),
-            ));
-        }
-        let mut outcomes = Vec::with_capacity(joins.len());
-        for (slot, j) in joins {
-            let result = j.await;
-            if result.is_err() {
-                self.state.mark_down(slot);
-            }
-            outcomes.push(ReplicaOutcome {
-                replica: slot,
-                node: self.state.nodes[slot],
-                result,
-            });
-        }
-        outcomes
+            async move { r.put_tagged(obj, data, id).await.map(|_| ()) }
+        };
+        self.fan_out(targets.iter().copied(), leg).await
     }
 
     /// A single fan-out round to every replica, returning the structured
@@ -457,32 +464,18 @@ impl ReplicatedClient {
         obj_id: u64,
         data: Payload,
     ) -> RpcResult<()> {
-        let mut joins = Vec::with_capacity(self.replicas.len());
-        for (slot, r) in self.replicas.iter().enumerate() {
-            let r = Rc::clone(r);
+        let leg = |r: Rc<DurableClient>| {
             let data = data.clone();
-            joins.push((
-                slot,
-                self.handle
-                    .spawn(async move { r.append_record_retried(opcode, obj_id, data).await }),
-            ));
-        }
-        let mut appended = 0usize;
-        let mut last_err = RpcError::TimedOut;
-        for (slot, j) in joins {
-            match j.await {
-                Ok(_) => appended += 1,
-                Err(e) => {
-                    self.state.mark_down(slot);
-                    last_err = e;
-                }
+            async move { r.append_record(opcode, obj_id, data).await.map(|_| ()) }
+        };
+        let mut last = Err(RpcError::TimedOut);
+        for outcome in self.fan_out(0..self.replicas.len(), leg).await {
+            if outcome.result.is_ok() {
+                return Ok(());
             }
+            last = outcome.result;
         }
-        if appended > 0 {
-            Ok(())
-        } else {
-            Err(last_err)
-        }
+        last
     }
 
     async fn put_all(&self, obj: u64, data: Payload) -> RpcResult<Response> {

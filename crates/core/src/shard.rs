@@ -17,7 +17,7 @@
 use std::rc::Rc;
 
 use crate::cache::{CacheConfig, CachedClient, LeaseState};
-use crate::durable::{build_durable, DurableClient, DurableConfig, DurableServer};
+use crate::durable::{build_durable, DurableConfig, DurableServer};
 use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
 use crate::store::MirrorRegion;
@@ -151,19 +151,6 @@ impl ShardedClient {
             shards,
             views: Vec::new(),
         }
-    }
-
-    /// Like [`new`](ShardedClient::new), with one replica-group view per
-    /// shard so the router knows each shard's promotion state.
-    pub fn with_views(
-        map: ShardMap,
-        shards: Vec<Box<dyn RpcClient>>,
-        views: Vec<GroupView>,
-    ) -> Self {
-        assert_eq!(map.shards(), views.len(), "one group view per shard");
-        let mut c = ShardedClient::new(map, shards);
-        c.views = views;
-        c
     }
 
     /// The promotion epoch shard `shard`'s routing is on (`None` for
@@ -363,158 +350,96 @@ impl ShardBatchOutcome {
     }
 }
 
-/// One client's view of a sharded durable KV service, plus the per-shard
-/// server endpoints needed for recovery wiring.
-pub struct ShardedDurable {
-    /// One sharded router per client node, in `client_nodes` order.
-    pub clients: Vec<ShardedClient>,
-    /// `servers[shard][client]`: the server endpoint of the connection
-    /// between `client_nodes[client]` and shard `shard` (each connection
-    /// owns its per-connection redo log on the shard's PM, as in the
-    /// paper; the object store is shared per shard).
-    pub servers: Vec<Vec<Rc<DurableServer>>>,
+/// What [`build_fleet`] stacks on top of the per-(client, shard) durable
+/// connections.
+#[derive(Debug, Clone, Copy)]
+pub struct FleetSpec {
+    /// Server nodes per shard. With `replicas > 1` every shard is a
+    /// primary–backup group: shard `s`'s primary lives on server node
+    /// `s` and its backups on the next server nodes (mod shard count),
+    /// so every node hosts one primary and backups for its neighbours.
+    pub replicas: usize,
+    /// Put the hot-key lease cache (and, when `cache.mirror` is on, the
+    /// adaptive one-sided READ fast path) in front of every shard
+    /// endpoint. The mirror tier is always off when `replicas > 1` — a
+    /// mirror QP targets one fixed member, so a promotion would leave it
+    /// reading a demoted node — and instead every promotion of a backup
+    /// revokes all leases a client holds on the shard (tracked through
+    /// the group's view epoch).
+    pub cache: Option<CacheConfig>,
 }
 
-impl ShardedDurable {
+/// A sharded durable KV service: one router per client node plus the
+/// server-side handles recovery and failover wiring need.
+pub struct Fleet {
+    /// One sharded router per client node, in `client_nodes` order
+    /// (promotion-aware when the shards are replica groups).
+    pub clients: Vec<ShardedClient>,
+    /// `servers[shard][client]` (`replicas == 1`): the server endpoint
+    /// of the connection between `client_nodes[client]` and shard
+    /// `shard` (each connection owns its per-connection redo log on the
+    /// shard's PM, as in the paper; the object store is shared per
+    /// shard). Empty per shard when the shards are replica groups.
+    pub servers: Vec<Vec<Rc<DurableServer>>>,
+    /// `groups[shard][client]` (`replicas > 1`): the replica group
+    /// behind the connection between `client_nodes[client]` and shard
+    /// `shard`. Empty per shard otherwise.
+    pub groups: Vec<Vec<ReplicaGroup>>,
+    /// Per-shard lease tables (index = shard id), shared by every client
+    /// of the shard; empty without a cache.
+    pub leases: Vec<LeaseState>,
+}
+
+impl Fleet {
     /// Recover shard `shard` after a node crash: replay every
     /// per-connection log on that server (and only that server). Returns
     /// the number of entries re-enqueued across the shard's logs.
     pub fn recover_shard(&self, shard: usize) -> usize {
-        self.servers[shard]
-            .iter()
-            .map(|s| s.recover_and_requeue().len())
-            .sum()
+        replay_logs(&self.servers[shard])
     }
 
-    /// Service-restart recovery for shard `shard` (cursors intact).
-    pub fn recover_shard_service(&self, shard: usize) -> usize {
-        self.servers[shard]
-            .iter()
-            .map(|s| s.recover_service_and_requeue())
-            .sum()
-    }
-}
-
-/// Build a sharded durable KV service: shards live on server nodes
-/// `0..shards` (the cluster must have at least that many servers), and
-/// every node in `client_nodes` gets one connection — with its own
-/// per-connection redo log — to every shard. Per-shard object-store
-/// regions are sized from `cfg.store_capacity` as configured by the
-/// caller (size it to `map.local_span(objects) * object_slot` so slots
-/// never wrap). All server loops are started.
-pub fn build_sharded_durable(
-    cluster: &Cluster,
-    map: ShardMap,
-    client_nodes: &[usize],
-    cfg: &DurableConfig,
-) -> ShardedDurable {
-    let shards = map.shards();
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (lane, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        for (shard, shard_servers) in servers.iter_mut().enumerate() {
-            let (c, s): (DurableClient, DurableServer) =
-                build_durable(cluster, client_idx, shard, lane, cfg.clone());
-            s.start();
-            shard_servers.push(Rc::new(s));
-            per_shard.push(Box::new(c));
-        }
-        clients.push(ShardedClient::new(map, per_shard));
-    }
-    ShardedDurable { clients, servers }
-}
-
-/// A sharded durable KV service whose shards are primary–backup replica
-/// groups: shard `s`'s primary lives on server node `s` and its backups
-/// on the next server nodes (mod shard count), so every node hosts one
-/// primary and backups for its neighbours.
-pub struct ReplicatedSharded {
-    /// One promotion-aware sharded router per client node, in
-    /// `client_nodes` order.
-    pub clients: Vec<ShardedClient>,
-    /// `groups[shard][client]`: the replica group behind the connection
-    /// between `client_nodes[client]` and shard `shard`.
-    pub groups: Vec<Vec<ReplicaGroup>>,
-}
-
-impl ReplicatedSharded {
     /// Wire every replica group's failover into the fault injector
     /// (instant promotion at crash time, replay + rejoin + catch-up at
     /// restart). See [`ReplicaGroup::wire_failover`].
     pub fn wire_failover(&self, inj: &FaultInjector) {
-        for per_shard in &self.groups {
-            for g in per_shard {
-                g.wire_failover(inj);
-            }
+        for g in self.groups.iter().flatten() {
+            g.wire_failover(inj);
         }
     }
 
-    /// Log entries replayed by recovery hooks so far, across all groups.
-    pub fn replayed(&self) -> usize {
-        self.groups
-            .iter()
-            .flat_map(|per_shard| per_shard.iter())
-            .map(ReplicaGroup::replayed)
-            .sum()
+    fn with_leases(self) -> (Fleet, Vec<LeaseState>) {
+        let leases = self.leases.clone();
+        (self, leases)
     }
 }
 
-/// Build a replicated sharded durable KV service: like
-/// [`build_sharded_durable`], but each shard is served by a
-/// primary–backup group of `replicas` server nodes — shard `s` on nodes
-/// `[s, (s+1) % shards, …]` — and the routers learn each shard's
-/// promotion epoch. Each shard group keeps its own object-store region
-/// (`objects-s<shard>`): a node hosting shard `s`'s primary and shard
-/// `s−1`'s backup never mixes their object spaces. All server loops are
-/// started; call [`ReplicatedSharded::wire_failover`] to attach fast
-/// failover to a fault injector.
-pub fn build_replicated_sharded(
+/// Node-crash replay of one shard's per-connection logs; returns the
+/// entries re-enqueued.
+pub(crate) fn replay_logs(servers: &[Rc<DurableServer>]) -> usize {
+    servers.iter().map(|s| s.recover_and_requeue().len()).sum()
+}
+
+/// The one (client × shard) assembly loop: shards live on server nodes
+/// `0..shards` (the cluster must have at least that many servers), and
+/// every node in `client_nodes` gets one endpoint to every shard, built
+/// by `connect(client ordinal, client node, shard)` in client-major
+/// order. Returns `endpoints[client][shard]`.
+pub(crate) fn assemble<E>(
     cluster: &Cluster,
-    map: ShardMap,
+    shards: usize,
     client_nodes: &[usize],
-    replicas: usize,
-    cfg: &DurableConfig,
-) -> ReplicatedSharded {
-    let shards = map.shards();
+    mut connect: impl FnMut(usize, usize, usize) -> E,
+) -> Vec<Vec<E>> {
     assert!(
         cluster.servers() >= shards,
         "cluster has {} server nodes, need {shards}",
         cluster.servers()
     );
-    assert!(
-        (1..=shards).contains(&replicas),
-        "need 1..={shards} replicas per shard, got {replicas}"
-    );
-    let mut groups: Vec<Vec<ReplicaGroup>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
+    let mut endpoints = Vec::with_capacity(client_nodes.len());
     for (c, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        let mut views = Vec::with_capacity(shards);
-        for (shard, shard_groups) in groups.iter_mut().enumerate() {
-            let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
-            let (rc, group) = build_replicated_group(
-                cluster,
-                client_idx,
-                &members,
-                cfg,
-                (c * shards + shard) * replicas,
-                (c * shards + shard) as u64,
-                Some(format!("objects-s{shard}")),
-                None,
-            );
-            views.push(rc.view());
-            per_shard.push(Box::new(rc));
-            shard_groups.push(group);
-        }
-        clients.push(ShardedClient::with_views(map, per_shard, views));
+        endpoints.push((0..shards).map(|s| connect(c, client_idx, s)).collect());
     }
-    ReplicatedSharded { clients, groups }
+    endpoints
 }
 
 /// Build one shard's lease table: when the one-sided tier is enabled the
@@ -532,122 +457,146 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: &CacheConfig) -> LeaseSta
     }
 }
 
-/// Like [`build_sharded_durable`], with the hot-key lease cache and the
-/// adaptive one-sided READ fast path in front of every shard endpoint:
-/// each shard gets one [`LeaseState`] (and, when `cache.mirror` is on, a
-/// server-DRAM [`MirrorRegion`](crate::store::MirrorRegion) plus one RC
-/// QP per client for one-sided reads) shared by all clients, and every
-/// durable put bumps the key's lease epoch before its flush ACK
-/// (invariant I5). Returns the service plus the per-shard lease tables
-/// (index = shard id) for tests and dashboards.
+/// Build a sharded durable KV service over `map`'s shards for the clients
+/// on `client_nodes` (see [`assemble`] for placement): every client gets
+/// one endpoint — with its own per-connection redo log(s) — to every
+/// shard, stacked per `spec`. With `spec.replicas > 1` the endpoint is a
+/// replica group's client and the routers learn each shard's promotion
+/// epoch; call [`Fleet::wire_failover`] to attach fast failover to a
+/// fault injector. Each group keeps its own object-store region
+/// (`objects-s<shard>`): a node hosting shard `s`'s primary and shard
+/// `s−1`'s backup never mixes their object spaces. With `spec.cache`
+/// each shard gets one [`LeaseState`] (plus, when the mirror tier is on,
+/// a server-DRAM [`MirrorRegion`] and one RC QP per client for one-sided
+/// reads), a [`CachedClient`] fronts every endpoint, and every durable
+/// put bumps the key's lease epoch before its flush ACK (invariant I5).
+/// Per-shard object-store regions are sized from `cfg.store_capacity` as
+/// configured by the caller (size it to `map.local_span(objects) *
+/// object_slot` so slots never wrap). All server loops are started.
+pub fn build_fleet(
+    cluster: &Cluster,
+    map: ShardMap,
+    client_nodes: &[usize],
+    cfg: &DurableConfig,
+    spec: FleetSpec,
+) -> Fleet {
+    let (shards, replicas) = (map.shards(), spec.replicas);
+    assert!(
+        (1..=shards).contains(&replicas),
+        "need 1..={shards} replicas per shard, got {replicas}"
+    );
+    let cache = spec.cache.map(|cache| CacheConfig {
+        mirror: cache.mirror && replicas == 1,
+        ..cache
+    });
+    let leases: Vec<LeaseState> = cache
+        .iter()
+        .flat_map(|cache| (0..shards).map(|shard| shard_lease(cluster, shard, cache)))
+        .collect();
+    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<ReplicaGroup>> = (0..shards).map(|_| Vec::new()).collect();
+    let endpoints = assemble(cluster, shards, client_nodes, |c, client_idx, shard| {
+        let cfg = DurableConfig {
+            lease: leases.get(shard).cloned(),
+            ..cfg.clone()
+        };
+        let (endpoint, view): (Box<dyn RpcClient>, _) = if replicas > 1 {
+            // Lanes and put-id tags derive from the (client, shard) ordinal.
+            let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
+            let pair = c * shards + shard;
+            let (client, group) = build_replicated_group(
+                cluster,
+                client_idx,
+                &members,
+                &cfg,
+                pair * replicas,
+                pair as u64,
+                Some(format!("objects-s{shard}")),
+            );
+            groups[shard].push(group);
+            let view = client.view();
+            (Box::new(client), Some(view))
+        } else {
+            let (client, server) = build_durable(cluster, client_idx, shard, c, cfg);
+            server.start();
+            servers[shard].push(Rc::new(server));
+            (Box::new(client), None)
+        };
+        let Some(cache) = cache else {
+            return (endpoint, view);
+        };
+        let mirror_qp = cache
+            .mirror
+            .then(|| cluster.connect(client_idx, shard, QpMode::Rc).0);
+        let cached = CachedClient::new(
+            endpoint,
+            leases[shard].clone(),
+            cache,
+            cluster.node(client_idx).clone(),
+            shard as u32,
+            mirror_qp,
+            view.clone(),
+        );
+        (Box::new(cached), view)
+    });
+    let clients = endpoints
+        .into_iter()
+        .map(|per_shard| {
+            let (shards, views): (Vec<_>, Vec<Option<GroupView>>) = per_shard.into_iter().unzip();
+            let views = views.into_iter().flatten().collect();
+            ShardedClient { map, shards, views }
+        })
+        .collect();
+    Fleet {
+        clients,
+        servers,
+        groups,
+        leases,
+    }
+}
+
+/// [`build_fleet`] with `replicas` servers per shard and no cache. Kept
+/// under its old name for `examples/perfbench` only.
+pub fn build_replicated_sharded(
+    cluster: &Cluster,
+    map: ShardMap,
+    client_nodes: &[usize],
+    replicas: usize,
+    cfg: &DurableConfig,
+) -> Fleet {
+    build_fleet(
+        cluster,
+        map,
+        client_nodes,
+        cfg,
+        FleetSpec {
+            replicas,
+            cache: None,
+        },
+    )
+}
+
+/// [`build_fleet`] with one server per shard and `cache` in front,
+/// returning the fleet beside a copy of its lease tables. Kept under its
+/// old name for `examples/perfbench` only.
 pub fn build_sharded_durable_cached(
     cluster: &Cluster,
     map: ShardMap,
     client_nodes: &[usize],
     cfg: &DurableConfig,
     cache: &CacheConfig,
-) -> (ShardedDurable, Vec<LeaseState>) {
-    let shards = map.shards();
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    let leases: Vec<LeaseState> = (0..shards)
-        .map(|shard| shard_lease(cluster, shard, cache))
-        .collect();
-    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (lane, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        for (shard, shard_servers) in servers.iter_mut().enumerate() {
-            let mut sub_cfg = cfg.clone();
-            sub_cfg.lease = Some(leases[shard].clone());
-            let (c, s): (DurableClient, DurableServer) =
-                build_durable(cluster, client_idx, shard, lane, sub_cfg);
-            s.start();
-            shard_servers.push(Rc::new(s));
-            let mirror_qp = cache
-                .mirror
-                .then(|| cluster.connect(client_idx, shard, QpMode::Rc).0);
-            per_shard.push(Box::new(CachedClient::new(
-                Box::new(c),
-                leases[shard].clone(),
-                *cache,
-                cluster.node(client_idx).clone(),
-                shard as u32,
-                mirror_qp,
-                None,
-            )));
-        }
-        clients.push(ShardedClient::new(map, per_shard));
-    }
-    (ShardedDurable { clients, servers }, leases)
-}
-
-/// Like [`build_replicated_sharded`], with the hot-key lease cache in
-/// front of every shard's replica group. The one-sided mirror tier is
-/// always disabled here — a mirror QP targets one fixed member, so a
-/// promotion would leave it reading a demoted node — and instead every
-/// promotion of a backup revokes all leases a client holds on the shard
-/// (tracked through the group's view epoch). Returns the service plus the
-/// per-shard lease tables (index = shard id).
-pub fn build_replicated_sharded_cached(
-    cluster: &Cluster,
-    map: ShardMap,
-    client_nodes: &[usize],
-    replicas: usize,
-    cfg: &DurableConfig,
-    cache: &CacheConfig,
-) -> (ReplicatedSharded, Vec<LeaseState>) {
-    let shards = map.shards();
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    assert!(
-        (1..=shards).contains(&replicas),
-        "need 1..={shards} replicas per shard, got {replicas}"
-    );
-    let mut cache_cfg = *cache;
-    cache_cfg.mirror = false;
-    let leases: Vec<LeaseState> = (0..shards)
-        .map(|shard| LeaseState::new(shard as u64))
-        .collect();
-    let mut groups: Vec<Vec<ReplicaGroup>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (c, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard: Vec<Box<dyn RpcClient>> = Vec::with_capacity(shards);
-        let mut views = Vec::with_capacity(shards);
-        for (shard, shard_groups) in groups.iter_mut().enumerate() {
-            let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
-            let (rc, group) = build_replicated_group(
-                cluster,
-                client_idx,
-                &members,
-                cfg,
-                (c * shards + shard) * replicas,
-                (c * shards + shard) as u64,
-                Some(format!("objects-s{shard}")),
-                Some(leases[shard].clone()),
-            );
-            let view = rc.view();
-            views.push(view.clone());
-            per_shard.push(Box::new(CachedClient::new(
-                Box::new(rc),
-                leases[shard].clone(),
-                cache_cfg,
-                cluster.node(client_idx).clone(),
-                shard as u32,
-                None,
-                Some(view),
-            )));
-            shard_groups.push(group);
-        }
-        clients.push(ShardedClient::with_views(map, per_shard, views));
-    }
-    (ReplicatedSharded { clients, groups }, leases)
+) -> (Fleet, Vec<LeaseState>) {
+    build_fleet(
+        cluster,
+        map,
+        client_nodes,
+        cfg,
+        FleetSpec {
+            replicas: 1,
+            cache: Some(*cache),
+        },
+    )
+    .with_leases()
 }
 
 #[cfg(test)]
@@ -710,7 +659,7 @@ mod tests {
         assert_eq!(m.split_scan(0, 16).len(), 4);
     }
 
-    fn sharded_fixture(sim: &Sim, shards: usize, clients: usize) -> ShardedDurable {
+    fn sharded_fixture(sim: &Sim, shards: usize, clients: usize) -> Fleet {
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(shards, clients));
         let cfg = DurableConfig {
             profile: ServerProfile::light(),
@@ -721,7 +670,11 @@ mod tests {
             ..Default::default()
         };
         let client_nodes: Vec<usize> = (shards..shards + clients).collect();
-        build_sharded_durable(&cluster, ShardMap::new(shards), &client_nodes, &cfg)
+        let spec = FleetSpec {
+            replicas: 1,
+            cache: None,
+        };
+        build_fleet(&cluster, ShardMap::new(shards), &client_nodes, &cfg, spec)
     }
 
     #[test]
@@ -770,7 +723,11 @@ mod tests {
             log_slots: 64,
             ..Default::default()
         };
-        let svc = build_replicated_sharded(&cluster, ShardMap::new(2), &[2], 2, &cfg);
+        let spec = FleetSpec {
+            replicas: 2,
+            cache: None,
+        };
+        let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
         let client = svc.clients.into_iter().next().unwrap();
         assert_eq!(client.shard_epoch(0), Some(0));
         assert_eq!(client.primary_of(0), Some(0));
@@ -836,10 +793,13 @@ mod tests {
             mirror: false,
             ..Default::default()
         };
-        let (svc, leases) =
-            build_sharded_durable_cached(&cluster, ShardMap::new(2), &[2], &cfg, &cache);
-        assert_eq!(leases.len(), 2);
-        let lease = leases[0].clone();
+        let spec = FleetSpec {
+            replicas: 1,
+            cache: Some(cache),
+        };
+        let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
+        assert_eq!(svc.leases.len(), 2);
+        let lease = svc.leases[0].clone();
         let client = svc.clients.into_iter().next().unwrap();
         let h = sim.handle();
         sim.block_on(async move {
@@ -910,10 +870,13 @@ mod tests {
             mirror_value_bytes: 1024,
             ..Default::default()
         };
-        let (svc, leases) =
-            build_sharded_durable_cached(&cluster, ShardMap::new(1), &[1], &cfg, &cache);
+        let spec = FleetSpec {
+            replicas: 1,
+            cache: Some(cache),
+        };
+        let svc = build_fleet(&cluster, ShardMap::new(1), &[1], &cfg, spec);
+        let lease = svc.leases[0].clone();
         let client = svc.clients.into_iter().next().unwrap();
-        let lease = leases[0].clone();
         sim.block_on(async move {
             let data = Payload::synthetic(256, 7);
             client.call(Request::Put { obj: 7, data }).await.unwrap();
@@ -956,8 +919,12 @@ mod tests {
             hot_threshold: 1,
             ..Default::default()
         };
-        let (svc, leases) =
-            build_replicated_sharded_cached(&cluster, ShardMap::new(2), &[2], 2, &cfg, &cache);
+        let spec = FleetSpec {
+            replicas: 2,
+            cache: Some(cache),
+        };
+        let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
+        let leases = svc.leases.clone();
         let client = svc.clients.into_iter().next().unwrap();
         assert_eq!(client.shard_epoch(0), Some(0));
         sim.block_on(async move {

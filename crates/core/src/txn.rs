@@ -51,13 +51,13 @@ use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::Payload;
 use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem};
-use prdma_simnet::{Semaphore, SimHandle};
+use prdma_simnet::{JoinHandle, Semaphore, SimHandle};
 
 use crate::cache::LeaseState;
 use crate::durable::{build_durable, DurableClient, DurableConfig, DurableServer};
 use crate::log::{LogEntry, OpCode, RedoLog};
 use crate::rpc::{Request, RpcClient, RpcResult};
-use crate::shard::ShardMap;
+use crate::shard::{assemble, replay_logs, ShardMap};
 use crate::store::ObjectStore;
 
 /// High-bit namespace for transaction ids: distinct from replication ids
@@ -729,22 +729,27 @@ impl TxnClient {
         data: Payload,
     ) -> RpcResult<u64> {
         let _permit = self.append_sems[shard].acquire().await;
-        self.shards[shard]
-            .append_record_retried(opcode, txn, data)
-            .await
+        self.shards[shard].append_record(opcode, txn, data).await
     }
 
-    /// Fire-and-forget a resolution record (commit-apply or abort) to
-    /// `shard`, retried in the background. Failures are survivable: the
-    /// participant's replay resolves from the coordinator's decided
+    /// [`append`](TxnClient::append) as a task of its own: prepares fan
+    /// out this way and are joined; resolution records (commit-apply or
+    /// abort) are fired and forgotten — their failures are survivable,
+    /// the participant's replay resolves from the coordinator's decided
     /// record instead.
-    fn append_background(&self, shard: usize, opcode: OpCode, txn: u64, data: Payload) {
+    fn spawn_append(
+        &self,
+        shard: usize,
+        opcode: OpCode,
+        txn: u64,
+        data: Payload,
+    ) -> JoinHandle<RpcResult<u64>> {
         let client = Rc::clone(&self.shards[shard]);
         let sem = Rc::clone(&self.append_sems[shard]);
         self.handle.spawn(async move {
             let _permit = sem.acquire().await;
-            let _ = client.append_record_retried(opcode, txn, data).await;
-        });
+            client.append_record(opcode, txn, data).await
+        })
     }
 
     /// Commit the transaction: lock + OCC-validate, durable 2PC, lease
@@ -807,18 +812,9 @@ impl TxnClient {
                 .map(|(&(_, local), bytes)| (local, bytes.clone()))
                 .collect();
             let payload = encode_prepare(coord, &writes);
-            let client = Rc::clone(&self.shards[shard]);
-            let sem = Rc::clone(&self.append_sems[shard]);
-            joins.push((
-                shard,
-                payload.len(),
-                self.handle.spawn(async move {
-                    let _permit = sem.acquire().await;
-                    client
-                        .append_record_retried(OpCode::TxnPrepare, id, payload)
-                        .await
-                }),
-            ));
+            let bytes = payload.len();
+            let join = self.spawn_append(shard, OpCode::TxnPrepare, id, payload);
+            joins.push((shard, bytes, join));
         }
         let mut prepared: Vec<usize> = Vec::with_capacity(participants.len());
         for (shard, bytes, join) in joins {
@@ -835,12 +831,7 @@ impl TxnClient {
             // replay can only discard.
             self.jot(EventKind::TxnAbort, id, prepared.len() as u64, 0);
             for &shard in &prepared {
-                self.append_background(
-                    shard,
-                    OpCode::TxnAbort,
-                    id,
-                    Payload::from_bytes(Vec::new()),
-                );
+                self.spawn_append(shard, OpCode::TxnAbort, id, Payload::from_bytes(Vec::new()));
             }
             for &shard in &participants {
                 self.states[shard].unlock_all(id);
@@ -882,7 +873,7 @@ impl TxnClient {
         // releases locks. Lost records are covered by the decided record
         // at replay.
         for &shard in &participants {
-            self.append_background(
+            self.spawn_append(
                 shard,
                 OpCode::TxnCommit,
                 id,
@@ -905,8 +896,7 @@ pub struct ShardedTxn {
     /// One transactional endpoint per client node, in `client_nodes`
     /// order.
     pub clients: Vec<TxnClient>,
-    /// `servers[shard][client]`, as in
-    /// [`ShardedDurable`](crate::shard::ShardedDurable).
+    /// `servers[shard][client]`, as in [`Fleet`](crate::shard::Fleet).
     pub servers: Vec<Vec<Rc<DurableServer>>>,
     /// Per-shard transaction host state (index = shard id).
     pub states: Vec<TxnState>,
@@ -927,11 +917,12 @@ impl ShardedTxn {
     /// re-stage and resolve through the directory; genuinely undecided
     /// ones stay staged and locked. Returns the entries re-enqueued.
     pub fn recover_shard(&self, shard: usize) -> usize {
-        self.directory.forget_volatile();
-        self.servers[shard]
-            .iter()
-            .map(|s| s.recover_and_requeue().len())
-            .sum()
+        Self::recover(&self.directory, &self.servers[shard])
+    }
+
+    fn recover(directory: &TxnDirectory, shard_servers: &[Rc<DurableServer>]) -> usize {
+        directory.forget_volatile();
+        replay_logs(shard_servers)
     }
 
     /// Transactions currently in doubt (staged, unresolved) on `shard`.
@@ -940,21 +931,15 @@ impl ShardedTxn {
     }
 
     /// Wire node-crash recovery into the fault injector: a recovering
-    /// server node replays its shard's logs through
-    /// [`recover_shard`](ShardedTxn::recover_shard) (shard `s` lives on
-    /// server node `s`).
+    /// server node replays its shard's logs exactly as
+    /// [`recover_shard`](ShardedTxn::recover_shard) does (shard `s` lives
+    /// on server node `s`).
     pub fn wire_recovery(&self, inj: &FaultInjector) {
         let servers = self.servers.clone();
         let dir = self.directory.clone();
         inj.on_recovery(move |node, kind| {
-            if !matches!(kind, FaultKind::NodeCrash { .. }) {
-                return;
-            }
-            if let Some(shard_servers) = servers.get(node) {
-                dir.forget_volatile();
-                for s in shard_servers {
-                    s.recover_and_requeue();
-                }
+            if let (FaultKind::NodeCrash { .. }, Some(shard_servers)) = (kind, servers.get(node)) {
+                Self::recover(&dir, shard_servers);
             }
         });
     }
@@ -973,9 +958,8 @@ pub fn build_sharded_txn(
 ) -> ShardedTxn {
     let shards = map.shards();
     assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
+        client_nodes.len() <= 1 << 27,
+        "client tag exceeds the txn id namespace"
     );
     let directory = TxnDirectory::new();
     let states: Vec<TxnState> = (0..shards)
@@ -983,26 +967,26 @@ pub fn build_sharded_txn(
         .collect();
     let leases: Vec<LeaseState> = (0..shards).map(|s| LeaseState::new(s as u64)).collect();
     let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut clients = Vec::with_capacity(client_nodes.len());
-    for (lane, &client_idx) in client_nodes.iter().enumerate() {
-        let mut per_shard = Vec::with_capacity(shards);
-        let mut sems = Vec::with_capacity(shards);
-        for (shard, shard_servers) in servers.iter_mut().enumerate() {
-            let mut sub_cfg = cfg.clone();
-            sub_cfg.txn = Some(states[shard].clone());
-            sub_cfg.lease = Some(leases[shard].clone());
-            let (c, s) = build_durable(cluster, client_idx, shard, lane, sub_cfg);
-            s.start();
-            directory.register(shard, s.log().clone());
-            shard_servers.push(Rc::new(s));
-            per_shard.push(Rc::new(c));
-            sems.push(Rc::new(Semaphore::new(1)));
-        }
-        assert!(lane < 1 << 27, "client tag exceeds the txn id namespace");
-        clients.push(TxnClient {
+    let endpoints = assemble(cluster, shards, client_nodes, |lane, client_idx, shard| {
+        let cfg = DurableConfig {
+            txn: Some(states[shard].clone()),
+            lease: Some(leases[shard].clone()),
+            ..cfg.clone()
+        };
+        let (client, server) = build_durable(cluster, client_idx, shard, lane, cfg);
+        server.start();
+        directory.register(shard, server.log().clone());
+        servers[shard].push(Rc::new(server));
+        Rc::new(client)
+    });
+    let clients = client_nodes
+        .iter()
+        .zip(endpoints)
+        .enumerate()
+        .map(|(lane, (&client_idx, per_shard))| TxnClient {
             map,
+            append_sems: (0..shards).map(|_| Rc::new(Semaphore::new(1))).collect(),
             shards: per_shard,
-            append_sems: sems,
             states: states.clone(),
             leases: leases.clone(),
             node: cluster.node(client_idx).clone(),
@@ -1012,8 +996,8 @@ pub fn build_sharded_txn(
             commits: Cell::new(0),
             aborts: Cell::new(0),
             hook: RefCell::new(None),
-        });
-    }
+        })
+        .collect();
     ShardedTxn {
         clients,
         servers,

@@ -343,6 +343,9 @@ impl Qp {
         if items.is_empty() {
             return Ok(Vec::new());
         }
+        for (_, p) in &items {
+            self.check_mtu(p.len())?;
+        }
         let rpc = self.take_tag();
         let k = items.len() as u64;
         self.post_cost(
@@ -775,6 +778,31 @@ mod tests {
                 mtu: 4096
             }
         );
+    }
+
+    #[test]
+    fn ud_write_batch_respects_mtu_per_item() {
+        // An over-MTU payload must be rejected in a batch exactly as it is
+        // posted singly — before the doorbell, whatever its position.
+        let mut sim = Sim::new(1);
+        let (qa, _qb) = pair(&sim, QpMode::Ud);
+        let h = sim.handle();
+        let (single, batched, t) = sim.block_on(async move {
+            let big = || Payload::synthetic(8192, 0);
+            let single = qa.write(MemTarget::Pm(0), big()).await.err();
+            let items = vec![
+                (MemTarget::Pm(0), Payload::synthetic(64, 0)),
+                (MemTarget::Pm(64), big()),
+            ];
+            (single, qa.write_batch(items).await.err(), h.now())
+        });
+        let want = Some(RdmaError::MtuExceeded {
+            len: 8192,
+            mtu: 4096,
+        });
+        assert_eq!(single, want);
+        assert_eq!(batched, want);
+        assert_eq!(t.as_nanos(), 0, "rejected before any post cost");
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::rc::Rc;
 use crate::baselines::{build_system, SystemKind, SystemOpts};
 use crate::core::txn::build_sharded_txn;
 use crate::core::{
-    build_durable, build_replicated, build_sharded_durable_cached, CacheConfig, DurableConfig,
-    DurableKind, Request, RpcClient, ServerProfile, ShardMap,
+    build_durable, build_fleet, build_replicated, CacheConfig, DurableConfig, DurableKind,
+    FleetSpec, Request, RpcClient, ServerProfile, ShardMap,
 };
 use crate::node::{Cluster, ClusterConfig};
 use crate::rnic::Payload;
@@ -24,7 +24,7 @@ pub const SEED: u64 = 20211114;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Input {
     /// 1:1 read/write micro-benchmark through one connection of a
-    /// registry system (single puts: `do_put`).
+    /// registry system (single puts).
     Micro(SystemKind),
     /// `call_batch` rounds of 8 puts on one durable connection; every
     /// fourth round carries a GET mid-batch, splitting the put run.
@@ -33,7 +33,7 @@ pub enum Input {
     /// (tagged puts fanned out to both replicas).
     Replicated(DurableKind),
     /// A 2R+2W transactional mix over a 2-shard `build_sharded_txn`
-    /// service (2PC record appends: `append_record`).
+    /// service (2PC record appends).
     Txn(DurableKind),
     /// A 95 % GET / 5 % put micro-benchmark through a 1-shard cached
     /// fleet (lease bumps on the put path, cache + mirror reads).
@@ -185,13 +185,11 @@ pub fn run(input: Input, ops: u64) -> Fingerprint {
                 hot_threshold: 1,
                 ..Default::default()
             };
-            let (svc, _leases) = build_sharded_durable_cached(
-                &cluster,
-                ShardMap::new(1),
-                &[1],
-                &durable_cfg(kind),
-                &cache,
-            );
+            let spec = FleetSpec {
+                replicas: 1,
+                cache: Some(cache),
+            };
+            let svc = build_fleet(&cluster, ShardMap::new(1), &[1], &durable_cfg(kind), spec);
             let client = svc.clients.into_iter().next().expect("one client");
             let cfg = micro_cfg(ops, 0.95);
             let r = sim.block_on(async move { run_micro(&client, &h, &cfg).await });

@@ -9,7 +9,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use prdma_suite::core::{
-    build_sharded_durable, DurableConfig, DurableKind, Request, RetryPolicy, RpcClient,
+    build_fleet, DurableConfig, DurableKind, Fleet, FleetSpec, Request, RetryPolicy, RpcClient,
     ServerProfile, ShardMap,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
@@ -30,11 +30,7 @@ fn retry(max_retries: u32) -> RetryPolicy {
     }
 }
 
-fn batch_cluster(
-    sim: &Sim,
-    kind: DurableKind,
-    max_retries: u32,
-) -> (Cluster, prdma_suite::core::ShardedDurable) {
+fn batch_cluster(sim: &Sim, kind: DurableKind, max_retries: u32) -> (Cluster, Fleet) {
     let mut ccfg = ClusterConfig::with_servers(2, 1);
     ccfg.journal = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
@@ -47,7 +43,11 @@ fn batch_cluster(
         retry: retry(max_retries),
         ..DurableConfig::for_kind(kind)
     };
-    let svc = build_sharded_durable(&cluster, ShardMap::new(2), &[2], &cfg);
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: None,
+    };
+    let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
     (cluster, svc)
 }
 

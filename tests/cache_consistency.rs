@@ -16,8 +16,8 @@
 use std::rc::Rc;
 
 use prdma_suite::core::{
-    build_replicated_sharded_cached, build_sharded_durable_cached, CacheConfig, DurableConfig,
-    DurableKind, Request, RetryPolicy, RpcClient, ServerProfile, ShardMap,
+    build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, Request, RetryPolicy,
+    RpcClient, ServerProfile, ShardMap,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
@@ -65,9 +65,13 @@ fn put_racing_cached_read_invalidates_before_flush_ack() {
         mirror: false,
         ..Default::default()
     };
-    let (svc, leases) = build_sharded_durable_cached(&cluster, map, &[1], &cfg, &cache);
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: Some(cache),
+    };
+    let svc = build_fleet(&cluster, map, &[1], &cfg, spec);
+    let lease = svc.leases[0].clone();
     let client = Rc::new(svc.clients.into_iter().next().unwrap());
-    let lease = leases[0].clone();
     let h = sim.handle();
     sim.block_on({
         let client = Rc::clone(&client);
@@ -150,8 +154,11 @@ fn backup_promotion_revokes_client_leases() {
         hot_threshold: 1,
         ..Default::default()
     };
-    let (svc, _leases) =
-        build_replicated_sharded_cached(&cluster, ShardMap::new(2), &[2], 2, &cfg, &cache);
+    let spec = FleetSpec {
+        replicas: 2,
+        cache: Some(cache),
+    };
+    let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
     let plan = FaultPlan::new().at(
         SimTime::from_nanos(CRASH_AT_NS),
         0,
@@ -160,11 +167,7 @@ fn backup_promotion_revokes_client_leases() {
         },
     );
     let inj = cluster.inject_faults(plan);
-    for shard_groups in &svc.groups {
-        for group in shard_groups {
-            group.wire_failover(&inj);
-        }
-    }
+    svc.wire_failover(&inj);
     let view = svc.groups[0][0].view();
     let client = Rc::new(svc.clients.into_iter().next().unwrap());
     let h = sim.handle();

@@ -7,7 +7,7 @@
 use prdma_bench::exp::openloop::{openloop_curve, KNEE_TOLERANCE, RATES_KOPS};
 use prdma_bench::Scale;
 use prdma_suite::core::{
-    build_replicated_sharded, DurableConfig, DurableKind, RpcClient, ServerProfile, ShardMap,
+    build_fleet, DurableConfig, DurableKind, FleetSpec, RpcClient, ServerProfile, ShardMap,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::simnet::{journal, Sim, SimDuration};
@@ -86,7 +86,11 @@ fn million_client_pool_multiplexes_over_four_endpoints() {
         store_capacity: map.local_span(cfg.objects) * 512,
         ..Default::default()
     };
-    let sys = build_replicated_sharded(&cluster, map, &[2, 3, 4, 5], 2, &dcfg);
+    let spec = FleetSpec {
+        replicas: 2,
+        cache: None,
+    };
+    let sys = build_fleet(&cluster, map, &[2, 3, 4, 5], &dcfg, spec);
     let endpoints: Vec<Box<dyn RpcClient>> = sys
         .clients
         .into_iter()
@@ -117,7 +121,11 @@ fn openloop_journal_is_byte_deterministic_per_seed() {
             store_capacity: map.local_span(1_000) * 512,
             ..Default::default()
         };
-        let sys = build_replicated_sharded(&cluster, map, &[2, 3], 2, &dcfg);
+        let spec = FleetSpec {
+            replicas: 2,
+            cache: None,
+        };
+        let sys = build_fleet(&cluster, map, &[2, 3], &dcfg, spec);
         let endpoints: Vec<Box<dyn RpcClient>> = sys
             .clients
             .into_iter()

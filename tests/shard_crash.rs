@@ -9,8 +9,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use prdma_suite::core::{
-    build_sharded_durable, DurableConfig, DurableKind, Request, RetryPolicy, RpcClient,
-    ServerProfile, ShardMap, ShardedDurable,
+    build_fleet, DurableConfig, DurableKind, Fleet, FleetSpec, Request, RetryPolicy, RpcClient,
+    ServerProfile, ShardMap,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
@@ -37,7 +37,7 @@ fn fast_retry() -> RetryPolicy {
 /// Two shards (server nodes 0 and 1), one client node (node 2), journal
 /// on. Striped map: even global ids → shard 0, odd → shard 1, local id
 /// = global / 2 on both.
-fn sharded_cluster(sim: &Sim, kind: DurableKind) -> (Cluster, ShardedDurable) {
+fn sharded_cluster(sim: &Sim, kind: DurableKind) -> (Cluster, Fleet) {
     let mut ccfg = ClusterConfig::with_servers(2, 1);
     ccfg.journal = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
@@ -51,7 +51,11 @@ fn sharded_cluster(sim: &Sim, kind: DurableKind) -> (Cluster, ShardedDurable) {
         retry: fast_retry(),
         ..DurableConfig::for_kind(kind)
     };
-    let svc = build_sharded_durable(&cluster, ShardMap::new(2), &[2], &cfg);
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: None,
+    };
+    let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
     (cluster, svc)
 }
 
