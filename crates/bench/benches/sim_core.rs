@@ -1,6 +1,7 @@
 //! Microbenches of the simulator's hot paths: executor spawn/sleep,
 //! timer cancellation, channels, histogram recording, redo-log entry
-//! encoding, the cached GET, and the 2PC commit pipeline. These guard
+//! encoding, the cached GET, the 2PC commit pipeline, and whole-world
+//! build/run/drop cycles. These guard
 //! the harness's own performance (a slow simulator means slow paper
 //! regeneration).
 //!
@@ -15,7 +16,8 @@
 //! the output directory (`PRDMA_OUT`, default `target/paper_results`):
 //! per-bench ns/iter + events/sec, plus — outside `--test` mode — the
 //! wall time of every fig sweep at smoke scale under the current
-//! `PRDMA_PAR`, so the perf trajectory has machine-readable data points.
+//! `PRDMA_PAR` — and the process's peak resident set, so the perf
+//! trajectory has machine-readable data points.
 
 use prdma::txn::build_sharded_txn;
 use prdma::{
@@ -315,6 +317,19 @@ fn bench_txn_commit(iters: u32) -> BenchResult {
     })
 }
 
+fn bench_build_run_drop(iters: u32) -> BenchResult {
+    // Twenty worlds built, crashed, recovered and dropped in a row, the
+    // shape of a crash-point sweep: ns_per_iter / 20 is the wall time of
+    // one cycle. Guards `Sim` teardown and the sparse PM/DRAM store — when
+    // a dropped `Sim` kept its world and a crash zeroed 64 MiB of DRAM,
+    // every cycle leaked and faulted in ~70 MiB (BENCH_simcore.json
+    // `sim_teardown`; the process's `vm_hwm_kib` is the other half).
+    bench("sim/build_run_drop_x20", 20, iters, || {
+        (0..20).for_each(exp::build_run_drop);
+        (20, 0)
+    })
+}
+
 /// Time every fig sweep at smoke scale under the current `PRDMA_PAR`.
 fn time_figs() -> Vec<(&'static str, f64)> {
     let s = Scale::smoke();
@@ -333,6 +348,9 @@ fn time_figs() -> Vec<(&'static str, f64)> {
         ("fig20", Box::new(move || exp::fig20(s).len())),
         ("table2", Box::new(move || exp::table2(s).len())),
         ("fig_txn", Box::new(move || exp::fig_txn(s).len())),
+        ("fig12_in_sim", Box::new(move || exp::fig12_in_sim(s).len())),
+        ("fig_openloop", Box::new(move || exp::fig_openloop(s).len())),
+        ("fig_scaleout", Box::new(move || exp::fig_scaleout(s).len())),
     ];
     let mut out = Vec::with_capacity(figs.len());
     for (name, f) in figs {
@@ -374,7 +392,9 @@ fn write_json(micro: &[BenchResult], figs: &[(&'static str, f64)]) {
             if i + 1 < figs.len() { "," } else { "" },
         );
     }
-    j.push_str("  ]\n}\n");
+    // Peak resident set of this whole process, micro rows and sweeps.
+    let hwm = exp::proc_status_kib("VmHWM").map_or("null".to_string(), |k| k.to_string());
+    let _ = writeln!(j, "  ],\n  \"vm_hwm_kib\": {hwm}\n}}");
     let dir = output_dir();
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("BENCH_simcore.json");
@@ -396,6 +416,7 @@ fn main() {
         bench_log_encode(iters),
         bench_cached_get(iters),
         bench_txn_commit(iters),
+        bench_build_run_drop(iters),
     ];
     let figs = if smoke { Vec::new() } else { time_figs() };
     write_json(&micro, &figs);

@@ -39,7 +39,7 @@ const RETRANSFER: SimDuration = SimDuration::from_millis(1);
 const OBJECT_SIZE: u64 = 4096;
 /// Durable-client retry policy under faults: fire fast (healthy ops
 /// finish in ~10 us) and keep retrying through any restart.
-const FAULT_RETRY: RetryPolicy = RetryPolicy {
+pub(crate) const FAULT_RETRY: RetryPolicy = RetryPolicy {
     request_timeout: SimDuration::from_micros(200),
     max_retries: 100_000,
     // Flat schedule (cap == backoff, no jitter): this sweep's journals

@@ -8,6 +8,7 @@ pub mod obs;
 pub mod openloop;
 pub mod scaleout;
 pub mod summary;
+pub mod teardown;
 pub mod txn_fig;
 
 pub use cache_fig::fig_cache;
@@ -20,4 +21,5 @@ pub use scaleout::{fig_scaleout, scaleout_point, ScaleoutPoint};
 pub use summary::{
     abl_ddio, abl_flush_impl, abl_log_threshold, abl_replication, case_fig7a, table2,
 };
+pub use teardown::{build_run_drop, proc_status_kib};
 pub use txn_fig::fig_txn;

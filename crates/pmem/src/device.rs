@@ -16,6 +16,7 @@ use prdma_simnet::trace::{counters, Phase, Span, Tracer};
 use prdma_simnet::{FifoResource, SimDuration, SimHandle};
 
 use crate::config::PmConfig;
+use crate::sparse::SparseBytes;
 
 /// Errors raised by the PM device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +53,7 @@ struct PmInner {
     handle: SimHandle,
     cfg: PmConfig,
     /// The persistence domain: survives crashes.
-    media: RefCell<Vec<u8>>,
+    media: RefCell<SparseBytes>,
     /// Volatile overlay: dirty cache lines (line-number -> line bytes).
     /// Populated by CPU stores and by DDIO-routed DMA. Lost on crash.
     dirty: RefCell<BTreeMap<u64, Vec<u8>>>,
@@ -79,7 +80,7 @@ impl PmDevice {
         PmDevice {
             inner: Rc::new(PmInner {
                 handle,
-                media: RefCell::new(vec![0; cfg.capacity as usize]),
+                media: RefCell::new(SparseBytes::new(cfg.capacity)),
                 dirty: RefCell::new(BTreeMap::new()),
                 media_port,
                 cfg,
@@ -210,20 +211,16 @@ impl PmDevice {
     /// engine placing the inline parts of a composite payload).
     pub fn commit_persistent(&self, addr: u64, data: &[u8]) -> Result<(), PmError> {
         self.check(addr, data.len() as u64)?;
-        let mut media = self.inner.media.borrow_mut();
-        media[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.inner.media.borrow_mut().write(addr, data);
         // Drop any dirty cache lines shadowing this range so the volatile
-        // view agrees with the media.
-        drop(media);
-        let line = self.inner.cfg.cacheline;
-        if !data.is_empty() {
+        // view agrees with the media. This runs on every DMA placement and
+        // the overlay is almost always empty, so evict in place.
+        let mut dirty = self.inner.dirty.borrow_mut();
+        if !data.is_empty() && !dirty.is_empty() {
+            let line = self.inner.cfg.cacheline;
             let first = addr / line;
             let last = (addr + data.len() as u64 - 1) / line;
-            let mut dirty = self.inner.dirty.borrow_mut();
-            let stale: Vec<u64> = dirty.range(first..=last).map(|(k, _)| *k).collect();
-            for k in stale {
-                // Merge: media now holds the latest bytes for this range;
-                // re-baseline the line over the updated media.
+            while let Some((&k, _)) = dirty.range(first..=last).next() {
                 dirty.remove(&k);
             }
         }
@@ -277,12 +274,12 @@ impl PmDevice {
         while off < data.len() {
             let a = addr + off as u64;
             let lineno = a / line;
-            let line_base = (lineno * line) as usize;
+            let line_base = lineno * line;
             let in_line = (a - lineno * line) as usize;
             let n = ((line as usize - in_line).min(data.len() - off)).max(1);
             let entry = dirty
                 .entry(lineno)
-                .or_insert_with(|| media[line_base..line_base + line as usize].to_vec());
+                .or_insert_with(|| media.read(line_base, line));
             entry[in_line..in_line + n].copy_from_slice(&data[off..off + n]);
             off += n;
         }
@@ -339,8 +336,7 @@ impl PmDevice {
     /// What the CPU would see right now (cache overlay over media);
     /// zero-time, for protocol logic and assertions.
     pub fn read_volatile_view(&self, addr: u64, len: u64) -> Vec<u8> {
-        let media = self.inner.media.borrow();
-        let mut out = media[addr as usize..(addr + len) as usize].to_vec();
+        let mut out = self.inner.media.borrow().read(addr, len);
         let line = self.inner.cfg.cacheline;
         let dirty = self.inner.dirty.borrow();
         if len == 0 {
@@ -364,8 +360,7 @@ impl PmDevice {
 
     /// What would survive a crash right now (media only); zero-time.
     pub fn read_persistent_view(&self, addr: u64, len: u64) -> Vec<u8> {
-        let media = self.inner.media.borrow();
-        media[addr as usize..(addr + len) as usize].to_vec()
+        self.inner.media.borrow().read(addr, len)
     }
 
     /// True iff no dirty (unflushed) cache line overlaps `[addr, addr+len)`.
@@ -407,8 +402,7 @@ impl PmDevice {
     }
 
     fn commit_to_media(&self, addr: u64, data: &[u8]) {
-        let mut media = self.inner.media.borrow_mut();
-        media[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.inner.media.borrow_mut().write(addr, data);
         self.inner
             .bytes_persisted
             .set(self.inner.bytes_persisted.get() + data.len() as u64);
@@ -567,6 +561,25 @@ mod tests {
             u64::from_le_bytes(b.try_into().unwrap()),
             0xDEAD_BEEF_CAFE_F00D
         );
+    }
+
+    #[test]
+    fn device_outlives_a_dropped_sim() {
+        // A task parked forever holds a device clone (and, through it, a
+        // `SimHandle`). Dropping the `Sim` must free the task's clone; the
+        // clone the test kept still reads the persisted bytes.
+        let mut sim = Sim::new(1);
+        let pm = small_device(&sim);
+        let pm2 = pm.clone();
+        sim.spawn(async move {
+            pm2.dma_write_persistent(64, b"kept").await.unwrap();
+            prdma_simnet::Notify::new().notified().await;
+        });
+        sim.run();
+        assert_eq!(Rc::strong_count(&pm.inner), 2);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&pm.inner), 1, "parked task leaked");
+        assert_eq!(pm.read_persistent_view(64, 4), b"kept");
     }
 
     #[test]

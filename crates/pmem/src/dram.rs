@@ -8,10 +8,12 @@ use std::cell::Cell;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::sparse::SparseBytes;
+
 /// A byte-addressable volatile memory.
 #[derive(Clone)]
 pub struct VolatileMemory {
-    bytes: Rc<RefCell<Vec<u8>>>,
+    bytes: Rc<RefCell<SparseBytes>>,
     epoch: Rc<Cell<u64>>,
 }
 
@@ -19,14 +21,14 @@ impl VolatileMemory {
     /// A zeroed memory of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         VolatileMemory {
-            bytes: Rc::new(RefCell::new(vec![0; capacity as usize])),
+            bytes: Rc::new(RefCell::new(SparseBytes::new(capacity))),
             epoch: Rc::new(Cell::new(0)),
         }
     }
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.bytes.borrow().len() as u64
+        self.bytes.borrow().len()
     }
 
     /// Write `data` at `addr`.
@@ -35,23 +37,20 @@ impl VolatileMemory {
     /// Panics on out-of-bounds access (volatile buffers are sized by the
     /// protocol code that owns them).
     pub fn write(&self, addr: u64, data: &[u8]) {
-        let mut b = self.bytes.borrow_mut();
-        let end = addr as usize + data.len();
-        assert!(end <= b.len(), "DRAM write out of bounds");
-        b[addr as usize..end].copy_from_slice(data);
+        self.bytes.borrow_mut().write(addr, data);
     }
 
     /// Read `len` bytes at `addr`.
+    ///
+    /// # Panics
+    /// Panics on out-of-bounds access, like [`write`](Self::write).
     pub fn read(&self, addr: u64, len: u64) -> Vec<u8> {
-        let b = self.bytes.borrow();
-        let end = (addr + len) as usize;
-        assert!(end <= b.len(), "DRAM read out of bounds");
-        b[addr as usize..end].to_vec()
+        self.bytes.borrow().read(addr, len)
     }
 
     /// Crash: contents zeroed, epoch bumped (readers can detect loss).
     pub fn crash(&self) {
-        self.bytes.borrow_mut().fill(0);
+        self.bytes.borrow_mut().clear();
         self.epoch.set(self.epoch.get() + 1);
     }
 
@@ -85,5 +84,22 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oob_write_panics() {
         VolatileMemory::new(8).write(7, b"ab");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn oob_read_with_wrapping_end_panics() {
+        VolatileMemory::new(8).read(u64::MAX, 2);
+    }
+
+    #[test]
+    fn crash_costs_the_pages_written_not_the_capacity() {
+        let m = VolatileMemory::new(64 << 20);
+        m.write(5 << 20, &[0xAB; 100]);
+        assert_eq!(m.bytes.borrow().materialised_pages(), 1);
+        m.crash();
+        assert_eq!(m.bytes.borrow().materialised_pages(), 0);
+        assert_eq!(m.read(5 << 20, 100), vec![0; 100]);
+        assert_eq!(m.capacity(), 64 << 20);
     }
 }

@@ -33,6 +33,7 @@ mod config;
 mod device;
 mod dram;
 mod region;
+mod sparse;
 
 pub use config::PmConfig;
 pub use device::{PmDevice, PmError};

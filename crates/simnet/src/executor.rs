@@ -27,7 +27,12 @@
 //!   fire, which was O(n²) across a run with many outstanding sleeps.
 //!   Cancelled sleeps ([`Sleep`] dropped before the deadline) free their
 //!   slot immediately; their stale heap entry is skipped (without
-//!   advancing the clock) when it surfaces.
+//!   advancing the clock) when it surfaces, or swept out earlier once
+//!   stale entries clearly outnumber live ones — every RPC cancels a far
+//!   timeout, and near deadlines would otherwise sift past thousands.
+//! * **Teardown**: dropping the [`Sim`] drops every parked task, which
+//!   breaks the task → `SimHandle` → task-slab cycle, so a dropped
+//!   simulation's whole world is freed by ordinary `Rc` counting.
 //! * **Task wakers**: one `Arc`-backed waker is created per task *slot*
 //!   and reused across every task that later occupies the slot, so a
 //!   spawn in steady state performs no waker allocation and a poll
@@ -219,6 +224,11 @@ impl TimerSlab {
         }
     }
 
+    /// Whether (`slot`, `seq`) is still registered.
+    fn is_live(&self, slot: u32, seq: u64) -> bool {
+        matches!(self.slots.get(slot as usize), Some(Some((s, _))) if *s == seq)
+    }
+
     /// Take the waker registered as (`slot`, `seq`); `None` if the
     /// registration was cancelled (or the slot reused since).
     fn take(&mut self, slot: u32, seq: u64) -> Option<Waker> {
@@ -353,6 +363,13 @@ impl Sim {
         self.inner.timer_slab.borrow().slots.len()
     }
 
+    /// Entries in the timer heap, live and stale (a cancelled sleep leaves
+    /// its index entry behind; [`Sleep`]'s drop compacts them away once
+    /// they outnumber the live ones).
+    pub fn timer_heap_len(&self) -> usize {
+        self.inner.timers.borrow().len()
+    }
+
     /// Spawn a root task; see [`SimHandle::spawn`].
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
@@ -365,7 +382,8 @@ impl Sim {
     /// Run the simulation until no runnable tasks or pending timers remain.
     ///
     /// Tasks still blocked on channels or semaphores at that point are
-    /// simply never scheduled again (they are dropped with the `Sim`).
+    /// simply never scheduled again; their futures are dropped, and what
+    /// they own released, when the `Sim` is dropped.
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -466,6 +484,46 @@ impl Sim {
         }
         // A completed future drops here, after every slab borrow is
         // released — its destructor may wake other tasks or cancel timers.
+    }
+}
+
+/// Dropping the `Sim` drops every task still parked in it.
+///
+/// Every task holds `SimHandle`s (an `Rc<SimInner>`) and `SimInner` holds
+/// the task slab, so without this the cycle would keep the whole simulated
+/// world — tasks, queue pairs, PM images — alive after the `Sim` is gone.
+/// Handles that outlive the `Sim` stay usable; tasks spawned through them
+/// are never polled.
+impl Drop for Sim {
+    fn drop(&mut self) {
+        // A task's destructors cancel `Sleep`s, release semaphore permits,
+        // wake join/oneshot peers and may `spawn`, all of which borrow the
+        // slabs: take the futures out first, drop them with no borrow held,
+        // and go round again for whatever those drops spawned.
+        loop {
+            let parked: Vec<BoxedTask> = {
+                let mut tasks = self.inner.tasks.borrow_mut();
+                let mut free = self.inner.free_slots.borrow_mut();
+                let vacate = |(id, slot): (usize, &mut TaskSlot)| {
+                    let future = slot.future.take()?;
+                    slot.occupied = false;
+                    free.push(id);
+                    Some(future)
+                };
+                tasks.iter_mut().enumerate().filter_map(vacate).collect()
+            };
+            if parked.is_empty() {
+                break;
+            }
+            self.inner
+                .live_tasks
+                .set(self.inner.live_tasks.get() - parked.len());
+            drop(parked);
+        }
+        // Wakers held by timers nobody will fire; dropped after the borrow.
+        let slab = std::mem::take(&mut *self.inner.timer_slab.borrow_mut());
+        self.inner.timers.borrow_mut().clear();
+        drop(slab);
     }
 }
 
@@ -591,8 +649,8 @@ impl SimHandle {
 ///
 /// Dropping an unfired `Sleep` cancels it: the waker slot is returned to
 /// the timer slab immediately (the heap's index entry is skipped when it
-/// surfaces), so abandoned timeouts do not accumulate state or wake their
-/// task spuriously at the stale deadline.
+/// surfaces, or compacted away before that), so abandoned timeouts do not
+/// accumulate state or wake their task spuriously at the stale deadline.
 pub struct Sleep {
     handle: SimHandle,
     deadline: u64,
@@ -624,7 +682,19 @@ impl Drop for Sleep {
         if let Some((slot, seq)) = self.registered.take() {
             // Cancel if still pending; `take` is a no-op when the timer
             // already fired (seq mismatch or empty slot).
-            self.handle.inner.timer_slab.borrow_mut().take(slot, seq);
+            let mut slab = self.handle.inner.timer_slab.borrow_mut();
+            if slab.take(slot, seq).is_none() {
+                return;
+            }
+            // The heap's index entry stays until virtual time reaches it,
+            // and every RPC cancels a far timeout: once the stale entries
+            // clearly outnumber the live ones, sweep them out so near
+            // deadlines stop sifting past them. `(at, seq)` is a total
+            // order, so the pop order of the survivors is unchanged.
+            let mut timers = self.handle.inner.timers.borrow_mut();
+            if timers.len() - slab.live > (2 * slab.live).max(64) {
+                timers.retain(|Reverse(e)| slab.is_live(e.slot, e.seq));
+            }
         }
     }
 }
@@ -834,6 +904,13 @@ mod tests {
         );
     }
 
+    /// Poll every runnable task without advancing the clock.
+    fn poll_ready(sim: &mut Sim) {
+        while let Some(id) = sim.inner.ready.pop() {
+            sim.poll_task(id);
+        }
+    }
+
     /// Poll a future once against a no-op waker.
     fn futures_poll_once<F: Future + Unpin>(f: &mut F) -> Poll<F::Output> {
         struct Noop;
@@ -893,6 +970,156 @@ mod tests {
             "task slab grew: {} slots",
             sim.inner.tasks.borrow().len()
         );
+    }
+
+    #[test]
+    fn timer_heap_stays_bounded_under_cancelled_timeouts() {
+        // The durable-RPC shape: every op arms a far timeout and cancels it
+        // microseconds later. Virtual time never reaches the stale entries,
+        // so only the compaction in `Sleep::drop` keeps the heap small.
+        let mut sim = Sim::new(5);
+        let h = sim.handle();
+        let peak: Rc<Cell<usize>> = Rc::default();
+        let peak2 = Rc::clone(&peak);
+        sim.block_on(async move {
+            for _ in 0..10_000 {
+                let op = h.sleep(SimDuration::from_micros(1));
+                let res = crate::combinator::timeout(&h, SimDuration::from_millis(10), op).await;
+                assert!(res.is_ok());
+                peak2.set(peak2.get().max(h.inner.timers.borrow().len()));
+            }
+        });
+        assert!(peak.get() <= 200, "heap peaked at {} entries", peak.get());
+        assert!(sim.timer_heap_len() <= 200);
+        assert_eq!(sim.live_timers(), 0);
+        assert_eq!(sim.now().as_nanos(), 10_000 * 1_000);
+    }
+
+    #[test]
+    fn compaction_keeps_live_timers_and_their_order() {
+        // 100 live sleeps with distinct deadlines, interleaved with 1000
+        // cancelled ones: sweeps run while live entries are in the heap,
+        // and every live sleep still fires, in deadline order.
+        let mut sim = Sim::new(6);
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        for i in 0..100u64 {
+            let (h2, log2) = (h.clone(), Rc::clone(&log));
+            sim.spawn(async move {
+                h2.sleep(SimDuration::from_micros(1_000 - i)).await;
+                log2.borrow_mut().push(i);
+            });
+            for _ in 0..10 {
+                let mut s = Box::pin(h.sleep(SimDuration::from_secs(1)));
+                assert!(futures_poll_once(&mut s).is_pending());
+            }
+            poll_ready(&mut sim);
+        }
+        assert!(sim.timer_heap_len() < 100 + 3 * 100, "no sweep ran");
+        sim.run();
+        assert_eq!(*log.borrow(), (0..100).rev().collect::<Vec<_>>());
+        assert_eq!(sim.now().as_nanos(), 1_000_000);
+    }
+
+    #[test]
+    fn dropping_the_sim_drops_parked_tasks() {
+        // A task parked forever owns a sentinel and a handle back to the
+        // simulation; the handle must not keep the task (and so the
+        // sentinel) alive once the `Sim` is gone.
+        let mut sim = Sim::new(3);
+        let h = sim.handle();
+        let sentinel = Rc::new(());
+        let held = Rc::clone(&sentinel);
+        let notify = crate::Notify::new();
+        let parked_on = notify.clone();
+        sim.spawn(async move {
+            let _held = (held, h);
+            parked_on.notified().await;
+        });
+        sim.run();
+        assert_eq!(Rc::strong_count(&sentinel), 2);
+        let outliving = sim.handle();
+        drop(sim);
+        assert_eq!(Rc::strong_count(&sentinel), 1, "parked task leaked");
+        // A handle that outlives the `Sim` still answers; what it spawns
+        // is simply never polled.
+        assert_eq!(outliving.now(), SimTime::ZERO);
+        let late = outliving.spawn(async {});
+        assert!(!late.is_finished());
+        drop(outliving.sleep(SimDuration::from_micros(1)));
+    }
+
+    #[test]
+    fn teardown_runs_task_destructors_without_a_borrow_held() {
+        // Each parked task owns something whose destructor re-enters the
+        // executor or a peer's state: a registered `Sleep` (timer slab and
+        // heap), a held `SemPermit` with a waiter queued behind it, a
+        // `Notified`, an un-awaited `JoinHandle`, a oneshot sender whose
+        // receiver is parked, and a guard that spawns from `drop`.
+        struct SpawnOnDrop(SimHandle, Rc<Cell<u32>>);
+        impl Drop for SpawnOnDrop {
+            fn drop(&mut self) {
+                self.1.set(self.1.get() + 1);
+                if self.1.get() < 3 {
+                    let again = SpawnOnDrop(self.0.clone(), Rc::clone(&self.1));
+                    self.0.spawn(async move {
+                        let _again = again;
+                        std::future::pending::<()>().await;
+                    });
+                }
+            }
+        }
+
+        let mut sim = Sim::new(4);
+        let h = sim.handle();
+        let sem = crate::Semaphore::new(1);
+        let notify = crate::Notify::new();
+        let (tx, rx) = crate::oneshot::<u8>();
+        let drops: Rc<Cell<u32>> = Rc::default();
+
+        let h2 = h.clone();
+        sim.spawn(async move { h2.sleep(SimDuration::from_secs(1)).await });
+        let (sem2, h2) = (sem.clone(), h.clone());
+        sim.spawn(async move {
+            let _permit = sem2.acquire().await;
+            h2.sleep(SimDuration::from_secs(2)).await;
+        });
+        let sem2 = sem.clone();
+        sim.spawn(async move {
+            let _queued = sem2.acquire().await;
+        });
+        sim.spawn(async move { notify.notified().await });
+        let h2 = h.clone();
+        sim.spawn(async move {
+            let _unawaited = h2.spawn(std::future::pending::<()>());
+            let _tx = tx;
+            std::future::pending::<()>().await;
+        });
+        sim.spawn(async move {
+            rx.await;
+        });
+        let guard = SpawnOnDrop(h.clone(), Rc::clone(&drops));
+        sim.spawn(async move {
+            let _guard = guard;
+            std::future::pending::<()>().await;
+        });
+
+        // Park everything without reaching the 1 s deadline.
+        poll_ready(&mut sim);
+        assert_eq!(sim.live_timers(), 2);
+        let inner = Rc::clone(&sim.inner);
+        drop(sim);
+        assert_eq!(
+            drops.get(),
+            3,
+            "tasks spawned during teardown are dropped too"
+        );
+        assert_eq!(inner.live_tasks.get(), 0);
+        assert_eq!(inner.timer_slab.borrow().live, 0);
+        assert!(inner.timers.borrow().is_empty());
+        assert_eq!(sem.available(), 1, "the held permit was released");
+        drop(h);
+        assert_eq!(Rc::strong_count(&inner), 1, "no task still holds a handle");
     }
 
     #[test]
