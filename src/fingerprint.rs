@@ -13,7 +13,7 @@ use crate::core::{
 };
 use crate::node::{Cluster, ClusterConfig};
 use crate::rnic::Payload;
-use crate::simnet::{journal, Sim};
+use crate::simnet::{journal, Sim, SimHandle};
 use crate::workloads::micro::{run_micro, MicroConfig};
 use crate::workloads::txn_mix::{run_txn_mix, TxnMixConfig};
 
@@ -29,6 +29,10 @@ pub enum Input {
     /// `call_batch` rounds of 8 puts on one durable connection; every
     /// fourth round carries a GET mid-batch, splitting the put run.
     Batch(DurableKind),
+    /// The same `call_batch` rounds through one connection of a registry
+    /// baseline (DaRPC and ScaleRPC, the two that override the trait's
+    /// one-call-per-request default).
+    BaselineBatch(SystemKind),
     /// The micro-benchmark through a 2-replica `build_replicated` group
     /// (tagged puts fanned out to both replicas).
     Replicated(DurableKind),
@@ -42,8 +46,9 @@ pub enum Input {
 
 impl Input {
     /// Every pinned input: the four registry systems pinned since the
-    /// executor rewrite, the other two durable kinds, then each
-    /// multi-entry path under all four kinds.
+    /// executor rewrite, the other two durable kinds, each multi-entry
+    /// path under all four kinds, then the remaining seven baselines and
+    /// the two baseline `call_batch` overrides.
     pub fn all() -> Vec<Input> {
         let mut v: Vec<Input> = [
             SystemKind::WFlush,
@@ -58,6 +63,19 @@ impl Input {
         for shape in [Input::Batch, Input::Replicated, Input::Txn, Input::Cached] {
             v.extend(DurableKind::ALL.map(shape));
         }
+        v.extend(
+            [
+                SystemKind::L5,
+                SystemKind::Rfp,
+                SystemKind::Fasst,
+                SystemKind::Octopus,
+                SystemKind::ScaleRpc,
+                SystemKind::Herd,
+                SystemKind::Lite,
+            ]
+            .map(Input::Micro),
+        );
+        v.extend([SystemKind::Darpc, SystemKind::ScaleRpc].map(Input::BaselineBatch));
         v
     }
 }
@@ -106,6 +124,31 @@ fn micro_cfg(ops: u64, read_ratio: f64) -> MicroConfig {
     }
 }
 
+/// `ops / 8` `call_batch` rounds of 8 puts; every fourth round carries a
+/// GET mid-batch. Returns the virtual nanoseconds the rounds took.
+async fn batch_rounds(client: &dyn RpcClient, h: &SimHandle, ops: u64) -> u64 {
+    let t0 = h.now();
+    for round in 0..ops / 8 {
+        let mut reqs: Vec<Request> = (0..8)
+            .map(|i| Request::Put {
+                obj: (round * 8 + i) % 500,
+                data: Payload::synthetic(1024, round * 8 + i),
+            })
+            .collect();
+        if round % 4 == 3 {
+            let get = Request::Get {
+                obj: round % 500,
+                len: 1024,
+            };
+            reqs.insert(4, get);
+        }
+        let n = reqs.len();
+        let resps = client.call_batch(reqs).await.expect("batch");
+        assert_eq!(resps.len(), n);
+    }
+    (h.now() - t0).as_nanos()
+}
+
 /// Run `input` at `ops` operations (the pinned constants use 300) with
 /// the journal on. `Micro` runs stop when the workload returns, as they
 /// always have; the other shapes then drain the simulation so decoupled
@@ -130,28 +173,15 @@ pub fn run(input: Input, ops: u64) -> Fingerprint {
             let cluster = journaled(ClusterConfig::with_nodes(2));
             let (client, server) = build_durable(&cluster, 1, 0, 0, durable_cfg(kind));
             server.start();
-            let ns = sim.block_on(async move {
-                let t0 = h.now();
-                for round in 0..ops / 8 {
-                    let mut reqs: Vec<Request> = (0..8)
-                        .map(|i| Request::Put {
-                            obj: (round * 8 + i) % 500,
-                            data: Payload::synthetic(1024, round * 8 + i),
-                        })
-                        .collect();
-                    if round % 4 == 3 {
-                        let get = Request::Get {
-                            obj: round % 500,
-                            len: 1024,
-                        };
-                        reqs.insert(4, get);
-                    }
-                    let n = reqs.len();
-                    let resps = client.call_batch(reqs).await.expect("batch");
-                    assert_eq!(resps.len(), n);
-                }
-                (h.now() - t0).as_nanos()
-            });
+            let ns = sim.block_on(async move { batch_rounds(&client, &h, ops).await });
+            sim.run();
+            (cluster, ns)
+        }
+        Input::BaselineBatch(kind) => {
+            let cluster = journaled(ClusterConfig::with_nodes(2));
+            let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
+            let client = build_system(&cluster, kind, 1, 0, 0, &opts);
+            let ns = sim.block_on(async move { batch_rounds(client.as_ref(), &h, ops).await });
             sim.run();
             (cluster, ns)
         }

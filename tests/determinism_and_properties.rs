@@ -267,7 +267,11 @@ fn payload_composite_invariants() {
 /// captured on the three-send-path `core::durable` before it was folded
 /// into one persist path: the other two durable kinds' single puts, and
 /// — for all four kinds — batched puts, 2-replica tagged puts, 2-shard
-/// 2PC record appends, and a 1-shard cached fleet at 5 % puts.
+/// 2PC record appends, and a 1-shard cached fleet at 5 % puts. The
+/// last nine were captured on the nine-client-struct `baselines` crate
+/// before it was folded into one `BaselineClient`: the seven baselines
+/// not pinned until then, and `call_batch` rounds through DaRPC and
+/// ScaleRPC, the two baselines that override it.
 ///
 /// Regenerate the constants with `cargo run --release --example
 /// fingerprint` *only* when a deliberate, understood semantic change
@@ -285,10 +289,10 @@ fn payload_composite_invariants() {
 /// for all four systems — metrics consume zero simulated time.
 #[test]
 fn pinned_whole_stack_fingerprints() {
-    use Input::{Batch, Cached, Micro, Replicated, Txn};
+    use Input::{BaselineBatch, Batch, Cached, Micro, Replicated, Txn};
     // (input, events_processed, elapsed_ns, journal_len, journal_fnv)
     #[rustfmt::skip]
-    let pinned: [(Input, u64, u64, usize, u64); 22] = [
+    let pinned: [(Input, u64, u64, usize, u64); 31] = [
         (Micro(SystemKind::WFlush), 8866, 1184203, 571894, 0x54c7f211e4d11575),
         (Micro(SystemKind::SRFlush), 9630, 1293452, 631704, 0xb8b840aeb270c4b1),
         (Micro(SystemKind::Farm), 7064, 1154355, 511207, 0xfd75b30a64fbf97c),
@@ -311,6 +315,15 @@ fn pinned_whole_stack_fingerprints() {
         (Cached(DurableKind::SFlush), 4320, 635579, 291470, 0x8e0f72e6246176c6),
         (Cached(DurableKind::WRFlush), 4095, 526688, 263761, 0x0e7ad5d9d216a5e9),
         (Cached(DurableKind::WFlush), 4056, 533539, 263813, 0xd76f7481dec4ace2),
+        (Micro(SystemKind::L5), 10064, 1615755, 725927, 0x65189393c98feb65),
+        (Micro(SystemKind::Rfp), 11297, 2520707, 674740, 0x526db789cbad0957),
+        (Micro(SystemKind::Fasst), 7364, 2528207, 572333, 0x088584e601ce4be7),
+        (Micro(SystemKind::Octopus), 8864, 1622518, 632964, 0x5b483ce9a871ea70),
+        (Micro(SystemKind::ScaleRpc), 7091, 1161312, 512747, 0xe54da360b0e605d1),
+        (Micro(SystemKind::Herd), 6464, 1331518, 510040, 0x22b540983aed099d),
+        (Micro(SystemKind::Lite), 9464, 2342518, 634270, 0x48c74f7ad72e26fd),
+        (BaselineBatch(SystemKind::Darpc), 7802, 2174437, 535953, 0x8f58f9a84181cbee),
+        (BaselineBatch(SystemKind::ScaleRpc), 6240, 1032773, 411108, 0xc788f1f030b7f79b),
     ];
     for (input, events, elapsed_ns, journal_len, journal_fnv) in pinned {
         let want = Fingerprint {
