@@ -1,18 +1,34 @@
-//! Shared machinery for the nine baseline RPC systems (paper Table 1,
-//! Fig. 2).
+//! The one client every baseline RPC system (paper Table 1, Fig. 2) is
+//! an instance of, and the machinery its per-system legs share.
 //!
 //! Every baseline couples remote persistence to RPC completion: the client
 //! gets no signal until the server has parsed the request, copied and
 //! persisted the data, run the (possibly 100 µs) RPC processing, and sent
-//! a reply. Because the client blocks for the full round trip, each
+//! a reply. Because the client blocks for the full round trip, a
 //! baseline's `call()` models the entire exchange inline — server-side
 //! costs are charged against the *server's* CPU/PM/NIC resources, so
 //! contention across concurrent clients is still captured.
+//!
+//! The nine systems share all of that. They differ in what Fig. 2 draws:
+//! which verb carries the request in, how the server notices it, and
+//! which verb carries the reply out. `BaselineClient` holds the shared
+//! part — endpoints, the server-side put/get handling ([`ServerCtx::serve`]),
+//! journaling, naming — and dispatches on its [`SystemKind`] to the
+//! per-system module for the two legs.
 
-use prdma::{ObjectStore, Request, Response, RpcError, RpcResult, ServerProfile};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use prdma::{
+    ObjectStore, Request, Response, RpcBatchFuture, RpcClient, RpcFuture, RpcResult, ServerProfile,
+};
 use prdma_node::{Cluster, Node};
 use prdma_rnic::{MemTarget, Payload, Qp, QpMode};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
+use prdma_simnet::SimDuration;
+
+use crate::registry::{SystemKind, SystemOpts};
+use crate::{darpc, farm, fasst, herd, l5, octopus, rfp, scalerpc};
 
 /// Wire header bytes on every baseline request/response.
 pub const MSG_HEADER: u64 = 32;
@@ -40,27 +56,24 @@ pub struct ServerCtx {
 impl ServerCtx {
     /// Build (or join) the server context: allocates the shared object
     /// store on first use.
-    pub fn new(
-        cluster: &Cluster,
-        server_idx: usize,
-        lane: usize,
-        profile: ServerProfile,
-        object_slot: u64,
-        store_capacity: u64,
-    ) -> Self {
+    pub fn new(cluster: &Cluster, server_idx: usize, lane: usize, opts: &SystemOpts) -> Self {
         let node = cluster.node(server_idx).clone();
         let region = match node.alloc.lookup("objects") {
             Some(r) => r,
             None => node
                 .alloc
-                .alloc("objects", store_capacity.min(node.alloc.remaining()), 64)
+                .alloc(
+                    "objects",
+                    opts.store_capacity.min(node.alloc.remaining()),
+                    64,
+                )
                 .expect("PM too small for object store"),
         };
-        let store = ObjectStore::new(node.pm.clone(), region, object_slot);
+        let store = ObjectStore::new(node.pm.clone(), region, opts.object_slot);
         ServerCtx {
             node,
             store,
-            profile,
+            profile: opts.profile.clone(),
             lane,
         }
     }
@@ -70,18 +83,23 @@ impl ServerCtx {
         self.lane as u64 * SLOT_PITCH
     }
 
-    /// Server-side handling of a `Put`: copy out of the message buffer,
-    /// persist into the PM store (durable before any reply — this is what
-    /// makes every baseline a *durable* RPC), then the injected processing.
-    pub async fn handle_put(&self, obj: u64, data: &Payload) {
-        self.node.cpu.memcpy(data.len()).await;
-        let _ = self.store.put(obj, data).await;
-        self.process().await;
-    }
-
-    /// Server-side handling of a `Get`/`Scan`: processing + media reads.
-    /// Returns the response payload.
-    pub async fn handle_get(&self, obj: u64, len: u64, count: u32) -> Payload {
+    /// Server-side handling of one request, the same in every baseline.
+    /// A `Put` is copied out of the message buffer and persisted into the
+    /// PM store — durable before any reply, which is what makes every
+    /// baseline a *durable* RPC — then processed; a `Get`/`Scan` is
+    /// processed, then read from the media. Returns the reply payload
+    /// (none for a put) and the reply's data length.
+    pub async fn serve(&self, req: &Request) -> (Option<Payload>, u64) {
+        let (obj, len, count) = match req {
+            Request::Put { obj, data } => {
+                self.node.cpu.memcpy(data.len()).await;
+                let _ = self.store.put(*obj, data).await;
+                self.process().await;
+                return (None, 8);
+            }
+            Request::Get { obj, len } => (*obj, *len, 1),
+            Request::Scan { start, count, len } => (*start, *len, *count),
+        };
         self.process().await;
         let mut total = 0u64;
         for i in 0..count.max(1) as u64 {
@@ -92,12 +110,12 @@ impl ServerCtx {
                 .unwrap_or(Payload::synthetic(0, 0));
             total += p.len();
         }
-        Payload::synthetic(total, obj)
+        (Some(Payload::synthetic(total, obj)), total)
     }
 
     /// The injected RPC processing time (100 µs under the heavy profile).
-    pub async fn process(&self) {
-        if self.profile.processing_time > prdma_simnet::SimDuration::ZERO {
+    async fn process(&self) {
+        if self.profile.processing_time > SimDuration::ZERO {
             self.node.cpu.compute(self.profile.processing_time).await;
         }
     }
@@ -113,16 +131,7 @@ pub fn request_image(req: &Request) -> Payload {
     }
 }
 
-/// Decompose a request for server-side handling.
-pub fn request_parts(req: &Request) -> (bool, u64, u64, u32, Option<Payload>) {
-    match req {
-        Request::Put { obj, data } => (true, *obj, data.len(), 1, Some(data.clone())),
-        Request::Get { obj, len } => (false, *obj, *len, 1, None),
-        Request::Scan { start, count, len } => (false, *start, *len, *count, None),
-    }
-}
-
-/// Standard QP bundle used by most baselines: a client→server QP and a
+/// The QP bundle of a baseline connection: a client→server QP and a
 /// server→client QP (the latter posts through the *server's* CPU).
 pub struct QpPair {
     /// Client-side endpoint of the forward QP.
@@ -135,70 +144,162 @@ pub struct QpPair {
     pub rev_client: Qp,
 }
 
-/// Connect the standard pair with the given forward transport mode; the
-/// reverse path uses `rev_mode`.
-pub fn qp_pair(
+/// What Fig. 2 fixes for `kind` before any message flows: the transport
+/// of the client→server and server→client QPs, and the per-side kernel
+/// overhead (LITE runs Octopus's write-imm flow in the kernel, paying a
+/// syscall plus permission checks on each side).
+fn wiring(kind: SystemKind) -> (QpMode, QpMode, SimDuration) {
+    match kind {
+        SystemKind::Fasst => (QpMode::Ud, QpMode::Ud, SimDuration::ZERO),
+        SystemKind::Herd => (QpMode::Uc, QpMode::Ud, SimDuration::ZERO),
+        SystemKind::Lite => (QpMode::Rc, QpMode::Rc, SimDuration::from_nanos(1_200)),
+        _ => (QpMode::Rc, QpMode::Rc, SimDuration::ZERO),
+    }
+}
+
+/// The client endpoint of any baseline system (the server side is modeled
+/// inline, see the module docs).
+pub(crate) struct BaselineClient {
+    pub(crate) kind: SystemKind,
+    /// Shared with the server-side task RFP spawns per call.
+    pub(crate) ctx: Rc<ServerCtx>,
+    pub(crate) qp: QpPair,
+    pub(crate) client_node: Node,
+    /// Calls issued so far (ScaleRPC's warm-up schedule).
+    pub(crate) calls: Cell<u64>,
+}
+
+/// Build a `kind` connection: the (shared) server context first, then the
+/// forward and the reverse QP.
+pub(crate) fn build_baseline(
     cluster: &Cluster,
+    kind: SystemKind,
     client_idx: usize,
     server_idx: usize,
-    fwd_mode: QpMode,
-    rev_mode: QpMode,
-) -> QpPair {
+    lane: usize,
+    opts: &SystemOpts,
+) -> BaselineClient {
+    let ctx = Rc::new(ServerCtx::new(cluster, server_idx, lane, opts));
+    let (fwd_mode, rev_mode, _) = wiring(kind);
     let (fwd, fwd_server) = cluster.connect(client_idx, server_idx, fwd_mode);
     let (rev, rev_client) = cluster.connect(server_idx, client_idx, rev_mode);
-    QpPair {
-        fwd,
-        fwd_server,
-        rev,
-        rev_client,
+    BaselineClient {
+        kind,
+        ctx,
+        qp: QpPair {
+            fwd,
+            fwd_server,
+            rev,
+            rev_client,
+        },
+        client_node: cluster.node(client_idx).clone(),
+        calls: Cell::new(0),
     }
 }
 
-/// Model the client noticing a completion by polling its own memory.
-pub async fn client_poll(node: &Node) {
-    node.cpu.poll_dispatch().await;
-}
-
-/// Deliver a reply of `len` bytes by RDMA write into the client's response
-/// buffer and wait until its DMA lands (the client polls its memory).
-pub async fn reply_by_write(pair_rev: &Qp, client_node: &Node, len: u64) -> RpcResult<()> {
-    let tok = pair_rev
-        .write(
-            MemTarget::Dram(CLIENT_RESP_ADDR),
-            Payload::synthetic(MSG_HEADER + len, 0),
-        )
-        .await?;
-    tok.wait().await;
-    client_poll(client_node).await;
-    Ok(())
-}
-
-/// Deliver a reply via two-sided send (the client posts a recv and blocks
-/// on the completion). Returns whether the reply was actually delivered —
-/// `false` only on lossy unreliable transports, where the caller should
-/// retry the operation.
-pub async fn reply_by_send(
-    rev: &Qp,
-    rev_client: &Qp,
-    client_node: &Node,
-    len: u64,
-) -> RpcResult<bool> {
-    rev_client.post_recv(MemTarget::Dram(CLIENT_RESP_ADDR));
-    let tok = rev.send(Payload::synthetic(MSG_HEADER + len, 0)).await?;
-    let outcome = tok.wait_outcome().await;
-    let _ = rev_client.try_recv();
-    if !outcome.delivered {
-        return Ok(false);
+impl BaselineClient {
+    /// One request in, served, one reply out — the legs are `kind`'s.
+    pub(crate) async fn roundtrip(&self, req: Request) -> RpcResult<Response> {
+        let payload = match self.kind {
+            SystemKind::L5 => l5::roundtrip(self, &req).await,
+            SystemKind::Rfp => rfp::roundtrip(self, req).await,
+            SystemKind::Fasst => fasst::roundtrip(self, &req).await,
+            SystemKind::Octopus | SystemKind::Lite => {
+                let (_, _, kernel_overhead) = wiring(self.kind);
+                octopus::roundtrip(self, &req, kernel_overhead).await
+            }
+            SystemKind::Farm => farm::roundtrip(self, &req).await,
+            SystemKind::ScaleRpc => scalerpc::roundtrip(self, &req).await,
+            SystemKind::Darpc => darpc::roundtrip(self, &req).await,
+            SystemKind::Herd => herd::roundtrip(self, &req).await,
+            _ => unreachable!("{:?} is not a baseline", self.kind),
+        }?;
+        Ok(Response {
+            payload,
+            durable: true,
+        })
     }
-    // The client's recv path pays full two-sided dispatch, not a poll.
-    client_node.cpu.parse_request().await;
-    Ok(true)
+
+    /// A "batch" of at most one request: a plain roundtrip, not journaled
+    /// (what DaRPC's and ScaleRPC's `call_batch` do below two requests).
+    pub(crate) async fn unbatched(&self, reqs: Vec<Request>) -> RpcResult<Vec<Response>> {
+        let mut out = Vec::new();
+        for r in reqs {
+            out.push(self.roundtrip(r).await?);
+        }
+        Ok(out)
+    }
+
+    /// Deliver a reply of `len` bytes by RDMA write into the client's
+    /// response buffer and wait until its DMA lands (the client polls its
+    /// memory).
+    pub(crate) async fn reply_by_write(&self, len: u64) -> RpcResult<()> {
+        let tok = self
+            .qp
+            .rev
+            .write(
+                MemTarget::Dram(CLIENT_RESP_ADDR),
+                Payload::synthetic(MSG_HEADER + len, 0),
+            )
+            .await?;
+        tok.wait().await;
+        self.client_node.cpu.poll_dispatch().await;
+        Ok(())
+    }
+
+    /// Deliver a reply via two-sided send (the client posts a recv and
+    /// blocks on the completion). Returns whether the reply was actually
+    /// delivered — `false` only on lossy unreliable transports, where the
+    /// caller should retry the operation.
+    pub(crate) async fn reply_by_send(&self, len: u64) -> RpcResult<bool> {
+        self.qp
+            .rev_client
+            .post_recv(MemTarget::Dram(CLIENT_RESP_ADDR));
+        let tok = self
+            .qp
+            .rev
+            .send(Payload::synthetic(MSG_HEADER + len, 0))
+            .await?;
+        let outcome = tok.wait_outcome().await;
+        let _ = self.qp.rev_client.try_recv();
+        if !outcome.delivered {
+            return Ok(false);
+        }
+        // The client's recv path pays full two-sided dispatch, not a poll.
+        self.client_node.cpu.parse_request().await;
+        Ok(true)
+    }
 }
 
-/// Map an unexpected transport error into an RPC error (helper for
-/// baseline implementations).
-pub fn transport_err(e: prdma_rnic::RdmaError) -> RpcError {
-    RpcError::from(e)
+impl RpcClient for BaselineClient {
+    fn call(&self, req: Request) -> RpcFuture<'_> {
+        let bytes = request_image(&req).len();
+        Box::pin(journaled_call(
+            &self.client_node,
+            bytes,
+            self.roundtrip(req),
+        ))
+    }
+
+    fn call_batch(&self, reqs: Vec<Request>) -> RpcBatchFuture<'_> {
+        match self.kind {
+            SystemKind::Darpc => Box::pin(darpc::call_batch(self, reqs)),
+            SystemKind::ScaleRpc => Box::pin(scalerpc::call_batch(self, reqs)),
+            // The trait's default (one `call` per request), which an impl
+            // that overrides the method cannot name.
+            _ => Box::pin(async move {
+                let mut out = Vec::with_capacity(reqs.len());
+                for req in reqs {
+                    out.push(self.call(req).await?);
+                }
+                Ok(out)
+            }),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
 }
 
 /// Journal the start of one baseline RPC on the client node: allocates an

@@ -6,162 +6,63 @@
 //! it, runs the RPC, and replies with another send. Persistence is
 //! implied by the RPC completion — and therefore arrives late.
 
-use prdma::ServerProfile;
-use prdma::{Request, Response, RpcClient, RpcFuture};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, Payload, QpMode};
+use prdma::{Request, Response, RpcResult};
+use prdma_rnic::{MemTarget, Payload};
 
-use crate::common::{
-    journaled_call, qp_pair, reply_by_send, request_image, request_parts, QpPair, ServerCtx,
-};
+use crate::common::{request_image, BaselineClient};
 
-/// DaRPC client endpoint (the server side is modeled inline).
-pub struct DarpcClient {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
+pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
+    let image = request_image(req);
+
+    // Two-sided in: server posts a recv into its message buffer.
+    // Two-sided send: stage the message into a registered send buffer.
+    c.client_node.cpu.memcpy(image.len()).await;
+    c.qp.fwd_server.post_recv(MemTarget::Dram(c.ctx.req_slot()));
+    c.qp.fwd.send(image).await?;
+    let _c = c.qp.fwd_server.recv().await;
+
+    // Server software: parse, copy, persist, process.
+    c.ctx.node.cpu.parse_request().await;
+    let (payload, resp_len) = c.ctx.serve(req).await;
+
+    // Two-sided reply.
+    let _delivered = c.reply_by_send(resp_len).await?;
+    Ok(payload)
 }
 
-/// Build a DaRPC connection.
-pub fn build_darpc(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> DarpcClient {
-    let ctx = ServerCtx::new(
-        cluster,
-        server_idx,
-        lane,
-        profile,
-        object_slot,
-        store_capacity,
-    );
-    let qp = qp_pair(cluster, client_idx, server_idx, QpMode::Rc, QpMode::Rc);
-    DarpcClient {
-        ctx,
-        qp,
-        client_node: cluster.node(client_idx).clone(),
+/// Batched calls (Fig. 19 / paper Section 4.3): multiple RDMA
+/// requests are combined into **one RPC** — a single send carrying
+/// all payloads, one parse/persist pass at the server, one reply.
+/// The send-side staging memcpy still scales with the batched bytes,
+/// which is why the paper finds DaRPC's batching gains modest.
+pub(crate) async fn call_batch(c: &BaselineClient, reqs: Vec<Request>) -> RpcResult<Vec<Response>> {
+    if reqs.len() <= 1 {
+        return c.unbatched(reqs).await;
     }
-}
-
-impl DarpcClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let image = request_image(&req);
-
-        // Two-sided in: server posts a recv into its message buffer.
-        // Two-sided send: stage the message into a registered send buffer.
-        self.client_node.cpu.memcpy(image.len()).await;
-        self.qp
-            .fwd_server
-            .post_recv(MemTarget::Dram(self.ctx.req_slot()));
-        self.qp.fwd.send(image).await?;
-        let _c = self.qp.fwd_server.recv().await;
-
-        // Server software: parse, copy, persist, process.
-        self.ctx.node.cpu.parse_request().await;
-        let (payload, resp_len) = if is_put {
-            self.ctx
-                .handle_put(obj, data.as_ref().expect("put data"))
-                .await;
-            (None, 8)
-        } else {
-            let p = self.ctx.handle_get(obj, len, count).await;
-            let l = p.len();
-            (Some(p), l)
-        };
-
-        // Two-sided reply.
-        let _delivered = reply_by_send(
-            &self.qp.rev,
-            &self.qp.rev_client,
-            &self.client_node,
-            resp_len,
-        )
-        .await?;
-        Ok(Response {
+    // Stage every message, doorbell-post the sends (coalesced ACK),
+    // then the server consumes them one by one: each message still
+    // pays its recv-WQE fetch, CQ dispatch, and parse — the send-side
+    // software costs the paper identifies as limiting DaRPC's gains.
+    let images: Vec<Payload> = reqs.iter().map(request_image).collect();
+    let total: u64 = images.iter().map(Payload::len).sum();
+    c.client_node.cpu.memcpy(total).await;
+    for _ in 0..images.len() {
+        c.qp.fwd_server.post_recv(MemTarget::Dram(c.ctx.req_slot()));
+    }
+    c.qp.fwd.send_batch(images).await?;
+    let mut out = Vec::with_capacity(reqs.len());
+    for req in &reqs {
+        let _c = c.qp.fwd_server.recv().await;
+        c.ctx.node.cpu.parse_request().await;
+        let (payload, resp_len) = c.ctx.serve(req).await;
+        // Persistence is coupled to RPC completion here, so every
+        // request still needs its own completion reply — unlike the
+        // durable RPCs, whose single flush covers the whole batch.
+        let _ = c.reply_by_send(resp_len).await?;
+        out.push(Response {
             payload,
             durable: true,
-        })
+        });
     }
-
-    /// Batched calls (Fig. 19 / paper Section 4.3): multiple RDMA
-    /// requests are combined into **one RPC** — a single send carrying
-    /// all payloads, one parse/persist pass at the server, one reply.
-    /// The send-side staging memcpy still scales with the batched bytes,
-    /// which is why the paper finds DaRPC's batching gains modest.
-    pub async fn call_batch(&self, reqs: Vec<Request>) -> prdma::RpcResult<Vec<Response>> {
-        if reqs.len() <= 1 {
-            let mut out = Vec::new();
-            for r in reqs {
-                out.push(self.roundtrip(r).await?);
-            }
-            return Ok(out);
-        }
-        // Stage every message, doorbell-post the sends (coalesced ACK),
-        // then the server consumes them one by one: each message still
-        // pays its recv-WQE fetch, CQ dispatch, and parse — the send-side
-        // software costs the paper identifies as limiting DaRPC's gains.
-        let images: Vec<Payload> = reqs.iter().map(request_image).collect();
-        let total: u64 = images.iter().map(Payload::len).sum();
-        self.client_node.cpu.memcpy(total).await;
-        for _ in 0..images.len() {
-            self.qp
-                .fwd_server
-                .post_recv(MemTarget::Dram(self.ctx.req_slot()));
-        }
-        self.qp.fwd.send_batch(images).await?;
-        let mut out = Vec::with_capacity(reqs.len());
-        for req in &reqs {
-            let _c = self.qp.fwd_server.recv().await;
-            self.ctx.node.cpu.parse_request().await;
-            let (is_put, obj, len, count, data) = request_parts(req);
-            let (payload, resp_len) = if is_put {
-                self.ctx.handle_put(obj, data.as_ref().unwrap()).await;
-                (None, 8)
-            } else {
-                let p = self.ctx.handle_get(obj, len, count).await;
-                let l = p.len();
-                (Some(p), l)
-            };
-            // Persistence is coupled to RPC completion here, so every
-            // request still needs its own completion reply — unlike the
-            // durable RPCs, whose single flush covers the whole batch.
-            let _ = reply_by_send(
-                &self.qp.rev,
-                &self.qp.rev_client,
-                &self.client_node,
-                resp_len,
-            )
-            .await?;
-            out.push(Response {
-                payload,
-                durable: true,
-            });
-        }
-        Ok(out)
-    }
-}
-
-impl RpcClient for DarpcClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
-    }
-
-    fn call_batch(&self, reqs: Vec<Request>) -> prdma::RpcBatchFuture<'_> {
-        Box::pin(self.call_batch(reqs))
-    }
-
-    fn name(&self) -> &'static str {
-        "DaRPC"
-    }
+    Ok(out)
 }

@@ -1,123 +1,60 @@
 //! FaRM [Dragojević et al., NSDI '14] — one-sided RC writes into a
 //! polled message ring, reply by RC write (paper Fig. 2b).
 
-use prdma::{Request, Response, RpcClient, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, QpMode};
+use prdma::{Request, RpcError, RpcResult};
+use prdma_rnic::{MemTarget, Payload, RdmaError};
 
-use crate::common::{
-    journaled_call, qp_pair, reply_by_write, request_image, request_parts, QpPair, ServerCtx,
-};
+use crate::common::{request_image, BaselineClient};
 
-/// FaRM client endpoint.
-pub struct FarmClient {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
-}
+pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
+    let h = c.qp.fwd.local().handle().clone();
+    let retransfer = c.qp.fwd.local().config().retransfer_interval;
 
-/// Build a FaRM connection.
-pub fn build_farm(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> FarmClient {
-    FarmClient {
-        ctx: ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        ),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Rc, QpMode::Rc),
-        client_node: cluster.node(client_idx).clone(),
-    }
-}
-
-impl FarmClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let h = self.qp.fwd.local().handle().clone();
-        let retransfer = self.qp.fwd.local().config().retransfer_interval;
-
-        // A traditional RPC has no redo log: a request in flight when the
-        // server dies is simply lost. The client times out, waits for the
-        // service to come back *plus* the RDMA connection re-transfer
-        // interval (queue-pair re-establishment), and re-sends — the
-        // recovery path Fig. 12 charges the traditional scheme for.
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            if attempts > 64 {
-                return Err(prdma::RpcError::TimedOut);
-            }
-            if !self.ctx.node.service_is_up() {
-                self.ctx.node.wait_service_up().await;
-                h.sleep(retransfer).await;
-            }
-
-            // One-sided write into the server's message ring; the server's
-            // polling thread notices it once the DMA lands.
-            let tok = match self
-                .qp
-                .fwd
-                .write(MemTarget::Dram(self.ctx.req_slot()), request_image(&req))
-                .await
-            {
-                Ok(tok) => tok,
-                // NIC down (full node crash): wait out the outage and
-                // re-establish, like a real RC QP error path.
-                Err(prdma_rnic::RdmaError::Disconnected) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            tok.wait().await;
-            if !self.ctx.node.service_is_up() {
-                continue; // died before the poller saw the request
-            }
-            self.ctx.node.cpu.poll_dispatch().await;
-
-            let (payload, resp_len) = if is_put {
-                self.ctx.handle_put(obj, data.as_ref().expect("put")).await;
-                (None, 8)
-            } else {
-                let p = self.ctx.handle_get(obj, len, count).await;
-                let l = p.len();
-                (Some(p), l)
-            };
-            if !self.ctx.node.service_is_up() {
-                continue; // died mid-processing: no reply is coming
-            }
-
-            match reply_by_write(&self.qp.rev, &self.client_node, resp_len).await {
-                Ok(()) => {}
-                Err(prdma::RpcError::ServerDown) => continue,
-                Err(e) => return Err(e),
-            }
-            return Ok(Response {
-                payload,
-                durable: true,
-            });
+    // A traditional RPC has no redo log: a request in flight when the
+    // server dies is simply lost. The client times out, waits for the
+    // service to come back *plus* the RDMA connection re-transfer
+    // interval (queue-pair re-establishment), and re-sends — the
+    // recovery path Fig. 12 charges the traditional scheme for.
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        if attempts > 64 {
+            return Err(RpcError::TimedOut);
         }
-    }
-}
+        if !c.ctx.node.service_is_up() {
+            c.ctx.node.wait_service_up().await;
+            h.sleep(retransfer).await;
+        }
 
-impl RpcClient for FarmClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
-    }
+        // One-sided write into the server's message ring; the server's
+        // polling thread notices it once the DMA lands.
+        let tok = match c
+            .qp
+            .fwd
+            .write(MemTarget::Dram(c.ctx.req_slot()), request_image(req))
+            .await
+        {
+            Ok(tok) => tok,
+            // NIC down (full node crash): wait out the outage and
+            // re-establish, like a real RC QP error path.
+            Err(RdmaError::Disconnected) => continue,
+            Err(e) => return Err(e.into()),
+        };
+        tok.wait().await;
+        if !c.ctx.node.service_is_up() {
+            continue; // died before the poller saw the request
+        }
+        c.ctx.node.cpu.poll_dispatch().await;
 
-    fn name(&self) -> &'static str {
-        "FaRM"
+        let (payload, resp_len) = c.ctx.serve(req).await;
+        if !c.ctx.node.service_is_up() {
+            continue; // died mid-processing: no reply is coming
+        }
+
+        match c.reply_by_write(resp_len).await {
+            Ok(()) => return Ok(payload),
+            Err(RpcError::ServerDown) => continue,
+            Err(e) => return Err(e),
+        }
     }
 }

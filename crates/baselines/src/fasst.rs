@@ -2,132 +2,61 @@
 //! datagrams (paper Fig. 2d). The UD transport caps messages at one 4 KB
 //! MTU, which is why the paper only reports FaSST for objects < 4 KB.
 
-use prdma::{Request, Response, RpcClient, RpcError, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, QpMode, RdmaError};
+use prdma::{Request, RpcError, RpcResult};
+use prdma_rnic::{MemTarget, Payload, RdmaError};
+use prdma_simnet::SimDuration;
 
-use crate::common::{
-    journaled_call, qp_pair, reply_by_send, request_image, request_parts, QpPair, ServerCtx,
-    MSG_HEADER,
-};
+use crate::common::{request_image, BaselineClient, MSG_HEADER};
 
 /// Client-side loss-detection timeout (ConnectX-class UD RPC stacks use
 /// small-millisecond timers).
-const RETRY_TIMEOUT: prdma_simnet::SimDuration = prdma_simnet::SimDuration::from_micros(100);
+const RETRY_TIMEOUT: SimDuration = SimDuration::from_micros(100);
 /// Give up after this many attempts.
 const MAX_RETRIES: u32 = 8;
 
-/// FaSST client endpoint.
-pub struct FasstClient {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
-}
-
-/// Build a FaSST connection (UD both ways).
-pub fn build_fasst(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> FasstClient {
-    FasstClient {
-        ctx: ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        ),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Ud, QpMode::Ud),
-        client_node: cluster.node(client_idx).clone(),
+pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
+    let mtu = c.qp.fwd.local().config().ud_mtu;
+    if req.transfer_len() + MSG_HEADER > mtu {
+        return Err(RpcError::Unsupported(
+            "FaSST UD transport is limited to one 4 KB MTU",
+        ));
     }
-}
 
-impl FasstClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let mtu = self.qp.fwd.local().config().ud_mtu;
-        if req.transfer_len() + MSG_HEADER > mtu {
-            return Err(RpcError::Unsupported(
-                "FaSST UD transport is limited to one 4 KB MTU",
-            ));
+    // UD is unreliable: FaSST recovers losses with client-side
+    // timeouts and re-sends (at-least-once; puts are idempotent).
+    // A dropped request leaves its pre-posted recv buffer unconsumed;
+    // the next attempt posts another, and the stale targets are
+    // reclaimed when later sends land (UD recv queues over-provision).
+    let h = c.qp.fwd.local().handle().clone();
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        if attempts > MAX_RETRIES {
+            return Err(RpcError::TimedOut);
         }
-
-        // UD is unreliable: FaSST recovers losses with client-side
-        // timeouts and re-sends (at-least-once; puts are idempotent).
-        // A dropped request leaves its pre-posted recv buffer unconsumed;
-        // the next attempt posts another, and the stale targets are
-        // reclaimed when later sends land (UD recv queues over-provision).
-        let h = self.qp.fwd.local().handle().clone();
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if attempts > MAX_RETRIES {
-                return Err(RpcError::TimedOut);
+        let image = request_image(req);
+        // Two-sided send: stage the message into a send buffer.
+        c.client_node.cpu.memcpy(image.len()).await;
+        c.qp.fwd_server.post_recv(MemTarget::Dram(c.ctx.req_slot()));
+        match c.qp.fwd.send(image).await {
+            Ok(_) => {}
+            Err(RdmaError::MtuExceeded { .. }) => {
+                return Err(RpcError::Unsupported("FaSST UD MTU"))
             }
-            let image = request_image(&req);
-            // Two-sided send: stage the message into a send buffer.
-            self.client_node.cpu.memcpy(image.len()).await;
-            self.qp
-                .fwd_server
-                .post_recv(MemTarget::Dram(self.ctx.req_slot()));
-            match self.qp.fwd.send(image).await {
-                Ok(_) => {}
-                Err(RdmaError::MtuExceeded { .. }) => {
-                    return Err(RpcError::Unsupported("FaSST UD MTU"))
-                }
-                Err(e) => return Err(e.into()),
-            }
-            // Request may have been dropped: bounded wait for delivery.
-            match prdma_simnet::timeout(&h, RETRY_TIMEOUT, self.qp.fwd_server.recv()).await {
-                Ok(_c) => {}
-                Err(_) => continue, // lost on the wire: re-send
-            }
-            self.ctx.node.cpu.parse_request().await;
-
-            let (payload, resp_len) = if is_put {
-                self.ctx.handle_put(obj, data.as_ref().expect("put")).await;
-                (None, 8)
-            } else {
-                let p = self.ctx.handle_get(obj, len, count).await;
-                let l = p.len();
-                (Some(p), l)
-            };
-
-            let delivered = reply_by_send(
-                &self.qp.rev,
-                &self.qp.rev_client,
-                &self.client_node,
-                resp_len,
-            )
-            .await?;
-            if !delivered {
-                continue; // reply lost: the client times out and re-sends
-            }
-            return Ok(Response {
-                payload,
-                durable: true,
-            });
+            Err(e) => return Err(e.into()),
         }
-    }
-}
+        // Request may have been dropped: bounded wait for delivery.
+        match prdma_simnet::timeout(&h, RETRY_TIMEOUT, c.qp.fwd_server.recv()).await {
+            Ok(_c) => {}
+            Err(_) => continue, // lost on the wire: re-send
+        }
+        c.ctx.node.cpu.parse_request().await;
 
-impl RpcClient for FasstClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
-    }
+        let (payload, resp_len) = c.ctx.serve(req).await;
 
-    fn name(&self) -> &'static str {
-        "FaSST"
+        if c.reply_by_send(resp_len).await? {
+            return Ok(payload);
+        }
+        // Reply lost: the client times out and re-sends.
     }
 }

@@ -3,121 +3,54 @@
 //! evaluation figures, provided for completeness). Replies larger than
 //! the UD MTU are fragmented.
 
-use prdma::{Request, Response, RpcClient, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, Payload, QpMode};
+use prdma::{Request, RpcError, RpcResult};
+use prdma_rnic::{MemTarget, Payload};
 
-use crate::common::{
-    client_poll, journaled_call, qp_pair, request_image, request_parts, QpPair, ServerCtx,
-    CLIENT_RESP_ADDR, MSG_HEADER,
-};
+use crate::common::{request_image, BaselineClient, CLIENT_RESP_ADDR, MSG_HEADER};
 
-/// Herd client endpoint.
-pub struct HerdClient {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
-}
-
-/// Build a Herd connection (UC in, UD out).
-pub fn build_herd(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> HerdClient {
-    HerdClient {
-        ctx: ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        ),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Uc, QpMode::Ud),
-        client_node: cluster.node(client_idx).clone(),
-    }
-}
-
-impl HerdClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-
-        // UC write into the server's polled request region. UC gives no
-        // delivery guarantee: a dropped request is detected by response
-        // timeout and re-written (modeled as an immediate bounded retry).
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if attempts > 8 {
-                return Err(prdma::RpcError::TimedOut);
-            }
-            let tok = self
-                .qp
-                .fwd
-                .write(MemTarget::Dram(self.ctx.req_slot()), request_image(&req))
+pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
+    // UC write into the server's polled request region. UC gives no
+    // delivery guarantee: a dropped request is detected by response
+    // timeout and re-written (modeled as an immediate bounded retry).
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        if attempts > 8 {
+            return Err(RpcError::TimedOut);
+        }
+        let tok =
+            c.qp.fwd
+                .write(MemTarget::Dram(c.ctx.req_slot()), request_image(req))
                 .await?;
-            if tok.wait_outcome().await.delivered {
-                break;
-            }
+        if tok.wait_outcome().await.delivered {
+            break;
         }
-        self.ctx.node.cpu.poll_dispatch().await;
+    }
+    c.ctx.node.cpu.poll_dispatch().await;
 
-        let (payload, resp_len) = if is_put {
-            self.ctx.handle_put(obj, data.as_ref().expect("put")).await;
-            (None, 8)
-        } else {
-            let p = self.ctx.handle_get(obj, len, count).await;
-            let l = p.len();
-            (Some(p), l)
-        };
+    let (payload, resp_len) = c.ctx.serve(req).await;
 
-        // UD reply, fragmented at the MTU; dropped fragments re-sent, but
-        // only so many times — an unbounded loop would spin forever under
-        // a total loss burst (the client has long since timed out).
-        let mtu = self.qp.rev.local().config().ud_mtu;
-        let mut remaining = MSG_HEADER + resp_len;
-        let mut frag_attempts = 0;
-        while remaining > 0 {
-            frag_attempts += 1;
-            if frag_attempts > 8 {
-                return Err(prdma::RpcError::TimedOut);
-            }
-            let frag = remaining.min(mtu);
-            self.qp
-                .rev_client
-                .post_recv(MemTarget::Dram(CLIENT_RESP_ADDR));
-            let tok = self.qp.rev.send(Payload::synthetic(frag, 0)).await?;
-            let delivered = tok.wait_outcome().await.delivered;
-            let _ = self.qp.rev_client.try_recv();
-            if delivered {
-                remaining -= frag;
-                frag_attempts = 0;
-            }
+    // UD reply, fragmented at the MTU; dropped fragments re-sent, but
+    // only so many times — an unbounded loop would spin forever under
+    // a total loss burst (the client has long since timed out).
+    let mtu = c.qp.rev.local().config().ud_mtu;
+    let mut remaining = MSG_HEADER + resp_len;
+    let mut frag_attempts = 0;
+    while remaining > 0 {
+        frag_attempts += 1;
+        if frag_attempts > 8 {
+            return Err(RpcError::TimedOut);
         }
-        client_poll(&self.client_node).await;
-        Ok(Response {
-            payload,
-            durable: true,
-        })
+        let frag = remaining.min(mtu);
+        c.qp.rev_client.post_recv(MemTarget::Dram(CLIENT_RESP_ADDR));
+        let tok = c.qp.rev.send(Payload::synthetic(frag, 0)).await?;
+        let delivered = tok.wait_outcome().await.delivered;
+        let _ = c.qp.rev_client.try_recv();
+        if delivered {
+            remaining -= frag;
+            frag_attempts = 0;
+        }
     }
-}
-
-impl RpcClient for HerdClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "Herd"
-    }
+    c.client_node.cpu.poll_dispatch().await;
+    Ok(payload)
 }

@@ -2,99 +2,34 @@
 //! flag) into a polled buffer; the server returns the result with another
 //! write (paper Fig. 2e).
 
-use prdma::{Request, Response, RpcClient, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, Payload, QpMode};
+use prdma::{Request, RpcResult};
+use prdma_rnic::{MemTarget, Payload};
 
-use crate::common::{
-    journaled_call, qp_pair, reply_by_write, request_image, request_parts, QpPair, ServerCtx,
-    SLOT_PITCH,
-};
+use crate::common::{request_image, BaselineClient, SLOT_PITCH};
 
 /// Offset of the validity flag within the lane's message slot.
 const FLAG_OFF: u64 = SLOT_PITCH - 8;
 
-/// L5 client endpoint.
-pub struct L5Client {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
-}
+pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
+    let slot = c.ctx.req_slot();
 
-/// Build an L5 connection.
-pub fn build_l5(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> L5Client {
-    L5Client {
-        ctx: ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        ),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Rc, QpMode::Rc),
-        client_node: cluster.node(client_idx).clone(),
-    }
-}
-
-impl L5Client {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let slot = self.ctx.req_slot();
-
-        // Write #1: the data. Write #2: the validity flag the server polls.
-        let tok_data = self
-            .qp
-            .fwd
-            .write(MemTarget::Dram(slot), request_image(&req))
+    // Write #1: the data. Write #2: the validity flag the server polls.
+    let tok_data =
+        c.qp.fwd
+            .write(MemTarget::Dram(slot), request_image(req))
             .await?;
-        let tok_flag = self
-            .qp
-            .fwd
+    let tok_flag =
+        c.qp.fwd
             .write(MemTarget::Dram(slot + FLAG_OFF), Payload::synthetic(8, 1))
             .await?;
-        // The server acts when it sees the flag — and the data must have
-        // landed too (RC ordering is approximated by awaiting both DMAs).
-        tok_data.wait().await;
-        tok_flag.wait().await;
-        self.ctx.node.cpu.poll_dispatch().await;
+    // The server acts when it sees the flag — and the data must have
+    // landed too (RC ordering is approximated by awaiting both DMAs).
+    tok_data.wait().await;
+    tok_flag.wait().await;
+    c.ctx.node.cpu.poll_dispatch().await;
 
-        let (payload, resp_len) = if is_put {
-            self.ctx.handle_put(obj, data.as_ref().expect("put")).await;
-            (None, 8)
-        } else {
-            let p = self.ctx.handle_get(obj, len, count).await;
-            let l = p.len();
-            (Some(p), l)
-        };
+    let (payload, resp_len) = c.ctx.serve(req).await;
 
-        reply_by_write(&self.qp.rev, &self.client_node, resp_len).await?;
-        Ok(Response {
-            payload,
-            durable: true,
-        })
-    }
-}
-
-impl RpcClient for L5Client {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "L5"
-    }
+    c.reply_by_write(resp_len).await?;
+    Ok(payload)
 }

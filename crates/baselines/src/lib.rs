@@ -12,8 +12,15 @@
 //! paper's durable RPCs (in the `prdma` crate) break exactly this
 //! coupling.
 //!
-//! The [`SystemKind`] registry builds any of the thirteen systems behind
-//! the common [`prdma::RpcClient`] interface.
+//! Everything but that schedule is one client (`common::BaselineClient`:
+//! endpoints, the server-side put/get handling, journaling, naming),
+//! built by one builder from a per-[`SystemKind`] table of QP transports.
+//! Each system module holds only what Fig. 2 says differs — the
+//! request-in and reply-out legs, as one `async fn roundtrip` over the
+//! shared client (DESIGN.md §20).
+//!
+//! The [`SystemKind`] registry ([`build_system`]) builds any of the
+//! thirteen systems behind the common [`prdma::RpcClient`] interface.
 
 #![warn(missing_docs)]
 
@@ -28,15 +35,7 @@ mod registry;
 mod rfp;
 mod scalerpc;
 
-pub use darpc::{build_darpc, DarpcClient};
-pub use farm::{build_farm, FarmClient};
-pub use fasst::{build_fasst, FasstClient};
-pub use herd::{build_herd, HerdClient};
-pub use l5::{build_l5, L5Client};
-pub use octopus::{build_lite, build_octopus, OctopusClient};
 pub use registry::{build_sharded_system, build_system, SystemKind, SystemOpts};
-pub use rfp::{build_rfp, RfpClient};
-pub use scalerpc::{build_scalerpc, ScaleRpcClient};
 
 #[cfg(test)]
 mod tests {

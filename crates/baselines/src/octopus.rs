@@ -1,166 +1,53 @@
 //! Octopus [Lu et al., ATC '17] — RPC built on RDMA write-with-immediate:
 //! the immediate value interrupts the receiver's CPU for processing; the
-//! reply returns the same way (paper Fig. 2h).
+//! reply returns the same way (paper Fig. 2h). LITE [Tsai & Zhang,
+//! SOSP '17] is the same flow executed in the kernel (Table 1 only).
 
-use prdma::{Request, Response, RpcClient, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, Payload, QpMode};
+use prdma::{Request, RpcResult};
+use prdma_rnic::{MemTarget, Payload};
 use prdma_simnet::SimDuration;
 
-use crate::common::{
-    journaled_call, qp_pair, request_image, request_parts, QpPair, ServerCtx, CLIENT_RESP_ADDR,
-    MSG_HEADER,
-};
+use crate::common::{request_image, BaselineClient, CLIENT_RESP_ADDR, MSG_HEADER};
 
-/// Octopus client endpoint. `kernel_overhead` > 0 models LITE's in-kernel
-/// variant (syscall + permission checks on each side).
-pub struct OctopusClient {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
+/// `kernel_overhead` > 0 is LITE: a syscall plus permission checks on
+/// each side.
+pub(crate) async fn roundtrip(
+    c: &BaselineClient,
+    req: &Request,
     kernel_overhead: SimDuration,
-    name: &'static str,
-}
+) -> RpcResult<Option<Payload>> {
+    let h = c.qp.fwd.local().handle().clone();
+    let (Request::Put { obj, .. } | Request::Get { obj, .. } | Request::Scan { start: obj, .. }) =
+        req;
+    let imm = *obj as u32;
 
-/// Build an Octopus connection.
-pub fn build_octopus(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> OctopusClient {
-    build_write_imm_system(
-        cluster,
-        client_idx,
-        server_idx,
-        lane,
-        profile,
-        object_slot,
-        store_capacity,
-        SimDuration::ZERO,
-        "Octopus",
-    )
-}
-
-/// Build a LITE connection: the same write-imm RPC flow but executed in
-/// the kernel, charging a syscall/permission overhead per side.
-pub fn build_lite(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> OctopusClient {
-    build_write_imm_system(
-        cluster,
-        client_idx,
-        server_idx,
-        lane,
-        profile,
-        object_slot,
-        store_capacity,
-        SimDuration::from_nanos(1_200),
-        "LITE",
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_write_imm_system(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-    kernel_overhead: SimDuration,
-    name: &'static str,
-) -> OctopusClient {
-    OctopusClient {
-        ctx: ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        ),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Rc, QpMode::Rc),
-        client_node: cluster.node(client_idx).clone(),
-        kernel_overhead,
-        name,
-    }
-}
-
-impl OctopusClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let h = self.qp.fwd.local().handle().clone();
-
-        // LITE: trap into the kernel before posting.
-        if self.kernel_overhead > SimDuration::ZERO {
-            h.sleep(self.kernel_overhead).await;
-        }
-
-        // Request in: write-with-immediate raises a CQ event at the server
-        // once the data is placed.
-        self.qp
-            .fwd
-            .write_imm(
-                MemTarget::Dram(self.ctx.req_slot()),
-                request_image(&req),
-                obj as u32,
-            )
-            .await?;
-        let _c = self.qp.fwd_server.recv().await;
-        if self.kernel_overhead > SimDuration::ZERO {
-            h.sleep(self.kernel_overhead).await;
-        }
-        self.ctx.node.cpu.poll_dispatch().await;
-
-        let (payload, resp_len) = if is_put {
-            self.ctx.handle_put(obj, data.as_ref().expect("put")).await;
-            (None, 8)
-        } else {
-            let p = self.ctx.handle_get(obj, len, count).await;
-            let l = p.len();
-            (Some(p), l)
-        };
-
-        // Reply by write-imm back to the client.
-        self.qp
-            .rev
-            .write_imm(
-                MemTarget::Dram(CLIENT_RESP_ADDR),
-                Payload::synthetic(MSG_HEADER + resp_len, 0),
-                obj as u32,
-            )
-            .await?;
-        let _c = self.qp.rev_client.recv().await;
-        self.client_node.cpu.poll_dispatch().await;
-        Ok(Response {
-            payload,
-            durable: true,
-        })
-    }
-}
-
-impl RpcClient for OctopusClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
+    // LITE: trap into the kernel before posting.
+    if kernel_overhead > SimDuration::ZERO {
+        h.sleep(kernel_overhead).await;
     }
 
-    fn name(&self) -> &'static str {
-        self.name
+    // Request in: write-with-immediate raises a CQ event at the server
+    // once the data is placed.
+    c.qp.fwd
+        .write_imm(MemTarget::Dram(c.ctx.req_slot()), request_image(req), imm)
+        .await?;
+    let _c = c.qp.fwd_server.recv().await;
+    if kernel_overhead > SimDuration::ZERO {
+        h.sleep(kernel_overhead).await;
     }
+    c.ctx.node.cpu.poll_dispatch().await;
+
+    let (payload, resp_len) = c.ctx.serve(req).await;
+
+    // Reply by write-imm back to the client.
+    c.qp.rev
+        .write_imm(
+            MemTarget::Dram(CLIENT_RESP_ADDR),
+            Payload::synthetic(MSG_HEADER + resp_len, 0),
+            imm,
+        )
+        .await?;
+    let _c = c.qp.rev_client.recv().await;
+    c.client_node.cpu.poll_dispatch().await;
+    Ok(payload)
 }

@@ -7,16 +7,8 @@ use prdma::{
 };
 use prdma_node::Cluster;
 use prdma_simnet::trace::Role;
-use prdma_simnet::SimDuration;
 
-use crate::darpc::build_darpc;
-use crate::farm::build_farm;
-use crate::fasst::build_fasst;
-use crate::herd::build_herd;
-use crate::l5::build_l5;
-use crate::octopus::{build_lite, build_octopus};
-use crate::rfp::build_rfp;
-use crate::scalerpc::build_scalerpc;
+use crate::common::build_baseline;
 
 /// Every RPC system in the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,11 +96,6 @@ impl SystemKind {
         }
     }
 
-    /// Whether this is one of the paper's durable RPCs.
-    pub fn is_durable_rpc(self) -> bool {
-        Self::OURS.contains(&self)
-    }
-
     /// The matching durable kind, if any.
     pub fn durable_kind(self) -> Option<DurableKind> {
         match self {
@@ -187,38 +174,15 @@ pub fn build_system(
             object_slot: opts.object_slot,
             store_capacity: opts.store_capacity,
             throttle_threshold: opts.throttle_threshold,
-            throttle_backoff: SimDuration::from_micros(20),
-            head_persist_interval: 16,
-            retry: Default::default(),
             ..Default::default()
         };
         let (client, server) = build_durable(cluster, client_idx, server_idx, lane, cfg);
         server.start();
         return Box::new(client);
     }
-    let p = opts.profile.clone();
-    let os = opts.object_slot;
-    let sc = opts.store_capacity;
-    match kind {
-        SystemKind::L5 => Box::new(build_l5(cluster, client_idx, server_idx, lane, p, os, sc)),
-        SystemKind::Rfp => Box::new(build_rfp(cluster, client_idx, server_idx, lane, p, os, sc)),
-        SystemKind::Fasst => Box::new(build_fasst(
-            cluster, client_idx, server_idx, lane, p, os, sc,
-        )),
-        SystemKind::Octopus => Box::new(build_octopus(
-            cluster, client_idx, server_idx, lane, p, os, sc,
-        )),
-        SystemKind::Farm => Box::new(build_farm(cluster, client_idx, server_idx, lane, p, os, sc)),
-        SystemKind::ScaleRpc => Box::new(build_scalerpc(
-            cluster, client_idx, server_idx, lane, p, os, sc,
-        )),
-        SystemKind::Darpc => Box::new(build_darpc(
-            cluster, client_idx, server_idx, lane, p, os, sc,
-        )),
-        SystemKind::Herd => Box::new(build_herd(cluster, client_idx, server_idx, lane, p, os, sc)),
-        SystemKind::Lite => Box::new(build_lite(cluster, client_idx, server_idx, lane, p, os, sc)),
-        _ => unreachable!("durable kinds handled above"),
-    }
+    Box::new(build_baseline(
+        cluster, kind, client_idx, server_idx, lane, opts,
+    ))
 }
 
 /// Build a shard-aware client for `kind`: one endpoint per shard (shard

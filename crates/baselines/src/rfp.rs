@@ -3,17 +3,14 @@
 //! client *fetches* the result by repeatedly issuing one-sided RDMA reads
 //! until it observes the result flag (paper Fig. 2f).
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use prdma::{Request, Response, RpcClient, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, QpMode};
+use prdma::{Request, RpcResult};
+use prdma_rnic::{MemTarget, Payload};
 use prdma_simnet::SimDuration;
 
-use crate::common::{
-    journaled_call, qp_pair, request_image, request_parts, QpPair, ServerCtx, SLOT_PITCH,
-};
+use crate::common::{request_image, BaselineClient, SLOT_PITCH};
 
 /// Offset of the result buffer within the lane's slot.
 const RESULT_OFF: u64 = SLOT_PITCH / 2;
@@ -21,121 +18,52 @@ const RESULT_OFF: u64 = SLOT_PITCH / 2;
 /// Interval between the client's polling reads.
 const POLL_INTERVAL: SimDuration = SimDuration::from_micros(1);
 
-/// RFP client endpoint.
-pub struct RfpClient {
-    ctx: Rc<ServerCtx>,
-    qp: QpPair,
-    client_node: Node,
-}
+pub(crate) async fn roundtrip(c: &BaselineClient, req: Request) -> RpcResult<Option<Payload>> {
+    let slot = c.ctx.req_slot();
+    let h = c.qp.fwd.local().handle().clone();
 
-/// Build an RFP connection.
-pub fn build_rfp(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> RfpClient {
-    RfpClient {
-        ctx: Rc::new(ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        )),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Rc, QpMode::Rc),
-        client_node: cluster.node(client_idx).clone(),
-    }
-}
-
-impl RfpClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let slot = self.ctx.req_slot();
-
-        // Request in by RDMA write.
-        let tok = self
-            .qp
-            .fwd
+    // Request in by RDMA write.
+    let tok =
+        c.qp.fwd
             .write(MemTarget::Dram(slot), request_image(&req))
             .await?;
 
-        // Server-side work runs concurrently with the client's fetch loop.
-        let done = Rc::new(Cell::new(false));
-        let resp_len = Rc::new(Cell::new(0u64));
-        {
-            let ctx = Rc::clone(&self.ctx);
-            let done = Rc::clone(&done);
-            let resp_len = Rc::clone(&resp_len);
-            let h = self.qp.fwd.local().handle().clone();
-            h.spawn(async move {
-                tok.wait().await;
-                ctx.node.cpu.poll_dispatch().await;
-                if is_put {
-                    ctx.handle_put(obj, data.as_ref().expect("put")).await;
-                    resp_len.set(8);
-                } else {
-                    let p = ctx.handle_get(obj, len, count).await;
-                    resp_len.set(p.len());
-                }
-                // The server publishes the result in its own memory; the
-                // local store is instantaneous (DRAM).
-                done.set(true);
-            });
-        }
-
-        // Fetch loop: poll the result flag with one-sided reads. A read
-        // can only observe the flag as of when it was *issued* — a flag
-        // set while the read is in flight needs one more read to be seen.
-        let h = self.qp.fwd.local().handle().clone();
-        loop {
-            let observable = done.get();
-            self.qp
-                .fwd
-                .read_synthetic(MemTarget::Dram(slot + RESULT_OFF), 8)
-                .await?;
-            if observable {
-                break;
-            }
-            h.sleep(POLL_INTERVAL).await;
-        }
-        // One more read to fetch the payload itself.
-        let rlen = resp_len.get();
-        if rlen > 8 {
-            self.qp
-                .fwd
-                .read_synthetic(MemTarget::Dram(slot + RESULT_OFF), rlen)
-                .await?;
-        }
-        // Parse the fetched result.
-        self.client_node.cpu.poll_dispatch().await;
-        let payload = if is_put {
-            None
-        } else {
-            Some(prdma_rnic::Payload::synthetic(rlen, obj))
-        };
-        Ok(Response {
-            payload,
-            durable: true,
-        })
-    }
-}
-
-impl RpcClient for RfpClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
+    // Server-side work runs concurrently with the client's fetch loop.
+    // The server publishes the result in its own memory; the local store
+    // is instantaneous (DRAM).
+    let result = Rc::new(RefCell::new(None));
+    {
+        let ctx = Rc::clone(&c.ctx);
+        let result = Rc::clone(&result);
+        h.spawn(async move {
+            tok.wait().await;
+            ctx.node.cpu.poll_dispatch().await;
+            let served = ctx.serve(&req).await;
+            *result.borrow_mut() = Some(served);
+        });
     }
 
-    fn name(&self) -> &'static str {
-        "RFP"
+    // Fetch loop: poll the result flag with one-sided reads. A read
+    // can only observe the flag as of when it was *issued* — a flag
+    // set while the read is in flight needs one more read to be seen.
+    loop {
+        let observable = result.borrow().is_some();
+        c.qp.fwd
+            .read_synthetic(MemTarget::Dram(slot + RESULT_OFF), 8)
+            .await?;
+        if observable {
+            break;
+        }
+        h.sleep(POLL_INTERVAL).await;
     }
+    let (payload, resp_len) = result.take().expect("observed above");
+    // One more read to fetch the payload itself.
+    if resp_len > 8 {
+        c.qp.fwd
+            .read_synthetic(MemTarget::Dram(slot + RESULT_OFF), resp_len)
+            .await?;
+    }
+    // Parse the fetched result.
+    c.client_node.cpu.poll_dispatch().await;
+    Ok(payload)
 }

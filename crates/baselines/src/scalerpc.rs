@@ -4,16 +4,10 @@
 //! process phase where data flows like FaRM (paper Fig. 2g). The paper
 //! interleaves one warm-up with every 100 process-phase calls.
 
-use std::cell::Cell;
+use prdma::{Request, Response, RpcResult};
+use prdma_rnic::{MemTarget, Payload};
 
-use prdma::{Request, Response, RpcClient, RpcFuture, ServerProfile};
-use prdma_node::{Cluster, Node};
-use prdma_rnic::{MemTarget, Payload, QpMode};
-
-use crate::common::{
-    journaled_call, qp_pair, reply_by_write, request_image, request_parts, QpPair, ServerCtx,
-    MSG_HEADER,
-};
+use crate::common::{request_image, BaselineClient, MSG_HEADER};
 
 /// Process-phase calls between warm-ups (paper Section 5.1).
 const WARMUP_PERIOD: u64 = 100;
@@ -21,149 +15,64 @@ const WARMUP_PERIOD: u64 = 100;
 /// Client-side staging area the server reads from during warm-up.
 const CLIENT_DATA_ADDR: u64 = 4096;
 
-/// ScaleRPC client endpoint.
-pub struct ScaleRpcClient {
-    ctx: ServerCtx,
-    qp: QpPair,
-    client_node: Node,
-    calls: Cell<u64>,
-}
+pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
+    let n = c.calls.get();
+    c.calls.set(n + 1);
+    let slot = c.ctx.req_slot();
 
-/// Build a ScaleRPC connection.
-pub fn build_scalerpc(
-    cluster: &Cluster,
-    client_idx: usize,
-    server_idx: usize,
-    lane: usize,
-    profile: ServerProfile,
-    object_slot: u64,
-    store_capacity: u64,
-) -> ScaleRpcClient {
-    ScaleRpcClient {
-        ctx: ServerCtx::new(
-            cluster,
-            server_idx,
-            lane,
-            profile,
-            object_slot,
-            store_capacity,
-        ),
-        qp: qp_pair(cluster, client_idx, server_idx, QpMode::Rc, QpMode::Rc),
-        client_node: cluster.node(client_idx).clone(),
-        calls: Cell::new(0),
+    // Warm-up: write only the local address of the data; the server
+    // pulls the payload with a one-sided read. Process phase: FaRM-style
+    // direct write.
+    let warmup = n.is_multiple_of(WARMUP_PERIOD);
+    let image = if warmup {
+        Payload::synthetic(MSG_HEADER, 0)
+    } else {
+        request_image(req)
+    };
+    let tok = c.qp.fwd.write(MemTarget::Dram(slot), image).await?;
+    tok.wait().await;
+    c.ctx.node.cpu.poll_dispatch().await;
+    if warmup {
+        c.qp.rev
+            .read_synthetic(
+                MemTarget::Dram(CLIENT_DATA_ADDR),
+                MSG_HEADER + req.transfer_len().min(1 << 20),
+            )
+            .await?;
     }
+
+    let (payload, resp_len) = c.ctx.serve(req).await;
+
+    c.reply_by_write(resp_len).await?;
+    Ok(payload)
 }
 
-impl ScaleRpcClient {
-    async fn roundtrip(&self, req: Request) -> prdma::RpcResult<Response> {
-        let n = self.calls.get();
-        self.calls.set(n + 1);
-        let warmup = n.is_multiple_of(WARMUP_PERIOD);
-        let (is_put, obj, len, count, data) = request_parts(&req);
-        let slot = self.ctx.req_slot();
-
-        if warmup {
-            // Warm-up: write only the local address of the data; the
-            // server pulls the payload with a one-sided read.
-            let tok = self
-                .qp
-                .fwd
-                .write(MemTarget::Dram(slot), Payload::synthetic(MSG_HEADER, 0))
-                .await?;
-            tok.wait().await;
-            self.ctx.node.cpu.poll_dispatch().await;
-            self.qp
-                .rev
-                .read_synthetic(
-                    MemTarget::Dram(CLIENT_DATA_ADDR),
-                    MSG_HEADER + req.transfer_len().min(1 << 20),
-                )
-                .await?;
-        } else {
-            // Process phase: FaRM-style direct write.
-            let tok = self
-                .qp
-                .fwd
-                .write(MemTarget::Dram(slot), request_image(&req))
-                .await?;
-            tok.wait().await;
-            self.ctx.node.cpu.poll_dispatch().await;
-        }
-
-        let (payload, resp_len) = if is_put {
-            self.ctx.handle_put(obj, data.as_ref().expect("put")).await;
-            (None, 8)
-        } else {
-            let p = self.ctx.handle_get(obj, len, count).await;
-            let l = p.len();
-            (Some(p), l)
-        };
-
-        reply_by_write(&self.qp.rev, &self.client_node, resp_len).await?;
-        Ok(Response {
+/// Batched calls (Fig. 19 / paper Section 4.3): multiple requests
+/// combined into one RPC — a single RDMA write carrying all payloads
+/// into the message ring, one poll, one persist pass, one reply.
+pub(crate) async fn call_batch(c: &BaselineClient, reqs: Vec<Request>) -> RpcResult<Vec<Response>> {
+    if reqs.len() <= 1 {
+        return c.unbatched(reqs).await;
+    }
+    c.calls.set(c.calls.get() + reqs.len() as u64);
+    // Doorbell-batched writes into the message ring; the server polls
+    // each message, and — persistence being coupled to completion —
+    // still replies per request.
+    let items = reqs
+        .iter()
+        .map(|r| (MemTarget::Dram(c.ctx.req_slot()), request_image(r)))
+        .collect();
+    let tokens = c.qp.fwd.write_batch(items).await?;
+    let mut out = Vec::with_capacity(reqs.len());
+    for (req, tok) in reqs.iter().zip(tokens) {
+        tok.wait().await;
+        c.ctx.node.cpu.poll_dispatch().await;
+        let (payload, resp_len) = c.ctx.serve(req).await;
+        c.reply_by_write(resp_len).await?;
+        out.push(Response {
             payload,
             durable: true,
-        })
+        });
     }
-
-    /// Batched calls (Fig. 19 / paper Section 4.3): multiple requests
-    /// combined into one RPC — a single RDMA write carrying all payloads
-    /// into the message ring, one poll, one persist pass, one reply.
-    pub async fn call_batch(&self, reqs: Vec<Request>) -> prdma::RpcResult<Vec<Response>> {
-        if reqs.len() <= 1 {
-            let mut out = Vec::new();
-            for r in reqs {
-                out.push(self.roundtrip(r).await?);
-            }
-            return Ok(out);
-        }
-        self.calls.set(self.calls.get() + reqs.len() as u64);
-        // Doorbell-batched writes into the message ring; the server polls
-        // each message, and — persistence being coupled to completion —
-        // still replies per request.
-        let items = reqs
-            .iter()
-            .map(|r| (MemTarget::Dram(self.ctx.req_slot()), request_image(r)))
-            .collect();
-        let tokens = self.qp.fwd.write_batch(items).await?;
-        let mut out = Vec::with_capacity(reqs.len());
-        for (req, tok) in reqs.iter().zip(tokens) {
-            tok.wait().await;
-            self.ctx.node.cpu.poll_dispatch().await;
-            let (is_put, obj, len, count, data) = request_parts(req);
-            let (payload, resp_len) = if is_put {
-                self.ctx.handle_put(obj, data.as_ref().unwrap()).await;
-                (None, 8)
-            } else {
-                let p = self.ctx.handle_get(obj, len, count).await;
-                let l = p.len();
-                (Some(p), l)
-            };
-            reply_by_write(&self.qp.rev, &self.client_node, resp_len).await?;
-            out.push(Response {
-                payload,
-                durable: true,
-            });
-        }
-        Ok(out)
-    }
-}
-
-impl RpcClient for ScaleRpcClient {
-    fn call(&self, req: Request) -> RpcFuture<'_> {
-        let bytes = request_image(&req).len();
-        Box::pin(journaled_call(
-            &self.client_node,
-            bytes,
-            self.roundtrip(req),
-        ))
-    }
-
-    fn call_batch(&self, reqs: Vec<Request>) -> prdma::RpcBatchFuture<'_> {
-        Box::pin(self.call_batch(reqs))
-    }
-
-    fn name(&self) -> &'static str {
-        "ScaleRPC"
-    }
+    Ok(out)
 }

@@ -1,8 +1,8 @@
 //! Hot-key lease cache + one-sided READ fast path vs durable RPC and HERD.
 //! Run: cargo bench --bench fig_cache
 //! Flags after `--`: `--journal` runs every point under the durability
-//! auditor (invariant I5); env `PRDMA_CACHE_GATE=1` turns the crossover
-//! and write-noise acceptance bounds into assertions.
+//! auditor (invariant I5). The crossover and write-noise acceptance
+//! bounds are asserted on every run.
 use prdma_bench::{emit_all, exp, Scale};
 
 fn main() {

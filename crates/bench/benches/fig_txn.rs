@@ -2,8 +2,8 @@
 //! vs shard count and zipfian skew.
 //! Run: cargo bench --bench fig_txn
 //! Flags after `--`: `--journal` runs every point under the durability
-//! auditor (invariant I6); env `PRDMA_TXN_GATE=1` turns the sanity
-//! bounds (every point commits; abort rate tracks skew) into assertions.
+//! auditor (invariant I6). The sanity bounds (every point commits;
+//! abort rate tracks skew) are asserted on every run.
 use prdma_bench::{emit_all, exp, Scale};
 
 fn main() {

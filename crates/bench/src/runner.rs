@@ -8,9 +8,7 @@ use prdma_node::{Cluster, ClusterConfig};
 use prdma_simnet::journal;
 use prdma_simnet::trace::TraceReport;
 use prdma_simnet::{Sim, SimDuration, SimTime};
-use prdma_workloads::micro::{
-    run_micro, run_micro_fleet, run_micro_merged, MicroConfig, RunResult,
-};
+use prdma_workloads::micro::{run_micro, run_micro_fleet, MicroConfig, RunResult};
 use prdma_workloads::ycsb::{run_ycsb, YcsbConfig};
 
 use crate::report::output_dir;
@@ -328,7 +326,7 @@ pub fn micro_run_concurrent(
         .map(|i| build_system(&cluster, kind, i, 0, i - 1, &opts))
         .collect();
     let h = sim.handle();
-    let run = sim.block_on(async move { run_micro_merged(clients, &h, &cfg).await });
+    let run = sim.block_on(async move { run_micro_fleet(clients, &h, &cfg).await });
     export_and_audit(&cluster, &format!("conc{}_{}", senders, kind.name()));
     run
 }

@@ -311,11 +311,6 @@ impl CachedClient {
         }
     }
 
-    /// Entries currently cached (tests and dashboards).
-    pub fn cached_entries(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
     /// A backup promotion invalidates every lease granted by the failed
     /// primary: drop all entries and restart every key from the durable
     /// RPC tier.

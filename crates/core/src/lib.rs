@@ -53,7 +53,6 @@ pub mod cache;
 pub mod durable;
 pub mod flush;
 pub mod log;
-pub mod recovery;
 pub mod replication;
 pub mod rpc;
 pub mod shard;
@@ -68,7 +67,6 @@ pub use log::{
     encode_entry, entry_data_part, LogCursor, LogEntry, LogLayout, OpCode, RedoLog,
     RemoteLogWriter, RpcOperator,
 };
-pub use recovery::{RecoveryOutcome, RecoveryStats};
 pub use replication::{
     build_replicated, GroupView, ReplicaGroup, ReplicaOutcome, ReplicatedClient,
 };

@@ -650,11 +650,6 @@ impl RemoteLogWriter {
         }
     }
 
-    /// Times the flow controller slept this sender so far.
-    pub fn stall_count(&self) -> u64 {
-        self.stalls.get()
-    }
-
     /// Shared stall counter, for metrics providers.
     pub(crate) fn stall_cell(&self) -> Rc<Cell<u64>> {
         Rc::clone(&self.stalls)

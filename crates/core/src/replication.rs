@@ -170,11 +170,6 @@ impl GroupView {
         self.state.epoch.get()
     }
 
-    /// Current primary's replica slot within the group.
-    pub fn primary_slot(&self) -> usize {
-        self.state.primary.get()
-    }
-
     /// Current primary's node index.
     pub fn primary_node(&self) -> usize {
         self.state.nodes[self.state.primary.get()]
@@ -381,11 +376,6 @@ impl ReplicaGroup {
 }
 
 impl ReplicatedClient {
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// This client's promotion-state view.
     pub fn view(&self) -> GroupView {
         GroupView {

@@ -120,12 +120,6 @@ impl CpuModel {
         self.cores.process(self.cfg.dispatch_thread).await;
     }
 
-    /// Permanently occupy `n` cores with background computation
-    /// (paper Figs. 15/16: a compute-intensive background program).
-    pub fn load_background(&self, n: usize) {
-        self.cores.occupy_background(n);
-    }
-
     /// Occupy all but one core (the paper's "busy" CPU condition).
     pub fn make_busy(&self) {
         if self.cfg.cores > 1 {

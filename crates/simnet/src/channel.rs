@@ -192,15 +192,6 @@ impl<T> Receiver<T> {
         self.state.borrow_mut().queue.pop_front()
     }
 
-    /// Non-blocking burst receive: drains up to `max` queued messages into
-    /// `buf`, returning how many were appended.
-    pub fn try_recv_many(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        let mut st = self.state.borrow_mut();
-        let n = st.queue.len().min(max);
-        buf.extend(st.queue.drain(..n));
-        n
-    }
-
     /// Number of queued, undelivered messages.
     pub fn queued(&self) -> usize {
         self.state.borrow().queue.len()

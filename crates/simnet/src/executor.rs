@@ -603,11 +603,6 @@ impl SimHandle {
         YieldNow { yielded: false }
     }
 
-    /// Draw a uniformly random `u64`.
-    pub fn rng_u64(&self) -> u64 {
-        self.inner.rng.borrow_mut().gen()
-    }
-
     /// Draw from `[low, high)`.
     pub fn gen_range(&self, low: u64, high: u64) -> u64 {
         assert!(low < high, "empty range");
@@ -617,11 +612,6 @@ impl SimHandle {
     /// Draw a float in `[0, 1)`.
     pub fn gen_f64(&self) -> f64 {
         self.inner.rng.borrow_mut().gen::<f64>()
-    }
-
-    /// Run a closure with mutable access to the simulation RNG.
-    pub fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T {
-        f(&mut self.inner.rng.borrow_mut())
     }
 
     /// An exponentially-distributed duration with the given mean

@@ -300,11 +300,6 @@ impl Metrics {
         self.gauge_handle(key).set(value);
     }
 
-    /// Adjust a gauge by a signed delta (one-shot; cold paths).
-    pub fn gauge_add(&self, key: Key, delta: i64) {
-        self.gauge_handle(key).add(delta);
-    }
-
     /// Record one sample into the key's windowed histogram (one-shot;
     /// cold paths).
     pub fn observe(&self, key: Key, value_ns: u64) {

@@ -140,11 +140,6 @@ impl SharedLink {
         self.handle.sleep(self.propagation).await;
     }
 
-    /// Serialization time for `bytes` on this link, without queueing.
-    pub fn serialization_time(&self, bytes: u64) -> SimDuration {
-        transfer_time(bytes, self.gbps).mul_f64(self.slowdown.get())
-    }
-
     /// Set the serialization slowdown factor (>= 1 slows the link; 1
     /// restores full speed). Shared across clones, so a fault injector
     /// holding one clone degrades every sender. In-flight transfers keep

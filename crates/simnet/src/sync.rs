@@ -71,13 +71,6 @@ impl Semaphore {
         }
     }
 
-    /// Add permits (e.g. resizing a worker pool).
-    pub fn add_permits(&self, count: usize) {
-        let mut st = self.state.borrow_mut();
-        st.permits += count;
-        wake_eligible(&mut st);
-    }
-
     /// Currently available permits.
     pub fn available(&self) -> usize {
         self.state.borrow().permits

@@ -33,9 +33,7 @@ pub use dist::{KeyDist, Zipfian};
 pub use faults::{run_faulty, FaultConfig, FaultResult, MeasuredCosts, Scheme};
 pub use graph::{generate, generate_power_law, Graph, GraphDataset};
 pub use kv::KvIndex;
-pub use micro::{
-    run_micro, run_micro_merged, run_micro_split, MicroConfig, RunResult, SplitResult,
-};
+pub use micro::{run_micro, run_micro_split, MicroConfig, RunResult, SplitResult};
 pub use openloop::{
     detect_knee, gen_schedule, run_openloop, Arrival, OpenLoopConfig, OpenLoopResult, RateShape,
     SkewShift,

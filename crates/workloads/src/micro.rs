@@ -2,11 +2,14 @@
 //! server's PM, 300 K read/write operations, zipfian (0.99) access,
 //! configurable object size, read ratio, and server load profile.
 
-use prdma::{Request, RpcClient};
+use prdma::{Request, RpcClient, RpcError};
 use prdma_rnic::Payload;
 use prdma_simnet::{Histogram, SimDuration, SimHandle, Summary};
 
-use crate::dist::{workload_rng, KeyDist, Zipfian};
+use crate::dist::{workload_rng, Zipfian};
+
+/// The paper's zipfian skew.
+const PAPER_THETA: f64 = 0.99;
 
 /// Micro-benchmark parameters (defaults follow the paper).
 #[derive(Debug, Clone)]
@@ -67,40 +70,28 @@ pub struct RunResult {
     pub kops: f64,
 }
 
-impl RunResult {
-    fn from_histogram(
-        ops: u64,
-        unsupported: u64,
-        failed: u64,
-        elapsed: SimDuration,
-        h: &Histogram,
-    ) -> Self {
-        let kops = if elapsed > SimDuration::ZERO {
-            ops as f64 / elapsed.as_secs_f64() / 1e3
-        } else {
-            0.0
-        };
-        RunResult {
-            ops,
-            unsupported,
-            failed,
-            elapsed,
-            latency: h.summary(),
-            kops,
-        }
+/// K-operations per simulated second.
+fn kops(ops: u64, elapsed: SimDuration) -> f64 {
+    if elapsed > SimDuration::ZERO {
+        ops as f64 / elapsed.as_secs_f64() / 1e3
+    } else {
+        0.0
     }
 }
 
-/// Run the micro-benchmark against `client`. Returns per-op latency and
-/// throughput in simulated time.
-pub async fn run_micro(client: &dyn RpcClient, h: &SimHandle, cfg: &MicroConfig) -> RunResult {
+/// The closed loop every variant below runs on one client: `cfg.ops`
+/// times, draw a key (zipfian `theta`), then the read/write coin, issue
+/// the call, and hand `sink` whether it was a read and its latency or
+/// error.
+async fn closed_loop(
+    client: &dyn RpcClient,
+    h: &SimHandle,
+    cfg: &MicroConfig,
+    theta: f64,
+    mut sink: impl FnMut(bool, Result<SimDuration, RpcError>),
+) {
     let mut rng = workload_rng(cfg.seed);
-    let dist = KeyDist::zipfian(cfg.objects);
-    let mut hist = Histogram::new();
-    let mut done = 0u64;
-    let mut unsupported = 0u64;
-    let mut failed = 0u64;
-    let t0 = h.now();
+    let dist = Zipfian::new(cfg.objects, theta);
     for i in 0..cfg.ops {
         let obj = dist.sample(&mut rng);
         let is_read = rng.gen::<f64>() < cfg.read_ratio;
@@ -116,23 +107,55 @@ pub async fn run_micro(client: &dyn RpcClient, h: &SimHandle, cfg: &MicroConfig)
             }
         };
         let start = h.now();
-        match client.call(req).await {
-            Ok(_) => {
-                hist.record_duration(h.now() - start);
-                done += 1;
-            }
-            Err(prdma::RpcError::Unsupported(_)) => {
-                unsupported += 1;
-            }
+        let res = client.call(req).await;
+        sink(is_read, res.map(|_| h.now() - start));
+    }
+}
+
+/// One client's (or, merged, a fleet's) share of a [`RunResult`].
+#[derive(Default)]
+struct Tally {
+    /// Latencies of the completed operations.
+    hist: Histogram,
+    unsupported: u64,
+    failed: u64,
+}
+
+impl Tally {
+    /// Run the paper's mix on `client` and tally every outcome.
+    async fn of(client: &dyn RpcClient, h: &SimHandle, cfg: &MicroConfig) -> Tally {
+        let mut t = Tally::default();
+        closed_loop(client, h, cfg, PAPER_THETA, |_, res| match res {
+            Ok(d) => t.hist.record_duration(d),
+            Err(RpcError::Unsupported(_)) => t.unsupported += 1,
             // Transport loss or a server outage the system's own retries
             // could not ride out: the op failed, the run continues (a
             // benchmark must survive the faults it measures).
-            Err(_) => {
-                failed += 1;
-            }
+            Err(_) => t.failed += 1,
+        })
+        .await;
+        t
+    }
+
+    fn into_result(self, elapsed: SimDuration) -> RunResult {
+        let ops = self.hist.count();
+        RunResult {
+            ops,
+            unsupported: self.unsupported,
+            failed: self.failed,
+            elapsed,
+            latency: self.hist.summary(),
+            kops: kops(ops, elapsed),
         }
     }
-    RunResult::from_histogram(done, unsupported, failed, h.now() - t0, &hist)
+}
+
+/// Run the micro-benchmark against `client`. Returns per-op latency and
+/// throughput in simulated time.
+pub async fn run_micro(client: &dyn RpcClient, h: &SimHandle, cfg: &MicroConfig) -> RunResult {
+    let t0 = h.now();
+    let tally = Tally::of(client, h, cfg).await;
+    tally.into_result(h.now() - t0)
 }
 
 /// Results of a mixed run with read and write latency summarized
@@ -161,168 +184,33 @@ pub async fn run_micro_split(
     cfg: &MicroConfig,
     theta: f64,
 ) -> SplitResult {
-    let mut rng = workload_rng(cfg.seed);
-    let dist = Zipfian::new(cfg.objects, theta);
     let mut gets = Histogram::new();
     let mut puts = Histogram::new();
-    let mut done = 0u64;
     let t0 = h.now();
-    for i in 0..cfg.ops {
-        let obj = dist.sample(&mut rng);
-        let is_read = rng.gen::<f64>() < cfg.read_ratio;
-        let start = h.now();
-        let res = if is_read {
-            client
-                .call(Request::Get {
-                    obj,
-                    len: cfg.object_size,
-                })
-                .await
-        } else {
-            client
-                .call(Request::Put {
-                    obj,
-                    data: Payload::synthetic(cfg.object_size, i),
-                })
-                .await
-        };
-        if res.is_ok() {
-            let d = h.now() - start;
-            if is_read {
-                gets.record_duration(d);
-            } else {
-                puts.record_duration(d);
-            }
-            done += 1;
+    closed_loop(client, h, cfg, theta, |is_read, res| {
+        if let Ok(d) = res {
+            let hist = if is_read { &mut gets } else { &mut puts };
+            hist.record_duration(d);
         }
-    }
+    })
+    .await;
     let elapsed = h.now() - t0;
-    let kops = if elapsed > SimDuration::ZERO {
-        done as f64 / elapsed.as_secs_f64() / 1e3
-    } else {
-        0.0
-    };
+    let ops = gets.count() + puts.count();
     SplitResult {
-        ops: done,
+        ops,
         elapsed,
-        kops,
+        kops: kops(ops, elapsed),
         get: gets.summary(),
         put: puts.summary(),
     }
 }
 
-/// Run `senders` concurrent clients against one server; returns the merged
-/// latency histogram and aggregate stats (paper Fig. 17).
-pub async fn run_micro_concurrent(
-    clients: Vec<Box<dyn RpcClient>>,
-    h: &SimHandle,
-    cfg: &MicroConfig,
-) -> RunResult {
-    let t0 = h.now();
-    let n = clients.len();
-    let mut joins = Vec::with_capacity(n);
-    for (i, client) in clients.into_iter().enumerate() {
-        let cfg = MicroConfig {
-            seed: cfg.seed.wrapping_add(i as u64 * 7919),
-            ..cfg.clone()
-        };
-        let h2 = h.clone();
-        joins.push(h.spawn(async move {
-            let r = run_micro(client.as_ref(), &h2, &cfg).await;
-            (r.ops, r.unsupported, r.failed, r.latency)
-        }));
-    }
-    let mut hist = Histogram::new();
-    let mut ops = 0;
-    let mut unsupported = 0;
-    let mut failed = 0;
-    for j in joins {
-        let (o, u, f, s) = j.await;
-        ops += o;
-        unsupported += u;
-        failed += f;
-        // Rebuild an approximate merged histogram from summaries is lossy;
-        // instead we re-record the mean per client weighted by count.
-        // For exact percentiles across clients use `run_micro_merged`.
-        for _ in 0..o {
-            hist.record(s.mean_ns as u64);
-        }
-    }
-    RunResult::from_histogram(ops, unsupported, failed, h.now() - t0, &hist)
-}
-
-/// Like [`run_micro_concurrent`] but collects every sample exactly, via a
-/// shared histogram.
-pub async fn run_micro_merged(
-    clients: Vec<Box<dyn RpcClient>>,
-    h: &SimHandle,
-    cfg: &MicroConfig,
-) -> RunResult {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    let hist: Rc<RefCell<Histogram>> = Rc::default();
-    let t0 = h.now();
-    let mut joins = Vec::with_capacity(clients.len());
-    for (i, client) in clients.into_iter().enumerate() {
-        let cfg = MicroConfig {
-            seed: cfg.seed.wrapping_add(i as u64 * 7919),
-            ..cfg.clone()
-        };
-        let h2 = h.clone();
-        let hist = Rc::clone(&hist);
-        joins.push(h.spawn(async move {
-            let mut rng = workload_rng(cfg.seed);
-            let dist = KeyDist::zipfian(cfg.objects);
-            let mut done = 0u64;
-            let mut unsupported = 0u64;
-            let mut failed = 0u64;
-            for i in 0..cfg.ops {
-                let obj = dist.sample(&mut rng);
-                let is_read = rng.gen::<f64>() < cfg.read_ratio;
-                let req = if is_read {
-                    Request::Get {
-                        obj,
-                        len: cfg.object_size,
-                    }
-                } else {
-                    Request::Put {
-                        obj,
-                        data: Payload::synthetic(cfg.object_size, i),
-                    }
-                };
-                let start = h2.now();
-                match client.call(req).await {
-                    Ok(_) => {
-                        hist.borrow_mut().record_duration(h2.now() - start);
-                        done += 1;
-                    }
-                    Err(prdma::RpcError::Unsupported(_)) => unsupported += 1,
-                    Err(_) => failed += 1,
-                }
-            }
-            (done, unsupported, failed)
-        }));
-    }
-    let mut ops = 0;
-    let mut unsupported = 0;
-    let mut failed = 0;
-    for j in joins {
-        let (o, u, f) = j.await;
-        ops += o;
-        unsupported += u;
-        failed += f;
-    }
-    let hist = hist.borrow();
-    RunResult::from_histogram(ops, unsupported, failed, h.now() - t0, &hist)
-}
-
-/// Closed-loop multi-client generator: every client runs the micro loop
-/// independently (distinct seed, think-time-free), each recording into its
-/// *own* histogram; the per-client histograms are then merged with
-/// [`Histogram::merge`]. This is the aggregation the scale-out sweep uses
-/// per shard, and `merge` is exact — summed per-bucket counts are
-/// structurally identical to recording the union — so percentiles match
-/// the shared-histogram path of [`run_micro_merged`] bit for bit.
+/// Closed-loop multi-client generator (paper Fig. 17, the scale-out sweep
+/// per shard): every client runs the micro loop independently (distinct
+/// seed, think-time-free), each recording into its *own* histogram; the
+/// per-client histograms are then merged with [`Histogram::merge`], which
+/// is exact — summed per-bucket counts are structurally identical to
+/// recording the union into one shared histogram.
 pub async fn run_micro_fleet(
     clients: Vec<Box<dyn RpcClient>>,
     h: &SimHandle,
@@ -336,52 +224,16 @@ pub async fn run_micro_fleet(
             ..cfg.clone()
         };
         let h2 = h.clone();
-        joins.push(h.spawn(async move {
-            let mut rng = workload_rng(cfg.seed);
-            let dist = KeyDist::zipfian(cfg.objects);
-            let mut hist = Histogram::new();
-            let mut done = 0u64;
-            let mut unsupported = 0u64;
-            let mut failed = 0u64;
-            for i in 0..cfg.ops {
-                let obj = dist.sample(&mut rng);
-                let is_read = rng.gen::<f64>() < cfg.read_ratio;
-                let req = if is_read {
-                    Request::Get {
-                        obj,
-                        len: cfg.object_size,
-                    }
-                } else {
-                    Request::Put {
-                        obj,
-                        data: Payload::synthetic(cfg.object_size, i),
-                    }
-                };
-                let start = h2.now();
-                match client.call(req).await {
-                    Ok(_) => {
-                        hist.record_duration(h2.now() - start);
-                        done += 1;
-                    }
-                    Err(prdma::RpcError::Unsupported(_)) => unsupported += 1,
-                    Err(_) => failed += 1,
-                }
-            }
-            (done, unsupported, failed, hist)
-        }));
+        joins.push(h.spawn(async move { Tally::of(client.as_ref(), &h2, &cfg).await }));
     }
-    let mut merged = Histogram::new();
-    let mut ops = 0;
-    let mut unsupported = 0;
-    let mut failed = 0;
+    let mut fleet = Tally::default();
     for j in joins {
-        let (o, u, f, hist) = j.await;
-        ops += o;
-        unsupported += u;
-        failed += f;
-        merged.merge(&hist);
+        let t = j.await;
+        fleet.hist.merge(&t.hist);
+        fleet.unsupported += t.unsupported;
+        fleet.failed += t.failed;
     }
-    RunResult::from_histogram(ops, unsupported, failed, h.now() - t0, &merged)
+    fleet.into_result(h.now() - t0)
 }
 
 #[cfg(test)]
@@ -444,43 +296,8 @@ mod tests {
             object_size: 1024,
             ..Default::default()
         };
-        let r = sim.block_on(async move { run_micro_merged(clients, &h, &cfg).await });
+        let r = sim.block_on(async move { run_micro_fleet(clients, &h, &cfg).await });
         assert_eq!(r.ops, 150);
-    }
-
-    #[test]
-    fn fleet_merge_matches_shared_histogram_exactly() {
-        // Same cluster, same seeds: per-client histograms merged after the
-        // fact must agree with the single shared histogram on every
-        // reported percentile (the multi-shard aggregation invariant).
-        let run = |merged: bool| {
-            let mut sim = Sim::new(6);
-            let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(4));
-            let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
-            let clients: Vec<Box<dyn prdma::RpcClient>> = (1..4)
-                .map(|i| build_system(&cluster, SystemKind::WFlush, i, 0, i, &opts))
-                .collect();
-            let h = sim.handle();
-            let cfg = MicroConfig {
-                objects: 100,
-                ops: 60,
-                object_size: 1024,
-                ..Default::default()
-            };
-            sim.block_on(async move {
-                if merged {
-                    run_micro_merged(clients, &h, &cfg).await
-                } else {
-                    run_micro_fleet(clients, &h, &cfg).await
-                }
-            })
-        };
-        let shared = run(true);
-        let fleet = run(false);
-        assert_eq!(fleet.ops, shared.ops);
-        assert_eq!(fleet.latency.p50_ns, shared.latency.p50_ns);
-        assert_eq!(fleet.latency.p99_ns, shared.latency.p99_ns);
-        assert_eq!(fleet.latency.max_ns, shared.latency.max_ns);
     }
 
     #[test]

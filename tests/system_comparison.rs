@@ -7,7 +7,7 @@ use prdma_suite::core::{Request, RpcClient, ServerProfile};
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::Sim;
-use prdma_suite::workloads::micro::{run_micro, run_micro_merged, MicroConfig, RunResult};
+use prdma_suite::workloads::micro::{run_micro, run_micro_fleet, MicroConfig, RunResult};
 
 fn micro(
     kind: SystemKind,
@@ -126,7 +126,7 @@ fn concurrency_scaling_stability() {
             ..Default::default()
         };
         let h = sim.handle();
-        let r = sim.block_on(async move { run_micro_merged(clients, &h, &cfg).await });
+        let r = sim.block_on(async move { run_micro_fleet(clients, &h, &cfg).await });
         r.latency.mean_ns
     };
     // Growth no worse than DaRPC's, and strictly lower absolute latency
