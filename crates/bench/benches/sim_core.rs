@@ -22,7 +22,7 @@
 use prdma::txn::build_sharded_txn;
 use prdma::{
     build_fleet, encode_entry, CacheConfig, DurableConfig, DurableKind, FleetSpec, OpCode, Request,
-    RpcClient, RpcOperator, ServerProfile, ShardMap,
+    RpcClient, RpcOperator, ServerProfile, ShardMap, ShardedClient,
 };
 use prdma_bench::exp;
 use prdma_bench::report::output_dir;
@@ -228,34 +228,42 @@ fn bench_log_encode(iters: u32) -> BenchResult {
     })
 }
 
+/// A one-shard WFlush fleet with one client caching at the default
+/// capacity from the first miss (`fig_cache` / perfbench `cached_read95`
+/// shape, mirror tier off).
+fn cached_client(sim: &Sim) -> ShardedClient {
+    let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(1, 1));
+    let cfg = DurableConfig {
+        kind: DurableKind::WFlush,
+        profile: ServerProfile::light(),
+        slot_payload: 1024,
+        object_slot: 1024,
+        store_capacity: 2 << 20,
+        log_slots: 64,
+        ..Default::default()
+    };
+    let cache = CacheConfig {
+        hot_threshold: 1,
+        mirror: false,
+        ..Default::default()
+    };
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: Some(cache),
+    };
+    let svc = build_fleet(&cluster, ShardMap::new(1), &[1], &cfg, spec);
+    svc.clients.into_iter().next().expect("one client")
+}
+
 fn bench_cached_get(iters: u32) -> BenchResult {
     // The GET hot path the lease cache added: one warm key served from
-    // the client-side cache 10k times — lease-epoch validation, LRU
-    // touch, and a CPU poll per hit, with no RPC and no QP traffic.
-    // Guards the per-hit overhead of the cache machinery itself.
+    // the client-side cache 10k times — one record lookup, lease-epoch
+    // validation, an LRU relink and a CPU poll per hit, with no RPC and
+    // no QP traffic. Guards the per-hit overhead of the cache machinery
+    // itself.
     bench("cache/get_hot_path_10k", 10_000, iters, || {
         let mut sim = Sim::new(1);
-        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(1, 1));
-        let cfg = DurableConfig {
-            kind: DurableKind::WFlush,
-            profile: ServerProfile::light(),
-            slot_payload: 1024,
-            object_slot: 1024,
-            store_capacity: 1 << 20,
-            log_slots: 64,
-            ..Default::default()
-        };
-        let cache = CacheConfig {
-            hot_threshold: 1,
-            mirror: false,
-            ..Default::default()
-        };
-        let spec = FleetSpec {
-            replicas: 1,
-            cache: Some(cache),
-        };
-        let svc = build_fleet(&cluster, ShardMap::new(1), &[1], &cfg, spec);
-        let client = svc.clients.into_iter().next().expect("one client");
+        let client = cached_client(&sim);
         let sum = sim.block_on(async move {
             client
                 .call(Request::Put {
@@ -272,6 +280,37 @@ fn bench_cached_get(iters: u32) -> BenchResult {
                     .call(Request::Get { obj: 1, len: 1024 })
                     .await
                     .expect("cached get");
+                sum = sum.wrapping_add(r.payload.map_or(0, |p| p.len()));
+            }
+            sum
+        });
+        (sum, sim.events_processed())
+    })
+}
+
+fn bench_evicting_get(iters: u32) -> BenchResult {
+    // What the hot-path row cannot see: a full cache. Round-robin over
+    // twice the default capacity is LRU's worst case, so once the first
+    // 1 024 gets have filled the cache every one of the 10k counted gets
+    // misses, takes the durable RPC, fills and evicts. The row is the
+    // RPC's host cost plus the cache's per-miss bookkeeping, and that
+    // bookkeeping must not grow with the number of cached entries (an
+    // eviction that scanned them made this row 2.7x slower:
+    // BENCH_simcore.json `cache_metadata`).
+    let capacity = CacheConfig::default().capacity as u64;
+    bench("cache/get_evicting_10k", 10_000, iters, || {
+        let mut sim = Sim::new(1);
+        let client = cached_client(&sim);
+        let sum = sim.block_on(async move {
+            let mut sum = 0u64;
+            for i in 0..capacity + 10_000 {
+                let r = client
+                    .call(Request::Get {
+                        obj: i % (2 * capacity),
+                        len: 1024,
+                    })
+                    .await
+                    .expect("evicting get");
                 sum = sum.wrapping_add(r.payload.map_or(0, |p| p.len()));
             }
             sum
@@ -415,6 +454,7 @@ fn main() {
         bench_metrics(iters),
         bench_log_encode(iters),
         bench_cached_get(iters),
+        bench_evicting_get(iters),
         bench_txn_commit(iters),
         bench_build_run_drop(iters),
     ];

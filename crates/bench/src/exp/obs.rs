@@ -22,7 +22,7 @@
 //! forced off and then on (via [`crate::runner::set_metrics_override`]),
 //! asserts the virtual-time results are identical, and reports the
 //! wall-time overhead (min of 3 runs each). `PRDMA_OBS_GATE=1` turns the
-//! ≤5% bound into a hard assertion (the CI `obs-smoke` job sets it).
+//! ≤5% bound into a hard assertion (the CI `smoke` job sets it).
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -23,13 +23,25 @@
 //! invalidation churn. Writes and cold keys always take the durable RPC
 //! path unchanged.
 //!
-//! All cache state is `BTreeMap`-ordered and draws no randomness, so a
-//! fixed seed still yields a byte-identical schedule; every journal
-//! record and metric is gated on the respective facility being enabled.
+//! Determinism rule: cache state draws no randomness and exposes no
+//! iteration order. Keys are found through [`IdMap`], a hash map under a
+//! fixed hasher, and the only whole-table walk (`Records::revoke_all`, on
+//! a view change) applies the same reset to every record, so the order it
+//! visits them in cannot reach a journal record, a metric or the
+//! schedule. Eviction order is the intrusive LRU list's, which depends on
+//! the sequence of GETs alone. A fixed seed therefore still yields a
+//! byte-identical schedule; every journal record and metric is gated on
+//! the respective facility being enabled.
+//!
+//! Host cost: a GET resolves its key's record once (one `IdMap` lookup)
+//! and every later step — LRU touch, fill, eviction, invalidation, streak
+//! — indexes the record slab by that id, so a GET is O(1) in the number
+//! of keys and of cached entries (DESIGN.md §16).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use prdma_node::Node;
@@ -39,7 +51,32 @@ use prdma_simnet::metrics::{Counter, Key};
 
 use crate::replication::GroupView;
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcFuture, RpcResult};
+use crate::shard::mix64;
 use crate::store::{MirrorRegion, MIRROR_HEADER_BYTES};
+
+/// Hashes one `u64` key with the SplitMix64 finalizer. No per-process
+/// seed (`RandomState`), so a table's layout repeats from run to run;
+/// the keys are the simulation's own object ids, never outside input, so
+/// nothing can craft collisions.
+#[derive(Default)]
+struct Mix64Hasher(u64);
+
+impl Hasher for Mix64Hasher {
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(key);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdMap keys are u64");
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// O(1) map from an object id to per-key state.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<Mix64Hasher>>;
 
 /// Bits of the lease key id reserved for the object id; the shard tag
 /// occupies the bits above, so merged fleet journals never conflate two
@@ -91,7 +128,7 @@ impl CacheConfig {
 
 struct LeaseInner {
     tag: u64,
-    epochs: RefCell<BTreeMap<u64, u64>>,
+    epochs: RefCell<IdMap<u64>>,
     mirror: Option<MirrorRegion>,
 }
 
@@ -120,7 +157,7 @@ impl LeaseState {
         LeaseState {
             inner: Rc::new(LeaseInner {
                 tag,
-                epochs: RefCell::new(BTreeMap::new()),
+                epochs: RefCell::default(),
                 mirror: None,
             }),
         }
@@ -131,7 +168,7 @@ impl LeaseState {
         LeaseState {
             inner: Rc::new(LeaseInner {
                 tag,
-                epochs: RefCell::new(BTreeMap::new()),
+                epochs: RefCell::default(),
                 mirror: Some(mirror),
             }),
         }
@@ -207,29 +244,145 @@ enum Tier {
     Mirror,
 }
 
-#[derive(Debug)]
-struct KeyState {
+/// Null link of the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// Everything the client tracks about one key: the promotion state
+/// machine's counters, the cached entry if there is one, and the entry's
+/// links in the LRU list. `entry.is_some()` exactly when the record is
+/// linked.
+struct Record {
     hits: u64,
     streak: u64,
     churn: u32,
     tier: Tier,
+    /// `(lease epoch, length)` the key is cached at.
+    entry: Option<(u64, u64)>,
+    prev: u32,
+    next: u32,
 }
 
-impl Default for KeyState {
-    fn default() -> Self {
-        KeyState {
-            hits: 0,
-            streak: 0,
-            churn: 0,
-            tier: Tier::Rpc,
+/// One [`Record`] per key ever read, in a slab that only grows, so a
+/// record id stays valid across awaits. Records holding an entry form a
+/// doubly linked list in recency order: `head` is the least recently
+/// used (the next victim), `tail` the most recent.
+struct Records {
+    index: IdMap<u32>,
+    slab: Vec<Record>,
+    head: u32,
+    tail: u32,
+    cached: usize,
+}
+
+impl Records {
+    fn new() -> Self {
+        Records {
+            index: IdMap::default(),
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            cached: 0,
         }
     }
-}
 
-struct Entry {
-    epoch: u64,
-    len: u64,
-    last_used: u64,
+    /// The id of `obj`'s record, created cold on first sight. The one
+    /// index lookup of a GET.
+    fn resolve(&mut self, obj: u64) -> u32 {
+        let next = self.slab.len() as u32;
+        let id = *self.index.entry(obj).or_insert(next);
+        if id == next {
+            assert!(next != NIL, "record ids exhausted");
+            self.slab.push(Record {
+                hits: 0,
+                streak: 0,
+                churn: 0,
+                tier: Tier::Rpc,
+                entry: None,
+                prev: NIL,
+                next: NIL,
+            });
+        }
+        id
+    }
+
+    fn rec(&mut self, id: u32) -> &mut Record {
+        &mut self.slab[id as usize]
+    }
+
+    fn unlink(&mut self, id: u32) {
+        let (prev, next) = {
+            let r = self.rec(id);
+            (r.prev, r.next)
+        };
+        match prev {
+            NIL => self.head = next,
+            p => self.rec(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.rec(n).prev = prev,
+        }
+    }
+
+    fn push_mru(&mut self, id: u32) {
+        let old_tail = self.tail;
+        let r = self.rec(id);
+        r.prev = old_tail;
+        r.next = NIL;
+        match old_tail {
+            NIL => self.head = id,
+            t => self.rec(t).next = id,
+        }
+        self.tail = id;
+    }
+
+    /// Mark `id`'s entry, if it still has one, most recently used.
+    fn touch(&mut self, id: u32) {
+        if self.rec(id).entry.is_some() && self.tail != id {
+            self.unlink(id);
+            self.push_mru(id);
+        }
+    }
+
+    /// Drop `id`'s entry, if any.
+    fn drop_entry(&mut self, id: u32) {
+        if self.rec(id).entry.take().is_some() {
+            self.unlink(id);
+            self.cached -= 1;
+        }
+    }
+
+    /// Cache `id` at `(epoch, len)` as the most recently used entry,
+    /// evicting the least recently used one when `capacity` (> 0) entries
+    /// are already held.
+    fn fill(&mut self, id: u32, epoch: u64, len: u64, capacity: usize) {
+        debug_assert!(capacity > 0, "a zero-capacity cache never fills");
+        if self.rec(id).entry.is_some() {
+            self.unlink(id);
+        } else {
+            if self.cached >= capacity {
+                self.drop_entry(self.head);
+            }
+            self.cached += 1;
+        }
+        self.rec(id).entry = Some((epoch, len));
+        self.push_mru(id);
+    }
+
+    /// Drop every entry and restart every key from the durable RPC tier.
+    /// Returns how many entries were held.
+    fn revoke_all(&mut self) -> usize {
+        for r in &mut self.slab {
+            r.entry = None;
+            r.prev = NIL;
+            r.next = NIL;
+            r.tier = Tier::Rpc;
+            r.streak = 0;
+        }
+        self.head = NIL;
+        self.tail = NIL;
+        std::mem::take(&mut self.cached)
+    }
 }
 
 /// Pre-resolved cache metric handles (one lookup at build time, none on
@@ -261,9 +414,7 @@ pub struct CachedClient {
     /// lease this client holds (tracked by the group's view epoch).
     view: Option<GroupView>,
     seen_view_epoch: Cell<u64>,
-    keys: RefCell<BTreeMap<u64, KeyState>>,
-    entries: RefCell<BTreeMap<u64, Entry>>,
-    tick: Cell<u64>,
+    records: RefCell<Records>,
     metrics: Option<CacheMetrics>,
 }
 
@@ -304,9 +455,7 @@ impl CachedClient {
             mirror_qp,
             view,
             seen_view_epoch,
-            keys: RefCell::new(BTreeMap::new()),
-            entries: RefCell::new(BTreeMap::new()),
-            tick: Cell::new(0),
+            records: RefCell::new(Records::new()),
             metrics,
         }
     }
@@ -321,12 +470,7 @@ impl CachedClient {
             return;
         }
         self.seen_view_epoch.set(now);
-        let dropped = self.entries.borrow().len() as u64;
-        self.entries.borrow_mut().clear();
-        for ks in self.keys.borrow_mut().values_mut() {
-            ks.tier = Tier::Rpc;
-            ks.streak = 0;
-        }
+        let dropped = self.records.borrow_mut().revoke_all() as u64;
         if let Some(m) = &self.metrics {
             m.revocations.incr(dropped.max(1));
         }
@@ -344,20 +488,12 @@ impl CachedClient {
         }
     }
 
-    fn touch(&self, obj: u64) {
-        let t = self.tick.get() + 1;
-        self.tick.set(t);
-        if let Some(e) = self.entries.borrow_mut().get_mut(&obj) {
-            e.last_used = t;
-        }
-    }
-
-    /// Record an invalidation observed on `obj` (stale entry or stale
-    /// mirror header): drop the entry and demote churned keys.
-    fn note_invalidation(&self, obj: u64) {
-        self.entries.borrow_mut().remove(&obj);
-        let mut keys = self.keys.borrow_mut();
-        let ks = keys.entry(obj).or_default();
+    /// Record an invalidation observed on record `id` (stale entry or
+    /// stale mirror header): drop the entry and demote churned keys.
+    fn note_invalidation(&self, id: u32) {
+        let mut records = self.records.borrow_mut();
+        records.drop_entry(id);
+        let ks = records.rec(id);
         ks.streak = 0;
         ks.churn += 1;
         if ks.churn >= self.cfg.churn_demote && ks.tier != Tier::Rpc {
@@ -372,35 +508,22 @@ impl CachedClient {
         }
     }
 
-    /// Fill `obj` at `epoch`, evicting the least-recently-used entry when
-    /// the cache is full.
-    fn fill(&self, obj: u64, epoch: u64, len: u64) {
-        let t = self.tick.get() + 1;
-        self.tick.set(t);
-        let mut entries = self.entries.borrow_mut();
-        if !entries.contains_key(&obj) && entries.len() >= self.cfg.capacity {
-            if let Some(victim) = entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                entries.remove(&victim);
-            }
-        }
-        entries.insert(
-            obj,
-            Entry {
-                epoch,
-                len,
-                last_used: t,
-            },
-        );
+    fn fill(&self, id: u32, epoch: u64, len: u64) {
+        self.records
+            .borrow_mut()
+            .fill(id, epoch, len, self.cfg.capacity);
     }
 
     /// Serve a GET on the mirror tier. `Ok(Some(..))` on a validated
     /// one-sided read; `Ok(None)` when the key must fall back (not
     /// published, stale header) — the caller takes the miss path.
-    async fn try_mirror_get(&self, obj: u64, len: u64, epoch: u64) -> RpcResult<Option<Response>> {
+    async fn try_mirror_get(
+        &self,
+        id: u32,
+        obj: u64,
+        len: u64,
+        epoch: u64,
+    ) -> RpcResult<Option<Response>> {
         let Some(qp) = &self.mirror_qp else {
             return Ok(None);
         };
@@ -419,7 +542,6 @@ impl CachedClient {
             m.mirror_reads.incr(1);
         }
         if MirrorRegion::decode_epoch(&bytes) == Some(epoch) {
-            self.touch(obj);
             Ok(Some(Response {
                 payload: Some(Payload::synthetic(len, obj)),
                 durable: true,
@@ -428,17 +550,19 @@ impl CachedClient {
             // The slot header moved past our lease while the READ was in
             // flight (or before publication caught up): treat as an
             // invalidation and fall back to the durable path.
-            self.note_invalidation(obj);
+            self.note_invalidation(id);
             Ok(None)
         }
     }
 
     async fn do_get(&self, obj: u64, len: u64) -> RpcResult<Response> {
-        let (tier, hits) = {
-            let mut keys = self.keys.borrow_mut();
-            let ks = keys.entry(obj).or_default();
+        // The GET's one index lookup; every later step goes by `id`.
+        let (id, tier, hits, cached) = {
+            let mut records = self.records.borrow_mut();
+            let id = records.resolve(obj);
+            let ks = records.rec(id);
             ks.hits += 1;
-            (ks.tier, ks.hits)
+            (id, ks.tier, ks.hits, ks.entry)
         };
 
         // Fast tiers. A *valid* local entry always serves locally — the
@@ -448,43 +572,31 @@ impl CachedClient {
         // single RDMA READ of the server's mirror slot instead of a full
         // durable RPC.
         if tier != Tier::Rpc {
-            let cached = self.entries.borrow().get(&obj).map(|e| (e.epoch, e.len));
             let current = self.lease.epoch(obj);
             if let Some((entry_epoch, entry_len)) = cached {
                 if entry_epoch == current && len <= entry_len {
                     self.jot(EventKind::CacheRead, obj, current);
                     self.node.cpu.poll_dispatch().await;
-                    self.touch(obj);
-                    if let Some(m) = &self.metrics {
-                        m.hits.incr(1);
-                    }
-                    self.bump_streak(obj, len);
+                    self.note_hit(id, obj, len);
                     return Ok(Response {
                         payload: Some(Payload::synthetic(len, obj)),
                         durable: true,
                     });
                 } else if entry_epoch != current {
-                    self.note_invalidation(obj);
+                    self.note_invalidation(id);
                 }
             }
             // `note_invalidation` may have demoted the key; only a key
             // still on the mirror tier retries one-sided.
-            let still_mirror = self
-                .keys
-                .borrow()
-                .get(&obj)
-                .is_some_and(|ks| ks.tier == Tier::Mirror);
+            let still_mirror = self.records.borrow().slab[id as usize].tier == Tier::Mirror;
             if still_mirror {
-                if let Some(resp) = self.try_mirror_get(obj, len, current).await? {
+                if let Some(resp) = self.try_mirror_get(id, obj, len, current).await? {
                     // The slot header carried the current epoch: the READ
                     // re-validated the lease, so the entry refills without
                     // an RPC grant (the put's own invalidation record is
                     // the epoch's publication — see invariant I5b).
-                    self.fill(obj, current, len);
-                    if let Some(m) = &self.metrics {
-                        m.hits.incr(1);
-                    }
-                    self.bump_streak(obj, len);
+                    self.fill(id, current, len);
+                    self.note_hit(id, obj, len);
                     return Ok(resp);
                 }
             }
@@ -493,17 +605,21 @@ impl CachedClient {
         // Miss path: durable RPC, then fill under a version-validated
         // lease (only when no put bumped the epoch while the GET was in
         // flight — a fill at a newer epoch could claim bytes fresher than
-        // the response actually carries).
+        // the response actually carries). A zero-capacity cache holds
+        // nothing, so it grants no lease and promotes no key.
         if let Some(m) = &self.metrics {
             m.misses.incr(1);
         }
         let before = self.lease.epoch(obj);
         let resp = self.inner.call(Request::Get { obj, len }).await?;
-        if hits >= self.cfg.hot_threshold && self.lease.epoch(obj) == before {
-            self.fill(obj, before, len);
+        if self.cfg.capacity > 0
+            && hits >= self.cfg.hot_threshold
+            && self.lease.epoch(obj) == before
+        {
+            self.fill(id, before, len);
             self.lease.jot_grant(obj, before, self.node.journal());
-            let mut keys = self.keys.borrow_mut();
-            let ks = keys.entry(obj).or_default();
+            let mut records = self.records.borrow_mut();
+            let ks = records.rec(id);
             if ks.tier == Tier::Rpc {
                 ks.tier = Tier::Cached;
                 if let Some(m) = &self.metrics {
@@ -517,12 +633,17 @@ impl CachedClient {
         Ok(resp)
     }
 
-    /// A validated hit extends the key's stability streak; a long enough
-    /// streak publishes the key into the server mirror and promotes it to
-    /// the one-sided tier.
-    fn bump_streak(&self, obj: u64, len: u64) {
-        let mut keys = self.keys.borrow_mut();
-        let ks = keys.entry(obj).or_default();
+    /// A validated hit makes the entry (if it survived the serving await)
+    /// most recently used and extends the key's stability streak; a long
+    /// enough streak publishes the key into the server mirror and
+    /// promotes it to the one-sided tier.
+    fn note_hit(&self, id: u32, obj: u64, len: u64) {
+        if let Some(m) = &self.metrics {
+            m.hits.incr(1);
+        }
+        let mut records = self.records.borrow_mut();
+        records.touch(id);
+        let ks = records.rec(id);
         ks.streak += 1;
         if ks.tier == Tier::Cached
             && self.cfg.mirror
@@ -575,6 +696,126 @@ mod tests {
     use super::*;
     use prdma_pmem::VolatileMemory;
     use prdma_simnet::journal::NO_ID;
+    use prdma_simnet::rng::SmallRng;
+    use std::collections::BTreeMap;
+
+    /// The bookkeeping `Records` replaced, kept as the reference: one
+    /// `last_used` tick per cached key, the victim found by a scan.
+    #[derive(Default)]
+    struct ScanModel {
+        tick: u64,
+        last_used: BTreeMap<u64, u64>,
+    }
+
+    impl ScanModel {
+        fn next_tick(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        fn touch(&mut self, obj: u64) {
+            let t = self.next_tick();
+            if let Some(e) = self.last_used.get_mut(&obj) {
+                *e = t;
+            }
+        }
+
+        /// Returns the key evicted to make room, if any.
+        fn fill(&mut self, obj: u64, capacity: usize) -> Option<u64> {
+            let t = self.next_tick();
+            let mut victim = None;
+            if !self.last_used.contains_key(&obj) && self.last_used.len() >= capacity {
+                victim = self
+                    .last_used
+                    .iter()
+                    .min_by_key(|(_, &used)| used)
+                    .map(|(&k, _)| k);
+                self.last_used.remove(&victim.expect("capacity > 0"));
+            }
+            self.last_used.insert(obj, t);
+            victim
+        }
+
+        /// Cached keys, least recently used first.
+        fn lru_order(&self) -> Vec<u64> {
+            let mut v: Vec<_> = self.last_used.iter().map(|(&k, &t)| (t, k)).collect();
+            v.sort_unstable();
+            v.into_iter().map(|(_, k)| k).collect()
+        }
+    }
+
+    /// Record ids head to tail, checking every back link on the way.
+    fn lru_ids(r: &Records) -> Vec<u32> {
+        let mut ids = Vec::new();
+        let (mut prev, mut at) = (NIL, r.head);
+        while at != NIL {
+            assert_eq!(r.slab[at as usize].prev, prev, "back link of record {at}");
+            ids.push(at);
+            (prev, at) = (at, r.slab[at as usize].next);
+        }
+        assert_eq!(r.tail, prev, "tail is the last linked record");
+        ids
+    }
+
+    /// Random fill / touch / invalidate / view-change steps: the LRU list
+    /// must agree with the scan it replaced — same victim on every
+    /// eviction, same recency order after every step — and never hold
+    /// more than `capacity` entries.
+    #[test]
+    fn lru_list_matches_min_last_used_scan() {
+        for case in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(0x16C4_C4E0 + case);
+            let capacity = rng.gen_range(1usize..12);
+            let keys = rng.gen_range(2 * capacity as u64..4 * capacity as u64 + 1);
+            let mut real = Records::new();
+            let mut model = ScanModel::default();
+            let mut obj_of = Vec::new();
+            let mut evictions = 0;
+            for step in 0..400 {
+                let ctx = format!("case {case} step {step}");
+                // Sparse ids, so the index sees more than 0..n.
+                let obj = rng.gen_range(0..keys) * 0x9E37_79B9;
+                let id = real.resolve(obj);
+                if id as usize == obj_of.len() {
+                    obj_of.push(obj);
+                }
+                assert_eq!(obj_of[id as usize], obj, "{ctx}: id is stable");
+                match rng.gen_range(0u32..100) {
+                    0..=44 => {
+                        let victim = model.fill(obj, capacity);
+                        real.fill(id, step, 1024, capacity);
+                        assert_eq!(real.slab[id as usize].entry, Some((step, 1024)));
+                        if let Some(v) = victim {
+                            evictions += 1;
+                            let vid = real.resolve(v);
+                            assert_eq!(real.slab[vid as usize].entry, None, "{ctx}: victim {v}");
+                        }
+                    }
+                    45..=79 => {
+                        model.touch(obj);
+                        real.touch(id);
+                    }
+                    80..=96 => {
+                        model.last_used.remove(&obj);
+                        real.drop_entry(id);
+                    }
+                    _ => {
+                        let held = model.last_used.len();
+                        model.last_used.clear();
+                        assert_eq!(real.revoke_all(), held, "{ctx}: entries revoked");
+                        assert_eq!((real.head, real.tail, real.cached), (NIL, NIL, 0));
+                    }
+                }
+                let listed: Vec<u64> = lru_ids(&real).iter().map(|&i| obj_of[i as usize]).collect();
+                assert_eq!(listed, model.lru_order(), "{ctx}: recency order");
+                let holding = real.slab.iter().filter(|r| r.entry.is_some()).count();
+                assert_eq!(listed.len(), holding, "{ctx}: linked == holding an entry");
+                assert_eq!(real.cached, holding, "{ctx}: cached count");
+                assert!(real.cached <= capacity, "{ctx}: over capacity");
+            }
+            assert!(evictions > 0, "case {case} never evicted");
+        }
+    }
 
     #[test]
     fn lease_epochs_start_at_zero_and_bump() {

@@ -604,7 +604,12 @@ impl DurableServer {
         // copy, so a handler's copy never learns of an earlier head flush
         // and flushes the head more often than `head_persist_interval`
         // asks; sharing one handle would change journals and PM write
-        // counts, which is a change for its own PR (ROADMAP item 5).
+        // counts, which is a change for its own PR (ROADMAP item 3(a)).
+        // It is a trade, not a free win: sized with the cell shared, four
+        // perfbench workloads keep their virtual metrics but
+        // `crash_replay` goes from `op_mean_us` 12.68 to 18.55 and
+        // `virt_kops` 78.9 to 53.9, because up to 16 done entries whose
+        // head advance was never flushed replay after each crash.
         let log = ctx.log.clone();
         h.clone().spawn(async move {
             while let Some(work) = rx.recv().await {

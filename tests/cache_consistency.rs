@@ -1,6 +1,6 @@
 //! Lease-cache consistency (ISSUE 9): the client-side hot-key cache may
 //! never serve bytes newer than the last flush-ACKed put, and a lease
-//! may never outlive the data it covers. Two scenarios drive this
+//! may never outlive the data it covers. These scenarios drive this
 //! end-to-end under the journal auditor (invariant I5):
 //!
 //! * a put racing a cached read — every `LeaseInvalidate` must be
@@ -11,19 +11,24 @@
 //! * a primary crash under a replicated cached service — the backup's
 //!   promotion must revoke every lease the client holds on the shard,
 //!   so the first get after failover refills from the new primary
-//!   instead of trusting a lease granted by the dead one.
+//!   instead of trusting a lease granted by the dead one;
+//! * a working set four times the cache's capacity — evictions run under
+//!   the auditor, an evicted key is fetched and filled again, and the
+//!   journal repeats byte for byte (the key index leaks no order);
+//! * a zero-capacity cache, which must hold nothing.
 
 use std::rc::Rc;
 
 use prdma_suite::core::{
-    build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, Request, RetryPolicy,
-    RpcClient, ServerProfile, ShardMap,
+    build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, LeaseState, Request,
+    RetryPolicy, RpcClient, ServerProfile, ShardMap, ShardedClient,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
-use prdma_suite::simnet::journal::{EventKind, NO_ID};
+use prdma_suite::simnet::journal::{self, EventKind, NO_ID};
 use prdma_suite::simnet::metrics::Key;
+use prdma_suite::simnet::rng::SmallRng;
 use prdma_suite::simnet::{Sim, SimDuration, SimTime};
 
 const OBJ_SLOT: u64 = 1024;
@@ -42,16 +47,14 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-/// A put racing a cached read: the invalidation must land in the journal
-/// no later than the put's completion (I5a), the race itself must be
-/// audit-clean, and after the put the stale entry must miss and refill.
-#[test]
-fn put_racing_cached_read_invalidates_before_flush_ack() {
-    let mut sim = Sim::new(0xCACE);
+/// A journaled, metered world of one WFlush shard (node 0) and one client
+/// (node 1) caching under `cache`.
+fn cached_world(seed: u64, cache: CacheConfig) -> (Sim, Cluster, Rc<ShardedClient>, LeaseState) {
+    let sim = Sim::new(seed);
     let mut ccfg = ClusterConfig::with_servers(1, 1);
     ccfg.journal = true;
+    ccfg.metrics = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
-    let map = ShardMap::new(1);
     let cfg = DurableConfig {
         profile: ServerProfile::light(),
         slot_payload: OBJ_SLOT,
@@ -60,18 +63,33 @@ fn put_racing_cached_read_invalidates_before_flush_ack() {
         log_slots: 64,
         ..DurableConfig::for_kind(DurableKind::WFlush)
     };
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: Some(cache),
+    };
+    let svc = build_fleet(&cluster, ShardMap::new(1), &[1], &cfg, spec);
+    let lease = svc.leases[0].clone();
+    let client = Rc::new(svc.clients.into_iter().next().unwrap());
+    (sim, cluster, client, lease)
+}
+
+/// The client's cache counter `name` in a [`cached_world`].
+fn cache_counter(cluster: &Cluster, name: &'static str) -> u64 {
+    let metrics = cluster.node(1).metrics().expect("metrics enabled");
+    metrics.counter(Key::new(name).shard(0).kind("WFlush-RPC"))
+}
+
+/// A put racing a cached read: the invalidation must land in the journal
+/// no later than the put's completion (I5a), the race itself must be
+/// audit-clean, and after the put the stale entry must miss and refill.
+#[test]
+fn put_racing_cached_read_invalidates_before_flush_ack() {
     let cache = CacheConfig {
         hot_threshold: 1,
         mirror: false,
         ..Default::default()
     };
-    let spec = FleetSpec {
-        replicas: 1,
-        cache: Some(cache),
-    };
-    let svc = build_fleet(&cluster, map, &[1], &cfg, spec);
-    let lease = svc.leases[0].clone();
-    let client = Rc::new(svc.clients.into_iter().next().unwrap());
+    let (mut sim, cluster, client, lease) = cached_world(0xCACE, cache);
     let h = sim.handle();
     sim.block_on({
         let client = Rc::clone(&client);
@@ -220,6 +238,176 @@ fn backup_promotion_revokes_client_leases() {
     assert!(
         metrics.counter(key("lease_revocations")) >= 1,
         "the promotion must have revoked the client's shard-0 leases"
+    );
+    cluster.audit_journal().assert_ok();
+}
+
+const EVICT_CAPACITY: usize = 8;
+const EVICT_KEYS: u64 = 32;
+
+/// Reads with interleaved puts over a working set four times the cache,
+/// then a scripted tail that evicts key 0 and reads it twice more.
+/// Checks the audit, the eviction and the refill; returns the journal.
+fn eviction_run(seed: u64) -> String {
+    let cache = CacheConfig {
+        capacity: EVICT_CAPACITY,
+        hot_threshold: 1,
+        mirror_threshold: 3,
+        ..Default::default()
+    };
+    let (mut sim, cluster, client, lease) = cached_world(seed, cache);
+    let h = sim.handle();
+    let put = |obj: u64, i: u64| Request::Put {
+        obj,
+        data: Payload::synthetic(VAL, i),
+    };
+    let get = |obj: u64| Request::Get { obj, len: VAL };
+    // Half of all traffic goes to four hot keys (they climb to the mirror
+    // tier and are written under their readers), half anywhere (it
+    // evicts).
+    let pick = |rng: &mut SmallRng| {
+        if rng.gen_bool(0.5) {
+            rng.gen_range(0..4)
+        } else {
+            rng.gen_range(0..EVICT_KEYS)
+        }
+    };
+    let (refetch_at, reread_at) = sim.block_on({
+        let client = Rc::clone(&client);
+        let h = h.clone();
+        async move {
+            for obj in 0..EVICT_KEYS {
+                client.call(put(obj, obj)).await.expect("seed put");
+            }
+            // Puts land between (and during) the reads, so entries go
+            // stale and evictions meet invalidations.
+            let writer = h.spawn({
+                let client = Rc::clone(&client);
+                let h = h.clone();
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0xB175);
+                async move {
+                    for i in 0..60 {
+                        let obj = pick(&mut rng);
+                        client.call(put(obj, i)).await.expect("interleaved put");
+                        h.sleep(SimDuration::from_micros(3)).await;
+                    }
+                }
+            });
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..600 {
+                let got = client.call(get(pick(&mut rng))).await.expect("get");
+                assert_eq!(got.payload.expect("object bytes").len(), VAL);
+            }
+            writer.await;
+            // With no put in flight every get leaves its key cached, so
+            // `capacity` other keys push key 0 out whatever came before.
+            client.call(get(0)).await.expect("get");
+            for obj in 1..=EVICT_CAPACITY as u64 {
+                client.call(get(obj)).await.expect("evicting get");
+            }
+            let refetch_at = h.now().as_nanos();
+            client.call(get(0)).await.expect("get of the evicted key");
+            let reread_at = h.now().as_nanos();
+            client.call(get(0)).await.expect("get of the re-filled key");
+            h.sleep(SimDuration::from_millis(1)).await;
+            (refetch_at, reread_at)
+        }
+    });
+    sim.run();
+    cluster.audit_journal().assert_ok();
+    assert!(
+        cache_counter(&cluster, "cache_fills") > EVICT_KEYS,
+        "{EVICT_KEYS} keys through {EVICT_CAPACITY} entries must fill, evict and fill again"
+    );
+    assert!(cache_counter(&cluster, "cache_invalidations") > 0);
+    assert!(cache_counter(&cluster, "mirror_reads") > 0);
+
+    let records = cluster.journal_records();
+    let key0 = lease.key_id(0);
+    let tail: Vec<_> = records
+        .iter()
+        .filter(|r| r.wr_id == key0 && r.ts_ns >= refetch_at)
+        .map(|r| (r.kind, r.ts_ns))
+        .collect();
+    let cache_reads: Vec<_> = tail
+        .iter()
+        .filter(|(kind, _)| *kind == EventKind::CacheRead)
+        .collect();
+    assert_eq!(
+        cache_reads,
+        [&(EventKind::CacheRead, reread_at)],
+        "evicted key 0 must be fetched, not served locally; the get after that must hit"
+    );
+    assert!(
+        tail.iter().any(|&(kind, ts)| ts <= reread_at
+            && matches!(kind, EventKind::LeaseGrant | EventKind::MirrorRead)),
+        "key 0 must come back through the RPC or the mirror path: {tail:?}"
+    );
+    journal::to_jsonl(&records)
+}
+
+/// Evictions under the auditor (I5), and the same seed twice: the journal
+/// must repeat byte for byte, so nothing of the key index's layout or
+/// iteration order reaches the schedule.
+#[test]
+fn eviction_refills_under_the_auditor_and_repeats_exactly() {
+    let a = eviction_run(0xE71C);
+    let b = eviction_run(0xE71C);
+    assert!(a == b, "same seed, different journals");
+    assert!(a != eviction_run(0xE71D), "journal is seed-insensitive");
+}
+
+/// `capacity: 0` caches nothing: every get is a durable RPC, no lease is
+/// granted and no key is promoted. (It used to cache one entry: the
+/// eviction ahead of an insert found nothing to evict in an empty map.)
+#[test]
+fn zero_capacity_caches_nothing() {
+    let cache = CacheConfig {
+        capacity: 0,
+        hot_threshold: 1,
+        ..Default::default()
+    };
+    let (mut sim, cluster, client, _lease) = cached_world(0xCA90, cache);
+    sim.block_on({
+        let client = Rc::clone(&client);
+        async move {
+            for obj in 0..2u64 {
+                client
+                    .call(Request::Put {
+                        obj,
+                        data: Payload::synthetic(VAL, obj),
+                    })
+                    .await
+                    .expect("put");
+                for _ in 0..5 {
+                    let got = client
+                        .call(Request::Get { obj, len: VAL })
+                        .await
+                        .expect("get");
+                    assert_eq!(got.payload.expect("object bytes").len(), VAL);
+                }
+            }
+        }
+    });
+    sim.run();
+    assert_eq!(cache_counter(&cluster, "cache_misses"), 10);
+    for idle in [
+        "cache_hits",
+        "cache_fills",
+        "cache_promotions",
+        "mirror_reads",
+    ] {
+        assert_eq!(cache_counter(&cluster, idle), 0, "{idle}");
+    }
+    let served_locally = cluster.journal_records().iter().any(|r| {
+        matches!(
+            r.kind,
+            EventKind::CacheRead | EventKind::LeaseGrant | EventKind::MirrorRead
+        )
+    });
+    assert!(
+        !served_locally,
+        "no get may be served or leased by the cache"
     );
     cluster.audit_journal().assert_ok();
 }
