@@ -17,6 +17,8 @@
 //! see the same scaled constants, so the normalized ratios remain
 //! comparable.
 
+use std::rc::Rc;
+
 use prdma::{
     build_durable, build_replicated, DurableConfig, DurableKind, RetryPolicy, RpcClient,
     ServerProfile,
@@ -69,12 +71,11 @@ fn run_scheme(
     let cluster = Cluster::new(sim.handle(), ccfg);
     let pm = cluster.node(0).pm.clone();
 
-    // For the durable scheme, keep the server handle: the recovery hook
-    // below needs it to requeue the redo-log suffix after each crash
-    // (the registry's `build_system` drops it).
-    let client: Box<dyn RpcClient>;
-    let mut server_opt = None;
-    match scheme {
+    // The plan starts once the system is built; the durable server
+    // replays its redo log at every restart, the traditional client has
+    // nothing to replay and re-sends.
+    let inject = |plan: Option<FaultPlan>| plan.map(|p| cluster.inject_faults(p));
+    let (client, injector): (Box<dyn RpcClient>, _) = match scheme {
         Scheme::DurableRpc => {
             let cfg = DurableConfig {
                 slot_payload: OBJECT_SIZE,
@@ -84,34 +85,18 @@ fn run_scheme(
             };
             let (c, s) = build_durable(&cluster, 1, 0, 0, cfg);
             s.start();
-            client = Box::new(c);
-            server_opt = Some(s);
+            let injector = inject(plan);
+            if let Some(inj) = &injector {
+                Rc::new(s).wire_recovery(inj);
+            }
+            (Box::new(c), injector)
         }
         Scheme::Traditional => {
             let opts = SystemOpts::for_object_size(OBJECT_SIZE, ServerProfile::light());
-            client = build_system(&cluster, SystemKind::Farm, 1, 0, 0, &opts);
+            let client = build_system(&cluster, SystemKind::Farm, 1, 0, 0, &opts);
+            (client, inject(plan))
         }
-    }
-
-    let injector = plan.map(|p| {
-        let inj = cluster.inject_faults(p);
-        if let Some(server) = server_opt.take() {
-            inj.on_recovery(move |_, kind| match kind {
-                // Full crash: volatile state is gone; rewind to the
-                // persisted head and replay everything after it.
-                FaultKind::NodeCrash { .. } => {
-                    server.recover_and_requeue();
-                }
-                // Service crash: PM and DRAM survive; scan for logged
-                // entries the dead worker pool never marked done.
-                FaultKind::ServiceCrash { .. } => {
-                    server.recover_service_and_requeue();
-                }
-                _ => {}
-            });
-        }
-        inj
-    });
+    };
 
     let mcfg = MicroConfig {
         objects: 500,
@@ -399,22 +384,14 @@ fn run_replicated_scheme(
         if let Some(inj) = &injector {
             // Fast failover: promote the backup the moment the primary
             // crashes; replay + rejoin + catch-up at restart.
-            group.wire_failover(inj);
+            group.wire_recovery(inj);
         }
         Box::new(c)
     } else {
         let (c, s) = build_durable(&cluster, 2, 0, 0, cfg);
         s.start();
         if let Some(inj) = &injector {
-            inj.on_recovery(move |_, k| match k {
-                FaultKind::NodeCrash { .. } => {
-                    s.recover_and_requeue();
-                }
-                FaultKind::ServiceCrash { .. } => {
-                    s.recover_service_and_requeue();
-                }
-                _ => {}
-            });
+            Rc::new(s).wire_recovery(inj);
         }
         Box::new(c)
     };

@@ -3,9 +3,6 @@
 //! `tests/teardown_rss.rs` asserts the resident set stays flat across
 //! cycles; `sim_core`'s `sim/build_run_drop_x20` row times them.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use prdma::{build_fleet, DurableConfig, DurableKind, FleetSpec, Request, RpcClient, ShardMap};
 use prdma_node::{Cluster, ClusterConfig};
 use prdma_rnic::Payload;
@@ -44,17 +41,7 @@ pub fn build_run_drop(seed: u64) {
         },
     );
     let inj = cluster.inject_faults(plan);
-    let recoveries = Rc::new(Cell::new(0u32));
-    {
-        let recoveries = Rc::clone(&recoveries);
-        let shard0 = fleet.servers[0].clone();
-        inj.on_recovery(move |_, kind| {
-            if matches!(kind, FaultKind::NodeCrash { .. }) {
-                shard0.iter().for_each(|s| drop(s.recover_and_requeue()));
-                recoveries.set(recoveries.get() + 1);
-            }
-        });
-    }
+    fleet.wire_recovery(&inj);
     let client = fleet.clients.into_iter().next().expect("one client");
     let h = sim.handle();
     sim.block_on(async move {
@@ -68,8 +55,9 @@ pub fn build_run_drop(seed: u64) {
         // Let decoupled processing and the replay drain.
         h.sleep(SimDuration::from_millis(2)).await;
     });
-    assert_eq!(recoveries.get(), 1, "the scripted crash never recovered");
-    assert_eq!(inj.stats().node_crashes, 1);
+    let stats = inj.stats();
+    assert_eq!(stats.restarts, 1, "the scripted crash never recovered");
+    assert_eq!(stats.node_crashes, 1);
 }
 
 /// A `kB` field of `/proc/self/status` (`VmRSS`, `VmHWM`), in KiB; `None`

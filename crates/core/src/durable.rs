@@ -20,8 +20,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use prdma_node::{Cluster, Node};
+use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::{MemTarget, Payload, Qp, QpMode};
+use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Gauge, Key, Window};
 use prdma_simnet::rng::SmallRng;
@@ -665,9 +666,10 @@ impl DurableServer {
         }
     }
 
-    /// Crash recovery: scan the log for incomplete entries and re-enqueue
-    /// them for processing (no client re-transmission — the paper's
-    /// headline recovery property). Returns what was recovered.
+    /// The `NodeCrash` primitive behind [`recover`](DurableServer::recover):
+    /// scan the log for incomplete entries and re-enqueue them for
+    /// processing (no client re-transmission — the paper's headline
+    /// recovery property). Returns what was recovered.
     pub fn recover_and_requeue(&self) -> Vec<LogEntry> {
         let ctx = &self.ctx;
         let pending = ctx.log.recover();
@@ -692,20 +694,47 @@ impl DurableServer {
         pending
     }
 
-    /// Service-restart recovery: replay the un-done log suffix *without*
-    /// rewinding cursors. A service-only crash preserves the NIC, PM, and
-    /// the shared cursor, and clients keep appending one-sided entries
-    /// while the service is away, so a [`recover_and_requeue`]-style tail
-    /// rewind would reissue indices the client already used. Entries a
-    /// queued arrival also delivers are applied once: the processing path
-    /// skips already-done entries. Returns the number re-enqueued.
-    ///
-    /// [`recover_and_requeue`]: DurableServer::recover_and_requeue
-    pub fn recover_service_and_requeue(&self) -> usize {
-        let pending = self.ctx.log.scan_pending();
-        let n = pending.len();
-        self.requeue(pending);
-        n
+    /// The one mapping from a fault to the replay that follows it: what
+    /// every `wire_recovery` hook runs, and what a caller that crashed the
+    /// node by hand calls after restarting it. Returns the entries
+    /// re-enqueued. Exhaustive on purpose: a new [`FaultKind`] does not
+    /// compile until its recovery is decided here.
+    pub fn recover(&self, kind: FaultKind) -> usize {
+        match kind {
+            FaultKind::NodeCrash { .. } => self.recover_and_requeue().len(),
+            // NIC, PM and the shared cursor survived and clients kept
+            // appending one-sided entries while the service was away, so
+            // rewinding the tail as above would reissue indices already
+            // used: requeue the un-done suffix and leave the cursor alone.
+            // An entry a queued arrival also delivers is applied once —
+            // processing skips done entries.
+            FaultKind::ServiceCrash { .. } => {
+                let pending = self.ctx.log.scan_pending();
+                let n = pending.len();
+                self.requeue(pending);
+                n
+            }
+            // Nothing at rest is lost and the service never stopped; the
+            // appends the NIC reset aborted were never ACKed and come back
+            // through the client's retry. Known gap (DESIGN.md §10): a
+            // loss inside a WFlush / SFlush entry DMA leaves the NIC's
+            // flush poison set and the connection wedged, which needs
+            // per-QP reset state, not a log replay.
+            FaultKind::SramLoss => 0,
+            // RC retransmits and the client's retry ride these out.
+            FaultKind::LossBurst { .. } | FaultKind::LinkDegrade { .. } => 0,
+        }
+    }
+
+    /// Run [`recover`](DurableServer::recover) at every recovery point the
+    /// injector reports for this server's node.
+    pub fn wire_recovery(self: &Rc<Self>, inj: &FaultInjector) {
+        let server = Rc::clone(self);
+        inj.on_recovery(move |node, kind| {
+            if node == server.ctx.node.id.0 {
+                server.recover(kind);
+            }
+        });
     }
 }
 
@@ -1112,31 +1141,25 @@ impl DurableClient {
         }
         let mut retries = 0u32;
         let result = loop {
-            match prdma_simnet::timeout(&h, self.retry.request_timeout, attempt()).await {
+            let err = match prdma_simnet::timeout(&h, self.retry.request_timeout, attempt()).await {
                 Ok(Ok(resp)) => break Ok(resp),
                 Ok(Err(e)) if !e.is_retryable() => break Err(e),
                 Ok(Err(e)) => {
                     if let Some(m) = &self.metrics {
                         m.rpc_retries.incr(1);
                     }
-                    if retries >= self.retry.max_retries {
-                        break Err(e);
-                    }
+                    e
                 }
                 Err(_elapsed) => {
                     if let Some(m) = &self.metrics {
                         m.rpc_timeouts.incr(1);
                     }
-                    if retries >= self.retry.max_retries {
-                        break Err(RpcError::TimedOut);
-                    }
+                    RpcError::TimedOut
                 }
+            };
+            if !self.retry.back_off(&h, &mut retries, &self.retry_rng).await {
+                break Err(err);
             }
-            retries += 1;
-            let delay = self
-                .retry
-                .delay(retries - 1, &mut self.retry_rng.borrow_mut());
-            h.sleep(delay).await;
         };
         if let Some(m) = &self.metrics {
             m.inflight.add(-1);

@@ -14,7 +14,7 @@
 //!
 //! **Failover.** The group tracks a promotion epoch. When the primary
 //! crashes — detected instantly via [`FaultInjector::on_fault`] when
-//! wired with [`ReplicaGroup::wire_failover`], or lazily when a put/read
+//! wired with [`ReplicaGroup::wire_recovery`], or lazily when a put/read
 //! sub-call errors out — the next live backup is promoted (`Promote`
 //! journal record, epoch bump) and traffic continues against the
 //! survivors instead of riding out the downtime. Puts ACKed while a
@@ -208,14 +208,14 @@ pub struct ReplicatedClient {
 }
 
 /// The server side of a replica group: per-replica durable servers plus
-/// the failover wiring.
+/// the failover wiring. Clones share the group.
+#[derive(Clone)]
 pub struct ReplicaGroup {
     /// The started per-replica servers, by replica slot.
     pub servers: Vec<Rc<DurableServer>>,
     replicas: Vec<Rc<DurableClient>>,
     state: Rc<GroupState>,
     handle: SimHandle,
-    replayed: Rc<Cell<usize>>,
 }
 
 /// Build a primary–backup replicated connection: the client at
@@ -298,7 +298,6 @@ pub(crate) fn build_replicated_group(
         replicas,
         state,
         handle: cluster.handle().clone(),
-        replayed: Rc::default(),
     };
     (client, group)
 }
@@ -311,66 +310,59 @@ impl ReplicaGroup {
         }
     }
 
-    /// Log entries replayed by this group's recovery hooks so far.
-    pub fn replayed(&self) -> usize {
-        self.replayed.get()
+    /// Recovery of every member hosted on `node` from `kind` — what the
+    /// wired hook runs, and what a caller that crashed the node by hand
+    /// calls after restarting it: the member's redo log is replayed as
+    /// [`DurableServer::recover`] decides, the slot rejoins as a backup,
+    /// and the puts it missed while down are re-sent in the background
+    /// under their original causal ids. A recovery point that replays
+    /// nothing (an SRAM-loss reset) still rejoins the member: the client
+    /// may have marked it down over the sub-put the reset aborted.
+    /// Returns the entries re-enqueued.
+    pub fn recover(&self, node: usize, kind: FaultKind) -> usize {
+        let mut replayed = 0;
+        for (slot, &n) in self.state.nodes.iter().enumerate() {
+            if n != node {
+                continue;
+            }
+            replayed += self.servers[slot].recover(kind);
+            self.state.mark_up(slot);
+            let missed = self.state.drain_missed(slot);
+            if !missed.is_empty() {
+                // Catch-up runs off the critical path; the original
+                // ids make it idempotent against any concurrent
+                // client retry.
+                let client = Rc::clone(&self.replicas[slot]);
+                self.handle.spawn(async move {
+                    for m in missed {
+                        let _ = client.put_tagged(m.obj, m.data, m.id).await;
+                    }
+                });
+            }
+        }
+        replayed
     }
 
-    /// Wire failover into the fault injector:
+    /// Wire failover and recovery into the fault injector:
     ///
     /// - **at crash time** (`on_fault`): a member's `NodeCrash` or
     ///   `ServiceCrash` marks its slot down; if it was the primary, the
     ///   next live backup is promoted immediately — traffic fails over
     ///   with near-zero downtime instead of waiting for replay;
-    /// - **at restart** (`on_recovery`): the member's redo log is
-    ///   replayed (`recover_and_requeue` after a node crash,
-    ///   `recover_service_and_requeue` after a service crash), the slot
-    ///   rejoins as a backup, and the puts it missed while down are
-    ///   re-sent in the background under their original causal ids.
-    pub fn wire_failover(&self, inj: &FaultInjector) {
-        {
-            let state = Rc::clone(&self.state);
-            inj.on_fault(move |node, _kind| {
-                for (slot, &n) in state.nodes.iter().enumerate() {
-                    if n == node {
-                        state.mark_down(slot);
-                    }
-                }
-            });
-        }
+    /// - **at every recovery point** (`on_recovery`):
+    ///   [`recover`](ReplicaGroup::recover) — replay, rejoin, catch-up.
+    pub fn wire_recovery(&self, inj: &FaultInjector) {
         let state = Rc::clone(&self.state);
-        let servers = self.servers.clone();
-        let replicas = self.replicas.clone();
-        let replayed = Rc::clone(&self.replayed);
-        let h = self.handle.clone();
-        inj.on_recovery(move |node, kind| {
+        inj.on_fault(move |node, _kind| {
             for (slot, &n) in state.nodes.iter().enumerate() {
-                if n != node {
-                    continue;
-                }
-                match kind {
-                    FaultKind::NodeCrash { .. } => {
-                        replayed.set(replayed.get() + servers[slot].recover_and_requeue().len());
-                    }
-                    FaultKind::ServiceCrash { .. } => {
-                        servers[slot].recover_service_and_requeue();
-                    }
-                    _ => continue,
-                }
-                state.mark_up(slot);
-                let missed = state.drain_missed(slot);
-                if !missed.is_empty() {
-                    // Catch-up runs off the critical path; the original
-                    // ids make it idempotent against any concurrent
-                    // client retry.
-                    let client = Rc::clone(&replicas[slot]);
-                    h.spawn(async move {
-                        for m in missed {
-                            let _ = client.put_tagged(m.obj, m.data, m.id).await;
-                        }
-                    });
+                if n == node {
+                    state.mark_down(slot);
                 }
             }
+        });
+        let group = self.clone();
+        inj.on_recovery(move |node, kind| {
+            group.recover(node, kind);
         });
     }
 }
@@ -525,14 +517,13 @@ impl ReplicatedClient {
                     durable: true,
                 });
             }
-            rounds += 1;
-            if rounds > self.retry.max_retries {
+            if !self
+                .retry
+                .back_off(&self.handle, &mut rounds, &self.retry_rng)
+                .await
+            {
                 return Err(last_err);
             }
-            let delay = self
-                .retry
-                .delay(rounds - 1, &mut self.retry_rng.borrow_mut());
-            self.handle.sleep(delay).await;
         }
     }
 
@@ -543,21 +534,19 @@ impl ReplicatedClient {
         let mut rounds = 0u32;
         loop {
             let slot = self.state.primary.get();
-            match self.replicas[slot].call(req.clone()).await {
+            let err = match self.replicas[slot].call(req.clone()).await {
                 Ok(resp) => return Ok(resp),
                 Err(e) if !e.is_retryable() => return Err(e),
-                Err(e) => {
-                    self.state.mark_down(slot);
-                    rounds += 1;
-                    if rounds > self.retry.max_retries {
-                        return Err(e);
-                    }
-                }
-            }
-            let delay = self
+                Err(e) => e,
+            };
+            self.state.mark_down(slot);
+            if !self
                 .retry
-                .delay(rounds.saturating_sub(1), &mut self.retry_rng.borrow_mut());
-            self.handle.sleep(delay).await;
+                .back_off(&self.handle, &mut rounds, &self.retry_rng)
+                .await
+            {
+                return Err(err);
+            }
         }
     }
 }

@@ -1,12 +1,13 @@
 //! The application-level RPC interface shared by the durable RPCs and all
 //! nine baseline systems, so experiments can sweep systems uniformly.
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 
 use prdma_rnic::{Payload, RdmaError};
 use prdma_simnet::rng::SmallRng;
-use prdma_simnet::SimDuration;
+use prdma_simnet::{SimDuration, SimHandle};
 
 /// An application request.
 #[derive(Debug, Clone)]
@@ -162,6 +163,26 @@ impl RetryPolicy {
         SimDuration::from_nanos(rng.gen_range(lo..=exp).max(1))
     }
 
+    /// The one retry step every retry loop shares: `false` once `retries`
+    /// has used up `max_retries` (the caller gives up with its last
+    /// error); otherwise count the retry, draw its jittered delay from
+    /// `rng` and sleep it. The stream is touched only when a retry
+    /// actually sleeps, so a healthy run draws nothing.
+    pub async fn back_off(
+        &self,
+        h: &SimHandle,
+        retries: &mut u32,
+        rng: &RefCell<SmallRng>,
+    ) -> bool {
+        if *retries >= self.max_retries {
+            return false;
+        }
+        let delay = self.delay(*retries, &mut rng.borrow_mut());
+        *retries += 1;
+        h.sleep(delay).await;
+        true
+    }
+
     /// A deterministic per-connection jitter stream: seeded from stable
     /// connection identity (client node, lane), independent of the shared
     /// simulation stream so healthy schedules stay byte-identical.
@@ -284,6 +305,33 @@ mod tests {
             SimDuration::from_micros(100)
         );
         assert_eq!(ServerProfile::light().processing_time, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn back_off_sleeps_the_policy_delays_until_the_budget_is_spent() {
+        let mut sim = prdma_simnet::Sim::new(1);
+        let h = sim.handle();
+        let policy = RetryPolicy {
+            max_retries: 2,
+            backoff: SimDuration::from_micros(100),
+            backoff_cap: SimDuration::from_micros(1600),
+            jitter_pct: 50,
+            ..Default::default()
+        };
+        let rng = RefCell::new(RetryPolicy::jitter_rng(3, 4));
+        let mut reference = RetryPolicy::jitter_rng(3, 4);
+        let expected = policy.delay(0, &mut reference) + policy.delay(1, &mut reference);
+        let (elapsed, rng) = sim.block_on(async move {
+            let mut retries = 0;
+            assert!(policy.back_off(&h, &mut retries, &rng).await);
+            assert!(policy.back_off(&h, &mut retries, &rng).await);
+            assert!(!policy.back_off(&h, &mut retries, &rng).await);
+            assert_eq!(retries, 2);
+            (h.now(), rng)
+        });
+        assert_eq!(elapsed.as_nanos(), expected.as_nanos());
+        // The refused step drew nothing: the streams are still in step.
+        assert_eq!(rng.borrow_mut().next_u64(), reference.next_u64());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFutu
 use crate::store::MirrorRegion;
 use prdma_node::{Cluster, FaultInjector};
 use prdma_rnic::QpMode;
+use prdma_simnet::fault::FaultKind;
 
 /// How global object ids map onto shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,19 +392,28 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Recover shard `shard` after a node crash: replay every
-    /// per-connection log on that server (and only that server). Returns
-    /// the number of entries re-enqueued across the shard's logs.
-    pub fn recover_shard(&self, shard: usize) -> usize {
-        replay_logs(&self.servers[shard])
+    /// Recovery of server node `node` from `kind` — what the wired hooks
+    /// run, and what a caller that crashed the node by hand calls after
+    /// restarting it: every per-connection log of the shard the node
+    /// hosts, then every replica-group member on it, each as
+    /// [`DurableServer::recover`] decides (and only that node's). Returns
+    /// the entries re-enqueued.
+    pub fn recover(&self, node: usize, kind: FaultKind) -> usize {
+        let groups = self.groups.iter().flatten();
+        recover_node(&self.servers, node, kind)
+            + groups.map(|g| g.recover(node, kind)).sum::<usize>()
     }
 
-    /// Wire every replica group's failover into the fault injector
-    /// (instant promotion at crash time, replay + rejoin + catch-up at
-    /// restart). See [`ReplicaGroup::wire_failover`].
-    pub fn wire_failover(&self, inj: &FaultInjector) {
+    /// Wire [`recover`](Fleet::recover) into the fault injector: plain
+    /// shards replay at their node's recovery points; replica groups also
+    /// promote at crash time (see [`ReplicaGroup::wire_recovery`]).
+    pub fn wire_recovery(&self, inj: &FaultInjector) {
+        let servers = self.servers.clone();
+        inj.on_recovery(move |node, kind| {
+            recover_node(&servers, node, kind);
+        });
         for g in self.groups.iter().flatten() {
-            g.wire_failover(inj);
+            g.wire_recovery(inj);
         }
     }
 
@@ -413,10 +423,17 @@ impl Fleet {
     }
 }
 
-/// Node-crash replay of one shard's per-connection logs; returns the
-/// entries re-enqueued.
-pub(crate) fn replay_logs(servers: &[Rc<DurableServer>]) -> usize {
-    servers.iter().map(|s| s.recover_and_requeue().len()).sum()
+/// Recovery from `kind` of every per-connection server of the shard that
+/// server node `node` hosts (`servers[shard][client]`; shard `s` lives on
+/// node `s`, so any other node recovers nothing). Returns the entries
+/// re-enqueued.
+pub(crate) fn recover_node(
+    servers: &[Vec<Rc<DurableServer>>],
+    node: usize,
+    kind: FaultKind,
+) -> usize {
+    let shard = servers.get(node).into_iter().flatten();
+    shard.map(|s| s.recover(kind)).sum()
 }
 
 /// The one (client × shard) assembly loop: shards live on server nodes
@@ -462,10 +479,10 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: &CacheConfig) -> LeaseSta
 /// one endpoint — with its own per-connection redo log(s) — to every
 /// shard, stacked per `spec`. With `spec.replicas > 1` the endpoint is a
 /// replica group's client and the routers learn each shard's promotion
-/// epoch; call [`Fleet::wire_failover`] to attach fast failover to a
-/// fault injector. Each group keeps its own object-store region
-/// (`objects-s<shard>`): a node hosting shard `s`'s primary and shard
-/// `s−1`'s backup never mixes their object spaces. With `spec.cache`
+/// epoch; call [`Fleet::wire_recovery`] to attach recovery and fast
+/// failover to a fault injector. Each group keeps its own object-store
+/// region (`objects-s<shard>`): a node hosting shard `s`'s primary and
+/// shard `s−1`'s backup never mixes their object spaces. With `spec.cache`
 /// each shard gets one [`LeaseState`] (plus, when the mirror tier is on,
 /// a server-DRAM [`MirrorRegion`] and one RC QP per client for one-sided
 /// reads), a [`CachedClient`] fronts every endpoint, and every durable
@@ -754,6 +771,60 @@ mod tests {
                         "shard {shard} replica {slot} local {local}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `recover(node, kind)` by hand, for a plain and a replicated fleet:
+    /// only the logs hosted on the crashed node replay, and every ACKed
+    /// put ends up applied.
+    #[test]
+    fn recover_replays_the_crashed_node_and_no_other() {
+        for replicas in [1, 2] {
+            let mut sim = Sim::new(43);
+            let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(2, 1));
+            let cfg = DurableConfig {
+                // Heavy: the puts are ACKed but unprocessed at the crash.
+                profile: ServerProfile::heavy(),
+                slot_payload: 1024,
+                object_slot: 1024,
+                store_capacity: 1 << 20,
+                log_slots: 64,
+                ..Default::default()
+            };
+            let spec = FleetSpec {
+                replicas,
+                cache: None,
+            };
+            let mut svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
+            let client = svc.clients.remove(0);
+            let victim = cluster.node(0).clone();
+            sim.block_on(async move {
+                for obj in 0..4u64 {
+                    let data = Payload::from_bytes(vec![0x60 + obj as u8; 64]);
+                    client.call(Request::Put { obj, data }).await.unwrap();
+                }
+                victim.crash();
+                victim.restart();
+            });
+            let crash = FaultKind::NodeCrash {
+                down_for: prdma_simnet::SimDuration::ZERO,
+            };
+            assert_eq!(svc.recover(2, crash), 0, "the client node hosts no log");
+            // Node 0 hosts shard 0 (2 puts) and, replicated, shard 1's
+            // backup (2 more).
+            assert_eq!(svc.recover(0, crash), 2 * replicas);
+            sim.run();
+            let shard0 = match replicas {
+                1 => &svc.servers[0][0],
+                _ => &svc.groups[0][0].servers[0],
+            };
+            for local in 0..2u64 {
+                assert_eq!(
+                    shard0.store().persistent_bytes(local, 64),
+                    vec![0x60 + 2 * local as u8; 64],
+                    "replicas {replicas} local {local}"
+                );
             }
         }
     }

@@ -57,7 +57,7 @@ use crate::cache::LeaseState;
 use crate::durable::{build_durable, DurableClient, DurableConfig, DurableServer};
 use crate::log::{LogEntry, OpCode, RedoLog};
 use crate::rpc::{Request, RpcClient, RpcResult};
-use crate::shard::{assemble, replay_logs, ShardMap};
+use crate::shard::{assemble, recover_node, ShardMap};
 use crate::store::ObjectStore;
 
 /// High-bit namespace for transaction ids: distinct from replication ids
@@ -911,18 +911,17 @@ impl ShardedTxn {
         &self.directory
     }
 
-    /// Node-crash recovery for shard `shard`: forget the volatile decision
-    /// outcomes (resolution must come from the logs alone), then replay
-    /// every per-connection log on that server. Replayed prepare records
-    /// re-stage and resolve through the directory; genuinely undecided
-    /// ones stay staged and locked. Returns the entries re-enqueued.
-    pub fn recover_shard(&self, shard: usize) -> usize {
-        Self::recover(&self.directory, &self.servers[shard])
-    }
-
-    fn recover(directory: &TxnDirectory, shard_servers: &[Rc<DurableServer>]) -> usize {
-        directory.forget_volatile();
-        replay_logs(shard_servers)
+    /// Recovery of server node `node` from `kind` — what the wired hook
+    /// runs, and what a caller that crashed the node by hand calls after
+    /// restarting it: forget the volatile decision outcomes (resolution
+    /// must come from the logs alone), then recover every per-connection
+    /// log of the shard the node hosts as [`DurableServer::recover`]
+    /// decides. Replayed prepare records re-stage and resolve through the
+    /// directory; genuinely undecided ones stay staged and locked. Returns
+    /// the entries re-enqueued.
+    pub fn recover(&self, node: usize, kind: FaultKind) -> usize {
+        self.directory.forget_volatile();
+        recover_node(&self.servers, node, kind)
     }
 
     /// Transactions currently in doubt (staged, unresolved) on `shard`.
@@ -930,17 +929,12 @@ impl ShardedTxn {
         self.states[shard].staged_count()
     }
 
-    /// Wire node-crash recovery into the fault injector: a recovering
-    /// server node replays its shard's logs exactly as
-    /// [`recover_shard`](ShardedTxn::recover_shard) does (shard `s` lives
-    /// on server node `s`).
+    /// Wire [`recover`](ShardedTxn::recover) into the fault injector.
     pub fn wire_recovery(&self, inj: &FaultInjector) {
-        let servers = self.servers.clone();
-        let dir = self.directory.clone();
+        let (dir, servers) = (self.directory.clone(), self.servers.clone());
         inj.on_recovery(move |node, kind| {
-            if let (FaultKind::NodeCrash { .. }, Some(shard_servers)) = (kind, servers.get(node)) {
-                Self::recover(&dir, shard_servers);
-            }
+            dir.forget_volatile();
+            recover_node(&servers, node, kind);
         });
     }
 }
@@ -1366,7 +1360,10 @@ mod tests {
                 });
                 h.sleep(SimDuration::from_millis(3)).await;
                 node.restart();
-                svc.recover_shard(victim);
+                let crash = FaultKind::NodeCrash {
+                    down_for: SimDuration::from_millis(3),
+                };
+                svc.recover(victim, crash);
                 let out = commit.await;
                 h.sleep(SimDuration::from_millis(5)).await;
                 out

@@ -63,9 +63,10 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Register a recovery hook. Hooks run synchronously at every
     /// recovery point (node restart, service restart, SRAM-loss reset),
-    /// in registration order — typically a redo-log replay
-    /// (`DurableServer::recover_and_requeue`). Register before the
-    /// simulation runs past the first fault.
+    /// in registration order — typically a redo-log replay (the
+    /// `wire_recovery` of whatever shape serves the node, which ends in
+    /// `DurableServer::recover`). Register before the simulation runs
+    /// past the first fault.
     pub fn on_recovery<F: Fn(usize, FaultKind) + 'static>(&self, hook: F) {
         self.inner.hooks.borrow_mut().push(Box::new(hook));
     }
@@ -75,7 +76,7 @@ impl FaultInjector {
     /// equivalent of instant failure detection — receiving the node
     /// index and the fault being applied. Replication layers use this to
     /// promote a backup with near-zero downtime
-    /// (`ReplicaGroup::wire_failover`). Other fault kinds do not fire
+    /// (`ReplicaGroup::wire_recovery`). Other fault kinds do not fire
     /// these hooks: nothing crashes, so there is nothing to fail over.
     pub fn on_fault<F: Fn(usize, FaultKind) + 'static>(&self, hook: F) {
         self.inner.fault_hooks.borrow_mut().push(Box::new(hook));
@@ -200,7 +201,10 @@ fn apply_event(
             jot_fault(&node, EventKind::SramLoss, NO_ID);
             inj.bump(|s| s.sram_losses += 1);
             // The NIC-reset recovery path runs immediately: clear the
-            // flush poison and let the registered hooks replay the log.
+            // flush poison and run the registered hooks. A PM-bound DMA
+            // still in flight notices the loss only when its wait ends
+            // and re-poisons *after* this clear — the known liveness gap
+            // of DESIGN.md §10.
             node.rnic().restart();
             inj.run_hooks(ev.node, ev.kind);
         }

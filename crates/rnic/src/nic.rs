@@ -443,7 +443,7 @@ impl Rnic {
         let barrier = self.inner.next_dma_ticket.get();
         self.jot(Subsystem::Flush, EventKind::FlushIssue, barrier, 0);
         // Only an actual wait is a flush stall; instantaneous drains
-        // (nothing posted) stay out of the FlushWait distribution.
+        // (nothing posted) open no FlushWait span.
         let mut span: Option<Span> = None;
         loop {
             let oldest = self.inner.active_dma.borrow().iter().next().copied();

@@ -34,7 +34,6 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use crate::executor::SimHandle;
-use crate::stats::{Histogram, Summary};
 use crate::time::{SimDuration, SimTime};
 
 pub mod counters {
@@ -152,13 +151,11 @@ const PHASES: usize = Phase::ALL.len();
 struct TracerInner {
     handle: SimHandle,
     role: Cell<Role>,
-    hists: RefCell<[Histogram; PHASES]>,
     /// Critical-path total per phase (nanoseconds).
     onpath_ns: [Cell<u64>; PHASES],
     /// Off-critical-path total per phase (nanoseconds).
     offpath_ns: [Cell<u64>; PHASES],
     counters: RefCell<BTreeMap<&'static str, u64>>,
-    open_spans: Cell<u64>,
     offpath_depth: Cell<u64>,
 }
 
@@ -175,11 +172,9 @@ impl Tracer {
             inner: Rc::new(TracerInner {
                 handle,
                 role: Cell::new(Role::Unassigned),
-                hists: RefCell::new(std::array::from_fn(|_| Histogram::new())),
                 onpath_ns: std::array::from_fn(|_| Cell::new(0)),
                 offpath_ns: std::array::from_fn(|_| Cell::new(0)),
                 counters: RefCell::new(BTreeMap::new()),
-                open_spans: Cell::new(0),
                 offpath_depth: Cell::new(0),
             }),
         }
@@ -197,7 +192,6 @@ impl Tracer {
 
     /// Open a span in `phase`, started at the current virtual time.
     pub fn span(&self, phase: Phase) -> Span {
-        self.inner.open_spans.set(self.inner.open_spans.get() + 1);
         Span {
             tracer: self.clone(),
             phase,
@@ -220,11 +214,6 @@ impl Tracer {
         }
     }
 
-    /// Record an already-measured duration into `phase` directly.
-    pub fn record(&self, phase: Phase, d: SimDuration) {
-        self.commit(phase, d, self.inner.offpath_depth.get() > 0);
-    }
-
     /// Increment counter `name` by `n`.
     pub fn add(&self, name: &'static str, n: u64) {
         *self.inner.counters.borrow_mut().entry(name).or_insert(0) += n;
@@ -237,7 +226,7 @@ impl Tracer {
 
     /// Enter an off-critical-path scope: spans opened while the guard is
     /// alive accumulate into the off-path totals instead of the breakdown
-    /// histograms. Scopes nest.
+    /// totals. Scopes nest.
     ///
     /// Do **not** hold the guard across an `await`: in the cooperative
     /// executor other tasks run between polls, and their on-path spans
@@ -263,11 +252,6 @@ impl Tracer {
         }
     }
 
-    /// Number of spans currently open against this tracer.
-    pub fn open_spans(&self) -> u64 {
-        self.inner.open_spans.get()
-    }
-
     /// Critical-path total recorded for `phase`.
     pub fn total(&self, phase: Phase) -> SimDuration {
         SimDuration::from_nanos(self.inner.onpath_ns[phase.index()].get())
@@ -285,9 +269,7 @@ impl Tracer {
 
     /// Snapshot this tracer's measurements.
     pub fn report(&self) -> TraceReport {
-        let hists = self.inner.hists.borrow();
         TraceReport {
-            hists: hists.clone(),
             onpath_ns: std::array::from_fn(|i| self.inner.onpath_ns[i].get()),
             offpath_ns: std::array::from_fn(|i| self.inner.offpath_ns[i].get()),
             counters: self.inner.counters.borrow().clone(),
@@ -295,15 +277,13 @@ impl Tracer {
     }
 
     fn commit(&self, phase: Phase, d: SimDuration, offpath: bool) {
-        let i = phase.index();
-        if offpath {
-            let c = &self.inner.offpath_ns[i];
-            c.set(c.get() + d.as_nanos());
+        let totals = if offpath {
+            &self.inner.offpath_ns
         } else {
-            let c = &self.inner.onpath_ns[i];
-            c.set(c.get() + d.as_nanos());
-            self.inner.hists.borrow_mut()[i].record_duration(d);
-        }
+            &self.inner.onpath_ns
+        };
+        let c = &totals[phase.index()];
+        c.set(c.get() + d.as_nanos());
     }
 }
 
@@ -318,11 +298,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// The phase this span records into.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// Close the span, recording `now - start`.
     pub fn end(mut self) {
         self.close();
@@ -333,9 +308,7 @@ impl Span {
             return;
         }
         self.closed = true;
-        let inner = &self.tracer.inner;
-        inner.open_spans.set(inner.open_spans.get() - 1);
-        let elapsed = inner.handle.now() - self.start;
+        let elapsed = self.tracer.inner.handle.now() - self.start;
         self.tracer.commit(self.phase, elapsed, self.offpath);
     }
 }
@@ -376,25 +349,13 @@ impl<F: Future> Future for OffpathFuture<F> {
 }
 
 /// A mergeable snapshot of a [`Tracer`]'s measurements.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TraceReport {
-    hists: [Histogram; PHASES],
     onpath_ns: [u64; PHASES],
     offpath_ns: [u64; PHASES],
     /// Counter names are the interned `&'static str`s from [`counters`],
     /// so snapshotting and merging reports never clones a key.
     counters: BTreeMap<&'static str, u64>,
-}
-
-impl Default for TraceReport {
-    fn default() -> Self {
-        TraceReport {
-            hists: std::array::from_fn(|_| Histogram::new()),
-            onpath_ns: [0; PHASES],
-            offpath_ns: [0; PHASES],
-            counters: BTreeMap::new(),
-        }
-    }
 }
 
 impl TraceReport {
@@ -406,7 +367,6 @@ impl TraceReport {
     /// Fold another report into this one (cluster-wide aggregation).
     pub fn merge(&mut self, other: &TraceReport) {
         for i in 0..PHASES {
-            self.hists[i].merge(&other.hists[i]);
             self.onpath_ns[i] += other.onpath_ns[i];
             self.offpath_ns[i] += other.offpath_ns[i];
         }
@@ -425,19 +385,9 @@ impl TraceReport {
         SimDuration::from_nanos(self.offpath_ns[phase.index()])
     }
 
-    /// Per-span distribution summary for `phase`.
-    pub fn summary(&self, phase: Phase) -> Summary {
-        self.hists[phase.index()].summary()
-    }
-
     /// Counter value (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Sum of the exclusive phases' critical-path totals — the breakdown
@@ -466,21 +416,23 @@ mod tests {
     use super::*;
     use crate::executor::Sim;
 
+    /// Hold a span of `phase` open for `ns` of virtual time.
+    fn spend(sim: &mut Sim, tracer: &Tracer, phase: Phase, ns: u64) {
+        let (t, h) = (tracer.clone(), sim.handle());
+        sim.block_on(async move {
+            let s = t.span(phase);
+            h.sleep(SimDuration::from_nanos(ns)).await;
+            s.end();
+        });
+    }
+
     #[test]
     fn span_records_elapsed_virtual_time() {
         let mut sim = Sim::new(1);
         let tracer = Tracer::new(sim.handle());
-        let t2 = tracer.clone();
-        let h = sim.handle();
-        sim.block_on(async move {
-            let s = t2.span(Phase::Wire);
-            h.sleep(SimDuration::from_nanos(1234)).await;
-            s.end();
-        });
+        spend(&mut sim, &tracer, Phase::Wire, 1234);
         assert_eq!(tracer.total(Phase::Wire).as_nanos(), 1234);
-        let r = tracer.report();
-        assert_eq!(r.summary(Phase::Wire).count, 1);
-        assert_eq!(r.summary(Phase::Wire).max_ns, 1234);
+        assert_eq!(tracer.report().total(Phase::Wire).as_nanos(), 1234);
     }
 
     #[test]
@@ -498,20 +450,25 @@ mod tests {
             });
         }
         sim.run();
-        assert_eq!(tracer.open_spans(), 0);
         assert_eq!(tracer.total(Phase::NicDma).as_nanos(), 100);
         assert_eq!(tracer.total(Phase::PmMedia).as_nanos(), 300);
     }
 
     #[test]
     fn role_selects_software_phase() {
-        let sim = Sim::new(1);
+        let mut sim = Sim::new(1);
         let tracer = Tracer::new(sim.handle());
         assert_eq!(tracer.sw_phase(), Phase::SenderSw);
         tracer.set_role(Role::Receiver);
         assert_eq!(tracer.sw_phase(), Phase::ReceiverSw);
-        tracer.record(Phase::ReceiverSw, SimDuration::from_nanos(7));
+        let (t, h) = (tracer.clone(), sim.handle());
+        sim.block_on(async move {
+            let s = t.span_sw();
+            h.sleep(SimDuration::from_nanos(7)).await;
+            s.end();
+        });
         assert_eq!(tracer.total(Phase::ReceiverSw).as_nanos(), 7);
+        assert_eq!(tracer.total(Phase::SenderSw).as_nanos(), 0);
     }
 
     #[test]
@@ -532,8 +489,6 @@ mod tests {
         });
         assert_eq!(tracer.offpath_total(Phase::ReceiverSw).as_nanos(), 50);
         assert_eq!(tracer.total(Phase::ReceiverSw).as_nanos(), 20);
-        // Only the on-path span reaches the distribution.
-        assert_eq!(tracer.report().summary(Phase::ReceiverSw).count, 1);
     }
 
     #[test]
@@ -542,31 +497,26 @@ mod tests {
         let tracer = Tracer::new(sim.handle());
         let t2 = tracer.clone();
         let h = sim.handle();
-        let events_before = sim.events_processed();
         sim.block_on(async move {
-            // Nest spans of every phase without awaiting: the virtual
-            // clock must not move, and depth must track open/close.
+            // Opening and closing spans without awaiting must not move
+            // the virtual clock.
             let outer = t2.span(Phase::LogPersist);
             let mid = t2.span_sw();
             let inner = t2.span(Phase::PmMedia);
-            assert_eq!(t2.open_spans(), 3);
-            inner.end();
-            assert_eq!(t2.open_spans(), 2);
-            drop(mid); // drop closes like end()
-            assert_eq!(t2.open_spans(), 1);
-            outer.end();
-            assert_eq!(t2.open_spans(), 0);
             assert_eq!(h.now().as_nanos(), 0, "tracing advanced the clock");
+            h.sleep(SimDuration::from_nanos(30)).await;
+            inner.end();
+            h.sleep(SimDuration::from_nanos(20)).await;
+            drop(mid); // drop closes like end()
+            h.sleep(SimDuration::from_nanos(10)).await;
+            outer.end();
+            assert_eq!(h.now().as_nanos(), 60, "tracing advanced the clock");
         });
-        assert_eq!(sim.now().as_nanos(), 0);
-        // Every span recorded a (zero-length) sample; nothing was lost.
+        // Every span recorded exactly its own interval, once.
         let r = tracer.report();
-        assert_eq!(r.summary(Phase::LogPersist).count, 1);
-        assert_eq!(r.summary(Phase::SenderSw).count, 1);
-        assert_eq!(r.summary(Phase::PmMedia).count, 1);
-        assert_eq!(r.total(Phase::PmMedia).as_nanos(), 0);
-        // No timer events were scheduled by tracing itself.
-        let _ = events_before;
+        assert_eq!(r.total(Phase::PmMedia).as_nanos(), 30);
+        assert_eq!(r.total(Phase::SenderSw).as_nanos(), 50);
+        assert_eq!(r.total(Phase::LogPersist).as_nanos(), 60);
     }
 
     #[test]
@@ -612,36 +562,27 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_combines_totals_and_hists() {
+    fn report_merge_combines_totals() {
         let mut sim = Sim::new(1);
         let a = Tracer::new(sim.handle());
         let b = Tracer::new(sim.handle());
-        let (a2, b2) = (a.clone(), b.clone());
-        let h = sim.handle();
-        sim.block_on(async move {
-            let s = a2.span(Phase::Wire);
-            h.sleep(SimDuration::from_nanos(10)).await;
-            s.end();
-            let s = b2.span(Phase::Wire);
-            h.sleep(SimDuration::from_nanos(30)).await;
-            s.end();
-        });
+        spend(&mut sim, &a, Phase::Wire, 10);
+        spend(&mut sim, &b, Phase::Wire, 30);
         let mut r = a.report();
         r.merge(&b.report());
         assert_eq!(r.total(Phase::Wire).as_nanos(), 40);
-        assert_eq!(r.summary(Phase::Wire).count, 2);
         assert_eq!(r.exclusive_total().as_nanos(), 40);
     }
 
     #[test]
     fn software_share_over_exclusive_phases() {
-        let sim = Sim::new(1);
+        let mut sim = Sim::new(1);
         let t = Tracer::new(sim.handle());
-        t.record(Phase::SenderSw, SimDuration::from_nanos(5));
-        t.record(Phase::Wire, SimDuration::from_nanos(90));
-        t.record(Phase::ReceiverSw, SimDuration::from_nanos(5));
+        spend(&mut sim, &t, Phase::SenderSw, 5);
+        spend(&mut sim, &t, Phase::Wire, 90);
+        spend(&mut sim, &t, Phase::ReceiverSw, 5);
         // Composite phases are excluded from the denominator.
-        t.record(Phase::FlushWait, SimDuration::from_nanos(1000));
+        spend(&mut sim, &t, Phase::FlushWait, 1000);
         let r = t.report();
         assert!((r.software_share() - 0.10).abs() < 1e-9);
     }

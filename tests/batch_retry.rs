@@ -5,9 +5,6 @@
 //! responses, and co-batching a scan must not evict the puts/gets from
 //! the doorbell-batched flush path.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use prdma_suite::core::{
     build_fleet, DurableConfig, DurableKind, Fleet, FleetSpec, Request, RetryPolicy, RpcClient,
     ServerProfile, ShardMap,
@@ -16,6 +13,7 @@ use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
 use prdma_suite::simnet::journal::EventKind;
+use prdma_suite::simnet::metrics::Key;
 use prdma_suite::simnet::{Sim, SimDuration, SimTime};
 
 const VAL: usize = 256;
@@ -72,17 +70,7 @@ fn batched_puts_crash_retry_is_exactly_once() {
             },
         );
         let inj = cluster.inject_faults(plan);
-        let replayed = Rc::new(Cell::new(0usize));
-        {
-            let replayed = Rc::clone(&replayed);
-            let shard0: Vec<_> = svc.servers[0].clone();
-            inj.on_recovery(move |node, k| {
-                assert_eq!(node, 0, "{kind:?}: only shard 0 crashes");
-                if matches!(k, FaultKind::NodeCrash { .. }) {
-                    replayed.set(shard0.iter().map(|s| s.recover_and_requeue().len()).sum());
-                }
-            });
-        }
+        svc.wire_recovery(&inj);
         let client = svc.clients.into_iter().next().unwrap();
         let h = sim.handle();
         sim.block_on(async move {
@@ -104,7 +92,10 @@ fn batched_puts_crash_retry_is_exactly_once() {
             h.sleep(SimDuration::from_millis(5)).await;
         });
         assert_eq!(inj.stats().node_crashes, 1, "{kind:?}");
-        assert!(replayed.get() > 0, "{kind:?}: recovery replayed nothing");
+        assert_eq!(inj.stats().restarts, 1, "{kind:?}: only shard 0 crashes");
+        let node0 = cluster.node(0).metrics().unwrap();
+        let replayed = node0.counter(Key::new("log_replayed"));
+        assert!(replayed > 0, "{kind:?}: recovery replayed nothing");
         // The overlap between replayed and re-sent entries was deduped,
         // not double-applied.
         let deduped: u64 = svc.servers[0].iter().map(|s| s.puts_deduped()).sum();

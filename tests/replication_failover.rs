@@ -16,6 +16,7 @@ use prdma_suite::core::{
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
+use prdma_suite::simnet::metrics::Key;
 use prdma_suite::simnet::{journal, Sim, SimDuration, SimTime};
 
 const OBJ_SLOT: u64 = 1024;
@@ -77,7 +78,7 @@ fn primary_crash_fails_over_to_backup() {
         let (cluster, cfg) = replicated_cluster(&sim, kind);
         let (client, group) = build_replicated(&cluster, 2, &[0, 1], cfg);
         let inj = cluster.inject_faults(primary_crash_plan());
-        group.wire_failover(&inj);
+        group.wire_recovery(&inj);
         let view = group.view();
         let client = Rc::new(client);
         let h = sim.handle();
@@ -119,8 +120,9 @@ fn primary_crash_fails_over_to_backup() {
             view.is_up(0),
             "{kind:?}: the old primary must have rejoined as a backup"
         );
+        let node0 = cluster.node(0).metrics().unwrap();
         assert!(
-            group.replayed() > 0,
+            node0.counter(Key::new("log_replayed")) > 0,
             "{kind:?}: crash landed but recovery replayed nothing"
         );
         // Every ACKed put's bytes are in BOTH replicas' persistent PM:
@@ -147,7 +149,7 @@ fn gets_fail_over_to_promoted_backup() {
     let (cluster, cfg) = replicated_cluster(&sim, DurableKind::WFlush);
     let (client, group) = build_replicated(&cluster, 2, &[0, 1], cfg);
     let inj = cluster.inject_faults(primary_crash_plan());
-    group.wire_failover(&inj);
+    group.wire_recovery(&inj);
     let view = group.view();
     let h = sim.handle();
     let got = sim.block_on(async move {
@@ -297,7 +299,7 @@ fn replicated_fault_runs_are_byte_deterministic() {
                 },
             );
         let inj = cluster.inject_faults(plan);
-        group.wire_failover(&inj);
+        group.wire_recovery(&inj);
         let h = sim.handle();
         sim.block_on(async move {
             for i in 0..PUTS {

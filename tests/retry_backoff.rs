@@ -13,6 +13,7 @@ use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
 use prdma_suite::simnet::{journal, Sim, SimDuration, SimTime};
 use std::collections::HashSet;
+use std::rc::Rc;
 
 #[test]
 fn schedule_grows_exponentially_and_caps() {
@@ -140,11 +141,7 @@ fn jittered_retries_keep_journals_byte_deterministic() {
             },
         );
         let inj = cluster.inject_faults(plan);
-        inj.on_recovery(move |_, k| {
-            if matches!(k, FaultKind::NodeCrash { .. }) {
-                server.recover_and_requeue();
-            }
-        });
+        Rc::new(server).wire_recovery(&inj);
         let h = sim.handle();
         sim.block_on(async move {
             for i in 0..12u64 {

@@ -5,7 +5,6 @@
 //! (journal auditor invariant I3 — and only that shard recovers), and
 //! that journals stay byte-deterministic for the same seed + plan.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use prdma_suite::core::{
@@ -15,6 +14,7 @@ use prdma_suite::core::{
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
+use prdma_suite::simnet::metrics::Key;
 use prdma_suite::simnet::{journal, Sim, SimDuration, SimTime};
 
 const OBJ_SLOT: u64 = 1024;
@@ -76,19 +76,7 @@ fn one_shard_crash_leaves_the_other_serving() {
             },
         );
         let inj = cluster.inject_faults(plan);
-        let replayed = Rc::new(Cell::new(0usize));
-        {
-            let replayed = Rc::clone(&replayed);
-            let shard0: Vec<_> = svc.servers[0].clone();
-            inj.on_recovery(move |node, k| {
-                assert_eq!(node, 0, "{kind:?}: only shard 0 was scheduled to crash");
-                if matches!(k, FaultKind::NodeCrash { .. }) {
-                    // Per-shard recovery: replay shard 0's logs, nobody
-                    // else's.
-                    replayed.set(shard0.iter().map(|s| s.recover_and_requeue().len()).sum());
-                }
-            });
-        }
+        svc.wire_recovery(&inj);
         let client = Rc::new(svc.clients.into_iter().next().unwrap());
         let h = sim.handle();
         let survivors_during_outage = sim.block_on({
@@ -139,10 +127,24 @@ fn one_shard_crash_leaves_the_other_serving() {
             survivors_during_outage > 0,
             "{kind:?}: shard 1 completed no puts while shard 0 was down"
         );
+        // Per-shard recovery: shard 0's logs replayed, nobody else's.
+        let replayed = |node: usize| {
+            cluster
+                .node(node)
+                .metrics()
+                .unwrap()
+                .counter(Key::new("log_replayed"))
+        };
+        assert_eq!(
+            inj.stats().restarts,
+            1,
+            "{kind:?}: only shard 0 was scheduled to crash"
+        );
         assert!(
-            replayed.get() > 0,
+            replayed(0) > 0,
             "{kind:?}: crash landed but recovery replayed nothing"
         );
+        assert_eq!(replayed(1), 0, "{kind:?}: the surviving shard replayed");
         // Every flush-ACKed put's bytes are in the owning shard's
         // *persistent* PM, under the shard-local id.
         for shard in 0..2usize {
@@ -190,16 +192,7 @@ fn sharded_fault_runs_are_byte_deterministic() {
                 },
             );
         let inj = cluster.inject_faults(plan);
-        {
-            let shard0: Vec<_> = svc.servers[0].clone();
-            inj.on_recovery(move |_, k| {
-                if matches!(k, FaultKind::NodeCrash { .. }) {
-                    for s in &shard0 {
-                        s.recover_and_requeue();
-                    }
-                }
-            });
-        }
+        svc.wire_recovery(&inj);
         let client = svc.clients.into_iter().next().unwrap();
         let h = sim.handle();
         sim.block_on(async move {

@@ -18,6 +18,11 @@ use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
 use prdma_suite::simnet::{journal, Sim, SimDuration, SimTime};
 
 const VAL: usize = 64;
+/// The fault a test that crashes a node by hand recovers from (the
+/// downtime is the test's own `restart()` call, so the field is unused).
+const NODE_CRASH: FaultKind = FaultKind::NodeCrash {
+    down_for: SimDuration::ZERO,
+};
 
 fn retry(max_retries: u32) -> RetryPolicy {
     RetryPolicy {
@@ -82,7 +87,7 @@ fn decided_crash_run(kind: DurableKind) -> String {
     });
     participant.restart();
     let scans_before = svc.directory().scan_resolved();
-    let replayed = svc.recover_shard(1);
+    let replayed = svc.recover(1, NODE_CRASH);
     assert!(replayed > 0, "{kind:?}: replay found no pending entries");
     sim.run();
     // The staged prepare resolved from the logs alone: the decided
@@ -215,7 +220,7 @@ fn coordinator_crash_after_prepares_rides_out_and_commits() {
                 // its own prepare stages in doubt (no decided record).
                 h.sleep(SimDuration::from_millis(1)).await;
                 coordinator.restart();
-                let replayed = svc.recover_shard(0);
+                let replayed = svc.recover(0, NODE_CRASH);
                 assert!(replayed > 0, "{kind:?}");
                 let out = commit.await.expect("decide retries ride out the outage");
                 assert_eq!(out, TxnOutcome::Committed, "{kind:?}");
@@ -286,8 +291,8 @@ fn undecided_txn_stays_in_doubt_and_holds_locks() {
             id
         });
         coordinator.restart();
-        svc.recover_shard(0);
-        svc.recover_shard(1);
+        svc.recover(0, NODE_CRASH);
+        svc.recover(1, NODE_CRASH);
         sim.run();
         // Still in doubt everywhere: staged, locked, nothing applied.
         for shard in 0..2usize {
