@@ -13,7 +13,7 @@
 //! the straggling replica.
 //!
 //! Ticks are bucketed to at most 24 dashboard rows; pass `--dashboard`
-//! (or `PRDMA_DASHBOARD=1`) for full per-tick resolution. The raw
+//! for full per-tick resolution. The raw
 //! artifacts (`fig_obs_metrics.jsonl`, `fig_obs_tail.txt`) are written
 //! to the output directory unconditionally — both are byte-deterministic
 //! for a given seed.
@@ -42,14 +42,10 @@ use prdma_workloads::micro::{run_micro_fleet, MicroConfig};
 use crate::report::{output_dir, us, Table};
 use crate::runner::{micro_run, set_metrics_override, ExpEnv, Scale};
 
-/// Full per-tick dashboard resolution: `--dashboard` after `--`, or
-/// `PRDMA_DASHBOARD=1`. Default caps the fleet table at 24 rows.
+/// Full per-tick dashboard resolution: `--dashboard` after `--`.
+/// Default caps the fleet table at 24 rows.
 fn dashboard_full() -> bool {
     std::env::args().any(|a| a == "--dashboard")
-        || matches!(
-            std::env::var("PRDMA_DASHBOARD").as_deref(),
-            Ok("1" | "true")
-        )
 }
 
 struct ObsRun {

@@ -35,7 +35,8 @@
 //! collected in input order, so every table, CSV, and journal artifact
 //! is byte-identical to a serial run). `PRDMA_PAR=<n>` caps the worker
 //! count; `PRDMA_PAR=1` restores the serial runner, and journaled runs
-//! (`--journal` / `PRDMA_JOURNAL=1`) are always serial.
+//! are always serial. The switches `--journal`, `--no-metrics` and
+//! `--dashboard` go after `--` on the bench command line.
 
 #![warn(missing_docs)]
 

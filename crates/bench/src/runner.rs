@@ -15,19 +15,18 @@ use crate::report::output_dir;
 
 /// Whether journal capture was requested for this bench process: pass
 /// `--journal` after `--` on the bench command line (e.g. `cargo bench
-/// --bench fig20_breakdown -- --journal`) or set `PRDMA_JOURNAL=1`.
+/// --bench fig20_breakdown -- --journal`).
 pub fn journal_enabled() -> bool {
     std::env::args().any(|a| a == "--journal")
-        || matches!(std::env::var("PRDMA_JOURNAL").as_deref(), Ok("1" | "true"))
 }
 
-/// Process-wide metrics override: 0 = follow env/args, 1 = force off,
+/// Process-wide metrics override: 0 = follow args, 1 = force off,
 /// 2 = force on. The overhead gate in `fig_obs` flips this to compare
 /// metrics-off vs metrics-on runs of the same figure within one process.
 static METRICS_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
 /// Force fleet metrics on/off for subsequent cluster builds (`None`
-/// restores the command-line/env default). Used by the observability
+/// restores the command-line default). Used by the observability
 /// bench to measure instrumentation overhead.
 pub fn set_metrics_override(on: Option<bool>) {
     let v = match on {
@@ -40,29 +39,33 @@ pub fn set_metrics_override(on: Option<bool>) {
 
 /// Whether fleet metrics capture is on for this bench process: on by
 /// default (the registry is designed to be always-on), disabled with
-/// `--no-metrics` after `--` or `PRDMA_METRICS=0`, and overridable at
-/// runtime via [`set_metrics_override`].
+/// `--no-metrics` after `--`, and overridable at runtime via
+/// [`set_metrics_override`].
 pub fn metrics_enabled() -> bool {
     match METRICS_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst) {
-        1 => return false,
-        2 => return true,
-        _ => {}
+        1 => false,
+        2 => true,
+        _ => !std::env::args().any(|a| a == "--no-metrics"),
     }
-    !(std::env::args().any(|a| a == "--no-metrics")
-        || matches!(std::env::var("PRDMA_METRICS").as_deref(), Ok("0" | "false")))
 }
 
 /// Export the cluster's merged journal (JSONL + Chrome-trace JSON under
 /// the output directory, named `journal_<tag>.*`) and run the durability
-/// auditor, panicking on any ordering violation. No-op unless
-/// [`journal_enabled`]. Repeated runs with the same tag overwrite — each
-/// file holds the last run of that configuration.
+/// auditor, panicking on any ordering violation or ring overflow. No-op
+/// unless [`journal_enabled`]. Repeated runs with the same tag overwrite
+/// — each file holds the last run of that configuration.
 pub(crate) fn export_and_audit(cluster: &Cluster, tag: &str) {
     if !journal_enabled() {
         return;
     }
-    let records = cluster.journal_records();
-    let report = cluster.audit_journal();
+    let journals = cluster.journals();
+    let records = journal::merge(&journals);
+    let t0 = std::time::Instant::now();
+    let report = journal::AuditReport {
+        dropped: journals.iter().map(|j| j.dropped()).sum(),
+        ..journal::audit(&records)
+    };
+    let audit_ns = t0.elapsed().as_nanos() as usize / records.len().max(1);
     let gauges = journal::gauges(&records);
     let dir = output_dir();
     let _ = std::fs::create_dir_all(&dir);
@@ -84,7 +87,7 @@ pub(crate) fn export_and_audit(cluster: &Cluster, tag: &str) {
         dir.join(format!("journal_{slug}.trace.json")),
         journal::to_chrome_trace(&records),
     );
-    println!("   journal[{tag}]: {report}; {gauges:?}");
+    println!("   journal[{tag}]: {report} ({audit_ns} ns/record); {gauges:?}");
     report.assert_ok();
 }
 

@@ -36,9 +36,9 @@
 //! (default 1%) and averages their per-phase attribution, naming the
 //! critical replica each straggled on.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use prdma_simnet::journal::{EventKind, Record, Subsystem, NO_ID};
+use prdma_simnet::journal::{EventKind, Index, Record, Subsystem};
 
 /// Phase names, in boundary-chain order, matching [`Attribution::parts`].
 pub const PHASES: [&str; 8] = [
@@ -132,29 +132,17 @@ pub fn server_of(log_id: u64) -> u32 {
     (log_id >> 52) as u32
 }
 
-/// Group every record by `rpc_id` (excluding [`NO_ID`]), preserving the
-/// merged stream's deterministic order within each group.
-fn group_by_rpc(records: &[Record]) -> BTreeMap<u64, Vec<&Record>> {
-    let mut by_id: BTreeMap<u64, Vec<&Record>> = BTreeMap::new();
-    for r in records {
-        if r.rpc_id != NO_ID {
-            by_id.entry(r.rpc_id).or_default().push(r);
-        }
-    }
-    by_id
-}
-
-fn span_of(id: u64, records: &[&Record]) -> Option<Span> {
+/// The span of rpc `id` from `group`, the positions of its records.
+fn span_of(ix: &Index, id: u64, group: &[usize]) -> Option<Span> {
     // Must have dispatched; the span *starts* at the id's earliest
     // record, which for a log-derived leg is its LogAppend — the
     // `RpcDispatch` jot lands only after the append's verb completed,
     // and the wire activity in between belongs to the leg.
-    records
-        .iter()
+    ix.at(group)
         .find(|r| r.subsystem == Subsystem::Rpc && r.kind == EventKind::RpcDispatch)?;
-    let start = records.iter().map(|r| r.ts_ns).min()?;
-    let end = records
-        .iter()
+    let start = ix.at(group).map(|r| r.ts_ns).min()?;
+    let end = ix
+        .at(group)
         .filter(|r| r.subsystem == Subsystem::Rpc && r.kind == EventKind::RpcComplete)
         .map(|r| r.ts_ns)
         .max()?;
@@ -175,37 +163,19 @@ fn bound(prev: u64, candidate: Option<u64>, cap: u64) -> u64 {
 /// Attribute one leg's internal phases over `[leg.start, leg.end]`,
 /// yielding the boundary after each internal segment. Returns
 /// `(sender_sw, wire, nic_dma, pm_media, flush_wait)`.
-fn leg_phases(leg: &Span, records: &[&Record]) -> (u64, u64, u64, u64, u64) {
-    let in_leg = |r: &&&Record| r.ts_ns >= leg.start_ns && r.ts_ns <= leg.end_ns;
-    let first_wire = records
-        .iter()
-        .filter(in_leg)
-        .find(|r| r.kind == EventKind::WireSegment)
-        .map(|r| r.ts_ns);
-    let last_wire = records
-        .iter()
-        .filter(in_leg)
-        .filter(|r| r.kind == EventKind::WireSegment)
-        .map(|r| r.ts_ns)
-        .max();
-    let last_dma = records
-        .iter()
-        .filter(in_leg)
-        .filter(|r| r.kind == EventKind::DmaComplete)
-        .map(|r| r.ts_ns)
-        .max();
-    let last_pm = records
-        .iter()
-        .filter(in_leg)
-        .filter(|r| r.kind == EventKind::PmWrite)
-        .map(|r| r.ts_ns)
-        .max();
+fn leg_phases(ix: &Index, leg: &Span, group: &[usize]) -> (u64, u64, u64, u64, u64) {
+    let in_leg = || {
+        ix.at(group)
+            .filter(|r| r.ts_ns >= leg.start_ns && r.ts_ns <= leg.end_ns)
+    };
+    let last = |kind| in_leg().filter(|r| r.kind == kind).map(|r| r.ts_ns).max();
+    let first_wire = in_leg().find(|r| r.kind == EventKind::WireSegment);
     let b0 = leg.start_ns;
     let cap = leg.end_ns;
-    let b1 = bound(b0, first_wire, cap);
-    let b2 = bound(b1, last_wire, cap);
-    let b3 = bound(b2, last_dma, cap);
-    let b4 = bound(b3, last_pm, cap);
+    let b1 = bound(b0, first_wire.map(|r| r.ts_ns), cap);
+    let b2 = bound(b1, last(EventKind::WireSegment), cap);
+    let b3 = bound(b2, last(EventKind::DmaComplete), cap);
+    let b4 = bound(b3, last(EventKind::PmWrite), cap);
     (b1 - b0, b2 - b1, b3 - b2, b4 - b3, cap - b4)
 }
 
@@ -216,41 +186,30 @@ fn leg_phases(leg: &Span, records: &[&Record]) -> (u64, u64, u64, u64, u64) {
 /// likewise ignored for critical-path selection. Deterministic: output
 /// is ordered by root rpc id.
 pub fn build_span_trees(records: &[Record]) -> Vec<SpanTree> {
-    let by_id = group_by_rpc(records);
-
-    // ReplLink edges: root id → leg ids, in emission order.
-    let mut links: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut is_leg: BTreeMap<u64, bool> = BTreeMap::new();
-    for r in records {
-        if r.kind == EventKind::ReplLink {
-            links.entry(r.rpc_id).or_default().push(r.wr_id);
-            is_leg.insert(r.wr_id, true);
-        }
-    }
+    let ix = Index::build(records);
+    let links = ix.of(&[EventKind::ReplLink]);
+    let leg_ids: BTreeSet<u64> = links.map(|(_, l)| l.wr_id).collect();
 
     let mut trees = Vec::new();
-    for (&id, recs) in &by_id {
-        if is_leg.get(&id).copied().unwrap_or(false) {
+    for (id, group) in ix.by_rpc.iter() {
+        if leg_ids.contains(&id) {
             continue; // legs are folded into their root's tree
         }
-        let Some(root) = span_of(id, recs) else {
+        let Some(root) = span_of(&ix, id, group) else {
             continue;
         };
-        let mut legs: Vec<Span> = links
-            .get(&id)
-            .map(|leg_ids| {
-                leg_ids
-                    .iter()
-                    .filter_map(|lid| by_id.get(lid).and_then(|lr| span_of(*lid, lr)))
-                    .collect()
-            })
-            .unwrap_or_default();
+        // ReplLink edges: root id → leg ids, in emission order.
+        let mut legs: Vec<Span> = ix
+            .at(group)
+            .filter(|r| r.kind == EventKind::ReplLink)
+            .filter_map(|l| span_of(&ix, l.wr_id, ix.by_rpc.get(l.wr_id)))
+            .collect();
         legs.sort_by_key(|l| (l.end_ns, l.id));
 
         let (attribution, critical_node) = if legs.is_empty() {
             // Plain RPC: the root is its own leg; no queueing, no
             // straggler wait, the tail folds into flush_wait.
-            let (sender_sw, wire, nic_dma, pm_media, flush_wait) = leg_phases(&root, recs);
+            let (sender_sw, wire, nic_dma, pm_media, flush_wait) = leg_phases(&ix, &root, group);
             (
                 Attribution {
                     sender_sw_ns: sender_sw,
@@ -275,9 +234,8 @@ pub fn build_span_trees(records: &[Record]) -> Vec<SpanTree> {
                 start_ns: f_start,
                 end_ns: f_end,
             };
-            let fast_recs = by_id.get(&fast.id).map(Vec::as_slice).unwrap_or(&[]);
             let (sender_sw, wire, nic_dma, pm_media, flush_wait) =
-                leg_phases(&fast_clamped, fast_recs);
+                leg_phases(&ix, &fast_clamped, ix.by_rpc.get(fast.id));
             let s_end = slow.end_ns.clamp(f_end, c);
             (
                 Attribution {

@@ -315,20 +315,22 @@ impl Cluster {
         report
     }
 
+    /// Every node's journal (empty when journaling is disabled).
+    pub fn journals(&self) -> Vec<Journal> {
+        let rings = self.nodes.iter().filter_map(|n| n.journal.clone());
+        rings.collect()
+    }
+
     /// Merge every node's journal into one globally ordered record stream
     /// (empty when journaling is disabled).
     pub fn journal_records(&self) -> Vec<Record> {
-        let journals: Vec<Journal> = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.journal.clone())
-            .collect();
-        journal::merge(&journals)
+        journal::merge(&self.journals())
     }
 
-    /// Run the durability auditor over the merged journal.
+    /// Run the durability auditor over the merged journal; a ring that
+    /// overflowed fails it.
     pub fn audit_journal(&self) -> AuditReport {
-        journal::audit(&self.journal_records())
+        journal::audit_journals(&self.journals())
     }
 
     /// Capture a final snapshot on every node and return the merged
