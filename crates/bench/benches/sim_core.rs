@@ -1,5 +1,6 @@
 //! Microbenches of the simulator's hot paths: executor spawn/sleep,
-//! timer cancellation, channels, histogram recording, redo-log entry
+//! timer cancellation, an RPC-shaped timer mix, the PM dirty-line
+//! overlay, channels, histogram recording, redo-log entry
 //! encoding, the cached GET, the 2PC commit pipeline, and whole-world
 //! build/run/drop cycles. These guard
 //! the harness's own performance (a slow simulator means slow paper
@@ -28,6 +29,7 @@ use prdma_bench::exp;
 use prdma_bench::report::output_dir;
 use prdma_bench::Scale;
 use prdma_node::{Cluster, ClusterConfig};
+use prdma_pmem::{PmConfig, PmDevice};
 use prdma_rnic::Payload;
 use prdma_simnet::metrics::{Key, Metrics};
 use prdma_simnet::{channel, timeout, Histogram, Sim, SimDuration};
@@ -126,6 +128,75 @@ fn bench_timer_cancel(iters: u32) -> BenchResult {
             sim.events_processed().wrapping_add(slab),
             sim.events_processed(),
         )
+    })
+}
+
+fn bench_rpc_shaped(iters: u32) -> BenchResult {
+    // What the two rows above are not: the timer population of a durable
+    // RPC workload. They keep 10 000 timers live or cancel 10 000 at one
+    // instant; `put_closed`, `txn_2pc` and `openloop_fleet` keep 6, 44
+    // and 61 (`simnet.executor.timer_slab_size`). Here 8 tasks each chain
+    // 12 500 sleeps of 50 ns - 5 us, every tenth under a 1 ms timeout
+    // that never fires — a few live timers close to `now`, a trickle of
+    // far ones cancelled young. This is the per-event floor the
+    // workloads actually pay.
+    bench("executor/rpc_shaped_100k", 100_000, iters, || {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        for task in 0..8u64 {
+            let h = h.clone();
+            sim.spawn(async move {
+                let mut x = 88172645463325252u64 ^ task;
+                for i in 0..12_500u64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let nap = h.sleep(SimDuration::from_nanos(50 + x % 4_951));
+                    if i % 10 == 0 {
+                        timeout(&h, SimDuration::from_millis(1), nap)
+                            .await
+                            .expect("the sleep beats the 1 ms timeout");
+                    } else {
+                        nap.await;
+                    }
+                }
+            });
+        }
+        sim.run();
+        (sim.now().as_nanos(), sim.events_processed())
+    })
+}
+
+fn bench_mark_done_overlay(iters: u32) -> BenchResult {
+    // The PM overlay as a server's completion path leaves it: 4 096
+    // standing dirty lines, one never-flushed done mark per finished log
+    // slot at a 4 KiB stride. Each op is one lap of one slot: the next
+    // entry's DMA placement (`commit_persistent`, which cleans the old
+    // mark), the arrival path's `is_persisted` of the range just placed,
+    // and the 8-byte `cache_write` of the new done mark. The row must not
+    // grow with the number of standing lines.
+    const STRIDE: u64 = 4096;
+    const STANDING: u64 = 4096;
+    // One device for every iteration (the cycle leaves the standing set
+    // as it found it), so the media's pages are materialised by the
+    // warm-up pass and the timed ones see the overlay, not the allocator.
+    let sim = Sim::new(1);
+    let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(64 << 20));
+    let done = 1u64.to_le_bytes();
+    for slot in 0..STANDING {
+        pm.cache_write(slot * STRIDE + 32, &done)
+            .expect("in bounds");
+    }
+    let entry = [0x5Au8; 40 + 1024 + 8];
+    bench("pmem/mark_done_overlay_10k", 10_000, iters, || {
+        let mut clean = 0u64;
+        for i in 0..10_000u64 {
+            let addr = i % STANDING * STRIDE;
+            pm.commit_persistent(addr, &entry).expect("in bounds");
+            clean += pm.is_persisted(addr, entry.len() as u64) as u64;
+            pm.cache_write(addr + 32, &done).expect("in bounds");
+        }
+        (clean, 0)
     })
 }
 
@@ -449,6 +520,8 @@ fn main() {
     let micro = vec![
         bench_executor(iters),
         bench_timer_cancel(iters),
+        bench_rpc_shaped(iters),
+        bench_mark_done_overlay(iters),
         bench_channels(iters),
         bench_histogram(iters),
         bench_metrics(iters),

@@ -765,7 +765,7 @@ impl ServerCtx {
         // was aborted by a crash) or that was already applied (a stale
         // notification after a recovery replay) must not be counted, ACKed,
         // or processed — recovery accounts for it instead.
-        match self.log.read_entry(index) {
+        match self.log.read_header(index) {
             Some(e) if !e.done => {}
             _ => return,
         }
@@ -833,12 +833,23 @@ impl ServerCtx {
         // Idempotence guard: a service-restart replay can race an
         // already-queued arrival (or a retried client append) for the same
         // entry; only the first processing applies it.
-        let Some(entry) = log.read_entry(index) else {
+        let Some(header) = log.read_header(index) else {
             return;
         };
-        if entry.done {
+        if header.done {
             return;
         }
+        // A plain put's data travelled with the work item; only the
+        // operators that decode their logged payload copy it out of PM.
+        let payload = match header.op.opcode {
+            OpCode::Put | OpCode::Process => Vec::new(),
+            OpCode::RPut
+            | OpCode::TxnPrepare
+            | OpCode::TxnDecide
+            | OpCode::TxnCommit
+            | OpCode::TxnAbort => log.read_payload(&header),
+        };
+        let entry = header.with_payload(payload);
         self.node.cpu.dispatch_thread().await;
         if matches!(
             entry.op.opcode,

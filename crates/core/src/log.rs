@@ -25,6 +25,21 @@
 //! commit word matches their expected global index, and returns those not
 //! yet marked done — in FIFO order, preserving the paper's ordering
 //! guarantee for concurrent RPCs.
+//!
+//! # Who reads payload bytes
+//!
+//! Validity, the operator and `done` are all in the 40-byte header and
+//! the commit word, so [`RedoLog::read_header`] answers them from 48
+//! bytes whatever the entry's size — a synthetic 64 KB body is 64 KB of
+//! zeros in PM, and copying it out to learn `done` cost two 64 KB
+//! allocations per put. The per-put paths use the header alone: the
+//! arrival check (`ServerCtx::handle_arrival`) and the worker's dispatch
+//! of a plain `Put` / `Process` (`process_entry`), whose data travels
+//! with the work item. Payload bytes are copied only by the callers
+//! that decode them: `process_entry` for `RPut` (the causal id prefix)
+//! and the four `Txn*` records, recovery ([`RedoLog::recover`],
+//! [`RedoLog::scan_pending`] — the replayed entry *is* its payload), and
+//! [`RedoLog::find_in_ring`] for the decided record it returns.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -237,6 +252,33 @@ pub struct LogEntry {
     pub done: bool,
 }
 
+/// The fixed fields of a committed entry, read without its payload: what
+/// the arrival path needs to accept an entry and what the worker needs to
+/// dispatch it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryHeader {
+    /// Global slot index.
+    pub index: u64,
+    /// The logged operator.
+    pub op: RpcOperator,
+    /// Payload length in bytes.
+    pub payload_len: u64,
+    /// Whether the server had marked it done.
+    pub done: bool,
+}
+
+impl EntryHeader {
+    /// The whole entry, given the payload bytes read for this header.
+    pub fn with_payload(self, payload: Vec<u8>) -> LogEntry {
+        LogEntry {
+            index: self.index,
+            op: self.op,
+            payload,
+            done: self.done,
+        }
+    }
+}
+
 /// Shared head/tail cursors: the client advances `tail` as it appends, the
 /// server advances `head` as it completes. `tail - head` is the outstanding
 /// depth the flow controller watches.
@@ -438,7 +480,73 @@ impl RedoLog {
         self.read_entry_from(index, false)
     }
 
+    /// The header of the committed entry at `index` in the CPU's view of
+    /// PM — valid exactly when [`read_entry`](RedoLog::read_entry) is, at
+    /// the cost of 48 bytes read whatever the payload size.
+    pub fn read_header(&self, index: u64) -> Option<EntryHeader> {
+        self.read_header_from(index, false)
+    }
+
+    /// The payload bytes of the entry `header` was read from.
+    pub fn read_payload(&self, header: &EntryHeader) -> Vec<u8> {
+        self.read_payload_from(header, false)
+    }
+
+    fn read_payload_from(&self, header: &EntryHeader, persistent_only: bool) -> Vec<u8> {
+        let addr = self.layout.slot_addr(header.index) + ENTRY_HEADER;
+        if persistent_only {
+            self.pm.read_persistent_view(addr, header.payload_len)
+        } else {
+            self.pm.read_volatile_view(addr, header.payload_len)
+        }
+    }
+
+    /// The validity rule: the slot's sequence number is `index`, the
+    /// opcode is known, the length fits a slot, and the commit word —
+    /// the last bytes the DMA wrote — matches.
+    fn read_header_from(&self, index: u64, persistent_only: bool) -> Option<EntryHeader> {
+        let addr = self.layout.slot_addr(index);
+        let copy = |addr: u64, out: &mut [u8]| {
+            if persistent_only {
+                self.pm.copy_persistent_view(addr, out)
+            } else {
+                self.pm.copy_volatile_view(addr, out)
+            }
+        };
+        let mut header = [0u8; ENTRY_HEADER as usize];
+        copy(addr, &mut header);
+        if u64_at(&header, 0) != index {
+            return None;
+        }
+        let opcode = OpCode::from_u64(u64_at(&header, 8))?;
+        let payload_len = u64_at(&header, 24);
+        if payload_len > self.layout.max_payload() {
+            return None;
+        }
+        let mut commit = [0u8; ENTRY_FOOTER as usize];
+        copy(addr + LogLayout::commit_offset(payload_len), &mut commit);
+        (u64::from_le_bytes(commit) == COMMIT_MAGIC ^ index).then_some(EntryHeader {
+            index,
+            op: RpcOperator {
+                opcode,
+                obj_id: u64_at(&header, 16),
+            },
+            payload_len,
+            done: u64_at(&header, 32) == STATE_DONE,
+        })
+    }
+
     fn read_entry_from(&self, index: u64, persistent_only: bool) -> Option<LogEntry> {
+        let header = self.read_header_from(index, persistent_only)?;
+        let payload = self.read_payload_from(&header, persistent_only);
+        Some(header.with_payload(payload))
+    }
+
+    /// [`read_entry`](RedoLog::read_entry) as it was before the header
+    /// and the payload were read apart: the reference
+    /// [`read_header`](RedoLog::read_header) is tested against.
+    #[cfg(test)]
+    fn read_entry_reference(&self, index: u64, persistent_only: bool) -> Option<LogEntry> {
         let addr = self.layout.slot_addr(index);
         let read = |a: u64, l: u64| {
             if persistent_only {
@@ -1025,6 +1133,111 @@ mod torn_entry_tests {
     use prdma_node::{Cluster, ClusterConfig};
     use prdma_simnet::Sim;
 
+    /// The header-only read and the whole-entry read it was split from
+    /// must agree, at each of `indices` and in both views, on validity,
+    /// operator, length and `done`; and header + payload must compose to
+    /// the same entry.
+    fn header_read_agrees(log: &RedoLog, indices: impl IntoIterator<Item = u64>) {
+        for index in indices {
+            for persistent_only in [false, true] {
+                let whole = log.read_entry_reference(index, persistent_only);
+                let at = format!("index {index}, persistent_only {persistent_only}");
+                assert_eq!(
+                    log.read_header_from(index, persistent_only),
+                    whole.as_ref().map(|e| EntryHeader {
+                        index: e.index,
+                        op: e.op,
+                        payload_len: e.payload.len() as u64,
+                        done: e.done,
+                    }),
+                    "{at}"
+                );
+                assert_eq!(log.read_entry_from(index, persistent_only), whole, "{at}");
+            }
+        }
+    }
+
+    fn place(pm: &PmDevice, addr: u64, image: &Payload) {
+        for (off, bytes) in image.inline_parts() {
+            pm.commit_persistent(addr + off, bytes).unwrap();
+        }
+    }
+
+    /// A slot reused by a later lap, a done mark that is still only in the
+    /// cache, and the header fields a hostile or torn image can carry.
+    #[test]
+    fn header_read_agrees_on_overwritten_done_and_corrupt_slots() {
+        let sim = Sim::new(73);
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(1));
+        let server = cluster.node(0);
+        let region = server
+            .alloc
+            .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
+            .unwrap();
+        let layout = LogLayout::new(region, 1024);
+        let slots = layout.slots;
+        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new());
+        let pm = &server.pm;
+        let op = |opcode, obj_id| RpcOperator { opcode, obj_id };
+        let every_lap = [0, 1, 2, slots, slots + 1, slots + 2, 2 * slots];
+
+        // Slot 0: entry 0, then overwritten by entry `slots` of the next
+        // lap with another operator and a shorter payload, whose commit
+        // word therefore sits inside the old payload.
+        let old = Payload::from_bytes(vec![0x11; 200]);
+        place(
+            pm,
+            layout.slot_addr(0),
+            &encode_entry(0, op(OpCode::Put, 5), &old),
+        );
+        header_read_agrees(&log, every_lap);
+        assert!(log.read_header(0).is_some());
+        let new = Payload::from_bytes(vec![0x22; 24]);
+        let image = encode_entry(slots, op(OpCode::RPut, 6), &new);
+        place(pm, layout.slot_addr(slots), &image);
+        header_read_agrees(&log, every_lap);
+        assert!(log.read_header(0).is_none(), "the old lap's index is gone");
+        let header = log.read_header(slots).expect("the new lap's entry");
+        assert_eq!((header.op, header.payload_len), (op(OpCode::RPut, 6), 24));
+        assert_eq!(log.read_payload(&header), vec![0x22; 24]);
+
+        // Slot 1: done in the CPU's view, pending in the persistent one.
+        let data = Payload::from_bytes(vec![0x33; 64]);
+        place(
+            pm,
+            layout.slot_addr(1),
+            &encode_entry(1, op(OpCode::TxnDecide, 9), &data),
+        );
+        pm.cache_write(layout.slot_addr(1) + 32, &STATE_DONE.to_le_bytes())
+            .unwrap();
+        header_read_agrees(&log, every_lap);
+        assert!(log.read_header(1).expect("valid").done);
+        assert!(!log.read_header_from(1, true).expect("valid").done);
+
+        // Slot 2: a valid entry, then one header field at a time made
+        // invalid (and restored): unknown opcode, a length past the slot,
+        // a length whose commit offset holds payload bytes, a wrong seq.
+        let addr = layout.slot_addr(2);
+        let data = Payload::from_bytes(vec![0x44; 128]);
+        place(pm, addr, &encode_entry(2, op(OpCode::Process, 7), &data));
+        header_read_agrees(&log, every_lap);
+        for (field, bad) in [
+            (8, 99),
+            (24, layout.max_payload() + 8),
+            (24, 64),
+            (24, u64::MAX),
+            (0, slots + 2),
+        ] {
+            let good = pm.read_persistent_view(addr + field, 8);
+            pm.commit_persistent(addr + field, &bad.to_le_bytes())
+                .unwrap();
+            header_read_agrees(&log, every_lap);
+            assert_eq!(log.read_header(2), None, "field +{field} = {bad}");
+            pm.commit_persistent(addr + field, &good).unwrap();
+            assert!(log.read_header(2).is_some());
+        }
+    }
+
     /// Hand-craft a torn entry — valid header, data, but a corrupt commit
     /// word — directly in PM: recovery must treat the slot as invalid and
     /// stop the scan there (never replaying garbage).
@@ -1096,6 +1309,8 @@ mod torn_entry_tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].op.obj_id, 1);
         assert_eq!(pending[0].payload, vec![0xAA; 32]);
+        header_read_agrees(&log, (0..4).chain(layout.slots..layout.slots + 4));
+        assert!(log.read_header(1).is_none() && log.read_header(2).is_some());
     }
 
     /// A stale entry from a previous ring lap (valid commit for an OLD
@@ -1134,5 +1349,6 @@ mod torn_entry_tests {
         // Scanning from index `slots` at slot 0: seq 0 != slots → invalid.
         let pending = log.recover();
         assert!(pending.is_empty(), "stale-lap entry replayed: {pending:?}");
+        header_read_agrees(&log, [0, slots, 2 * slots]);
     }
 }

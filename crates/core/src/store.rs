@@ -67,20 +67,19 @@ impl ObjectStore {
     /// Fails with [`RdmaError::SlotAliased`] when `data` carries real
     /// content and `obj_id`'s slot wrapped onto a different live object.
     pub async fn put(&self, obj_id: u64, data: &Payload) -> RdmaResult<()> {
-        let parts = data.inline_parts();
-        if !parts.is_empty() {
+        if data.has_inline() {
             self.claim_slot(obj_id)?;
         }
         let len = data.len().min(self.slot_size);
         self.pm.simulate_write_time(len).await;
         let base = self.addr(obj_id);
-        for (off, bytes) in parts {
+        data.try_for_each_inline(|off, bytes| {
             if off < self.slot_size {
                 let n = bytes.len().min((self.slot_size - off) as usize);
                 self.pm.commit_persistent(base + off, &bytes[..n])?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Timed read of `len` bytes of `obj_id` (media read).

@@ -8,7 +8,6 @@
 //! survives.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
@@ -16,6 +15,7 @@ use prdma_simnet::trace::{counters, Phase, Span, Tracer};
 use prdma_simnet::{FifoResource, SimDuration, SimHandle};
 
 use crate::config::PmConfig;
+use crate::overlay::DirtyLines;
 use crate::sparse::SparseBytes;
 
 /// Errors raised by the PM device.
@@ -54,9 +54,9 @@ struct PmInner {
     cfg: PmConfig,
     /// The persistence domain: survives crashes.
     media: RefCell<SparseBytes>,
-    /// Volatile overlay: dirty cache lines (line-number -> line bytes).
-    /// Populated by CPU stores and by DDIO-routed DMA. Lost on crash.
-    dirty: RefCell<BTreeMap<u64, Vec<u8>>>,
+    /// Volatile overlay: the dirty cache lines and their bytes. Populated
+    /// by CPU stores and by DDIO-routed DMA. Lost on crash.
+    dirty: RefCell<DirtyLines>,
     /// FIFO media write/read ports (bandwidth contention).
     media_port: FifoResource,
     bytes_persisted: Cell<u64>,
@@ -81,7 +81,7 @@ impl PmDevice {
             inner: Rc::new(PmInner {
                 handle,
                 media: RefCell::new(SparseBytes::new(cfg.capacity)),
-                dirty: RefCell::new(BTreeMap::new()),
+                dirty: RefCell::new(DirtyLines::new(cfg.cacheline)),
                 media_port,
                 cfg,
                 bytes_persisted: Cell::new(0),
@@ -213,16 +213,14 @@ impl PmDevice {
         self.check(addr, data.len() as u64)?;
         self.inner.media.borrow_mut().write(addr, data);
         // Drop any dirty cache lines shadowing this range so the volatile
-        // view agrees with the media. This runs on every DMA placement and
-        // the overlay is almost always empty, so evict in place.
-        let mut dirty = self.inner.dirty.borrow_mut();
-        if !data.is_empty() && !dirty.is_empty() {
-            let line = self.inner.cfg.cacheline;
-            let first = addr / line;
-            let last = (addr + data.len() as u64 - 1) / line;
-            while let Some((&k, _)) = dirty.range(first..=last).next() {
-                dirty.remove(&k);
-            }
+        // view agrees with the media. This runs on every DMA placement.
+        // The overlay is rarely empty (a completed log slot keeps its
+        // done-state line dirty until the slot is reused) but the range
+        // placed is almost always clean, so the common case is a few
+        // words of the dirty bitset read and nothing else.
+        if let Some((first, last)) = self.lines(addr, data.len() as u64) {
+            let mut dirty = self.inner.dirty.borrow_mut();
+            dirty.remove_range(first, last, |_, _| {});
         }
         Ok(())
     }
@@ -274,13 +272,11 @@ impl PmDevice {
         while off < data.len() {
             let a = addr + off as u64;
             let lineno = a / line;
-            let line_base = lineno * line;
             let in_line = (a - lineno * line) as usize;
-            let n = ((line as usize - in_line).min(data.len() - off)).max(1);
-            let entry = dirty
-                .entry(lineno)
-                .or_insert_with(|| media.read(line_base, line));
-            entry[in_line..in_line + n].copy_from_slice(&data[off..off + n]);
+            let n = (line as usize - in_line).min(data.len() - off);
+            // A line dirtied here starts from what the media holds.
+            let bytes = dirty.dirty(lineno, |fresh| media.read_into(lineno * line, fresh));
+            bytes[in_line..in_line + n].copy_from_slice(&data[off..off + n]);
             off += n;
         }
         Ok(())
@@ -294,29 +290,29 @@ impl PmDevice {
         }
         self.check(addr, len)?;
         let line = self.inner.cfg.cacheline;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
-        // Collect the dirty lines in range first (they may be sparse).
-        let lines: Vec<(u64, Vec<u8>)> = {
-            let mut dirty = self.inner.dirty.borrow_mut();
-            let keys: Vec<u64> = dirty.range(first..=last).map(|(k, _)| *k).collect();
-            keys.into_iter()
-                .map(|k| (k, dirty.remove(&k).expect("line vanished")))
-                .collect()
-        };
-        if lines.is_empty() {
+        // Take the dirty lines in range (they may be sparse) out of the
+        // overlay first: line numbers, and their bytes back to back.
+        let (mut linenos, mut flushed) = (Vec::new(), Vec::new());
+        let (first, last) = self.lines(addr, len).expect("len > 0");
+        self.inner
+            .dirty
+            .borrow_mut()
+            .remove_range(first, last, |lineno, bytes| {
+                linenos.push(lineno);
+                flushed.extend_from_slice(bytes);
+            });
+        if linenos.is_empty() {
             return Ok(());
         }
         self.trace_incr(counters::CLFLUSH_CALLS);
         let _span = self.media_span();
         // Issue cost per line on the CPU, then one media transfer.
-        let issue = self.inner.cfg.clflush_issue * lines.len() as u64;
+        let issue = self.inner.cfg.clflush_issue * linenos.len() as u64;
         self.inner.handle.sleep(issue).await;
-        let bytes = lines.len() as u64 * line;
-        let t = self.media_write_time(bytes);
+        let t = self.media_write_time(flushed.len() as u64);
         self.inner.media_port.process(t).await;
-        for (lineno, data) in lines {
-            self.commit_to_media(lineno * line, &data);
+        for (lineno, data) in linenos.iter().zip(flushed.chunks_exact(line as usize)) {
+            self.commit_to_media(lineno * line, data);
         }
         Ok(())
     }
@@ -337,25 +333,35 @@ impl PmDevice {
     /// zero-time, for protocol logic and assertions.
     pub fn read_volatile_view(&self, addr: u64, len: u64) -> Vec<u8> {
         let mut out = self.inner.media.borrow().read(addr, len);
+        self.overlay_onto(addr, &mut out);
+        out
+    }
+
+    /// [`read_volatile_view`](Self::read_volatile_view) into `out`, for
+    /// fixed-size reads on a hot path (a log header, a commit word).
+    pub fn copy_volatile_view(&self, addr: u64, out: &mut [u8]) {
+        self.inner.media.borrow().read_into(addr, out);
+        self.overlay_onto(addr, out);
+    }
+
+    /// Lay the dirty lines overlapping `[addr, addr + out.len())` over
+    /// `out`, which holds the media's bytes for that range.
+    fn overlay_onto(&self, addr: u64, out: &mut [u8]) {
+        let len = out.len() as u64;
+        let Some((first, last)) = self.lines(addr, len) else {
+            return;
+        };
         let line = self.inner.cfg.cacheline;
         let dirty = self.inner.dirty.borrow();
-        if len == 0 {
-            return out;
-        }
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
-        for (&lineno, bytes) in dirty.range(first..=last) {
+        for (lineno, bytes) in dirty.in_range(first, last) {
             let line_base = lineno * line;
             // overlap of [line_base, line_base+line) with [addr, addr+len)
             let lo = line_base.max(addr);
             let hi = (line_base + line).min(addr + len);
-            if lo < hi {
-                let src = (lo - line_base) as usize..(hi - line_base) as usize;
-                let dst = (lo - addr) as usize..(hi - addr) as usize;
-                out[dst].copy_from_slice(&bytes[src]);
-            }
+            let src = (lo - line_base) as usize..(hi - line_base) as usize;
+            let dst = (lo - addr) as usize..(hi - addr) as usize;
+            out[dst].copy_from_slice(&bytes[src]);
         }
-        out
     }
 
     /// What would survive a crash right now (media only); zero-time.
@@ -363,20 +369,21 @@ impl PmDevice {
         self.inner.media.borrow().read(addr, len)
     }
 
+    /// [`read_persistent_view`](Self::read_persistent_view) into `out`.
+    pub fn copy_persistent_view(&self, addr: u64, out: &mut [u8]) {
+        self.inner.media.borrow().read_into(addr, out);
+    }
+
     /// True iff no dirty (unflushed) cache line overlaps `[addr, addr+len)`.
     pub fn is_persisted(&self, addr: u64, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let line = self.inner.cfg.cacheline;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
-        self.inner
-            .dirty
-            .borrow()
-            .range(first..=last)
-            .next()
-            .is_none()
+        self.lines(addr, len).is_none_or(|(first, last)| {
+            self.inner
+                .dirty
+                .borrow()
+                .in_range(first, last)
+                .next()
+                .is_none()
+        })
     }
 
     /// Power failure: every dirty cache line is lost; media is retained.
@@ -410,14 +417,16 @@ impl PmDevice {
     }
 
     fn covered_by_cache(&self, addr: u64, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
+        self.lines(addr, len).is_none_or(|(first, last)| {
+            let dirty = self.inner.dirty.borrow();
+            (first..=last).all(|l| dirty.contains(l))
+        })
+    }
+
+    /// First and last cache line of `[addr, addr+len)`; `None` when empty.
+    fn lines(&self, addr: u64, len: u64) -> Option<(u64, u64)> {
         let line = self.inner.cfg.cacheline;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
-        let dirty = self.inner.dirty.borrow();
-        (first..=last).all(|l| dirty.contains_key(&l))
+        (len > 0).then(|| (addr / line, (addr + len - 1) / line))
     }
 }
 
@@ -580,6 +589,159 @@ mod tests {
         drop(sim);
         assert_eq!(Rc::strong_count(&pm.inner), 1, "parked task leaked");
         assert_eq!(pm.read_persistent_view(64, 4), b"kept");
+    }
+
+    /// The overlay this device had before `DirtyLines` — an ordered map
+    /// from line number to line bytes over a flat media image — kept as
+    /// the reference the device is checked against.
+    struct MapModel {
+        line: u64,
+        media: Vec<u8>,
+        dirty: std::collections::BTreeMap<u64, Vec<u8>>,
+        bytes_persisted: u64,
+    }
+
+    impl MapModel {
+        fn lines(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
+            addr / self.line..=(addr + len - 1) / self.line
+        }
+
+        fn commit_persistent(&mut self, addr: u64, data: &[u8]) {
+            self.media[addr as usize..][..data.len()].copy_from_slice(data);
+            if !data.is_empty() {
+                let lines = self.lines(addr, data.len() as u64);
+                self.dirty.retain(|l, _| !lines.contains(l));
+            }
+        }
+
+        fn cache_write(&mut self, addr: u64, data: &[u8]) {
+            for (i, &b) in data.iter().enumerate() {
+                let a = addr + i as u64;
+                let base = (a / self.line * self.line) as usize;
+                let bytes = self
+                    .dirty
+                    .entry(a / self.line)
+                    .or_insert_with(|| self.media[base..base + self.line as usize].to_vec());
+                bytes[a as usize - base] = b;
+            }
+        }
+
+        fn clflush(&mut self, addr: u64, len: u64) {
+            if len == 0 {
+                return;
+            }
+            for l in self.lines(addr, len) {
+                if let Some(bytes) = self.dirty.remove(&l) {
+                    self.media[(l * self.line) as usize..][..bytes.len()].copy_from_slice(&bytes);
+                    self.bytes_persisted += self.line;
+                }
+            }
+        }
+
+        fn volatile_view(&self, addr: u64, len: u64) -> Vec<u8> {
+            let mut out = self.media[addr as usize..(addr + len) as usize].to_vec();
+            if len == 0 {
+                return out;
+            }
+            for (&l, bytes) in self.dirty.range(self.lines(addr, len)) {
+                for (i, &b) in bytes.iter().enumerate() {
+                    let a = l * self.line + i as u64;
+                    if (addr..addr + len).contains(&a) {
+                        out[(a - addr) as usize] = b;
+                    }
+                }
+            }
+            out
+        }
+
+        fn is_persisted(&self, addr: u64, len: u64) -> bool {
+            len == 0 || self.dirty.range(self.lines(addr, len)).next().is_none()
+        }
+    }
+
+    #[test]
+    fn overlay_matches_the_btreemap_model_under_random_ops() {
+        use prdma_simnet::rng::SmallRng;
+        // Three bitset chunks (4 096 lines of 64 B each) and two lines of
+        // a fourth; ops cluster around the chunk seams and both ends.
+        const CAPACITY: u64 = 3 * 4096 * 64 + 128;
+        const WINDOW: u64 = 1024;
+        let windows = [0, 4096 * 64 - 500, 2 * 4096 * 64 - 300, CAPACITY - WINDOW];
+        for case in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(0x0D1E_0000 + case);
+            let mut sim = Sim::new(case);
+            let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(CAPACITY));
+            let mut model = MapModel {
+                line: pm.config().cacheline,
+                media: vec![0; CAPACITY as usize],
+                dirty: Default::default(),
+                bytes_persisted: 0,
+            };
+            for step in 0..1_500 {
+                let window = windows[rng.gen_range(0..windows.len())];
+                let len = match rng.gen_range(0..8u64) {
+                    0 => 0,
+                    1..=5 => rng.gen_range(1..=16u64),
+                    _ => rng.gen_range(17..=300u64),
+                };
+                let addr = window + rng.gen_range(0..=WINDOW - len);
+                let data: Vec<u8> = (0..len).map(|_| rng.gen::<u64>() as u8).collect();
+                match rng.gen_range(0..32u64) {
+                    0 => {
+                        pm.crash();
+                        model.dirty.clear();
+                    }
+                    1..=14 => {
+                        pm.cache_write(addr, &data).unwrap();
+                        model.cache_write(addr, &data);
+                    }
+                    15..=22 => {
+                        let pm2 = pm.clone();
+                        sim.block_on(async move { pm2.clflush(addr, len).await.unwrap() });
+                        model.clflush(addr, len);
+                    }
+                    _ => {
+                        pm.commit_persistent(addr, &data).unwrap();
+                        model.commit_persistent(addr, &data);
+                    }
+                }
+                let at = format!("case {case} step {step}");
+                // The window just touched every step, all four now and then.
+                for w in windows
+                    .into_iter()
+                    .filter(|&w| w == window || step % 32 == 0)
+                {
+                    assert_eq!(
+                        pm.read_volatile_view(w, WINDOW),
+                        model.volatile_view(w, WINDOW),
+                        "{at}: volatile view of window {w}"
+                    );
+                    assert_eq!(
+                        pm.read_persistent_view(w, WINDOW),
+                        model.media[w as usize..(w + WINDOW) as usize],
+                        "{at}: persistent view of window {w}"
+                    );
+                }
+                assert_eq!(
+                    pm.is_persisted(addr, len),
+                    model.is_persisted(addr, len),
+                    "{at}"
+                );
+                let probe = window + rng.gen_range(0..WINDOW);
+                assert_eq!(
+                    pm.is_persisted(probe, 1),
+                    model.is_persisted(probe, 1),
+                    "{at}"
+                );
+                assert_eq!(pm.is_persisted(0, CAPACITY), model.dirty.is_empty(), "{at}");
+                assert_eq!(pm.bytes_persisted(), model.bytes_persisted, "{at}");
+            }
+            assert_eq!(
+                pm.read_volatile_view(0, CAPACITY),
+                model.volatile_view(0, CAPACITY)
+            );
+            assert_eq!(pm.read_persistent_view(0, CAPACITY), model.media);
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 mod config;
 mod device;
 mod dram;
+mod overlay;
 mod region;
 mod sparse;
 

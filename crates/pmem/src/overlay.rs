@@ -1,0 +1,183 @@
+//! The volatile cache overlay of a [`PmDevice`](crate::PmDevice): which
+//! cache lines are dirty, and their bytes.
+//!
+//! Every DMA placement asks "is any line in this range dirty?" and almost
+//! always hears no, while the set itself is not small — each completed log
+//! slot leaves one never-flushed `STATE_DONE` line behind, thousands per
+//! server. So membership is a bitset (one bit per line, tested a 64-line
+//! word at a time, walked in ascending line order) and the bytes sit in a
+//! slab of line-sized slots behind a hash index that only a dirty line
+//! ever consults. Nothing is sized by the device and nothing is
+//! reallocated as the set grows: the bitset comes in [`CHUNK_LINES`]-line
+//! chunks allocated when a line in them is first dirtied, the slab in
+//! [`SLAB_LINES`]-line chunks, and [`clear`](DirtyLines::clear) drops all
+//! of it. See DESIGN.md §19.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Lines per bitset chunk (512 bytes of bits; 256 KiB of PM at 64-byte
+/// lines).
+const CHUNK_LINES: u64 = 4096;
+const CHUNK_WORDS: usize = (CHUNK_LINES / 64) as usize;
+
+/// Line slots per slab chunk (4 KiB at 64-byte lines).
+const SLAB_LINES: usize = 64;
+
+/// Hashes one line number with the SplitMix64 finalizer. No per-process
+/// seed, so the table's layout repeats from run to run; the keys are the
+/// simulation's own addresses, never outside input.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write_u64(&mut self, line: u64) {
+        let mut z = line.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line numbers are u64");
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The set of dirty cache lines and their contents.
+pub(crate) struct DirtyLines {
+    /// Cache-line size in bytes.
+    line: usize,
+    /// `bits[c]` covers lines `c * CHUNK_LINES ..`; `None` (or past the
+    /// end) means none of them is dirty.
+    bits: Vec<Option<Box<[u64; CHUNK_WORDS]>>>,
+    /// Line number -> slab slot, for the dirty lines only.
+    index: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
+    /// Slot `s` holds its line's bytes in chunk `s / SLAB_LINES`, at
+    /// `s % SLAB_LINES * line ..`.
+    slab: Vec<Box<[u8]>>,
+    /// Slab slots no line occupies.
+    free: Vec<u32>,
+}
+
+impl DirtyLines {
+    pub(crate) fn new(line: u64) -> Self {
+        DirtyLines {
+            line: line as usize,
+            bits: Vec::new(),
+            index: HashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    fn word(&self, word: u64) -> u64 {
+        let chunk = (word / CHUNK_WORDS as u64) as usize;
+        match self.bits.get(chunk) {
+            Some(Some(bits)) => bits[word as usize % CHUNK_WORDS],
+            _ => 0,
+        }
+    }
+
+    pub(crate) fn contains(&self, lineno: u64) -> bool {
+        self.word(lineno / 64) >> (lineno % 64) & 1 == 1
+    }
+
+    /// The lowest dirty line in `from..=last`.
+    fn next_in(&self, from: u64, last: u64) -> Option<u64> {
+        if self.is_empty() || from > last {
+            return None;
+        }
+        let mut word = from / 64;
+        let mut bits = self.word(word) & (!0 << (from % 64));
+        loop {
+            if bits != 0 {
+                let lineno = word * 64 + bits.trailing_zeros() as u64;
+                return (lineno <= last).then_some(lineno);
+            }
+            word += 1;
+            if word > last / 64 {
+                return None;
+            }
+            bits = self.word(word);
+        }
+    }
+
+    fn bytes_of(&self, lineno: u64) -> &[u8] {
+        let slot = self.index[&lineno] as usize;
+        &self.slab[slot / SLAB_LINES][slot % SLAB_LINES * self.line..][..self.line]
+    }
+
+    /// The dirty lines in `first..=last` and their bytes, ascending.
+    pub(crate) fn in_range(&self, first: u64, last: u64) -> impl Iterator<Item = (u64, &[u8])> {
+        let mut from = first;
+        std::iter::from_fn(move || {
+            let lineno = self.next_in(from, last)?;
+            from = lineno + 1;
+            Some((lineno, self.bytes_of(lineno)))
+        })
+    }
+
+    /// Make every dirty line in `first..=last` clean, handing each to
+    /// `taken` (ascending) as it goes.
+    pub(crate) fn remove_range(
+        &mut self,
+        first: u64,
+        last: u64,
+        mut taken: impl FnMut(u64, &[u8]),
+    ) {
+        let mut from = first;
+        while let Some(lineno) = self.next_in(from, last) {
+            taken(lineno, self.bytes_of(lineno));
+            let slot = self.index.remove(&lineno).expect("a set bit is indexed");
+            self.free.push(slot);
+            let bits = self.bits[(lineno / CHUNK_LINES) as usize]
+                .as_mut()
+                .expect("a set bit has a chunk");
+            bits[(lineno % CHUNK_LINES / 64) as usize] &= !(1 << (lineno % 64));
+            from = lineno + 1;
+        }
+    }
+
+    /// The bytes of line `lineno`, dirtying it first — its slot filled by
+    /// `fill` — if it was clean.
+    pub(crate) fn dirty(&mut self, lineno: u64, fill: impl FnOnce(&mut [u8])) -> &mut [u8] {
+        let line = self.line;
+        let (slot, fresh) = match self.index.get(&lineno) {
+            Some(&slot) => (slot as usize, false),
+            None => {
+                if self.free.is_empty() {
+                    let first = (self.slab.len() * SLAB_LINES) as u32;
+                    self.slab.push(vec![0; SLAB_LINES * line].into());
+                    self.free.extend((first..first + SLAB_LINES as u32).rev());
+                }
+                let slot = self.free.pop().expect("refilled above");
+                self.index.insert(lineno, slot);
+                let chunk = (lineno / CHUNK_LINES) as usize;
+                if self.bits.len() <= chunk {
+                    self.bits.resize_with(chunk + 1, || None);
+                }
+                let bits = self.bits[chunk].get_or_insert_with(|| Box::new([0; CHUNK_WORDS]));
+                bits[(lineno % CHUNK_LINES / 64) as usize] |= 1 << (lineno % 64);
+                (slot as usize, true)
+            }
+        };
+        let bytes = &mut self.slab[slot / SLAB_LINES][slot % SLAB_LINES * line..][..line];
+        if fresh {
+            fill(bytes);
+        }
+        bytes
+    }
+
+    /// Every line clean, every allocation returned.
+    pub(crate) fn clear(&mut self) {
+        *self = DirtyLines::new(self.line as u64);
+    }
+}

@@ -56,7 +56,7 @@ impl SparseBytes {
     /// Panics when `[addr, addr + len)` is not inside the store.
     pub(crate) fn read(&self, addr: u64, len: u64) -> Vec<u8> {
         self.check(addr, len);
-        let (mut page, mut at, len) = (addr as usize / PAGE, addr as usize % PAGE, len as usize);
+        let (page, at, len) = (addr as usize / PAGE, addr as usize % PAGE, len as usize);
         if at + len <= PAGE {
             // `get`: a zero-length read at the very end indexes one past.
             return match self.pages.get(page) {
@@ -64,16 +64,27 @@ impl SparseBytes {
                 _ => vec![0; len],
             };
         }
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            let n = (len - out.len()).min(PAGE - at);
-            match &self.pages[page] {
-                Some(p) => out.extend_from_slice(&p[at..at + n]),
-                None => out.resize(out.len() + n, 0),
-            }
-            (page, at) = (page + 1, 0);
-        }
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
         out
+    }
+
+    /// Fill `out` with the bytes at `addr` (holes as zeros).
+    ///
+    /// # Panics
+    /// Panics when `[addr, addr + out.len())` is not inside the store.
+    pub(crate) fn read_into(&self, addr: u64, out: &mut [u8]) {
+        self.check(addr, out.len() as u64);
+        let (mut page, mut at) = (addr as usize / PAGE, addr as usize % PAGE);
+        let mut rest = out;
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at_mut(rest.len().min(PAGE - at));
+            match &self.pages[page] {
+                Some(p) => head.copy_from_slice(&p[at..at + head.len()]),
+                None => head.fill(0),
+            }
+            (page, at, rest) = (page + 1, 0, tail);
+        }
     }
 
     /// Back to all zeros: frees the pages written and writes to no other

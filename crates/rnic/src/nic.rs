@@ -309,18 +309,19 @@ impl Rnic {
         }
         match target {
             MemTarget::Dram(addr) => {
-                for (off, bytes) in payload.inline_parts() {
+                payload.try_for_each_inline(|off, bytes| {
                     self.inner.dram.write(addr + off, bytes);
-                }
+                    Ok::<(), RdmaError>(())
+                })?;
                 Ok(false)
             }
             MemTarget::Pm(addr) => {
                 if self.inner.cfg.ddio {
                     // DDIO routes the DMA into the LLC: volatile.
                     self.trace_incr(counters::DDIO_DMA_WRITES);
-                    for (off, bytes) in payload.inline_parts() {
-                        self.inner.pm.cache_write(addr + off, bytes)?;
-                    }
+                    payload.try_for_each_inline(|off, bytes| {
+                        self.inner.pm.cache_write(addr + off, bytes)
+                    })?;
                     Ok(false)
                 } else {
                     self.trace_incr(counters::DIRECT_DMA_WRITES);
@@ -334,9 +335,9 @@ impl Rnic {
                         self.note_dma_abort(target);
                         return Ok(false);
                     }
-                    for (off, bytes) in payload.inline_parts() {
-                        self.inner.pm.commit_persistent(addr + off, bytes)?;
-                    }
+                    payload.try_for_each_inline(|off, bytes| {
+                        self.inner.pm.commit_persistent(addr + off, bytes)
+                    })?;
                     Ok(true)
                 }
             }

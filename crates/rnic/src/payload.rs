@@ -71,26 +71,50 @@ impl Payload {
         }
     }
 
-    /// Every inline content span as `(offset, bytes)` relative to the
-    /// payload start — what a DMA engine must actually place in memory.
-    pub fn inline_parts(&self) -> Vec<(u64, &[u8])> {
-        let mut out = Vec::new();
-        self.collect_inline(0, &mut out);
-        out
+    /// Hand `place` every inline content span as `(offset, bytes)` relative
+    /// to the payload start, in layout order — what a DMA engine must
+    /// actually put in memory — stopping at its first error. Borrows the
+    /// spans where they are; nothing is collected.
+    pub fn try_for_each_inline<'a, E>(
+        &'a self,
+        mut place: impl FnMut(u64, &'a [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.visit_inline(0, &mut place)
     }
 
-    fn collect_inline<'a>(&'a self, base: u64, out: &mut Vec<(u64, &'a [u8])>) {
+    fn visit_inline<'a, E>(
+        &'a self,
+        base: u64,
+        place: &mut impl FnMut(u64, &'a [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         match self {
-            Payload::Inline(b) => out.push((base, b)),
-            Payload::Synthetic { .. } => {}
+            Payload::Inline(b) => place(base, b),
+            Payload::Synthetic { .. } => Ok(()),
             Payload::Composite(parts) => {
                 let mut off = base;
                 for p in parts.iter() {
-                    p.collect_inline(off, out);
+                    p.visit_inline(off, place)?;
                     off += p.len();
                 }
+                Ok(())
             }
         }
+    }
+
+    /// Whether any part carries real content.
+    pub fn has_inline(&self) -> bool {
+        self.try_for_each_inline(|_, _| Err(())).is_err()
+    }
+
+    /// The spans [`try_for_each_inline`](Self::try_for_each_inline)
+    /// visits, collected (for tests that index or slice them).
+    pub fn inline_parts(&self) -> Vec<(u64, &[u8])> {
+        let mut out = Vec::new();
+        let _ = self.try_for_each_inline(|off, bytes| {
+            out.push((off, bytes));
+            Ok::<(), std::convert::Infallible>(())
+        });
+        out
     }
 }
 
@@ -125,6 +149,35 @@ mod tests {
         assert_eq!(p.len(), 65536);
         assert_eq!(p.bytes(), None);
         assert_eq!(p.tag(), Some(42));
+    }
+
+    #[test]
+    fn inline_spans_are_visited_in_layout_order_until_an_error() {
+        let nested = Payload::composite(vec![
+            Payload::from_bytes(vec![1; 3]),
+            Payload::synthetic(100, 0),
+            Payload::composite(vec![
+                Payload::synthetic(5, 0),
+                Payload::from_bytes(vec![2; 4]),
+            ]),
+            Payload::from_bytes(vec![3; 2]),
+        ]);
+        assert_eq!(
+            nested.inline_parts(),
+            [(0, &[1u8; 3][..]), (108, &[2; 4]), (112, &[3; 2])]
+        );
+        let mut seen = Vec::new();
+        let stopped = nested.try_for_each_inline(|off, _| {
+            seen.push(off);
+            if off == 108 {
+                Err("stop")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((stopped, seen), (Err("stop"), vec![0, 108]));
+        assert!(nested.has_inline());
+        assert!(!Payload::composite(vec![Payload::synthetic(9, 1)]).has_inline());
     }
 
     #[test]

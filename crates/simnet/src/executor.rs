@@ -1,7 +1,7 @@
 //! The virtual-time async executor.
 //!
 //! A [`Sim`] owns a single-threaded task slab, a ready queue, and a timer
-//! heap keyed on virtual time. Tasks are ordinary Rust futures; awaiting
+//! queue keyed on virtual time. Tasks are ordinary Rust futures; awaiting
 //! [`SimHandle::sleep`] registers a timer instead of blocking, and the run
 //! loop advances the clock discretely to the next due timer whenever the
 //! ready queue drains. Identical seeds produce identical event orderings.
@@ -20,16 +20,46 @@
 //!   (never-in-practice, but contractually possible) case of a waker
 //!   cloned to another thread. See the `ReadyQueue` safety comment for
 //!   the soundness argument.
-//! * **Timer slab**: each registered sleep stores its waker in a
-//!   free-listed slab slot; the binary heap holds only `(deadline, seq,
-//!   slot)` index entries. Firing a timer is a heap pop plus one slot
-//!   lookup — the old implementation rescanned a flat waker list on every
-//!   fire, which was O(n²) across a run with many outstanding sleeps.
+//! * **Timer queue** ([`TimerQueue`]): a monotone radix queue keyed on
+//!   the deadline. `last` is the deadline of the last *live* timer
+//!   popped; an entry sits in the FIFO `due` list when its deadline
+//!   equals `last`, and otherwise in bucket `63 - lzcnt(at ^ last)` — the
+//!   highest bit in which it differs from `last`. A push is one `xor`,
+//!   one `lzcnt` and a `Vec` append. A pop drains `due`, or, when that is
+//!   empty, takes the lowest non-empty bucket, makes the smallest live
+//!   deadline in it the new `last` and appends its entries, in the order
+//!   they were in, to the buckets below (every entry of bucket `b` agrees
+//!   with the new `last` above bit `b`, so each moves down and the
+//!   buckets above are untouched). An entry moves at most 64 times and
+//!   typically two or three, so push and pop are O(1) in the number of
+//!   timers. Two invariants carry the executor's contract:
+//!   1. *FIFO within a deadline.* Entries with equal deadlines are
+//!      always in the same bucket (the bucket is a function of the
+//!      deadline and `last`), a push appends, and a redistribution is
+//!      stable into buckets that were empty — so timers pop in
+//!      `(deadline, seq)` order, `seq` being the registration count.
+//!   2. *`last == now` whenever task code runs.* Only a live entry
+//!      becomes `last`, and the run loop sets the clock to it before it
+//!      wakes anything; a cancelled ("stale") entry is dropped when its
+//!      bucket is redistributed, or skipped in `due`, and never advances
+//!      either. So no registration can land below `last`, and a
+//!      cancelled timer still moves nothing.
+//! * **Timer slab and wake-by-id**: the queue holds only `(deadline,
+//!   seq, slot)` index entries; what to wake lives in a free-listed slab
+//!   slot. A [`Sleep`] polled under the slot waker of the task being
+//!   polled — every `h.sleep(..).await` and `timeout(..)` in the
+//!   workspace — stores that task's *id*, and firing it is a push onto
+//!   the ready queue: no `Waker` clone at registration, no drop at fire,
+//!   no vtable call — a clone and a drop are an atomic ref-count round
+//!   trip each. Any other waker — a combinator's own, a
+//!   hand-rolled `Context` — is cloned into the slot and woken through
+//!   its vtable. A `Sleep` polled again under a different waker replaces
+//!   its slot's target, as the `Future` contract requires.
 //!   Cancelled sleeps ([`Sleep`] dropped before the deadline) free their
-//!   slot immediately; their stale heap entry is skipped (without
+//!   slot immediately; their stale queue entry is dropped (without
 //!   advancing the clock) when it surfaces, or swept out earlier once
 //!   stale entries clearly outnumber live ones — every RPC cancels a far
-//!   timeout, and near deadlines would otherwise sift past thousands.
+//!   timeout, and they would otherwise sit in the high buckets for good.
 //! * **Teardown**: dropping the [`Sim`] drops every parked task, which
 //!   breaks the task → `SimHandle` → task-slab cycle, so a dropped
 //!   simulation's whole world is freed by ordinary `Rc` counting.
@@ -39,8 +69,6 @@
 //!   performs no waker clone.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -177,48 +205,56 @@ struct TaskSlot {
     waker: Option<Waker>,
 }
 
-/// Index entry in the timer heap: fires at `at`, FIFO by `seq` within an
-/// instant, waker lives in timer-slab slot `slot`.
-#[derive(PartialEq, Eq)]
+/// Index entry in the timer queue: fires at `at`, registered as `seq`
+/// (monotone, so FIFO within an instant), target lives in timer-slab slot
+/// `slot`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct TimerEntry {
     at: u64,
     seq: u64,
     slot: u32,
 }
 
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+/// What a fired timer makes runnable.
+enum TimerTarget {
+    /// The task with this id: the [`Sleep`] was polled under that task's
+    /// own slot waker, so firing is a ready-queue push.
+    Task(usize),
+    /// Whatever this waker wakes (a `Sleep` polled under any other waker).
+    Waker(Waker),
+}
+
+impl TimerTarget {
+    fn wakes_same(&self, other: &TimerTarget) -> bool {
+        match (self, other) {
+            (TimerTarget::Task(a), TimerTarget::Task(b)) => a == b,
+            (TimerTarget::Waker(a), TimerTarget::Waker(b)) => a.will_wake(b),
+            _ => false,
+        }
     }
 }
 
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Free-listed storage for pending timer wakers. Each entry carries the
-/// registration `seq` so a stale heap entry (or a [`Sleep`] cancel racing
+/// Free-listed storage for pending timer targets. Each entry carries the
+/// registration `seq` so a stale queue entry (or a [`Sleep`] cancel racing
 /// a slot reuse) can detect that the slot no longer belongs to it.
 #[derive(Default)]
 struct TimerSlab {
-    slots: Vec<Option<(u64, Waker)>>,
+    slots: Vec<Option<(u64, TimerTarget)>>,
     free: Vec<u32>,
     live: usize,
 }
 
 impl TimerSlab {
-    fn insert(&mut self, seq: u64, waker: Waker) -> u32 {
+    fn insert(&mut self, seq: u64, target: TimerTarget) -> u32 {
         self.live += 1;
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some((seq, waker));
+                self.slots[slot as usize] = Some((seq, target));
                 slot
             }
             None => {
-                self.slots.push(Some((seq, waker)));
+                self.slots.push(Some((seq, target)));
                 (self.slots.len() - 1) as u32
             }
         }
@@ -229,19 +265,190 @@ impl TimerSlab {
         matches!(self.slots.get(slot as usize), Some(Some((s, _))) if *s == seq)
     }
 
-    /// Take the waker registered as (`slot`, `seq`); `None` if the
+    /// The target registered as (`slot`, `seq`), if it still is.
+    fn target_mut(&mut self, slot: u32, seq: u64) -> Option<&mut TimerTarget> {
+        match self.slots.get_mut(slot as usize)? {
+            Some((s, target)) if *s == seq => Some(target),
+            _ => None,
+        }
+    }
+
+    /// Take the target registered as (`slot`, `seq`); `None` if the
     /// registration was cancelled (or the slot reused since).
-    fn take(&mut self, slot: u32, seq: u64) -> Option<Waker> {
+    fn take(&mut self, slot: u32, seq: u64) -> Option<TimerTarget> {
         let entry = self.slots.get_mut(slot as usize)?;
         match entry {
             Some((s, _)) if *s == seq => {
-                let (_, waker) = entry.take().expect("checked above");
+                let (_, target) = entry.take().expect("checked above");
                 self.free.push(slot);
                 self.live -= 1;
-                Some(waker)
+                Some(target)
             }
             _ => None,
         }
+    }
+}
+
+/// Monotone radix queue of [`TimerEntry`]s (see the module doc for the
+/// two invariants). It never looks inside the slab itself: `pop` and
+/// `retain` are told which entries are still live.
+struct TimerQueue {
+    /// Deadline of the last live entry popped; no queued deadline is
+    /// below it.
+    last: u64,
+    /// Entries with `at == last`, in registration order; `due[..due_head]`
+    /// are already popped.
+    due: Vec<TimerEntry>,
+    due_head: usize,
+    /// `buckets[b]`: entries whose highest bit differing from `last` is `b`.
+    buckets: [Vec<TimerEntry>; 64],
+    /// Bit `b` set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Entries queued, live and stale.
+    len: usize,
+}
+
+impl TimerQueue {
+    fn new() -> Self {
+        TimerQueue {
+            last: 0,
+            due: Vec::new(),
+            due_head: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, entry: TimerEntry) {
+        debug_assert!(entry.at >= self.last, "timer registered in the past");
+        self.len += 1;
+        self.place(entry);
+    }
+
+    fn place(&mut self, entry: TimerEntry) {
+        let diff = entry.at ^ self.last;
+        if diff == 0 {
+            self.due.push(entry);
+        } else {
+            let b = 63 - diff.leading_zeros();
+            self.buckets[b as usize].push(entry);
+            self.occupied |= 1 << b;
+        }
+    }
+
+    /// Remove and return the live entry that is first in `(at, seq)`
+    /// order, dropping the stale entries met on the way. `None` — with
+    /// `last` where it was — when only stale entries (or none) remain.
+    fn pop(&mut self, is_live: impl Fn(&TimerEntry) -> bool) -> Option<TimerEntry> {
+        loop {
+            while let Some(&entry) = self.due.get(self.due_head) {
+                self.due_head += 1;
+                self.len -= 1;
+                if is_live(&entry) {
+                    return Some(entry);
+                }
+            }
+            self.due.clear();
+            self.due_head = 0;
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            // Work on the bucket's storage outside `self` (everything in
+            // it moves to `due` or a lower bucket) and hand the emptied
+            // allocation back afterwards.
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            let queued = bucket.len();
+            bucket.retain(&is_live);
+            self.len -= queued - bucket.len();
+            if let Some(min) = bucket.iter().map(|e| e.at).min() {
+                self.last = min;
+                for &entry in &bucket {
+                    self.place(entry);
+                }
+            }
+            bucket.clear();
+            self.buckets[b] = bucket;
+        }
+    }
+
+    /// Keep only the entries `is_live` accepts; the order of the rest is
+    /// unchanged.
+    fn retain(&mut self, is_live: impl Fn(&TimerEntry) -> bool) {
+        self.due.drain(..self.due_head);
+        self.due_head = 0;
+        self.due.retain(&is_live);
+        let mut len = self.due.len();
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            let b = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let bucket = &mut self.buckets[b];
+            bucket.retain(&is_live);
+            len += bucket.len();
+            if bucket.is_empty() {
+                self.occupied &= !(1 << b);
+            }
+        }
+        self.len = len;
+    }
+}
+
+/// The timer state behind one borrow: the queue, the slab its entries
+/// index, and the registration counter.
+struct Timers {
+    queue: TimerQueue,
+    slab: TimerSlab,
+    next_seq: u64,
+}
+
+impl Timers {
+    fn new() -> Self {
+        Timers {
+            queue: TimerQueue::new(),
+            slab: TimerSlab::default(),
+            next_seq: 0,
+        }
+    }
+
+    /// Register `target` to fire at `at`; returns the (slot, seq) pair
+    /// that names the registration from then on.
+    fn register(&mut self, at: u64, target: TimerTarget) -> (u32, u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = self.slab.insert(seq, target);
+        self.queue.push(TimerEntry { at, seq, slot });
+        (slot, seq)
+    }
+
+    /// The next live timer in `(deadline, seq)` order: its deadline and
+    /// target. Stale entries met on the way are dropped.
+    fn pop(&mut self) -> Option<(u64, TimerTarget)> {
+        let slab = &self.slab;
+        let entry = self.queue.pop(|e| slab.is_live(e.slot, e.seq))?;
+        let target = self.slab.take(entry.slot, entry.seq);
+        Some((entry.at, target.expect("popped entry is live")))
+    }
+
+    /// Cancel the registration (`slot`, `seq`) if it is still pending and
+    /// return its target (for the caller to drop with no borrow held).
+    fn cancel(&mut self, slot: u32, seq: u64) -> Option<TimerTarget> {
+        let target = self.slab.take(slot, seq)?;
+        // The queue's index entry stays until virtual time reaches it,
+        // and every RPC cancels a far timeout: once the stale entries
+        // clearly outnumber the live ones, sweep them out. The survivors
+        // keep their relative order, so their pop order is unchanged.
+        if self.queue.len() - self.slab.live > (2 * self.slab.live).max(64) {
+            let slab = &self.slab;
+            self.queue.retain(|e| slab.is_live(e.slot, e.seq));
+        }
+        Some(target)
     }
 }
 
@@ -251,9 +458,10 @@ struct SimInner {
     free_slots: RefCell<Vec<usize>>,
     live_tasks: Cell<usize>,
     ready: Arc<ReadyQueue>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_slab: RefCell<TimerSlab>,
-    timer_seq: Cell<u64>,
+    timers: RefCell<Timers>,
+    /// The task being polled and its slot waker, which is what that poll's
+    /// `Context` hands out: a [`Sleep`] that sees it registers the id.
+    polling: RefCell<Option<(usize, Waker)>>,
     rng: RefCell<SmallRng>,
     events: Cell<u64>,
 }
@@ -325,9 +533,8 @@ impl Sim {
                 free_slots: RefCell::new(Vec::new()),
                 live_tasks: Cell::new(0),
                 ready: Arc::new(ReadyQueue::new()),
-                timers: RefCell::new(BinaryHeap::new()),
-                timer_slab: RefCell::new(TimerSlab::default()),
-                timer_seq: Cell::new(0),
+                timers: RefCell::new(Timers::new()),
+                polling: RefCell::new(None),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
             }),
@@ -353,21 +560,21 @@ impl Sim {
 
     /// Timers currently registered and not yet fired or cancelled.
     pub fn live_timers(&self) -> usize {
-        self.inner.timer_slab.borrow().live
+        self.inner.timers.borrow().slab.live
     }
 
     /// Total timer-slab slots ever allocated (free-listed; bounded by the
     /// peak number of *concurrently* pending timers, not by the total
     /// number of sleeps — cancelled sleeps return their slot).
     pub fn timer_slab_size(&self) -> usize {
-        self.inner.timer_slab.borrow().slots.len()
+        self.inner.timers.borrow().slab.slots.len()
     }
 
-    /// Entries in the timer heap, live and stale (a cancelled sleep leaves
+    /// Entries in the timer queue, live and stale (a cancelled sleep leaves
     /// its index entry behind; [`Sleep`]'s drop compacts them away once
     /// they outnumber the live ones).
     pub fn timer_heap_len(&self) -> usize {
-        self.inner.timers.borrow().len()
+        self.inner.timers.borrow().queue.len()
     }
 
     /// Spawn a root task; see [`SimHandle::spawn`].
@@ -420,29 +627,18 @@ impl Sim {
             self.poll_task(id);
             return true;
         }
-        // Ready queue empty: advance virtual time to the next live timer.
-        // Cancelled timers left stale index entries in the heap; skip the
-        // whole stale run under one borrow of the heap and slab instead of
-        // re-borrowing per entry (a timeout-heavy run cancels most of its
-        // timers, so the stale run is the common case there).
-        let fired = {
-            let mut timers = self.inner.timers.borrow_mut();
-            let mut slab = self.inner.timer_slab.borrow_mut();
-            loop {
-                let Some(Reverse(entry)) = timers.pop() else {
-                    break None;
-                };
-                if let Some(w) = slab.take(entry.slot, entry.seq) {
-                    break Some((entry.at, w));
-                }
-            }
-        };
-        let Some((at, w)) = fired else {
+        // Ready queue empty: advance virtual time to the next live timer
+        // (cancelled ones are dropped on the way and advance nothing).
+        let fired = self.inner.timers.borrow_mut().pop();
+        let Some((at, target)) = fired else {
             return false;
         };
         debug_assert!(at >= self.inner.now.get(), "timer in the past");
-        self.inner.now.set(at.max(self.inner.now.get()));
-        w.wake();
+        self.inner.now.set(at);
+        match target {
+            TimerTarget::Task(id) => self.inner.ready.push(id),
+            TimerTarget::Waker(w) => w.wake(),
+        }
         true
     }
 
@@ -465,8 +661,15 @@ impl Sim {
             }
         };
         self.inner.events.set(self.inner.events.get() + 1);
-        let mut cx = Context::from_waker(&waker);
-        let res = future.as_mut().poll(&mut cx);
+        // Publish (id, slot waker) for the duration of the poll; only
+        // shared borrows are taken while task code runs.
+        *self.inner.polling.borrow_mut() = Some((id, waker));
+        let res = {
+            let polling = self.inner.polling.borrow();
+            let (_, waker) = polling.as_ref().expect("set above");
+            future.as_mut().poll(&mut Context::from_waker(waker))
+        };
+        let (_, waker) = self.inner.polling.borrow_mut().take().expect("set above");
         {
             let mut tasks = self.inner.tasks.borrow_mut();
             let slot = &mut tasks[id];
@@ -521,9 +724,7 @@ impl Drop for Sim {
             drop(parked);
         }
         // Wakers held by timers nobody will fire; dropped after the borrow.
-        let slab = std::mem::take(&mut *self.inner.timer_slab.borrow_mut());
-        self.inner.timers.borrow_mut().clear();
-        drop(slab);
+        drop(self.inner.timers.replace(Timers::new()));
     }
 }
 
@@ -621,24 +822,21 @@ impl SimHandle {
         SimDuration::from_nanos((-u.ln() * mean.as_nanos() as f64).round() as u64)
     }
 
-    /// Register `waker` to fire at `at`; returns the (slot, seq) pair the
-    /// owning [`Sleep`] needs to cancel the registration on drop.
-    fn register_timer(&self, at: u64, waker: Waker) -> (u32, u64) {
-        let seq = self.inner.timer_seq.get();
-        self.inner.timer_seq.set(seq + 1);
-        let slot = self.inner.timer_slab.borrow_mut().insert(seq, waker);
-        self.inner
-            .timers
-            .borrow_mut()
-            .push(Reverse(TimerEntry { at, seq, slot }));
-        (slot, seq)
+    /// What a timer registered from this poll should make runnable: the
+    /// polled task by id when `cx` carries that task's own slot waker,
+    /// else a clone of whatever waker it does carry.
+    fn timer_target(&self, cx: &Context<'_>) -> TimerTarget {
+        match &*self.inner.polling.borrow() {
+            Some((id, slot_waker)) if cx.waker().will_wake(slot_waker) => TimerTarget::Task(*id),
+            _ => TimerTarget::Waker(cx.waker().clone()),
+        }
     }
 }
 
 /// Future returned by [`SimHandle::sleep`].
 ///
-/// Dropping an unfired `Sleep` cancels it: the waker slot is returned to
-/// the timer slab immediately (the heap's index entry is skipped when it
+/// Dropping an unfired `Sleep` cancels it: its slot is returned to the
+/// timer slab immediately (the queue's index entry is dropped when it
 /// surfaces, or compacted away before that), so abandoned timeouts do not
 /// accumulate state or wake their task spuriously at the stale deadline.
 pub struct Sleep {
@@ -651,17 +849,31 @@ pub struct Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.handle.inner.now.get() >= self.deadline {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        if this.handle.inner.now.get() >= this.deadline {
             // Fired (the slot was freed by the timer fire) or created with
             // a no-op deadline; nothing left to cancel.
-            self.registered = None;
+            this.registered = None;
             return Poll::Ready(());
         }
-        if self.registered.is_none() {
-            let deadline = self.deadline;
-            let reg = self.handle.register_timer(deadline, cx.waker().clone());
-            self.registered = Some(reg);
+        let target = this.handle.timer_target(cx);
+        let mut timers = this.handle.inner.timers.borrow_mut();
+        match this.registered {
+            None => this.registered = Some(timers.register(this.deadline, target)),
+            // Polled again before the deadline: the timer must wake the
+            // waker of *this* poll, which need not be the first one's.
+            Some((slot, seq)) => {
+                let current = timers
+                    .slab
+                    .target_mut(slot, seq)
+                    .expect("a timer registered for a future deadline is pending");
+                if !current.wakes_same(&target) {
+                    let replaced = std::mem::replace(current, target);
+                    drop(timers);
+                    drop(replaced);
+                }
+            }
         }
         Poll::Pending
     }
@@ -670,21 +882,11 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some((slot, seq)) = self.registered.take() {
-            // Cancel if still pending; `take` is a no-op when the timer
-            // already fired (seq mismatch or empty slot).
-            let mut slab = self.handle.inner.timer_slab.borrow_mut();
-            if slab.take(slot, seq).is_none() {
-                return;
-            }
-            // The heap's index entry stays until virtual time reaches it,
-            // and every RPC cancels a far timeout: once the stale entries
-            // clearly outnumber the live ones, sweep them out so near
-            // deadlines stop sifting past them. `(at, seq)` is a total
-            // order, so the pop order of the survivors is unchanged.
-            let mut timers = self.handle.inner.timers.borrow_mut();
-            if timers.len() - slab.live > (2 * slab.live).max(64) {
-                timers.retain(|Reverse(e)| slab.is_live(e.slot, e.seq));
-            }
+            // Cancel if still pending; a no-op when the timer already
+            // fired (seq mismatch or empty slot). Bound, so that a waker
+            // target is dropped after the borrow is released.
+            let cancelled = self.handle.inner.timers.borrow_mut().cancel(slot, seq);
+            drop(cancelled);
         }
     }
 }
@@ -711,7 +913,10 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use std::rc::Rc;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn clock_starts_at_zero() {
@@ -976,7 +1181,7 @@ mod tests {
                 let op = h.sleep(SimDuration::from_micros(1));
                 let res = crate::combinator::timeout(&h, SimDuration::from_millis(10), op).await;
                 assert!(res.is_ok());
-                peak2.set(peak2.get().max(h.inner.timers.borrow().len()));
+                peak2.set(peak2.get().max(h.inner.timers.borrow().queue.len()));
             }
         });
         assert!(peak.get() <= 200, "heap peaked at {} entries", peak.get());
@@ -1009,6 +1214,218 @@ mod tests {
         sim.run();
         assert_eq!(*log.borrow(), (0..100).rev().collect::<Vec<_>>());
         assert_eq!(sim.now().as_nanos(), 1_000_000);
+    }
+
+    /// A waker that counts how often it is woken.
+    struct Counting(AtomicUsize);
+
+    impl Wake for Counting {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn repolled_sleep_wakes_the_latest_waker() {
+        // The `Future` contract: only the waker of the most recent poll
+        // must be woken. A `Sleep` polled under W1 and then under W2 (it
+        // moved to another task, or a combinator polled it with its own
+        // waker) used to keep W1 and never wake W2.
+        let mut sim = Sim::new(1);
+        let mut sleep = Box::pin(sim.handle().sleep(SimDuration::from_micros(3)));
+        let counters = [(); 2].map(|()| Arc::new(Counting(Default::default())));
+        for counter in &counters {
+            let waker = Waker::from(Arc::clone(counter));
+            let polled = sleep.as_mut().poll(&mut Context::from_waker(&waker));
+            assert!(polled.is_pending());
+        }
+        assert_eq!(sim.live_timers(), 1, "a re-poll registers nothing new");
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 3_000);
+        let [w1, w2] = counters.map(|c| c.0.load(Ordering::SeqCst));
+        assert_eq!((w1, w2), (0, 1), "(W1, W2) wake counts");
+    }
+
+    #[test]
+    fn sleep_moved_to_another_task_wakes_that_task() {
+        // Same rule through the wake-by-id path: task A polls the sleep
+        // once and hands it over; task B awaits it and must be the one
+        // the timer makes runnable.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (tx, rx) = crate::oneshot::<Pin<Box<Sleep>>>();
+        let h2 = h.clone();
+        sim.spawn(async move {
+            let mut sleep = Box::pin(h2.sleep(SimDuration::from_micros(2)));
+            std::future::poll_fn(|cx| {
+                assert!(sleep.as_mut().poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            tx.send(sleep);
+            std::future::pending::<()>().await;
+        });
+        let woke_at = sim.block_on(async move {
+            rx.await.expect("sleep handed over").await;
+            h.now()
+        });
+        assert_eq!(woke_at.as_nanos(), 2_000);
+    }
+
+    #[test]
+    fn own_task_sleep_registers_the_task_id_not_a_waker() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        sim.spawn(async move { h.sleep(SimDuration::from_micros(1)).await });
+        poll_ready(&mut sim);
+        {
+            let timers = sim.inner.timers.borrow();
+            let targets: Vec<_> = timers.slab.slots.iter().flatten().collect();
+            assert!(matches!(targets[..], [(_, TimerTarget::Task(0))]));
+        }
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 1_000);
+    }
+
+    /// The timer state this module had before the radix queue, kept as the
+    /// reference [`Timers`] is checked against: a binary heap in `(at,
+    /// seq)` order over the same slab, stale entries skipped as they
+    /// surface and swept by the same rule.
+    struct HeapTimers {
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+        slab: TimerSlab,
+        next_seq: u64,
+    }
+
+    impl HeapTimers {
+        fn register(&mut self, at: u64, target: TimerTarget) -> (u32, u64) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let slot = self.slab.insert(seq, target);
+            self.heap.push(Reverse((at, seq, slot)));
+            (slot, seq)
+        }
+
+        fn pop(&mut self) -> Option<(u64, TimerTarget)> {
+            loop {
+                let Reverse((at, seq, slot)) = self.heap.pop()?;
+                if let Some(target) = self.slab.take(slot, seq) {
+                    return Some((at, target));
+                }
+            }
+        }
+
+        fn cancel(&mut self, slot: u32, seq: u64) {
+            if self.slab.take(slot, seq).is_some()
+                && self.heap.len() - self.slab.live > (2 * self.slab.live).max(64)
+            {
+                let slab = &self.slab;
+                self.heap
+                    .retain(|Reverse((_, seq, slot))| slab.is_live(*slot, *seq));
+            }
+        }
+    }
+
+    #[test]
+    fn timer_queue_matches_the_binary_heap_under_random_ops() {
+        fn id(popped: Option<(u64, TimerTarget)>) -> Option<(u64, usize)> {
+            popped.map(|(at, target)| match target {
+                TimerTarget::Task(id) => (at, id),
+                TimerTarget::Waker(_) => unreachable!("the test registers task ids"),
+            })
+        }
+        for case in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(0x71AE_0000 + case);
+            let mut radix = Timers::new();
+            let mut heap = HeapTimers {
+                heap: Default::default(),
+                slab: TimerSlab::default(),
+                next_seq: 0,
+            };
+            // The executor's clock: the deadline of the last timer fired.
+            let mut now = 0u64;
+            let mut pending: Vec<(u32, u64)> = Vec::new();
+            let mut registered = 0usize;
+            let mut register = |radix: &mut Timers, heap: &mut HeapTimers, at: u64| {
+                registered += 1;
+                let reg = radix.register(at, TimerTarget::Task(registered));
+                assert_eq!(
+                    reg,
+                    heap.register(at, TimerTarget::Task(registered)),
+                    "case {case}: slot/seq assignment diverged"
+                );
+                reg
+            };
+            let mut popped = 0usize;
+            for step in 0..2_500 {
+                match rng.gen_range(0..16u64) {
+                    // A burst of registrations, log-uniform from +1 ns to
+                    // +10 ms; one in three bursts shares a single deadline.
+                    0..=6 => {
+                        let same = rng.gen_range(0..3u64) == 0;
+                        let mut at = 0;
+                        for i in 0..rng.gen_range(1..=6u64) {
+                            if i == 0 || !same {
+                                let magnitude = rng.gen_range(0..=23u32);
+                                at = now + rng.gen_range(1..=(1u64 << magnitude)).min(10_000_000);
+                            }
+                            pending.push(register(&mut radix, &mut heap, at));
+                        }
+                    }
+                    7..=10 if !pending.is_empty() => {
+                        let (slot, seq) = pending.swap_remove(rng.gen_range(0..pending.len()));
+                        let cancelled = radix.cancel(slot, seq).is_some();
+                        heap.cancel(slot, seq);
+                        // (A no-op for a registration that already fired,
+                        // as for a `Sleep` dropped after its deadline.)
+                        let stale = radix.queue.len() - radix.slab.live;
+                        assert!(
+                            !cancelled || stale <= (2 * radix.slab.live).max(64),
+                            "case {case} step {step}: {stale} stale entries beside {} live",
+                            radix.slab.live
+                        );
+                    }
+                    // Cancel everything: what is left is a run of stale
+                    // entries, which must neither fire nor move the clock,
+                    // and a timer registered right after must still fire
+                    // at its own deadline, in order.
+                    11 => {
+                        for (slot, seq) in pending.drain(..) {
+                            radix.cancel(slot, seq);
+                            heap.cancel(slot, seq);
+                        }
+                        assert!(id(radix.pop()).is_none(), "case {case} step {step}");
+                        assert!(id(heap.pop()).is_none());
+                        assert_eq!(radix.queue.last, now, "case {case} step {step}");
+                        assert_eq!(radix.queue.len(), 0);
+                        let near = register(&mut radix, &mut heap, now + 1);
+                        let far = register(&mut radix, &mut heap, now + 5_000_000);
+                        pending.extend([far, near]);
+                    }
+                    _ => {
+                        let got = id(radix.pop());
+                        assert_eq!(got, id(heap.pop()), "case {case} step {step}: pop order");
+                        assert_eq!(radix.slab.live, heap.slab.live);
+                        if let Some((at, _)) = got {
+                            assert!(at >= now, "case {case} step {step}: clock went back");
+                            now = at;
+                            popped += 1;
+                        }
+                        assert_eq!(radix.queue.last, now, "case {case} step {step}");
+                    }
+                }
+            }
+            assert!(popped > 300, "case {case}: only {popped} pops");
+            // Drain: the tails agree too.
+            loop {
+                let got = id(radix.pop());
+                assert_eq!(got, id(heap.pop()), "case {case}: drain order");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(radix.queue.len(), 0);
+        }
     }
 
     #[test]
@@ -1105,8 +1522,8 @@ mod tests {
             "tasks spawned during teardown are dropped too"
         );
         assert_eq!(inner.live_tasks.get(), 0);
-        assert_eq!(inner.timer_slab.borrow().live, 0);
-        assert!(inner.timers.borrow().is_empty());
+        assert_eq!(inner.timers.borrow().slab.live, 0);
+        assert_eq!(inner.timers.borrow().queue.len(), 0);
         assert_eq!(sem.available(), 1, "the held permit was released");
         drop(h);
         assert_eq!(Rc::strong_count(&inner), 1, "no task still holds a handle");
