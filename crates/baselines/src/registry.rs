@@ -206,5 +206,5 @@ pub fn build_sharded_system(
     let shards = (0..map.shards())
         .map(|s| build_system(cluster, kind, client_idx, s, lane, opts))
         .collect();
-    ShardedClient::new(map, shards)
+    ShardedClient::new(map, shards, cluster.node(client_idx))
 }

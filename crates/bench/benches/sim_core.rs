@@ -20,7 +20,6 @@
 //! `PRDMA_PAR` — and the process's peak resident set, so the perf
 //! trajectory has machine-readable data points.
 
-use prdma::txn::build_sharded_txn;
 use prdma::{
     build_fleet, encode_entry, CacheConfig, DurableConfig, DurableKind, FleetSpec, OpCode, Request,
     RpcClient, RpcOperator, ServerProfile, ShardMap, ShardedClient,
@@ -203,7 +202,7 @@ fn bench_mark_done_overlay(iters: u32) -> BenchResult {
 fn bench_channels(iters: u32) -> BenchResult {
     // The rebuilt channel hot path: same-timestamp arrival bursts applied
     // as batched ring extends (`send_batch`) and drained into a reused
-    // buffer (`recv_many`), the shape the open-loop generator and the
+    // ring (`recv_all`), the shape the open-loop generator and the
     // durable servers' dispatch loops use under load.
     bench("channel/send_recv_100k", 100_000, iters, || {
         const BURST: u64 = 1024;
@@ -411,7 +410,11 @@ fn bench_txn_commit(iters: u32) -> BenchResult {
             ..Default::default()
         };
         let client_nodes: Vec<usize> = (SHARDS..SHARDS + CLIENTS).collect();
-        let svc = build_sharded_txn(&cluster, map, &client_nodes, &cfg);
+        let spec = FleetSpec {
+            replicas: 1,
+            cache: None,
+        };
+        let svc = build_fleet(&cluster, map, &client_nodes, &cfg, spec);
         let clients: Vec<_> = svc.clients.into_iter().map(Rc::new).collect();
         let mix = TxnMixConfig {
             txns: 250,

@@ -17,8 +17,7 @@
 
 use std::rc::Rc;
 
-use prdma::txn::build_sharded_txn;
-use prdma::{DurableConfig, ServerProfile, ShardMap};
+use prdma::{build_fleet, DurableConfig, FleetSpec, ServerProfile, ShardMap};
 use prdma_node::{Cluster, ClusterConfig};
 use prdma_simnet::Sim;
 use prdma_workloads::txn_mix::{run_txn_mix, TxnMixConfig, TxnMixResult};
@@ -55,7 +54,11 @@ fn txn_point(shards: usize, theta: f64, scale: Scale) -> TxnMixResult {
         ..Default::default()
     };
     let client_nodes: Vec<usize> = (shards..shards + CLIENTS).collect();
-    let svc = build_sharded_txn(&cluster, map, &client_nodes, &dcfg);
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: None,
+    };
+    let svc = build_fleet(&cluster, map, &client_nodes, &dcfg, spec);
     let clients: Vec<_> = svc.clients.into_iter().map(Rc::new).collect();
     let h = sim.handle();
     let r = sim.block_on(async move { run_txn_mix(&h, &clients, &cfg).await });

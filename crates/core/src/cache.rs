@@ -39,44 +39,21 @@
 //! of keys and of cached entries (DESIGN.md §16).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use prdma_node::Node;
 use prdma_rnic::{MemTarget, Payload, Qp};
 use prdma_simnet::journal::{EventKind, Journal, Subsystem};
 use prdma_simnet::metrics::{Counter, Key};
+use prdma_simnet::rng::IdMap;
 
+use crate::log::OpCode;
 use crate::replication::GroupView;
-use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcFuture, RpcResult};
-use crate::shard::mix64;
+use crate::rpc::{
+    Request, Response, RpcAppendFuture, RpcBatchFuture, RpcClient, RpcFuture, RpcResult,
+};
 use crate::store::{MirrorRegion, MIRROR_HEADER_BYTES};
-
-/// Hashes one `u64` key with the SplitMix64 finalizer. No per-process
-/// seed (`RandomState`), so a table's layout repeats from run to run;
-/// the keys are the simulation's own object ids, never outside input, so
-/// nothing can craft collisions.
-#[derive(Default)]
-struct Mix64Hasher(u64);
-
-impl Hasher for Mix64Hasher {
-    fn write_u64(&mut self, key: u64) {
-        self.0 = mix64(key);
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("IdMap keys are u64");
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// O(1) map from an object id to per-key state.
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<Mix64Hasher>>;
 
 /// Bits of the lease key id reserved for the object id; the shard tag
 /// occupies the bits above, so merged fleet journals never conflate two
@@ -678,6 +655,10 @@ impl RpcClient for CachedClient {
     fn call_batch(&self, reqs: Vec<Request>) -> RpcBatchFuture<'_> {
         self.check_view();
         self.inner.call_batch(reqs)
+    }
+
+    fn append_record(&self, opcode: OpCode, obj_id: u64, data: Payload) -> RpcAppendFuture<'_> {
+        self.inner.append_record(opcode, obj_id, data)
     }
 
     fn name(&self) -> &'static str {

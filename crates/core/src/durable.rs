@@ -36,7 +36,8 @@ use crate::log::{
     REPL_ID_BYTES,
 };
 use crate::rpc::{
-    Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult, ServerProfile,
+    Request, Response, RetryPolicy, RpcAppendFuture, RpcClient, RpcError, RpcFuture, RpcResult,
+    ServerProfile,
 };
 use crate::store::ObjectStore;
 
@@ -1061,27 +1062,6 @@ impl DurableClient {
         Ok(DURABLE)
     }
 
-    /// Durably append an arbitrary log record (transaction prepare /
-    /// decide / commit / abort) and wait for this connection's
-    /// persistence signal — the flush ACK or the receiver persist-ACK,
-    /// per the configured durable kind. Returns the record's journal rpc
-    /// id. The record is *not* applied to the object store here; the
-    /// server's worker pool interprets it (see `process_txn_entry`).
-    /// Runs under this connection's [`RetryPolicy`], so appends are
-    /// at-least-once; interpreters must tolerate duplicate records for
-    /// one txn id.
-    pub async fn append_record(
-        &self,
-        opcode: OpCode,
-        obj_id: u64,
-        data: Payload,
-    ) -> RpcResult<u64> {
-        let entry = Entry::new(opcode, obj_id, data, None, None);
-        self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
-            .await?;
-        Ok(entry.rpc_id.get())
-    }
-
     async fn do_get(&self, obj: u64, len: u64, count: u32) -> RpcResult<Response> {
         let rpc_id = self
             .client_node
@@ -1228,6 +1208,21 @@ impl RpcClient for DurableClient {
                 }
             }
             Ok(out)
+        })
+    }
+
+    /// The record waits for this connection's persistence signal — the
+    /// flush ACK or the receiver persist-ACK, per the durable kind — and
+    /// is *not* applied here: the server's worker pool interprets it (see
+    /// `process_txn_entry`). Runs under the connection's [`RetryPolicy`],
+    /// so appends are at-least-once; interpreters must tolerate duplicate
+    /// records for one txn id.
+    fn append_record(&self, opcode: OpCode, obj_id: u64, data: Payload) -> RpcAppendFuture<'_> {
+        Box::pin(async move {
+            let entry = Entry::new(opcode, obj_id, data, None, None);
+            self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
+                .await?;
+            Ok(entry.rpc_id.get())
         })
     }
 

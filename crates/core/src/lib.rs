@@ -80,7 +80,4 @@ pub use shard::{
 };
 pub use span::{build_span_trees, tail_report, Attribution, Span, SpanTree, TailEntry, TailReport};
 pub use store::{MirrorRegion, ObjectStore};
-pub use txn::{
-    build_sharded_txn, AbortReason, ShardedTxn, Txn, TxnClient, TxnDirectory, TxnOutcome, TxnPhase,
-    TxnState,
-};
+pub use txn::{build_sharded_txn, AbortReason, Txn, TxnDirectory, TxnOutcome, TxnPhase, TxnState};

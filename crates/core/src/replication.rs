@@ -40,7 +40,7 @@ use prdma_simnet::rng::SmallRng;
 use prdma_simnet::SimHandle;
 
 use crate::durable::{build_durable, DurableClient, DurableConfig, DurableKind, DurableServer};
-use crate::log::{OpCode, REPL_ID_BYTES};
+use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
 
 /// High bit namespace for causal replication put ids, so they can never
@@ -433,33 +433,6 @@ impl ReplicatedClient {
         self.fan_out_round(obj, &data, id, &targets).await
     }
 
-    /// Fan a transaction record (prepare / decided / commit / abort) out
-    /// to every replica's redo log, exactly as replicated puts fan out:
-    /// spawned concurrently, **all joined**, each leg retried under its
-    /// connection's policy. `Ok` once at least one replica has durably
-    /// appended the record (a failed replica is marked down, promoting
-    /// if it was the primary, and catches up from its log at rejoin);
-    /// `Err` only when no replica accepted it.
-    pub async fn append_record_all(
-        &self,
-        opcode: OpCode,
-        obj_id: u64,
-        data: Payload,
-    ) -> RpcResult<()> {
-        let leg = |r: Rc<DurableClient>| {
-            let data = data.clone();
-            async move { r.append_record(opcode, obj_id, data).await.map(|_| ()) }
-        };
-        let mut last = Err(RpcError::TimedOut);
-        for outcome in self.fan_out(0..self.replicas.len(), leg).await {
-            if outcome.result.is_ok() {
-                return Ok(());
-            }
-            last = outcome.result;
-        }
-        last
-    }
-
     async fn put_all(&self, obj: u64, data: Payload) -> RpcResult<Response> {
         let id = self.state.alloc_put_id();
         // Causal root of the span tree: the replicated put itself. Its id
@@ -587,38 +560,6 @@ mod tests {
             store_capacity: 1 << 20,
             head_persist_interval: 1,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn txn_records_fan_out_to_every_replica_log() {
-        let mut sim = Sim::new(79);
-        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(4));
-        let (client, group) = build_replicated(&cluster, 3, &[0, 1, 2], cfg());
-        let logs: Vec<_> = group.servers.iter().map(|s| s.log().clone()).collect();
-        sim.block_on(async move {
-            client
-                .append_record_all(
-                    OpCode::TxnDecide,
-                    crate::txn::TXN_ID_BASE | 7,
-                    Payload::from_bytes(vec![1, 0, 0, 0, 0, 0, 0, 0]),
-                )
-                .await
-                .unwrap();
-        });
-        sim.run();
-        for (i, log) in logs.iter().enumerate() {
-            let decides: Vec<_> = log
-                .scan_ring()
-                .into_iter()
-                .filter(|e| e.op.opcode == OpCode::TxnDecide)
-                .collect();
-            assert_eq!(decides.len(), 1, "replica {i}");
-            assert_eq!(
-                decides[0].op.obj_id,
-                crate::txn::TXN_ID_BASE | 7,
-                "replica {i}"
-            );
         }
     }
 

@@ -9,6 +9,8 @@ use prdma_rnic::{Payload, RdmaError};
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::{SimDuration, SimHandle};
 
+use crate::log::OpCode;
+
 /// An application request.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -214,6 +216,9 @@ pub type RpcFuture<'a> = Pin<Box<dyn Future<Output = RpcResult<Response>> + 'a>>
 /// Boxed future for batched calls.
 pub type RpcBatchFuture<'a> = Pin<Box<dyn Future<Output = RpcResult<Vec<Response>>> + 'a>>;
 
+/// Boxed future for a log-record append: the record's journal rpc id.
+pub type RpcAppendFuture<'a> = Pin<Box<dyn Future<Output = RpcResult<u64>> + 'a>>;
+
 /// A client endpoint of some RPC system. Object-safe so the experiment
 /// harness can sweep heterogeneous systems.
 pub trait RpcClient {
@@ -235,6 +240,16 @@ pub trait RpcClient {
             }
             Ok(out)
         })
+    }
+
+    /// Durably append a raw redo-log record (a transaction's prepare /
+    /// decide / commit / abort) and resolve with its journal rpc id once
+    /// the connection's persistence signal covers it. Only an endpoint
+    /// with one redo log behind it can; the default refuses.
+    fn append_record(&self, _opcode: OpCode, _obj_id: u64, _data: Payload) -> RpcAppendFuture<'_> {
+        Box::pin(std::future::ready(Err(RpcError::Unsupported(
+            "log-record append",
+        ))))
     }
 
     /// Human-readable system name (tables, plots).

@@ -21,9 +21,11 @@ use crate::durable::{build_durable, DurableConfig, DurableServer};
 use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
 use crate::store::MirrorRegion;
-use prdma_node::{Cluster, FaultInjector};
+use crate::txn::{TxnBook, TxnDirectory, TxnState};
+use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::QpMode;
 use prdma_simnet::fault::FaultKind;
+use prdma_simnet::rng::mix64;
 
 /// How global object ids map onto shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,14 +48,6 @@ pub enum ShardPolicy {
 pub struct ShardMap {
     shards: usize,
     policy: ShardPolicy,
-}
-
-/// SplitMix64 finalizer: a well-mixed 64-bit permutation.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 impl ShardMap {
@@ -132,25 +126,33 @@ impl ShardMap {
 
 /// A client endpoint that routes each request to the owning shard's
 /// underlying [`RpcClient`]. Implements [`RpcClient`] itself, so every
-/// workload driver (micro, YCSB, PageRank) runs sharded unchanged.
+/// workload driver (micro, YCSB, PageRank) runs sharded unchanged; a
+/// client of an unreplicated [`Fleet`] also runs multi-shard transactions
+/// ([`begin`](ShardedClient::begin) / [`commit`](ShardedClient::commit),
+/// in the `txn` module).
 pub struct ShardedClient {
-    map: ShardMap,
-    shards: Vec<Box<dyn RpcClient>>,
+    pub(crate) map: ShardMap,
+    pub(crate) shards: Vec<Rc<dyn RpcClient>>,
     /// Per-shard replica-group views (replicated topologies only):
     /// routing is promotion-aware — each shard's endpoint fails over
     /// internally, and these views expose which epoch/primary the
     /// routing currently targets.
     views: Vec<GroupView>,
+    /// This client's 2PC bookkeeping.
+    pub(crate) txn: TxnBook,
 }
 
 impl ShardedClient {
-    /// Wrap one client per shard (index = shard id) under `map`.
-    pub fn new(map: ShardMap, shards: Vec<Box<dyn RpcClient>>) -> Self {
+    /// Wrap one client per shard (index = shard id) under `map`, for the
+    /// client on `node`. The router has no transaction tables: its
+    /// [`commit`](ShardedClient::commit) refuses.
+    pub fn new(map: ShardMap, shards: Vec<Box<dyn RpcClient>>, node: &Node) -> Self {
         assert_eq!(map.shards(), shards.len(), "one client endpoint per shard");
         ShardedClient {
             map,
-            shards,
+            shards: shards.into_iter().map(Rc::from).collect(),
             views: Vec::new(),
+            txn: TxnBook::new(node, 0, &[], &[]),
         }
     }
 
@@ -387,18 +389,28 @@ pub struct Fleet {
     /// `shard`. Empty per shard otherwise.
     pub groups: Vec<Vec<ReplicaGroup>>,
     /// Per-shard lease tables (index = shard id), shared by every client
-    /// of the shard; empty without a cache.
+    /// of the shard: its caches validate against them, its puts (with a
+    /// cache) and its commits revoke on them. Empty on a replicated fleet
+    /// without a cache.
     pub leases: Vec<LeaseState>,
+    /// Per-shard transaction host state (index = shard id), wired into
+    /// every connection of the shard; empty when the shards are replica
+    /// groups.
+    pub states: Vec<TxnState>,
+    pub(crate) directory: TxnDirectory,
 }
 
 impl Fleet {
     /// Recovery of server node `node` from `kind` — what the wired hooks
     /// run, and what a caller that crashed the node by hand calls after
-    /// restarting it: every per-connection log of the shard the node
-    /// hosts, then every replica-group member on it, each as
-    /// [`DurableServer::recover`] decides (and only that node's). Returns
-    /// the entries re-enqueued.
+    /// restarting it: forget the volatile transaction outcomes (in-doubt
+    /// resolution must come from the logs alone; a no-op on a fleet that
+    /// never committed one), then recover every per-connection log of the
+    /// shard the node hosts, then every replica-group member on it, each
+    /// as [`DurableServer::recover`] decides (and only that node's).
+    /// Returns the entries re-enqueued.
     pub fn recover(&self, node: usize, kind: FaultKind) -> usize {
+        self.directory.forget_volatile();
         let groups = self.groups.iter().flatten();
         recover_node(&self.servers, node, kind)
             + groups.map(|g| g.recover(node, kind)).sum::<usize>()
@@ -408,18 +420,14 @@ impl Fleet {
     /// shards replay at their node's recovery points; replica groups also
     /// promote at crash time (see [`ReplicaGroup::wire_recovery`]).
     pub fn wire_recovery(&self, inj: &FaultInjector) {
-        let servers = self.servers.clone();
+        let (dir, servers) = (self.directory.clone(), self.servers.clone());
         inj.on_recovery(move |node, kind| {
+            dir.forget_volatile();
             recover_node(&servers, node, kind);
         });
         for g in self.groups.iter().flatten() {
             g.wire_recovery(inj);
         }
-    }
-
-    fn with_leases(self) -> (Fleet, Vec<LeaseState>) {
-        let leases = self.leases.clone();
-        (self, leases)
     }
 }
 
@@ -427,69 +435,50 @@ impl Fleet {
 /// server node `node` hosts (`servers[shard][client]`; shard `s` lives on
 /// node `s`, so any other node recovers nothing). Returns the entries
 /// re-enqueued.
-pub(crate) fn recover_node(
-    servers: &[Vec<Rc<DurableServer>>],
-    node: usize,
-    kind: FaultKind,
-) -> usize {
+fn recover_node(servers: &[Vec<Rc<DurableServer>>], node: usize, kind: FaultKind) -> usize {
     let shard = servers.get(node).into_iter().flatten();
     shard.map(|s| s.recover(kind)).sum()
-}
-
-/// The one (client × shard) assembly loop: shards live on server nodes
-/// `0..shards` (the cluster must have at least that many servers), and
-/// every node in `client_nodes` gets one endpoint to every shard, built
-/// by `connect(client ordinal, client node, shard)` in client-major
-/// order. Returns `endpoints[client][shard]`.
-pub(crate) fn assemble<E>(
-    cluster: &Cluster,
-    shards: usize,
-    client_nodes: &[usize],
-    mut connect: impl FnMut(usize, usize, usize) -> E,
-) -> Vec<Vec<E>> {
-    assert!(
-        cluster.servers() >= shards,
-        "cluster has {} server nodes, need {shards}",
-        cluster.servers()
-    );
-    let mut endpoints = Vec::with_capacity(client_nodes.len());
-    for (c, &client_idx) in client_nodes.iter().enumerate() {
-        endpoints.push((0..shards).map(|s| connect(c, client_idx, s)).collect());
-    }
-    endpoints
 }
 
 /// Build one shard's lease table: when the one-sided tier is enabled the
 /// table is backed by a mirror region carved out of the *top half* of the
 /// shard server's DRAM (the bottom is owned by the per-lane GET
 /// descriptor slots), shared by every client of the shard.
-fn shard_lease(cluster: &Cluster, shard: usize, cache: &CacheConfig) -> LeaseState {
-    if cache.mirror {
-        let dram = cluster.node(shard).dram.clone();
-        let base = dram.capacity() / 2;
-        let mirror = MirrorRegion::new(dram, base, cache.mirror_slot_bytes(), cache.mirror_slots);
-        LeaseState::with_mirror(shard as u64, mirror)
-    } else {
-        LeaseState::new(shard as u64)
+fn shard_lease(cluster: &Cluster, shard: usize, cache: Option<&CacheConfig>) -> LeaseState {
+    match cache {
+        Some(cache) if cache.mirror => {
+            let dram = cluster.node(shard).dram.clone();
+            let base = dram.capacity() / 2;
+            let slots = cache.mirror_slots;
+            let mirror = MirrorRegion::new(dram, base, cache.mirror_slot_bytes(), slots);
+            LeaseState::with_mirror(shard as u64, mirror)
+        }
+        _ => LeaseState::new(shard as u64),
     }
 }
 
-/// Build a sharded durable KV service over `map`'s shards for the clients
-/// on `client_nodes` (see [`assemble`] for placement): every client gets
-/// one endpoint — with its own per-connection redo log(s) — to every
-/// shard, stacked per `spec`. With `spec.replicas > 1` the endpoint is a
-/// replica group's client and the routers learn each shard's promotion
+/// Build a sharded durable KV service over `map`'s shards (on server
+/// nodes `0..shards`; the cluster must have that many) for the clients on
+/// `client_nodes`: every client gets one endpoint — with its own
+/// per-connection redo log(s) — to every shard, built in client-major
+/// order and stacked per `spec`. With `spec.replicas > 1` the endpoint is
+/// a replica group's client and the routers learn each shard's promotion
 /// epoch; call [`Fleet::wire_recovery`] to attach recovery and fast
 /// failover to a fault injector. Each group keeps its own object-store
 /// region (`objects-s<shard>`): a node hosting shard `s`'s primary and
-/// shard `s−1`'s backup never mixes their object spaces. With `spec.cache`
-/// each shard gets one [`LeaseState`] (plus, when the mirror tier is on,
-/// a server-DRAM [`MirrorRegion`] and one RC QP per client for one-sided
-/// reads), a [`CachedClient`] fronts every endpoint, and every durable
-/// put bumps the key's lease epoch before its flush ACK (invariant I5).
-/// Per-shard object-store regions are sized from `cfg.store_capacity` as
-/// configured by the caller (size it to `map.local_span(objects) *
-/// object_slot` so slots never wrap). All server loops are started.
+/// shard `s−1`'s backup never mixes their object spaces. With
+/// `spec.replicas == 1` each shard also gets a [`TxnState`] in its
+/// connections and a lease table, and every log is registered in the
+/// fleet's [`TxnDirectory`], so every client runs 2PC transactions; all
+/// of it idles until a transaction record is logged. With `spec.cache`
+/// each shard gets one [`LeaseState`] (plus, when the
+/// mirror tier is on, a server-DRAM [`MirrorRegion`] and one RC QP per
+/// client for one-sided reads), a [`CachedClient`] fronts every endpoint,
+/// and every durable put bumps the key's lease epoch before its flush ACK
+/// (invariant I5). Per-shard object-store regions are sized from
+/// `cfg.store_capacity` as configured by the caller (size it to
+/// `map.local_span(objects) * object_slot` so slots never wrap). All
+/// server loops are started.
 pub fn build_fleet(
     cluster: &Cluster,
     map: ShardMap,
@@ -502,73 +491,98 @@ pub fn build_fleet(
         (1..=shards).contains(&replicas),
         "need 1..={shards} replicas per shard, got {replicas}"
     );
+    assert!(
+        cluster.servers() >= shards,
+        "cluster has {} server nodes, need {shards}",
+        cluster.servers()
+    );
+    assert!(
+        client_nodes.len() <= 1 << 27,
+        "client tag exceeds the txn id namespace"
+    );
     let cache = spec.cache.map(|cache| CacheConfig {
         mirror: cache.mirror && replicas == 1,
         ..cache
     });
-    let leases: Vec<LeaseState> = cache
-        .iter()
-        .flat_map(|cache| (0..shards).map(|shard| shard_lease(cluster, shard, cache)))
+    // An unreplicated fleet runs 2PC: transaction tables, and lease
+    // tables its commits revoke on even without a cache.
+    let directory = TxnDirectory::new();
+    let txn_shards = if replicas == 1 { shards } else { 0 };
+    let states: Vec<TxnState> = (0..txn_shards)
+        .map(|s| TxnState::new(s, directory.clone()))
+        .collect();
+    let lease_shards = if cache.is_some() { shards } else { txn_shards };
+    let leases: Vec<LeaseState> = (0..lease_shards)
+        .map(|s| shard_lease(cluster, s, cache.as_ref()))
         .collect();
     let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
     let mut groups: Vec<Vec<ReplicaGroup>> = (0..shards).map(|_| Vec::new()).collect();
-    let endpoints = assemble(cluster, shards, client_nodes, |c, client_idx, shard| {
-        let cfg = DurableConfig {
-            lease: leases.get(shard).cloned(),
-            ..cfg.clone()
-        };
-        let (endpoint, view): (Box<dyn RpcClient>, _) = if replicas > 1 {
-            // Lanes and put-id tags derive from the (client, shard) ordinal.
-            let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
-            let pair = c * shards + shard;
-            let (client, group) = build_replicated_group(
-                cluster,
-                client_idx,
-                &members,
-                &cfg,
-                pair * replicas,
-                pair as u64,
-                Some(format!("objects-s{shard}")),
-            );
-            groups[shard].push(group);
-            let view = client.view();
-            (Box::new(client), Some(view))
-        } else {
-            let (client, server) = build_durable(cluster, client_idx, shard, c, cfg);
-            server.start();
-            servers[shard].push(Rc::new(server));
-            (Box::new(client), None)
-        };
-        let Some(cache) = cache else {
-            return (endpoint, view);
-        };
-        let mirror_qp = cache
-            .mirror
-            .then(|| cluster.connect(client_idx, shard, QpMode::Rc).0);
-        let cached = CachedClient::new(
-            endpoint,
-            leases[shard].clone(),
-            cache,
-            cluster.node(client_idx).clone(),
-            shard as u32,
-            mirror_qp,
-            view.clone(),
-        );
-        (Box::new(cached), view)
-    });
-    let clients = endpoints
-        .into_iter()
-        .map(|per_shard| {
-            let (shards, views): (Vec<_>, Vec<Option<GroupView>>) = per_shard.into_iter().unzip();
-            let views = views.into_iter().flatten().collect();
-            ShardedClient { map, shards, views }
-        })
-        .collect();
+    let mut clients = Vec::with_capacity(client_nodes.len());
+    for (c, &client_idx) in client_nodes.iter().enumerate() {
+        let node = cluster.node(client_idx);
+        let (mut endpoints, mut views) = (Vec::with_capacity(shards), Vec::new());
+        for shard in 0..shards {
+            let cfg = DurableConfig {
+                // Only a cache's puts revoke: without one, commits alone do.
+                lease: cache.and(leases.get(shard).cloned()),
+                txn: states.get(shard).cloned(),
+                ..cfg.clone()
+            };
+            let endpoint: Box<dyn RpcClient> = if replicas > 1 {
+                // Lanes and put-id tags derive from the (client, shard) ordinal.
+                let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
+                let pair = c * shards + shard;
+                let (client, group) = build_replicated_group(
+                    cluster,
+                    client_idx,
+                    &members,
+                    &cfg,
+                    pair * replicas,
+                    pair as u64,
+                    Some(format!("objects-s{shard}")),
+                );
+                groups[shard].push(group);
+                views.push(client.view());
+                Box::new(client)
+            } else {
+                let (client, server) = build_durable(cluster, client_idx, shard, c, cfg);
+                server.start();
+                directory.register(shard, server.log().clone());
+                servers[shard].push(Rc::new(server));
+                Box::new(client)
+            };
+            endpoints.push(match cache {
+                None => Rc::from(endpoint),
+                Some(cache) => {
+                    let mirror_qp = cache
+                        .mirror
+                        .then(|| cluster.connect(client_idx, shard, QpMode::Rc).0);
+                    Rc::new(CachedClient::new(
+                        endpoint,
+                        leases[shard].clone(),
+                        cache,
+                        node.clone(),
+                        shard as u32,
+                        mirror_qp,
+                        views.get(shard).cloned(),
+                    )) as Rc<dyn RpcClient>
+                }
+            });
+        }
+        clients.push(ShardedClient {
+            map,
+            shards: endpoints,
+            views,
+            txn: TxnBook::new(node, c, &states, &leases),
+        });
+    }
     Fleet {
         clients,
         servers,
         groups,
         leases,
+        states,
+        directory,
     }
 }
 
@@ -603,17 +617,13 @@ pub fn build_sharded_durable_cached(
     cfg: &DurableConfig,
     cache: &CacheConfig,
 ) -> (Fleet, Vec<LeaseState>) {
-    build_fleet(
-        cluster,
-        map,
-        client_nodes,
-        cfg,
-        FleetSpec {
-            replicas: 1,
-            cache: Some(*cache),
-        },
-    )
-    .with_leases()
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: Some(*cache),
+    };
+    let fleet = build_fleet(cluster, map, client_nodes, cfg, spec);
+    let leases = fleet.leases.clone();
+    (fleet, leases)
 }
 
 #[cfg(test)]
@@ -652,6 +662,8 @@ mod tests {
                 "shard {s} got {c} of 8000 ids — unbalanced hash"
             );
         }
+        // Placement is pinned: a different finalizer would move keys.
+        assert_eq!(m.route(12_345), (1, 12_345));
     }
 
     #[test]

@@ -47,17 +47,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use prdma_node::{Cluster, FaultInjector, Node};
+use prdma_node::{Cluster, Node};
 use prdma_rnic::Payload;
-use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem};
-use prdma_simnet::{JoinHandle, Semaphore, SimHandle};
+use prdma_simnet::{JoinHandle, Semaphore};
 
 use crate::cache::LeaseState;
-use crate::durable::{build_durable, DurableClient, DurableConfig, DurableServer};
+use crate::durable::DurableConfig;
 use crate::log::{LogEntry, OpCode, RedoLog};
-use crate::rpc::{Request, RpcClient, RpcResult};
-use crate::shard::{assemble, recover_node, ShardMap};
+use crate::rpc::{Request, RpcError, RpcResult};
+use crate::shard::{build_fleet, Fleet, FleetSpec, ShardMap, ShardedClient};
 use crate::store::ObjectStore;
 
 /// High-bit namespace for transaction ids: distinct from replication ids
@@ -581,7 +580,7 @@ pub enum AbortReason {
     PrepareFailed,
 }
 
-/// Outcome of a [`TxnClient::commit`] that reached a decision.
+/// Outcome of a [`ShardedClient::commit`] that reached a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
     /// Durably committed: every participant's prepare and the decided
@@ -592,7 +591,7 @@ pub enum TxnOutcome {
 }
 
 /// Commit-pipeline observation points, for deterministic crash tests: a
-/// hook installed via [`TxnClient::set_phase_hook`] fires synchronously
+/// hook installed via [`ShardedClient::set_phase_hook`] fires synchronously
 /// at each point and may crash nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnPhase {
@@ -631,22 +630,25 @@ impl Txn {
     }
 }
 
-/// One client node's transactional endpoint over a sharded durable KV
-/// service (see [`build_sharded_txn`]).
-pub struct TxnClient {
-    map: ShardMap,
-    /// Per-shard durable connections (index = shard id).
-    shards: Vec<Rc<DurableClient>>,
+/// Refusal of a client whose fleet keeps no transaction tables.
+const NO_TXN_TABLES: RpcError =
+    RpcError::Unsupported("transactions need an unreplicated build_fleet client");
+
+/// One fleet client's 2PC bookkeeping (see [`ShardedClient::commit`]):
+/// the fleet's per-shard tables its commits lock, validate and revoke
+/// on, plus its own txn ids, counters and phase hook. The tables are
+/// empty on a replicated fleet's client and on a [`ShardedClient::new`]
+/// router, whose `read` and `commit` refuse.
+pub(crate) struct TxnBook {
+    states: Vec<TxnState>,
+    leases: Vec<LeaseState>,
     /// Per-connection append serialization: txn record appends from this
     /// client to one shard never interleave (the durable connection has
     /// a single persist-ack waiter slot), while fan-out across shards
     /// stays parallel. Background commit/abort record appends take the
     /// same permit.
     append_sems: Vec<Rc<Semaphore>>,
-    states: Vec<TxnState>,
-    leases: Vec<LeaseState>,
     node: Node,
-    handle: SimHandle,
     next_txn: Cell<u64>,
     id_base: u64,
     commits: Cell<u64>,
@@ -655,66 +657,85 @@ pub struct TxnClient {
     hook: RefCell<Option<Box<dyn FnMut(TxnPhase)>>>,
 }
 
-impl TxnClient {
+impl TxnBook {
+    /// The bookkeeping of client ordinal `lane` on `node` over the
+    /// fleet's per-shard `states` and `leases`.
+    pub(crate) fn new(
+        node: &Node,
+        lane: usize,
+        states: &[TxnState],
+        leases: &[LeaseState],
+    ) -> Self {
+        TxnBook {
+            states: states.to_vec(),
+            leases: leases.to_vec(),
+            append_sems: states.iter().map(|_| Rc::new(Semaphore::new(1))).collect(),
+            node: node.clone(),
+            next_txn: Cell::new(0),
+            id_base: TXN_ID_BASE | ((lane as u64) << 32),
+            commits: Cell::new(0),
+            aborts: Cell::new(0),
+            hook: RefCell::new(None),
+        }
+    }
+}
+
+impl ShardedClient {
     /// Transactions committed by this client.
     pub fn commits(&self) -> u64 {
-        self.commits.get()
+        self.txn.commits.get()
     }
 
     /// Transactions aborted by this client.
     pub fn aborts(&self) -> u64 {
-        self.aborts.get()
-    }
-
-    /// The shard map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
+        self.txn.aborts.get()
     }
 
     /// Install a commit-pipeline observation hook (see [`TxnPhase`]).
     pub fn set_phase_hook(&self, f: impl FnMut(TxnPhase) + 'static) {
-        *self.hook.borrow_mut() = Some(Box::new(f));
+        *self.txn.hook.borrow_mut() = Some(Box::new(f));
     }
 
     fn phase(&self, p: TxnPhase) {
-        if let Some(f) = self.hook.borrow_mut().as_mut() {
+        if let Some(f) = self.txn.hook.borrow_mut().as_mut() {
             f(p);
         }
     }
 
     fn jot(&self, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.node.journal() {
+        if let Some(j) = self.txn.node.journal() {
             j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
         }
     }
 
     /// Open a transaction.
     pub fn begin(&self) -> Txn {
-        let c = self.next_txn.get();
-        self.next_txn.set(c + 1);
+        let c = self.txn.next_txn.get();
+        self.txn.next_txn.set(c + 1);
         assert!(c < 1 << 32, "txn counter exceeded the id namespace");
         Txn {
-            id: self.id_base | c,
+            id: self.txn.id_base | c,
             reads: Vec::new(),
             writes: Vec::new(),
         }
     }
 
-    /// Transactional read: a durable-RPC GET on the owning shard, with
-    /// the key's version recorded for commit-time validation.
+    /// Transactional read: a GET on the owning shard's endpoint (served
+    /// by its cache when the fleet has one), with the key's version
+    /// recorded for commit-time validation.
     pub async fn read(&self, txn: &mut Txn, obj: u64, len: u64) -> RpcResult<Payload> {
         let (shard, local) = self.map.route(obj);
+        let state = self.txn.states.get(shard).ok_or(NO_TXN_TABLES)?;
         let resp = self.shards[shard]
             .call(Request::Get { obj: local, len })
             .await?;
-        txn.reads
-            .push((shard, local, self.states[shard].version(local)));
+        txn.reads.push((shard, local, state.version(local)));
         Ok(resp.payload.unwrap_or_else(|| Payload::synthetic(0, local)))
     }
 
     fn validate_reads(&self, txn: &Txn) -> bool {
         txn.reads.iter().all(|&(shard, local, v)| {
-            let st = &self.states[shard];
+            let st = &self.txn.states[shard];
             st.version(local) == v && st.lock_owner(local).is_none_or(|o| o == txn.id)
         })
     }
@@ -728,15 +749,15 @@ impl TxnClient {
         txn: u64,
         data: Payload,
     ) -> RpcResult<u64> {
-        let _permit = self.append_sems[shard].acquire().await;
+        let _permit = self.txn.append_sems[shard].acquire().await;
         self.shards[shard].append_record(opcode, txn, data).await
     }
 
-    /// [`append`](TxnClient::append) as a task of its own: prepares fan
-    /// out this way and are joined; resolution records (commit-apply or
-    /// abort) are fired and forgotten — their failures are survivable,
-    /// the participant's replay resolves from the coordinator's decided
-    /// record instead.
+    /// [`append`](ShardedClient::append) as a task of its own: prepares
+    /// fan out this way and are joined; resolution records (commit-apply
+    /// or abort) are fired and forgotten — their failures are
+    /// survivable, the participant's replay resolves from the
+    /// coordinator's decided record instead.
     fn spawn_append(
         &self,
         shard: usize,
@@ -745,8 +766,8 @@ impl TxnClient {
         data: Payload,
     ) -> JoinHandle<RpcResult<u64>> {
         let client = Rc::clone(&self.shards[shard]);
-        let sem = Rc::clone(&self.append_sems[shard]);
-        self.handle.spawn(async move {
+        let sem = Rc::clone(&self.txn.append_sems[shard]);
+        self.txn.node.rnic().handle().spawn(async move {
             let _permit = sem.acquire().await;
             client.append_record(opcode, txn, data).await
         })
@@ -756,8 +777,15 @@ impl TxnClient {
     /// revocation, ACK. `Ok(Aborted(_))` is a clean abort (nothing will
     /// apply anywhere); `Err(_)` means the decided append's fate is
     /// unknown — the transaction may commit during recovery, and the
-    /// caller must not assume either outcome.
+    /// caller must not assume either outcome. A client without
+    /// transaction tables (a replicated fleet's: 2PC over replica groups
+    /// is not modelled) refuses with [`RpcError::Unsupported`] before
+    /// logging anything.
     pub async fn commit(&self, txn: Txn) -> RpcResult<TxnOutcome> {
+        let book = &self.txn;
+        if book.states.is_empty() {
+            return Err(NO_TXN_TABLES);
+        }
         let id = txn.id;
         // Deduplicated write set in deterministic (shard, local) order;
         // later program-order writes win.
@@ -769,10 +797,10 @@ impl TxnClient {
         if ws.is_empty() {
             // Read-only: validation against host state, no log records.
             return Ok(if self.validate_reads(&txn) {
-                self.commits.set(self.commits.get() + 1);
+                book.commits.set(book.commits.get() + 1);
                 TxnOutcome::Committed
             } else {
-                self.aborts.set(self.aborts.get() + 1);
+                book.aborts.set(book.aborts.get() + 1);
                 TxnOutcome::Aborted(AbortReason::ReadValidation)
             });
         }
@@ -788,14 +816,14 @@ impl TxnClient {
         // Phase 0: lock the write set, then validate the read set.
         let abort_local = |reason: AbortReason| {
             for &shard in &participants {
-                self.states[shard].unlock_all(id);
+                book.states[shard].unlock_all(id);
             }
             self.jot(EventKind::TxnAbort, id, 0, 0);
-            self.aborts.set(self.aborts.get() + 1);
+            book.aborts.set(book.aborts.get() + 1);
             Ok(TxnOutcome::Aborted(reason))
         };
         for &(shard, local) in ws.keys() {
-            if !self.states[shard].try_lock(local, id) {
+            if !book.states[shard].try_lock(local, id) {
                 return abort_local(AbortReason::WriteConflict);
             }
         }
@@ -834,9 +862,9 @@ impl TxnClient {
                 self.spawn_append(shard, OpCode::TxnAbort, id, Payload::from_bytes(Vec::new()));
             }
             for &shard in &participants {
-                self.states[shard].unlock_all(id);
+                book.states[shard].unlock_all(id);
             }
-            self.aborts.set(self.aborts.get() + 1);
+            book.aborts.set(book.aborts.get() + 1);
             return Ok(TxnOutcome::Aborted(AbortReason::PrepareFailed));
         }
 
@@ -847,16 +875,17 @@ impl TxnClient {
         // hears of the append before it is posted: from here on (and
         // only from here on) a lookup for this txn reads PM.
         let decide = encode_decide(true, &participants);
-        self.states[coord].inner.dir.note_issued(id);
+        book.states[coord].inner.dir.note_issued(id);
         self.append(coord, OpCode::TxnDecide, id, decide).await?;
         self.jot(EventKind::TxnDecide, id, coord as u64, 1);
         self.phase(TxnPhase::AfterDecide);
 
         // Lease revocation for every written key *before* the txn ACK
-        // (invariant I5a, with the TxnAck standing in for RpcComplete).
+        // (invariant I5a, with the TxnAck standing in for RpcComplete) —
+        // on the tables a cached fleet's clients validate against.
         let mut total_bytes = 0u64;
         for (&(shard, local), bytes) in &ws {
-            self.leases[shard].bump(local, id, self.node.journal());
+            book.leases[shard].bump(local, id, book.node.journal());
             total_bytes += bytes.len() as u64;
         }
         self.jot(
@@ -865,7 +894,7 @@ impl TxnClient {
             participants.len() as u64,
             total_bytes,
         );
-        self.commits.set(self.commits.get() + 1);
+        book.commits.set(book.commits.get() + 1);
         self.phase(TxnPhase::AfterAck);
 
         // Phase 3 (off the critical path): commit-apply records fan out
@@ -884,129 +913,48 @@ impl TxnClient {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-/// A sharded durable KV service with the transaction layer wired in:
-/// per-shard [`TxnState`] tables, a shared [`TxnDirectory`], per-shard
-/// lease tables (commit revokes cached reads before the txn ACK), and
-/// one [`TxnClient`] per client node.
-pub struct ShardedTxn {
-    /// One transactional endpoint per client node, in `client_nodes`
-    /// order.
-    pub clients: Vec<TxnClient>,
-    /// `servers[shard][client]`, as in [`Fleet`](crate::shard::Fleet).
-    pub servers: Vec<Vec<Rc<DurableServer>>>,
-    /// Per-shard transaction host state (index = shard id).
-    pub states: Vec<TxnState>,
-    /// Per-shard lease tables (index = shard id).
-    pub leases: Vec<LeaseState>,
-    directory: TxnDirectory,
-}
-
-impl ShardedTxn {
-    /// The shared decision directory.
+impl Fleet {
+    /// The decision directory every connection's redo log is registered
+    /// in.
     pub fn directory(&self) -> &TxnDirectory {
         &self.directory
-    }
-
-    /// Recovery of server node `node` from `kind` — what the wired hook
-    /// runs, and what a caller that crashed the node by hand calls after
-    /// restarting it: forget the volatile decision outcomes (resolution
-    /// must come from the logs alone), then recover every per-connection
-    /// log of the shard the node hosts as [`DurableServer::recover`]
-    /// decides. Replayed prepare records re-stage and resolve through the
-    /// directory; genuinely undecided ones stay staged and locked. Returns
-    /// the entries re-enqueued.
-    pub fn recover(&self, node: usize, kind: FaultKind) -> usize {
-        self.directory.forget_volatile();
-        recover_node(&self.servers, node, kind)
     }
 
     /// Transactions currently in doubt (staged, unresolved) on `shard`.
     pub fn in_doubt(&self, shard: usize) -> usize {
         self.states[shard].staged_count()
     }
-
-    /// Wire [`recover`](ShardedTxn::recover) into the fault injector.
-    pub fn wire_recovery(&self, inj: &FaultInjector) {
-        let (dir, servers) = (self.directory.clone(), self.servers.clone());
-        inj.on_recovery(move |node, kind| {
-            dir.forget_volatile();
-            recover_node(&servers, node, kind);
-        });
-    }
 }
 
-/// Build a sharded durable KV service with multi-shard transactions:
-/// shards on server nodes `0..map.shards()`, one durable connection per
-/// (client, shard) pair, each shard's [`TxnState`] and lease table wired
-/// into every connection, and every log registered in one shared
-/// [`TxnDirectory`]. All server loops are started.
+/// [`build_fleet`] with one server per shard and no cache: the fleet
+/// whose clients run transactions. Kept under its old name for
+/// `examples/perfbench` only.
 pub fn build_sharded_txn(
     cluster: &Cluster,
     map: ShardMap,
     client_nodes: &[usize],
     cfg: &DurableConfig,
-) -> ShardedTxn {
-    let shards = map.shards();
-    assert!(
-        client_nodes.len() <= 1 << 27,
-        "client tag exceeds the txn id namespace"
-    );
-    let directory = TxnDirectory::new();
-    let states: Vec<TxnState> = (0..shards)
-        .map(|s| TxnState::new(s, directory.clone()))
-        .collect();
-    let leases: Vec<LeaseState> = (0..shards).map(|s| LeaseState::new(s as u64)).collect();
-    let mut servers: Vec<Vec<Rc<DurableServer>>> = (0..shards).map(|_| Vec::new()).collect();
-    let endpoints = assemble(cluster, shards, client_nodes, |lane, client_idx, shard| {
-        let cfg = DurableConfig {
-            txn: Some(states[shard].clone()),
-            lease: Some(leases[shard].clone()),
-            ..cfg.clone()
-        };
-        let (client, server) = build_durable(cluster, client_idx, shard, lane, cfg);
-        server.start();
-        directory.register(shard, server.log().clone());
-        servers[shard].push(Rc::new(server));
-        Rc::new(client)
-    });
-    let clients = client_nodes
-        .iter()
-        .zip(endpoints)
-        .enumerate()
-        .map(|(lane, (&client_idx, per_shard))| TxnClient {
-            map,
-            append_sems: (0..shards).map(|_| Rc::new(Semaphore::new(1))).collect(),
-            shards: per_shard,
-            states: states.clone(),
-            leases: leases.clone(),
-            node: cluster.node(client_idx).clone(),
-            handle: cluster.handle().clone(),
-            next_txn: Cell::new(0),
-            id_base: TXN_ID_BASE | ((lane as u64) << 32),
-            commits: Cell::new(0),
-            aborts: Cell::new(0),
-            hook: RefCell::new(None),
-        })
-        .collect();
-    ShardedTxn {
-        clients,
-        servers,
-        states,
-        leases,
-        directory,
-    }
+) -> Fleet {
+    build_fleet(
+        cluster,
+        map,
+        client_nodes,
+        cfg,
+        FleetSpec {
+            replicas: 1,
+            cache: None,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use crate::durable::DurableKind;
-    use crate::rpc::{RetryPolicy, ServerProfile};
+    use crate::rpc::{RetryPolicy, RpcClient, ServerProfile};
     use prdma_node::ClusterConfig;
+    use prdma_simnet::fault::FaultKind;
     use prdma_simnet::{Sim, SimDuration};
 
     fn fixture(
@@ -1015,7 +963,7 @@ mod tests {
         clients: usize,
         profile: ServerProfile,
         retry: RetryPolicy,
-    ) -> (Cluster, ShardedTxn) {
+    ) -> (Cluster, Fleet) {
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(shards, clients));
         let cfg = DurableConfig {
             profile,
@@ -1027,11 +975,15 @@ mod tests {
             ..Default::default()
         };
         let client_nodes: Vec<usize> = (shards..shards + clients).collect();
-        let svc = build_sharded_txn(&cluster, ShardMap::new(shards), &client_nodes, &cfg);
+        let spec = FleetSpec {
+            replicas: 1,
+            cache: None,
+        };
+        let svc = build_fleet(&cluster, ShardMap::new(shards), &client_nodes, &cfg, spec);
         (cluster, svc)
     }
 
-    fn txn_fixture(sim: &Sim, shards: usize, clients: usize) -> ShardedTxn {
+    fn txn_fixture(sim: &Sim, shards: usize, clients: usize) -> Fleet {
         let (profile, retry) = (ServerProfile::light(), RetryPolicy::default());
         fixture(sim, shards, clients, profile, retry).1
     }
@@ -1044,7 +996,7 @@ mod tests {
         shards: usize,
         clients: usize,
         max_retries: u32,
-    ) -> (Cluster, ShardedTxn) {
+    ) -> (Cluster, Fleet) {
         let retry = RetryPolicy {
             request_timeout: SimDuration::from_micros(300),
             max_retries,
@@ -1160,6 +1112,7 @@ mod tests {
         let mut it = svc.clients.into_iter();
         let c0 = it.next().unwrap();
         let c1 = it.next().unwrap();
+        let h = sim.handle();
         sim.block_on(async move {
             let mut seed = c0.begin();
             seed.put(0, &Payload::from_bytes(vec![0; 16]));
@@ -1175,12 +1128,10 @@ mod tests {
             assert_eq!(c0.commit(t0).await.unwrap(), TxnOutcome::Committed);
             // Wait for the commit record to apply (version bump).
             loop {
-                if c1.states[0].version(0) >= 2 {
+                if c1.txn.states[0].version(0) >= 2 {
                     break;
                 }
-                c1.handle
-                    .sleep(prdma_simnet::SimDuration::from_micros(50))
-                    .await;
+                h.sleep(prdma_simnet::SimDuration::from_micros(50)).await;
             }
 
             let out = c1.commit(t1).await.unwrap();
@@ -1203,7 +1154,11 @@ mod tests {
                 log_slots: 64,
                 ..Default::default()
             };
-            let svc = build_sharded_txn(&cluster, ShardMap::new(2), &[2], &cfg);
+            let spec = FleetSpec {
+                replicas: 1,
+                cache: None,
+            };
+            let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
             let client = svc.clients.into_iter().next().unwrap();
             let servers = svc.servers;
             sim.block_on(async move {
@@ -1231,8 +1186,8 @@ mod tests {
     fn directory_resolves_decision_from_log_scan_alone() {
         let mut sim = Sim::new(127);
         let svc = txn_fixture(&sim, 2, 1);
+        let dir = svc.directory().clone();
         let client = svc.clients.into_iter().next().unwrap();
-        let dir = svc.directory.clone();
         let txn_id = sim.block_on(async move {
             let mut txn = client.begin();
             txn.put(0, &Payload::from_bytes(vec![5; 16]));
@@ -1265,7 +1220,7 @@ mod tests {
         const TXNS: u64 = 50;
         let mut sim = Sim::new(137);
         let svc = txn_fixture(&sim, 4, CLIENTS as usize);
-        let dir = svc.directory.clone();
+        let dir = svc.directory().clone();
         let joins: Vec<_> = svc
             .clients
             .into_iter()
@@ -1305,8 +1260,8 @@ mod tests {
     fn corrupt_decide_record_does_not_hide_a_valid_duplicate() {
         let mut sim = Sim::new(139);
         let svc = txn_fixture(&sim, 1, 1);
+        let dir = svc.directory().clone();
         let client = svc.clients.into_iter().next().unwrap();
-        let dir = svc.directory.clone();
         let id = TXN_ID_BASE | 77;
         dir.note_issued(id);
         sim.block_on(async move {
@@ -1334,7 +1289,7 @@ mod tests {
         victim: usize,
         at: TxnPhase,
         max_retries: u32,
-    ) -> (Rc<ShardedTxn>, RpcResult<TxnOutcome>) {
+    ) -> (Rc<Fleet>, RpcResult<TxnOutcome>) {
         let mut sim = Sim::new(seed);
         let (cluster, mut svc) = crash_fixture(&sim, 2, 1, max_retries);
         let client = svc.clients.remove(0);
@@ -1370,7 +1325,7 @@ mod tests {
             }
         });
         sim.run();
-        assert!(svc.directory.inner.oracle_checks.get() > 0);
+        assert!(svc.directory().inner.oracle_checks.get() > 0);
         (svc, out)
     }
 
@@ -1380,7 +1335,7 @@ mod tests {
         // retries exhaust, so its replay resolves by scan.
         let (svc, out) = crash_during_commit(0x27C2, 1, TxnPhase::AfterDecide, 3);
         assert_eq!(out.unwrap(), TxnOutcome::Committed);
-        assert_eq!(svc.directory.scan_resolved(), 1);
+        assert_eq!(svc.directory().scan_resolved(), 1);
         assert_eq!(svc.states[1].applied_txns(), 1);
 
         // Coordinator dies after both prepares; the decide rides out the
@@ -1396,8 +1351,8 @@ mod tests {
         // persisted. Replay scans, finds nothing, stays in doubt.
         let (svc, out) = crash_during_commit(0xD0BB, 0, TxnPhase::AfterPrepare(2), 3);
         assert!(out.is_err());
-        assert!(svc.directory.ring_scans() > 0);
-        assert_eq!(svc.directory.scan_resolved(), 0);
+        assert!(svc.directory().ring_scans() > 0);
+        assert_eq!(svc.directory().scan_resolved(), 0);
         assert_eq!(svc.in_doubt(0), 1);
     }
 
@@ -1425,7 +1380,7 @@ mod tests {
         });
         let inj = cluster.inject_faults(plan);
         svc.wire_recovery(&inj);
-        let dir = svc.directory.clone();
+        let dir = svc.directory().clone();
         let h = sim.handle();
         let joins: Vec<_> = svc
             .clients
@@ -1486,5 +1441,104 @@ mod tests {
         sim.run();
         assert_eq!(leases[0].epoch(0), 1);
         assert_eq!(leases[1].epoch(0), 1);
+    }
+
+    /// A journaled 2-shard fleet with `replicas` servers per shard and an
+    /// optional cache, its client on node 2.
+    fn journaled_fleet(sim: &Sim, replicas: usize, cache: Option<CacheConfig>) -> (Cluster, Fleet) {
+        let mut ccfg = ClusterConfig::with_servers(2, 1);
+        ccfg.journal = true;
+        let cluster = Cluster::new(sim.handle(), ccfg);
+        let cfg = DurableConfig {
+            profile: ServerProfile::light(),
+            slot_payload: 1024,
+            object_slot: 1024,
+            store_capacity: 1 << 20,
+            log_slots: 64,
+            ..Default::default()
+        };
+        let spec = FleetSpec { replicas, cache };
+        let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
+        (cluster, svc)
+    }
+
+    /// 2PC over replica groups is not modelled: a replicated fleet's
+    /// client refuses `read` and `commit` with `Unsupported` before it
+    /// journals a transaction record or appends anything to a log.
+    #[test]
+    fn replicated_fleet_refuses_transactions_before_logging() {
+        let mut sim = Sim::new(149);
+        let (cluster, svc) = journaled_fleet(&sim, 2, None);
+        assert!(svc.states.is_empty());
+        let client = svc.clients.into_iter().next().unwrap();
+        let (read, commit) = sim.block_on(async move {
+            let mut txn = client.begin();
+            let read = client.read(&mut txn, 0, 16).await.map(|_| ());
+            txn.put(0, &Payload::from_bytes(vec![1; 16]));
+            txn.put(1, &Payload::from_bytes(vec![2; 16]));
+            (read, client.commit(txn).await)
+        });
+        sim.run();
+        assert_eq!(read, Err(NO_TXN_TABLES));
+        assert_eq!(commit, Err(NO_TXN_TABLES));
+        let logged: Vec<_> = cluster
+            .journal_records()
+            .into_iter()
+            .filter(|r| {
+                matches!(
+                    r.kind,
+                    EventKind::LogAppend
+                        | EventKind::TxnPrepare
+                        | EventKind::TxnDecide
+                        | EventKind::TxnAck
+                        | EventKind::TxnAbort
+                )
+            })
+            .collect();
+        assert!(logged.is_empty(), "refused txn logged {logged:?}");
+    }
+
+    /// `append_record` is a trait method: a fleet's durable endpoint
+    /// appends the record to its shard's log — through a cache in front
+    /// of it too — while a replica group's endpoint and the sharded
+    /// router itself refuse.
+    #[test]
+    fn records_append_through_durable_and_cached_endpoints_only() {
+        let cache = CacheConfig {
+            hot_threshold: 1,
+            mirror: false,
+            ..Default::default()
+        };
+        let id = TXN_ID_BASE | 5;
+        for cache in [None, Some(cache)] {
+            let mut sim = Sim::new(151);
+            let (_cluster, svc) = journaled_fleet(&sim, 1, cache);
+            let dir = svc.directory().clone();
+            dir.note_issued(id);
+            let client = svc.clients.into_iter().next().unwrap();
+            sim.block_on(async move {
+                let decide = encode_decide(true, &[0]);
+                client
+                    .append(0, OpCode::TxnDecide, id, decide)
+                    .await
+                    .unwrap();
+                let refused =
+                    client.append_record(OpCode::TxnDecide, id, Payload::from_bytes(vec![]));
+                assert!(matches!(refused.await, Err(RpcError::Unsupported(_))));
+            });
+            sim.run();
+            dir.forget_volatile();
+            assert_eq!(dir.decision(0, id), Some(true), "cache {}", cache.is_some());
+        }
+        let mut sim = Sim::new(151);
+        let (_cluster, svc) = journaled_fleet(&sim, 2, None);
+        let client = svc.clients.into_iter().next().unwrap();
+        let got = sim.block_on(async move {
+            let decide = encode_decide(true, &[0]);
+            client.shards[0]
+                .append_record(OpCode::TxnDecide, id, decide)
+                .await
+        });
+        assert!(matches!(got, Err(RpcError::Unsupported(_))));
     }
 }

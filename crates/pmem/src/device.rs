@@ -11,7 +11,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
-use prdma_simnet::trace::{counters, Phase, Span, Tracer};
+use prdma_simnet::trace::{Phase, Span, Tracer};
 use prdma_simnet::{FifoResource, SimDuration, SimHandle};
 
 use crate::config::PmConfig;
@@ -110,12 +110,6 @@ impl PmDevice {
             .borrow()
             .as_ref()
             .map(|t| t.span(Phase::PmMedia))
-    }
-
-    fn trace_incr(&self, name: &'static str) {
-        if let Some(t) = self.inner.tracer.borrow().as_ref() {
-            t.incr(name);
-        }
     }
 
     /// Attach the owning node's event journal: every commit of bytes to
@@ -238,7 +232,6 @@ impl PmDevice {
         if len == 0 {
             return;
         }
-        self.trace_incr(counters::CLFLUSH_CALLS);
         let _span = self.media_span();
         let line = self.inner.cfg.cacheline;
         let lines = len.div_ceil(line);
@@ -304,7 +297,6 @@ impl PmDevice {
         if linenos.is_empty() {
             return Ok(());
         }
-        self.trace_incr(counters::CLFLUSH_CALLS);
         let _span = self.media_span();
         // Issue cost per line on the CPU, then one media transfer.
         let issue = self.inner.cfg.clflush_issue * linenos.len() as u64;

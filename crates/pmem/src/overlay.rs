@@ -13,8 +13,7 @@
 //! [`SLAB_LINES`]-line chunks, and [`clear`](DirtyLines::clear) drops all
 //! of it. See DESIGN.md §19.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use prdma_simnet::rng::IdMap;
 
 /// Lines per bitset chunk (512 bytes of bits; 256 KiB of PM at 64-byte
 /// lines).
@@ -24,29 +23,6 @@ const CHUNK_WORDS: usize = (CHUNK_LINES / 64) as usize;
 /// Line slots per slab chunk (4 KiB at 64-byte lines).
 const SLAB_LINES: usize = 64;
 
-/// Hashes one line number with the SplitMix64 finalizer. No per-process
-/// seed, so the table's layout repeats from run to run; the keys are the
-/// simulation's own addresses, never outside input.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write_u64(&mut self, line: u64) {
-        let mut z = line.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("line numbers are u64");
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The set of dirty cache lines and their contents.
 pub(crate) struct DirtyLines {
     /// Cache-line size in bytes.
@@ -55,7 +31,7 @@ pub(crate) struct DirtyLines {
     /// end) means none of them is dirty.
     bits: Vec<Option<Box<[u64; CHUNK_WORDS]>>>,
     /// Line number -> slab slot, for the dirty lines only.
-    index: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
+    index: IdMap<u32>,
     /// Slot `s` holds its line's bytes in chunk `s / SLAB_LINES`, at
     /// `s % SLAB_LINES * line ..`.
     slab: Vec<Box<[u8]>>,
@@ -68,7 +44,7 @@ impl DirtyLines {
         DirtyLines {
             line: line as usize,
             bits: Vec::new(),
-            index: HashMap::default(),
+            index: IdMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
         }

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use prdma_pmem::{PmDevice, VolatileMemory};
 use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
-use prdma_simnet::trace::{counters, Phase, Span, Tracer};
+use prdma_simnet::trace::{Phase, Span, Tracer};
 use prdma_simnet::{FifoResource, Notify, SimDuration, SimHandle};
 
 use crate::config::RnicConfig;
@@ -171,12 +171,6 @@ impl Rnic {
         self.inner.tracer.borrow().as_ref().map(|t| t.span(phase))
     }
 
-    fn trace_incr(&self, name: &'static str) {
-        if let Some(t) = self.inner.tracer.borrow().as_ref() {
-            t.incr(name);
-        }
-    }
-
     /// Attach the owning node's event journal. NIC-internal transitions
     /// (SRAM admits, DMA tickets, WQE/CQE traffic, posted-write drains)
     /// are recorded against it; when unattached nothing is recorded or
@@ -318,13 +312,11 @@ impl Rnic {
             MemTarget::Pm(addr) => {
                 if self.inner.cfg.ddio {
                     // DDIO routes the DMA into the LLC: volatile.
-                    self.trace_incr(counters::DDIO_DMA_WRITES);
                     payload.try_for_each_inline(|off, bytes| {
                         self.inner.pm.cache_write(addr + off, bytes)
                     })?;
                     Ok(false)
                 } else {
-                    self.trace_incr(counters::DIRECT_DMA_WRITES);
                     // Straight to the persistence domain: pay the media
                     // time for the whole transfer, then place the content.
                     // A crash during the media write aborts the whole
@@ -381,7 +373,6 @@ impl Rnic {
     /// PCIe fetch of a posted recv WQE (two-sided delivery prologue).
     /// A fetch is a PCIe *read*: request + completion, two bus traversals.
     pub async fn fetch_recv_wqe(&self) {
-        self.trace_incr(counters::RECV_WQE_FETCHES);
         self.jot(Subsystem::Nic, EventKind::WqeFetch, NO_ID, 0);
         let _span = self.span(Phase::NicDma);
         self.inner
@@ -396,7 +387,6 @@ impl Rnic {
     /// transports pay a higher hardware RTT than one-sided write + poll
     /// (paper Fig. 20: DaRPC vs FaRM).
     pub async fn dma_write_cqe(&self) {
-        self.trace_incr(counters::CQE_DMA_WRITES);
         self.jot(Subsystem::Nic, EventKind::CqeWrite, NO_ID, 0);
         let _span = self.span(Phase::NicDma);
         self.inner.dma.process(self.inner.cfg.pcie_latency).await;

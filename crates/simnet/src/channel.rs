@@ -9,8 +9,8 @@
 //! the slot instead of accumulating clones, and a send wakes the receiver
 //! exactly once. Hot paths move messages in batches — [`Sender::send_batch`]
 //! enqueues a same-timestamp burst under one state borrow, and
-//! [`Receiver::recv_many`] drains a burst into a caller-reused buffer — so
-//! the per-message cost is a ring push/pop, not a borrow + waker walk.
+//! [`Receiver::recv_all`] takes the whole burst into a caller-reused ring —
+//! so the per-message cost is a ring push/pop, not a borrow + waker walk.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -160,19 +160,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Await a burst: drains up to `max` queued messages into `buf` and
-    /// resolves to how many were appended (0 means closed and drained).
-    /// Parks like [`recv`](Receiver::recv) while the queue is empty, then
-    /// moves the whole same-timestamp burst under one borrow.
-    pub fn recv_many<'a>(&'a mut self, buf: &'a mut Vec<T>, max: usize) -> RecvMany<'a, T> {
-        RecvMany {
-            receiver: self,
-            buf,
-            max,
-            registered: false,
-        }
-    }
-
     /// Await the whole queued burst: moves every queued message into `buf`
     /// and resolves to how many arrived (0 means closed and drained). When
     /// `buf` comes back empty the transfer is an O(1) ring swap — the
@@ -227,42 +214,6 @@ impl<T> Drop for Recv<'_, T> {
         // A parked receive that is abandoned (timeout/select) must not leave
         // its waker behind, or the next send wakes a task that no longer
         // cares (spurious wakeup).
-        if self.registered {
-            self.receiver.state.borrow_mut().recv_waker = None;
-        }
-    }
-}
-
-/// Future returned by [`Receiver::recv_many`].
-pub struct RecvMany<'a, T> {
-    receiver: &'a mut Receiver<T>,
-    buf: &'a mut Vec<T>,
-    max: usize,
-    registered: bool,
-}
-
-impl<T> Future for RecvMany<'_, T> {
-    type Output = usize;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<usize> {
-        let this = self.get_mut();
-        let mut st = this.receiver.state.borrow_mut();
-        if st.queue.is_empty() {
-            if st.senders == 0 {
-                return Poll::Ready(0);
-            }
-            st.register(cx);
-            this.registered = true;
-            return Poll::Pending;
-        }
-        let n = st.queue.len().min(this.max);
-        this.buf.extend(st.queue.drain(..n));
-        Poll::Ready(n)
-    }
-}
-
-impl<T> Drop for RecvMany<'_, T> {
-    fn drop(&mut self) {
         if self.registered {
             self.receiver.state.borrow_mut().recv_waker = None;
         }
@@ -699,23 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_and_recv_many_roundtrip() {
-        let mut sim = Sim::new(1);
-        let (tx, mut rx) = channel::<u64>();
-        let got = sim.block_on(async move {
-            tx.send_batch(0..10u64).unwrap();
-            let mut buf = Vec::new();
-            let n = rx.recv_many(&mut buf, 4).await;
-            let m = rx.recv_many(&mut buf, 100).await;
-            (n, m, buf)
-        });
-        assert_eq!(got.0, 4);
-        assert_eq!(got.1, 6);
-        assert_eq!(got.2, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn recv_many_parks_then_drains_burst() {
+    fn recv_all_parks_then_drains_burst() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
         let (tx, mut rx) = channel::<u64>();
@@ -725,11 +660,11 @@ mod tests {
             tx.send_batch([1, 2, 3]).unwrap();
         });
         let got = sim.block_on(async move {
-            let mut buf = Vec::new();
-            let n = rx.recv_many(&mut buf, 64).await;
+            let mut buf = VecDeque::new();
+            let n = rx.recv_all(&mut buf).await;
             (n, buf, h.now().as_nanos())
         });
-        assert_eq!(got, (3, vec![1, 2, 3], 5_000));
+        assert_eq!(got, (3, VecDeque::from([1, 2, 3]), 5_000));
     }
 
     #[test]
@@ -758,24 +693,12 @@ mod tests {
     }
 
     #[test]
-    fn recv_many_returns_zero_when_closed() {
-        let mut sim = Sim::new(1);
-        let (tx, mut rx) = channel::<u32>();
-        drop(tx);
-        let got = sim.block_on(async move {
-            let mut buf = Vec::new();
-            rx.recv_many(&mut buf, 8).await
-        });
-        assert_eq!(got, 0);
-    }
-
-    #[test]
     fn send_batch_wakes_parked_receiver_once() {
         let (waker, fired) = counting_waker();
         let mut cx = Context::from_waker(&waker);
         let (tx, mut rx) = channel::<u32>();
-        let mut buf = Vec::new();
-        let mut fut = rx.recv_many(&mut buf, 16);
+        let mut buf = VecDeque::new();
+        let mut fut = rx.recv_all(&mut buf);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         tx.send_batch([1, 2, 3, 4]).unwrap();
         assert_eq!(fired.get(), 1, "a burst wakes once, not once per element");

@@ -63,7 +63,7 @@ pub mod trace;
 
 pub use channel::{
     channel, oneshot, OneshotPool, OneshotReceiver, OneshotSender, Receiver, Recv, RecvAll,
-    RecvMany, SendError, Sender,
+    SendError, Sender,
 };
 pub use combinator::{select2, timeout, Either, Elapsed, Timeout};
 pub use executor::{JoinHandle, Sim, SimHandle, Sleep, YieldNow};

@@ -6,7 +6,12 @@
 //! SplitMix64 — the same construction `rand`'s `SmallRng` used on 64-bit
 //! targets — behind a API-compatible subset: [`SmallRng::seed_from_u64`],
 //! [`SmallRng::gen`], [`SmallRng::gen_range`], and [`SmallRng::gen_bool`].
+//!
+//! The SplitMix64 finalizer [`mix64`] is also the workspace's one `u64`
+//! hash: [`IdMap`] keys hash maps by it under a fixed [`Mix64Hasher`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Range, RangeInclusive};
 
 /// A fast, seedable, non-cryptographic PRNG (xoshiro256++).
@@ -15,14 +20,43 @@ pub struct SmallRng {
     s: [u64; 4],
 }
 
+/// SplitMix64 finalizer: a well-mixed 64-bit permutation.
+#[inline]
+pub fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(*state)
 }
+
+/// Hashes one `u64` key with [`mix64`]. No per-process seed
+/// (`RandomState`), so a table's layout repeats from run to run; the keys
+/// are the simulation's own ids and addresses, never outside input, so
+/// nothing can craft collisions.
+#[derive(Default)]
+pub struct Mix64Hasher(u64);
+
+impl Hasher for Mix64Hasher {
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(key);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdMap keys are u64");
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// O(1) map from a `u64` id to `V` under the fixed [`Mix64Hasher`].
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<Mix64Hasher>>;
 
 impl SmallRng {
     /// Seed the generator from a single `u64` (SplitMix64 expansion, so
@@ -183,6 +217,20 @@ mod tests {
         }
         let mut c = SmallRng::seed_from_u64(43);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    /// The seed expansion is SplitMix64 exactly (the reference outputs
+    /// for seed 0), so every seeded stream is the one it always was.
+    #[test]
+    fn seed_expansion_is_the_splitmix64_reference() {
+        let s = SmallRng::seed_from_u64(0).s;
+        let reference = [
+            0xE220_A839_7B1D_CDAF,
+            0x6E78_9E6A_A1B9_65F4,
+            0x06C4_5D18_8009_454F,
+            0xF88B_B8A8_724C_81EC,
+        ];
+        assert_eq!(s, reference);
     }
 
     #[test]

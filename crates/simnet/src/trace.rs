@@ -26,8 +26,7 @@
 //!   executing, so interleaved on-path tasks on the same node are never
 //!   misattributed.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -35,26 +34,6 @@ use std::task::{Context, Poll};
 
 use crate::executor::SimHandle;
 use crate::time::{SimDuration, SimTime};
-
-pub mod counters {
-    //! Canonical [`Tracer`](super::Tracer) counter names.
-    //!
-    //! Counters are keyed by `&'static str`; centralizing the names here
-    //! means a typo'd name at a call site is a compile error instead of a
-    //! silently split counter.
-
-    /// DMA payload writes that landed in the LLC via DDIO (volatile).
-    pub const DDIO_DMA_WRITES: &str = "ddio_dma_writes";
-    /// DMA payload writes that went directly to their target (durable
-    /// when the target is PM).
-    pub const DIRECT_DMA_WRITES: &str = "direct_dma_writes";
-    /// Receive WQEs fetched over PCIe (send/recv verbs only).
-    pub const RECV_WQE_FETCHES: &str = "recv_wqe_fetches";
-    /// Completion-queue entries DMA'd to host memory.
-    pub const CQE_DMA_WRITES: &str = "cqe_dma_writes";
-    /// Explicit cache-line flushes executed against the PM device.
-    pub const CLFLUSH_CALLS: &str = "clflush_calls";
-}
 
 /// Where a traced duration belongs in the latency breakdown.
 ///
@@ -155,7 +134,6 @@ struct TracerInner {
     onpath_ns: [Cell<u64>; PHASES],
     /// Off-critical-path total per phase (nanoseconds).
     offpath_ns: [Cell<u64>; PHASES],
-    counters: RefCell<BTreeMap<&'static str, u64>>,
     offpath_depth: Cell<u64>,
 }
 
@@ -174,7 +152,6 @@ impl Tracer {
                 role: Cell::new(Role::Unassigned),
                 onpath_ns: std::array::from_fn(|_| Cell::new(0)),
                 offpath_ns: std::array::from_fn(|_| Cell::new(0)),
-                counters: RefCell::new(BTreeMap::new()),
                 offpath_depth: Cell::new(0),
             }),
         }
@@ -212,16 +189,6 @@ impl Tracer {
             Role::Receiver => Phase::ReceiverSw,
             Role::Sender | Role::Unassigned => Phase::SenderSw,
         }
-    }
-
-    /// Increment counter `name` by `n`.
-    pub fn add(&self, name: &'static str, n: u64) {
-        *self.inner.counters.borrow_mut().entry(name).or_insert(0) += n;
-    }
-
-    /// Increment counter `name` by one.
-    pub fn incr(&self, name: &'static str) {
-        self.add(name, 1);
     }
 
     /// Enter an off-critical-path scope: spans opened while the guard is
@@ -262,17 +229,11 @@ impl Tracer {
         SimDuration::from_nanos(self.inner.offpath_ns[phase.index()].get())
     }
 
-    /// Current value of counter `name` (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.counters.borrow().get(name).copied().unwrap_or(0)
-    }
-
     /// Snapshot this tracer's measurements.
     pub fn report(&self) -> TraceReport {
         TraceReport {
             onpath_ns: std::array::from_fn(|i| self.inner.onpath_ns[i].get()),
             offpath_ns: std::array::from_fn(|i| self.inner.offpath_ns[i].get()),
-            counters: self.inner.counters.borrow().clone(),
         }
     }
 
@@ -353,9 +314,6 @@ impl<F: Future> Future for OffpathFuture<F> {
 pub struct TraceReport {
     onpath_ns: [u64; PHASES],
     offpath_ns: [u64; PHASES],
-    /// Counter names are the interned `&'static str`s from [`counters`],
-    /// so snapshotting and merging reports never clones a key.
-    counters: BTreeMap<&'static str, u64>,
 }
 
 impl TraceReport {
@@ -370,9 +328,6 @@ impl TraceReport {
             self.onpath_ns[i] += other.onpath_ns[i];
             self.offpath_ns[i] += other.offpath_ns[i];
         }
-        for (&k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
     }
 
     /// Critical-path total for `phase`.
@@ -383,11 +338,6 @@ impl TraceReport {
     /// Off-critical-path total for `phase`.
     pub fn offpath_total(&self, phase: Phase) -> SimDuration {
         SimDuration::from_nanos(self.offpath_ns[phase.index()])
-    }
-
-    /// Counter value (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Sum of the exclusive phases' critical-path totals — the breakdown
@@ -543,22 +493,6 @@ mod tests {
         sim.run();
         assert_eq!(tracer.offpath_total(Phase::ReceiverSw).as_nanos(), 100);
         assert_eq!(tracer.total(Phase::ReceiverSw).as_nanos(), 50);
-    }
-
-    #[test]
-    fn counters_accumulate_and_merge() {
-        let sim = Sim::new(1);
-        let a = Tracer::new(sim.handle());
-        let b = Tracer::new(sim.handle());
-        a.incr(counters::DDIO_DMA_WRITES);
-        a.add(counters::DDIO_DMA_WRITES, 2);
-        b.incr(counters::DDIO_DMA_WRITES);
-        b.incr(counters::CLFLUSH_CALLS);
-        let mut r = a.report();
-        r.merge(&b.report());
-        assert_eq!(r.counter(counters::DDIO_DMA_WRITES), 4);
-        assert_eq!(r.counter(counters::CLFLUSH_CALLS), 1);
-        assert_eq!(r.counter("absent"), 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 
 use std::rc::Rc;
 
-use prdma::txn::{TxnClient, TxnOutcome};
+use prdma::txn::TxnOutcome;
+use prdma::ShardedClient;
 use prdma_rnic::Payload;
 use prdma_simnet::{Histogram, SimDuration, SimHandle, Summary};
 
@@ -81,7 +82,7 @@ impl TxnMixResult {
 /// hot keys.
 pub async fn run_txn_mix(
     h: &SimHandle,
-    clients: &[Rc<TxnClient>],
+    clients: &[Rc<ShardedClient>],
     cfg: &TxnMixConfig,
 ) -> TxnMixResult {
     let t0 = h.now();
@@ -124,7 +125,7 @@ pub async fn run_txn_mix(
 
 async fn run_one_client(
     h: &SimHandle,
-    client: &TxnClient,
+    client: &ShardedClient,
     index: usize,
     cfg: TxnMixConfig,
 ) -> (u64, u64, u64, Histogram) {

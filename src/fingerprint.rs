@@ -6,7 +6,6 @@
 use std::rc::Rc;
 
 use crate::baselines::{build_system, SystemKind, SystemOpts};
-use crate::core::txn::build_sharded_txn;
 use crate::core::{
     build_durable, build_fleet, build_replicated, CacheConfig, DurableConfig, DurableKind,
     FleetSpec, Request, RpcClient, ServerProfile, ShardMap,
@@ -36,8 +35,8 @@ pub enum Input {
     /// The micro-benchmark through a 2-replica `build_replicated` group
     /// (tagged puts fanned out to both replicas).
     Replicated(DurableKind),
-    /// A 2R+2W transactional mix over a 2-shard `build_sharded_txn`
-    /// service (2PC record appends).
+    /// A 2R+2W transactional mix over the clients of a 2-shard
+    /// unreplicated, cache-less fleet (2PC record appends).
     Txn(DurableKind),
     /// A 95 % GET / 5 % put micro-benchmark through a 1-shard cached
     /// fleet (lease bumps on the put path, cache + mirror reads).
@@ -196,7 +195,11 @@ pub fn run(input: Input, ops: u64) -> Fingerprint {
         }
         Input::Txn(kind) => {
             let cluster = journaled(ClusterConfig::with_servers(2, 1));
-            let svc = build_sharded_txn(&cluster, ShardMap::new(2), &[2], &durable_cfg(kind));
+            let spec = FleetSpec {
+                replicas: 1,
+                cache: None,
+            };
+            let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &durable_cfg(kind), spec);
             let clients: Vec<_> = svc.clients.into_iter().map(Rc::new).collect();
             let cfg = TxnMixConfig {
                 txns: ops / 4,

@@ -15,10 +15,15 @@
 //! * a working set four times the cache's capacity — evictions run under
 //!   the auditor, an evicted key is fetched and filled again, and the
 //!   journal repeats byte for byte (the key index leaks no order);
-//! * a zero-capacity cache, which must hold nothing.
+//! * a zero-capacity cache, which must hold nothing;
+//! * transactions on a cached fleet, whose commits revoke on the same
+//!   lease tables the caches validate against, so no cached read serves
+//!   a written key's pre-commit epoch once the commit is acknowledged.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use prdma_suite::core::txn::TxnOutcome;
 use prdma_suite::core::{
     build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, LeaseState, Request,
     RetryPolicy, RpcClient, ServerProfile, ShardMap, ShardedClient,
@@ -410,4 +415,149 @@ fn zero_capacity_caches_nothing() {
         "no get may be served or leased by the cache"
     );
     cluster.audit_journal().assert_ok();
+}
+
+const TXN_KEYS: u64 = 16;
+
+/// Two clients running 2R+2W transactions on a 2-shard cached fleet
+/// (hot threshold 1, mirror off), with cached GETs between them, under
+/// the auditor. Every committed transaction must have revoked each key
+/// it wrote — on the lease table the caches read — no later than its
+/// `TxnAck`, and no cached read after the ACK may serve an epoch below
+/// the commit's. Returns the journal.
+fn cached_txn_run(seed: u64) -> String {
+    let mut sim = Sim::new(seed);
+    let mut ccfg = ClusterConfig::with_servers(2, 2);
+    ccfg.journal = true;
+    let cluster = Cluster::new(sim.handle(), ccfg);
+    let cfg = DurableConfig {
+        profile: ServerProfile::light(),
+        slot_payload: OBJ_SLOT,
+        object_slot: OBJ_SLOT,
+        store_capacity: 1 << 20,
+        log_slots: 64,
+        ..DurableConfig::for_kind(DurableKind::WFlush)
+    };
+    let cache = CacheConfig {
+        hot_threshold: 1,
+        mirror: false,
+        ..Default::default()
+    };
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: Some(cache),
+    };
+    let map = ShardMap::new(2);
+    let svc = build_fleet(&cluster, map, &[2, 3], &cfg, spec);
+    let joins: Vec<_> = svc
+        .clients
+        .into_iter()
+        .zip(0u64..)
+        .map(|(client, c)| {
+            let h = sim.handle();
+            sim.spawn(async move {
+                let mut rng = SmallRng::seed_from_u64(seed ^ c);
+                let get = |obj| Request::Get { obj, len: VAL };
+                let mut committed = Vec::new();
+                for _ in 0..40 {
+                    for _ in 0..3 {
+                        let obj = rng.gen_range(0..TXN_KEYS);
+                        client.call(get(obj)).await.expect("cached get");
+                    }
+                    let mut txn = client.begin();
+                    for _ in 0..2 {
+                        let obj = rng.gen_range(0..TXN_KEYS);
+                        client.read(&mut txn, obj, VAL).await.expect("txn read");
+                    }
+                    let written: Vec<u64> = (0..2).map(|_| rng.gen_range(0..TXN_KEYS)).collect();
+                    for &obj in &written {
+                        txn.put(obj, &Payload::from_bytes(vec![obj as u8; VAL as usize]));
+                    }
+                    let id = txn.id();
+                    if client.commit(txn).await == Ok(TxnOutcome::Committed) {
+                        committed.push((id, written));
+                    }
+                    h.sleep(SimDuration::from_micros(5)).await;
+                }
+                committed
+            })
+        })
+        .collect();
+    let h = sim.handle();
+    let committed = sim.block_on(async move {
+        let mut committed = Vec::new();
+        for j in joins {
+            committed.extend(j.await);
+        }
+        h.sleep(SimDuration::from_millis(1)).await;
+        committed
+    });
+    sim.run();
+    cluster.audit_journal().assert_ok();
+    assert!(!committed.is_empty(), "seed {seed:#x}: nothing committed");
+
+    let records = cluster.journal_records();
+    let key_id = |obj: u64| {
+        let (shard, local) = map.route(obj);
+        svc.leases[shard].key_id(local)
+    };
+    let mut stale_checks = 0;
+    for (id, written) in &committed {
+        let ack = records
+            .iter()
+            .find(|r| r.kind == EventKind::TxnAck && r.rpc_id == *id)
+            .unwrap_or_else(|| panic!("seed {seed:#x}: txn {id:#x} committed without a TxnAck"));
+        // Key id -> the epoch this commit moved it to.
+        let bumps: BTreeMap<u64, u64> = records
+            .iter()
+            .filter(|r| r.kind == EventKind::LeaseInvalidate && r.rpc_id == *id)
+            .inspect(|r| {
+                assert!(
+                    r.ts_ns <= ack.ts_ns,
+                    "seed {seed:#x}: txn {id:#x} revoked key {:#x} after its ACK",
+                    r.wr_id
+                )
+            })
+            .map(|r| (r.wr_id, r.bytes))
+            .collect();
+        let expected: Vec<u64> = written.iter().map(|&obj| key_id(obj)).collect();
+        for key in &expected {
+            assert!(
+                bumps.contains_key(key),
+                "seed {seed:#x}: txn {id:#x} never revoked written key {key:#x}"
+            );
+        }
+        for r in records.iter().filter(|r| {
+            matches!(r.kind, EventKind::CacheRead | EventKind::MirrorRead) && r.ts_ns > ack.ts_ns
+        }) {
+            if let Some(&epoch) = bumps.get(&r.wr_id) {
+                stale_checks += 1;
+                assert!(
+                    r.bytes >= epoch,
+                    "seed {seed:#x}: key {:#x} served at epoch {} after txn {id:#x} moved it to {epoch}",
+                    r.wr_id,
+                    r.bytes
+                );
+            }
+        }
+    }
+    assert!(
+        stale_checks > 0,
+        "seed {seed:#x}: no cached read of a transactionally written key"
+    );
+    journal::to_jsonl(&records)
+}
+
+/// A cached fleet runs transactions against the lease tables its caches
+/// validate against; each seeded case twice, byte for byte.
+#[test]
+fn txn_commits_revoke_the_leases_cached_reads_validate_against() {
+    for case in 0..3u64 {
+        let seed = 0x7CAC_0000 + case;
+        let a = cached_txn_run(seed);
+        assert!(
+            a == cached_txn_run(seed),
+            "case {case} (seed {seed:#x}): same seed, different journals"
+        );
+    }
 }

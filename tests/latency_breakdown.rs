@@ -13,23 +13,51 @@
 //!    larger software cost.
 
 use prdma::ServerProfile;
-use prdma_baselines::SystemKind;
+use prdma_baselines::{build_system, SystemKind, SystemOpts};
 use prdma_bench::runner::{ycsb_run, EnvResult, ExpEnv};
-use prdma_simnet::trace::{counters, Phase};
-use prdma_workloads::ycsb::{YcsbConfig, YcsbWorkload};
+use prdma_node::{Cluster, ClusterConfig};
+use prdma_simnet::journal::{EventKind, Record};
+use prdma_simnet::trace::{Phase, TraceReport};
+use prdma_simnet::Sim;
+use prdma_workloads::ycsb::{run_ycsb, YcsbConfig, YcsbWorkload};
 
-/// The YCSB-A micro setup Fig. 20 is measured on: 2 nodes, light server,
-/// a small record set, values of `value_size` bytes.
-fn ycsb_a(kind: SystemKind, value_size: u64) -> EnvResult {
-    let env = ExpEnv::sized(value_size, ServerProfile::light());
-    let cfg = YcsbConfig {
+fn ycsb_a_cfg(value_size: u64) -> YcsbConfig {
+    YcsbConfig {
         records: 256,
         ops: 2_000,
         value_size,
         workload: YcsbWorkload::A,
         ..Default::default()
+    }
+}
+
+/// The YCSB-A micro setup Fig. 20 is measured on: 2 nodes, light server,
+/// a small record set, values of `value_size` bytes.
+fn ycsb_a(kind: SystemKind, value_size: u64) -> EnvResult {
+    let env = ExpEnv::sized(value_size, ServerProfile::light());
+    ycsb_run(kind, &env, ycsb_a_cfg(value_size))
+}
+
+/// [`ycsb_a`] rebuilt by hand with the journal on: its phase totals and
+/// the merged journal. Journaling costs no virtual time, so the totals
+/// are the unjournaled run's.
+fn ycsb_a_journaled(kind: SystemKind, value_size: u64) -> (TraceReport, Vec<Record>) {
+    let env = ExpEnv::sized(value_size, ServerProfile::light());
+    let mut sim = Sim::new(env.seed);
+    let mut ccfg = ClusterConfig::with_nodes(2);
+    ccfg.journal = true;
+    let cluster = Cluster::new(sim.handle(), ccfg);
+    let opts = SystemOpts {
+        profile: env.profile,
+        flush_impl: env.flush_impl,
+        object_slot: value_size.max(64),
+        ..Default::default()
     };
-    ycsb_run(kind, &env, cfg)
+    let client = build_system(&cluster, kind, 1, 0, 0, &opts);
+    let h = sim.handle();
+    let cfg = ycsb_a_cfg(value_size);
+    sim.block_on(async move { run_ycsb(client.as_ref(), &h, &cfg).await });
+    (cluster.trace_report(), cluster.journal_records())
 }
 
 /// The RDMA-transmission segment of Fig. 20: wire time plus NIC/PCIe DMA
@@ -76,7 +104,15 @@ fn darpc_hardware_rtt_is_at_least_1_5x_farm() {
     );
     // The extra RTT must come from the two-sided hardware path: recv-WQE
     // fetches and CQE delivery DMA that one-sided writes never pay.
-    assert!(darpc.trace.counter(counters::RECV_WQE_FETCHES) > 0);
-    assert!(darpc.trace.counter(counters::CQE_DMA_WRITES) > 0);
-    assert_eq!(farm.trace.counter(counters::RECV_WQE_FETCHES), 0);
+    let count = |records: &[Record], kind| records.iter().filter(|r| r.kind == kind).count();
+    let (darpc_trace, darpc_journal) = ycsb_a_journaled(SystemKind::Darpc, 1024);
+    let (farm_trace, farm_journal) = ycsb_a_journaled(SystemKind::Farm, 1024);
+    for (plain, journaled) in [(&darpc.trace, &darpc_trace), (&farm.trace, &farm_trace)] {
+        for phase in Phase::ALL {
+            assert_eq!(plain.total(phase), journaled.total(phase), "{phase:?}");
+        }
+    }
+    assert!(count(&darpc_journal, EventKind::WqeFetch) > 0);
+    assert!(count(&darpc_journal, EventKind::CqeWrite) > 0);
+    assert_eq!(count(&farm_journal, EventKind::WqeFetch), 0);
 }

@@ -10,8 +10,10 @@
 
 use std::rc::Rc;
 
-use prdma_suite::core::txn::{build_sharded_txn, ShardedTxn, TxnOutcome, TxnPhase};
-use prdma_suite::core::{DurableConfig, DurableKind, RetryPolicy, ServerProfile, ShardMap};
+use prdma_suite::core::txn::{TxnOutcome, TxnPhase};
+use prdma_suite::core::{
+    build_fleet, DurableConfig, DurableKind, Fleet, FleetSpec, RetryPolicy, ServerProfile, ShardMap,
+};
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
@@ -38,7 +40,7 @@ fn retry(max_retries: u32) -> RetryPolicy {
 /// Two shards (server nodes 0 and 1), one client (node 2), journal on.
 /// Heavy profile: 100 µs decoupled processing, so crashes reliably land
 /// between a record's flush ACK and its processing.
-fn txn_cluster(sim: &Sim, kind: DurableKind, max_retries: u32) -> (Cluster, ShardedTxn) {
+fn txn_cluster(sim: &Sim, kind: DurableKind, max_retries: u32) -> (Cluster, Fleet) {
     let mut ccfg = ClusterConfig::with_servers(2, 1);
     ccfg.journal = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
@@ -51,7 +53,11 @@ fn txn_cluster(sim: &Sim, kind: DurableKind, max_retries: u32) -> (Cluster, Shar
         retry: retry(max_retries),
         ..DurableConfig::for_kind(kind)
     };
-    let svc = build_sharded_txn(&cluster, ShardMap::new(2), &[2], &cfg);
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: None,
+    };
+    let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
     (cluster, svc)
 }
 
