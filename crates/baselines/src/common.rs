@@ -125,7 +125,7 @@ impl ServerCtx {
 pub fn request_image(req: &Request) -> Payload {
     match req {
         Request::Put { data, .. } => {
-            Payload::composite(vec![Payload::synthetic(MSG_HEADER, 0), data.clone()])
+            Payload::composite_of([Payload::synthetic(MSG_HEADER, 0), data.clone()])
         }
         _ => Payload::synthetic(MSG_HEADER, 0),
     }

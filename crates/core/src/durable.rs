@@ -287,7 +287,7 @@ impl Entry {
     /// A put logged as [`OpCode::RPut`]: causal id `id` prefixed to the
     /// payload for apply-time dedup.
     fn rput(obj: u64, data: Payload, id: u64, link: Option<u64>) -> Self {
-        let tagged = Payload::composite(vec![Payload::from_bytes(id.to_le_bytes().to_vec()), data]);
+        let tagged = Payload::composite_of([Payload::from_slice(&id.to_le_bytes()), data]);
         Entry::new(OpCode::RPut, obj, tagged, Some(obj), link)
     }
 }
@@ -881,7 +881,7 @@ impl ServerCtx {
                 let _ = log.mark_done(index).await;
                 return;
             }
-            body = Payload::from_bytes(rest.to_vec());
+            body = Payload::from_slice(rest);
         }
         self.inject_processing().await;
         let _ = self.store.put(entry.op.obj_id, &body).await;

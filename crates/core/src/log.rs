@@ -47,6 +47,7 @@ use std::rc::Rc;
 use prdma_pmem::{PmDevice, PmRegion};
 use prdma_rnic::{MemTarget, Payload, PersistToken, Qp, RdmaResult};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
+use prdma_simnet::rng::IdSet;
 use prdma_simnet::SimDuration;
 
 use crate::flush::FlushOps;
@@ -193,22 +194,29 @@ pub(crate) fn align8(v: u64) -> u64 {
 
 /// Serialize a log entry as a DMA image: real header/footer bytes wrapped
 /// around the (possibly synthetic) payload, so the commit word is the last
-/// thing written.
+/// thing written. Three allocations: the header, the footer and the part
+/// list, each built on the stack first.
 pub fn encode_entry(index: u64, op: RpcOperator, data: &Payload) -> Payload {
     let payload_len = data.len();
-    let mut header = Vec::with_capacity(ENTRY_HEADER as usize);
-    header.extend_from_slice(&index.to_le_bytes());
-    header.extend_from_slice(&op.opcode.to_u64().to_le_bytes());
-    header.extend_from_slice(&op.obj_id.to_le_bytes());
-    header.extend_from_slice(&payload_len.to_le_bytes());
-    header.extend_from_slice(&STATE_PENDING.to_le_bytes());
-    let pad = align8(payload_len) - payload_len;
-    let mut footer = vec![0u8; pad as usize];
-    footer.extend_from_slice(&(COMMIT_MAGIC ^ index).to_le_bytes());
-    Payload::composite(vec![
-        Payload::from_bytes(header),
+    let mut header = [0u8; ENTRY_HEADER as usize];
+    let fields = [
+        index,
+        op.opcode.to_u64(),
+        op.obj_id,
+        payload_len,
+        STATE_PENDING,
+    ];
+    for (at, field) in header.chunks_exact_mut(8).zip(fields) {
+        at.copy_from_slice(&field.to_le_bytes());
+    }
+    // Zero padding up to the 8-byte boundary, then the commit word.
+    let pad = (align8(payload_len) - payload_len) as usize;
+    let mut footer = [0u8; 7 + ENTRY_FOOTER as usize];
+    footer[pad..pad + 8].copy_from_slice(&(COMMIT_MAGIC ^ index).to_le_bytes());
+    Payload::composite_of([
+        Payload::from_slice(&header),
         data.clone(),
-        Payload::from_bytes(footer),
+        Payload::from_slice(&footer[..pad + 8]),
     ])
 }
 
@@ -359,7 +367,7 @@ pub struct RedoLog {
     /// (RedoLog::recover): it models the dedup table a production system
     /// would persist alongside the store, so a retry duplicate whose
     /// original was applied pre-crash still skips re-apply after replay.
-    applied_ids: Rc<std::cell::RefCell<std::collections::BTreeSet<u64>>>,
+    applied_ids: Rc<std::cell::RefCell<IdSet>>,
     /// Persist the head pointer once it has advanced this many entries
     /// (1 = persist on every completion). Batching head persistence keeps
     /// PM-media work off the completion path; the cost is that up to

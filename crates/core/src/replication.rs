@@ -28,14 +28,14 @@
 //! not ACKed, and even a re-append on an already-ACKed replica is
 //! deduplicated at apply time by id.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::Payload;
 use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
-use prdma_simnet::metrics::Key;
+use prdma_simnet::metrics::{Counter, Key, Window};
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::SimHandle;
 
@@ -205,6 +205,10 @@ pub struct ReplicatedClient {
     /// [`DurableClient`]'s `retry_rng`): drawn only when a round actually
     /// backs off, so healthy schedules stay byte-identical.
     retry_rng: RefCell<SmallRng>,
+    /// `repl_puts` / `repl_put_latency_ns` on the client node, resolved
+    /// once, by the first replicated put: resolving a window allocates
+    /// its histogram, which would otherwise land in fleet set-up.
+    metrics: OnceCell<Option<(Counter, Window)>>,
 }
 
 /// The server side of a replica group: per-replica durable servers plus
@@ -292,6 +296,7 @@ pub(crate) fn build_replicated_group(
             client_idx as u64 ^ 0x5265706c, // distinct domain from sub-clients
             lane_base as u64,
         )),
+        metrics: OnceCell::new(),
     };
     let group = ReplicaGroup {
         servers,
@@ -481,9 +486,16 @@ impl ReplicatedClient {
                     .jot(EventKind::ReplAck, id, n_acked as u64, data.len());
                 self.state
                     .jot(EventKind::RpcComplete, id, NO_ID, data.len());
-                if let Some(m) = self.state.client.metrics() {
-                    m.incr(Key::new("repl_puts"), 1);
-                    m.observe_duration(Key::new("repl_put_latency_ns"), self.handle.now() - t0);
+                let metrics = self.metrics.get_or_init(|| {
+                    let m = self.state.client.metrics()?;
+                    Some((
+                        m.counter_handle(Key::new("repl_puts")),
+                        m.window_handle(Key::new("repl_put_latency_ns")),
+                    ))
+                });
+                if let Some((puts, latency)) = metrics {
+                    puts.incr(1);
+                    latency.observe_duration(self.handle.now() - t0);
                 }
                 return Ok(Response {
                     payload: None,

@@ -43,13 +43,13 @@
 //! append, and no aborted txn ever applies staged writes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
 use prdma_node::{Cluster, Node};
 use prdma_rnic::Payload;
 use prdma_simnet::journal::{EventKind, Subsystem};
+use prdma_simnet::rng::IdMap;
 use prdma_simnet::{JoinHandle, Semaphore};
 
 use crate::cache::LeaseState;
@@ -74,7 +74,7 @@ struct PrepareRecord {
     /// Coordinator shard (where the decided record will live).
     coord: usize,
     /// The participant's write set: `(local object id, value bytes)`.
-    writes: Vec<(u64, Vec<u8>)>,
+    writes: Vec<(u64, Payload)>,
 }
 
 /// Decoded payload of a `TxnDecide` log record.
@@ -82,8 +82,14 @@ struct DecideRecord {
     commit: bool,
 }
 
-fn encode_prepare(coord: usize, writes: &[(u64, Vec<u8>)]) -> Payload {
-    let mut out = Vec::with_capacity(16 + writes.iter().map(|(_, v)| 16 + v.len()).sum::<usize>());
+/// A participant's prepare record from its `(local object id, value
+/// bytes)` writes.
+fn encode_prepare<'a, W>(coord: usize, writes: W) -> Payload
+where
+    W: ExactSizeIterator<Item = (u64, &'a [u8])> + Clone,
+{
+    let bytes = writes.clone().map(|(_, v)| 16 + v.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(16 + bytes);
     out.extend_from_slice(&(coord as u64).to_le_bytes());
     out.extend_from_slice(&(writes.len() as u64).to_le_bytes());
     for (obj, val) in writes {
@@ -108,8 +114,8 @@ fn decode_prepare(payload: &[u8]) -> Option<PrepareRecord> {
     for _ in 0..n {
         let obj = u64_at(payload, off)?;
         let len = u64_at(payload, off + 8)? as usize;
-        let val = payload.get(off + 16..off + 16 + len)?.to_vec();
-        writes.push((obj, val));
+        let val = payload.get(off + 16..off + 16 + len)?;
+        writes.push((obj, Payload::from_slice(val)));
         off += 16 + len;
     }
     Some(PrepareRecord { coord, writes })
@@ -168,10 +174,11 @@ enum Decision {
 
 #[derive(Default)]
 struct DirInner {
-    /// Shard → every redo log hosted by that shard (one per client lane).
-    logs: RefCell<BTreeMap<usize, Vec<RedoLog>>>,
+    /// By shard: every redo log hosted by that shard (one per client
+    /// lane).
+    logs: RefCell<Vec<Vec<RedoLog>>>,
     /// Txn id → decision state; absent = no decide was ever issued.
-    decisions: RefCell<BTreeMap<u64, Decision>>,
+    decisions: RefCell<IdMap<Decision>>,
     /// Lookups that read a coordinator's rings.
     ring_scans: Cell<u64>,
     /// Ring scans that found a decided record.
@@ -189,12 +196,11 @@ impl TxnDirectory {
 
     /// Register one of `shard`'s redo logs for decision lookups.
     pub fn register(&self, shard: usize, log: RedoLog) {
-        self.inner
-            .logs
-            .borrow_mut()
-            .entry(shard)
-            .or_default()
-            .push(log);
+        let mut logs = self.inner.logs.borrow_mut();
+        if logs.len() <= shard {
+            logs.resize_with(shard + 1, Vec::new);
+        }
+        logs[shard].push(log);
     }
 
     /// Announce that txn `txn`'s `TxnDecide` append is about to be
@@ -268,7 +274,7 @@ impl TxnDirectory {
             .inner
             .logs
             .borrow()
-            .get(&coord)
+            .get(coord)
             .into_iter()
             .flatten()
             .flat_map(|log| log.find_in_ring(OpCode::TxnDecide, txn))
@@ -288,7 +294,7 @@ impl TxnDirectory {
             .inner
             .logs
             .borrow()
-            .get(&coord)
+            .get(coord)
             .into_iter()
             .flatten()
             .flat_map(RedoLog::scan_ring)
@@ -311,7 +317,7 @@ struct Staged {
     coord: usize,
     /// The prepare record's log index — marked done only at resolution.
     prep_index: u64,
-    writes: Vec<(u64, Vec<u8>)>,
+    writes: Vec<(u64, Payload)>,
 }
 
 /// One shard's transaction host state: object versions (OCC), write
@@ -328,11 +334,11 @@ struct StateInner {
     shard: usize,
     dir: TxnDirectory,
     /// Local object id → version (bumped on every committed txn write).
-    versions: RefCell<BTreeMap<u64, u64>>,
+    versions: RefCell<IdMap<u64>>,
     /// Local object id → owning txn id.
-    locks: RefCell<BTreeMap<u64, u64>>,
+    locks: RefCell<IdMap<u64>>,
     /// Txn id → staged prepare awaiting resolution.
-    staged: RefCell<BTreeMap<u64, Staged>>,
+    staged: RefCell<IdMap<Staged>>,
     /// Committed transactions applied on this shard.
     applies: Cell<u64>,
 }
@@ -416,7 +422,7 @@ impl TxnState {
     /// Stage a prepared write set (replay-safe: locks are re-acquired
     /// idempotently — after a crash the host-state locks may or may not
     /// have survived, and never stomp another txn's lock).
-    fn stage(&self, txn: u64, coord: usize, prep_index: u64, writes: Vec<(u64, Vec<u8>)>) {
+    fn stage(&self, txn: u64, coord: usize, prep_index: u64, writes: Vec<(u64, Payload)>) {
         for (obj, _) in &writes {
             self.try_lock(*obj, txn);
         }
@@ -440,8 +446,8 @@ impl TxnState {
         if log.note_applied(txn) {
             let mut bytes = 0u64;
             for (obj, val) in &st.writes {
-                let _ = store.put(*obj, &Payload::from_bytes(val.clone())).await;
-                bytes += val.len() as u64;
+                let _ = store.put(*obj, val).await;
+                bytes += val.len();
             }
             {
                 let mut versions = self.inner.versions.borrow_mut();
@@ -781,18 +787,27 @@ impl ShardedClient {
     /// transaction tables (a replicated fleet's: 2PC over replica groups
     /// is not modelled) refuses with [`RpcError::Unsupported`] before
     /// logging anything.
-    pub async fn commit(&self, txn: Txn) -> RpcResult<TxnOutcome> {
+    pub async fn commit(&self, mut txn: Txn) -> RpcResult<TxnOutcome> {
         let book = &self.txn;
         if book.states.is_empty() {
             return Err(NO_TXN_TABLES);
         }
         let id = txn.id;
-        // Deduplicated write set in deterministic (shard, local) order;
-        // later program-order writes win.
-        let mut ws: BTreeMap<(usize, u64), Vec<u8>> = BTreeMap::new();
-        for (obj, bytes) in &txn.writes {
-            ws.insert(self.map.route(*obj), bytes.clone());
-        }
+        // Deduplicated write set in deterministic (shard, local) order:
+        // a stable sort keeps each key's writes in program order, and the
+        // dedup keeps the last of them.
+        let mut ws: Vec<((usize, u64), Vec<u8>)> = std::mem::take(&mut txn.writes)
+            .into_iter()
+            .map(|(obj, bytes)| (self.map.route(obj), bytes))
+            .collect();
+        ws.sort_by_key(|&(key, _)| key);
+        ws.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
 
         if ws.is_empty() {
             // Read-only: validation against host state, no log records.
@@ -805,12 +820,8 @@ impl ShardedClient {
             });
         }
 
-        let participants: Vec<usize> = ws
-            .keys()
-            .map(|&(shard, _)| shard)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let mut participants: Vec<usize> = ws.iter().map(|&((shard, _), _)| shard).collect();
+        participants.dedup();
         let coord = participants[0];
 
         // Phase 0: lock the write set, then validate the read set.
@@ -822,7 +833,7 @@ impl ShardedClient {
             book.aborts.set(book.aborts.get() + 1);
             Ok(TxnOutcome::Aborted(reason))
         };
-        for &(shard, local) in ws.keys() {
+        for &((shard, local), _) in &ws {
             if !book.states[shard].try_lock(local, id) {
                 return abort_local(AbortReason::WriteConflict);
             }
@@ -834,12 +845,14 @@ impl ShardedClient {
         // Phase 1: durable prepare records, fanned out concurrently to
         // every participant shard's log (like replicated puts).
         let mut joins = Vec::with_capacity(participants.len());
-        for &shard in &participants {
-            let writes: Vec<(u64, Vec<u8>)> = ws
-                .range((shard, 0)..=(shard, u64::MAX))
-                .map(|(&(_, local), bytes)| (local, bytes.clone()))
-                .collect();
-            let payload = encode_prepare(coord, &writes);
+        for (&shard, writes) in participants
+            .iter()
+            .zip(ws.chunk_by(|((a, _), _), ((b, _), _)| a == b))
+        {
+            let writes = writes
+                .iter()
+                .map(|((_, local), bytes)| (*local, bytes.as_slice()));
+            let payload = encode_prepare(coord, writes);
             let bytes = payload.len();
             let join = self.spawn_append(shard, OpCode::TxnPrepare, id, payload);
             joins.push((shard, bytes, join));
@@ -884,7 +897,7 @@ impl ShardedClient {
         // (invariant I5a, with the TxnAck standing in for RpcComplete) —
         // on the tables a cached fleet's clients validate against.
         let mut total_bytes = 0u64;
-        for (&(shard, local), bytes) in &ws {
+        for &((shard, local), ref bytes) in &ws {
             book.leases[shard].bump(local, id, book.node.journal());
             total_bytes += bytes.len() as u64;
         }
@@ -1010,11 +1023,16 @@ mod tests {
     #[test]
     fn prepare_record_roundtrip() {
         let writes = vec![(3u64, vec![1u8, 2, 3]), (9, vec![]), (12, vec![0xFF; 64])];
-        let p = encode_prepare(2, &writes);
+        let p = encode_prepare(2, writes.iter().map(|(obj, v)| (*obj, v.as_slice())));
         let bytes: Vec<u8> = p.bytes().unwrap().to_vec();
         let d = decode_prepare(&bytes).unwrap();
         assert_eq!(d.coord, 2);
-        assert_eq!(d.writes, writes);
+        let decoded: Vec<(u64, Vec<u8>)> = d
+            .writes
+            .iter()
+            .map(|(obj, v)| (*obj, v.bytes().unwrap().to_vec()))
+            .collect();
+        assert_eq!(decoded, writes);
         assert!(decode_prepare(&bytes[..bytes.len() - 1]).is_none());
     }
 

@@ -336,12 +336,18 @@ impl Rnic {
         }
     }
 
-    /// DMA-read `len` bytes from `target`.
+    /// DMA-read `len` bytes from `target`: the bytes when `inline`, else
+    /// only the read's timing (`None`).
     ///
     /// PCIe ordering: a read request drains all previously posted DMA
     /// writes first — this is exactly the mechanism the paper's emulated
     /// `WFlush` (read-after-write) exploits.
-    pub async fn dma_read(&self, target: MemTarget, len: u64, inline: bool) -> RdmaResult<Payload> {
+    pub async fn dma_read(
+        &self,
+        target: MemTarget,
+        len: u64,
+        inline: bool,
+    ) -> RdmaResult<Option<Vec<u8>>> {
         self.drain_posted_writes().await?;
         // A DMA read is a request/completion round trip over the bus.
         let pcie = self.inner.cfg.pcie_latency * 2
@@ -351,20 +357,13 @@ impl Rnic {
             self.inner.dma.process(pcie).await;
         }
         match target {
-            MemTarget::Dram(addr) => {
-                if inline {
-                    Ok(Payload::from_bytes(self.inner.dram.read(addr, len)))
-                } else {
-                    Ok(Payload::synthetic(len, 0))
-                }
-            }
+            MemTarget::Dram(addr) => Ok(inline.then(|| self.inner.dram.read(addr, len))),
             MemTarget::Pm(addr) => {
                 if inline {
-                    let bytes = self.inner.pm.read(addr, len).await?;
-                    Ok(Payload::from_bytes(bytes))
+                    Ok(Some(self.inner.pm.read(addr, len).await?))
                 } else {
                     self.inner.pm.simulate_read_time(len).await;
-                    Ok(Payload::synthetic(len, 0))
+                    Ok(None)
                 }
             }
         }

@@ -13,7 +13,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Actual content, shared without copying.
-    Inline(Rc<Vec<u8>>),
+    Inline(Rc<[u8]>),
     /// Timing-only payload: `len` simulated bytes identified by `tag`.
     Synthetic {
         /// Simulated payload size in bytes.
@@ -22,13 +22,18 @@ pub enum Payload {
         tag: u64,
     },
     /// Parts laid out back to back at the destination.
-    Composite(Rc<Vec<Payload>>),
+    Composite(Rc<[Payload]>),
 }
 
 impl Payload {
     /// A payload from owned bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Payload::Inline(Rc::new(bytes))
+        Payload::Inline(bytes.into())
+    }
+
+    /// A payload holding a copy of `bytes`, in one allocation.
+    pub fn from_slice(bytes: &[u8]) -> Self {
+        Payload::Inline(bytes.into())
     }
 
     /// A timing-only payload of `len` bytes tagged `tag`.
@@ -38,6 +43,12 @@ impl Payload {
 
     /// A composite payload from parts laid out back to back.
     pub fn composite(parts: Vec<Payload>) -> Self {
+        Payload::Composite(parts.into())
+    }
+
+    /// [`composite`](Self::composite) of a fixed number of parts, in one
+    /// allocation.
+    pub fn composite_of<const N: usize>(parts: [Payload; N]) -> Self {
         Payload::Composite(Rc::new(parts))
     }
 
@@ -120,7 +131,7 @@ impl Payload {
 
 impl From<&[u8]> for Payload {
     fn from(v: &[u8]) -> Self {
-        Payload::from_bytes(v.to_vec())
+        Payload::from_slice(v)
     }
 }
 

@@ -396,10 +396,8 @@ impl Qp {
 
     /// One-sided RDMA read returning real content.
     pub async fn read_bytes(&self, target: MemTarget, len: u64) -> RdmaResult<Vec<u8>> {
-        match self.read_inner(target, len, true).await? {
-            Payload::Inline(b) => Ok(b.to_vec()),
-            other => unreachable!("inline read returned {other:?}"),
-        }
+        let bytes = self.read_inner(target, len, true).await?;
+        Ok(bytes.expect("an inline read returns bytes"))
     }
 
     /// One-sided RDMA read modeling only the transfer time (benchmarks).
@@ -431,7 +429,7 @@ impl Qp {
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
-        let payload = self.inner.remote.dma_read(target, len, true).await?;
+        let bytes = self.inner.remote.dma_read(target, len, true).await?;
         {
             let _span = self.wire_span();
             self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
@@ -443,13 +441,15 @@ impl Qp {
         self.inner.local.sram_admit(len);
         self.inner.local.process_message().await;
         self.inner.local.sram_release(len);
-        match payload {
-            Payload::Inline(b) => Ok(b.to_vec()),
-            other => unreachable!("inline mirror read returned {other:?}"),
-        }
+        Ok(bytes.expect("an inline read returns bytes"))
     }
 
-    async fn read_inner(&self, target: MemTarget, len: u64, inline: bool) -> RdmaResult<Payload> {
+    async fn read_inner(
+        &self,
+        target: MemTarget,
+        len: u64,
+        inline: bool,
+    ) -> RdmaResult<Option<Vec<u8>>> {
         let rpc = self.take_tag();
         self.inner.remote.check_up()?;
         self.post_cost(rpc, self.cfg().post_onesided).await;
@@ -465,7 +465,7 @@ impl Qp {
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
-        let payload = self.inner.remote.dma_read(target, len, inline).await?;
+        let bytes = self.inner.remote.dma_read(target, len, inline).await?;
         {
             let _span = self.wire_span();
             self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
@@ -475,7 +475,7 @@ impl Qp {
                 .await;
         }
         self.inner.local.process_message().await;
-        Ok(payload)
+        Ok(bytes)
     }
 
     /// A flush-style control round trip: a header-only command that makes

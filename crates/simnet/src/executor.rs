@@ -54,19 +54,32 @@
 //!   trip each. Any other waker — a combinator's own, a
 //!   hand-rolled `Context` — is cloned into the slot and woken through
 //!   its vtable. A `Sleep` polled again under a different waker replaces
-//!   its slot's target, as the `Future` contract requires.
+//!   its slot's target, as the `Future` contract requires; re-polled by
+//!   the task it already wakes by id (every poll of a task under a
+//!   `timeout`), it returns `Pending` without borrowing the timers.
+//!   A fired task target is polled at once rather than pushed: the ready
+//!   queue is empty when a timer fires, so the push-then-pop would poll
+//!   the same task next anyway.
 //!   Cancelled sleeps ([`Sleep`] dropped before the deadline) free their
 //!   slot immediately; their stale queue entry is dropped (without
 //!   advancing the clock) when it surfaces, or swept out earlier once
 //!   stale entries clearly outnumber live ones — every RPC cancels a far
 //!   timeout, and they would otherwise sit in the high buckets for good.
-//! * **Teardown**: dropping the [`Sim`] drops every parked task, which
-//!   breaks the task → `SimHandle` → task-slab cycle, so a dropped
+//! * **Task cells**: a spawn is one allocation, an `Rc<TaskCell<F>>`
+//!   holding the future beside its join state; the slab keeps it as
+//!   `Rc<dyn Task>`, the [`JoinHandle`] as `Rc<dyn Joinable<T>>`. The
+//!   future is polled where it lies and, on completion, dropped there
+//!   before the output is stored and the joiner woken.
+//! * **Teardown**: dropping the [`Sim`] drops every parked task's future
+//!   in place, which breaks the task → `SimHandle` → task-slab cycle
+//!   even where a `JoinHandle` keeps the cell itself alive, so a dropped
 //!   simulation's whole world is freed by ordinary `Rc` counting.
 //! * **Task wakers**: one `Arc`-backed waker is created per task *slot*
 //!   and reused across every task that later occupies the slot, so a
 //!   spawn in steady state performs no waker allocation and a poll
-//!   performs no waker clone.
+//!   performs no waker clone. A poll publishes the task id and the slot
+//!   waker's `(data, vtable)` identity in a `Cell`, which is all a
+//!   [`Sleep`] needs to recognise its own task's waker.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -75,7 +88,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWakerVTable, Wake, Waker};
 use std::thread::ThreadId;
 
 use crate::rng::SmallRng;
@@ -174,6 +187,12 @@ impl ReadyQueue {
         }
         local.pop_front()
     }
+
+    /// Whether a cross-thread wake is waiting to be drained.
+    #[inline]
+    fn remote_pending(&self) -> bool {
+        self.remote_pending.load(Ordering::Acquire)
+    }
 }
 
 struct TaskWaker {
@@ -191,18 +210,90 @@ impl Wake for TaskWaker {
     }
 }
 
-type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
+/// A spawned task: the future and its join state in one allocation. The
+/// slab holds it as `Rc<dyn Task>`, its [`JoinHandle`] as
+/// `Rc<dyn Joinable<T>>`.
+struct TaskCell<F: Future> {
+    /// The future, polled in place; `None` once it completed or teardown
+    /// dropped it.
+    future: RefCell<Option<F>>,
+    join: RefCell<JoinState<F::Output>>,
+}
+
+struct JoinState<T> {
+    result: Option<T>,
+    waker: Option<Waker>,
+}
+
+/// The slab's view of a [`TaskCell`]: poll it, or drop its future.
+trait Task {
+    /// Poll the future. On completion the future is dropped, then the
+    /// output stored, then the joiner woken.
+    fn poll(&self, cx: &mut Context<'_>) -> Poll<()>;
+
+    /// Drop the future in place, if it has not completed.
+    fn drop_future(&self);
+}
+
+/// A [`JoinHandle`]'s view of a [`TaskCell`].
+trait Joinable<T> {
+    fn join_state(&self) -> &RefCell<JoinState<T>>;
+}
+
+impl<F: Future> Task for TaskCell<F> {
+    fn poll(&self, cx: &mut Context<'_>) -> Poll<()> {
+        let mut slot = self.future.borrow_mut();
+        let future = slot.as_mut().expect("a task in the slab has its future");
+        // SAFETY: the future lives inside the cell's `Rc` allocation,
+        // which never moves, and it is never moved out of its `Option`:
+        // completion and teardown both drop it in place by assigning
+        // `None`, and the cell is never unwrapped out of its `Rc`.
+        let Poll::Ready(output) = unsafe { Pin::new_unchecked(future) }.poll(cx) else {
+            return Poll::Pending;
+        };
+        *slot = None;
+        drop(slot);
+        let joiner = {
+            let mut join = self.join.borrow_mut();
+            join.result = Some(output);
+            join.waker.take()
+        };
+        if let Some(w) = joiner {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
+
+    fn drop_future(&self) {
+        *self.future.borrow_mut() = None;
+    }
+}
+
+impl<F: Future> Joinable<F::Output> for TaskCell<F> {
+    fn join_state(&self) -> &RefCell<JoinState<F::Output>> {
+        &self.join
+    }
+}
 
 struct TaskSlot {
-    /// `None` while vacant or checked out for polling.
-    future: Option<BoxedTask>,
-    /// A live task occupies this slot (distinguishes "checked out for
-    /// polling" from "vacant" when `future` is `None`).
-    occupied: bool,
+    /// The task occupying the slot; `None` while vacant.
+    task: Option<Rc<dyn Task>>,
     /// Slot waker, created once and reused by every task that occupies
     /// the slot (it encodes only the ready-queue handle and the slot id).
-    /// `None` only while checked out for polling.
-    waker: Option<Waker>,
+    /// An `Rc` so a poll can hold it with the slab unborrowed and without
+    /// touching the waker's atomic count.
+    waker: Rc<Waker>,
+}
+
+/// The task being polled and the identity of its slot waker — the
+/// `(data, vtable)` pair [`Waker::will_wake`] compares — published for
+/// the duration of the poll: a [`Sleep`] polled under a waker with that
+/// identity registers the id.
+#[derive(Clone, Copy)]
+struct Polling {
+    id: usize,
+    data: *const (),
+    vtable: &'static RawWakerVTable,
 }
 
 /// Index entry in the timer queue: fires at `at`, registered as `seq`
@@ -459,9 +550,8 @@ struct SimInner {
     live_tasks: Cell<usize>,
     ready: Arc<ReadyQueue>,
     timers: RefCell<Timers>,
-    /// The task being polled and its slot waker, which is what that poll's
-    /// `Context` hands out: a [`Sleep`] that sees it registers the id.
-    polling: RefCell<Option<(usize, Waker)>>,
+    /// The task being polled, if any (see [`Polling`]).
+    polling: Cell<Option<Polling>>,
     rng: RefCell<SmallRng>,
     events: Cell<u64>,
 }
@@ -494,19 +584,14 @@ pub struct SimHandle {
 /// Awaiting it yields the task's output. Dropping it detaches the task
 /// (the task keeps running).
 pub struct JoinHandle<T> {
-    state: Rc<RefCell<JoinState<T>>>,
-}
-
-struct JoinState<T> {
-    result: Option<T>,
-    waker: Option<Waker>,
+    task: Rc<dyn Joinable<T>>,
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.state.borrow_mut();
+        let mut st = self.task.join_state().borrow_mut();
         if let Some(v) = st.result.take() {
             Poll::Ready(v)
         } else {
@@ -519,7 +604,7 @@ impl<T> Future for JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// Whether the task has finished (result ready and not yet consumed).
     pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
+        self.task.join_state().borrow().result.is_some()
     }
 }
 
@@ -534,7 +619,7 @@ impl Sim {
                 live_tasks: Cell::new(0),
                 ready: Arc::new(ReadyQueue::new()),
                 timers: RefCell::new(Timers::new()),
-                polling: RefCell::new(None),
+                polling: Cell::new(None),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
             }),
@@ -616,8 +701,8 @@ impl Sim {
                 );
             }
         }
-        let mut st = join.state.borrow_mut();
-        st.result.take().expect("join state lost result")
+        let result = join.task.join_state().borrow_mut().result.take();
+        result.expect("join state lost result")
     }
 
     /// Execute one scheduling step: poll a ready task, or advance the clock
@@ -636,6 +721,9 @@ impl Sim {
         debug_assert!(at >= self.inner.now.get(), "timer in the past");
         self.inner.now.set(at);
         match target {
+            // The ready queue is empty, so pushing the id and popping it
+            // next step would poll exactly this task next: poll it now.
+            TimerTarget::Task(id) if !self.inner.ready.remote_pending() => self.poll_task(id),
             TimerTarget::Task(id) => self.inner.ready.push(id),
             TimerTarget::Waker(w) => w.wake(),
         }
@@ -643,50 +731,32 @@ impl Sim {
     }
 
     fn poll_task(&mut self, id: usize) {
-        // Take the future (and the slot waker) out of the slot so the task
-        // body may call spawn()/wakers re-entrantly without aliasing the
-        // slab borrow.
-        let (mut future, waker) = {
-            let mut tasks = self.inner.tasks.borrow_mut();
-            let Some(slot) = tasks.get_mut(id) else {
-                return;
-            };
-            if !slot.occupied {
-                return; // completed task, stale wake
-            }
-            match slot.future.take() {
-                Some(f) => (f, slot.waker.take().expect("slot waker present")),
-                // Already being polled; stale wake.
-                None => return,
-            }
+        // Hold the task and its slot waker by `Rc` so the task body may
+        // spawn (and so borrow the slab) while it runs.
+        let (task, waker) = match self.inner.tasks.borrow().get(id) {
+            Some(TaskSlot {
+                task: Some(task),
+                waker,
+            }) => (Rc::clone(task), Rc::clone(waker)),
+            // A vacant slot: the task completed, this wake is stale.
+            _ => return,
         };
         self.inner.events.set(self.inner.events.get() + 1);
-        // Publish (id, slot waker) for the duration of the poll; only
-        // shared borrows are taken while task code runs.
-        *self.inner.polling.borrow_mut() = Some((id, waker));
-        let res = {
-            let polling = self.inner.polling.borrow();
-            let (_, waker) = polling.as_ref().expect("set above");
-            future.as_mut().poll(&mut Context::from_waker(waker))
-        };
-        let (_, waker) = self.inner.polling.borrow_mut().take().expect("set above");
-        {
-            let mut tasks = self.inner.tasks.borrow_mut();
-            let slot = &mut tasks[id];
-            slot.waker = Some(waker);
-            match res {
-                Poll::Ready(()) => {
-                    slot.occupied = false;
-                    self.inner.free_slots.borrow_mut().push(id);
-                    self.inner.live_tasks.set(self.inner.live_tasks.get() - 1);
-                }
-                Poll::Pending => {
-                    slot.future = Some(future);
-                }
-            }
+        self.inner.polling.set(Some(Polling {
+            id,
+            data: waker.data(),
+            vtable: waker.vtable(),
+        }));
+        let res = task.poll(&mut Context::from_waker(&waker));
+        self.inner.polling.set(None);
+        if res.is_ready() {
+            self.inner.tasks.borrow_mut()[id].task = None;
+            self.inner.free_slots.borrow_mut().push(id);
+            self.inner.live_tasks.set(self.inner.live_tasks.get() - 1);
         }
-        // A completed future drops here, after every slab borrow is
-        // released — its destructor may wake other tasks or cancel timers.
+        // The cell drops here if nothing else holds it, after every slab
+        // borrow is released: an unjoined output's destructor may wake
+        // other tasks or cancel timers.
     }
 }
 
@@ -701,17 +771,19 @@ impl Drop for Sim {
     fn drop(&mut self) {
         // A task's destructors cancel `Sleep`s, release semaphore permits,
         // wake join/oneshot peers and may `spawn`, all of which borrow the
-        // slabs: take the futures out first, drop them with no borrow held,
-        // and go round again for whatever those drops spawned.
+        // slabs: take the tasks out first, drop their futures with no slab
+        // borrow held, and go round again for whatever those drops
+        // spawned. Each future is dropped in place: a `JoinHandle` that
+        // outlives the `Sim` keeps its cell alive, and with it whatever
+        // the future owns.
         loop {
-            let parked: Vec<BoxedTask> = {
+            let parked: Vec<Rc<dyn Task>> = {
                 let mut tasks = self.inner.tasks.borrow_mut();
                 let mut free = self.inner.free_slots.borrow_mut();
                 let vacate = |(id, slot): (usize, &mut TaskSlot)| {
-                    let future = slot.future.take()?;
-                    slot.occupied = false;
+                    let task = slot.task.take()?;
                     free.push(id);
-                    Some(future)
+                    Some(task)
                 };
                 tasks.iter_mut().enumerate().filter_map(vacate).collect()
             };
@@ -721,7 +793,9 @@ impl Drop for Sim {
             self.inner
                 .live_tasks
                 .set(self.inner.live_tasks.get() - parked.len());
-            drop(parked);
+            for task in &parked {
+                task.drop_future();
+            }
         }
         // Wakers held by timers nobody will fire; dropped after the borrow.
         drop(self.inner.timers.replace(Timers::new()));
@@ -741,37 +815,28 @@ impl SimHandle {
         F: Future + 'static,
         F::Output: 'static,
     {
-        let state = Rc::new(RefCell::new(JoinState {
-            result: None,
-            waker: None,
-        }));
-        let state2 = Rc::clone(&state);
-        let wrapped = async move {
-            let out = future.await;
-            let mut st = state2.borrow_mut();
-            st.result = Some(out);
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
-        };
-
+        let cell = Rc::new(TaskCell {
+            future: RefCell::new(Some(future)),
+            join: RefCell::new(JoinState {
+                result: None,
+                waker: None,
+            }),
+        });
+        let task: Rc<dyn Task> = Rc::clone(&cell) as _;
         {
             let mut tasks = self.inner.tasks.borrow_mut();
             let id = match self.inner.free_slots.borrow_mut().pop() {
                 Some(id) => {
                     // Reuse the vacant slot and its waker.
-                    let slot = &mut tasks[id];
-                    debug_assert!(!slot.occupied && slot.future.is_none());
-                    slot.occupied = true;
-                    slot.future = Some(Box::pin(wrapped));
+                    debug_assert!(tasks[id].task.is_none());
+                    tasks[id].task = Some(task);
                     id
                 }
                 None => {
                     let id = tasks.len();
                     tasks.push(TaskSlot {
-                        future: Some(Box::pin(wrapped)),
-                        occupied: true,
-                        waker: Some(Waker::from(Arc::new(TaskWaker {
+                        task: Some(task),
+                        waker: Rc::new(Waker::from(Arc::new(TaskWaker {
                             ready: Arc::clone(&self.inner.ready),
                             id,
                         }))),
@@ -782,7 +847,7 @@ impl SimHandle {
             self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
             self.inner.ready.push(id);
         }
-        JoinHandle { state }
+        JoinHandle { task: cell }
     }
 
     /// Sleep for `dur` of virtual time.
@@ -796,6 +861,7 @@ impl SimHandle {
             handle: self.clone(),
             deadline: deadline.as_nanos(),
             registered: None,
+            owner: None,
         }
     }
 
@@ -822,14 +888,13 @@ impl SimHandle {
         SimDuration::from_nanos((-u.ln() * mean.as_nanos() as f64).round() as u64)
     }
 
-    /// What a timer registered from this poll should make runnable: the
-    /// polled task by id when `cx` carries that task's own slot waker,
-    /// else a clone of whatever waker it does carry.
-    fn timer_target(&self, cx: &Context<'_>) -> TimerTarget {
-        match &*self.inner.polling.borrow() {
-            Some((id, slot_waker)) if cx.waker().will_wake(slot_waker) => TimerTarget::Task(*id),
-            _ => TimerTarget::Waker(cx.waker().clone()),
-        }
+    /// The task being polled, if `cx` carries its own slot waker: the
+    /// [`Waker::will_wake`] comparison against the published identity.
+    fn polled_task(&self, cx: &Context<'_>) -> Option<usize> {
+        let polling = self.inner.polling.get()?;
+        let waker = cx.waker();
+        (waker.data() == polling.data && std::ptr::eq(waker.vtable(), polling.vtable))
+            .then_some(polling.id)
     }
 }
 
@@ -844,6 +909,9 @@ pub struct Sleep {
     deadline: u64,
     /// `(slot, seq)` of the pending registration, if any.
     registered: Option<(u32, u64)>,
+    /// The task the registration wakes by id, if it does: that task's
+    /// re-polls need not look at the timers.
+    owner: Option<usize>,
 }
 
 impl Future for Sleep {
@@ -857,7 +925,16 @@ impl Future for Sleep {
             this.registered = None;
             return Poll::Ready(());
         }
-        let target = this.handle.timer_target(cx);
+        let polled = this.handle.polled_task(cx);
+        if this.registered.is_some() && polled.is_some() && polled == this.owner {
+            // Re-polled by the task the registration already wakes.
+            return Poll::Pending;
+        }
+        this.owner = polled;
+        let target = match polled {
+            Some(id) => TimerTarget::Task(id),
+            None => TimerTarget::Waker(cx.waker().clone()),
+        };
         let mut timers = this.handle.inner.timers.borrow_mut();
         match this.registered {
             None => this.registered = Some(timers.register(this.deadline, target)),
@@ -1273,6 +1350,57 @@ mod tests {
     }
 
     #[test]
+    fn sleep_repolled_by_its_owner_keeps_one_registration() {
+        // A task re-polls a registered `Sleep` many times within its own
+        // polls (what a `timeout` around a busy future does): one
+        // registration, one wake. A re-poll under a foreign waker must
+        // still move the wake to that waker.
+        const REPOLLS: usize = 50;
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let foreign = Arc::new(Counting(Default::default()));
+        let foreign_waker = Waker::from(Arc::clone(&foreign));
+        let live: Rc<Cell<usize>> = Rc::default();
+        let live2 = Rc::clone(&live);
+        sim.spawn(async move {
+            let mut owned = std::pin::pin!(h.sleep(SimDuration::from_micros(2)));
+            std::future::poll_fn(|cx| {
+                for _ in 0..REPOLLS {
+                    if owned.as_mut().poll(cx).is_ready() {
+                        return Poll::Ready(());
+                    }
+                }
+                live2.set(live2.get().max(h.inner.timers.borrow().slab.live));
+                Poll::Pending
+            })
+            .await;
+            let mut handed = std::pin::pin!(h.sleep(SimDuration::from_micros(5)));
+            std::future::poll_fn(|cx| {
+                for _ in 0..REPOLLS {
+                    assert!(handed.as_mut().poll(cx).is_pending());
+                }
+                Poll::Ready(())
+            })
+            .await;
+            let polled = handed
+                .as_mut()
+                .poll(&mut Context::from_waker(&foreign_waker));
+            assert!(polled.is_pending());
+            std::future::pending::<()>().await;
+        });
+        poll_ready(&mut sim);
+        assert_eq!(sim.live_timers(), 1, "re-polls registered nothing new");
+        sim.run();
+        assert_eq!(live.get(), 1);
+        // Polled at spawn and once at the 2 us fire; the 2 + 5 us fire
+        // woke the foreign waker, not the task.
+        assert_eq!(sim.events_processed(), 2);
+        assert_eq!(foreign.0.load(Ordering::SeqCst), 1);
+        assert_eq!(sim.now().as_nanos(), 7_000);
+        assert_eq!(sim.live_timers(), 0);
+    }
+
+    #[test]
     fn own_task_sleep_registers_the_task_id_not_a_waker() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
@@ -1432,14 +1560,16 @@ mod tests {
     fn dropping_the_sim_drops_parked_tasks() {
         // A task parked forever owns a sentinel and a handle back to the
         // simulation; the handle must not keep the task (and so the
-        // sentinel) alive once the `Sim` is gone.
+        // sentinel) alive once the `Sim` is gone — nor may its
+        // `JoinHandle`, held outside the `Sim`, which keeps the task's
+        // cell alive: teardown must drop the future itself.
         let mut sim = Sim::new(3);
         let h = sim.handle();
         let sentinel = Rc::new(());
         let held = Rc::clone(&sentinel);
         let notify = crate::Notify::new();
         let parked_on = notify.clone();
-        sim.spawn(async move {
+        let join = sim.spawn(async move {
             let _held = (held, h);
             parked_on.notified().await;
         });
@@ -1448,6 +1578,8 @@ mod tests {
         let outliving = sim.handle();
         drop(sim);
         assert_eq!(Rc::strong_count(&sentinel), 1, "parked task leaked");
+        assert!(!join.is_finished());
+        drop(join);
         // A handle that outlives the `Sim` still answers; what it spawns
         // is simply never polled.
         assert_eq!(outliving.now(), SimTime::ZERO);

@@ -8,9 +8,10 @@
 //! [`SmallRng::gen`], [`SmallRng::gen_range`], and [`SmallRng::gen_bool`].
 //!
 //! The SplitMix64 finalizer [`mix64`] is also the workspace's one `u64`
-//! hash: [`IdMap`] keys hash maps by it under a fixed [`Mix64Hasher`].
+//! hash: [`IdMap`] and [`IdSet`] key hash tables by it under a fixed
+//! [`Mix64Hasher`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Range, RangeInclusive};
 
@@ -57,6 +58,9 @@ impl Hasher for Mix64Hasher {
 
 /// O(1) map from a `u64` id to `V` under the fixed [`Mix64Hasher`].
 pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<Mix64Hasher>>;
+
+/// O(1) set of `u64` ids under the fixed [`Mix64Hasher`].
+pub type IdSet = HashSet<u64, BuildHasherDefault<Mix64Hasher>>;
 
 impl SmallRng {
     /// Seed the generator from a single `u64` (SplitMix64 expansion, so

@@ -179,6 +179,9 @@ impl Drop for SemPermit {
 struct NotifyState {
     pending: usize,
     waiters: VecDeque<(u64, Waker)>,
+    /// Always empty: the buffer `notify_all` swaps in for `waiters`, so
+    /// draining keeps both capacities and allocates nothing.
+    spare: VecDeque<(u64, Waker)>,
     next_id: u64,
 }
 
@@ -202,6 +205,7 @@ impl Notify {
             state: Rc::new(RefCell::new(NotifyState {
                 pending: 0,
                 waiters: VecDeque::new(),
+                spare: VecDeque::new(),
                 next_id: 0,
             })),
         }
@@ -221,12 +225,14 @@ impl Notify {
     /// miss the notification (check-then-park safety).
     pub fn notify_all(&self) {
         let mut st = self.state.borrow_mut();
-        let waiters: Vec<_> = st.waiters.drain(..).collect();
+        let spare = std::mem::take(&mut st.spare);
+        let mut waiters = std::mem::replace(&mut st.waiters, spare);
         st.pending += waiters.len().max(1);
         drop(st);
-        for (_, w) in waiters {
+        for (_, w) in waiters.drain(..) {
             w.wake();
         }
+        self.state.borrow_mut().spare = waiters;
     }
 
     /// Wait until notified.

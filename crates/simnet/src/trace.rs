@@ -215,7 +215,7 @@ impl Tracer {
     pub fn offpath_scope<F: Future>(&self, fut: F) -> OffpathFuture<F> {
         OffpathFuture {
             tracer: self.clone(),
-            fut: Box::pin(fut),
+            fut,
         }
     }
 
@@ -296,16 +296,22 @@ impl Drop for OffpathGuard {
 /// [`Tracer::offpath_scope`]).
 pub struct OffpathFuture<F> {
     tracer: Tracer,
-    fut: Pin<Box<F>>,
+    fut: F,
 }
 
 impl<F: Future> Future for OffpathFuture<F> {
     type Output = F::Output;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
-        let this = self.get_mut();
-        let _scope = this.tracer.offpath();
-        this.fut.as_mut().poll(cx)
+        // SAFETY: `fut` is structurally pinned — it is never moved out of
+        // the pinned struct, which has no `Drop` impl and is `Unpin` only
+        // when `F` is; `tracer` is never pinned.
+        let (tracer, fut) = unsafe {
+            let this = self.get_unchecked_mut();
+            (&this.tracer, Pin::new_unchecked(&mut this.fut))
+        };
+        let _scope = tracer.offpath();
+        fut.poll(cx)
     }
 }
 
