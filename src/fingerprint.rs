@@ -1,7 +1,9 @@
 //! Whole-stack determinism fingerprints: one journaled run per [`Input`],
 //! reduced to events processed, virtual elapsed time, and the journal
-//! export's length and FNV-1a hash. `examples/fingerprint.rs` prints
-//! them; `tests/determinism_and_properties.rs` pins them.
+//! export's length and FNV-1a hash — and, separately, to the run's
+//! latency-breakdown totals ([`trace_totals`]), which no journal record
+//! carries. `examples/fingerprint.rs` prints both;
+//! `tests/determinism_and_properties.rs` pins both.
 
 use std::rc::Rc;
 
@@ -12,7 +14,7 @@ use crate::core::{
 };
 use crate::node::{Cluster, ClusterConfig};
 use crate::rnic::Payload;
-use crate::simnet::{journal, Sim, SimHandle};
+use crate::simnet::{journal, Phase, Sim, SimHandle};
 use crate::workloads::micro::{run_micro, MicroConfig};
 use crate::workloads::txn_mix::{run_txn_mix, TxnMixConfig};
 
@@ -153,6 +155,40 @@ async fn batch_rounds(client: &dyn RpcClient, h: &SimHandle, ops: u64) -> u64 {
 /// always have; the other shapes then drain the simulation so decoupled
 /// server-side processing and background 2PC records are in the journal.
 pub fn run(input: Input, ops: u64) -> Fingerprint {
+    let (sim, cluster, elapsed_ns) = execute(input, ops);
+    let jsonl = journal::to_jsonl(&cluster.journal_records());
+    Fingerprint {
+        events: sim.events_processed(),
+        elapsed_ns,
+        journal_len: jsonl.len(),
+        journal_fnv: fnv1a(jsonl.as_bytes()),
+    }
+}
+
+/// The same run as [`run`], reduced to the merged
+/// `Cluster::trace_report()`: the on-path total of every phase, then the
+/// off-path total of every phase, in nanoseconds and [`Phase::ALL`] order.
+pub fn trace_totals(input: Input, ops: u64) -> [u64; 14] {
+    let (_sim, cluster, _) = execute(input, ops);
+    let report = cluster.trace_report();
+    let mut totals = [0; 14];
+    for (i, &p) in Phase::ALL.iter().enumerate() {
+        totals[i] = report.total(p).as_nanos();
+        totals[i + 7] = report.offpath_total(p).as_nanos();
+    }
+    totals
+}
+
+/// FNV-1a 64 over `totals` as little-endian words: what the trace pins
+/// compare.
+pub fn trace_fnv(totals: &[u64]) -> u64 {
+    let bytes: Vec<u8> = totals.iter().flat_map(|t| t.to_le_bytes()).collect();
+    fnv1a(&bytes)
+}
+
+/// Build and run `input`; returns the simulation, the cluster and the
+/// virtual nanoseconds the client-side workload took.
+fn execute(input: Input, ops: u64) -> (Sim, Cluster, u64) {
     let mut sim = Sim::new(SEED);
     let h = sim.handle();
     let journaled = |mut ccfg: ClusterConfig| {
@@ -231,11 +267,5 @@ pub fn run(input: Input, ops: u64) -> Fingerprint {
             (cluster, r.elapsed.as_nanos())
         }
     };
-    let jsonl = journal::to_jsonl(&cluster.journal_records());
-    Fingerprint {
-        events: sim.events_processed(),
-        elapsed_ns,
-        journal_len: jsonl.len(),
-        journal_fnv: fnv1a(jsonl.as_bytes()),
-    }
+    (sim, cluster, elapsed_ns)
 }

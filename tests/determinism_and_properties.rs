@@ -339,3 +339,56 @@ fn pinned_whole_stack_fingerprints() {
         );
     }
 }
+
+/// Pinned latency-breakdown totals: for every fingerprint input at 300
+/// ops, the FNV-1a of the merged trace report's seven on-path and seven
+/// off-path phase totals (`fingerprint::trace_totals`). The journal
+/// carries no trace data, so a component that stops recording its spans
+/// passes every pin above and fails here. Regenerate with `cargo run
+/// --release --example fingerprint` (`trace_fnv=`) under the same rule.
+#[test]
+fn pinned_trace_totals() {
+    use Input::{BaselineBatch, Batch, Cached, Micro, Replicated, Txn};
+    #[rustfmt::skip]
+    let pinned: [(Input, u64); 31] = [
+        (Micro(SystemKind::WFlush), 0x96984b214eb1dad2),
+        (Micro(SystemKind::SRFlush), 0xd23b528d4b98e8b2),
+        (Micro(SystemKind::Farm), 0x4b87d96db21a0b1e),
+        (Micro(SystemKind::Darpc), 0x84a99f9340729402),
+        (Micro(SystemKind::SFlush), 0x9628395cb15536c6),
+        (Micro(SystemKind::WRFlush), 0xf006311dd433f600),
+        (Batch(DurableKind::SRFlush), 0x264b3e8f34c9b528),
+        (Batch(DurableKind::SFlush), 0x5a3fea773fcb60ca),
+        (Batch(DurableKind::WRFlush), 0xbf37c01116f8b512),
+        (Batch(DurableKind::WFlush), 0x68166aaf13d98be9),
+        (Replicated(DurableKind::SRFlush), 0x849dda55f3bea8ee),
+        (Replicated(DurableKind::SFlush), 0x23adce87ccc1b2b6),
+        (Replicated(DurableKind::WRFlush), 0x4c532c4c97309204),
+        (Replicated(DurableKind::WFlush), 0x32b5dc5337f0065f),
+        (Txn(DurableKind::SRFlush), 0x771f84ce0e23662a),
+        (Txn(DurableKind::SFlush), 0xeda4fc054cf3ff63),
+        (Txn(DurableKind::WRFlush), 0xa5efd87c57ba4417),
+        (Txn(DurableKind::WFlush), 0x2fcc45fb1682603d),
+        (Cached(DurableKind::SRFlush), 0x051061225ada1ad9),
+        (Cached(DurableKind::SFlush), 0x2d82e520d72268b9),
+        (Cached(DurableKind::WRFlush), 0x21243cd3b5d9fe88),
+        (Cached(DurableKind::WFlush), 0xc192d8ed93de995f),
+        (Micro(SystemKind::L5), 0xf21e9b7763dc3069),
+        (Micro(SystemKind::Rfp), 0x64776508ff1a6fab),
+        (Micro(SystemKind::Fasst), 0x493679e62093ec23),
+        (Micro(SystemKind::Octopus), 0xb6f50ffb3b73820f),
+        (Micro(SystemKind::ScaleRpc), 0xe5299dfdefc78aee),
+        (Micro(SystemKind::Herd), 0xcccf4f7582c6d7a6),
+        (Micro(SystemKind::Lite), 0xb6f50ffb3b73820f),
+        (BaselineBatch(SystemKind::Darpc), 0x5972bda776756553),
+        (BaselineBatch(SystemKind::ScaleRpc), 0x6ef144895126d02f),
+    ];
+    for (input, want) in pinned {
+        let totals = fingerprint::trace_totals(input, 300);
+        assert_eq!(
+            fingerprint::trace_fnv(&totals),
+            want,
+            "{input:?}: trace totals drifted from the pin: {totals:?}"
+        );
+    }
+}
