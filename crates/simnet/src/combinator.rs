@@ -1,5 +1,4 @@
-//! Future combinators for simulated protocols: virtual-time timeouts and
-//! two-way select.
+//! Virtual-time timeouts for simulated protocols.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -63,32 +62,6 @@ impl<F: Future> Future for Timeout<F> {
         }
         Poll::Pending
     }
-}
-
-/// Outcome of [`select2`].
-#[derive(Debug)]
-pub enum Either<A, B> {
-    /// The first future finished first.
-    Left(A),
-    /// The second future finished first.
-    Right(B),
-}
-
-/// Race two futures; the loser is dropped (cancelled).
-pub async fn select2<A: Future + Unpin, B: Future + Unpin>(
-    mut a: A,
-    mut b: B,
-) -> Either<A::Output, B::Output> {
-    std::future::poll_fn(move |cx| {
-        if let Poll::Ready(v) = Pin::new(&mut a).poll(cx) {
-            return Poll::Ready(Either::Left(v));
-        }
-        if let Poll::Ready(v) = Pin::new(&mut b).poll(cx) {
-            return Poll::Ready(Either::Right(v));
-        }
-        Poll::Pending
-    })
-    .await
 }
 
 #[cfg(test)]
@@ -165,24 +138,5 @@ mod tests {
         // A later notify_one should not panic or wake ghosts.
         n.notify_one();
         sim.run();
-    }
-
-    #[test]
-    fn select2_returns_first_ready() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let h2 = h.clone();
-        let out = sim.block_on(async move {
-            let a = Box::pin(async {
-                h2.sleep(SimDuration::from_micros(10)).await;
-                "slow"
-            });
-            let b = Box::pin(async {
-                h2.sleep(SimDuration::from_micros(2)).await;
-                "fast"
-            });
-            select2(a, b).await
-        });
-        assert!(matches!(out, Either::Right("fast")));
     }
 }

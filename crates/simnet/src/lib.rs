@@ -65,7 +65,7 @@ pub use channel::{
     channel, oneshot, OneshotPool, OneshotReceiver, OneshotSender, Receiver, Recv, RecvAll,
     SendError, Sender,
 };
-pub use combinator::{select2, timeout, Either, Elapsed, Timeout};
+pub use combinator::{timeout, Elapsed, Timeout};
 pub use executor::{JoinHandle, Sim, SimHandle, Sleep, YieldNow};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use journal::{EventKind, Journal, Record, Subsystem};

@@ -56,21 +56,6 @@ impl Semaphore {
         }
     }
 
-    /// Try to acquire one permit without waiting.
-    pub fn try_acquire(&self) -> Option<SemPermit> {
-        let mut st = self.state.borrow_mut();
-        // Respect FIFO order: don't jump the queue.
-        if st.waiters.is_empty() && st.permits >= 1 {
-            st.permits -= 1;
-            Some(SemPermit {
-                state: Rc::clone(&self.state),
-                count: 1,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Currently available permits.
     pub fn available(&self) -> usize {
         self.state.borrow().permits
@@ -366,25 +351,6 @@ mod tests {
             (avail_mid, sem2.available())
         });
         assert_eq!(out, (1, 0));
-    }
-
-    #[test]
-    fn try_acquire_respects_queue() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let sem = Semaphore::new(1);
-        let sem_bg = sem.clone();
-        let h_bg = h.clone();
-        sim.spawn(async move {
-            let _p = sem_bg.acquire().await;
-            h_bg.sleep(SimDuration::from_micros(100)).await;
-        });
-        let sem2 = sem.clone();
-        let got = sim.block_on(async move {
-            // Background task holds the permit at t=0.
-            sem2.try_acquire().is_none()
-        });
-        assert!(got);
     }
 
     #[test]
