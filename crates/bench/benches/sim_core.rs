@@ -180,7 +180,13 @@ fn bench_mark_done_overlay(iters: u32) -> BenchResult {
     // as it found it), so the media's pages are materialised by the
     // warm-up pass and the timed ones see the overlay, not the allocator.
     let sim = Sim::new(1);
-    let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(64 << 20));
+    let tracer = prdma_simnet::Tracer::new(sim.handle());
+    let pm = PmDevice::new(
+        sim.handle(),
+        PmConfig::with_capacity(64 << 20),
+        tracer,
+        None,
+    );
     let done = 1u64.to_le_bytes();
     for slot in 0..STANDING {
         pm.cache_write(slot * STRIDE + 32, &done)

@@ -39,7 +39,6 @@
 //! of keys and of cached entries (DESIGN.md §16).
 
 use std::cell::{Cell, RefCell};
-use std::fmt;
 use std::rc::Rc;
 
 use prdma_node::Node;
@@ -117,15 +116,6 @@ struct LeaseInner {
 #[derive(Clone)]
 pub struct LeaseState {
     inner: Rc<LeaseInner>,
-}
-
-impl fmt::Debug for LeaseState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LeaseState")
-            .field("tag", &self.inner.tag)
-            .field("keys", &self.inner.epochs.borrow().len())
-            .finish()
-    }
 }
 
 impl LeaseState {

@@ -29,6 +29,7 @@ use prdma_simnet::rng::SmallRng;
 use prdma_simnet::trace::{Phase, Role};
 use prdma_simnet::{channel, OneshotPool, OneshotSender, Receiver, Sender, SimDuration};
 
+use crate::cache::LeaseState;
 use crate::flush::{FlushImpl, FlushOps};
 use crate::log::{
     align8, entry_data_part, entry_index_from_image, LogCursor, LogEntry, LogLayout, OpCode,
@@ -40,6 +41,7 @@ use crate::rpc::{
     ServerProfile,
 };
 use crate::store::ObjectStore;
+use crate::txn::TxnState;
 
 /// Which durable RPC variant to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,17 +120,6 @@ pub struct DurableConfig {
     /// out packet loss and server crashes. The defaults never fire on a
     /// healthy run.
     pub retry: RetryPolicy,
-    /// Shard lease table for the hot-key cache: when set, every put
-    /// bumps its key's lease epoch *before* the flush wait, revoking
-    /// outstanding cached reads ahead of the durability ACK (auditor
-    /// invariant I5). `None` (the default) leaves the put path — and
-    /// every pinned journal fingerprint — untouched.
-    pub lease: Option<crate::cache::LeaseState>,
-    /// Shard transaction table for durable 2PC: when set, the server
-    /// processes `TxnPrepare`/`TxnDecide`/`TxnCommit`/`TxnAbort` log
-    /// entries against it (staging, in-doubt resolution, apply). `None`
-    /// (the default) leaves the single-RPC paths untouched.
-    pub txn: Option<crate::txn::TxnState>,
 }
 
 impl Default for DurableConfig {
@@ -146,8 +137,6 @@ impl Default for DurableConfig {
             throttle_backoff: SimDuration::from_micros(20),
             head_persist_interval: 16,
             retry: RetryPolicy::default(),
-            lease: None,
-            txn: None,
         }
     }
 }
@@ -212,8 +201,8 @@ struct Shared {
     /// Shared so node-crash recovery can flush and re-arm the ring from
     /// the recovered tail (see `recover_and_requeue`).
     next_recv_index: Cell<u64>,
-    /// Shard transaction table (see [`DurableConfig::txn`]).
-    txn: Option<crate::txn::TxnState>,
+    /// Shard transaction table (see [`build_connection`]).
+    txn: Option<TxnState>,
     /// Pre-resolved server-node metric handles (None when metrics off).
     m_puts_logged: Option<Counter>,
     m_puts_processed: Option<Counter>,
@@ -230,9 +219,9 @@ pub struct DurableClient {
     client_node: Node,
     lane: usize,
     retry: RetryPolicy,
-    /// Shard lease table (see [`DurableConfig::lease`]); bumped on the
-    /// put path before the flush wait when present.
-    lease: Option<crate::cache::LeaseState>,
+    /// Shard lease table (see [`build_connection`]); bumped on the put
+    /// path before the flush wait when present.
+    lease: Option<LeaseState>,
     /// Per-connection jitter stream for retry backoff: seeded from the
     /// connection identity, advanced only when a retry actually sleeps —
     /// a healthy run draws nothing, keeping its schedule byte-identical.
@@ -348,6 +337,26 @@ pub fn build_durable(
     lane: usize,
     cfg: DurableConfig,
 ) -> (DurableClient, DurableServer) {
+    build_connection(cluster, client_idx, server_idx, lane, cfg, None, None)
+}
+
+/// [`build_durable`] with a fleet shard's tables wired in. `lease`, when
+/// given, is the shard's lease table: every put bumps its key's epoch
+/// *before* the flush wait, revoking outstanding cached reads ahead of
+/// the durability ACK (auditor invariant I5). `txn`, when given, is the
+/// shard's transaction table: the server processes `TxnPrepare` /
+/// `TxnDecide` / `TxnCommit` / `TxnAbort` log entries against it
+/// (staging, in-doubt resolution, apply). Without them the put path —
+/// and every pinned journal fingerprint — is the plain one.
+pub(crate) fn build_connection(
+    cluster: &Cluster,
+    client_idx: usize,
+    server_idx: usize,
+    lane: usize,
+    cfg: DurableConfig,
+    lease: Option<LeaseState>,
+    txn: Option<TxnState>,
+) -> (DurableClient, DurableServer) {
     let server = cluster.node(server_idx).clone();
     let client = cluster.node(client_idx).clone();
     // Latency breakdown: software time on the client node is sender-side,
@@ -381,9 +390,6 @@ pub fn build_durable(
     };
     let store = ObjectStore::new(server.pm.clone(), store_region, cfg.object_slot);
 
-    let cursor = LogCursor::new();
-    let log = RedoLog::new(server.pm.clone(), layout, cursor.clone());
-    log.set_head_persist_interval(cfg.head_persist_interval);
     // Journal id namespace: a log's identity is (server, lane), not lane
     // alone — two shards each serving the same client reuse lane numbers,
     // and the auditor's recovery invariant must never conflate their
@@ -391,7 +397,14 @@ pub fn build_durable(
     // are unchanged byte for byte.
     let journal_lane = ((server_idx as u64) << 12) | lane as u64;
     assert!(lane < 1 << 12, "lane exceeds the journal id namespace");
-    log.set_journal_lane(journal_lane);
+    let cursor = LogCursor::new();
+    let log = RedoLog::new(
+        server.pm.clone(),
+        layout,
+        cursor.clone(),
+        journal_lane,
+        cfg.head_persist_interval,
+    );
 
     let (log_qp_client, log_qp_server) = cluster.connect(client_idx, server_idx, QpMode::Rc);
     let (get_qp_client, get_qp_server) = cluster.connect(client_idx, server_idx, QpMode::Rc);
@@ -405,8 +418,8 @@ pub fn build_durable(
         cursor.clone(),
         cfg.throttle_threshold,
         cfg.throttle_backoff,
+        journal_lane,
     );
-    writer.set_journal_lane(journal_lane);
 
     // Fleet metrics: sample this connection's log depth and flow-control
     // stalls at every snapshot tick. Keys are labeled with the server's
@@ -437,7 +450,7 @@ pub fn build_durable(
         puts_processed: Cell::new(0),
         puts_deduped: Cell::new(0),
         next_recv_index: Cell::new(0),
-        txn: cfg.txn.clone(),
+        txn,
         m_puts_logged: server
             .metrics()
             .map(|m| m.counter_handle(Key::new("puts_logged"))),
@@ -474,7 +487,7 @@ pub fn build_durable(
         client_node: client,
         lane,
         retry: cfg.retry,
-        lease: cfg.lease,
+        lease,
         ack_pool: OneshotPool::new(),
         reply_pool: OneshotPool::new(),
         next_batch_id: Cell::new(0),

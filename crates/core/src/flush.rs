@@ -55,14 +55,14 @@ impl FlushOps {
 
     /// Composite span covering a whole flush round trip (its wire/DMA/media
     /// constituents are also recorded under their exclusive phases).
-    fn flush_span(&self) -> Option<Span> {
-        self.qp.local().tracer().map(|t| t.span(Phase::FlushWait))
+    fn flush_span(&self) -> Span {
+        self.qp.local().tracer().span(Phase::FlushWait)
     }
 
     /// Address-resolution work done by the remote RNIC, attributed to its
     /// node's NIC phase.
-    fn remote_nic_span(&self) -> Option<Span> {
-        self.qp.remote().tracer().map(|t| t.span(Phase::NicDma))
+    fn remote_nic_span(&self) -> Span {
+        self.qp.remote().tracer().span(Phase::NicDma)
     }
 
     /// Journal the client-side view of a flush round trip. The barrier

@@ -48,6 +48,7 @@ use prdma_pmem::{PmDevice, PmRegion};
 use prdma_rnic::{MemTarget, Payload, PersistToken, Qp, RdmaResult};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::rng::IdSet;
+use prdma_simnet::trace::Phase;
 use prdma_simnet::SimDuration;
 
 use crate::flush::FlushOps;
@@ -373,38 +374,36 @@ pub struct RedoLog {
     /// PM-media work off the completion path; the cost is that up to
     /// `interval` already-processed entries replay after a crash —
     /// harmless, because Put replay is idempotent.
-    head_persist_interval: Cell<u64>,
+    head_persist_interval: u64,
     /// Last head value durably recorded.
     persisted_head: Cell<u64>,
     /// Journal id namespace for this log's lane: `(lane << 40)`. Log
     /// events carry `rpc_id = id_base | index` so the auditor can match
     /// appends, completions, and recovery replays per lane.
-    id_base: Cell<u64>,
+    id_base: u64,
 }
 
 impl RedoLog {
-    /// Open a redo log over `layout`, sharing `cursor` with the client.
-    pub fn new(pm: PmDevice, layout: LogLayout, cursor: LogCursor) -> Self {
+    /// Open a redo log over `layout`, sharing `cursor` with the client,
+    /// journaled as lane `journal_lane` and persisting its head every
+    /// `head_persist_interval` completions (see the field docs).
+    pub fn new(
+        pm: PmDevice,
+        layout: LogLayout,
+        cursor: LogCursor,
+        journal_lane: u64,
+        head_persist_interval: u64,
+    ) -> Self {
         RedoLog {
             pm,
             layout,
             cursor,
             done_window: Rc::default(),
             applied_ids: Rc::default(),
-            head_persist_interval: Cell::new(16),
+            head_persist_interval: head_persist_interval.max(1),
             persisted_head: Cell::new(0),
-            id_base: Cell::new(0),
+            id_base: journal_lane << 40,
         }
-    }
-
-    /// Set how often the head pointer is made durable (see field docs).
-    pub fn set_head_persist_interval(&self, interval: u64) {
-        self.head_persist_interval.set(interval.max(1));
-    }
-
-    /// Set the journal id namespace to lane `lane` (see `id_base` docs).
-    pub fn set_journal_lane(&self, lane: u64) {
-        self.id_base.set(lane << 40);
     }
 
     /// Record causal put id `id` as applied; returns `true` iff it was
@@ -468,7 +467,7 @@ impl RedoLog {
 
     fn jot(&self, subsystem: Subsystem, kind: EventKind, index: u64, bytes: u64) {
         if let Some(j) = self.pm.journal() {
-            j.record(subsystem, kind, self.id_base.get() | index, index, bytes);
+            j.record(subsystem, kind, self.id_base | index, index, bytes);
         }
     }
 
@@ -609,13 +608,10 @@ impl RedoLog {
         }
         if head != self.cursor.head() {
             self.cursor.set_head(head);
-            if head - self.persisted_head.get() >= self.head_persist_interval.get() {
+            if head - self.persisted_head.get() >= self.head_persist_interval {
                 // Log maintenance: composite LogPersist span on top of the
                 // PmMedia time the flush itself records.
-                let _span = self
-                    .pm
-                    .tracer()
-                    .map(|t| t.span(prdma_simnet::trace::Phase::LogPersist));
+                let _span = self.pm.tracer().span(Phase::LogPersist);
                 let head_addr = self.layout.region.offset;
                 self.pm.cache_write(head_addr, &head.to_le_bytes())?;
                 self.pm.clflush(head_addr, 8).await?;
@@ -628,8 +624,9 @@ impl RedoLog {
 
     /// Crash recovery: read the persistent head, scan forward collecting
     /// valid entries, and return the **incomplete** ones in FIFO order.
-    /// Zero simulated time is charged here; callers account replay cost
-    /// themselves (see `recovery` module).
+    /// Zero simulated time is charged here: the entries replay through
+    /// the server's worker pool like fresh arrivals
+    /// (`DurableServer::recover`).
     pub fn recover(&self) -> Vec<LogEntry> {
         let head_bytes = self.pm.read_persistent_view(self.layout.region.offset, 8);
         let head = u64_at(&head_bytes, 0);
@@ -726,7 +723,7 @@ pub struct RemoteLogWriter {
     throttle_threshold: u64,
     throttle_backoff: SimDuration,
     /// Journal id namespace (`lane << 40`), mirroring [`RedoLog`].
-    id_base: Cell<u64>,
+    id_base: u64,
     /// Times the flow controller put this sender to sleep (throttle
     /// threshold hit or ring-wrap safety); shared so a metrics provider
     /// can sample it.
@@ -745,7 +742,8 @@ pub struct Appended {
 
 impl RemoteLogWriter {
     /// Build a writer over `qp` appending into `layout`, flow-controlled by
-    /// the shared `cursor`.
+    /// the shared `cursor`, journaled as lane `journal_lane` (the lane of
+    /// the [`RedoLog`] it appends to).
     pub fn new(
         qp: Qp,
         flush: FlushOps,
@@ -753,6 +751,7 @@ impl RemoteLogWriter {
         cursor: LogCursor,
         throttle_threshold: u64,
         throttle_backoff: SimDuration,
+        journal_lane: u64,
     ) -> Self {
         RemoteLogWriter {
             qp,
@@ -761,7 +760,7 @@ impl RemoteLogWriter {
             cursor,
             throttle_threshold,
             throttle_backoff,
-            id_base: Cell::new(0),
+            id_base: journal_lane << 40,
             stalls: Rc::default(),
         }
     }
@@ -771,16 +770,11 @@ impl RemoteLogWriter {
         Rc::clone(&self.stalls)
     }
 
-    /// Set the journal id namespace to lane `lane` (see `id_base` docs).
-    pub fn set_journal_lane(&self, lane: u64) {
-        self.id_base.set(lane << 40);
-    }
-
     /// The journal id (`lane << 40 | index`) for log entry `index` — what
     /// LogAppend records carry, and what RPC dispatch/complete records
     /// should reuse so the auditor can pair them.
     pub fn journal_id(&self, index: u64) -> u64 {
-        self.id_base.get() | index
+        self.id_base | index
     }
 
     fn jot_append(&self, index: u64, bytes: u64) {
@@ -928,10 +922,10 @@ mod tests {
             cursor.clone(),
             64,
             SimDuration::from_micros(5),
+            0,
         );
-        let log = RedoLog::new(server.pm.clone(), layout, cursor);
         // Tests assert exact recovery sets; persist the head eagerly.
-        log.set_head_persist_interval(1);
+        let log = RedoLog::new(server.pm.clone(), layout, cursor, 0, 1);
         (writer, log, cluster)
     }
 
@@ -1099,6 +1093,7 @@ mod tests {
             cursor.clone(),
             4, // throttle at 4 outstanding
             SimDuration::from_micros(50),
+            0,
         );
         // The server "completes" the first entry only at t = 300us.
         {
@@ -1184,7 +1179,7 @@ mod torn_entry_tests {
             .unwrap();
         let layout = LogLayout::new(region, 1024);
         let slots = layout.slots;
-        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new());
+        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new(), 0, 16);
         let pm = &server.pm;
         let op = |opcode, obj_id| RpcOperator { opcode, obj_id };
         let every_lap = [0, 1, 2, slots, slots + 1, slots + 2, 2 * slots];
@@ -1259,7 +1254,7 @@ mod torn_entry_tests {
             .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
             .unwrap();
         let layout = LogLayout::new(region, 1024);
-        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new());
+        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new(), 0, 16);
         let pm = server.pm.clone();
         sim.block_on(async move {
             // Entry 0: fully valid.
@@ -1334,7 +1329,7 @@ mod torn_entry_tests {
             .unwrap();
         let layout = LogLayout::new(region, 1024);
         let slots = layout.slots;
-        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new());
+        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new(), 0, 16);
         let pm = server.pm.clone();
         sim.block_on(async move {
             // Slot 0 holds an entry committed for index 0 (lap 0)...

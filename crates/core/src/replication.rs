@@ -39,7 +39,8 @@ use prdma_simnet::metrics::{Counter, Key, Window};
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::SimHandle;
 
-use crate::durable::{build_durable, DurableClient, DurableConfig, DurableKind, DurableServer};
+use crate::cache::LeaseState;
+use crate::durable::{build_connection, DurableClient, DurableConfig, DurableKind, DurableServer};
 use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
 
@@ -246,10 +247,9 @@ pub fn build_replicated(
 
 /// Group builder shared with the sharded topology: `lane_base` offsets
 /// the per-replica connection lanes, `group_tag` namespaces the causal
-/// put ids, `store_region` (when given) overrides the object-store
-/// PM region name so co-hosted groups keep their object spaces apart.
-/// A lease table in `cfg.lease` is wired into every replica's put path,
-/// so durable puts revoke client caches before their flush ACK.
+/// put ids. A `lease` table, when given, is wired into every replica's
+/// put path, so durable puts revoke client caches before their flush
+/// ACK.
 pub(crate) fn build_replicated_group(
     cluster: &Cluster,
     client_idx: usize,
@@ -257,7 +257,7 @@ pub(crate) fn build_replicated_group(
     cfg: &DurableConfig,
     lane_base: usize,
     group_tag: u64,
-    store_region: Option<String>,
+    lease: Option<&LeaseState>,
 ) -> (ReplicatedClient, ReplicaGroup) {
     assert!(!server_idxs.is_empty(), "need at least one replica");
     let mut sub_cfg = cfg.clone();
@@ -270,13 +270,11 @@ pub(crate) fn build_replicated_group(
         max_retries: 1,
         ..cfg.retry
     };
-    if let Some(region) = store_region {
-        sub_cfg.store_region = region;
-    }
     let mut replicas = Vec::with_capacity(server_idxs.len());
     let mut servers = Vec::with_capacity(server_idxs.len());
     for (slot, &s) in server_idxs.iter().enumerate() {
-        let (c, srv) = build_durable(cluster, client_idx, s, lane_base + slot, sub_cfg.clone());
+        let (sub, lease) = (sub_cfg.clone(), lease.cloned());
+        let (c, srv) = build_connection(cluster, client_idx, s, lane_base + slot, sub, lease, None);
         srv.start();
         replicas.push(Rc::new(c));
         servers.push(Rc::new(srv));

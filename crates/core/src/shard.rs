@@ -17,7 +17,7 @@
 use std::rc::Rc;
 
 use crate::cache::{CacheConfig, CachedClient, LeaseState};
-use crate::durable::{build_durable, DurableConfig, DurableServer};
+use crate::durable::{build_connection, DurableConfig, DurableServer};
 use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
 use crate::store::MirrorRegion;
@@ -522,16 +522,16 @@ pub fn build_fleet(
         let node = cluster.node(client_idx);
         let (mut endpoints, mut views) = (Vec::with_capacity(shards), Vec::new());
         for shard in 0..shards {
-            let cfg = DurableConfig {
-                // Only a cache's puts revoke: without one, commits alone do.
-                lease: cache.and(leases.get(shard).cloned()),
-                txn: states.get(shard).cloned(),
-                ..cfg.clone()
-            };
+            // Only a cache's puts revoke: without one, commits alone do.
+            let lease = cache.and(leases.get(shard));
             let endpoint: Box<dyn RpcClient> = if replicas > 1 {
                 // Lanes and put-id tags derive from the (client, shard) ordinal.
                 let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
                 let pair = c * shards + shard;
+                let cfg = DurableConfig {
+                    store_region: format!("objects-s{shard}"),
+                    ..cfg.clone()
+                };
                 let (client, group) = build_replicated_group(
                     cluster,
                     client_idx,
@@ -539,13 +539,15 @@ pub fn build_fleet(
                     &cfg,
                     pair * replicas,
                     pair as u64,
-                    Some(format!("objects-s{shard}")),
+                    lease,
                 );
                 groups[shard].push(group);
                 views.push(client.view());
                 Box::new(client)
             } else {
-                let (client, server) = build_durable(cluster, client_idx, shard, c, cfg);
+                let (lease, txn) = (lease.cloned(), states.get(shard).cloned());
+                let (client, server) =
+                    build_connection(cluster, client_idx, shard, c, cfg.clone(), lease, txn);
                 server.start();
                 directory.register(shard, server.log().clone());
                 servers[shard].push(Rc::new(server));

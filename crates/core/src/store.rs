@@ -240,7 +240,8 @@ mod tests {
     use prdma_simnet::Sim;
 
     fn store_fixture(sim: &Sim) -> ObjectStore {
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20));
+        let tracer = prdma_simnet::Tracer::new(sim.handle());
+        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20), tracer, None);
         let alloc = DaxAllocator::new(&pm);
         let region = alloc.alloc("objects", 64 * 1024, 64).unwrap();
         ObjectStore::new(pm, region, 1024)

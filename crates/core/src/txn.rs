@@ -43,7 +43,6 @@
 //! append, and no aborted txn ever applies staged writes.
 
 use std::cell::{Cell, RefCell};
-use std::fmt;
 use std::rc::Rc;
 
 use prdma_node::{Cluster, Node};
@@ -341,18 +340,6 @@ struct StateInner {
     staged: RefCell<IdMap<Staged>>,
     /// Committed transactions applied on this shard.
     applies: Cell<u64>,
-}
-
-impl fmt::Debug for TxnState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "TxnState(shard {}, {} staged, {} locked)",
-            self.inner.shard,
-            self.inner.staged.borrow().len(),
-            self.inner.locks.borrow().len()
-        )
-    }
 }
 
 impl TxnState {

@@ -2,10 +2,7 @@
 //! injection, and costs for the software operations RPC systems perform
 //! (polling dispatch, memcpy, request parsing).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use prdma_simnet::trace::{Span, Tracer};
+use prdma_simnet::trace::Tracer;
 use prdma_simnet::{FifoResource, SimDuration, SimHandle};
 
 /// CPU timing/geometry parameters.
@@ -49,28 +46,16 @@ impl Default for CpuConfig {
 pub struct CpuModel {
     cfg: CpuConfig,
     cores: FifoResource,
-    tracer: Rc<RefCell<Option<Tracer>>>,
+    tracer: Tracer,
 }
 
 impl CpuModel {
-    /// Build a CPU with `cfg.cores` cores.
-    pub fn new(handle: SimHandle, cfg: CpuConfig) -> Self {
+    /// Build a CPU with `cfg.cores` cores whose RPC work is recorded into
+    /// the node's `tracer` as sender- or receiver-side software, per the
+    /// tracer's role.
+    pub fn new(handle: SimHandle, cfg: CpuConfig, tracer: Tracer) -> Self {
         let cores = FifoResource::new(handle, cfg.cores.max(1));
-        CpuModel {
-            cfg,
-            cores,
-            tracer: Rc::new(RefCell::new(None)),
-        }
-    }
-
-    /// Attach the owning node's latency tracer; CPU time is recorded as
-    /// sender- or receiver-side software per the tracer's role.
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        *self.tracer.borrow_mut() = Some(tracer.clone());
-    }
-
-    fn sw_span(&self) -> Option<Span> {
-        self.tracer.borrow().as_ref().map(|t| t.span_sw())
+        CpuModel { cfg, cores, tracer }
     }
 
     /// This CPU's configuration.
@@ -85,7 +70,7 @@ impl CpuModel {
 
     /// Run `work` of computation on one core (queueing when all are busy).
     pub async fn compute(&self, work: SimDuration) {
-        let _span = self.sw_span();
+        let _span = self.tracer.span_sw();
         self.cores.process(work).await;
     }
 
@@ -97,26 +82,26 @@ impl CpuModel {
 
     /// The cost of noticing a message via memory polling and dispatching it.
     pub async fn poll_dispatch(&self) {
-        let _span = self.sw_span();
+        let _span = self.tracer.span_sw();
         self.cores.process(self.cfg.poll_dispatch).await;
     }
 
     /// Parse a two-sided request (header decode, handler lookup).
     pub async fn parse_request(&self) {
-        let _span = self.sw_span();
+        let _span = self.tracer.span_sw();
         self.cores.process(self.cfg.parse_request).await;
     }
 
     /// Copy `bytes` between buffers on one core.
     pub async fn memcpy(&self, bytes: u64) {
         let t = prdma_simnet::transfer_time(bytes, self.cfg.memcpy_gbps);
-        let _span = self.sw_span();
+        let _span = self.tracer.span_sw();
         self.cores.process(t).await;
     }
 
     /// Spawn/schedule a handler thread for an RPC.
     pub async fn dispatch_thread(&self) {
-        let _span = self.sw_span();
+        let _span = self.tracer.span_sw();
         self.cores.process(self.cfg.dispatch_thread).await;
     }
 
@@ -138,16 +123,18 @@ mod tests {
     use super::*;
     use prdma_simnet::Sim;
 
+    fn cpu(sim: &Sim, cores: usize) -> CpuModel {
+        let cfg = CpuConfig {
+            cores,
+            ..Default::default()
+        };
+        CpuModel::new(sim.handle(), cfg, Tracer::new(sim.handle()))
+    }
+
     #[test]
     fn compute_queues_beyond_core_count() {
         let mut sim = Sim::new(1);
-        let cpu = CpuModel::new(
-            sim.handle(),
-            CpuConfig {
-                cores: 2,
-                ..Default::default()
-            },
-        );
+        let cpu = cpu(&sim, 2);
         let h = sim.handle();
         for _ in 0..4 {
             let cpu = cpu.clone();
@@ -162,13 +149,7 @@ mod tests {
     #[test]
     fn busy_cpu_serializes_work() {
         let mut sim = Sim::new(1);
-        let cpu = CpuModel::new(
-            sim.handle(),
-            CpuConfig {
-                cores: 4,
-                ..Default::default()
-            },
-        );
+        let cpu = cpu(&sim, 4);
         cpu.make_busy();
         let h = sim.handle();
         for _ in 0..3 {
@@ -187,7 +168,7 @@ mod tests {
     #[test]
     fn memcpy_time_scales_with_bytes() {
         let mut sim = Sim::new(1);
-        let cpu = CpuModel::new(sim.handle(), CpuConfig::default());
+        let cpu = cpu(&sim, CpuConfig::default().cores);
         let h = sim.handle();
         let cpu2 = cpu.clone();
         let (t_small, t_big) = sim.block_on(async move {

@@ -61,10 +61,10 @@ struct PmInner {
     media_port: FifoResource,
     bytes_persisted: Cell<u64>,
     crashes: Cell<u64>,
-    /// Latency-breakdown sink (the node's tracer, once attached).
-    tracer: RefCell<Option<Tracer>>,
-    /// Structured event sink (the node's journal, once attached).
-    journal: RefCell<Option<Journal>>,
+    /// The node's latency-breakdown sink.
+    tracer: Tracer,
+    /// The node's event journal, when the run records one.
+    journal: Option<Journal>,
 }
 
 /// A simulated persistent-memory device. Cheap to clone (shared handle).
@@ -74,8 +74,11 @@ pub struct PmDevice {
 }
 
 impl PmDevice {
-    /// Create a device on the given simulation with the given config.
-    pub fn new(handle: SimHandle, cfg: PmConfig) -> Self {
+    /// Create a device on the given simulation with the given config,
+    /// recording media service time as [`Phase::PmMedia`] into `tracer`
+    /// and every commit of bytes to the persistence domain as a `PmWrite`
+    /// into `journal`, if given.
+    pub fn new(handle: SimHandle, cfg: PmConfig, tracer: Tracer, journal: Option<Journal>) -> Self {
         let media_port = FifoResource::new(handle.clone(), cfg.media_ports.max(1));
         PmDevice {
             inner: Rc::new(PmInner {
@@ -86,48 +89,32 @@ impl PmDevice {
                 cfg,
                 bytes_persisted: Cell::new(0),
                 crashes: Cell::new(0),
-                tracer: RefCell::new(None),
-                journal: RefCell::new(None),
+                tracer,
+                journal,
             }),
         }
     }
 
-    /// Attach the owning node's latency tracer; media service time is
-    /// recorded as [`Phase::PmMedia`] from then on.
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        *self.inner.tracer.borrow_mut() = Some(tracer.clone());
+    /// The node's tracer (lets layers above the device — e.g. the RNIC
+    /// and the redo log — record their phases against the same sink).
+    pub fn tracer(&self) -> &Tracer {
+        &self.inner.tracer
     }
 
-    /// The attached tracer, if any (lets layers above the device — e.g.
-    /// the redo log — record composite phases against the same sink).
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.inner.tracer.borrow().clone()
+    fn media_span(&self) -> Span {
+        self.inner.tracer.span(Phase::PmMedia)
     }
 
-    fn media_span(&self) -> Option<Span> {
-        self.inner
-            .tracer
-            .borrow()
-            .as_ref()
-            .map(|t| t.span(Phase::PmMedia))
-    }
-
-    /// Attach the owning node's event journal: every commit of bytes to
-    /// the persistence domain is recorded as a `PmWrite` from then on.
-    pub fn set_journal(&self, journal: &Journal) {
-        *self.inner.journal.borrow_mut() = Some(journal.clone());
-    }
-
-    /// The attached journal, if any (lets layers above the device — e.g.
-    /// the redo log — record their events against the same sink).
-    pub fn journal(&self) -> Option<Journal> {
-        self.inner.journal.borrow().clone()
+    /// The node's journal, if the run records one (lets layers above the
+    /// device record their events against the same sink).
+    pub fn journal(&self) -> Option<&Journal> {
+        self.inner.journal.as_ref()
     }
 
     /// Journal a commit of `bytes` into the persistence domain. Kept in
     /// lockstep with the `bytes_persisted` accounting.
     fn jot_pm_write(&self, bytes: u64) {
-        if let Some(j) = self.inner.journal.borrow().as_ref() {
+        if let Some(j) = &self.inner.journal {
             j.record(Subsystem::Pm, EventKind::PmWrite, NO_ID, NO_ID, bytes);
         }
     }
@@ -428,7 +415,17 @@ mod tests {
     use prdma_simnet::Sim;
 
     fn small_device(sim: &Sim) -> PmDevice {
-        PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20))
+        device(sim, 1 << 20)
+    }
+
+    fn device(sim: &Sim, capacity: u64) -> PmDevice {
+        let tracer = Tracer::new(sim.handle());
+        PmDevice::new(
+            sim.handle(),
+            PmConfig::with_capacity(capacity),
+            tracer,
+            None,
+        )
     }
 
     #[test]
@@ -662,7 +659,7 @@ mod tests {
         for case in 0..24u64 {
             let mut rng = SmallRng::seed_from_u64(0x0D1E_0000 + case);
             let mut sim = Sim::new(case);
-            let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(CAPACITY));
+            let pm = device(&sim, CAPACITY);
             let mut model = MapModel {
                 line: pm.config().cacheline,
                 media: vec![0; CAPACITY as usize],

@@ -10,11 +10,14 @@
 //! persistence domain; this crate makes that moment explicit and testable:
 //!
 //! ```
-//! use prdma_simnet::Sim;
+//! use prdma_simnet::{Sim, Tracer};
 //! use prdma_pmem::{PmConfig, PmDevice};
 //!
 //! let mut sim = Sim::new(1);
-//! let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 16));
+//! // A device records its media time into its node's tracer, and its
+//! // persistence-domain commits into the node's journal when there is one.
+//! let tracer = Tracer::new(sim.handle());
+//! let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 16), tracer, None);
 //! let pm2 = pm.clone();
 //! sim.block_on(async move {
 //!     // DDIO-style arrival: volatile until flushed.

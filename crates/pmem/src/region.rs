@@ -145,7 +145,8 @@ mod tests {
 
     fn alloc_fixture() -> DaxAllocator {
         let sim = Sim::new(1);
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(4096));
+        let tracer = prdma_simnet::Tracer::new(sim.handle());
+        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(4096), tracer, None);
         DaxAllocator::new(&pm)
     }
 

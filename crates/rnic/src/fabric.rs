@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use prdma_pmem::{PmDevice, VolatileMemory};
-use prdma_simnet::{SharedLink, SimDuration, SimHandle, SimTime};
+use prdma_simnet::{FifoResource, SharedLink, SimDuration, SimHandle, SimTime};
 
 use crate::config::RnicConfig;
 use crate::nic::Rnic;
@@ -91,13 +91,20 @@ impl Fabric {
             .clone()
     }
 
-    /// Establish a connected QP pair between two nodes.
-    pub fn connect(&self, a: NodeId, b: NodeId, mode: QpMode) -> (Qp, Qp) {
+    /// Establish a connected QP pair between two nodes; `a`'s verb posts
+    /// queue on `a_cpu` if given (see [`connect`]).
+    pub fn connect(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        mode: QpMode,
+        a_cpu: Option<FifoResource>,
+    ) -> (Qp, Qp) {
         let ra = self.rnic(a);
         let rb = self.rnic(b);
         let ab = self.link(a, b);
         let ba = self.link(b, a);
-        connect(self.inner.handle.clone(), mode, ra, rb, ab, ba)
+        connect(self.inner.handle.clone(), mode, ra, rb, ab, ba, a_cpu)
     }
 
     /// Degrade (or restore, with `factor == 1.0`) the ingress link of
@@ -152,13 +159,14 @@ mod tests {
     use crate::nic::MemTarget;
     use crate::payload::Payload;
     use prdma_pmem::PmConfig;
-    use prdma_simnet::Sim;
+    use prdma_simnet::{Sim, Tracer};
 
     fn two_node_fabric(sim: &Sim) -> (Fabric, NodeId, NodeId) {
         let f = Fabric::new(sim.handle(), RnicConfig::default());
         let mk = || {
+            let tracer = Tracer::new(sim.handle());
             (
-                PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20)),
+                PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20), tracer, None),
                 VolatileMemory::new(1 << 20),
             )
         };
@@ -186,7 +194,7 @@ mod tests {
     fn connect_yields_working_pair() {
         let mut sim = Sim::new(1);
         let (f, a, b) = two_node_fabric(&sim);
-        let (qa, qb) = f.connect(a, b, QpMode::Rc);
+        let (qa, qb) = f.connect(a, b, QpMode::Rc, None);
         sim.block_on(async move {
             let tok = qa
                 .write(MemTarget::Pm(0), Payload::from_bytes(vec![1, 2, 3]))
@@ -212,7 +220,7 @@ mod tests {
                     SimTime::from_nanos(u64::MAX / 2),
                 );
             }
-            let (qa, _qb) = f.connect(a, b, QpMode::Rc);
+            let (qa, _qb) = f.connect(a, b, QpMode::Rc, None);
             let h = sim.handle();
             sim.block_on(async move {
                 h.sleep(SimDuration::from_micros(10)).await;
@@ -241,7 +249,7 @@ mod tests {
             if degrade {
                 f.degrade_ingress(b, 8.0);
             }
-            let (qa, _qb) = f.connect(a, b, QpMode::Rc);
+            let (qa, _qb) = f.connect(a, b, QpMode::Rc, None);
             let h = sim.handle();
             sim.block_on(async move {
                 let t0 = h.now();

@@ -15,19 +15,25 @@
 //! * shared links with bandwidth, propagation, and background traffic.
 //!
 //! ```
-//! use prdma_simnet::Sim;
+//! use prdma_simnet::{Sim, Tracer};
 //! use prdma_pmem::{PmConfig, PmDevice, VolatileMemory};
 //! use prdma_rnic::{Fabric, MemTarget, Payload, QpMode, RnicConfig};
 //!
 //! let mut sim = Sim::new(1);
 //! let fabric = Fabric::new(sim.handle(), RnicConfig::paper_testbed());
-//! let mk = || (PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20)),
-//!              VolatileMemory::new(1 << 20));
+//! // A node's RNIC records into the tracer (and journal, if any) of the
+//! // PM device it is built over.
+//! let mk = || {
+//!     let pm_cfg = PmConfig::with_capacity(1 << 20);
+//!     let pm = PmDevice::new(sim.handle(), pm_cfg, Tracer::new(sim.handle()), None);
+//!     (pm, VolatileMemory::new(1 << 20))
+//! };
 //! let (pm_a, dram_a) = mk();
 //! let (pm_b, dram_b) = mk();
 //! let a = fabric.add_node(pm_a, dram_a);
 //! let b = fabric.add_node(pm_b, dram_b);
-//! let (client, server) = fabric.connect(a, b, QpMode::Rc);
+//! // No core pool: the client's verb posts sleep their cost.
+//! let (client, server) = fabric.connect(a, b, QpMode::Rc, None);
 //! sim.block_on(async move {
 //!     let token = client
 //!         .write(MemTarget::Pm(0), Payload::from_bytes(b"durable".to_vec()))

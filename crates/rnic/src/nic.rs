@@ -111,10 +111,6 @@ struct RnicInner {
     msgs_processed: Cell<u64>,
     /// RC hardware retransmits attributed to this NIC as the sender.
     retransmits: Cell<u64>,
-    /// Latency-breakdown sink (the node's tracer, once attached).
-    tracer: std::cell::RefCell<Option<Tracer>>,
-    /// Structured event sink (the node's journal, once attached).
-    journal: std::cell::RefCell<Option<Journal>>,
 }
 
 /// One RDMA NIC attached to a node's PM and DRAM. Cheap to clone.
@@ -124,7 +120,11 @@ pub struct Rnic {
 }
 
 impl Rnic {
-    /// Build an RNIC over the node's memories.
+    /// Build an RNIC over the node's memories. It records into the sinks
+    /// of `pm`, its node's: packet-engine time as [`Phase::Wire`],
+    /// DMA-engine time as [`Phase::NicDma`], posted-write drains as
+    /// [`Phase::FlushWait`], and SRAM, DMA, WQE/CQE and flush-barrier
+    /// transitions into the journal when there is one.
     pub fn new(handle: SimHandle, cfg: RnicConfig, pm: PmDevice, dram: VolatileMemory) -> Self {
         let engine = FifoResource::new(handle.clone(), cfg.nic_units.max(1));
         let dma = FifoResource::new(handle.clone(), cfg.dma_units.max(1));
@@ -148,45 +148,28 @@ impl Rnic {
                 injected_loss_until: Cell::new(0),
                 msgs_processed: Cell::new(0),
                 retransmits: Cell::new(0),
-                tracer: std::cell::RefCell::new(None),
-                journal: std::cell::RefCell::new(None),
             }),
         }
     }
 
-    /// Attach the owning node's latency tracer: packet-engine time is
-    /// recorded as [`Phase::Wire`], DMA-engine time as [`Phase::NicDma`],
-    /// and posted-write drains as [`Phase::FlushWait`].
-    pub fn set_tracer(&self, tracer: &Tracer) {
-        *self.inner.tracer.borrow_mut() = Some(tracer.clone());
+    /// The node's tracer (shared with the QP layer, which records
+    /// verb-post software costs and wire legs against it).
+    pub fn tracer(&self) -> &Tracer {
+        self.inner.pm.tracer()
     }
 
-    /// The attached tracer, if any (shared with the QP layer, which
-    /// records verb-post software costs and wire legs against it).
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.inner.tracer.borrow().clone()
+    fn span(&self, phase: Phase) -> Span {
+        self.tracer().span(phase)
     }
 
-    fn span(&self, phase: Phase) -> Option<Span> {
-        self.inner.tracer.borrow().as_ref().map(|t| t.span(phase))
-    }
-
-    /// Attach the owning node's event journal. NIC-internal transitions
-    /// (SRAM admits, DMA tickets, WQE/CQE traffic, posted-write drains)
-    /// are recorded against it; when unattached nothing is recorded or
-    /// allocated.
-    pub fn set_journal(&self, journal: &Journal) {
-        *self.inner.journal.borrow_mut() = Some(journal.clone());
-    }
-
-    /// The attached journal, if any (shared with the QP layer, which
-    /// records doorbells and wire segments against it).
-    pub fn journal(&self) -> Option<Journal> {
-        self.inner.journal.borrow().clone()
+    /// The node's journal, if the run records one (shared with the QP
+    /// layer, which records doorbells and wire segments against it).
+    pub fn journal(&self) -> Option<&Journal> {
+        self.inner.pm.journal()
     }
 
     fn jot(&self, subsystem: Subsystem, kind: EventKind, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.inner.journal.borrow().as_ref() {
+        if let Some(j) = self.journal() {
             j.record(subsystem, kind, NO_ID, wr_id, bytes);
         }
     }
@@ -439,7 +422,7 @@ impl Rnic {
             let oldest = self.inner.active_dma.borrow().iter().next().copied();
             match oldest {
                 Some(t) if t < barrier => {
-                    span = span.or_else(|| self.span(Phase::FlushWait));
+                    span.get_or_insert_with(|| self.span(Phase::FlushWait));
                     self.inner.dma_drained.notified().await;
                 }
                 _ => {
@@ -543,9 +526,13 @@ mod tests {
     use prdma_simnet::Sim;
 
     fn rnic_fixture(sim: &Sim) -> Rnic {
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20));
-        let dram = VolatileMemory::new(1 << 20);
-        Rnic::new(sim.handle(), RnicConfig::default(), pm, dram)
+        rnic_with(sim, RnicConfig::default())
+    }
+
+    fn rnic_with(sim: &Sim, cfg: RnicConfig) -> Rnic {
+        let tracer = Tracer::new(sim.handle());
+        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20), tracer, None);
+        Rnic::new(sim.handle(), cfg, pm, VolatileMemory::new(1 << 20))
     }
 
     #[test]
@@ -565,9 +552,7 @@ mod tests {
     #[test]
     fn dma_write_with_ddio_is_volatile() {
         let mut sim = Sim::new(1);
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20));
-        let dram = VolatileMemory::new(4096);
-        let nic = Rnic::new(sim.handle(), RnicConfig::with_ddio(), pm, dram);
+        let nic = rnic_with(&sim, RnicConfig::with_ddio());
         let nic2 = nic.clone();
         let durable = sim.block_on(async move {
             nic2.dma_write(MemTarget::Pm(0), &Payload::from_bytes(vec![9; 64]))

@@ -156,7 +156,10 @@ struct QpInner {
     back_link: SharedLink,
     local_ep: Rc<Endpoint>,
     remote_ep: Rc<Endpoint>,
-    sender_cpu: RefCell<Option<FifoResource>>,
+    /// Core pool verb posts queue on (the connecting side of a cluster
+    /// connection), so sender CPU contention (paper Fig. 16) delays
+    /// posts; without one a post sleeps its cost.
+    sender_cpu: Option<FifoResource>,
     /// RPC id stamped onto the next posted verb's journal records
     /// ([`Qp::tag_rpc`]); consumed (reset to `NO_ID`) at verb entry.
     rpc_tag: Cell<u64>,
@@ -173,7 +176,9 @@ pub struct Qp {
 }
 
 /// Create a connected QP pair between two RNICs over the given directed
-/// links. `(a_to_b, b_to_a)` are the wire directions.
+/// links. `(a_to_b, b_to_a)` are the wire directions; `a_cpu`, if given,
+/// is the core pool `a`'s verb posts queue on (`b`'s posts sleep their
+/// cost).
 pub fn connect(
     handle: SimHandle,
     mode: QpMode,
@@ -181,6 +186,7 @@ pub fn connect(
     b: Rnic,
     a_to_b: SharedLink,
     b_to_a: SharedLink,
+    a_cpu: Option<FifoResource>,
 ) -> (Qp, Qp) {
     let ep_a = Endpoint::new();
     let ep_b = Endpoint::new();
@@ -194,7 +200,7 @@ pub fn connect(
             back_link: b_to_a.clone(),
             local_ep: Rc::clone(&ep_a),
             remote_ep: Rc::clone(&ep_b),
-            sender_cpu: RefCell::new(None),
+            sender_cpu: a_cpu,
             rpc_tag: Cell::new(NO_ID),
             token_pool: OneshotPool::new(),
         }),
@@ -209,7 +215,7 @@ pub fn connect(
             back_link: a_to_b,
             local_ep: ep_b,
             remote_ep: ep_a,
-            sender_cpu: RefCell::new(None),
+            sender_cpu: None,
             rpc_tag: Cell::new(NO_ID),
             token_pool: OneshotPool::new(),
         }),
@@ -231,12 +237,6 @@ impl Qp {
     /// The remote RNIC.
     pub fn remote(&self) -> &Rnic {
         &self.inner.remote
-    }
-
-    /// Route verb-post software costs through a CPU core pool, so sender
-    /// CPU contention (paper Fig. 16) delays posts realistically.
-    pub fn set_sender_cpu(&self, cpu: FifoResource) {
-        *self.inner.sender_cpu.borrow_mut() = Some(cpu);
     }
 
     fn cfg(&self) -> &RnicConfig {
@@ -276,17 +276,16 @@ impl Qp {
         // Verb posting is software on the local node; the tracer's role
         // decides whether that is sender- or receiver-side time.
         self.jot_local(EventKind::Doorbell, rpc, 0);
-        let _span = self.inner.local.tracer().map(|t| t.span_sw());
-        let cpu = self.inner.sender_cpu.borrow().clone();
-        match cpu {
+        let _span = self.inner.local.tracer().span_sw();
+        match &self.inner.sender_cpu {
             Some(cpu) => cpu.process(d).await,
             None => self.inner.handle.sleep(d).await,
         }
     }
 
     /// Wire-phase span against the local node's tracer (link legs).
-    fn wire_span(&self) -> Option<Span> {
-        self.inner.local.tracer().map(|t| t.span(Phase::Wire))
+    fn wire_span(&self) -> Span {
+        self.inner.local.tracer().span(Phase::Wire)
     }
 
     fn check_mtu(&self, len: u64) -> RdmaResult<()> {
@@ -667,7 +666,7 @@ enum Delivery {
 mod tests {
     use super::*;
     use prdma_pmem::{PmConfig, PmDevice, VolatileMemory};
-    use prdma_simnet::Sim;
+    use prdma_simnet::{Sim, Tracer};
 
     fn pair(sim: &Sim, mode: QpMode) -> (Qp, Qp) {
         pair_cfg(sim, mode, RnicConfig::default())
@@ -676,7 +675,8 @@ mod tests {
     fn pair_cfg(sim: &Sim, mode: QpMode, cfg: RnicConfig) -> (Qp, Qp) {
         let h = sim.handle();
         let mk = |cfg: &RnicConfig| {
-            let pm = PmDevice::new(h.clone(), PmConfig::with_capacity(1 << 20));
+            let tracer = Tracer::new(h.clone());
+            let pm = PmDevice::new(h.clone(), PmConfig::with_capacity(1 << 20), tracer, None);
             let dram = VolatileMemory::new(1 << 20);
             Rnic::new(h.clone(), cfg.clone(), pm, dram)
         };
@@ -684,7 +684,7 @@ mod tests {
         let b = mk(&cfg);
         let ab = SharedLink::new(h.clone(), cfg.link_gbps, cfg.propagation);
         let ba = SharedLink::new(h.clone(), cfg.link_gbps, cfg.propagation);
-        connect(h, mode, a, b, ab, ba)
+        connect(h, mode, a, b, ab, ba, None)
     }
 
     #[test]
