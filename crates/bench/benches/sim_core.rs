@@ -177,7 +177,7 @@ fn bench_mark_done_overlay(iters: u32) -> BenchResult {
     const STRIDE: u64 = 4096;
     const STANDING: u64 = 4096;
     // One device for every iteration (the cycle leaves the standing set
-    // as it found it), so the media's pages are materialised by the
+    // as it found it), so the media's lines are materialised by the
     // warm-up pass and the timed ones see the overlay, not the allocator.
     let sim = Sim::new(1);
     let tracer = prdma_simnet::Tracer::new(sim.handle());

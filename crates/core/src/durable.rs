@@ -752,6 +752,22 @@ impl DurableServer {
     }
 }
 
+/// A replicated put's body: its work item's payload minus the causal id
+/// prefix. An arrival carries [`Entry::rput`]'s `[id, body]` as built, so
+/// the body is shared, and a synthetic one stays timing-only; a recovery
+/// requeue carries the logged bytes, which are copied.
+fn without_repl_id(data: &Payload) -> Payload {
+    match data {
+        Payload::Composite(parts) if parts.len() == 2 && parts[0].len() == REPL_ID_BYTES => {
+            parts[1].clone()
+        }
+        Payload::Inline(bytes) => {
+            Payload::from_slice(bytes.get(REPL_ID_BYTES as usize..).unwrap_or_default())
+        }
+        other => Payload::synthetic(other.len().saturating_sub(REPL_ID_BYTES), 0),
+    }
+}
+
 impl ServerCtx {
     /// The tail both arrival loops share. The NIC-side absorption (recv
     /// into PM slots, one-sided appends) lands regardless of software
@@ -853,15 +869,13 @@ impl ServerCtx {
         if header.done {
             return;
         }
-        // A plain put's data travelled with the work item; only the
-        // operators that decode their logged payload copy it out of PM.
+        // A put's data travelled with the work item; only the operators
+        // that decode their logged payload copy it out of PM.
         let payload = match header.op.opcode {
-            OpCode::Put | OpCode::Process => Vec::new(),
-            OpCode::RPut
-            | OpCode::TxnPrepare
-            | OpCode::TxnDecide
-            | OpCode::TxnCommit
-            | OpCode::TxnAbort => log.read_payload(&header),
+            OpCode::Put | OpCode::Process | OpCode::RPut => Vec::new(),
+            OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort => {
+                log.read_payload(&header)
+            }
         };
         let entry = header.with_payload(payload);
         self.node.cpu.dispatch_thread().await;
@@ -884,17 +898,19 @@ impl ServerCtx {
         let mut body = data;
         if entry.op.opcode == OpCode::RPut {
             // Replicated put: the payload's first REPL_ID_BYTES are the
-            // causal put id. A retry after a partial replication failure
-            // re-appends the same id; only the first apply hits the store
-            // (exactly-once apply under at-least-once append).
-            let (id, rest) = entry.payload.split_at(REPL_ID_BYTES as usize);
-            let id = u64::from_le_bytes(id.try_into().expect("RPut id prefix"));
-            if !log.note_applied(id) {
+            // causal put id, the only part read back from PM. A retry
+            // after a partial replication failure re-appends the same id;
+            // only the first apply hits the store (exactly-once apply
+            // under at-least-once append).
+            let mut id = [0u8; REPL_ID_BYTES as usize];
+            let at = log.layout().slot_addr(index) + ENTRY_HEADER;
+            self.node.pm.copy_volatile_view(at, &mut id);
+            if !log.note_applied(u64::from_le_bytes(id)) {
                 shared.puts_deduped.set(shared.puts_deduped.get() + 1);
                 let _ = log.mark_done(index).await;
                 return;
             }
-            body = Payload::from_slice(rest);
+            body = without_repl_id(&body);
         }
         self.inject_processing().await;
         let _ = self.store.put(entry.op.obj_id, &body).await;
@@ -1430,6 +1446,134 @@ mod tests {
         let t_wr = time_for(DurableKind::WRFlush);
         let ratio = t_w.as_nanos() as f64 / t_wr.as_nanos() as f64;
         assert!((0.5..2.0).contains(&ratio), "w {t_w} vs wr {t_wr}");
+    }
+
+    /// One WFlush connection whose store holds `OBJECTS` 4 KiB objects
+    /// (ids wrap past that) and whose log head is never flushed, so the
+    /// server PM's `bytes_persisted` moves only with appends and applies.
+    fn rput_setup(sim: &Sim) -> (DurableClient, DurableServer, Cluster) {
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
+        let cfg = DurableConfig {
+            kind: DurableKind::WFlush,
+            profile: ServerProfile::light(),
+            slot_payload: 4096,
+            object_slot: 4096,
+            store_capacity: OBJECTS * 4096,
+            log_slots: 64,
+            head_persist_interval: 1 << 20,
+            ..Default::default()
+        };
+        let (c, s) = build_durable(&cluster, 1, 0, 0, cfg);
+        s.start();
+        (c, s, cluster)
+    }
+
+    const OBJECTS: u64 = 64;
+
+    #[test]
+    fn synthetic_rput_is_timing_only_like_a_plain_put() {
+        // Object 5 + OBJECTS wraps onto object 5's slot. A synthetic put
+        // to object 5 must leave the slot unclaimed (so the inline put to
+        // the wrapped id lands) and must not touch object 3's bytes;
+        // tagged or not, the outcome is the same.
+        let run = |tagged: bool| {
+            let mut sim = Sim::new(31);
+            let (client, server, cluster) = rput_setup(&sim);
+            let pm = cluster.node(0).pm.clone();
+            let (store, h) = (server.store().clone(), sim.handle());
+            let (wrapped, fresh) = sim.block_on(async move {
+                // A put, then time for its decoupled apply to finish.
+                let synthetic = |obj: u64, id: u64| {
+                    let (client, h) = (&client, &h);
+                    async move {
+                        let data = Payload::synthetic(16, obj);
+                        if tagged {
+                            client.put_tagged(obj, data, id).await.unwrap();
+                        } else {
+                            let put = Request::Put { obj, data };
+                            client.call(put).await.unwrap();
+                        }
+                        h.sleep(SimDuration::from_micros(200)).await;
+                    }
+                };
+                let inline = |obj: u64, byte: u8| {
+                    let data = Payload::from_bytes(vec![byte; 16]);
+                    client.call(Request::Put { obj, data })
+                };
+                inline(3, 0x11).await.unwrap();
+                synthetic(3, 1 << 60 | 1).await;
+                synthetic(5, 1 << 60 | 2).await;
+                inline(5 + OBJECTS, 0x22).await.unwrap();
+                // A synthetic apply onto a slot another live object owns
+                // pays its media time like any other: it is not refused.
+                let before = pm.bytes_persisted();
+                synthetic(3 + OBJECTS, 1 << 60 | 3).await;
+                let wrapped = pm.bytes_persisted() - before;
+                let before = pm.bytes_persisted();
+                synthetic(9, 1 << 60 | 4).await;
+                (wrapped, pm.bytes_persisted() - before)
+            });
+            sim.run();
+            assert_eq!(wrapped, fresh, "tagged {tagged}: wrapped apply refused");
+            (
+                store.persistent_bytes(3, 16),
+                store.persistent_bytes(5, 16),
+                server.puts_processed(),
+            )
+        };
+        for tagged in [false, true] {
+            let (three, five, processed) = run(tagged);
+            assert_eq!(three, [0x11; 16], "tagged {tagged}: object 3 untouched");
+            assert_eq!(five, [0x22; 16], "tagged {tagged}: slot 5 left unclaimed");
+            assert_eq!(processed, 6, "tagged {tagged}");
+        }
+    }
+
+    #[test]
+    fn inline_rput_lands_exactly_and_a_duplicate_id_is_skipped() {
+        let mut sim = Sim::new(32);
+        let (client, server, _cluster) = rput_setup(&sim);
+        let store = server.store().clone();
+        let id = 1 << 60 | 7;
+        sim.block_on(async move {
+            let bytes = Payload::from_bytes(b"replicated bytes".to_vec());
+            client.put_tagged(7, bytes, id).await.unwrap();
+            // A retry under the same id with other bytes: logged, skipped.
+            let stale = Payload::from_bytes(vec![0xEE; 16]);
+            client.put_tagged(7, stale, id).await.unwrap();
+        });
+        sim.run();
+        assert_eq!(store.persistent_bytes(7, 16), b"replicated bytes");
+        assert_eq!(server.puts_deduped(), 1);
+        assert_eq!(server.puts_processed(), 2);
+    }
+
+    #[test]
+    fn rput_requeued_after_node_crash_applies_the_logged_bytes() {
+        // The service is down when the put arrives, so nothing processes
+        // it before the crash. The log slot's body is seeded with bytes
+        // the synthetic put does not carry: only a replay from the log
+        // can put them in the store.
+        let mut sim = Sim::new(33);
+        let (client, server, cluster) = rput_setup(&sim);
+        let node = cluster.node(0).clone();
+        let body = server.log().layout().slot_addr(0) + ENTRY_HEADER + REPL_ID_BYTES;
+        node.pm.commit_persistent(body, b"logged bytes").unwrap();
+        let (store, server) = (server.store().clone(), Rc::new(server));
+        let srv = Rc::clone(&server);
+        sim.block_on(async move {
+            node.crash_service();
+            let data = Payload::synthetic(12, 4);
+            client.put_tagged(4, data, 1 << 60 | 9).await.unwrap();
+            node.crash();
+            node.restart();
+            let down_for = SimDuration::ZERO;
+            assert_eq!(srv.recover(FaultKind::NodeCrash { down_for }), 1);
+        });
+        sim.run();
+        assert_eq!(store.persistent_bytes(4, 12), b"logged bytes");
+        // The arrival the restart released comes second and is skipped.
+        assert_eq!(server.puts_deduped(), 1);
     }
 
     #[test]

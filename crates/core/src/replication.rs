@@ -37,7 +37,7 @@ use prdma_simnet::fault::FaultKind;
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Key, Window};
 use prdma_simnet::rng::SmallRng;
-use prdma_simnet::SimHandle;
+use prdma_simnet::{JoinHandle, SimHandle};
 
 use crate::cache::LeaseState;
 use crate::durable::{build_connection, DurableClient, DurableConfig, DurableKind, DurableServer};
@@ -47,6 +47,18 @@ use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture,
 /// High bit namespace for causal replication put ids, so they can never
 /// collide with journal log ids (`lane << 40 | index`).
 const REPL_ID_BASE: u64 = 1 << 60;
+
+/// Most replicas a group may have: replica sets are `u64` bitmasks.
+const MAX_REPLICAS: usize = 64;
+
+/// The slots of bitmask `mask`, ascending.
+fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let slot = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(slot)
+    })
+}
 
 /// A put ACKed while a replica was down, owed to it at rejoin.
 struct MissedPut {
@@ -63,8 +75,8 @@ struct GroupState {
     primary: Cell<usize>,
     /// Promotion epoch: bumped on every primary change.
     epoch: Cell<u64>,
-    /// Liveness marks, by replica slot (client-observed, not oracle).
-    up: RefCell<Vec<bool>>,
+    /// Liveness marks, bit per replica slot (client-observed, not oracle).
+    up: Cell<u64>,
     /// Puts owed to each down replica, delivered at rejoin.
     missed: RefCell<Vec<Vec<MissedPut>>>,
     /// Next causal put id counter.
@@ -79,16 +91,29 @@ impl GroupState {
     fn new(nodes: Vec<usize>, group_tag: u64, client: Node) -> Rc<Self> {
         let n = nodes.len();
         assert!(group_tag < 1 << 28, "group tag exceeds the id namespace");
+        assert!(
+            (1..=MAX_REPLICAS).contains(&n),
+            "a group has 1 to {MAX_REPLICAS} replicas, not {n}"
+        );
         Rc::new(GroupState {
             nodes,
             primary: Cell::new(0),
             epoch: Cell::new(0),
-            up: RefCell::new(vec![true; n]),
+            up: Cell::new(u64::MAX >> (MAX_REPLICAS - n)),
             missed: RefCell::new((0..n).map(|_| Vec::new()).collect()),
             next_put: Cell::new(0),
             id_base: REPL_ID_BASE | (group_tag << 32),
             client,
         })
+    }
+
+    /// Every replica slot, as a bitmask.
+    fn all(&self) -> u64 {
+        u64::MAX >> (MAX_REPLICAS - self.nodes.len())
+    }
+
+    fn is_up(&self, slot: usize) -> bool {
+        self.up.get() >> slot & 1 == 1
     }
 
     fn alloc_put_id(&self) -> u64 {
@@ -107,13 +132,10 @@ impl GroupState {
     /// Mark `slot` down; if it was the primary, promote the next live
     /// backup (cyclic scan — deterministic) and bump the epoch.
     fn mark_down(&self, slot: usize) {
-        {
-            let mut up = self.up.borrow_mut();
-            if !up[slot] {
-                return;
-            }
-            up[slot] = false;
+        if !self.is_up(slot) {
+            return;
         }
+        self.up.set(self.up.get() & !(1 << slot));
         if self.primary.get() == slot {
             self.promote();
         }
@@ -123,19 +145,17 @@ impl GroupState {
     /// ex-primary does not reclaim the role, avoiding a second traffic
     /// disruption.
     fn mark_up(&self, slot: usize) {
-        self.up.borrow_mut()[slot] = true;
+        self.up.set(self.up.get() | 1 << slot);
     }
 
     fn promote(&self) {
-        let up = self.up.borrow();
-        let n = up.len();
+        let n = self.nodes.len();
         let cur = self.primary.get();
-        let Some(next) = (1..n).map(|d| (cur + d) % n).find(|&s| up[s]) else {
+        let Some(next) = (1..n).map(|d| (cur + d) % n).find(|&s| self.is_up(s)) else {
             // No live backup: leave the primary in place; puts fall back
             // to re-probing every replica until one rejoins.
             return;
         };
-        drop(up);
         self.primary.set(next);
         let epoch = self.epoch.get() + 1;
         self.epoch.set(epoch);
@@ -178,7 +198,7 @@ impl GroupView {
 
     /// Whether replica `slot` is currently marked live.
     pub fn is_up(&self, slot: usize) -> bool {
-        self.state.up.borrow()[slot]
+        self.state.is_up(slot)
     }
 }
 
@@ -378,37 +398,32 @@ impl ReplicatedClient {
         }
     }
 
-    /// Run `leg` against every replica slot in `targets`, spawned
-    /// concurrently and **all joined** — no outcome is abandoned, so when
-    /// this returns no spawned leg is still mutating a store. A failed
-    /// leg marks its replica down (promoting if it was the primary).
+    /// Run `leg` against every replica slot in `targets` (a bitmask),
+    /// spawned concurrently and **all joined**, both in ascending slot
+    /// order — no outcome is abandoned, so when this returns no spawned
+    /// leg is still mutating a store. A failed leg marks its replica down
+    /// (promoting if it was the primary); `done` then sees the outcome.
     async fn fan_out<Fut>(
         &self,
-        targets: impl Iterator<Item = usize>,
+        targets: u64,
         leg: impl Fn(Rc<DurableClient>) -> Fut,
-    ) -> Vec<ReplicaOutcome>
-    where
+        mut done: impl FnMut(usize, RpcResult<()>),
+    ) where
         Fut: std::future::Future<Output = RpcResult<()>> + 'static,
     {
-        let joins: Vec<_> = targets
-            .map(|slot| {
-                let replica = Rc::clone(&self.replicas[slot]);
-                (slot, self.handle.spawn(leg(replica)))
-            })
-            .collect();
-        let mut outcomes = Vec::with_capacity(joins.len());
-        for (replica, join) in joins {
-            let result = join.await;
-            if result.is_err() {
-                self.state.mark_down(replica);
-            }
-            outcomes.push(ReplicaOutcome {
-                replica,
-                node: self.state.nodes[replica],
-                result,
-            });
+        let mut joins: [Option<JoinHandle<RpcResult<()>>>; MAX_REPLICAS] =
+            [const { None }; MAX_REPLICAS];
+        for slot in slots(targets) {
+            let replica = Rc::clone(&self.replicas[slot]);
+            joins[slot] = Some(self.handle.spawn(leg(replica)));
         }
-        outcomes
+        for slot in slots(targets) {
+            let result = joins[slot].take().expect("spawned above").await;
+            if result.is_err() {
+                self.state.mark_down(slot);
+            }
+            done(slot, result);
+        }
     }
 
     /// One fan-out round of `put_tagged(obj, data, id)` to every replica
@@ -418,13 +433,14 @@ impl ReplicatedClient {
         obj: u64,
         data: &Payload,
         id: u64,
-        targets: &[usize],
-    ) -> Vec<ReplicaOutcome> {
+        targets: u64,
+        done: impl FnMut(usize, RpcResult<()>),
+    ) {
         let leg = |r: Rc<DurableClient>| {
             let data = data.clone();
             async move { r.put_tagged(obj, data, id).await.map(|_| ()) }
         };
-        self.fan_out(targets.iter().copied(), leg).await
+        self.fan_out(targets, leg, done).await
     }
 
     /// A single fan-out round to every replica, returning the structured
@@ -432,8 +448,17 @@ impl ReplicatedClient {
     /// wraps this in the full ride-out/ACK protocol instead).
     pub async fn put_once(&self, obj: u64, data: Payload) -> Vec<ReplicaOutcome> {
         let id = self.state.alloc_put_id();
-        let targets: Vec<usize> = (0..self.replicas.len()).collect();
-        self.fan_out_round(obj, &data, id, &targets).await
+        let mut outcomes = Vec::with_capacity(self.replicas.len());
+        let done = |replica, result| {
+            outcomes.push(ReplicaOutcome {
+                replica,
+                node: self.state.nodes[replica],
+                result,
+            })
+        };
+        self.fan_out_round(obj, &data, id, self.state.all(), done)
+            .await;
+        outcomes
     }
 
     async fn put_all(&self, obj: u64, data: Payload) -> RpcResult<Response> {
@@ -445,43 +470,39 @@ impl ReplicatedClient {
         self.state
             .jot(EventKind::RpcDispatch, id, NO_ID, data.len());
         let t0 = self.handle.now();
-        let n = self.replicas.len();
-        let mut acked = vec![false; n];
+        let all = self.state.all();
+        let mut acked = 0u64;
         let mut rounds = 0u32;
         let mut last_err = RpcError::TimedOut;
         loop {
             // Target every live, not-yet-ACKed replica; if the liveness
             // marks say nobody is left (stale marks or a full outage),
             // re-probe everyone still owing an ACK rather than deadlock.
-            let up = self.state.up.borrow().clone();
-            let mut targets: Vec<usize> = (0..n).filter(|&s| !acked[s] && up[s]).collect();
-            if targets.is_empty() {
-                targets = (0..n).filter(|&s| !acked[s]).collect();
+            let mut targets = all & !acked & self.state.up.get();
+            if targets == 0 {
+                targets = all & !acked;
             }
-            for o in self.fan_out_round(obj, &data, id, &targets).await {
-                match o.result {
-                    Ok(()) => {
-                        acked[o.replica] = true;
-                        // One replica's PM holds the entry durably.
-                        self.state
-                            .jot(EventKind::ReplAppend, id, o.replica as u64, data.len());
-                    }
-                    Err(e) => last_err = e,
-                }
+            let mut ok = 0u64;
+            let done = |slot: usize, result: RpcResult<()>| match result {
+                Ok(()) => ok |= 1 << slot,
+                Err(e) => last_err = e,
+            };
+            self.fan_out_round(obj, &data, id, targets, done).await;
+            acked |= ok;
+            for slot in slots(ok) {
+                // One replica's PM holds the entry durably.
+                self.state
+                    .jot(EventKind::ReplAppend, id, slot as u64, data.len());
             }
             // Replication-durable once every *live* replica has ACKed
             // (and at least one has): a down replica is owed the put at
             // rejoin instead of blocking the ACK for its whole downtime.
-            let up = self.state.up.borrow().clone();
-            let n_acked = acked.iter().filter(|&&a| a).count();
-            if n_acked > 0 && (0..n).all(|s| acked[s] || !up[s]) {
-                for (s, &a) in acked.iter().enumerate() {
-                    if !a {
-                        self.state.push_missed(s, obj, data.clone(), id);
-                    }
+            if acked != 0 && all & !acked & self.state.up.get() == 0 {
+                for slot in slots(all & !acked) {
+                    self.state.push_missed(slot, obj, data.clone(), id);
                 }
-                self.state
-                    .jot(EventKind::ReplAck, id, n_acked as u64, data.len());
+                let n_acked = acked.count_ones() as u64;
+                self.state.jot(EventKind::ReplAck, id, n_acked, data.len());
                 self.state
                     .jot(EventKind::RpcComplete, id, NO_ID, data.len());
                 let metrics = self.metrics.get_or_init(|| {

@@ -96,9 +96,13 @@ mod tests {
     fn crash_costs_the_pages_written_not_the_capacity() {
         let m = VolatileMemory::new(64 << 20);
         m.write(5 << 20, &[0xAB; 100]);
-        assert_eq!(m.bytes.borrow().materialised_pages(), 1);
+        let held = |m: &VolatileMemory| {
+            let bytes = m.bytes.borrow();
+            (bytes.materialised_pages(), bytes.materialised_lines())
+        };
+        assert_eq!(held(&m), (1, 2), "one page, two 64 B lines");
         m.crash();
-        assert_eq!(m.bytes.borrow().materialised_pages(), 0);
+        assert_eq!(held(&m), (0, 0));
         assert_eq!(m.read(5 << 20, 100), vec![0; 100]);
         assert_eq!(m.capacity(), 64 << 20);
     }

@@ -37,6 +37,7 @@ mod device;
 mod dram;
 mod overlay;
 mod region;
+mod slab;
 mod sparse;
 
 pub use config::PmConfig;

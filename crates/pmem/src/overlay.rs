@@ -5,48 +5,40 @@
 //! always hears no, while the set itself is not small — each completed log
 //! slot leaves one never-flushed `STATE_DONE` line behind, thousands per
 //! server. So membership is a bitset (one bit per line, tested a 64-line
-//! word at a time, walked in ascending line order) and the bytes sit in a
-//! slab of line-sized slots behind a hash index that only a dirty line
-//! ever consults. Nothing is sized by the device and nothing is
-//! reallocated as the set grows: the bitset comes in [`CHUNK_LINES`]-line
-//! chunks allocated when a line in them is first dirtied, the slab in
-//! [`SLAB_LINES`]-line chunks, and [`clear`](DirtyLines::clear) drops all
-//! of it. See DESIGN.md §19.
+//! word at a time, walked in ascending line order) and the bytes sit in
+//! line-sized slots of a [`Slab`] — the allocator the line store uses too
+//! — behind a hash index that only a dirty line ever consults. Nothing is
+//! sized by the device and nothing is reallocated as the set grows: the
+//! bitset comes in [`CHUNK_LINES`]-line chunks allocated when a line in
+//! them is first dirtied, the slab in 4 KiB chunks, and
+//! [`clear`](DirtyLines::clear) drops all of it. See DESIGN.md §19.
 
 use prdma_simnet::rng::IdMap;
+
+use crate::slab::Slab;
 
 /// Lines per bitset chunk (512 bytes of bits; 256 KiB of PM at 64-byte
 /// lines).
 const CHUNK_LINES: u64 = 4096;
 const CHUNK_WORDS: usize = (CHUNK_LINES / 64) as usize;
 
-/// Line slots per slab chunk (4 KiB at 64-byte lines).
-const SLAB_LINES: usize = 64;
-
 /// The set of dirty cache lines and their contents.
 pub(crate) struct DirtyLines {
-    /// Cache-line size in bytes.
-    line: usize,
     /// `bits[c]` covers lines `c * CHUNK_LINES ..`; `None` (or past the
     /// end) means none of them is dirty.
     bits: Vec<Option<Box<[u64; CHUNK_WORDS]>>>,
     /// Line number -> slab slot, for the dirty lines only.
     index: IdMap<u32>,
-    /// Slot `s` holds its line's bytes in chunk `s / SLAB_LINES`, at
-    /// `s % SLAB_LINES * line ..`.
-    slab: Vec<Box<[u8]>>,
-    /// Slab slots no line occupies.
-    free: Vec<u32>,
+    /// The dirty lines' bytes, one line-sized slot each.
+    slab: Slab<u8>,
 }
 
 impl DirtyLines {
     pub(crate) fn new(line: u64) -> Self {
         DirtyLines {
-            line: line as usize,
             bits: Vec::new(),
             index: IdMap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            slab: Slab::new(line as usize),
         }
     }
 
@@ -87,8 +79,7 @@ impl DirtyLines {
     }
 
     fn bytes_of(&self, lineno: u64) -> &[u8] {
-        let slot = self.index[&lineno] as usize;
-        &self.slab[slot / SLAB_LINES][slot % SLAB_LINES * self.line..][..self.line]
+        self.slab.get(self.index[&lineno])
     }
 
     /// The dirty lines in `first..=last` and their bytes, ascending.
@@ -113,7 +104,7 @@ impl DirtyLines {
         while let Some(lineno) = self.next_in(from, last) {
             taken(lineno, self.bytes_of(lineno));
             let slot = self.index.remove(&lineno).expect("a set bit is indexed");
-            self.free.push(slot);
+            self.slab.release(slot);
             let bits = self.bits[(lineno / CHUNK_LINES) as usize]
                 .as_mut()
                 .expect("a set bit has a chunk");
@@ -125,16 +116,10 @@ impl DirtyLines {
     /// The bytes of line `lineno`, dirtying it first — its slot filled by
     /// `fill` — if it was clean.
     pub(crate) fn dirty(&mut self, lineno: u64, fill: impl FnOnce(&mut [u8])) -> &mut [u8] {
-        let line = self.line;
         let (slot, fresh) = match self.index.get(&lineno) {
-            Some(&slot) => (slot as usize, false),
+            Some(&slot) => (slot, false),
             None => {
-                if self.free.is_empty() {
-                    let first = (self.slab.len() * SLAB_LINES) as u32;
-                    self.slab.push(vec![0; SLAB_LINES * line].into());
-                    self.free.extend((first..first + SLAB_LINES as u32).rev());
-                }
-                let slot = self.free.pop().expect("refilled above");
+                let slot = self.slab.alloc();
                 self.index.insert(lineno, slot);
                 let chunk = (lineno / CHUNK_LINES) as usize;
                 if self.bits.len() <= chunk {
@@ -142,10 +127,10 @@ impl DirtyLines {
                 }
                 let bits = self.bits[chunk].get_or_insert_with(|| Box::new([0; CHUNK_WORDS]));
                 bits[(lineno % CHUNK_LINES / 64) as usize] |= 1 << (lineno % 64);
-                (slot as usize, true)
+                (slot, true)
             }
         };
-        let bytes = &mut self.slab[slot / SLAB_LINES][slot % SLAB_LINES * line..][..line];
+        let bytes = self.slab.get_mut(slot);
         if fresh {
             fill(bytes);
         }
@@ -154,6 +139,8 @@ impl DirtyLines {
 
     /// Every line clean, every allocation returned.
     pub(crate) fn clear(&mut self) {
-        *self = DirtyLines::new(self.line as u64);
+        self.bits = Vec::new();
+        self.index = IdMap::default();
+        self.slab.clear();
     }
 }

@@ -131,12 +131,19 @@ impl Inner {
         for (k, f) in self.providers.borrow().iter() {
             gauges.insert(*k, f());
         }
+        // Summarise each window, then empty it in place: a fresh
+        // histogram per window per tick would allocate its 30 KB of buckets.
         let windows: Vec<(Key, Summary)> = self
             .windows
             .borrow()
             .iter()
             .filter(|(_, h)| h.borrow().count() > 0)
-            .map(|(k, h)| (*k, h.replace(Histogram::new()).summary()))
+            .map(|(k, h)| {
+                let mut h = h.borrow_mut();
+                let summary = h.summary();
+                h.reset();
+                (*k, summary)
+            })
             .collect();
         self.snapshots.borrow_mut().push(Snapshot {
             ts_ns,

@@ -152,6 +152,20 @@ impl Histogram {
         }
     }
 
+    /// Back to empty in place, keeping the bucket storage: only the
+    /// buckets from the smallest to the largest recorded value can be
+    /// non-zero, and only they are zeroed.
+    pub fn reset(&mut self) {
+        if self.total > 0 {
+            let (lo, hi) = (Self::index_of(self.min), Self::index_of(self.max));
+            self.counts[lo..=hi].fill(0);
+        }
+        self.total = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// A compact summary of this histogram (values in nanoseconds).
     pub fn summary(&self) -> Summary {
         Summary {
@@ -266,6 +280,23 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.mean(), 25.0);
+    }
+
+    #[test]
+    fn reset_is_a_fresh_histogram() {
+        let mut h = Histogram::new();
+        for v in [3u64, 64, 1_000, 77_777, 5_000_000_000] {
+            h.record(v);
+        }
+        h.reset();
+        assert!(h.counts.iter().all(|&c| c == 0), "every bucket zeroed");
+        assert_eq!(h.summary(), Histogram::new().summary());
+        let (mut fresh, mut reused) = (Histogram::new(), h);
+        for v in [9u64, 900, 90_000] {
+            fresh.record(v);
+            reused.record(v);
+        }
+        assert_eq!(reused.summary(), fresh.summary());
     }
 
     #[test]
