@@ -9,7 +9,11 @@
 //! timeout path, and the normalized totals come out of the virtual
 //! clock. Each cell also computes the analytic prediction with the same
 //! geometry so the two models cross-validate (the agreement is a test,
-//! `tests/fault_injection.rs`).
+//! `tests/fault_injection.rs`). This module measures what crashes cost;
+//! what a crash must preserve is the crash-point sweep's job
+//! (`src/sweep.rs` at the workspace root, run by `tests/crash_sweep.rs`),
+//! which checks every ACKed put and committed transaction at every
+//! record boundary.
 //!
 //! The paper's geometry (300 ms unikernel restart, 100 ms re-transfer,
 //! 10⁹ ops) is scaled down 100x so a full-transport sweep finishes in

@@ -361,8 +361,11 @@ pub struct RedoLog {
     pm: PmDevice,
     layout: LogLayout,
     cursor: LogCursor,
-    /// Done flags for the current window (volatile; rebuilt on recovery).
-    done_window: Rc<std::cell::RefCell<std::collections::BTreeSet<u64>>>,
+    /// Done flags of the entries at or past the head, one bit per ring
+    /// slot (`index % slots`): the writer never runs a lap ahead of the
+    /// head, so `[head, head + slots)` maps onto the slots one to one.
+    /// Volatile; cleared on recovery.
+    done_window: Rc<[Cell<u64>]>,
     /// Causal put ids already applied to the object store (replicated
     /// puts only, see [`OpCode::RPut`]). Retained across [`recover`]
     /// (RedoLog::recover): it models the dedup table a production system
@@ -398,7 +401,9 @@ impl RedoLog {
             pm,
             layout,
             cursor,
-            done_window: Rc::default(),
+            done_window: (0..layout.slots.div_ceil(64))
+                .map(|_| Cell::new(0))
+                .collect(),
             applied_ids: Rc::default(),
             head_persist_interval: head_persist_interval.max(1),
             persisted_head: Cell::new(0),
@@ -588,6 +593,12 @@ impl RedoLog {
         })
     }
 
+    /// The done-window word and bit of entry `index`'s ring slot.
+    fn done_bit(&self, index: u64) -> (&Cell<u64>, u64) {
+        let slot = index % self.layout.slots;
+        (&self.done_window[(slot / 64) as usize], 1 << (slot % 64))
+    }
+
     /// Mark entry `index` done: a volatile 8-byte state update (CPU
     /// store), advance the head over contiguous completions, and persist
     /// the head pointer once it has advanced by the configured interval.
@@ -597,14 +608,21 @@ impl RedoLog {
         let state_addr = self.layout.slot_addr(index) + 32;
         self.pm.cache_write(state_addr, &STATE_DONE.to_le_bytes())?;
         self.jot(Subsystem::Log, EventKind::LogDone, index, 0);
-        self.done_window.borrow_mut().insert(index);
-        // Advance head over contiguous completions.
+        // Advance head over contiguous completions. An index the head has
+        // already passed (a stale re-completion) sets no bit.
         let mut head = self.cursor.head();
-        {
-            let mut window = self.done_window.borrow_mut();
-            while window.remove(&head) {
-                head += 1;
+        assert!(index < head + self.layout.slots, "done a lap ahead");
+        if index >= head {
+            let (word, bit) = self.done_bit(index);
+            word.set(word.get() | bit);
+        }
+        loop {
+            let (word, bit) = self.done_bit(head);
+            if word.get() & bit == 0 {
+                break;
             }
+            word.set(word.get() & !bit);
+            head += 1;
         }
         if head != self.cursor.head() {
             self.cursor.set_head(head);
@@ -661,7 +679,7 @@ impl RedoLog {
         // Rebuild volatile cursors: tail = first invalid index.
         self.cursor.reset(head, idx);
         self.persisted_head.set(head);
-        self.done_window.borrow_mut().clear();
+        self.done_window.iter().for_each(|word| word.set(0));
         pending
     }
 

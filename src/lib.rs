@@ -13,3 +13,4 @@ pub use prdma_simnet as simnet;
 pub use prdma_workloads as workloads;
 
 pub mod fingerprint;
+pub mod sweep;

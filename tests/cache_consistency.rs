@@ -8,10 +8,6 @@
 //!   happens between the redo-log append and the flush wait), and the
 //!   concurrent cached read is legal exactly because it serves the
 //!   *old* epoch;
-//! * a primary crash under a replicated cached service — the backup's
-//!   promotion must revoke every lease the client holds on the shard,
-//!   so the first get after failover refills from the new primary
-//!   instead of trusting a lease granted by the dead one;
 //! * a working set four times the cache's capacity — evictions run under
 //!   the auditor, an evicted key is fetched and filled again, and the
 //!   journal repeats byte for byte (the key index leaks no order);
@@ -19,6 +15,10 @@
 //! * transactions on a cached fleet, whose commits revoke on the same
 //!   lease tables the caches validate against, so no cached read serves
 //!   a written key's pre-commit epoch once the commit is acknowledged.
+//!
+//! A primary crash under a replicated cached service — the backup's
+//! promotion revokes the client's leases on the shard — is a row of the
+//! crash-point sweep (`tests/crash_sweep.rs`).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -26,31 +26,17 @@ use std::rc::Rc;
 use prdma_suite::core::txn::TxnOutcome;
 use prdma_suite::core::{
     build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, LeaseState, Request,
-    RetryPolicy, RpcClient, ServerProfile, ShardMap, ShardedClient,
+    RpcClient, ServerProfile, ShardMap, ShardedClient,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
-use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
 use prdma_suite::simnet::journal::{self, EventKind, NO_ID};
 use prdma_suite::simnet::metrics::Key;
 use prdma_suite::simnet::rng::SmallRng;
-use prdma_suite::simnet::{Sim, SimDuration, SimTime};
+use prdma_suite::simnet::{Sim, SimDuration};
 
 const OBJ_SLOT: u64 = 1024;
 const VAL: u64 = 256;
-const CRASH_AT_NS: u64 = 30_000;
-const DOWN_FOR_NS: u64 = 500_000;
-
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        request_timeout: SimDuration::from_micros(300),
-        max_retries: 200,
-        // Flat schedule, as in the other failover suites.
-        backoff: SimDuration::from_micros(100),
-        backoff_cap: SimDuration::from_micros(100),
-        jitter_pct: 0,
-    }
-}
 
 /// A journaled, metered world of one WFlush shard (node 0) and one client
 /// (node 1) caching under `cache`.
@@ -148,101 +134,6 @@ fn put_racing_cached_read_invalidates_before_flush_ack() {
     assert!(
         records.iter().any(|r| r.kind == EventKind::CacheRead),
         "at least one get must have been served from the cache"
-    );
-    cluster.audit_journal().assert_ok();
-}
-
-/// Failover revokes leases: crash shard 0's primary under a replicated
-/// cached service; the backup's promotion must clear the client's cached
-/// entries for the shard (lease_revocations counter) while gets keep
-/// succeeding throughout — and the journal stays audit-clean across the
-/// crash, promotion, and refill.
-#[test]
-fn backup_promotion_revokes_client_leases() {
-    let mut sim = Sim::new(0xFA17);
-    let mut ccfg = ClusterConfig::with_servers(2, 1);
-    ccfg.journal = true;
-    ccfg.metrics = true;
-    let cluster = Cluster::new(sim.handle(), ccfg);
-    let cfg = DurableConfig {
-        profile: ServerProfile::light(),
-        slot_payload: OBJ_SLOT,
-        object_slot: OBJ_SLOT,
-        store_capacity: 1 << 20,
-        log_slots: 64,
-        retry: fast_retry(),
-        ..DurableConfig::for_kind(DurableKind::WFlush)
-    };
-    let cache = CacheConfig {
-        hot_threshold: 1,
-        ..Default::default()
-    };
-    let spec = FleetSpec {
-        replicas: 2,
-        cache: Some(cache),
-    };
-    let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
-    let plan = FaultPlan::new().at(
-        SimTime::from_nanos(CRASH_AT_NS),
-        0,
-        FaultKind::NodeCrash {
-            down_for: SimDuration::from_nanos(DOWN_FOR_NS),
-        },
-    );
-    let inj = cluster.inject_faults(plan);
-    svc.wire_recovery(&inj);
-    let view = svc.groups[0][0].view();
-    let client = Rc::new(svc.clients.into_iter().next().unwrap());
-    let h = sim.handle();
-    sim.block_on({
-        let client = Rc::clone(&client);
-        let h = h.clone();
-        async move {
-            // Warm the cache on shard 0 (even ids) before the crash.
-            let obj = 0u64;
-            client
-                .call(Request::Put {
-                    obj,
-                    data: Payload::from_bytes(vec![0xC3; VAL as usize]),
-                })
-                .await
-                .expect("put before the crash");
-            for _ in 0..3 {
-                client
-                    .call(Request::Get { obj, len: VAL })
-                    .await
-                    .expect("warm get");
-            }
-            // Land inside the outage window, after the promotion.
-            h.sleep(SimDuration::from_micros(60)).await;
-            let now = h.now().as_nanos();
-            assert!(
-                (CRASH_AT_NS..CRASH_AT_NS + DOWN_FOR_NS).contains(&now),
-                "test scheduling drifted out of the outage window"
-            );
-            let got = client
-                .call(Request::Get { obj, len: VAL })
-                .await
-                .expect("get must fail over to the promoted backup");
-            assert_eq!(got.payload.expect("object bytes").len(), VAL);
-            h.sleep(SimDuration::from_millis(2)).await;
-        }
-    });
-    sim.run();
-    assert_eq!(
-        view.epoch(),
-        1,
-        "crash must promote the backup exactly once"
-    );
-    let metrics = cluster.node(2).metrics().expect("metrics enabled");
-    let key = |name: &'static str| Key::new(name).shard(0).kind("Replicated-WFlush-RPC");
-    assert!(
-        metrics.counter(key("cache_hits")) >= 2,
-        "warm gets must have hit the cache before the crash"
-    );
-    assert!(
-        metrics.counter(key("lease_revocations")) >= 1,
-        "the promotion must have revoked the client's shard-0 leases"
     );
     cluster.audit_journal().assert_ok();
 }

@@ -1,23 +1,25 @@
 //! Crash-during-commit tests for durable multi-shard transactions
 //! (ISSUE 10): kill the coordinator shard's server after k of n
-//! prepares, kill a participant after the decided append, and crash a
-//! participant during apply under a fault plan — for all four durable
-//! kinds. In every case the in-doubt transaction must resolve from the
-//! PM logs alone (the participant's replay consults the coordinator's
-//! decided record; the client never retransmits data), journals must be
-//! byte-deterministic per seed, and the auditor's invariant I6 must
-//! sign off.
+//! prepares, kill a participant after the decided append, and stall
+//! both services — for all four durable kinds. (A participant crash
+//! under a fault plan is a row of the crash-point sweep,
+//! `tests/crash_sweep.rs`.) In every case the in-doubt transaction must
+//! resolve from the PM logs alone (the participant's replay consults
+//! the coordinator's decided record; the client never retransmits
+//! data), journals must be byte-deterministic per seed, and the
+//! auditor's invariant I6 must sign off.
 
 use std::rc::Rc;
 
 use prdma_suite::core::txn::{TxnOutcome, TxnPhase};
 use prdma_suite::core::{
-    build_fleet, DurableConfig, DurableKind, Fleet, FleetSpec, RetryPolicy, ServerProfile, ShardMap,
+    build_fleet, DurableConfig, DurableKind, Fleet, FleetSpec, RetryPolicy, ShardMap,
 };
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
 use prdma_suite::simnet::{journal, Sim, SimDuration, SimTime};
+use prdma_suite::sweep;
 
 const VAL: usize = 64;
 /// The fault a test that crashes a node by hand recovers from (the
@@ -26,32 +28,20 @@ const NODE_CRASH: FaultKind = FaultKind::NodeCrash {
     down_for: SimDuration::ZERO,
 };
 
-fn retry(max_retries: u32) -> RetryPolicy {
-    RetryPolicy {
-        request_timeout: SimDuration::from_micros(300),
-        max_retries,
-        // Flat schedule: these tests pin journal bytes per seed.
-        backoff: SimDuration::from_micros(100),
-        backoff_cap: SimDuration::from_micros(100),
-        jitter_pct: 0,
-    }
-}
-
-/// Two shards (server nodes 0 and 1), one client (node 2), journal on.
-/// Heavy profile: 100 µs decoupled processing, so crashes reliably land
-/// between a record's flush ACK and its processing.
+/// Two shards (server nodes 0 and 1), one client (node 2), journal on,
+/// under the crash-sweep configuration (heavy profile: crashes reliably
+/// land between a record's flush ACK and its processing) with
+/// `max_retries` per request.
 fn txn_cluster(sim: &Sim, kind: DurableKind, max_retries: u32) -> (Cluster, Fleet) {
     let mut ccfg = ClusterConfig::with_servers(2, 1);
     ccfg.journal = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
     let cfg = DurableConfig {
-        profile: ServerProfile::heavy(),
-        slot_payload: 1024,
-        object_slot: 1024,
-        store_capacity: 1 << 20,
-        log_slots: 64,
-        retry: retry(max_retries),
-        ..DurableConfig::for_kind(kind)
+        retry: RetryPolicy {
+            max_retries,
+            ..sweep::RETRY
+        },
+        ..sweep::config(kind)
     };
     let spec = FleetSpec {
         replicas: 1,
@@ -309,80 +299,6 @@ fn undecided_txn_stays_in_doubt_and_holds_locks() {
                 "{kind:?} shard {shard}"
             );
             assert_eq!(svc.states[shard].lock_owner(0), Some(txn_id), "{kind:?}");
-        }
-        cluster.audit_journal().assert_ok();
-    }
-}
-
-/// A fault-plan crash lands on a participant mid-stream (including
-/// during apply), with recovery wired through the injector: every
-/// transaction the client saw commit must be applied on both shards,
-/// and nothing stays in doubt once the dust settles.
-#[test]
-fn participant_crash_under_fault_plan_loses_no_committed_txn() {
-    for kind in DurableKind::ALL {
-        let mut sim = Sim::new(0xFA17 ^ kind as u64);
-        let (cluster, mut svc) = txn_cluster(&sim, kind, 200);
-        let client = svc.clients.remove(0);
-        let svc = Rc::new(svc);
-        let plan = FaultPlan::new().at(
-            SimTime::from_nanos(30_000),
-            1,
-            FaultKind::NodeCrash {
-                down_for: SimDuration::from_micros(500),
-            },
-        );
-        let inj = cluster.inject_faults(plan);
-        svc.wire_recovery(&inj);
-        let h = sim.handle();
-        let committed = sim.block_on({
-            let h = h.clone();
-            async move {
-                let mut committed = 0u64;
-                // Distinct keys per txn (striped map: 2i → shard 0 local
-                // i, 2i+1 → shard 1 local i): lock release is decoupled
-                // (commit-record processing), so same-key back-to-back
-                // txns would self-conflict by design.
-                for i in 0..12u64 {
-                    let mut t = client.begin();
-                    t.put(2 * i, &Payload::from_bytes(vec![0x30 + i as u8; VAL]));
-                    t.put(2 * i + 1, &Payload::from_bytes(vec![0x50 + i as u8; VAL]));
-                    match client.commit(t).await {
-                        Ok(TxnOutcome::Committed) => committed += 1,
-                        Ok(TxnOutcome::Aborted(r)) => {
-                            panic!("{kind:?}: single-client txn {i} aborted: {r:?}")
-                        }
-                        Err(e) => panic!("{kind:?}: txn {i} indeterminate: {e}"),
-                    }
-                    h.sleep(SimDuration::from_micros(20)).await;
-                }
-                // Drain decoupled processing, replays included.
-                h.sleep(SimDuration::from_millis(5)).await;
-                committed
-            }
-        });
-        assert_eq!(inj.stats().node_crashes, 1, "{kind:?}");
-        assert_eq!(committed, 12, "{kind:?}: retries must ride out the outage");
-        for shard in 0..2usize {
-            assert_eq!(svc.in_doubt(shard), 0, "{kind:?} shard {shard}");
-            assert_eq!(
-                svc.states[shard].applied_txns(),
-                12,
-                "{kind:?} shard {shard}"
-            );
-        }
-        // Every committed txn's bytes are in the owning shard's PM.
-        for i in 0..12u64 {
-            assert_eq!(
-                svc.servers[0][0].store().persistent_bytes(i, VAL as u64),
-                vec![0x30 + i as u8; VAL],
-                "{kind:?} txn {i} shard 0"
-            );
-            assert_eq!(
-                svc.servers[1][0].store().persistent_bytes(i, VAL as u64),
-                vec![0x50 + i as u8; VAL],
-                "{kind:?} txn {i} shard 1"
-            );
         }
         cluster.audit_journal().assert_ok();
     }
