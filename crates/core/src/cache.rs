@@ -633,13 +633,11 @@ impl CachedClient {
 
 impl RpcClient for CachedClient {
     fn call(&self, req: Request) -> RpcFuture<'_> {
-        Box::pin(async move {
-            self.check_view();
-            match req {
-                Request::Get { obj, len } => self.do_get(obj, len).await,
-                other => self.inner.call(other).await,
-            }
-        })
+        self.check_view();
+        match req {
+            Request::Get { obj, len } => Box::pin(self.do_get(obj, len)),
+            other => self.inner.call(other),
+        }
     }
 
     fn call_batch(&self, reqs: Vec<Request>) -> RpcBatchFuture<'_> {

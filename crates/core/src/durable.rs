@@ -185,8 +185,12 @@ struct Shared {
     kind: DurableKind,
     work_tx: Sender<Work>,
     arrival_tx: Sender<Arrival>,
-    /// Pending persist-ack waiter (receiver-initiated kinds; one
-    /// outstanding Put or Put-batch per connection by construction).
+    /// Pending persist-ack waiter (receiver-initiated kinds). One slot:
+    /// it assumes one outstanding Put, Put-batch or record per connection,
+    /// and nothing enforces that. A second op registering before the
+    /// first is ACKed replaces its waiter — e.g. a put and a `TxnPrepare`
+    /// sharing a connection, or `ReplicaGroup::recover`'s catch-up
+    /// `put_tagged`s running on the same client as a live fan-out leg.
     ack_waiter: RefCell<Option<OneshotSender<()>>>,
     /// The waiter fires once `puts_logged` reaches this index (lets a
     /// batched Put wait for its *last* entry's persist-ACK).
@@ -971,8 +975,9 @@ impl DurableClient {
     /// (never empty), in order: register the persist-ACK waiter, append
     /// every entry to the remote redo log, journal its dispatch (and
     /// `ReplLink`), bump its lease, hand its arrival to the server, wait
-    /// for this kind's durability signal once, journal the completions.
-    /// Each entry's `rpc_id` is filled in as it is appended.
+    /// for this kind's durability signal once, journal the completions and
+    /// count puts (transaction records go uncounted). Each entry's
+    /// `rpc_id` is filled in as it is appended.
     ///
     /// `batched` entries come from `call_batch`: write-based kinds post
     /// them with one doorbell (even a batch of one) and journal dispatch
@@ -1063,17 +1068,13 @@ impl DurableClient {
         for e in entries {
             self.jot_rpc(EventKind::RpcComplete, e.rpc_id.get(), accounted(e));
         }
-        Ok(())
-    }
-
-    /// Persist `entries` as puts and count them.
-    async fn put_entries(&self, entries: &[Entry], batched: bool) -> RpcResult<()> {
-        self.persist(entries, batched).await?;
         if let Some(m) = &self.metrics {
-            m.puts.incr(entries.len() as u64);
-            // `put_bytes` has only ever counted unbatched puts.
-            if !batched {
-                m.put_bytes.incr(entries.iter().map(|e| e.data.len()).sum());
+            if matches!(entries[0].op.opcode, OpCode::Put | OpCode::RPut) {
+                m.puts.incr(entries.len() as u64);
+                // `put_bytes` has only ever counted unbatched puts.
+                if !batched {
+                    m.put_bytes.incr(entries.iter().map(|e| e.data.len()).sum());
+                }
             }
         }
         Ok(())
@@ -1086,7 +1087,7 @@ impl DurableClient {
     /// [`RetryPolicy`] like [`RpcClient::call`].
     pub async fn put_tagged(&self, obj: u64, data: Payload, put_id: u64) -> RpcResult<Response> {
         let entry = Entry::rput(obj, data, put_id, Some(put_id));
-        self.retry_loop(|| self.put_entries(std::slice::from_ref(&entry), false))
+        self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
             .await?;
         Ok(DURABLE)
     }
@@ -1192,24 +1193,26 @@ impl DurableClient {
         }
         result
     }
-
-    async fn dispatch_one(&self, req: Request) -> RpcResult<Response> {
-        match req {
-            Request::Put { obj, data } => {
-                let entry = Entry::new(OpCode::Put, obj, data, Some(obj), None);
-                self.put_entries(std::slice::from_ref(&entry), false)
-                    .await?;
-                Ok(DURABLE)
-            }
-            Request::Get { obj, len } => self.do_get(obj, len, 1).await,
-            Request::Scan { start, count, len } => self.do_get(start, len, count).await,
-        }
-    }
 }
 
 impl RpcClient for DurableClient {
     fn call(&self, req: Request) -> RpcFuture<'_> {
-        Box::pin(async move { self.retry_loop(|| self.dispatch_one(req.clone())).await })
+        match req {
+            Request::Put { obj, data } => {
+                let entry = Entry::new(OpCode::Put, obj, data, Some(obj), None);
+                Box::pin(async move {
+                    self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
+                        .await?;
+                    Ok(DURABLE)
+                })
+            }
+            Request::Get { obj, len } => {
+                Box::pin(self.retry_loop(move || self.do_get(obj, len, 1)))
+            }
+            Request::Scan { start, count, len } => {
+                Box::pin(self.retry_loop(move || self.do_get(start, len, count)))
+            }
+        }
     }
 
     fn call_batch(&self, reqs: Vec<Request>) -> crate::rpc::RpcBatchFuture<'_> {
@@ -1229,7 +1232,7 @@ impl RpcClient for DurableClient {
                     continue;
                 }
                 if !puts.is_empty() {
-                    self.retry_loop(|| self.put_entries(&puts, true)).await?;
+                    self.retry_loop(|| self.persist(&puts, true)).await?;
                     out.extend(puts.drain(..).map(|_| DURABLE));
                 }
                 if let Some(other) = req {

@@ -398,24 +398,26 @@ impl ReplicatedClient {
         }
     }
 
-    /// Run `leg` against every replica slot in `targets` (a bitmask),
-    /// spawned concurrently and **all joined**, both in ascending slot
-    /// order — no outcome is abandoned, so when this returns no spawned
-    /// leg is still mutating a store. A failed leg marks its replica down
-    /// (promoting if it was the primary); `done` then sees the outcome.
-    async fn fan_out<Fut>(
+    /// One fan-out round of `put_tagged(obj, data, id)` to every replica
+    /// slot in `targets` (a bitmask), spawned concurrently and **all
+    /// joined**, both in ascending slot order — no outcome is abandoned,
+    /// so when this returns no spawned leg is still mutating a store. A
+    /// failed leg marks its replica down (promoting if it was the
+    /// primary); `done` then sees the outcome.
+    async fn fan_out(
         &self,
+        obj: u64,
+        data: &Payload,
+        id: u64,
         targets: u64,
-        leg: impl Fn(Rc<DurableClient>) -> Fut,
         mut done: impl FnMut(usize, RpcResult<()>),
-    ) where
-        Fut: std::future::Future<Output = RpcResult<()>> + 'static,
-    {
+    ) {
         let mut joins: [Option<JoinHandle<RpcResult<()>>>; MAX_REPLICAS] =
             [const { None }; MAX_REPLICAS];
         for slot in slots(targets) {
-            let replica = Rc::clone(&self.replicas[slot]);
-            joins[slot] = Some(self.handle.spawn(leg(replica)));
+            let (replica, data) = (Rc::clone(&self.replicas[slot]), data.clone());
+            let leg = async move { replica.put_tagged(obj, data, id).await.map(|_| ()) };
+            joins[slot] = Some(self.handle.spawn(leg));
         }
         for slot in slots(targets) {
             let result = joins[slot].take().expect("spawned above").await;
@@ -424,23 +426,6 @@ impl ReplicatedClient {
             }
             done(slot, result);
         }
-    }
-
-    /// One fan-out round of `put_tagged(obj, data, id)` to every replica
-    /// in `targets` (see [`fan_out`](ReplicatedClient::fan_out)).
-    async fn fan_out_round(
-        &self,
-        obj: u64,
-        data: &Payload,
-        id: u64,
-        targets: u64,
-        done: impl FnMut(usize, RpcResult<()>),
-    ) {
-        let leg = |r: Rc<DurableClient>| {
-            let data = data.clone();
-            async move { r.put_tagged(obj, data, id).await.map(|_| ()) }
-        };
-        self.fan_out(targets, leg, done).await
     }
 
     /// A single fan-out round to every replica, returning the structured
@@ -456,8 +441,7 @@ impl ReplicatedClient {
                 result,
             })
         };
-        self.fan_out_round(obj, &data, id, self.state.all(), done)
-            .await;
+        self.fan_out(obj, &data, id, self.state.all(), done).await;
         outcomes
     }
 
@@ -487,7 +471,7 @@ impl ReplicatedClient {
                 Ok(()) => ok |= 1 << slot,
                 Err(e) => last_err = e,
             };
-            self.fan_out_round(obj, &data, id, targets, done).await;
+            self.fan_out(obj, &data, id, targets, done).await;
             acked |= ok;
             for slot in slots(ok) {
                 // One replica's PM holds the entry durably.
@@ -557,12 +541,10 @@ impl ReplicatedClient {
 
 impl RpcClient for ReplicatedClient {
     fn call(&self, req: Request) -> RpcFuture<'_> {
-        Box::pin(async move {
-            match req {
-                Request::Put { obj, data } => self.put_all(obj, data).await,
-                read => self.read(read).await,
-            }
-        })
+        match req {
+            Request::Put { obj, data } => Box::pin(self.put_all(obj, data)),
+            read => Box::pin(self.read(read)),
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -236,7 +236,7 @@ impl ShardedClient {
                 }
             }
             for (pos, scan) in scans {
-                match self.dispatch(scan).await {
+                match self.call(scan).await {
                     Ok(resp) => out.responses[pos] = Some(resp),
                     Err(e) => shard_errors.push((e, vec![pos])),
                 }
@@ -255,48 +255,44 @@ impl ShardedClient {
         out
     }
 
-    async fn dispatch(&self, req: Request) -> RpcResult<Response> {
-        match req {
-            Request::Put { obj, data } => {
-                let (shard, local) = self.map.route(obj);
-                self.shards[shard]
-                    .call(Request::Put { obj: local, data })
-                    .await
-            }
-            Request::Get { obj, len } => {
-                let (shard, local) = self.map.route(obj);
-                self.shards[shard]
-                    .call(Request::Get { obj: local, len })
-                    .await
-            }
-            Request::Scan { start, count, len } => {
-                // Fan the range across the owning shards; the closed-loop
-                // client walks the runs in global order and aggregates.
-                let mut total = 0u64;
-                let mut durable = true;
-                for (shard, local, n) in self.map.split_scan(start, count) {
-                    let r = self.shards[shard]
-                        .call(Request::Scan {
-                            start: local,
-                            count: n,
-                            len,
-                        })
-                        .await?;
-                    total += r.payload.as_ref().map_or(0, |p| p.len());
-                    durable &= r.durable;
-                }
-                Ok(Response {
-                    payload: Some(prdma_rnic::Payload::synthetic(total, start)),
-                    durable,
+    /// Fan a scan across the owning shards; the closed-loop client walks
+    /// the runs in global order and aggregates.
+    async fn scan(&self, start: u64, count: u32, len: u64) -> RpcResult<Response> {
+        let mut total = 0u64;
+        let mut durable = true;
+        for (shard, local, n) in self.map.split_scan(start, count) {
+            let r = self.shards[shard]
+                .call(Request::Scan {
+                    start: local,
+                    count: n,
+                    len,
                 })
-            }
+                .await?;
+            total += r.payload.as_ref().map_or(0, |p| p.len());
+            durable &= r.durable;
         }
+        Ok(Response {
+            payload: Some(prdma_rnic::Payload::synthetic(total, start)),
+            durable,
+        })
     }
 }
 
 impl RpcClient for ShardedClient {
+    /// Puts and gets route here and return the owning shard's own
+    /// future; only a scan, which spans shards, is boxed.
     fn call(&self, req: Request) -> RpcFuture<'_> {
-        Box::pin(self.dispatch(req))
+        match req {
+            Request::Put { obj, data } => {
+                let (shard, local) = self.map.route(obj);
+                self.shards[shard].call(Request::Put { obj: local, data })
+            }
+            Request::Get { obj, len } => {
+                let (shard, local) = self.map.route(obj);
+                self.shards[shard].call(Request::Get { obj: local, len })
+            }
+            Request::Scan { start, count, len } => Box::pin(self.scan(start, count, len)),
+        }
     }
 
     fn call_batch(&self, reqs: Vec<Request>) -> RpcBatchFuture<'_> {

@@ -79,11 +79,6 @@ impl FifoResource {
         self.capacity
     }
 
-    /// Requests currently waiting for a server.
-    pub fn queue_len(&self) -> usize {
-        self.sem.waiters()
-    }
-
     /// Total service time accumulated across all servers.
     pub fn busy_time(&self) -> SimDuration {
         SimDuration::from_nanos(self.busy.get())
@@ -167,11 +162,6 @@ impl SharedLink {
     /// Total payload bytes moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved.get()
-    }
-
-    /// Transfers waiting for the wire.
-    pub fn queue_len(&self) -> usize {
-        self.sem.waiters()
     }
 }
 

@@ -60,11 +60,6 @@ impl Semaphore {
     pub fn available(&self) -> usize {
         self.state.borrow().permits
     }
-
-    /// Number of parked waiters.
-    pub fn waiters(&self) -> usize {
-        self.state.borrow().waiters.len()
-    }
 }
 
 fn wake_eligible(st: &mut SemState) {
