@@ -734,10 +734,7 @@ impl DurableServer {
             }
             // Nothing at rest is lost and the service never stopped; the
             // appends the NIC reset aborted were never ACKed and come back
-            // through the client's retry. Known gap (DESIGN.md §10): a
-            // loss inside a WFlush / SFlush entry DMA leaves the NIC's
-            // flush poison set and the connection wedged, which needs
-            // per-QP reset state, not a log replay.
+            // through the client's retry.
             FaultKind::SramLoss => 0,
             // RC retransmits and the client's retry ride these out.
             FaultKind::LossBurst { .. } | FaultKind::LinkDegrade { .. } => 0,

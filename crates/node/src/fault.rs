@@ -200,12 +200,8 @@ fn apply_event(
             node.rnic().lose_sram();
             jot_fault(&node, EventKind::SramLoss, NO_ID);
             inj.bump(|s| s.sram_losses += 1);
-            // The NIC-reset recovery path runs immediately: clear the
-            // flush poison and run the registered hooks. A PM-bound DMA
-            // still in flight notices the loss only when its wait ends
-            // and re-poisons *after* this clear — the known liveness gap
-            // of DESIGN.md §10.
-            node.rnic().restart();
+            // The NIC-reset recovery path runs immediately. Each aborted
+            // PM-bound DMA fails its own QP's next flush barrier, once.
             inj.run_hooks(ev.node, ev.kind);
         }
         FaultKind::LossBurst { rate, duration } => {

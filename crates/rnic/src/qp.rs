@@ -152,6 +152,9 @@ struct QpInner {
     mode: QpMode,
     local: Rnic,
     remote: Rnic,
+    /// This QP's id on the remote NIC, where its writes land: it keys
+    /// the QP's aborted writes there.
+    id: u64,
     out_link: SharedLink,
     back_link: SharedLink,
     local_ep: Rc<Endpoint>,
@@ -196,6 +199,7 @@ pub fn connect(
             mode,
             local: a.clone(),
             remote: b.clone(),
+            id: b.register_qp(),
             out_link: a_to_b.clone(),
             back_link: b_to_a.clone(),
             local_ep: Rc::clone(&ep_a),
@@ -209,6 +213,7 @@ pub fn connect(
         inner: Rc::new(QpInner {
             handle,
             mode,
+            id: a.register_qp(),
             local: b,
             remote: a,
             out_link: b_to_a,
@@ -395,13 +400,13 @@ impl Qp {
 
     /// One-sided RDMA read returning real content.
     pub async fn read_bytes(&self, target: MemTarget, len: u64) -> RdmaResult<Vec<u8>> {
-        let bytes = self.read_inner(target, len, true).await?;
+        let bytes = self.read_inner(target, len, true, false).await?;
         Ok(bytes.expect("an inline read returns bytes"))
     }
 
     /// One-sided RDMA read modeling only the transfer time (benchmarks).
     pub async fn read_synthetic(&self, target: MemTarget, len: u64) -> RdmaResult<()> {
-        self.read_inner(target, len, false).await?;
+        self.read_inner(target, len, false, false).await?;
         Ok(())
     }
 
@@ -413,41 +418,18 @@ impl Qp {
     /// counterpart of the write path's staging — so mirror-read traffic
     /// shows up in SRAM occupancy gauges and contends for staging space.
     pub async fn read_mirror(&self, target: MemTarget, len: u64) -> RdmaResult<Vec<u8>> {
-        let rpc = self.take_tag();
-        self.inner.remote.check_up()?;
-        self.post_cost(rpc, self.cfg().post_onesided).await;
-        self.inner.local.process_message().await;
-        // Read request: header-sized message.
-        {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + 16);
-            self.inner
-                .out_link
-                .transmit(self.cfg().header_bytes + 16)
-                .await;
-        }
-        self.inner.remote.check_up()?;
-        self.inner.remote.process_message().await;
-        let bytes = self.inner.remote.dma_read(target, len, true).await?;
-        {
-            let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
-            self.inner
-                .back_link
-                .transmit(self.cfg().header_bytes + len)
-                .await;
-        }
-        self.inner.local.sram_admit(len);
-        self.inner.local.process_message().await;
-        self.inner.local.sram_release(len);
+        let bytes = self.read_inner(target, len, true, true).await?;
         Ok(bytes.expect("an inline read returns bytes"))
     }
 
+    /// The read round trip; `stage` passes the response through the local
+    /// RNIC's SRAM ([`Qp::read_mirror`]).
     async fn read_inner(
         &self,
         target: MemTarget,
         len: u64,
         inline: bool,
+        stage: bool,
     ) -> RdmaResult<Option<Vec<u8>>> {
         let rpc = self.take_tag();
         self.inner.remote.check_up()?;
@@ -464,7 +446,8 @@ impl Qp {
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
-        let bytes = self.inner.remote.dma_read(target, len, inline).await?;
+        let remote = &self.inner.remote;
+        let bytes = remote.dma_read(self.inner.id, target, len, inline).await?;
         {
             let _span = self.wire_span();
             self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
@@ -473,7 +456,13 @@ impl Qp {
                 .transmit(self.cfg().header_bytes + len)
                 .await;
         }
+        if stage {
+            self.inner.local.sram_admit(len);
+        }
         self.inner.local.process_message().await;
+        if stage {
+            self.inner.local.sram_release(len);
+        }
         Ok(bytes)
     }
 
@@ -492,7 +481,7 @@ impl Qp {
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
-        self.inner.remote.drain_posted_writes().await?;
+        self.inner.remote.drain_posted_writes(self.inner.id).await?;
         {
             let _span = self.wire_span();
             self.jot_remote(EventKind::WireSegment, rpc, self.cfg().ack_bytes);
@@ -600,6 +589,7 @@ impl Qp {
         self.inner.remote.sram_admit(len);
         let (tx, rx) = self.inner.token_pool.oneshot();
         let ticket = self.inner.remote.begin_pending_dma();
+        let id = self.inner.id;
         let remote = self.inner.remote.clone();
         let remote_ep = Rc::clone(&self.inner.remote_ep);
         self.inner.handle.spawn(async move {
@@ -621,7 +611,7 @@ impl Qp {
                 }
             };
             let durable = remote
-                .dma_write_untracked(target, &payload)
+                .dma_write_untracked(id, ticket, target, &payload)
                 .await
                 .unwrap_or(false);
             remote.end_pending_dma(ticket);

@@ -11,16 +11,14 @@
 //!
 //! - every ACKed put is in the owning shard's persistent PM, on every
 //!   live replica;
-//! - every committed transaction is applied on both shards, and none is
-//!   left in doubt;
+//! - every op completes;
+//! - every transaction is applied on both shards, and none is left in
+//!   doubt;
 //! - the journal auditor (I1–I6) passes;
-//! - the fault struck exactly once;
-//! - every op completes, unless `(kind, fault)` is a row of
-//!   [`EXPECTED_WEDGES`].
+//! - the fault struck exactly once.
 //!
-//! [`tally`] makes that table strict over a sweep: a row that no point
-//! wedges fails too, so the fix that closes a row must delete it.
-//! `tests/crash_sweep.rs` drives the sweep.
+//! [`tally`] folds a sweep's results. `tests/crash_sweep.rs` drives the
+//! sweep.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -51,15 +49,6 @@ const STEPS: u64 = 10;
 const TXN_BASE: u64 = 16;
 /// Pause between a stream's steps, so the streams span an outage.
 const PACE: SimDuration = SimDuration::from_micros(25);
-
-/// The `(kind, fault)` pairs whose ops may fail: an entry DMA in flight
-/// at an `SramLoss` leaves the sender-initiated flush poisoned
-/// (DESIGN.md §10). Strict both ways: [`tally`] rejects a row that no
-/// point wedges.
-pub const EXPECTED_WEDGES: [(DurableKind, Fault); 2] = [
-    (DurableKind::WFlush, Fault::SramLoss),
-    (DurableKind::SFlush, Fault::SramLoss),
-];
 
 /// The retry policy of every crash run: fire fast, retry plenty, and
 /// back off on a flat schedule so journals are pinned per seed.
@@ -471,10 +460,9 @@ impl Run {
         live.map(|(_, s)| s.store()).collect()
     }
 
-    /// The per-point check (module docs). Returns how many ops failed,
-    /// which is nonzero only on an [`EXPECTED_WEDGES`] row; the error
-    /// names the point and how to replay it.
-    pub fn check(&self) -> Result<usize, String> {
+    /// The per-point check (module docs). The error names the point and
+    /// how to replay it.
+    pub fn check(&self) -> Result<(), String> {
         let p = self.point;
         let fail = |what: String| {
             Err(format!(
@@ -507,64 +495,34 @@ impl Run {
                 }
             }
         }
-        let failed = self.ops.iter().filter(|op| !op.ok).count();
-        if failed > 0 && !EXPECTED_WEDGES.contains(&(p.kind, p.fault)) {
-            let first = self.ops.iter().find(|op| !op.ok);
+        if let Some(first) = self.ops.iter().find(|op| !op.ok) {
+            let failed = self.ops.iter().filter(|op| !op.ok).count();
             return fail(format!("{failed} ops failed, first {first:?}"));
         }
         if let Service::Fleet(fleet) = &self.service {
-            // A commit that failed is indeterminate: with its decide
-            // unwritten it stays in doubt by design (presumed nothing).
-            let txns = |ok| {
-                self.ops
-                    .iter()
-                    .filter(|op| op.what == OpKind::Txn && op.ok == ok)
-                    .count()
-            };
-            let (committed, indeterminate) = (txns(true) as u64, txns(false));
+            let committed = self.ops.iter().filter(|op| op.what == OpKind::Txn).count() as u64;
             for (shard, state) in fleet.states.iter().enumerate() {
                 let (doubt, applied) = (fleet.in_doubt(shard), state.applied_txns());
-                if doubt > indeterminate || applied < committed {
+                if doubt > 0 || applied < committed {
                     return fail(format!(
                         "shard {shard}: {doubt} txns in doubt, {applied} applied of {committed} committed"
                     ));
                 }
             }
         }
-        Ok(failed)
+        Ok(())
     }
 }
 
-/// What a sweep covered and where it wedged.
-#[derive(Debug, Default)]
-pub struct Tally {
-    /// Points per `(shape, fault)`.
-    pub points: BTreeMap<(Shape, Fault), usize>,
-    /// Wedged points per [`EXPECTED_WEDGES`] row, by kind name.
-    pub wedged: BTreeMap<(&'static str, Fault), usize>,
-}
-
-/// Fold per-point [`Run::check`] results. Fails on the first failing
-/// point, and on an [`EXPECTED_WEDGES`] row that no point wedged — which
-/// is only meaningful when the sweep covers the row's every boundary on
-/// [`Shape::Single`], as both of `tests/crash_sweep.rs`'s sweeps do.
+/// Fold per-point [`Run::check`] results into points per `(shape,
+/// fault)`. Fails on the first failing point.
 pub fn tally(
-    results: impl IntoIterator<Item = (Point, Result<usize, String>)>,
-) -> Result<Tally, String> {
-    let mut t = Tally::default();
-    for (kind, fault) in EXPECTED_WEDGES {
-        t.wedged.insert((kind.name(), fault), 0);
-    }
+    results: impl IntoIterator<Item = (Point, Result<(), String>)>,
+) -> Result<BTreeMap<(Shape, Fault), usize>, String> {
+    let mut points = BTreeMap::new();
     for (p, result) in results {
-        *t.points.entry((p.shape, p.fault)).or_default() += 1;
-        if result? > 0 {
-            *t.wedged.entry((p.kind.name(), p.fault)).or_default() += 1;
-        }
+        result?;
+        *points.entry((p.shape, p.fault)).or_default() += 1;
     }
-    match t.wedged.iter().find(|&(_, &n)| n == 0) {
-        Some((row, _)) => Err(format!(
-            "expected-failure row {row:?} no longer wedges: delete it from EXPECTED_WEDGES"
-        )),
-        None => Ok(t),
-    }
+    Ok(points)
 }

@@ -196,12 +196,10 @@ fn crash_straddling_send_does_not_wedge_the_recv_ring() {
 ///
 /// *Safety* holds at every instant of every kind: each put the client
 /// saw ACKed is in persistent PM and the auditor signs off. *Liveness*
-/// holds for the receiver-initiated kinds. The sender-initiated kinds
-/// wedge at some instants — once the loss lands inside an entry DMA, the
-/// NIC's flush poison outlives the reset and every later put times out
-/// through all its retries. That is a known gap, not asserted here: the
-/// count is printed, and the crash-point sweep carries it as its
-/// `sweep::EXPECTED_WEDGES` rows (diagnosis in DESIGN.md §10).
+/// holds at every instant of every kind too: a loss inside an entry DMA
+/// fails only the next flush of the connection that posted it, and the
+/// client's retry re-sends the put (DESIGN.md §10). The name dates from
+/// when only the receiver-initiated kinds were live.
 #[test]
 fn sram_loss_sweep_is_safe_everywhere_and_live_under_receiver_acks() {
     for kind in DurableKind::ALL {
@@ -245,11 +243,9 @@ fn sram_loss_sweep_is_safe_everywhere_and_live_under_receiver_acks() {
             "{kind:?}: wedged at {} of 236 SramLoss instants: {wedged:?}",
             wedged.len()
         );
-        if kind.is_receiver_initiated() {
-            assert!(
-                wedged.is_empty(),
-                "{kind:?}: puts failed after an SramLoss at {wedged:?} ns"
-            );
-        }
+        assert!(
+            wedged.is_empty(),
+            "{kind:?}: puts failed after an SramLoss at {wedged:?} ns"
+        );
     }
 }
