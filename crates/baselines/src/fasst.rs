@@ -3,7 +3,7 @@
 //! MTU, which is why the paper only reports FaSST for objects < 4 KB.
 
 use prdma::{Request, RpcError, RpcResult};
-use prdma_rnic::{MemTarget, Payload, RdmaError};
+use prdma_rnic::{MemTarget, Payload, RdmaError, UD_MTU};
 use prdma_simnet::SimDuration;
 
 use crate::common::{request_image, BaselineClient, MSG_HEADER};
@@ -15,8 +15,7 @@ const RETRY_TIMEOUT: SimDuration = SimDuration::from_micros(100);
 const MAX_RETRIES: u32 = 8;
 
 pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Option<Payload>> {
-    let mtu = c.qp.fwd.local().config().ud_mtu;
-    if req.transfer_len() + MSG_HEADER > mtu {
+    if req.transfer_len() + MSG_HEADER > UD_MTU {
         return Err(RpcError::Unsupported(
             "FaSST UD transport is limited to one 4 KB MTU",
         ));

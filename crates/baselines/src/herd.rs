@@ -4,7 +4,7 @@
 //! the UD MTU are fragmented.
 
 use prdma::{Request, RpcError, RpcResult};
-use prdma_rnic::{MemTarget, Payload};
+use prdma_rnic::{MemTarget, Payload, UD_MTU};
 
 use crate::common::{request_image, BaselineClient, CLIENT_RESP_ADDR, MSG_HEADER};
 
@@ -33,7 +33,6 @@ pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Op
     // UD reply, fragmented at the MTU; dropped fragments re-sent, but
     // only so many times — an unbounded loop would spin forever under
     // a total loss burst (the client has long since timed out).
-    let mtu = c.qp.rev.local().config().ud_mtu;
     let mut remaining = MSG_HEADER + resp_len;
     let mut frag_attempts = 0;
     while remaining > 0 {
@@ -41,7 +40,7 @@ pub(crate) async fn roundtrip(c: &BaselineClient, req: &Request) -> RpcResult<Op
         if frag_attempts > 8 {
             return Err(RpcError::TimedOut);
         }
-        let frag = remaining.min(mtu);
+        let frag = remaining.min(UD_MTU);
         c.qp.rev_client.post_recv(MemTarget::Dram(CLIENT_RESP_ADDR));
         let tok = c.qp.rev.send(Payload::synthetic(frag, 0)).await?;
         let delivered = tok.wait_outcome().await.delivered;

@@ -57,26 +57,6 @@ impl SystemKind {
         SystemKind::WFlush,
     ];
 
-    /// The write-primitive family the paper compares WFlush/W-RFlush with.
-    pub const WRITE_FAMILY: [SystemKind; 5] = [
-        SystemKind::L5,
-        SystemKind::Rfp,
-        SystemKind::Octopus,
-        SystemKind::Farm,
-        SystemKind::ScaleRpc,
-    ];
-
-    /// The send-primitive family the paper compares SFlush/S-RFlush with.
-    pub const SEND_FAMILY: [SystemKind; 2] = [SystemKind::Darpc, SystemKind::Fasst];
-
-    /// The paper's four durable RPCs.
-    pub const OURS: [SystemKind; 4] = [
-        SystemKind::SRFlush,
-        SystemKind::SFlush,
-        SystemKind::WRFlush,
-        SystemKind::WFlush,
-    ];
-
     /// Display name as used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -119,10 +99,6 @@ pub struct SystemOpts {
     pub object_slot: u64,
     /// Object-store capacity in PM.
     pub store_capacity: u64,
-    /// Redo-log slots (durable RPCs).
-    pub log_slots: u64,
-    /// Flow-control threshold (durable RPCs).
-    pub throttle_threshold: u64,
 }
 
 impl Default for SystemOpts {
@@ -132,8 +108,6 @@ impl Default for SystemOpts {
             flush_impl: FlushImpl::Emulated,
             object_slot: 64 * 1024,
             store_capacity: 32 * 1024 * 1024,
-            log_slots: 256,
-            throttle_threshold: 128,
         }
     }
 }
@@ -169,11 +143,9 @@ pub fn build_system(
             kind: dk,
             flush_impl: opts.flush_impl,
             profile: opts.profile.clone(),
-            log_slots: opts.log_slots,
             slot_payload: opts.object_slot,
             object_slot: opts.object_slot,
             store_capacity: opts.store_capacity,
-            throttle_threshold: opts.throttle_threshold,
             ..Default::default()
         };
         let (client, server) = build_durable(cluster, client_idx, server_idx, lane, cfg);

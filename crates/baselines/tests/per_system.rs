@@ -202,7 +202,7 @@ fn darpc_batching_helps_but_less_than_ours() {
 /// unreliable ones all finish the workload; losses only cost time.
 #[test]
 fn lossy_fabric_is_survivable() {
-    use prdma_rnic::RnicConfig;
+    let forever = prdma_simnet::SimTime::from_nanos(u64::MAX / 2);
     for kind in [
         SystemKind::WFlush,
         SystemKind::Farm,
@@ -211,9 +211,10 @@ fn lossy_fabric_is_survivable() {
         SystemKind::Herd,
     ] {
         let mut sim = Sim::new(404);
-        let mut cfg = ClusterConfig::with_nodes(2);
-        cfg.rnic = RnicConfig::with_loss(0.05);
-        let cluster = Cluster::new(sim.handle(), cfg);
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
+        for node in 0..2 {
+            cluster.node(node).rnic().inject_loss(0.05, forever);
+        }
         let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
         let client = build_system(&cluster, kind, 1, 0, 0, &opts);
         let done = sim.block_on(async move {
@@ -245,9 +246,12 @@ fn lossy_fabric_is_survivable() {
 fn rc_loss_costs_time_not_correctness() {
     let run = |loss: f64| {
         let mut sim = Sim::new(405);
-        let mut cfg = prdma_node::ClusterConfig::with_nodes(2);
-        cfg.rnic = prdma_rnic::RnicConfig::with_loss(loss);
+        let cfg = prdma_node::ClusterConfig::with_nodes(2);
         let cluster = prdma_node::Cluster::new(sim.handle(), cfg);
+        let forever = prdma_simnet::SimTime::from_nanos(u64::MAX / 2);
+        for node in 0..2 {
+            cluster.node(node).rnic().inject_loss(loss, forever);
+        }
         let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
         let client = build_system(&cluster, SystemKind::WFlush, 1, 0, 0, &opts);
         let pm = cluster.node(0).pm.clone();

@@ -28,7 +28,7 @@ use prdma_bench::exp;
 use prdma_bench::report::output_dir;
 use prdma_bench::Scale;
 use prdma_node::{Cluster, ClusterConfig};
-use prdma_pmem::{PmConfig, PmDevice};
+use prdma_pmem::PmDevice;
 use prdma_rnic::Payload;
 use prdma_simnet::metrics::{Key, Metrics};
 use prdma_simnet::{channel, timeout, Histogram, Sim, SimDuration};
@@ -181,12 +181,7 @@ fn bench_mark_done_overlay(iters: u32) -> BenchResult {
     // warm-up pass and the timed ones see the overlay, not the allocator.
     let sim = Sim::new(1);
     let tracer = prdma_simnet::Tracer::new(sim.handle());
-    let pm = PmDevice::new(
-        sim.handle(),
-        PmConfig::with_capacity(64 << 20),
-        tracer,
-        None,
-    );
+    let pm = PmDevice::new(sim.handle(), 64 << 20, tracer, None);
     let done = 1u64.to_le_bytes();
     for slot in 0..STANDING {
         pm.cache_write(slot * STRIDE + 32, &done)

@@ -110,11 +110,13 @@ pub struct DurableConfig {
     pub store_region: String,
     /// Flow control: throttle when this many entries are outstanding.
     pub throttle_threshold: u64,
-    /// Flow control: how long the sender backs off.
-    pub throttle_backoff: SimDuration,
-    /// Persist the log head every N completions (1 = every completion).
-    /// Larger values keep PM media work off the completion path at the
-    /// cost of replaying up to N idempotent entries after a crash.
+    /// Persist the log head once it is N entries past the last value
+    /// persisted (1 = every completion). Each server handler marks
+    /// entries through a copy of the log that has never persisted the
+    /// head ([`RedoLog::mark_done`]), so a running server leaves the head
+    /// unpersisted until it first reaches N and from then on persists it
+    /// on every advance. A crash replays up to N − 1 done entries before
+    /// that point and none after it.
     pub head_persist_interval: u64,
     /// Client-side per-request timeout and bounded retry, used to ride
     /// out packet loss and server crashes. The defaults never fire on a
@@ -134,7 +136,6 @@ impl Default for DurableConfig {
             store_capacity: 32 * 1024 * 1024,
             store_region: "objects".to_string(),
             throttle_threshold: 128,
-            throttle_backoff: SimDuration::from_micros(20),
             head_persist_interval: 16,
             retry: RetryPolicy::default(),
         }
@@ -421,7 +422,6 @@ pub(crate) fn build_connection(
         layout,
         cursor.clone(),
         cfg.throttle_threshold,
-        cfg.throttle_backoff,
         journal_lane,
     );
 
@@ -620,10 +620,11 @@ impl DurableServer {
         // Every handler marks entries done through its own copy of this
         // copy of the log handle — the arrangement every pinned journal was
         // captured under. `RedoLog` keeps its persisted-head bookkeeping per
-        // copy, so a handler's copy never learns of an earlier head flush
-        // and flushes the head more often than `head_persist_interval`
-        // asks; sharing one handle would change journals and PM write
-        // counts, which is a change for its own PR (ROADMAP item 3(a)).
+        // copy and this copy never flushes, so every handler's copy counts
+        // from 0: once the head reaches `head_persist_interval`, every
+        // advance flushes it. Sharing one handle would change journals and
+        // PM write counts, which is a change of its own (ROADMAP item
+        // 3(a)).
         // It is a trade, not a free win: sized with the cell shared, four
         // perfbench workloads keep their virtual metrics but
         // `crash_replay` goes from `op_mean_us` 12.68 to 18.55 and
@@ -1419,6 +1420,31 @@ mod tests {
                     .await
                     .unwrap();
             });
+        }
+    }
+
+    #[test]
+    fn server_persists_every_head_advance_once_past_the_interval() {
+        // What a running server does with the default interval of 16:
+        // its handlers mark entries through copies of a log that never
+        // persisted the head, so the persistent head stays 0 until the
+        // head first reaches 16 and then follows every advance.
+        for (puts, persisted) in [(10, 0), (17, 17), (20, 20), (23, 23), (40, 40)] {
+            let mut sim = Sim::new(1);
+            let (client, _server, cluster) =
+                setup(&sim, DurableKind::WFlush, ServerProfile::light());
+            sim.block_on(async move {
+                for obj in 0..puts {
+                    let data = Payload::synthetic(64, obj);
+                    client.call(Request::Put { obj, data }).await.unwrap();
+                }
+            });
+            sim.run();
+            let server = cluster.node(0);
+            let log = server.alloc.lookup("log-0").unwrap();
+            let head = server.pm.read_persistent_view(log.offset, 8);
+            let head = u64::from_le_bytes(head.try_into().unwrap());
+            assert_eq!(head, persisted, "persistent head after {puts} puts");
         }
     }
 

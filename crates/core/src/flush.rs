@@ -17,10 +17,15 @@
 //! | `WFlush` | RDMA read of the last byte — PCIe ordering drains the posted DMA | RNIC flush command: drain + ACK, no PCIe read |
 //! | `SFlush` | 7 µs address-lookup stall, then the read | drain + ACK after on-NIC address resolution |
 
-use prdma_rnic::{MemTarget, Qp, RdmaResult};
+use prdma_rnic::{MemTarget, Qp, RdmaResult, POST_ONESIDED};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::trace::{Phase, Span};
 use prdma_simnet::SimDuration;
+
+/// Emulated address-lookup latency for `SFlush`: the paper charges a
+/// conservative 7 µs `sleep(0)` for the RNIC to resolve the destination
+/// address of a send.
+const SFLUSH_ADDRESSING: SimDuration = SimDuration::from_micros(7);
 
 /// How the Flush primitives are realized (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,7 +105,6 @@ impl FlushOps {
     pub async fn sflush(&self, probe: MemTarget) -> RdmaResult<()> {
         let _span = self.flush_span();
         self.jot(EventKind::FlushIssue);
-        let addressing = self.qp.local().config().sflush_addressing;
         let r = match self.imp {
             FlushImpl::Emulated => {
                 // The paper waits `sleep(0)` (~7 us, conservative) for the
@@ -109,14 +113,14 @@ impl FlushOps {
                 // the breakdown.
                 {
                     let _nic = self.remote_nic_span();
-                    self.qp.local().handle().sleep(addressing).await;
+                    self.qp.local().handle().sleep(SFLUSH_ADDRESSING).await;
                 }
                 self.qp.read_synthetic(probe, 1).await
             }
             FlushImpl::HardwareNative => {
                 // On-NIC address resolution is a table lookup: charge a
                 // small fraction of the emulated stall.
-                self.native_flush(addressing / 16).await
+                self.native_flush(SFLUSH_ADDRESSING / 16).await
             }
         };
         if r.is_ok() {
@@ -129,9 +133,8 @@ impl FlushOps {
     /// RNIC, which drains posted DMA writes and ACKs.
     async fn native_flush(&self, remote_extra: SimDuration) -> RdmaResult<()> {
         let qp = &self.qp;
-        let cfg = qp.local().config().clone();
         qp.remote().check_up()?;
-        qp.local().handle().sleep(cfg.post_onesided).await;
+        qp.local().handle().sleep(POST_ONESIDED).await;
         // Flush command on the wire (header only).
         qp.flush_command().await?;
         if remote_extra > SimDuration::ZERO {

@@ -76,7 +76,7 @@ pub use rpc::{
 };
 pub use shard::{
     build_fleet, build_replicated_sharded, build_sharded_durable_cached, Fleet, FleetSpec,
-    ShardBatchOutcome, ShardFailure, ShardMap, ShardPolicy, ShardedClient,
+    ShardBatchOutcome, ShardFailure, ShardMap, ShardedClient,
 };
 pub use span::{build_span_trees, tail_report, Attribution, Span, SpanTree, TailEntry, TailReport};
 pub use store::{MirrorRegion, ObjectStore};

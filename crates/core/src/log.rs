@@ -68,6 +68,10 @@ pub const ENTRY_FOOTER: u64 = 8;
 const STATE_PENDING: u64 = 0;
 const STATE_DONE: u64 = 1;
 
+/// Flow control: how long a throttled sender backs off before it looks at
+/// the ring again.
+const THROTTLE_BACKOFF: SimDuration = SimDuration::from_micros(20);
+
 /// Operators that get logged (reads are not logged — they mutate nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpCode {
@@ -300,9 +304,11 @@ pub struct LogCursor {
 struct CursorInner {
     head: Cell<u64>,
     tail: Cell<u64>,
-    /// Head value durably recorded in PM (lags `head` by at most the
-    /// head-persist interval). The writer must never reuse slots past
-    /// this point, or recovery could miss live entries after a wrap.
+    /// Head value durably recorded in PM. In a `DurableServer` it stays
+    /// 0 until the head first reaches the head-persist interval and then
+    /// follows the head, one flush per advance ([`RedoLog::mark_done`]).
+    /// The writer must never reuse slots past this point, or recovery
+    /// could miss live entries after a wrap.
     durable_head: Cell<u64>,
 }
 
@@ -372,13 +378,15 @@ pub struct RedoLog {
     /// would persist alongside the store, so a retry duplicate whose
     /// original was applied pre-crash still skips re-apply after replay.
     applied_ids: Rc<std::cell::RefCell<IdSet>>,
-    /// Persist the head pointer once it has advanced this many entries
-    /// (1 = persist on every completion). Batching head persistence keeps
-    /// PM-media work off the completion path; the cost is that up to
-    /// `interval` already-processed entries replay after a crash —
-    /// harmless, because Put replay is idempotent.
+    /// Persist the head pointer once it is this many entries past
+    /// `persisted_head` (1 = persist on every completion). Up to
+    /// `interval - 1` already-processed entries then replay after a
+    /// crash — harmless, because Put replay is idempotent.
     head_persist_interval: u64,
-    /// Last head value durably recorded.
+    /// Last head value this copy durably recorded. A plain `Cell`, so
+    /// each clone counts from the value it was cloned with: a clone
+    /// taken from a copy that never flushed starts at 0 and, once the
+    /// head reaches the interval, flushes on every advance.
     persisted_head: Cell<u64>,
     /// Journal id namespace for this log's lane: `(lane << 40)`. Log
     /// events carry `rpc_id = id_base | index` so the auditor can match
@@ -388,8 +396,9 @@ pub struct RedoLog {
 
 impl RedoLog {
     /// Open a redo log over `layout`, sharing `cursor` with the client,
-    /// journaled as lane `journal_lane` and persisting its head every
-    /// `head_persist_interval` completions (see the field docs).
+    /// journaled as lane `journal_lane` and persisting its head once it
+    /// is `head_persist_interval` entries past the last persisted value
+    /// (see the field docs).
     pub fn new(
         pm: PmDevice,
         layout: LogLayout,
@@ -601,9 +610,13 @@ impl RedoLog {
 
     /// Mark entry `index` done: a volatile 8-byte state update (CPU
     /// store), advance the head over contiguous completions, and persist
-    /// the head pointer once it has advanced by the configured interval.
-    /// This keeps PM media work off the per-completion path; a crash
-    /// replays at most `interval` already-applied entries (idempotent).
+    /// the head pointer once it is the configured interval past this
+    /// copy's last persisted value. Through one handle that is every
+    /// `interval` completions, and a crash replays fewer than `interval`
+    /// already-applied entries (idempotent). A `DurableServer` marks
+    /// through a fresh clone per handler, each cloned from a copy that
+    /// never flushed, so there the head is not persisted until it
+    /// reaches `interval` and then on every advance (DESIGN.md §6).
     pub async fn mark_done(&self, index: u64) -> RdmaResult<()> {
         let state_addr = self.layout.slot_addr(index) + 32;
         self.pm.cache_write(state_addr, &STATE_DONE.to_le_bytes())?;
@@ -739,7 +752,6 @@ pub struct RemoteLogWriter {
     /// Flow control: max outstanding entries before throttling (paper
     /// Section 4.2: "the receiver should notify the sender to slow down").
     throttle_threshold: u64,
-    throttle_backoff: SimDuration,
     /// Journal id namespace (`lane << 40`), mirroring [`RedoLog`].
     id_base: u64,
     /// Times the flow controller put this sender to sleep (throttle
@@ -768,7 +780,6 @@ impl RemoteLogWriter {
         layout: LogLayout,
         cursor: LogCursor,
         throttle_threshold: u64,
-        throttle_backoff: SimDuration,
         journal_lane: u64,
     ) -> Self {
         RemoteLogWriter {
@@ -777,7 +788,6 @@ impl RemoteLogWriter {
             layout,
             cursor,
             throttle_threshold,
-            throttle_backoff,
             id_base: journal_lane << 40,
             stalls: Rc::default(),
         }
@@ -832,7 +842,7 @@ impl RemoteLogWriter {
                 return;
             }
             self.stalls.set(self.stalls.get() + 1);
-            self.qp.local().handle().sleep(self.throttle_backoff).await;
+            self.qp.local().handle().sleep(THROTTLE_BACKOFF).await;
         }
     }
 
@@ -939,7 +949,6 @@ mod tests {
             layout,
             cursor.clone(),
             64,
-            SimDuration::from_micros(5),
             0,
         );
         // Tests assert exact recovery sets; persist the head eagerly.
@@ -1110,7 +1119,6 @@ mod tests {
             layout,
             cursor.clone(),
             4, // throttle at 4 outstanding
-            SimDuration::from_micros(50),
             0,
         );
         // The server "completes" the first entry only at t = 300us.

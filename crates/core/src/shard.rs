@@ -25,41 +25,22 @@ use crate::txn::{TxnBook, TxnDirectory, TxnState};
 use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::QpMode;
 use prdma_simnet::fault::FaultKind;
-use prdma_simnet::rng::mix64;
 
-/// How global object ids map onto shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// `shard = id % shards`, `local = id / shards`. Consecutive ids
-    /// round-robin across shards — zipfian-hot key prefixes spread out,
-    /// scans decompose into one dense run per shard, and local ids stay
-    /// packed in `[0, ids/shards]`, so per-shard regions never wrap.
-    Striped,
-    /// `shard = mix64(id) % shards`, `local = id`. A fixed hash ring
-    /// (what consistent hashing degenerates to with a static shard
-    /// count). Placement is oblivious to id structure, but local ids
-    /// span the whole global id space — per-shard stores must be sized
-    /// for it, or rely on the aliasing guard to catch wraps.
-    Hashed,
-}
-
-/// A static map from global object ids to `(shard, local id)`.
+/// A static map from global object ids to `(shard, local id)`:
+/// `shard = id % shards`, `local = id / shards`. Consecutive ids
+/// round-robin across shards — zipfian-hot key prefixes spread out, scans
+/// decompose into one dense run per shard, and local ids stay packed in
+/// `[0, ids/shards]`, so per-shard regions never wrap.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardMap {
     shards: usize,
-    policy: ShardPolicy,
 }
 
 impl ShardMap {
-    /// A striped map over `shards` shards (the default policy).
+    /// A striped map over `shards` shards.
     pub fn new(shards: usize) -> Self {
-        ShardMap::with_policy(shards, ShardPolicy::Striped)
-    }
-
-    /// A map with an explicit policy.
-    pub fn with_policy(shards: usize, policy: ShardPolicy) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        ShardMap { shards, policy }
+        ShardMap { shards }
     }
 
     /// Number of shards.
@@ -69,37 +50,23 @@ impl ShardMap {
 
     /// The shard serving global id `obj`.
     pub fn shard_of(&self, obj: u64) -> usize {
-        match self.policy {
-            ShardPolicy::Striped => (obj % self.shards as u64) as usize,
-            ShardPolicy::Hashed => (mix64(obj) % self.shards as u64) as usize,
-        }
+        (obj % self.shards as u64) as usize
     }
 
     /// Route global id `obj` to `(shard, local id)`.
     pub fn route(&self, obj: u64) -> (usize, u64) {
-        match self.policy {
-            ShardPolicy::Striped => (
-                (obj % self.shards as u64) as usize,
-                obj / self.shards as u64,
-            ),
-            ShardPolicy::Hashed => ((mix64(obj) % self.shards as u64) as usize, obj),
-        }
+        (self.shard_of(obj), obj / self.shards as u64)
     }
 
     /// Local ids needed per shard to hold `objects` global ids without
-    /// slot reuse (region sizing for benches: objects × slot bytes per
-    /// shard under striping; the full id space under hashing).
+    /// slot reuse (region sizing: objects × slot bytes per shard).
     pub fn local_span(&self, objects: u64) -> u64 {
-        match self.policy {
-            ShardPolicy::Striped => objects.div_ceil(self.shards as u64).max(1),
-            ShardPolicy::Hashed => objects.max(1),
-        }
+        objects.div_ceil(self.shards as u64).max(1)
     }
 
     /// Decompose the global scan `[start, start + count)` into per-shard
     /// runs of consecutive *local* ids, in global id order: each element
-    /// is `(shard, local start, run length)`. Striped maps yield at most
-    /// one run per shard; hashed maps yield one run per shard transition.
+    /// is `(shard, local start, run length)`, at most one run per shard.
     pub fn split_scan(&self, start: u64, count: u32) -> Vec<(usize, u64, u32)> {
         let mut runs: Vec<(usize, u64, u32)> = Vec::new();
         for g in start..start.saturating_add(count as u64) {
@@ -645,41 +612,19 @@ mod tests {
     }
 
     #[test]
-    fn hashed_map_is_balanced_and_stable() {
-        let m = ShardMap::with_policy(8, ShardPolicy::Hashed);
-        let mut counts = [0u64; 8];
-        for g in 0..8_000u64 {
-            let (s, l) = m.route(g);
-            assert_eq!(l, g, "hashed policy keeps the global id");
-            assert_eq!(m.route(g).0, s, "routing is deterministic");
-            counts[s] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(
-                (700..=1300).contains(&c),
-                "shard {s} got {c} of 8000 ids — unbalanced hash"
-            );
-        }
-        // Placement is pinned: a different finalizer would move keys.
-        assert_eq!(m.route(12_345), (1, 12_345));
-    }
-
-    #[test]
     fn split_scan_covers_the_range_exactly() {
-        for policy in [ShardPolicy::Striped, ShardPolicy::Hashed] {
-            let m = ShardMap::with_policy(3, policy);
-            let runs = m.split_scan(10, 17);
-            let total: u32 = runs.iter().map(|(_, _, n)| n).sum();
-            assert_eq!(total, 17, "{policy:?}");
-            // Every global id in the range appears in exactly one run.
-            for g in 10..27u64 {
-                let (shard, local) = m.route(g);
-                let hits = runs
-                    .iter()
-                    .filter(|(s, l, n)| *s == shard && (*l..*l + *n as u64).contains(&local))
-                    .count();
-                assert_eq!(hits, 1, "{policy:?} id {g}");
-            }
+        let m = ShardMap::new(3);
+        let runs = m.split_scan(10, 17);
+        let total: u32 = runs.iter().map(|(_, _, n)| n).sum();
+        assert_eq!(total, 17);
+        // Every global id in the range appears in exactly one run.
+        for g in 10..27u64 {
+            let (shard, local) = m.route(g);
+            let hits = runs
+                .iter()
+                .filter(|(s, l, n)| *s == shard && (*l..*l + *n as u64).contains(&local))
+                .count();
+            assert_eq!(hits, 1, "id {g}");
         }
         // Striping coalesces to one dense run per shard.
         let m = ShardMap::new(4);

@@ -236,12 +236,12 @@ impl MirrorRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prdma_pmem::{DaxAllocator, PmConfig};
+    use prdma_pmem::DaxAllocator;
     use prdma_simnet::Sim;
 
     fn store_fixture(sim: &Sim) -> ObjectStore {
         let tracer = prdma_simnet::Tracer::new(sim.handle());
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20), tracer, None);
+        let pm = PmDevice::new(sim.handle(), 1 << 20, tracer, None);
         let alloc = DaxAllocator::new(&pm);
         let region = alloc.alloc("objects", 64 * 1024, 64).unwrap();
         ObjectStore::new(pm, region, 1024)

@@ -3,14 +3,23 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use prdma_pmem::{DaxAllocator, PmConfig, PmDevice, VolatileMemory};
+use prdma_pmem::{DaxAllocator, PmDevice, VolatileMemory};
 use prdma_rnic::{Fabric, NodeId, Qp, QpMode, Rnic, RnicConfig};
 use prdma_simnet::journal::{self, AuditReport, Journal, Record};
 use prdma_simnet::metrics::{self, Key, Metrics, Snapshot};
 use prdma_simnet::trace::{TraceReport, Tracer};
 use prdma_simnet::{Notify, SimDuration, SimHandle};
 
-use crate::cpu::{CpuConfig, CpuModel};
+use crate::cpu::CpuModel;
+
+/// PM capacity of a server node: plenty for the experiments.
+const SERVER_PM_CAPACITY: u64 = 256 * 1024 * 1024;
+/// PM capacity of a client node (index >= `servers`). Clients only need a
+/// scratch region; keeping this small lets experiments with dozens of
+/// senders stay light on host memory.
+const CLIENT_PM_CAPACITY: u64 = 2 * 1024 * 1024;
+/// DRAM capacity per node.
+const DRAM_CAPACITY: u64 = 64 * 1024 * 1024;
 
 /// Configuration for a whole cluster.
 #[derive(Debug, Clone)]
@@ -22,18 +31,8 @@ pub struct ClusterConfig {
     /// A sharded service uses one server node per shard; everything
     /// single-server keeps the historical `servers: 1` (node 0).
     pub servers: usize,
-    /// RNIC/fabric parameters shared by all nodes.
+    /// RNIC parameters shared by all nodes.
     pub rnic: RnicConfig,
-    /// PM device parameters per node.
-    pub pm: PmConfig,
-    /// CPU parameters per node.
-    pub cpu: CpuConfig,
-    /// DRAM capacity per node in bytes.
-    pub dram_capacity: u64,
-    /// PM capacity for client nodes (node index >= `servers`). Clients
-    /// only need a scratch region; keeping this small lets experiments
-    /// with dozens of senders stay light on host memory.
-    pub client_pm_capacity: u64,
     /// Attach a per-node event [`Journal`] to every component. Off by
     /// default: with no journal attached, the hot path allocates nothing
     /// and records nothing.
@@ -52,10 +51,6 @@ impl Default for ClusterConfig {
             nodes: 2,
             servers: 1,
             rnic: RnicConfig::default(),
-            pm: PmConfig::default(),
-            cpu: CpuConfig::default(),
-            dram_capacity: 64 * 1024 * 1024,
-            client_pm_capacity: 2 * 1024 * 1024,
             journal: false,
             metrics: true,
             metrics_interval: SimDuration::from_millis(1),
@@ -198,13 +193,10 @@ impl Cluster {
         let servers = cfg.servers.max(1);
         let mut nodes = Vec::with_capacity(cfg.nodes);
         for i in 0..cfg.nodes {
-            let pm_cfg = if i < servers {
-                cfg.pm.clone()
+            let pm_capacity = if i < servers {
+                SERVER_PM_CAPACITY
             } else {
-                PmConfig {
-                    capacity: cfg.client_pm_capacity,
-                    ..cfg.pm.clone()
-                }
+                CLIENT_PM_CAPACITY
             };
             // One tracer per node, shared by every component so the
             // latency breakdown sees the whole node's activity; one journal
@@ -213,10 +205,10 @@ impl Cluster {
             // device's pair.
             let tracer = Tracer::new(handle.clone());
             let journal = cfg.journal.then(|| Journal::new(handle.clone(), i as u32));
-            let pm = PmDevice::new(handle.clone(), pm_cfg, tracer.clone(), journal);
-            let dram = VolatileMemory::new(cfg.dram_capacity);
+            let pm = PmDevice::new(handle.clone(), pm_capacity, tracer.clone(), journal);
+            let dram = VolatileMemory::new(DRAM_CAPACITY);
             let id = fabric.add_node(pm.clone(), dram.clone());
-            let cpu = CpuModel::new(handle.clone(), cfg.cpu.clone(), tracer);
+            let cpu = CpuModel::new(handle.clone(), tracer);
             let alloc = DaxAllocator::new(&pm);
             let rnic = fabric.rnic(id);
             // One metrics registry per node; gauge providers expose the
@@ -380,17 +372,16 @@ mod tests {
     #[test]
     fn multi_server_cluster_gives_each_server_full_pm() {
         let sim = Sim::new(1);
-        let cfg = ClusterConfig::with_servers(4, 3);
-        let full = cfg.pm.capacity;
-        let scratch = cfg.client_pm_capacity;
-        let cluster = Cluster::new(sim.handle(), cfg);
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(4, 3));
         assert_eq!(cluster.servers(), 4);
         assert_eq!(cluster.len(), 7);
         for i in 0..4 {
-            assert_eq!(cluster.node(i).pm.capacity(), full, "server {i}");
+            let capacity = cluster.node(i).pm.capacity();
+            assert_eq!(capacity, SERVER_PM_CAPACITY, "server {i}");
         }
         for i in 4..7 {
-            assert_eq!(cluster.node(i).pm.capacity(), scratch, "client {i}");
+            let capacity = cluster.node(i).pm.capacity();
+            assert_eq!(capacity, CLIENT_PM_CAPACITY, "client {i}");
         }
     }
 

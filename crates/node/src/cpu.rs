@@ -5,62 +5,40 @@
 use prdma_simnet::trace::Tracer;
 use prdma_simnet::{FifoResource, SimDuration, SimHandle};
 
-/// CPU timing/geometry parameters.
-///
-/// Defaults approximate one socket of the paper's testbed (Xeon Gold 6230,
-/// 20 cores, 2.1 GHz): a polling thread detects and dispatches an incoming
-/// message in 100–200 ns (a cache-line poll hit plus a branch to the
-/// handler); memcpy moves ~10 GB/s per core.
-#[derive(Debug, Clone)]
-pub struct CpuConfig {
-    /// Number of cores available to the RPC runtime.
-    pub cores: usize,
-    /// Cost to detect + dispatch a polled message (cache miss + parse).
-    pub poll_dispatch: SimDuration,
-    /// Cost to receive-dispatch a two-sided message: CQ event handling,
-    /// recv-queue replenishment, header parse, handler lookup. This is the
-    /// RPC-framework software cost that makes two-sided systems like DaRPC
-    /// pay roughly twice FaRM's effective RTT (paper Fig. 20).
-    pub parse_request: SimDuration,
-    /// Single-core memcpy bandwidth in Gbit/s (~10 GB/s).
-    pub memcpy_gbps: f64,
-    /// Cost to hand an RPC to a pooled handler thread (enqueue + wake; the
-    /// pool is pre-spawned, so this is scheduling, not thread creation).
-    pub dispatch_thread: SimDuration,
-}
+// Calibrated to one socket of the paper's testbed (Xeon Gold 6230, 20
+// cores, 2.1 GHz): a polling thread detects and dispatches an incoming
+// message in 100–200 ns (a cache-line poll hit plus a branch to the
+// handler); memcpy moves ~10 GB/s per core.
 
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            cores: 8,
-            poll_dispatch: SimDuration::from_nanos(100),
-            parse_request: SimDuration::from_nanos(1_500),
-            memcpy_gbps: 80.0,
-            dispatch_thread: SimDuration::from_nanos(300),
-        }
-    }
-}
+/// Cores available to the RPC runtime.
+const CORES: usize = 8;
+/// Cost to detect + dispatch a polled message (cache miss + parse).
+const POLL_DISPATCH: SimDuration = SimDuration::from_nanos(100);
+/// Cost to receive-dispatch a two-sided message: CQ event handling,
+/// recv-queue replenishment, header parse, handler lookup. This is the
+/// RPC-framework software cost that makes two-sided systems like DaRPC
+/// pay roughly twice FaRM's effective RTT (paper Fig. 20).
+const PARSE_REQUEST: SimDuration = SimDuration::from_nanos(1_500);
+/// Single-core memcpy bandwidth in Gbit/s (~10 GB/s).
+const MEMCPY_GBPS: f64 = 80.0;
+/// Cost to hand an RPC to a pooled handler thread (enqueue + wake; the
+/// pool is pre-spawned, so this is scheduling, not thread creation).
+const DISPATCH_THREAD: SimDuration = SimDuration::from_nanos(300);
 
 /// A pool of CPU cores.
 #[derive(Clone)]
 pub struct CpuModel {
-    cfg: CpuConfig,
     cores: FifoResource,
     tracer: Tracer,
 }
 
 impl CpuModel {
-    /// Build a CPU with `cfg.cores` cores whose RPC work is recorded into
-    /// the node's `tracer` as sender- or receiver-side software, per the
+    /// Build a CPU of eight cores whose RPC work is recorded into the
+    /// node's `tracer` as sender- or receiver-side software, per the
     /// tracer's role.
-    pub fn new(handle: SimHandle, cfg: CpuConfig, tracer: Tracer) -> Self {
-        let cores = FifoResource::new(handle, cfg.cores.max(1));
-        CpuModel { cfg, cores, tracer }
-    }
-
-    /// This CPU's configuration.
-    pub fn config(&self) -> &CpuConfig {
-        &self.cfg
+    pub fn new(handle: SimHandle, tracer: Tracer) -> Self {
+        let cores = FifoResource::new(handle, CORES);
+        CpuModel { cores, tracer }
     }
 
     /// The underlying core pool (for wiring into QP post costs).
@@ -83,18 +61,18 @@ impl CpuModel {
     /// The cost of noticing a message via memory polling and dispatching it.
     pub async fn poll_dispatch(&self) {
         let _span = self.tracer.span_sw();
-        self.cores.process(self.cfg.poll_dispatch).await;
+        self.cores.process(POLL_DISPATCH).await;
     }
 
     /// Parse a two-sided request (header decode, handler lookup).
     pub async fn parse_request(&self) {
         let _span = self.tracer.span_sw();
-        self.cores.process(self.cfg.parse_request).await;
+        self.cores.process(PARSE_REQUEST).await;
     }
 
     /// Copy `bytes` between buffers on one core.
     pub async fn memcpy(&self, bytes: u64) {
-        let t = prdma_simnet::transfer_time(bytes, self.cfg.memcpy_gbps);
+        let t = prdma_simnet::transfer_time(bytes, MEMCPY_GBPS);
         let _span = self.tracer.span_sw();
         self.cores.process(t).await;
     }
@@ -102,14 +80,12 @@ impl CpuModel {
     /// Spawn/schedule a handler thread for an RPC.
     pub async fn dispatch_thread(&self) {
         let _span = self.tracer.span_sw();
-        self.cores.process(self.cfg.dispatch_thread).await;
+        self.cores.process(DISPATCH_THREAD).await;
     }
 
     /// Occupy all but one core (the paper's "busy" CPU condition).
     pub fn make_busy(&self) {
-        if self.cfg.cores > 1 {
-            self.cores.occupy_background(self.cfg.cores - 1);
-        }
+        self.cores.occupy_background(CORES - 1);
     }
 
     /// Total accumulated busy time across cores.
@@ -123,20 +99,16 @@ mod tests {
     use super::*;
     use prdma_simnet::Sim;
 
-    fn cpu(sim: &Sim, cores: usize) -> CpuModel {
-        let cfg = CpuConfig {
-            cores,
-            ..Default::default()
-        };
-        CpuModel::new(sim.handle(), cfg, Tracer::new(sim.handle()))
+    fn cpu(sim: &Sim) -> CpuModel {
+        CpuModel::new(sim.handle(), Tracer::new(sim.handle()))
     }
 
     #[test]
     fn compute_queues_beyond_core_count() {
         let mut sim = Sim::new(1);
-        let cpu = cpu(&sim, 2);
+        let cpu = cpu(&sim);
         let h = sim.handle();
-        for _ in 0..4 {
+        for _ in 0..2 * CORES {
             let cpu = cpu.clone();
             sim.spawn(async move {
                 cpu.compute(SimDuration::from_micros(100)).await;
@@ -149,7 +121,7 @@ mod tests {
     #[test]
     fn busy_cpu_serializes_work() {
         let mut sim = Sim::new(1);
-        let cpu = cpu(&sim, 4);
+        let cpu = cpu(&sim);
         cpu.make_busy();
         let h = sim.handle();
         for _ in 0..3 {
@@ -168,7 +140,7 @@ mod tests {
     #[test]
     fn memcpy_time_scales_with_bytes() {
         let mut sim = Sim::new(1);
-        let cpu = cpu(&sim, CpuConfig::default().cores);
+        let cpu = cpu(&sim);
         let h = sim.handle();
         let cpu2 = cpu.clone();
         let (t_small, t_big) = sim.block_on(async move {

@@ -13,5 +13,5 @@ mod cpu;
 mod fault;
 
 pub use cluster::{Cluster, ClusterConfig, Node};
-pub use cpu::{CpuConfig, CpuModel};
+pub use cpu::CpuModel;
 pub use fault::{FaultInjector, FaultStats};

@@ -14,9 +14,28 @@ use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
 use prdma_simnet::trace::{Phase, Span, Tracer};
 use prdma_simnet::{FifoResource, SimDuration, SimHandle};
 
-use crate::config::PmConfig;
 use crate::overlay::DirtyLines;
 use crate::sparse::SparseBytes;
+
+// Timing calibrated to a bank of Intel Optane DC Persistent Memory DIMMs
+// in App Direct mode (the paper's testbed: 1 TB per server).
+
+/// Media read latency (first access, uncached).
+const READ_LATENCY: SimDuration = SimDuration::from_nanos(170);
+/// Media write latency (until the write is in the persistence domain).
+const WRITE_LATENCY: SimDuration = SimDuration::from_nanos(300);
+/// Read bandwidth in Gbit/s (30 GB/s).
+const READ_GBPS: f64 = 240.0;
+/// Write bandwidth in Gbit/s: 12 GB/s over 6 interleaved DIMMs, the
+/// well-known Optane write-bandwidth cap.
+const WRITE_GBPS: f64 = 96.0;
+/// CPU cache line size in bytes.
+const CACHELINE: u64 = 64;
+/// Per-line issue cost of `clflush`/`clwb` on the CPU, excluding the
+/// media write it triggers.
+const CLFLUSH_ISSUE: SimDuration = SimDuration::from_nanos(30);
+/// Concurrent media ports (interleaved DIMMs behind one iMC).
+const MEDIA_PORTS: usize = 6;
 
 /// Errors raised by the PM device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +70,7 @@ impl std::error::Error for PmError {}
 
 struct PmInner {
     handle: SimHandle,
-    cfg: PmConfig,
+    capacity: u64,
     /// The persistence domain: survives crashes.
     media: RefCell<SparseBytes>,
     /// Volatile overlay: the dirty cache lines and their bytes. Populated
@@ -74,19 +93,19 @@ pub struct PmDevice {
 }
 
 impl PmDevice {
-    /// Create a device on the given simulation with the given config,
+    /// Create a device of `capacity` bytes on the given simulation,
     /// recording media service time as [`Phase::PmMedia`] into `tracer`
     /// and every commit of bytes to the persistence domain as a `PmWrite`
     /// into `journal`, if given.
-    pub fn new(handle: SimHandle, cfg: PmConfig, tracer: Tracer, journal: Option<Journal>) -> Self {
-        let media_port = FifoResource::new(handle.clone(), cfg.media_ports.max(1));
+    pub fn new(handle: SimHandle, capacity: u64, tracer: Tracer, journal: Option<Journal>) -> Self {
+        let media_port = FifoResource::new(handle.clone(), MEDIA_PORTS);
         PmDevice {
             inner: Rc::new(PmInner {
                 handle,
-                media: RefCell::new(SparseBytes::new(cfg.capacity)),
-                dirty: RefCell::new(DirtyLines::new(cfg.cacheline)),
+                capacity,
+                media: RefCell::new(SparseBytes::new(capacity)),
+                dirty: RefCell::new(DirtyLines::new(CACHELINE)),
                 media_port,
-                cfg,
                 bytes_persisted: Cell::new(0),
                 crashes: Cell::new(0),
                 tracer,
@@ -121,16 +140,11 @@ impl PmDevice {
 
     /// Device capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.inner.cfg.capacity
-    }
-
-    /// The device's timing configuration.
-    pub fn config(&self) -> &PmConfig {
-        &self.inner.cfg
+        self.inner.capacity
     }
 
     fn check(&self, addr: u64, len: u64) -> Result<(), PmError> {
-        let capacity = self.inner.cfg.capacity;
+        let capacity = self.inner.capacity;
         if addr.checked_add(len).is_none_or(|end| end > capacity) {
             Err(PmError::OutOfBounds {
                 addr,
@@ -144,12 +158,12 @@ impl PmDevice {
 
     /// Time the media needs to absorb a write of `len` bytes.
     pub fn media_write_time(&self, len: u64) -> SimDuration {
-        self.inner.cfg.write_latency + prdma_simnet::transfer_time(len, self.inner.cfg.write_gbps)
+        WRITE_LATENCY + prdma_simnet::transfer_time(len, WRITE_GBPS)
     }
 
     /// Time the media needs to produce a read of `len` bytes.
     pub fn media_read_time(&self, len: u64) -> SimDuration {
-        self.inner.cfg.read_latency + prdma_simnet::transfer_time(len, self.inner.cfg.read_gbps)
+        READ_LATENCY + prdma_simnet::transfer_time(len, READ_GBPS)
     }
 
     /// DMA a buffer straight into the persistence domain (the DDIO-disabled
@@ -220,24 +234,14 @@ impl PmDevice {
             return;
         }
         let _span = self.media_span();
-        let line = self.inner.cfg.cacheline;
-        let lines = len.div_ceil(line);
-        self.inner
-            .handle
-            .sleep(self.inner.cfg.clflush_issue * lines)
-            .await;
-        let t = self.media_write_time(lines * line);
+        let lines = len.div_ceil(CACHELINE);
+        self.inner.handle.sleep(CLFLUSH_ISSUE * lines).await;
+        let t = self.media_write_time(lines * CACHELINE);
         self.inner.media_port.process(t).await;
         self.inner
             .bytes_persisted
-            .set(self.inner.bytes_persisted.get() + lines * line);
-        self.jot_pm_write(lines * line);
-    }
-
-    /// An 8-byte atomic durable write (PM hardware guarantees 8-byte
-    /// failure atomicity) — used for log commit records.
-    pub async fn dma_write_atomic_u64(&self, addr: u64, value: u64) -> Result<(), PmError> {
-        self.dma_write_persistent(addr, &value.to_le_bytes()).await
+            .set(self.inner.bytes_persisted.get() + lines * CACHELINE);
+        self.jot_pm_write(lines * CACHELINE);
     }
 
     /// A CPU store (or DDIO-routed DMA): lands in the volatile cache
@@ -245,17 +249,16 @@ impl PmDevice {
     /// requires a subsequent [`clflush`](Self::clflush).
     pub fn cache_write(&self, addr: u64, data: &[u8]) -> Result<(), PmError> {
         self.check(addr, data.len() as u64)?;
-        let line = self.inner.cfg.cacheline;
         let mut dirty = self.inner.dirty.borrow_mut();
         let media = self.inner.media.borrow();
         let mut off = 0usize;
         while off < data.len() {
             let a = addr + off as u64;
-            let lineno = a / line;
-            let in_line = (a - lineno * line) as usize;
-            let n = (line as usize - in_line).min(data.len() - off);
+            let lineno = a / CACHELINE;
+            let in_line = (a - lineno * CACHELINE) as usize;
+            let n = (CACHELINE as usize - in_line).min(data.len() - off);
             // A line dirtied here starts from what the media holds.
-            let bytes = dirty.dirty(lineno, |fresh| media.read_into(lineno * line, fresh));
+            let bytes = dirty.dirty(lineno, |fresh| media.read_into(lineno * CACHELINE, fresh));
             bytes[in_line..in_line + n].copy_from_slice(&data[off..off + n]);
             off += n;
         }
@@ -269,7 +272,6 @@ impl PmDevice {
             return Ok(());
         }
         self.check(addr, len)?;
-        let line = self.inner.cfg.cacheline;
         // Take the dirty lines in range (they may be sparse) out of the
         // overlay first: line numbers, and their bytes back to back.
         let (mut linenos, mut flushed) = (Vec::new(), Vec::new());
@@ -286,12 +288,12 @@ impl PmDevice {
         }
         let _span = self.media_span();
         // Issue cost per line on the CPU, then one media transfer.
-        let issue = self.inner.cfg.clflush_issue * linenos.len() as u64;
+        let issue = CLFLUSH_ISSUE * linenos.len() as u64;
         self.inner.handle.sleep(issue).await;
         let t = self.media_write_time(flushed.len() as u64);
         self.inner.media_port.process(t).await;
-        for (lineno, data) in linenos.iter().zip(flushed.chunks_exact(line as usize)) {
-            self.commit_to_media(lineno * line, data);
+        for (lineno, data) in linenos.iter().zip(flushed.chunks_exact(CACHELINE as usize)) {
+            self.commit_to_media(lineno * CACHELINE, data);
         }
         Ok(())
     }
@@ -330,13 +332,12 @@ impl PmDevice {
         let Some((first, last)) = self.lines(addr, len) else {
             return;
         };
-        let line = self.inner.cfg.cacheline;
         let dirty = self.inner.dirty.borrow();
         for (lineno, bytes) in dirty.in_range(first, last) {
-            let line_base = lineno * line;
-            // overlap of [line_base, line_base+line) with [addr, addr+len)
+            let line_base = lineno * CACHELINE;
+            // overlap of [line_base, line_base+CACHELINE) with [addr, addr+len)
             let lo = line_base.max(addr);
-            let hi = (line_base + line).min(addr + len);
+            let hi = (line_base + CACHELINE).min(addr + len);
             let src = (lo - line_base) as usize..(hi - line_base) as usize;
             let dst = (lo - addr) as usize..(hi - addr) as usize;
             out[dst].copy_from_slice(&bytes[src]);
@@ -404,8 +405,7 @@ impl PmDevice {
 
     /// First and last cache line of `[addr, addr+len)`; `None` when empty.
     fn lines(&self, addr: u64, len: u64) -> Option<(u64, u64)> {
-        let line = self.inner.cfg.cacheline;
-        (len > 0).then(|| (addr / line, (addr + len - 1) / line))
+        (len > 0).then(|| (addr / CACHELINE, (addr + len - 1) / CACHELINE))
     }
 }
 
@@ -419,13 +419,7 @@ mod tests {
     }
 
     fn device(sim: &Sim, capacity: u64) -> PmDevice {
-        let tracer = Tracer::new(sim.handle());
-        PmDevice::new(
-            sim.handle(),
-            PmConfig::with_capacity(capacity),
-            tracer,
-            None,
-        )
+        PmDevice::new(sim.handle(), capacity, Tracer::new(sim.handle()), None)
     }
 
     #[test]
@@ -545,23 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_u64_commit() {
-        let mut sim = Sim::new(1);
-        let pm = small_device(&sim);
-        let pm2 = pm.clone();
-        sim.block_on(async move {
-            pm2.dma_write_atomic_u64(8, 0xDEAD_BEEF_CAFE_F00D)
-                .await
-                .unwrap();
-        });
-        let b = pm.read_persistent_view(8, 8);
-        assert_eq!(
-            u64::from_le_bytes(b.try_into().unwrap()),
-            0xDEAD_BEEF_CAFE_F00D
-        );
-    }
-
-    #[test]
     fn device_outlives_a_dropped_sim() {
         // A task parked forever holds a device clone (and, through it, a
         // `SimHandle`). Dropping the `Sim` must free the task's clone; the
@@ -661,7 +638,7 @@ mod tests {
             let mut sim = Sim::new(case);
             let pm = device(&sim, CAPACITY);
             let mut model = MapModel {
-                line: pm.config().cacheline,
+                line: CACHELINE,
                 media: vec![0; CAPACITY as usize],
                 dirty: Default::default(),
                 bytes_persisted: 0,

@@ -11,13 +11,14 @@
 //!
 //! ```
 //! use prdma_simnet::{Sim, Tracer};
-//! use prdma_pmem::{PmConfig, PmDevice};
+//! use prdma_pmem::PmDevice;
 //!
 //! let mut sim = Sim::new(1);
-//! // A device records its media time into its node's tracer, and its
-//! // persistence-domain commits into the node's journal when there is one.
+//! // A 64 KiB device with Optane timing. It records its media time into
+//! // its node's tracer, and its persistence-domain commits into the
+//! // node's journal when there is one.
 //! let tracer = Tracer::new(sim.handle());
-//! let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 16), tracer, None);
+//! let pm = PmDevice::new(sim.handle(), 1 << 16, tracer, None);
 //! let pm2 = pm.clone();
 //! sim.block_on(async move {
 //!     // DDIO-style arrival: volatile until flushed.
@@ -32,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-mod config;
 mod device;
 mod dram;
 mod overlay;
@@ -40,7 +40,6 @@ mod region;
 mod slab;
 mod sparse;
 
-pub use config::PmConfig;
 pub use device::{PmDevice, PmError};
 pub use dram::VolatileMemory;
 pub use region::{AllocError, DaxAllocator, PmRegion};

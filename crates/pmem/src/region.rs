@@ -30,18 +30,6 @@ impl PmRegion {
         assert!(idx < self.len, "region index {idx} out of {}", self.len);
         self.offset + idx
     }
-
-    /// Split off the first `n` bytes as a sub-region.
-    pub fn take_front(&mut self, n: u64) -> PmRegion {
-        assert!(n <= self.len, "cannot take {n} of {}", self.len);
-        let front = PmRegion {
-            offset: self.offset,
-            len: n,
-        };
-        self.offset += n;
-        self.len -= n;
-        front
-    }
 }
 
 /// Errors raised by the allocator.
@@ -140,13 +128,12 @@ impl DaxAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PmConfig;
     use prdma_simnet::Sim;
 
     fn alloc_fixture() -> DaxAllocator {
         let sim = Sim::new(1);
         let tracer = prdma_simnet::Tracer::new(sim.handle());
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(4096), tracer, None);
+        let pm = PmDevice::new(sim.handle(), 4096, tracer, None);
         DaxAllocator::new(&pm)
     }
 
@@ -197,15 +184,5 @@ mod tests {
         assert_eq!(r.addr(15), r.offset + 15);
         let res = std::panic::catch_unwind(|| r.addr(16));
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn take_front_splits() {
-        let a = alloc_fixture();
-        let mut r = a.alloc("r", 100, 8).unwrap();
-        let head = r.take_front(40);
-        assert_eq!(head.len, 40);
-        assert_eq!(r.len, 60);
-        assert_eq!(head.offset + 40, r.offset);
     }
 }

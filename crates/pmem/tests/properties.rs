@@ -6,7 +6,7 @@
 //! than an external property-testing framework, so the suite builds
 //! offline and every failure is reproducible from the printed case seed.
 
-use prdma_pmem::{PmConfig, PmDevice};
+use prdma_pmem::PmDevice;
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::{Sim, Tracer};
 
@@ -54,12 +54,7 @@ fn device_matches_shadow_model() {
         let ops: Vec<Op> = (0..n).map(|_| random_op(&mut rng)).collect();
 
         let mut sim = Sim::new(1);
-        let pm = PmDevice::new(
-            sim.handle(),
-            PmConfig::with_capacity(CAP),
-            Tracer::new(sim.handle()),
-            None,
-        );
+        let pm = PmDevice::new(sim.handle(), CAP, Tracer::new(sim.handle()), None);
         let pm2 = pm.clone();
         let ops2 = ops.clone();
 
@@ -157,12 +152,7 @@ fn flush_then_persisted() {
         let len = rng.gen_range(1u64..512);
 
         let mut sim = Sim::new(2);
-        let pm = PmDevice::new(
-            sim.handle(),
-            PmConfig::with_capacity(CAP),
-            Tracer::new(sim.handle()),
-            None,
-        );
+        let pm = PmDevice::new(sim.handle(), CAP, Tracer::new(sim.handle()), None);
         let pm2 = pm.clone();
         sim.block_on(async move {
             pm2.cache_write(addr, &vec![0xAB; len as usize]).unwrap();

@@ -1,117 +1,40 @@
-//! Timing configuration for the RNIC and fabric model.
+//! The responder configuration the experiments vary.
 //!
-//! Defaults are calibrated against the paper's testbed (Mellanox
-//! ConnectX-4, 40/56 GbE) and its Fig. 20 latency breakdown: a small RC
-//! write completes in ~2.5–3 µs round trip; verbs-post software costs are
-//! on the order of 100 ns (FaSST/HERD measure 65–100 ns per post);
-//! two-sided operations additionally pay recv-WQE fetches (a PCIe read
-//! round trip) and CQE delivery DMA on the hardware path, which is what
-//! makes DaRPC's RTT roughly twice FaRM's while remaining software-light.
+//! Everything else about the RNIC and the fabric is a calibration
+//! constant beside the code that reads it (`fabric`, `nic`, `qp`),
+//! matched to the paper's testbed (Mellanox ConnectX-4, 40/56 GbE) and
+//! its Fig. 20 latency breakdown: a small RC write completes in
+//! ~2.5–3 µs round trip; verbs-post software costs are on the order of
+//! 100 ns (FaSST/HERD measure 65–100 ns per post); two-sided operations
+//! additionally pay recv-WQE fetches (a PCIe read round trip) and CQE
+//! delivery DMA on the hardware path, which is what makes DaRPC's RTT
+//! roughly twice FaRM's while remaining software-light.
 
 use prdma_simnet::SimDuration;
 
-/// Per-RNIC and per-link timing/geometry parameters.
+/// The RNIC settings experiments change.
 #[derive(Debug, Clone)]
 pub struct RnicConfig {
-    /// Link bandwidth in Gbit/s (paper: 40/56 GbE; default 40).
-    pub link_gbps: f64,
-    /// One-way propagation + switch delay (single ToR switch: ~300 ns
-    /// cut-through + cable/PHY).
-    pub propagation: SimDuration,
-    /// Wire/transport header bytes added to every message.
-    pub header_bytes: u64,
-    /// Size of an RC hardware ACK on the wire.
-    pub ack_bytes: u64,
-    /// Sender software cost to post a one-sided WQE (write/read);
-    /// FaSST/HERD measure 65–100 ns per post.
-    pub post_onesided: SimDuration,
-    /// Sender software cost to post a two-sided WQE (send), which also
-    /// covers (batch-amortized) recv-WQE replenishment on the sender.
-    pub post_twosided: SimDuration,
-    /// Additional per-WQE cost when posting to a doorbell in a batch
-    /// (amortized fraction of a full post).
-    pub post_batched_extra: SimDuration,
-    /// RNIC packet-processing engine cost per message.
-    pub nic_process: SimDuration,
-    /// Number of parallel RNIC processing units.
-    pub nic_units: usize,
-    /// One-way PCIe traversal latency. Posted writes (payload DMA, CQE
-    /// delivery) pay it once; reads (recv-WQE fetches, RDMA-read DMA)
-    /// pay a request + completion round trip (2x).
-    pub pcie_latency: SimDuration,
-    /// PCIe bandwidth in Gbit/s (x16 Gen3 ~ 128 Gbit/s).
-    pub pcie_gbps: f64,
-    /// Number of parallel DMA engines.
-    pub dma_units: usize,
-    /// Receiver software cost to parse/dispatch a two-sided message
-    /// (recv-WQE consumption, message header parse).
-    pub recv_dispatch: SimDuration,
-    /// Maximum transmission unit for UD transport (FaSST's 4 KB limit).
-    pub ud_mtu: u64,
     /// Whether DDIO routes inbound DMA into the LLC (volatile!) instead of
     /// directly to the memory/PM controller. The paper disables DDIO by
     /// default; we do the same.
     pub ddio: bool,
-    /// Emulated address-lookup latency for the SFlush primitive (the paper
-    /// charges a conservative 7 µs `sleep(0)` for the RNIC to resolve the
-    /// destination address of a send).
-    pub sflush_addressing: SimDuration,
     /// RDMA packet re-transfer interval after a connection-loss (used by
     /// the failure-recovery experiments; the paper cites 100 ms).
     pub retransfer_interval: SimDuration,
-    /// Per-message loss probability on the wire (default 0). RC absorbs a
-    /// loss inside the transport — the message is delivered after
-    /// [`rc_retransmit_delay`](Self::rc_retransmit_delay) — while UC/UD
-    /// messages are silently dropped, exactly the reliability split the
-    /// paper's Section 2.2 describes.
-    pub loss_rate: f64,
-    /// Hardware retransmission delay RC pays per lost packet.
-    pub rc_retransmit_delay: SimDuration,
 }
 
 impl Default for RnicConfig {
     fn default() -> Self {
         RnicConfig {
-            link_gbps: 40.0,
-            propagation: SimDuration::from_nanos(500),
-            header_bytes: 60,
-            ack_bytes: 20,
-            post_onesided: SimDuration::from_nanos(70),
-            post_twosided: SimDuration::from_nanos(150),
-            post_batched_extra: SimDuration::from_nanos(60),
-            nic_process: SimDuration::from_nanos(150),
-            nic_units: 4,
-            pcie_latency: SimDuration::from_nanos(350),
-            pcie_gbps: 128.0,
-            dma_units: 4,
-            recv_dispatch: SimDuration::from_nanos(400),
-            ud_mtu: 4096,
             ddio: false,
-            sflush_addressing: SimDuration::from_micros(7),
             retransfer_interval: SimDuration::from_millis(100),
-            loss_rate: 0.0,
-            rc_retransmit_delay: SimDuration::from_micros(16),
         }
     }
 }
 
 impl RnicConfig {
-    /// The testbed with a lossy fabric (for reliability experiments).
-    pub fn with_loss(loss_rate: f64) -> Self {
-        RnicConfig {
-            loss_rate,
-            ..Self::default()
-        }
-    }
-}
-
-impl RnicConfig {
-    /// The paper's default testbed configuration (DDIO disabled).
-    pub fn paper_testbed() -> Self {
-        Self::default()
-    }
-
-    /// Same testbed with DDIO enabled (Section 4.4.2 case study).
+    /// The testbed with DDIO enabled (Section 4.4.2 case study).
     pub fn with_ddio() -> Self {
         RnicConfig {
             ddio: true,

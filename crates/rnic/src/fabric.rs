@@ -12,6 +12,12 @@ use crate::config::RnicConfig;
 use crate::nic::Rnic;
 use crate::qp::{connect, Qp, QpMode};
 
+/// Link bandwidth in Gbit/s (paper: 40/56 GbE; the model runs 40).
+pub(crate) const LINK_GBPS: f64 = 40.0;
+/// One-way propagation + switch delay (single ToR switch: ~300 ns
+/// cut-through + cable/PHY).
+pub(crate) const PROPAGATION: SimDuration = SimDuration::from_nanos(500);
+
 /// Identifies a node on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -34,7 +40,7 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A fabric whose links and RNICs use `cfg`.
+    /// A fabric whose RNICs use `cfg`.
     pub fn new(handle: SimHandle, cfg: RnicConfig) -> Self {
         Fabric {
             inner: Rc::new(FabricInner {
@@ -44,11 +50,6 @@ impl Fabric {
                 links: RefCell::new(HashMap::new()),
             }),
         }
-    }
-
-    /// The fabric's RNIC/link configuration.
-    pub fn config(&self) -> &RnicConfig {
-        &self.inner.cfg
     }
 
     /// The simulation handle.
@@ -69,26 +70,21 @@ impl Fabric {
         self.inner.nodes.borrow()[id.0].clone()
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.borrow().len()
-    }
-
     /// The path `from -> to`: the destination's shared ingress link
     /// (created on first use).
     pub fn link(&self, from: NodeId, to: NodeId) -> SharedLink {
         assert_ne!(from, to, "no loopback links");
+        self.ingress(to)
+    }
+
+    /// `node`'s ingress link, created on first use.
+    fn ingress(&self, node: NodeId) -> SharedLink {
+        let handle = &self.inner.handle;
         let mut links = self.inner.links.borrow_mut();
-        links
-            .entry(to)
-            .or_insert_with(|| {
-                SharedLink::new(
-                    self.inner.handle.clone(),
-                    self.inner.cfg.link_gbps,
-                    self.inner.cfg.propagation,
-                )
-            })
-            .clone()
+        let link = links
+            .entry(node)
+            .or_insert_with(|| SharedLink::new(handle.clone(), LINK_GBPS, PROPAGATION));
+        link.clone()
     }
 
     /// Establish a connected QP pair between two nodes; `a`'s verb posts
@@ -113,17 +109,7 @@ impl Fabric {
     pub fn degrade_ingress(&self, node: NodeId, factor: f64) {
         // Materialize the ingress link even if nothing has used it yet so
         // the degradation applies to the first message too.
-        let mut links = self.inner.links.borrow_mut();
-        links
-            .entry(node)
-            .or_insert_with(|| {
-                SharedLink::new(
-                    self.inner.handle.clone(),
-                    self.inner.cfg.link_gbps,
-                    self.inner.cfg.propagation,
-                )
-            })
-            .set_slowdown(factor);
+        self.ingress(node).set_slowdown(factor);
     }
 
     /// Congest the `from -> to` link with a background stream of
@@ -158,7 +144,6 @@ mod tests {
     use super::*;
     use crate::nic::MemTarget;
     use crate::payload::Payload;
-    use prdma_pmem::PmConfig;
     use prdma_simnet::{Sim, Tracer};
 
     fn two_node_fabric(sim: &Sim) -> (Fabric, NodeId, NodeId) {
@@ -166,7 +151,7 @@ mod tests {
         let mk = || {
             let tracer = Tracer::new(sim.handle());
             (
-                PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20), tracer, None),
+                PmDevice::new(sim.handle(), 1 << 20, tracer, None),
                 VolatileMemory::new(1 << 20),
             )
         };
@@ -187,7 +172,7 @@ mod tests {
         drop(l1.transmit(0)); // never polled; links compared via shared stats
         assert_eq!(l1.bytes_moved(), l2.bytes_moved());
         assert_eq!(l3.bytes_moved(), 0);
-        assert_eq!(f.node_count(), 2);
+        assert_eq!((a, b), (NodeId(0), NodeId(1)));
     }
 
     #[test]

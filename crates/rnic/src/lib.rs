@@ -16,16 +16,16 @@
 //!
 //! ```
 //! use prdma_simnet::{Sim, Tracer};
-//! use prdma_pmem::{PmConfig, PmDevice, VolatileMemory};
+//! use prdma_pmem::{PmDevice, VolatileMemory};
 //! use prdma_rnic::{Fabric, MemTarget, Payload, QpMode, RnicConfig};
 //!
 //! let mut sim = Sim::new(1);
-//! let fabric = Fabric::new(sim.handle(), RnicConfig::paper_testbed());
+//! // The paper's testbed: DDIO off. Timing is calibrated, not configured.
+//! let fabric = Fabric::new(sim.handle(), RnicConfig::default());
 //! // A node's RNIC records into the tracer (and journal, if any) of the
 //! // PM device it is built over.
 //! let mk = || {
-//!     let pm_cfg = PmConfig::with_capacity(1 << 20);
-//!     let pm = PmDevice::new(sim.handle(), pm_cfg, Tracer::new(sim.handle()), None);
+//!     let pm = PmDevice::new(sim.handle(), 1 << 20, Tracer::new(sim.handle()), None);
 //!     (pm, VolatileMemory::new(1 << 20))
 //! };
 //! let (pm_a, dram_a) = mk();
@@ -56,4 +56,6 @@ pub use config::RnicConfig;
 pub use fabric::{Fabric, NodeId};
 pub use nic::{MemTarget, RdmaError, RdmaResult, Rnic};
 pub use payload::Payload;
-pub use qp::{connect, DmaOutcome, PersistToken, Qp, QpMode, RecvCompletion};
+pub use qp::{
+    connect, DmaOutcome, PersistToken, Qp, QpMode, RecvCompletion, POST_ONESIDED, UD_MTU,
+};

@@ -8,10 +8,23 @@ use std::rc::Rc;
 use prdma_pmem::{PmDevice, VolatileMemory};
 use prdma_simnet::journal::{EventKind, Journal, Subsystem, NO_ID};
 use prdma_simnet::trace::{Phase, Span, Tracer};
-use prdma_simnet::{FifoResource, Notify, SimHandle};
+use prdma_simnet::{FifoResource, Notify, SimDuration, SimHandle};
 
 use crate::config::RnicConfig;
 use crate::payload::Payload;
+
+/// RNIC packet-processing engine cost per message.
+const NIC_PROCESS: SimDuration = SimDuration::from_nanos(150);
+/// Parallel RNIC processing units.
+const NIC_UNITS: usize = 4;
+/// One-way PCIe traversal latency. Posted writes (payload DMA, CQE
+/// delivery) pay it once; reads (recv-WQE fetches, RDMA-read DMA) pay a
+/// request + completion round trip (2x).
+const PCIE_LATENCY: SimDuration = SimDuration::from_nanos(350);
+/// PCIe bandwidth in Gbit/s (x16 Gen3 ~ 128 Gbit/s).
+const PCIE_GBPS: f64 = 128.0;
+/// Parallel DMA engines.
+const DMA_UNITS: usize = 4;
 
 /// Where a DMA lands on the receiving node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +141,8 @@ impl Rnic {
     /// [`Phase::FlushWait`], and SRAM, DMA, WQE/CQE and flush-barrier
     /// transitions into the journal when there is one.
     pub fn new(handle: SimHandle, cfg: RnicConfig, pm: PmDevice, dram: VolatileMemory) -> Self {
-        let engine = FifoResource::new(handle.clone(), cfg.nic_units.max(1));
-        let dma = FifoResource::new(handle.clone(), cfg.dma_units.max(1));
+        let engine = FifoResource::new(handle.clone(), NIC_UNITS);
+        let dma = FifoResource::new(handle.clone(), DMA_UNITS);
         Rnic {
             inner: Rc::new(RnicInner {
                 handle,
@@ -200,7 +213,7 @@ impl Rnic {
     /// Occupy one packet-processing engine for the per-message cost.
     pub async fn process_message(&self) {
         let _span = self.span(Phase::Wire);
-        self.inner.engine.process(self.inner.cfg.nic_process).await;
+        self.inner.engine.process(NIC_PROCESS).await;
         self.inner
             .msgs_processed
             .set(self.inner.msgs_processed.get() + 1);
@@ -280,8 +293,7 @@ impl Rnic {
         target: MemTarget,
         payload: &Payload,
     ) -> RdmaResult<bool> {
-        let pcie = self.inner.cfg.pcie_latency
-            + prdma_simnet::transfer_time(payload.len(), self.inner.cfg.pcie_gbps);
+        let pcie = PCIE_LATENCY + prdma_simnet::transfer_time(payload.len(), PCIE_GBPS);
         // Power-failure semantics: if the node crashes while this DMA is in
         // flight, the transfer is aborted and nothing reaches memory.
         let epoch = self.inner.epoch.get();
@@ -343,8 +355,7 @@ impl Rnic {
     ) -> RdmaResult<Option<Vec<u8>>> {
         self.drain_posted_writes(qp).await?;
         // A DMA read is a request/completion round trip over the bus.
-        let pcie = self.inner.cfg.pcie_latency * 2
-            + prdma_simnet::transfer_time(len, self.inner.cfg.pcie_gbps);
+        let pcie = PCIE_LATENCY * 2 + prdma_simnet::transfer_time(len, PCIE_GBPS);
         {
             let _span = self.span(Phase::NicDma);
             self.inner.dma.process(pcie).await;
@@ -367,10 +378,7 @@ impl Rnic {
     pub async fn fetch_recv_wqe(&self) {
         self.jot(Subsystem::Nic, EventKind::WqeFetch, NO_ID, 0);
         let _span = self.span(Phase::NicDma);
-        self.inner
-            .dma
-            .process(self.inner.cfg.pcie_latency * 2)
-            .await;
+        self.inner.dma.process(PCIE_LATENCY * 2).await;
     }
 
     /// DMA the completion-queue entry of a delivered two-sided (or
@@ -381,7 +389,7 @@ impl Rnic {
     pub async fn dma_write_cqe(&self) {
         self.jot(Subsystem::Nic, EventKind::CqeWrite, NO_ID, 0);
         let _span = self.span(Phase::NicDma);
-        self.inner.dma.process(self.inner.cfg.pcie_latency).await;
+        self.inner.dma.process(PCIE_LATENCY).await;
     }
 
     /// Mark the start of a posted DMA write; returns its ordering ticket.
@@ -543,8 +551,7 @@ impl Rnic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prdma_pmem::PmConfig;
-    use prdma_simnet::{Sim, SimDuration};
+    use prdma_simnet::Sim;
 
     fn rnic_fixture(sim: &Sim) -> Rnic {
         rnic_with(sim, RnicConfig::default())
@@ -552,7 +559,7 @@ mod tests {
 
     fn rnic_with(sim: &Sim, cfg: RnicConfig) -> Rnic {
         let tracer = Tracer::new(sim.handle());
-        let pm = PmDevice::new(sim.handle(), PmConfig::with_capacity(1 << 20), tracer, None);
+        let pm = PmDevice::new(sim.handle(), 1 << 20, tracer, None);
         Rnic::new(sim.handle(), cfg, pm, VolatileMemory::new(1 << 20))
     }
 

@@ -23,9 +23,26 @@ use prdma_simnet::{
     oneshot, FifoResource, Notify, OneshotPool, OneshotReceiver, SharedLink, SimDuration, SimHandle,
 };
 
-use crate::config::RnicConfig;
 use crate::nic::{MemTarget, RdmaError, RdmaResult, Rnic};
 use crate::payload::Payload;
+
+/// Wire/transport header bytes added to every message.
+const HEADER_BYTES: u64 = 60;
+/// Size of an RC hardware ACK on the wire.
+const ACK_BYTES: u64 = 20;
+/// Sender software cost to post a one-sided WQE (write/read);
+/// FaSST/HERD measure 65–100 ns per post.
+pub const POST_ONESIDED: SimDuration = SimDuration::from_nanos(70);
+/// Sender software cost to post a two-sided WQE (send), which also
+/// covers (batch-amortized) recv-WQE replenishment on the sender.
+const POST_TWOSIDED: SimDuration = SimDuration::from_nanos(150);
+/// Additional per-WQE cost when posting to a doorbell in a batch
+/// (amortized fraction of a full post).
+const POST_BATCHED_EXTRA: SimDuration = SimDuration::from_nanos(60);
+/// Maximum transmission unit for UD transport (FaSST's 4 KB limit).
+pub const UD_MTU: u64 = 4096;
+/// Hardware retransmission delay RC pays per lost packet.
+const RC_RETRANSMIT_DELAY: SimDuration = SimDuration::from_micros(16);
 
 /// RDMA transport mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,10 +261,6 @@ impl Qp {
         &self.inner.remote
     }
 
-    fn cfg(&self) -> &RnicConfig {
-        self.inner.local.config()
-    }
-
     /// Stamp the next posted verb's journal records with an RPC id, so
     /// span analyzers can attribute individual wire segments (data-out,
     /// retransmits, hardware ACKs) to the request that caused them. The
@@ -294,11 +307,8 @@ impl Qp {
     }
 
     fn check_mtu(&self, len: u64) -> RdmaResult<()> {
-        if self.inner.mode == QpMode::Ud && len > self.cfg().ud_mtu {
-            return Err(RdmaError::MtuExceeded {
-                len,
-                mtu: self.cfg().ud_mtu,
-            });
+        if self.inner.mode == QpMode::Ud && len > UD_MTU {
+            return Err(RdmaError::MtuExceeded { len, mtu: UD_MTU });
         }
         Ok(())
     }
@@ -308,7 +318,7 @@ impl Qp {
     pub async fn write(&self, target: MemTarget, payload: Payload) -> RdmaResult<PersistToken> {
         let rpc = self.take_tag();
         self.check_mtu(payload.len())?;
-        self.post_cost(rpc, self.cfg().post_onesided).await;
+        self.post_cost(rpc, POST_ONESIDED).await;
         self.transfer_and_ack(rpc, Delivery::Write { target }, payload, None)
             .await
     }
@@ -323,7 +333,7 @@ impl Qp {
     ) -> RdmaResult<PersistToken> {
         let rpc = self.take_tag();
         self.check_mtu(payload.len())?;
-        self.post_cost(rpc, self.cfg().post_onesided).await;
+        self.post_cost(rpc, POST_ONESIDED).await;
         self.transfer_and_ack(rpc, Delivery::Write { target }, payload, Some(imm))
             .await
     }
@@ -333,7 +343,7 @@ impl Qp {
     pub async fn send(&self, payload: Payload) -> RdmaResult<PersistToken> {
         let rpc = self.take_tag();
         self.check_mtu(payload.len())?;
-        self.post_cost(rpc, self.cfg().post_twosided).await;
+        self.post_cost(rpc, POST_TWOSIDED).await;
         self.transfer_and_ack(rpc, Delivery::Send, payload, None)
             .await
     }
@@ -352,11 +362,8 @@ impl Qp {
         }
         let rpc = self.take_tag();
         let k = items.len() as u64;
-        self.post_cost(
-            rpc,
-            self.cfg().post_onesided + self.cfg().post_batched_extra * (k - 1),
-        )
-        .await;
+        self.post_cost(rpc, POST_ONESIDED + POST_BATCHED_EXTRA * (k - 1))
+            .await;
         let mut tokens = Vec::with_capacity(items.len());
         let n = items.len();
         for (i, (target, payload)) in items.into_iter().enumerate() {
@@ -381,11 +388,8 @@ impl Qp {
         }
         let rpc = self.take_tag();
         let k = payloads.len() as u64;
-        self.post_cost(
-            rpc,
-            self.cfg().post_twosided + self.cfg().post_batched_extra * (k - 1),
-        )
-        .await;
+        self.post_cost(rpc, POST_TWOSIDED + POST_BATCHED_EXTRA * (k - 1))
+            .await;
         let mut tokens = Vec::with_capacity(payloads.len());
         let n = payloads.len();
         for (i, payload) in payloads.into_iter().enumerate() {
@@ -433,16 +437,13 @@ impl Qp {
     ) -> RdmaResult<Option<Vec<u8>>> {
         let rpc = self.take_tag();
         self.inner.remote.check_up()?;
-        self.post_cost(rpc, self.cfg().post_onesided).await;
+        self.post_cost(rpc, POST_ONESIDED).await;
         self.inner.local.process_message().await;
         // Read request: header-sized message.
         {
             let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + 16);
-            self.inner
-                .out_link
-                .transmit(self.cfg().header_bytes + 16)
-                .await;
+            self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES + 16);
+            self.inner.out_link.transmit(HEADER_BYTES + 16).await;
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
@@ -450,11 +451,8 @@ impl Qp {
         let bytes = remote.dma_read(self.inner.id, target, len, inline).await?;
         {
             let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
-            self.inner
-                .back_link
-                .transmit(self.cfg().header_bytes + len)
-                .await;
+            self.jot_remote(EventKind::WireSegment, rpc, HEADER_BYTES + len);
+            self.inner.back_link.transmit(HEADER_BYTES + len).await;
         }
         if stage {
             self.inner.local.sram_admit(len);
@@ -476,16 +474,16 @@ impl Qp {
         self.inner.local.process_message().await;
         {
             let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes);
-            self.inner.out_link.transmit(self.cfg().header_bytes).await;
+            self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES);
+            self.inner.out_link.transmit(HEADER_BYTES).await;
         }
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
         self.inner.remote.drain_posted_writes(self.inner.id).await?;
         {
             let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, self.cfg().ack_bytes);
-            self.inner.back_link.transmit(self.cfg().ack_bytes).await;
+            self.jot_remote(EventKind::WireSegment, rpc, ACK_BYTES);
+            self.inner.back_link.transmit(ACK_BYTES).await;
         }
         self.inner.local.process_message().await;
         Ok(())
@@ -551,31 +549,23 @@ impl Qp {
         self.inner.local.process_message().await;
         {
             let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
-            self.inner
-                .out_link
-                .transmit(self.cfg().header_bytes + len)
-                .await;
+            self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES + len);
+            self.inner.out_link.transmit(HEADER_BYTES + len).await;
         }
         // Wire loss: RC retransmits in hardware (pure delay); UC/UD drop
         // the message silently — the sender still gets its local WC. The
-        // effective rate combines the configured baseline with any
-        // fault-injected burst on the receiving node; the RNG is only
-        // consulted when a loss is possible, so loss-free schedules are
-        // byte-identical with and without the fault machinery.
-        let loss_rate = self.cfg().loss_rate.max(self.inner.remote.injected_loss());
+        // rate is whatever loss is injected on the receiving node; the RNG
+        // is only consulted when a loss is possible, so loss-free schedules
+        // are byte-identical with and without the fault machinery.
+        let loss_rate = self.inner.remote.injected_loss();
         if loss_rate > 0.0 && self.inner.handle.gen_f64() < loss_rate {
             match self.inner.mode {
                 QpMode::Rc => {
                     let _span = self.wire_span();
                     self.inner.local.note_retransmit();
-                    let d = self.cfg().rc_retransmit_delay;
-                    self.inner.handle.sleep(d).await;
-                    self.jot_local(EventKind::WireSegment, rpc, self.cfg().header_bytes + len);
-                    self.inner
-                        .out_link
-                        .transmit(self.cfg().header_bytes + len)
-                        .await;
+                    self.inner.handle.sleep(RC_RETRANSMIT_DELAY).await;
+                    self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES + len);
+                    self.inner.out_link.transmit(HEADER_BYTES + len).await;
                 }
                 QpMode::Uc | QpMode::Ud => {
                     return Ok(PersistToken::resolved_dropped());
@@ -637,8 +627,8 @@ impl Qp {
             // Hardware ACK generated at SRAM arrival (NOT persistence).
             {
                 let _span = self.wire_span();
-                self.jot_remote(EventKind::WireSegment, rpc, self.cfg().ack_bytes);
-                self.inner.back_link.transmit(self.cfg().ack_bytes).await;
+                self.jot_remote(EventKind::WireSegment, rpc, ACK_BYTES);
+                self.inner.back_link.transmit(ACK_BYTES).await;
             }
             self.inner.local.process_message().await;
         }
@@ -655,8 +645,10 @@ enum Delivery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prdma_pmem::{PmConfig, PmDevice, VolatileMemory};
-    use prdma_simnet::{Sim, Tracer};
+    use crate::config::RnicConfig;
+    use crate::fabric::{LINK_GBPS, PROPAGATION};
+    use prdma_pmem::{PmDevice, VolatileMemory};
+    use prdma_simnet::{transfer_time, Sim, SimTime, Tracer};
 
     fn pair(sim: &Sim, mode: QpMode) -> (Qp, Qp) {
         pair_cfg(sim, mode, RnicConfig::default())
@@ -666,14 +658,14 @@ mod tests {
         let h = sim.handle();
         let mk = |cfg: &RnicConfig| {
             let tracer = Tracer::new(h.clone());
-            let pm = PmDevice::new(h.clone(), PmConfig::with_capacity(1 << 20), tracer, None);
+            let pm = PmDevice::new(h.clone(), 1 << 20, tracer, None);
             let dram = VolatileMemory::new(1 << 20);
             Rnic::new(h.clone(), cfg.clone(), pm, dram)
         };
         let a = mk(&cfg);
         let b = mk(&cfg);
-        let ab = SharedLink::new(h.clone(), cfg.link_gbps, cfg.propagation);
-        let ba = SharedLink::new(h.clone(), cfg.link_gbps, cfg.propagation);
+        let ab = SharedLink::new(h.clone(), LINK_GBPS, PROPAGATION);
+        let ba = SharedLink::new(h.clone(), LINK_GBPS, PROPAGATION);
         connect(h, mode, a, b, ab, ba, None)
     }
 
@@ -767,6 +759,45 @@ mod tests {
                 len: 8192,
                 mtu: 4096
             }
+        );
+    }
+
+    #[test]
+    fn injected_loss_drops_ud_and_delays_rc_by_one_retransmit() {
+        // One 64 B message with total loss injected on the destination
+        // NIC (or none): the WC time and the receiver-side outcome.
+        let run = |mode: QpMode, lossy: bool| {
+            let mut sim = Sim::new(1);
+            let (qa, qb) = pair(&sim, mode);
+            if lossy {
+                let forever = SimTime::from_nanos(u64::MAX / 2);
+                qb.local().inject_loss(1.0, forever);
+            }
+            qb.post_recv(MemTarget::Dram(0));
+            let h = sim.handle();
+            sim.block_on(async move {
+                let msg = Payload::synthetic(64, 0);
+                let token = match mode {
+                    QpMode::Ud => qa.send(msg).await,
+                    _ => qa.write(MemTarget::Pm(0), msg).await,
+                };
+                let wc = h.now();
+                (wc, token.unwrap().wait_outcome().await)
+            })
+        };
+        let (_, ud) = run(QpMode::Ud, true);
+        assert!(!ud.delivered && !ud.durable, "UD must drop: {ud:?}");
+        let (clean_wc, clean) = run(QpMode::Rc, false);
+        let (lossy_wc, lossy) = run(QpMode::Rc, true);
+        assert_eq!(clean, lossy, "RC absorbs the loss");
+        assert!(lossy.delivered && lossy.durable);
+        // The retransmit waits out the hardware timer, then the message
+        // crosses the idle link a second time.
+        let resend = PROPAGATION + transfer_time(HEADER_BYTES + 64, LINK_GBPS);
+        assert_eq!(lossy_wc - clean_wc, RC_RETRANSMIT_DELAY + resend);
+        assert!(
+            run(QpMode::Ud, false).1.delivered,
+            "UD delivers on a clean wire"
         );
     }
 

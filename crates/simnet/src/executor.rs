@@ -881,13 +881,6 @@ impl SimHandle {
         self.inner.rng.borrow_mut().gen::<f64>()
     }
 
-    /// An exponentially-distributed duration with the given mean
-    /// (used for Poisson arrival processes, e.g. fault injection).
-    pub fn exp_duration(&self, mean: SimDuration) -> SimDuration {
-        let u: f64 = self.inner.rng.borrow_mut().gen_range(1e-12..1.0);
-        SimDuration::from_nanos((-u.ln() * mean.as_nanos() as f64).round() as u64)
-    }
-
     /// The task being polled, if `cx` carries its own slot waker: the
     /// [`Waker::will_wake`] comparison against the published identity.
     fn polled_task(&self, cx: &Context<'_>) -> Option<usize> {
@@ -1128,17 +1121,6 @@ mod tests {
     fn block_on_detects_deadlock() {
         let mut sim = Sim::new(1);
         sim.block_on(std::future::pending::<()>());
-    }
-
-    #[test]
-    fn exp_duration_has_roughly_right_mean() {
-        let sim = Sim::new(3);
-        let h = sim.handle();
-        let mean = SimDuration::from_micros(100);
-        let n = 10_000;
-        let total: u64 = (0..n).map(|_| h.exp_duration(mean).as_nanos()).sum();
-        let avg = total as f64 / n as f64;
-        assert!((avg - 100_000.0).abs() < 5_000.0, "avg {avg}");
     }
 
     #[test]

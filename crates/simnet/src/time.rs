@@ -82,13 +82,6 @@ impl SimDuration {
         SimDuration((us * 1_000.0).round() as u64)
     }
 
-    /// Construct from fractional seconds.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "negative duration");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// The span in nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -235,7 +228,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
-        assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 
     #[test]
