@@ -1,7 +1,6 @@
-//! Observability dashboard + tail attribution + metrics-overhead gate.
+//! Observability dashboard + tail attribution.
 //! Run: cargo bench --bench fig_obs
-//! Flags after `--`: `--dashboard` for full per-tick resolution; env
-//! `PRDMA_OBS_GATE=1` turns the 5% overhead budget into an assertion.
+//! Flags after `--`: `--dashboard` for full per-tick resolution.
 use prdma_bench::{emit_all, exp, Scale};
 
 fn main() {

@@ -11,12 +11,12 @@ use prdma_simnet::{Sim, SimDuration};
 use prdma_workloads::faults::{run_faulty, FaultConfig, MeasuredCosts, Scheme};
 use prdma_workloads::graph::{generate, GraphDataset};
 use prdma_workloads::micro::MicroConfig;
-use prdma_workloads::pagerank::{run_pagerank, PageRankConfig};
+use prdma_workloads::pagerank::run_pagerank;
 use prdma_workloads::ycsb::{run_ycsb, YcsbConfig, YcsbWorkload};
 
 use crate::report::{us, Table};
 use crate::runner::{
-    export_and_audit, journal_enabled, metrics_enabled, micro_run, par_map, ycsb_run, ExpEnv, Scale,
+    export_and_audit, journal_enabled, micro_run, par_map, ycsb_run, ExpEnv, Scale,
 };
 
 /// Fig. 10: PageRank execution time per dataset per system.
@@ -43,12 +43,11 @@ pub fn fig10(scale: Scale) -> Vec<Table> {
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
         let opts = SystemOpts::for_object_size(4096, ServerProfile::light());
         let client = build_system(&cluster, kind, 1, 0, 0, &opts);
-        let cfg = PageRankConfig {
-            iterations: scale.pr_iters,
-            ..Default::default()
-        };
         let h = sim.handle();
-        let r = sim.block_on(async move { run_pagerank(client.as_ref(), &h, &graph, &cfg).await });
+        let r =
+            sim.block_on(
+                async move { run_pagerank(client.as_ref(), &h, &graph, scale.pr_iters).await },
+            );
         format!("{:.3}", r.elapsed.as_secs_f64())
     });
     let mut cells = cells.into_iter();
@@ -123,7 +122,6 @@ fn ycsb_cached_cell(w: YcsbWorkload, scale: Scale) -> String {
     let mut sim = Sim::new(20211114);
     let mut ccfg = ClusterConfig::with_servers(1, 1);
     ccfg.journal = journal_enabled();
-    ccfg.metrics = metrics_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);
     let map = ShardMap::new(1);
     let dcfg = DurableConfig {

@@ -1,9 +1,8 @@
-//! Observability figure (`fig_obs`): a live fleet-metrics dashboard, tail
-//! critical-path attribution from per-RPC span trees, and the
-//! metrics-overhead gate.
+//! Observability figure (`fig_obs`): a live fleet-metrics dashboard and
+//! tail critical-path attribution from per-RPC span trees.
 //!
 //! The dashboard run drives a replicated sharded fleet (3 shards × 2
-//! replicas, 2 client nodes) with journaling *and* metrics on, degrades
+//! replicas, 2 client nodes) with journaling on, degrades
 //! one server's ingress link mid-run, and then folds the fleet's
 //! per-node metrics snapshots into per-interval tables: counter deltas
 //! (ops, retries, faults), instantaneous gauges (inflight, DMA/log
@@ -17,22 +16,14 @@
 //! artifacts (`fig_obs_metrics.jsonl`, `fig_obs_tail.txt`) are written
 //! to the output directory unconditionally — both are byte-deterministic
 //! for a given seed.
-//!
-//! The overhead gate reruns one fig09-style micro point with metrics
-//! forced off and then on (via [`crate::runner::set_metrics_override`]),
-//! asserts the virtual-time results are identical, and reports the
-//! wall-time overhead (min of 3 runs each). `PRDMA_OBS_GATE=1` turns the
-//! ≤5% bound into a hard assertion (the CI `smoke` job sets it).
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use prdma::span::PHASES;
 use prdma::{
     build_fleet, build_span_trees, tail_report, CacheConfig, DurableConfig, DurableKind, FleetSpec,
     RpcClient, ServerProfile, ShardMap, TailReport,
 };
-use prdma_baselines::SystemKind;
 use prdma_node::{Cluster, ClusterConfig};
 use prdma_simnet::fault::{FaultKind, FaultPlan};
 use prdma_simnet::metrics::{Key, Snapshot};
@@ -40,7 +31,7 @@ use prdma_simnet::{Sim, SimDuration, SimTime};
 use prdma_workloads::micro::{run_micro_fleet, MicroConfig};
 
 use crate::report::{output_dir, us, Table};
-use crate::runner::{micro_run, set_metrics_override, ExpEnv, Scale};
+use crate::runner::Scale;
 
 /// Full per-tick dashboard resolution: `--dashboard` after `--`.
 /// Default caps the fleet table at 24 rows.
@@ -64,7 +55,6 @@ fn obs_run(scale: Scale) -> ObsRun {
     let mut sim = Sim::new(20211114);
     let mut ccfg = ClusterConfig::with_servers(shards, clients);
     ccfg.journal = true;
-    ccfg.metrics = true;
     // Finer ticks than the 1 ms default: the smoke-scale run lasts only
     // a few virtual ms and the dashboard should resolve the fault window.
     ccfg.metrics_interval = SimDuration::from_micros(100);
@@ -238,80 +228,8 @@ fn tail_table(report: &TailReport, trees: usize) -> Table {
     t
 }
 
-/// One fig09-style micro point (WFlush-RPC, 1 KB, light load), timed.
-/// Ops are floored at 5000 so the wall time is long enough for a stable
-/// overhead ratio even at smoke scale.
-fn timed_point(scale: Scale) -> (std::time::Duration, u64, u64) {
-    let env = ExpEnv::sized(1024, ServerProfile::light());
-    let cfg = MicroConfig {
-        objects: scale.objects,
-        ops: scale.micro_ops.max(5_000),
-        object_size: 1024,
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let r = micro_run(SystemKind::WFlush, &env, cfg);
-    (t0.elapsed(), r.run.ops, r.run.latency.p50_ns)
-}
-
-/// The metrics-overhead gate: identical virtual-time results with
-/// metrics off vs on, and ≤5% wall-time overhead (hard assertion under
-/// `PRDMA_OBS_GATE=1`; reported either way).
-fn overhead_table(scale: Scale) -> Table {
-    let min3 = |on: bool| {
-        set_metrics_override(Some(on));
-        let mut best = timed_point(scale);
-        for _ in 0..2 {
-            let r = timed_point(scale);
-            assert_eq!((r.1, r.2), (best.1, best.2), "seeded reruns must agree");
-            if r.0 < best.0 {
-                best.0 = r.0;
-            }
-        }
-        best
-    };
-    let off = min3(false);
-    let on = min3(true);
-    set_metrics_override(None);
-    // Metrics consume zero simulated time and zero randomness, so the
-    // workload's virtual-time results must be bit-identical.
-    assert_eq!(
-        (off.1, off.2),
-        (on.1, on.2),
-        "metrics must not perturb virtual-time results"
-    );
-    let overhead = on.0.as_secs_f64() / off.0.as_secs_f64().max(1e-9) - 1.0;
-    if matches!(std::env::var("PRDMA_OBS_GATE").as_deref(), Ok("1" | "true")) {
-        assert!(
-            overhead <= 0.05,
-            "metrics-on wall-time overhead {:.1}% exceeds the 5% budget \
-             (off {:.1} ms, on {:.1} ms)",
-            overhead * 100.0,
-            off.0.as_secs_f64() * 1e3,
-            on.0.as_secs_f64() * 1e3,
-        );
-    }
-    let mut t = Table::new(
-        "fig_obs_overhead",
-        "Metrics overhead: fig09 micro point wall time, off vs on (min of 3)",
-        &["config", "wall_ms", "ops", "p50_us", "overhead_pct"],
-    );
-    let row = |name: &str, r: &(std::time::Duration, u64, u64), pct: Option<f64>| {
-        vec![
-            name.to_string(),
-            format!("{:.1}", r.0.as_secs_f64() * 1e3),
-            r.1.to_string(),
-            us(r.2 as f64 / 1e3),
-            pct.map_or("-".into(), |p| format!("{:.1}", p * 100.0)),
-        ]
-    };
-    t.row(row("metrics_off", &off, None));
-    t.row(row("metrics_on", &on, Some(overhead)));
-    t
-}
-
-/// The full observability figure: fleet dashboard, tail attribution, and
-/// the overhead gate, plus raw artifacts under the output directory.
+/// The full observability figure: fleet dashboard and tail attribution,
+/// plus raw artifacts under the output directory.
 pub fn fig_obs(scale: Scale) -> Vec<Table> {
     let run = obs_run(scale);
     let dir = output_dir();
@@ -325,6 +243,5 @@ pub fn fig_obs(scale: Scale) -> Vec<Table> {
     vec![
         fleet_table(&run.snapshots, max_rows),
         tail_table(&run.tail, run.trees),
-        overhead_table(scale),
     ]
 }

@@ -23,7 +23,7 @@ use prdma_workloads::openloop::{
 };
 
 use crate::report::{kops_or_dash, us_or_dash, Table};
-use crate::runner::{export_and_audit, journal_enabled, metrics_enabled, par_map, Scale};
+use crate::runner::{export_and_audit, journal_enabled, par_map, Scale};
 
 /// Offered aggregate loads the sweep visits (KOPS). The top end sits
 /// past every durable kind's single-connection saturation point, so
@@ -54,7 +54,6 @@ pub fn openloop_point(kind: DurableKind, rate_kops: f64, scale: Scale) -> OpenLo
     let mut sim = Sim::new(20211114);
     let mut ccfg = ClusterConfig::with_servers(SHARDS, ENDPOINTS);
     ccfg.journal = journal_enabled();
-    ccfg.metrics = metrics_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);
     let map = ShardMap::new(SHARDS);
     let dcfg = DurableConfig {

@@ -23,7 +23,7 @@ use prdma_simnet::Sim;
 use prdma_workloads::txn_mix::{run_txn_mix, TxnMixConfig, TxnMixResult};
 
 use crate::report::{kops, us, Table};
-use crate::runner::{export_and_audit, journal_enabled, metrics_enabled, par_map, Scale};
+use crate::runner::{export_and_audit, journal_enabled, par_map, Scale};
 
 const CLIENTS: usize = 4;
 const OBJECT_SLOT: u64 = 1024;
@@ -42,7 +42,6 @@ fn txn_point(shards: usize, theta: f64, scale: Scale) -> TxnMixResult {
     let mut sim = Sim::new(20211114);
     let mut ccfg = ClusterConfig::with_servers(shards, CLIENTS);
     ccfg.journal = journal_enabled();
-    ccfg.metrics = metrics_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);
     let map = ShardMap::new(shards);
     let dcfg = DurableConfig {

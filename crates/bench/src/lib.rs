@@ -35,8 +35,8 @@
 //! collected in input order, so every table, CSV, and journal artifact
 //! is byte-identical to a serial run). `PRDMA_PAR=<n>` caps the worker
 //! count; `PRDMA_PAR=1` restores the serial runner, and journaled runs
-//! are always serial. The switches `--journal`, `--no-metrics` and
-//! `--dashboard` go after `--` on the bench command line.
+//! are always serial. The switches `--journal` and `--dashboard` go after
+//! `--` on the bench command line.
 
 #![warn(missing_docs)]
 
@@ -46,8 +46,8 @@ pub mod runner;
 
 pub use report::Table;
 pub use runner::{
-    journal_enabled, metrics_enabled, micro_run, micro_run_concurrent, par_level, par_map,
-    scaleout_run, set_metrics_override, ycsb_run, EnvResult, ExpEnv, Scale,
+    journal_enabled, micro_run, micro_run_concurrent, par_level, par_map, scaleout_run, ycsb_run,
+    EnvResult, ExpEnv, Scale,
 };
 
 /// Emit (print + CSV) a set of tables.

@@ -20,35 +20,6 @@ pub fn journal_enabled() -> bool {
     std::env::args().any(|a| a == "--journal")
 }
 
-/// Process-wide metrics override: 0 = follow args, 1 = force off,
-/// 2 = force on. The overhead gate in `fig_obs` flips this to compare
-/// metrics-off vs metrics-on runs of the same figure within one process.
-static METRICS_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Force fleet metrics on/off for subsequent cluster builds (`None`
-/// restores the command-line default). Used by the observability
-/// bench to measure instrumentation overhead.
-pub fn set_metrics_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    METRICS_OVERRIDE.store(v, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether fleet metrics capture is on for this bench process: on by
-/// default (the registry is designed to be always-on), disabled with
-/// `--no-metrics` after `--`, and overridable at runtime via
-/// [`set_metrics_override`].
-pub fn metrics_enabled() -> bool {
-    match METRICS_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => !std::env::args().any(|a| a == "--no-metrics"),
-    }
-}
-
 /// Export the cluster's merged journal (JSONL + Chrome-trace JSON under
 /// the output directory, named `journal_<tag>.*`) and run the durability
 /// auditor, panicking on any ordering violation or ring overflow. No-op
@@ -221,7 +192,6 @@ impl ExpEnv {
         let mut cfg = ClusterConfig::with_nodes(self.nodes);
         cfg.rnic.ddio = self.ddio;
         cfg.journal = journal_enabled();
-        cfg.metrics = metrics_enabled();
         let cluster = Cluster::new(sim.handle(), cfg);
         if self.network_busy {
             // A background stream of 32 KB packets, both directions,
@@ -352,7 +322,6 @@ pub fn scaleout_run(
     let mut sim = Sim::new(seed);
     let mut ccfg = ClusterConfig::with_servers(shards, clients);
     ccfg.journal = journal_enabled();
-    ccfg.metrics = metrics_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);
     let map = ShardMap::new(shards);
     let slot = cfg.object_size.max(64);

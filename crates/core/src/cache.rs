@@ -382,7 +382,7 @@ pub struct CachedClient {
     view: Option<GroupView>,
     seen_view_epoch: Cell<u64>,
     records: RefCell<Records>,
-    metrics: Option<CacheMetrics>,
+    metrics: CacheMetrics,
 }
 
 impl CachedClient {
@@ -400,19 +400,18 @@ impl CachedClient {
         view: Option<GroupView>,
     ) -> Self {
         let kind = inner.name();
-        let metrics = node.metrics().map(|m| {
-            let k = |name: &'static str| Key::new(name).shard(shard).kind(kind);
-            CacheMetrics {
-                hits: m.counter_handle(k("cache_hits")),
-                misses: m.counter_handle(k("cache_misses")),
-                fills: m.counter_handle(k("cache_fills")),
-                invalidations: m.counter_handle(k("cache_invalidations")),
-                promotions: m.counter_handle(k("cache_promotions")),
-                demotions: m.counter_handle(k("cache_demotions")),
-                mirror_reads: m.counter_handle(k("mirror_reads")),
-                revocations: m.counter_handle(k("lease_revocations")),
-            }
-        });
+        let m = &node.metrics;
+        let k = |name: &'static str| Key::new(name).shard(shard).kind(kind);
+        let metrics = CacheMetrics {
+            hits: m.counter_handle(k("cache_hits")),
+            misses: m.counter_handle(k("cache_misses")),
+            fills: m.counter_handle(k("cache_fills")),
+            invalidations: m.counter_handle(k("cache_invalidations")),
+            promotions: m.counter_handle(k("cache_promotions")),
+            demotions: m.counter_handle(k("cache_demotions")),
+            mirror_reads: m.counter_handle(k("mirror_reads")),
+            revocations: m.counter_handle(k("lease_revocations")),
+        };
         let seen_view_epoch = Cell::new(view.as_ref().map_or(0, |v| v.epoch()));
         CachedClient {
             inner,
@@ -438,9 +437,7 @@ impl CachedClient {
         }
         self.seen_view_epoch.set(now);
         let dropped = self.records.borrow_mut().revoke_all() as u64;
-        if let Some(m) = &self.metrics {
-            m.revocations.incr(dropped.max(1));
-        }
+        self.metrics.revocations.incr(dropped.max(1));
     }
 
     fn jot(&self, kind: EventKind, obj: u64, epoch: u64) {
@@ -466,13 +463,9 @@ impl CachedClient {
         if ks.churn >= self.cfg.churn_demote && ks.tier != Tier::Rpc {
             ks.tier = Tier::Rpc;
             ks.churn = 0;
-            if let Some(m) = &self.metrics {
-                m.demotions.incr(1);
-            }
+            self.metrics.demotions.incr(1);
         }
-        if let Some(m) = &self.metrics {
-            m.invalidations.incr(1);
-        }
+        self.metrics.invalidations.incr(1);
     }
 
     fn fill(&self, id: u32, epoch: u64, len: u64) {
@@ -505,9 +498,7 @@ impl CachedClient {
         let bytes = qp
             .read_mirror(MemTarget::Dram(addr), MIRROR_HEADER_BYTES + len)
             .await?;
-        if let Some(m) = &self.metrics {
-            m.mirror_reads.incr(1);
-        }
+        self.metrics.mirror_reads.incr(1);
         if MirrorRegion::decode_epoch(&bytes) == Some(epoch) {
             Ok(Some(Response {
                 payload: Some(Payload::synthetic(len, obj)),
@@ -574,9 +565,7 @@ impl CachedClient {
         // flight — a fill at a newer epoch could claim bytes fresher than
         // the response actually carries). A zero-capacity cache holds
         // nothing, so it grants no lease and promotes no key.
-        if let Some(m) = &self.metrics {
-            m.misses.incr(1);
-        }
+        self.metrics.misses.incr(1);
         let before = self.lease.epoch(obj);
         let resp = self.inner.call(Request::Get { obj, len }).await?;
         if self.cfg.capacity > 0
@@ -589,13 +578,9 @@ impl CachedClient {
             let ks = records.rec(id);
             if ks.tier == Tier::Rpc {
                 ks.tier = Tier::Cached;
-                if let Some(m) = &self.metrics {
-                    m.promotions.incr(1);
-                }
+                self.metrics.promotions.incr(1);
             }
-            if let Some(m) = &self.metrics {
-                m.fills.incr(1);
-            }
+            self.metrics.fills.incr(1);
         }
         Ok(resp)
     }
@@ -605,9 +590,7 @@ impl CachedClient {
     /// enough streak publishes the key into the server mirror and
     /// promotes it to the one-sided tier.
     fn note_hit(&self, id: u32, obj: u64, len: u64) {
-        if let Some(m) = &self.metrics {
-            m.hits.incr(1);
-        }
+        self.metrics.hits.incr(1);
         let mut records = self.records.borrow_mut();
         records.touch(id);
         let ks = records.rec(id);
@@ -622,9 +605,7 @@ impl CachedClient {
                     && mirror.publish(obj, self.lease.epoch(obj)).is_some()
                 {
                     ks.tier = Tier::Mirror;
-                    if let Some(m) = &self.metrics {
-                        m.promotions.incr(1);
-                    }
+                    self.metrics.promotions.incr(1);
                 }
             }
         }

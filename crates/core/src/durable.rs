@@ -208,9 +208,9 @@ struct Shared {
     next_recv_index: Cell<u64>,
     /// Shard transaction table (see [`build_connection`]).
     txn: Option<TxnState>,
-    /// Pre-resolved server-node metric handles (None when metrics off).
-    m_puts_logged: Option<Counter>,
-    m_puts_processed: Option<Counter>,
+    /// Pre-resolved server-node metric handles.
+    m_puts_logged: Counter,
+    m_puts_processed: Counter,
 }
 
 /// The client endpoint of a durable RPC connection.
@@ -231,8 +231,8 @@ pub struct DurableClient {
     /// connection identity, advanced only when a retry actually sleeps —
     /// a healthy run draws nothing, keeping its schedule byte-identical.
     retry_rng: RefCell<SmallRng>,
-    /// Pre-resolved fleet-metric handles, if metrics are enabled.
-    metrics: Option<ClientMetrics>,
+    /// Pre-resolved fleet-metric handles.
+    metrics: ClientMetrics,
     /// Per-connection recycler for the persist-ack waiter oneshot minted
     /// on every receiver-initiated put: the channel resolves within the
     /// RPC, so steady state reuses one heap cell instead of allocating
@@ -430,17 +430,16 @@ pub(crate) fn build_connection(
     // node index (the shard the dashboard groups by); if one client opens
     // several lanes to the same server, the last-registered lane's
     // provider wins for that key.
-    if let Some(m) = client.metrics() {
-        let shard = server_idx as u32;
-        let c = cursor;
-        m.register_provider(Key::new("log_outstanding").shard(shard), move || {
-            c.outstanding() as i64
-        });
-        let stalls = writer.stall_cell();
-        m.register_provider(Key::new("log_stalls").shard(shard), move || {
-            stalls.get() as i64
-        });
-    }
+    let m = &client.metrics;
+    let shard = server_idx as u32;
+    let c = cursor;
+    m.register_provider(Key::new("log_outstanding").shard(shard), move || {
+        c.outstanding() as i64
+    });
+    let stalls = writer.stall_cell();
+    m.register_provider(Key::new("log_stalls").shard(shard), move || {
+        stalls.get() as i64
+    });
 
     let (work_tx, work_rx) = channel();
     let (arrival_tx, arrival_rx) = channel();
@@ -455,32 +454,26 @@ pub(crate) fn build_connection(
         puts_deduped: Cell::new(0),
         next_recv_index: Cell::new(0),
         txn,
-        m_puts_logged: server
-            .metrics()
-            .map(|m| m.counter_handle(Key::new("puts_logged"))),
-        m_puts_processed: server
-            .metrics()
-            .map(|m| m.counter_handle(Key::new("puts_processed"))),
+        m_puts_logged: server.metrics.counter_handle(Key::new("puts_logged")),
+        m_puts_processed: server.metrics.counter_handle(Key::new("puts_processed")),
     });
 
-    let metrics = client.metrics().map(|m| {
-        let k = |name: &'static str| {
-            Key::new(name)
-                .shard(server_idx as u32)
-                .kind(cfg.kind.name())
-        };
-        ClientMetrics {
-            puts: m.counter_handle(k("puts")),
-            put_bytes: m.counter_handle(k("put_bytes")),
-            gets: m.counter_handle(k("gets")),
-            rpc_ok: m.counter_handle(k("rpc_ok")),
-            rpc_failed: m.counter_handle(k("rpc_failed")),
-            rpc_retries: m.counter_handle(k("rpc_retries")),
-            rpc_timeouts: m.counter_handle(k("rpc_timeouts")),
-            inflight: m.gauge_handle(k("rpc_inflight")),
-            latency: m.window_handle(k("rpc_latency_ns")),
-        }
-    });
+    let k = |name: &'static str| {
+        Key::new(name)
+            .shard(server_idx as u32)
+            .kind(cfg.kind.name())
+    };
+    let metrics = ClientMetrics {
+        puts: m.counter_handle(k("puts")),
+        put_bytes: m.counter_handle(k("put_bytes")),
+        gets: m.counter_handle(k("gets")),
+        rpc_ok: m.counter_handle(k("rpc_ok")),
+        rpc_failed: m.counter_handle(k("rpc_failed")),
+        rpc_retries: m.counter_handle(k("rpc_retries")),
+        rpc_timeouts: m.counter_handle(k("rpc_timeouts")),
+        inflight: m.gauge_handle(k("rpc_inflight")),
+        latency: m.window_handle(k("rpc_latency_ns")),
+    };
     let client_ep = DurableClient {
         kind: cfg.kind,
         writer,
@@ -647,9 +640,7 @@ impl DurableServer {
                             ctx.node.tracer().offpath_scope(processing).await;
                             let shared = &ctx.shared;
                             shared.puts_processed.set(shared.puts_processed.get() + 1);
-                            if let Some(c) = &shared.m_puts_processed {
-                                c.incr(1);
-                            }
+                            shared.m_puts_processed.incr(1);
                         }
                         Work::Get {
                             obj,
@@ -694,9 +685,9 @@ impl DurableServer {
         let pending = ctx.log.recover();
         let tail = ctx.log.cursor().tail();
         ctx.shared.puts_logged.set(tail);
-        if let Some(m) = ctx.node.metrics() {
-            m.incr(Key::new("log_replayed"), pending.len() as u64);
-        }
+        ctx.node
+            .metrics
+            .incr(Key::new("log_replayed"), pending.len() as u64);
         if ctx.shared.kind.is_send_based() {
             // Re-arm the recv ring. A send in flight at the crash
             // consumed a recv WQE that can never complete (the NIC that
@@ -802,9 +793,7 @@ impl ServerCtx {
             _ => return,
         }
         shared.puts_logged.set(shared.puts_logged.get() + 1);
-        if let Some(c) = &shared.m_puts_logged {
-            c.incr(1);
-        }
+        shared.m_puts_logged.incr(1);
         let data = entry_data_part(&image);
 
         // The receiver CPU notices the message by polling.
@@ -1066,13 +1055,13 @@ impl DurableClient {
         for e in entries {
             self.jot_rpc(EventKind::RpcComplete, e.rpc_id.get(), accounted(e));
         }
-        if let Some(m) = &self.metrics {
-            if matches!(entries[0].op.opcode, OpCode::Put | OpCode::RPut) {
-                m.puts.incr(entries.len() as u64);
-                // `put_bytes` has only ever counted unbatched puts.
-                if !batched {
-                    m.put_bytes.incr(entries.iter().map(|e| e.data.len()).sum());
-                }
+        if matches!(entries[0].op.opcode, OpCode::Put | OpCode::RPut) {
+            self.metrics.puts.incr(entries.len() as u64);
+            // `put_bytes` has only ever counted unbatched puts.
+            if !batched {
+                self.metrics
+                    .put_bytes
+                    .incr(entries.iter().map(|e| e.data.len()).sum());
             }
         }
         Ok(())
@@ -1122,9 +1111,7 @@ impl DurableClient {
         let payload = rx.await.ok_or(RpcError::ServerDown)?;
         self.client_node.cpu.poll_dispatch().await;
         self.jot_rpc(EventKind::RpcComplete, rpc_id, payload.len());
-        if let Some(m) = &self.metrics {
-            m.gets.incr(1);
-        }
+        self.metrics.gets.incr(1);
         Ok(Response {
             payload: Some(payload),
             durable: true,
@@ -1155,24 +1142,18 @@ impl DurableClient {
     {
         let h = self.get_qp.local().handle().clone();
         let start = h.now();
-        if let Some(m) = &self.metrics {
-            m.inflight.add(1);
-        }
+        self.metrics.inflight.add(1);
         let mut retries = 0u32;
         let result = loop {
             let err = match prdma_simnet::timeout(&h, self.retry.request_timeout, attempt()).await {
                 Ok(Ok(resp)) => break Ok(resp),
                 Ok(Err(e)) if !e.is_retryable() => break Err(e),
                 Ok(Err(e)) => {
-                    if let Some(m) = &self.metrics {
-                        m.rpc_retries.incr(1);
-                    }
+                    self.metrics.rpc_retries.incr(1);
                     e
                 }
                 Err(_elapsed) => {
-                    if let Some(m) = &self.metrics {
-                        m.rpc_timeouts.incr(1);
-                    }
+                    self.metrics.rpc_timeouts.incr(1);
                     RpcError::TimedOut
                 }
             };
@@ -1180,14 +1161,12 @@ impl DurableClient {
                 break Err(err);
             }
         };
-        if let Some(m) = &self.metrics {
-            m.inflight.add(-1);
-            m.latency.observe_duration(h.now() - start);
-            if result.is_ok() {
-                m.rpc_ok.incr(1);
-            } else {
-                m.rpc_failed.incr(1);
-            }
+        self.metrics.inflight.add(-1);
+        self.metrics.latency.observe_duration(h.now() - start);
+        if result.is_ok() {
+            self.metrics.rpc_ok.incr(1);
+        } else {
+            self.metrics.rpc_failed.incr(1);
         }
         result
     }

@@ -160,17 +160,14 @@ impl GroupState {
         let epoch = self.epoch.get() + 1;
         self.epoch.set(epoch);
         self.jot(EventKind::Promote, NO_ID, epoch, self.nodes[next] as u64);
-        if let Some(m) = self.client.metrics() {
-            m.incr(Key::new("failovers"), 1);
-            m.gauge_set(Key::new("promotion_epoch"), epoch as i64);
-        }
+        let m = &self.client.metrics;
+        m.incr(Key::new("failovers"), 1);
+        m.gauge_set(Key::new("promotion_epoch"), epoch as i64);
     }
 
     fn push_missed(&self, slot: usize, obj: u64, data: Payload, id: u64) {
         self.missed.borrow_mut()[slot].push(MissedPut { obj, data, id });
-        if let Some(m) = self.client.metrics() {
-            m.incr(Key::new("missed_puts"), 1);
-        }
+        self.client.metrics.incr(Key::new("missed_puts"), 1);
     }
 
     fn drain_missed(&self, slot: usize) -> Vec<MissedPut> {
@@ -229,7 +226,7 @@ pub struct ReplicatedClient {
     /// `repl_puts` / `repl_put_latency_ns` on the client node, resolved
     /// once, by the first replicated put: resolving a window allocates
     /// its histogram, which would otherwise land in fleet set-up.
-    metrics: OnceCell<Option<(Counter, Window)>>,
+    metrics: OnceCell<(Counter, Window)>,
 }
 
 /// The server side of a replica group: per-replica durable servers plus
@@ -489,17 +486,15 @@ impl ReplicatedClient {
                 self.state.jot(EventKind::ReplAck, id, n_acked, data.len());
                 self.state
                     .jot(EventKind::RpcComplete, id, NO_ID, data.len());
-                let metrics = self.metrics.get_or_init(|| {
-                    let m = self.state.client.metrics()?;
-                    Some((
+                let (puts, latency) = self.metrics.get_or_init(|| {
+                    let m = &self.state.client.metrics;
+                    (
                         m.counter_handle(Key::new("repl_puts")),
                         m.window_handle(Key::new("repl_put_latency_ns")),
-                    ))
+                    )
                 });
-                if let Some((puts, latency)) = metrics {
-                    puts.incr(1);
-                    latency.observe_duration(self.handle.now() - t0);
-                }
+                puts.incr(1);
+                latency.observe_duration(self.handle.now() - t0);
                 return Ok(Response {
                     payload: None,
                     durable: true,

@@ -37,11 +37,8 @@ pub struct ClusterConfig {
     /// default: with no journal attached, the hot path allocates nothing
     /// and records nothing.
     pub journal: bool,
-    /// Attach a per-node [`Metrics`] registry. On by default — recording
-    /// consumes zero simulated time and zero randomness, so virtual-time
-    /// results and RNG streams are identical with metrics on or off.
-    pub metrics: bool,
-    /// Virtual-time interval between metrics snapshot ticks.
+    /// Virtual-time interval between the snapshot ticks of every node's
+    /// [`Metrics`] registry.
     pub metrics_interval: SimDuration,
 }
 
@@ -52,7 +49,6 @@ impl Default for ClusterConfig {
             servers: 1,
             rnic: RnicConfig::default(),
             journal: false,
-            metrics: true,
             metrics_interval: SimDuration::from_millis(1),
         }
     }
@@ -92,8 +88,10 @@ pub struct Node {
     pub cpu: CpuModel,
     /// DAX region allocator over `pm`.
     pub alloc: DaxAllocator,
+    /// Metrics registry. Recording consumes no simulated time and no
+    /// randomness, so it leaves virtual time and RNG streams unchanged.
+    pub metrics: Metrics,
     rnic: Rnic,
-    metrics: Option<Metrics>,
     /// Software liveness: false while the node's RPC service is down.
     /// Distinct from the NIC's hardware liveness — a *service* crash (the
     /// paper's unikernel restart) leaves the NIC and PM operating, so
@@ -119,10 +117,11 @@ impl Node {
         self.pm.journal()
     }
 
-    /// The node's metrics registry, unless [`ClusterConfig::metrics`]
-    /// was disabled.
+    /// The node's metrics registry, always `Some`. Kept for
+    /// `examples/perfbench` only, which matches on the `Option`; code in
+    /// the workspace reads the `metrics` field.
     pub fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
+        Some(&self.metrics)
     }
 
     /// Crash this node: RNIC SRAM, DRAM, and dirty LLC lines are lost;
@@ -214,27 +213,24 @@ impl Cluster {
             // One metrics registry per node; gauge providers expose the
             // NIC/PM occupancy numbers journal::gauges derives offline,
             // so the dashboard sees utilization without full journaling.
-            let metrics = cfg.metrics.then(|| {
-                let m = Metrics::new(handle.clone(), i as u32, cfg.metrics_interval);
-                let nic = rnic.clone();
-                m.register_provider(Key::new("nic_sram_bytes"), move || nic.sram_bytes() as i64);
-                let nic = rnic.clone();
-                m.register_provider(Key::new("nic_dma_inflight"), move || {
-                    nic.dma_inflight() as i64
-                });
-                let nic = rnic.clone();
-                m.register_provider(Key::new("nic_msgs_processed"), move || {
-                    nic.msgs_processed() as i64
-                });
-                let nic = rnic.clone();
-                m.register_provider(Key::new("nic_retransmits"), move || {
-                    nic.retransmits() as i64
-                });
-                let dev = pm.clone();
-                m.register_provider(Key::new("pm_media_busy_us"), move || {
-                    dev.media_busy_time().as_micros_f64() as i64
-                });
-                m
+            let metrics = Metrics::new(handle.clone(), i as u32, cfg.metrics_interval);
+            let nic = rnic.clone();
+            metrics.register_provider(Key::new("nic_sram_bytes"), move || nic.sram_bytes() as i64);
+            let nic = rnic.clone();
+            metrics.register_provider(Key::new("nic_dma_inflight"), move || {
+                nic.dma_inflight() as i64
+            });
+            let nic = rnic.clone();
+            metrics.register_provider(Key::new("nic_msgs_processed"), move || {
+                nic.msgs_processed() as i64
+            });
+            let nic = rnic.clone();
+            metrics.register_provider(Key::new("nic_retransmits"), move || {
+                nic.retransmits() as i64
+            });
+            let dev = pm.clone();
+            metrics.register_provider(Key::new("pm_media_busy_us"), move || {
+                dev.media_busy_time().as_micros_f64() as i64
             });
             nodes.push(Node {
                 id,
@@ -315,17 +311,15 @@ impl Cluster {
     }
 
     /// Capture a final snapshot on every node and return the merged
-    /// fleet stream ordered by `(ts_ns, node)` (empty when metrics are
-    /// disabled). Idle nodes that never recorded anything contribute
-    /// only their final forced snapshot.
+    /// fleet stream ordered by `(ts_ns, node)`. Idle nodes that never
+    /// recorded anything contribute only their final forced snapshot.
     pub fn metrics_snapshots(&self) -> Vec<Snapshot> {
         let per_node: Vec<Vec<Snapshot>> = self
             .nodes
             .iter()
-            .filter_map(|n| n.metrics.as_ref())
-            .map(|m| {
-                m.force_snapshot();
-                m.snapshots()
+            .map(|n| {
+                n.metrics.force_snapshot();
+                n.metrics.snapshots()
             })
             .collect();
         metrics::merge_snapshots(per_node)

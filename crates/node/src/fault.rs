@@ -116,12 +116,10 @@ fn jot_fault(node: &Node, kind: EventKind, wr_id: u64) {
     if let Some(j) = node.journal() {
         j.record(Subsystem::Fault, kind, NO_ID, wr_id, 0);
     }
-    if let Some(m) = node.metrics() {
-        m.incr(
-            prdma_simnet::metrics::Key::new("faults").kind(kind.name()),
-            1,
-        );
-    }
+    node.metrics.incr(
+        prdma_simnet::metrics::Key::new("faults").kind(kind.name()),
+        1,
+    );
 }
 
 impl Cluster {

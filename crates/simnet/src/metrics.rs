@@ -5,10 +5,10 @@
 //! This is the third observability layer next to [`crate::trace`] (offline
 //! per-phase latency totals) and [`crate::journal`] (audited causal event
 //! records). Unlike journaling — which is opt-in because it retains every
-//! event — metrics are cheap enough to stay on by default: recording a
+//! event — metrics are cheap enough to be always on: recording a
 //! counter/gauge/window sample consumes **zero simulated time and zero
-//! randomness**, so enabling metrics changes neither virtual-time results
-//! nor the RNG stream of a seeded run.
+//! randomness**, so the snapshot interval changes neither virtual-time
+//! results nor the RNG stream of a seeded run.
 //!
 //! A node's [`Metrics`] handle aggregates series keyed by [`Key`]
 //! (`name` + optional `shard` / `role` / `kind` labels). A background

@@ -22,7 +22,6 @@
 pub mod dist;
 pub mod faults;
 pub mod graph;
-pub mod kv;
 pub mod micro;
 pub mod openloop;
 pub mod pagerank;
@@ -32,12 +31,11 @@ pub mod ycsb;
 pub use dist::{KeyDist, Zipfian};
 pub use faults::{run_faulty, FaultConfig, FaultResult, MeasuredCosts, Scheme};
 pub use graph::{generate, generate_power_law, Graph, GraphDataset};
-pub use kv::KvIndex;
 pub use micro::{run_micro, run_micro_split, MicroConfig, RunResult, SplitResult};
 pub use openloop::{
     detect_knee, gen_schedule, run_openloop, Arrival, OpenLoopConfig, OpenLoopResult, RateShape,
     SkewShift,
 };
-pub use pagerank::{run_pagerank, PageRankConfig, PageRankResult};
+pub use pagerank::{run_pagerank, PageRankResult};
 pub use txn_mix::{run_txn_mix, TxnMixConfig, TxnMixResult};
 pub use ycsb::{run_ycsb, YcsbConfig, YcsbWorkload};

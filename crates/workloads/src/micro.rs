@@ -114,7 +114,7 @@ async fn closed_loop(
 
 /// One client's (or, merged, a fleet's) share of a [`RunResult`].
 #[derive(Default)]
-struct Tally {
+pub(crate) struct Tally {
     /// Latencies of the completed operations.
     hist: Histogram,
     unsupported: u64,
@@ -125,19 +125,23 @@ impl Tally {
     /// Run the paper's mix on `client` and tally every outcome.
     async fn of(client: &dyn RpcClient, h: &SimHandle, cfg: &MicroConfig) -> Tally {
         let mut t = Tally::default();
-        closed_loop(client, h, cfg, PAPER_THETA, |_, res| match res {
-            Ok(d) => t.hist.record_duration(d),
-            Err(RpcError::Unsupported(_)) => t.unsupported += 1,
-            // Transport loss or a server outage the system's own retries
-            // could not ride out: the op failed, the run continues (a
-            // benchmark must survive the faults it measures).
-            Err(_) => t.failed += 1,
-        })
-        .await;
+        closed_loop(client, h, cfg, PAPER_THETA, |_, res| t.record(res)).await;
         t
     }
 
-    fn into_result(self, elapsed: SimDuration) -> RunResult {
+    /// Count one op: its latency if it completed, else its error.
+    pub(crate) fn record(&mut self, res: Result<SimDuration, RpcError>) {
+        match res {
+            Ok(d) => self.hist.record_duration(d),
+            Err(RpcError::Unsupported(_)) => self.unsupported += 1,
+            // Transport loss or a server outage the system's own retries
+            // could not ride out: the op failed, the run continues (a
+            // benchmark must survive the faults it measures).
+            Err(_) => self.failed += 1,
+        }
+    }
+
+    pub(crate) fn into_result(self, elapsed: SimDuration) -> RunResult {
         let ops = self.hist.count();
         RunResult {
             ops,

@@ -10,31 +10,13 @@ use prdma_simnet::{SimDuration, SimHandle};
 
 use crate::graph::Graph;
 
-/// PageRank parameters.
-#[derive(Debug, Clone)]
-pub struct PageRankConfig {
-    /// Damping factor.
-    pub damping: f64,
-    /// Iterations to run (the paper does not fix a count; 10 is typical
-    /// and EXPERIMENTS.md notes the scaling).
-    pub iterations: u32,
-    /// RPC fetch granularity in bytes (the client pulls the CSR in pages).
-    pub page_bytes: u64,
-    /// Per-edge local compute charged to the client CPU, in nanoseconds
-    /// (models the "compute-intensive" client the paper emphasizes).
-    pub ns_per_edge: f64,
-}
-
-impl Default for PageRankConfig {
-    fn default() -> Self {
-        PageRankConfig {
-            damping: 0.85,
-            iterations: 10,
-            page_bytes: 4096,
-            ns_per_edge: 4.0,
-        }
-    }
-}
+/// Damping factor.
+const DAMPING: f64 = 0.85;
+/// RPC fetch granularity in bytes (the client pulls the CSR in pages).
+const PAGE_BYTES: u64 = 4096;
+/// Per-edge local compute charged to the client CPU, in nanoseconds
+/// (models the "compute-intensive" client the paper emphasizes).
+const NS_PER_EDGE: f64 = 4.0;
 
 /// Result of a PageRank run.
 #[derive(Debug, Clone)]
@@ -47,26 +29,26 @@ pub struct PageRankResult {
     pub ranks: Vec<f64>,
 }
 
-/// Run PageRank with the graph's pages fetched via `client` each
-/// iteration.
+/// Run `iterations` rounds of PageRank with the graph's pages fetched via
+/// `client` each round (the paper does not fix a count; 10 is typical).
 pub async fn run_pagerank(
     client: &dyn RpcClient,
     h: &SimHandle,
     graph: &Graph,
-    cfg: &PageRankConfig,
+    iterations: u32,
 ) -> PageRankResult {
     let n = graph.nodes as usize;
     let mut ranks = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
     let total_bytes = graph.stored_bytes();
-    let pages = total_bytes.div_ceil(cfg.page_bytes);
+    let pages = total_bytes.div_ceil(PAGE_BYTES);
     let mut fetches = 0u64;
     let t0 = h.now();
 
-    for _ in 0..cfg.iterations {
+    for _ in 0..iterations {
         // Fetch the graph pages from the remote PM.
         for p in 0..pages {
-            let len = cfg.page_bytes.min(total_bytes - p * cfg.page_bytes);
+            let len = PAGE_BYTES.min(total_bytes - p * PAGE_BYTES);
             client
                 .call(Request::Get { obj: p, len })
                 .await
@@ -88,12 +70,11 @@ pub async fn run_pagerank(
                 next[t as usize] += share;
             }
         }
-        let base = (1.0 - cfg.damping + cfg.damping * dangling) / n as f64;
+        let base = (1.0 - DAMPING + DAMPING * dangling) / n as f64;
         for (r, nx) in ranks.iter_mut().zip(next.iter()) {
-            *r = base + cfg.damping * nx;
+            *r = base + DAMPING * nx;
         }
-        let compute =
-            SimDuration::from_nanos((graph.edges() as f64 * cfg.ns_per_edge).round() as u64);
+        let compute = SimDuration::from_nanos((graph.edges() as f64 * NS_PER_EDGE).round() as u64);
         h.sleep(compute).await;
     }
 
@@ -119,12 +100,8 @@ mod tests {
         let opts = SystemOpts::for_object_size(4096, ServerProfile::light());
         let client = build_system(&cluster, kind, 1, 0, 0, &opts);
         let g = generate_power_law(500, 3000, 1);
-        let cfg = PageRankConfig {
-            iterations,
-            ..Default::default()
-        };
         let h = sim.handle();
-        sim.block_on(async move { run_pagerank(client.as_ref(), &h, &g, &cfg).await })
+        sim.block_on(async move { run_pagerank(client.as_ref(), &h, &g, iterations).await })
     }
 
     #[test]

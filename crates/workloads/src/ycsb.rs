@@ -2,12 +2,15 @@
 //! Fig. 11): 50 K records, 8-byte keys, 4 KB values, 300 K operations,
 //! zipfian 0.99 (workload D uses the latest distribution).
 
-use prdma::{Request, RpcClient};
+use prdma::{Request, RpcClient, RpcResult};
 use prdma_rnic::Payload;
-use prdma_simnet::{Histogram, SimDuration, SimHandle};
+use prdma_simnet::SimHandle;
 
 use crate::dist::{workload_rng, KeyDist};
-use crate::micro::RunResult;
+use crate::micro::{RunResult, Tally};
+
+/// Max scan length for workload E (uniform `1..=MAX_SCAN`).
+const MAX_SCAN: u32 = 100;
 
 /// The six core YCSB workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +64,6 @@ pub struct YcsbConfig {
     pub value_size: u64,
     /// Which workload mix.
     pub workload: YcsbWorkload,
-    /// Max scan length for workload E (uniform 1..=max).
-    pub max_scan: u32,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -74,7 +75,6 @@ impl Default for YcsbConfig {
             ops: 300_000,
             value_size: 4 * 1024,
             workload: YcsbWorkload::A,
-            max_scan: 100,
             seed: 7,
         }
     }
@@ -92,20 +92,21 @@ impl YcsbConfig {
 }
 
 /// Run a YCSB workload against `client` (the KV index lives client-side,
-/// per the paper; the server stores values in PM).
+/// per the paper; the server stores values in PM). A request shape the
+/// system cannot serve counts as unsupported, any other error as failed;
+/// a workload F read-modify-write is one op either way.
 pub async fn run_ycsb(client: &dyn RpcClient, h: &SimHandle, cfg: &YcsbConfig) -> RunResult {
     let mut rng = workload_rng(cfg.seed);
     let dist = match cfg.workload {
         YcsbWorkload::D => KeyDist::latest(cfg.records),
         _ => KeyDist::zipfian(cfg.records),
     };
-    let mut hist = Histogram::new();
-    let mut done = 0u64;
+    let mut tally = Tally::default();
     let t0 = h.now();
 
     for i in 0..cfg.ops {
         let start = h.now();
-        let ok = match cfg.workload {
+        let res = match cfg.workload {
             YcsbWorkload::A => {
                 let obj = dist.sample(&mut rng);
                 if rng.gen::<f64>() < 0.5 {
@@ -138,7 +139,7 @@ pub async fn run_ycsb(client: &dyn RpcClient, h: &SimHandle, cfg: &YcsbConfig) -
             YcsbWorkload::E => {
                 if rng.gen::<f64>() < 0.95 {
                     let start_key = dist.sample(&mut rng);
-                    let count = rng.gen_range(1..=cfg.max_scan);
+                    let count = rng.gen_range(1..=MAX_SCAN);
                     client
                         .call(Request::Scan {
                             start: start_key,
@@ -146,7 +147,7 @@ pub async fn run_ycsb(client: &dyn RpcClient, h: &SimHandle, cfg: &YcsbConfig) -
                             len: cfg.value_size,
                         })
                         .await
-                        .is_ok()
+                        .map(drop)
                 } else {
                     let obj = dist.on_insert();
                     put(client, obj, cfg, i).await
@@ -159,56 +160,42 @@ pub async fn run_ycsb(client: &dyn RpcClient, h: &SimHandle, cfg: &YcsbConfig) -
                 } else {
                     // read-modify-write: a read followed by an update,
                     // measured as one composite op.
-                    let r = get(client, obj, cfg).await;
-                    r && put(client, obj, cfg, i).await
+                    match get(client, obj, cfg).await {
+                        Ok(()) => put(client, obj, cfg, i).await,
+                        err => err,
+                    }
                 }
             }
         };
-        if ok {
-            hist.record_duration(h.now() - start);
-            done += 1;
-        }
+        tally.record(res.map(|()| h.now() - start));
     }
-
-    let elapsed = h.now() - t0;
-    RunResult {
-        ops: done,
-        unsupported: cfg.ops - done,
-        failed: 0,
-        elapsed,
-        latency: hist.summary(),
-        kops: if elapsed > SimDuration::ZERO {
-            done as f64 / elapsed.as_secs_f64() / 1e3
-        } else {
-            0.0
-        },
-    }
+    tally.into_result(h.now() - t0)
 }
 
-async fn get(client: &dyn RpcClient, obj: u64, cfg: &YcsbConfig) -> bool {
+async fn get(client: &dyn RpcClient, obj: u64, cfg: &YcsbConfig) -> RpcResult<()> {
     client
         .call(Request::Get {
             obj,
             len: cfg.value_size,
         })
         .await
-        .is_ok()
+        .map(drop)
 }
 
-async fn put(client: &dyn RpcClient, obj: u64, cfg: &YcsbConfig, tag: u64) -> bool {
+async fn put(client: &dyn RpcClient, obj: u64, cfg: &YcsbConfig, tag: u64) -> RpcResult<()> {
     client
         .call(Request::Put {
             obj,
             data: Payload::synthetic(cfg.value_size, tag),
         })
         .await
-        .is_ok()
+        .map(drop)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prdma::ServerProfile;
+    use prdma::{Response, RpcError, RpcFuture, ServerProfile};
     use prdma_baselines::{build_system, SystemKind, SystemOpts};
     use prdma_node::{Cluster, ClusterConfig};
     use prdma_simnet::Sim;
@@ -223,7 +210,6 @@ mod tests {
             ops: 120,
             value_size: 4096,
             workload,
-            max_scan: 10,
             seed: 3,
         };
         let h = sim.handle();
@@ -261,5 +247,65 @@ mod tests {
             ours.latency.mean_ns,
             farm.latency.mean_ns
         );
+    }
+
+    /// Serves every GET, refuses every scan as an unsupported shape and
+    /// fails every put with `put_err`.
+    struct FailingPuts {
+        put_err: RpcError,
+    }
+
+    impl RpcClient for FailingPuts {
+        fn call(&self, req: Request) -> RpcFuture<'_> {
+            let res = match req {
+                Request::Get { .. } => Ok(Response {
+                    payload: None,
+                    durable: true,
+                }),
+                Request::Scan { .. } => Err(RpcError::Unsupported("scan")),
+                _ => Err(self.put_err.clone()),
+            };
+            Box::pin(std::future::ready(res))
+        }
+
+        fn name(&self) -> &'static str {
+            "failing-puts"
+        }
+    }
+
+    fn run_stub(workload: YcsbWorkload, put_err: RpcError) -> RunResult {
+        let mut sim = Sim::new(21);
+        let h = sim.handle();
+        let cfg = YcsbConfig {
+            records: 200,
+            ops: 400,
+            workload,
+            ..Default::default()
+        };
+        let client = FailingPuts { put_err };
+        sim.block_on(async move { run_ycsb(&client, &h, &cfg).await })
+    }
+
+    #[test]
+    fn failed_ops_are_not_counted_as_unsupported() {
+        // E: 95 % scans (unsupported), 5 % inserts (failed).
+        for err in [RpcError::TimedOut, RpcError::ServerDown] {
+            let r = run_stub(YcsbWorkload::E, err.clone());
+            assert_eq!(r.ops, 0, "{err:?}");
+            assert!(r.unsupported > 0 && r.failed > 0, "{err:?}: {r:?}");
+            assert!(r.unsupported > r.failed, "{err:?}: {r:?}");
+            assert_eq!(r.unsupported + r.failed, 400, "{err:?}");
+        }
+        // F: a read-modify-write whose put fails is one failed op, not
+        // two, and never an unsupported one.
+        let r = run_stub(YcsbWorkload::F, RpcError::ServerDown);
+        assert!(r.ops > 0 && r.failed > 0, "{r:?}");
+        assert_eq!(r.unsupported, 0);
+        assert_eq!(r.ops + r.failed, 400);
+        // An unsupported put shape stays unsupported.
+        let r = run_stub(YcsbWorkload::A, RpcError::Unsupported("put"));
+        assert!(r.ops > 0 && r.unsupported > 0, "{r:?}");
+        assert_eq!(r.failed, 0);
+        assert_eq!(r.ops + r.unsupported, 400);
     }
 }

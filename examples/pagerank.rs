@@ -8,7 +8,7 @@ use prdma_suite::core::ServerProfile;
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::simnet::Sim;
 use prdma_suite::workloads::graph::{generate, GraphDataset};
-use prdma_suite::workloads::pagerank::{run_pagerank, PageRankConfig};
+use prdma_suite::workloads::pagerank::run_pagerank;
 use std::rc::Rc;
 
 fn main() {
@@ -29,10 +29,9 @@ fn main() {
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
         let opts = SystemOpts::for_object_size(4096, ServerProfile::light());
         let client = build_system(&cluster, kind, 1, 0, 0, &opts);
-        let cfg = PageRankConfig::default();
         let h = sim.handle();
         let graph = Rc::clone(&graph);
-        let r = sim.block_on(async move { run_pagerank(client.as_ref(), &h, &graph, &cfg).await });
+        let r = sim.block_on(async move { run_pagerank(client.as_ref(), &h, &graph, 10).await });
         println!(
             "{:<14} {:>14.3} {:>10}",
             kind.name(),

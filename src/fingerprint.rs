@@ -3,7 +3,9 @@
 //! export's length and FNV-1a hash — and, separately, to the run's
 //! latency-breakdown totals ([`trace_totals`]), which no journal record
 //! carries. `examples/fingerprint.rs` prints both;
-//! `tests/determinism_and_properties.rs` pins both.
+//! `tests/determinism_and_properties.rs` pins both, and checks with
+//! [`run_at_metrics_interval`] that the metrics snapshot ticks move
+//! neither.
 
 use std::rc::Rc;
 
@@ -14,7 +16,7 @@ use crate::core::{
 };
 use crate::node::{Cluster, ClusterConfig};
 use crate::rnic::Payload;
-use crate::simnet::{journal, Phase, Sim, SimHandle};
+use crate::simnet::{journal, Phase, Sim, SimDuration, SimHandle};
 use crate::workloads::micro::{run_micro, MicroConfig};
 use crate::workloads::txn_mix::{run_txn_mix, TxnMixConfig};
 
@@ -155,7 +157,39 @@ async fn batch_rounds(client: &dyn RpcClient, h: &SimHandle, ops: u64) -> u64 {
 /// always have; the other shapes then drain the simulation so decoupled
 /// server-side processing and background 2PC records are in the journal.
 pub fn run(input: Input, ops: u64) -> Fingerprint {
-    let (sim, cluster, elapsed_ns) = execute(input, ops);
+    let (sim, cluster, elapsed_ns) = execute(input, ops, default_interval());
+    fingerprint_of(&sim, &cluster, elapsed_ns)
+}
+
+/// The same run as [`run`], reduced to the merged
+/// `Cluster::trace_report()`: the on-path total of every phase, then the
+/// off-path total of every phase, in nanoseconds and [`Phase::ALL`] order.
+pub fn trace_totals(input: Input, ops: u64) -> [u64; 14] {
+    let (_sim, cluster, _) = execute(input, ops, default_interval());
+    totals_of(&cluster)
+}
+
+/// [`run`] and [`trace_totals`] of one execution whose nodes snapshot
+/// their metrics every `metrics_interval` instead of the default.
+/// Recording consumes no simulated time and no randomness, so only the
+/// executor's event count, which includes the snapshot ticks, may differ.
+pub fn run_at_metrics_interval(
+    input: Input,
+    ops: u64,
+    metrics_interval: SimDuration,
+) -> (Fingerprint, [u64; 14]) {
+    let (sim, cluster, elapsed_ns) = execute(input, ops, metrics_interval);
+    (
+        fingerprint_of(&sim, &cluster, elapsed_ns),
+        totals_of(&cluster),
+    )
+}
+
+fn default_interval() -> SimDuration {
+    ClusterConfig::default().metrics_interval
+}
+
+fn fingerprint_of(sim: &Sim, cluster: &Cluster, elapsed_ns: u64) -> Fingerprint {
     let jsonl = journal::to_jsonl(&cluster.journal_records());
     Fingerprint {
         events: sim.events_processed(),
@@ -165,11 +199,7 @@ pub fn run(input: Input, ops: u64) -> Fingerprint {
     }
 }
 
-/// The same run as [`run`], reduced to the merged
-/// `Cluster::trace_report()`: the on-path total of every phase, then the
-/// off-path total of every phase, in nanoseconds and [`Phase::ALL`] order.
-pub fn trace_totals(input: Input, ops: u64) -> [u64; 14] {
-    let (_sim, cluster, _) = execute(input, ops);
+fn totals_of(cluster: &Cluster) -> [u64; 14] {
     let report = cluster.trace_report();
     let mut totals = [0; 14];
     for (i, &p) in Phase::ALL.iter().enumerate() {
@@ -188,11 +218,12 @@ pub fn trace_fnv(totals: &[u64]) -> u64 {
 
 /// Build and run `input`; returns the simulation, the cluster and the
 /// virtual nanoseconds the client-side workload took.
-fn execute(input: Input, ops: u64) -> (Sim, Cluster, u64) {
+fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Cluster, u64) {
     let mut sim = Sim::new(SEED);
     let h = sim.handle();
     let journaled = |mut ccfg: ClusterConfig| {
         ccfg.journal = true;
+        ccfg.metrics_interval = metrics_interval;
         Cluster::new(h.clone(), ccfg)
     };
     let (cluster, elapsed_ns) = match input {

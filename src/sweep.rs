@@ -433,8 +433,10 @@ impl Run {
 
     /// Log entries node `node`'s recoveries re-enqueued.
     pub fn replayed(&self, node: usize) -> u64 {
-        let metrics = self.cluster.node(node).metrics().expect("metrics on");
-        metrics.counter(Key::new("log_replayed"))
+        self.cluster
+            .node(node)
+            .metrics
+            .counter(Key::new("log_replayed"))
     }
 
     /// The journal as JSONL.

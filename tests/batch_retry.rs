@@ -93,7 +93,7 @@ fn batched_puts_crash_retry_is_exactly_once() {
         });
         assert_eq!(inj.stats().node_crashes, 1, "{kind:?}");
         assert_eq!(inj.stats().restarts, 1, "{kind:?}: only shard 0 crashes");
-        let node0 = cluster.node(0).metrics().unwrap();
+        let node0 = &cluster.node(0).metrics;
         let replayed = node0.counter(Key::new("log_replayed"));
         assert!(replayed > 0, "{kind:?}: recovery replayed nothing");
         // The overlap between replayed and re-sent entries was deduped,

@@ -44,7 +44,6 @@ fn cached_world(seed: u64, cache: CacheConfig) -> (Sim, Cluster, Rc<ShardedClien
     let sim = Sim::new(seed);
     let mut ccfg = ClusterConfig::with_servers(1, 1);
     ccfg.journal = true;
-    ccfg.metrics = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
     let cfg = DurableConfig {
         profile: ServerProfile::light(),
@@ -66,8 +65,10 @@ fn cached_world(seed: u64, cache: CacheConfig) -> (Sim, Cluster, Rc<ShardedClien
 
 /// The client's cache counter `name` in a [`cached_world`].
 fn cache_counter(cluster: &Cluster, name: &'static str) -> u64 {
-    let metrics = cluster.node(1).metrics().expect("metrics enabled");
-    metrics.counter(Key::new(name).shard(0).kind("WFlush-RPC"))
+    cluster
+        .node(1)
+        .metrics
+        .counter(Key::new(name).shard(0).kind("WFlush-RPC"))
 }
 
 /// A put racing a cached read: the invalidation must land in the journal

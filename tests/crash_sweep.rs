@@ -281,7 +281,7 @@ fn backup_promotion_revokes_client_leases() {
     ));
     assert_eq!(r.fleet().groups[0][0].view().epoch(), 1);
     assert!(served_in_outage(&r, 0, OpKind::Get) > 0);
-    let metrics = r.cluster.node(2).metrics().expect("metrics on");
+    let metrics = &r.cluster.node(2).metrics;
     let counter = |name| metrics.counter(Key::new(name).shard(0).kind("Replicated-WFlush-RPC"));
     assert!(counter("cache_hits") >= 2, "gets must have hit the cache");
     assert!(

@@ -15,7 +15,7 @@ use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::journal;
 use prdma_suite::simnet::rng::SmallRng;
-use prdma_suite::simnet::Sim;
+use prdma_suite::simnet::{Sim, SimDuration};
 use prdma_suite::workloads::micro::{run_micro, MicroConfig};
 
 fn full_run(seed: u64, kind: SystemKind) -> (u64, u64, u64) {
@@ -391,4 +391,31 @@ fn pinned_trace_totals() {
             "{input:?}: trace totals drifted from the pin: {totals:?}"
         );
     }
+}
+
+/// Metrics do not move virtual time: the replicated WFlush input (three
+/// ticking nodes) at the default 1 ms snapshot interval and at
+/// `fig_obs`'s 100 µs gives the same journal, elapsed time and trace
+/// totals. Only the executor's event count may differ — ticks are events.
+#[test]
+fn metrics_interval_is_schedule_neutral() {
+    let default = ClusterConfig::default().metrics_interval;
+    assert_eq!(default, SimDuration::from_millis(1));
+    let input = Input::Replicated(DurableKind::WFlush);
+    let (coarse, coarse_totals) = fingerprint::run_at_metrics_interval(input, 300, default);
+    let (fine, fine_totals) =
+        fingerprint::run_at_metrics_interval(input, 300, SimDuration::from_micros(100));
+    assert_eq!(
+        (coarse.journal_len, coarse.journal_fnv),
+        (fine.journal_len, fine.journal_fnv),
+        "journal"
+    );
+    assert_eq!(coarse.elapsed_ns, fine.elapsed_ns, "virtual elapsed time");
+    assert_eq!(coarse_totals, fine_totals, "trace totals");
+    assert!(
+        fine.events > coarse.events,
+        "finer ticks must show as more executor events: {} vs {}",
+        fine.events,
+        coarse.events
+    );
 }
