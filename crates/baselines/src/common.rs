@@ -306,24 +306,16 @@ impl RpcClient for BaselineClient {
 /// rpc id and emits `RpcDispatch`. Returns [`NO_ID`] (and records nothing)
 /// when journaling is disabled.
 pub fn rpc_begin(client_node: &Node, bytes: u64) -> u64 {
-    match client_node.journal() {
-        Some(j) => {
-            let id = j.next_rpc_id();
-            j.record(Subsystem::Rpc, EventKind::RpcDispatch, id, NO_ID, bytes);
-            id
-        }
-        None => NO_ID,
-    }
+    let j = &client_node.journal;
+    let id = j.next_rpc_id();
+    j.record(Subsystem::Rpc, EventKind::RpcDispatch, id, NO_ID, bytes);
+    id
 }
 
 /// Journal the completion of a baseline RPC begun with [`rpc_begin`].
 pub fn rpc_end(client_node: &Node, rpc_id: u64, bytes: u64) {
-    if rpc_id == NO_ID {
-        return;
-    }
-    if let Some(j) = client_node.journal() {
-        j.record(Subsystem::Rpc, EventKind::RpcComplete, rpc_id, NO_ID, bytes);
-    }
+    let j = &client_node.journal;
+    j.record(Subsystem::Rpc, EventKind::RpcComplete, rpc_id, NO_ID, bytes);
 }
 
 /// Run one baseline roundtrip bracketed by [`rpc_begin`]/[`rpc_end`]

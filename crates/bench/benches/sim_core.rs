@@ -181,7 +181,7 @@ fn bench_mark_done_overlay(iters: u32) -> BenchResult {
     // warm-up pass and the timed ones see the overlay, not the allocator.
     let sim = Sim::new(1);
     let tracer = prdma_simnet::Tracer::new(sim.handle());
-    let pm = PmDevice::new(sim.handle(), 64 << 20, tracer, None);
+    let pm = PmDevice::new(sim.handle(), 64 << 20, tracer, prdma_simnet::Journal::off());
     let done = 1u64.to_le_bytes();
     for slot in 0..STANDING {
         pm.cache_write(slot * STRIDE + 32, &done)

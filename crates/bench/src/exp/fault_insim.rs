@@ -2,10 +2,10 @@
 //!
 //! The analytic Fig. 12 (`macro_figs::fig12`) replays an op stream
 //! against a closed-form failure model. This module instead *injects
-//! real faults*: a seeded-stochastic [`FaultPlan`] crashes the server's
-//! RPC service while the micro-benchmark runs on the full transport, the
-//! durable server replays its redo-log suffix through the actual
-//! recovery path, the traditional client re-sends through its actual
+//! real faults*: a seeded [`FaultPlan`] from `plan_for` crashes the
+//! server's RPC service while the micro-benchmark runs on the full
+//! transport, the durable server replays its redo-log suffix through the
+//! actual recovery path, the traditional client re-sends through its actual
 //! timeout path, and the normalized totals come out of the virtual
 //! clock. Each cell also computes the analytic prediction with the same
 //! geometry so the two models cross-validate (the agreement is a test,
@@ -202,10 +202,9 @@ pub struct InSimCell {
 /// observes the service up with probability `availability` (the paper's
 /// definition), each crash a service-only restart of [`RESTART`].
 ///
-/// The generic [`FaultPlan::stochastic_crashes`] only skips the outage
-/// itself between events; here each event skips `recovery_skip` — at
-/// least the outage plus re-transfer interval, or the scheme's whole
-/// expected stall if longer — so a crash never lands while the service
+/// Between events the plan skips `recovery_skip`, not only the outage
+/// itself — at least the outage plus re-transfer interval, or the
+/// scheme's whole expected stall if longer — so a crash never lands while the service
 /// is still down (or the client still mid-recovery) from the previous
 /// one. Overlapping crashes hit an already-dead service: they inflate
 /// the crash counter without costing the client anything, which matches

@@ -22,20 +22,16 @@ pub fn journal_enabled() -> bool {
 
 /// Export the cluster's merged journal (JSONL + Chrome-trace JSON under
 /// the output directory, named `journal_<tag>.*`) and run the durability
-/// auditor, panicking on any ordering violation or ring overflow. No-op
+/// auditor, panicking on any ordering violation. No-op
 /// unless [`journal_enabled`]. Repeated runs with the same tag overwrite
 /// — each file holds the last run of that configuration.
 pub(crate) fn export_and_audit(cluster: &Cluster, tag: &str) {
     if !journal_enabled() {
         return;
     }
-    let journals = cluster.journals();
-    let records = journal::merge(&journals);
+    let records = cluster.journal_records();
     let t0 = std::time::Instant::now();
-    let report = journal::AuditReport {
-        dropped: journals.iter().map(|j| j.dropped()).sum(),
-        ..journal::audit(&records)
-    };
+    let report = journal::audit(&records);
     let audit_ns = t0.elapsed().as_nanos() as usize / records.len().max(1);
     let gauges = journal::gauges(&records);
     let dir = output_dir();
@@ -64,19 +60,34 @@ pub(crate) fn export_and_audit(cluster: &Cluster, tag: &str) {
 
 /// Sweep-level parallelism for this bench process: `PRDMA_PAR=<n>`
 /// (`1` restores the serial runner), defaulting to
-/// `available_parallelism`. Forced to 1 while journal capture is on —
-/// journaled runs print per-point audit lines and export files whose
-/// interleaving must stay deterministic.
+/// `available_parallelism`; any other value panics. Forced to 1 while
+/// journal capture is on — journaled runs print per-point audit lines and
+/// export files whose interleaving must stay deterministic.
 pub fn par_level() -> usize {
+    let par = parse_par(env_value("PRDMA_PAR").as_deref()).unwrap_or_else(|e| panic!("{e}"));
     if journal_enabled() {
-        return 1;
+        1
+    } else {
+        par
     }
-    match std::env::var("PRDMA_PAR") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+}
+
+/// `PRDMA_PAR`'s value (`None` when unset) as a worker count.
+fn parse_par(v: Option<&str>) -> Result<usize, String> {
+    match v {
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Some(v) => v
+            .trim()
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("PRDMA_PAR={v:?}: expected a worker count of 1 or more")),
     }
+}
+
+/// The value of environment variable `name`, `None` when unset.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
 }
 
 /// Run `f` over every sweep point in `items` across up to [`par_level`]
@@ -432,12 +443,50 @@ impl Scale {
     }
 
     /// Resolve from `PRDMA_SCALE` (`paper` / `bench` / `smoke`), default
-    /// bench.
+    /// bench; any other value panics.
     pub fn from_env() -> Self {
-        match std::env::var("PRDMA_SCALE").as_deref() {
-            Ok("paper") => Scale::paper(),
-            Ok("smoke") => Scale::smoke(),
-            _ => Scale::bench(),
+        Scale::parse(env_value("PRDMA_SCALE").as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `PRDMA_SCALE`'s value (`None` when unset) as a scale.
+    fn parse(v: Option<&str>) -> Result<Self, String> {
+        match v {
+            None | Some("bench") => Ok(Scale::bench()),
+            Some("paper") => Ok(Scale::paper()),
+            Some("smoke") => Ok(Scale::smoke()),
+            Some(v) => Err(format!("PRDMA_SCALE={v:?}: expected smoke, bench or paper")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_accepts_its_three_names_and_rejects_the_rest() {
+        let micro = |v| Scale::parse(v).map(|s| s.micro_ops);
+        assert_eq!(micro(None), Ok(Scale::bench().micro_ops));
+        assert_eq!(micro(Some("bench")), Ok(Scale::bench().micro_ops));
+        assert_eq!(micro(Some("paper")), Ok(Scale::paper().micro_ops));
+        assert_eq!(micro(Some("smoke")), Ok(Scale::smoke().micro_ops));
+        for bad in ["Smoke", "", "small"] {
+            let err = micro(Some(bad)).unwrap_err();
+            assert!(err.contains("expected smoke, bench or paper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn par_accepts_positive_counts_and_rejects_the_rest() {
+        assert!(parse_par(None).unwrap() >= 1);
+        assert_eq!(parse_par(Some("1")), Ok(1));
+        assert_eq!(parse_par(Some(" 4 ")), Ok(4));
+        for bad in ["0", "-2", "four", ""] {
+            let err = parse_par(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("expected a worker count of 1 or more"),
+                "{err}"
+            );
         }
     }
 }

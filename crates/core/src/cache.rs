@@ -158,7 +158,7 @@ impl LeaseState {
     /// header. Called on the durable put path *before* the flush wait, so
     /// the journaled invalidation always precedes the put's ACK
     /// (invariant I5a). Returns the new epoch.
-    pub fn bump(&self, obj: u64, rpc_id: u64, journal: Option<&Journal>) -> u64 {
+    pub fn bump(&self, obj: u64, rpc_id: u64, journal: &Journal) -> u64 {
         let mut epochs = self.inner.epochs.borrow_mut();
         let e = epochs.entry(obj).or_insert(0);
         *e += 1;
@@ -167,29 +167,25 @@ impl LeaseState {
         if let Some(m) = &self.inner.mirror {
             m.refresh(obj, new);
         }
-        if let Some(j) = journal {
-            j.record(
-                Subsystem::Rpc,
-                EventKind::LeaseInvalidate,
-                rpc_id,
-                self.key_id(obj),
-                new,
-            );
-        }
+        journal.record(
+            Subsystem::Rpc,
+            EventKind::LeaseInvalidate,
+            rpc_id,
+            self.key_id(obj),
+            new,
+        );
         new
     }
 
     /// Journal a lease grant of `epoch` on `obj` (client cache fill).
-    pub fn jot_grant(&self, obj: u64, epoch: u64, journal: Option<&Journal>) {
-        if let Some(j) = journal {
-            j.record(
-                Subsystem::Rpc,
-                EventKind::LeaseGrant,
-                j.next_rpc_id(),
-                self.key_id(obj),
-                epoch,
-            );
-        }
+    pub fn jot_grant(&self, obj: u64, epoch: u64, journal: &Journal) {
+        journal.record(
+            Subsystem::Rpc,
+            EventKind::LeaseGrant,
+            journal.next_rpc_id(),
+            self.key_id(obj),
+            epoch,
+        );
     }
 
     /// The shard's mirror region, when the one-sided tier is enabled.
@@ -441,15 +437,14 @@ impl CachedClient {
     }
 
     fn jot(&self, kind: EventKind, obj: u64, epoch: u64) {
-        if let Some(j) = self.node.journal() {
-            j.record(
-                Subsystem::Rpc,
-                kind,
-                j.next_rpc_id(),
-                self.lease.key_id(obj),
-                epoch,
-            );
-        }
+        let j = &self.node.journal;
+        j.record(
+            Subsystem::Rpc,
+            kind,
+            j.next_rpc_id(),
+            self.lease.key_id(obj),
+            epoch,
+        );
     }
 
     /// Record an invalidation observed on record `id` (stale entry or
@@ -573,7 +568,7 @@ impl CachedClient {
             && self.lease.epoch(obj) == before
         {
             self.fill(id, before, len);
-            self.lease.jot_grant(obj, before, self.node.journal());
+            self.lease.jot_grant(obj, before, &self.node.journal);
             let mut records = self.records.borrow_mut();
             let ks = records.rec(id);
             if ks.tier == Tier::Rpc {
@@ -771,8 +766,8 @@ mod tests {
     fn lease_epochs_start_at_zero_and_bump() {
         let lease = LeaseState::new(3);
         assert_eq!(lease.epoch(7), 0);
-        assert_eq!(lease.bump(7, NO_ID, None), 1);
-        assert_eq!(lease.bump(7, NO_ID, None), 2);
+        assert_eq!(lease.bump(7, NO_ID, &Journal::off()), 1);
+        assert_eq!(lease.bump(7, NO_ID, &Journal::off()), 2);
         assert_eq!(lease.epoch(7), 2);
         assert_eq!(lease.epoch(8), 0);
         assert_eq!(lease.key_id(7), (3 << KEY_OBJ_BITS) | 7);
@@ -785,7 +780,7 @@ mod tests {
         let lease = LeaseState::with_mirror(0, mirror);
         let addr = lease.mirror().unwrap().publish(5, 0).unwrap();
         assert_eq!(MirrorRegion::decode_epoch(&dram.read(addr, 8)), Some(0));
-        lease.bump(5, NO_ID, None);
+        lease.bump(5, NO_ID, &Journal::off());
         assert_eq!(MirrorRegion::decode_epoch(&dram.read(addr, 8)), Some(1));
     }
 }

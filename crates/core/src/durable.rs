@@ -952,9 +952,8 @@ impl DurableClient {
     /// log-append id (`lane << 40 | index`) so the auditor can order the
     /// completion against its redo-log append; reads allocate fresh ids.
     fn jot_rpc(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
-        if let Some(j) = self.client_node.journal() {
-            j.record(Subsystem::Rpc, kind, rpc_id, NO_ID, bytes);
-        }
+        let j = &self.client_node.journal;
+        j.record(Subsystem::Rpc, kind, rpc_id, NO_ID, bytes);
     }
 
     /// The one durable persist path (paper Fig. 4), shared by single,
@@ -1011,7 +1010,8 @@ impl DurableClient {
             self.jot_rpc(EventKind::RpcDispatch, rpc_id, bytes);
             // Span-tree edge from a replicated put's causal root to this
             // replica's fan-out leg.
-            if let (Some(root), Some(j)) = (e.link, self.client_node.journal()) {
+            if let Some(root) = e.link {
+                let j = &self.client_node.journal;
                 j.record(Subsystem::Rpc, EventKind::ReplLink, root, rpc_id, bytes);
             }
             // Revoke outstanding leases between the log append and the
@@ -1019,7 +1019,7 @@ impl DurableClient {
             // the put's completion (invariant I5a) and no cached read can
             // outlive the data it covers.
             if let (Some(obj), Some(lease)) = (e.lease_obj, &self.lease) {
-                lease.bump(obj, rpc_id, self.client_node.journal());
+                lease.bump(obj, rpc_id, &self.client_node.journal);
             }
             probe = Some(appended.probe);
             if !send_based {
@@ -1080,10 +1080,7 @@ impl DurableClient {
     }
 
     async fn do_get(&self, obj: u64, len: u64, count: u32) -> RpcResult<Response> {
-        let rpc_id = self
-            .client_node
-            .journal()
-            .map_or(NO_ID, |j| j.next_rpc_id());
+        let rpc_id = self.client_node.journal.next_rpc_id();
         self.jot_rpc(EventKind::RpcDispatch, rpc_id, GET_DESC_BYTES);
         let (reply, rx) = self.reply_pool.oneshot();
         let work = Work::Get {

@@ -75,9 +75,8 @@ impl FlushOps {
     /// NIC's posted-write drain; these records are informational, so they
     /// carry no barrier ticket.
     fn jot(&self, kind: EventKind) {
-        if let Some(j) = self.qp.local().journal() {
-            j.record(Subsystem::Flush, kind, NO_ID, NO_ID, 0);
-        }
+        let j = self.qp.local().journal();
+        j.record(Subsystem::Flush, kind, NO_ID, NO_ID, 0);
     }
 
     /// `WFlush`: guarantee that all writes previously posted on this QP

@@ -480,9 +480,8 @@ impl RedoLog {
     }
 
     fn jot(&self, subsystem: Subsystem, kind: EventKind, index: u64, bytes: u64) {
-        if let Some(j) = self.pm.journal() {
-            j.record(subsystem, kind, self.id_base | index, index, bytes);
-        }
+        let j = self.pm.journal();
+        j.record(subsystem, kind, self.id_base | index, index, bytes);
     }
 
     /// The log geometry.
@@ -725,15 +724,13 @@ impl RedoLog {
                 None => break,
             }
         }
-        if let Some(j) = self.pm.journal() {
-            j.record(
-                Subsystem::Recovery,
-                EventKind::RecoveryStart,
-                NO_ID,
-                NO_ID,
-                pending.len() as u64,
-            );
-        }
+        self.pm.journal().record(
+            Subsystem::Recovery,
+            EventKind::RecoveryStart,
+            NO_ID,
+            NO_ID,
+            pending.len() as u64,
+        );
         pending
     }
 }
@@ -806,15 +803,13 @@ impl RemoteLogWriter {
     }
 
     fn jot_append(&self, index: u64, bytes: u64) {
-        if let Some(j) = self.qp.local().journal() {
-            j.record(
-                Subsystem::Log,
-                EventKind::LogAppend,
-                self.journal_id(index),
-                index,
-                bytes,
-            );
-        }
+        self.qp.local().journal().record(
+            Subsystem::Log,
+            EventKind::LogAppend,
+            self.journal_id(index),
+            index,
+            bytes,
+        );
     }
 
     /// The flush operations bound to this writer's QP.

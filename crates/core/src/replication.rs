@@ -124,9 +124,8 @@ impl GroupState {
     }
 
     fn jot(&self, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.client.journal() {
-            j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
-        }
+        let j = &self.client.journal;
+        j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
     }
 
     /// Mark `slot` down; if it was the primary, promote the next live

@@ -241,7 +241,7 @@ mod tests {
 
     fn store_fixture(sim: &Sim) -> ObjectStore {
         let tracer = prdma_simnet::Tracer::new(sim.handle());
-        let pm = PmDevice::new(sim.handle(), 1 << 20, tracer, None);
+        let pm = PmDevice::new(sim.handle(), 1 << 20, tracer, prdma_simnet::Journal::off());
         let alloc = DaxAllocator::new(&pm);
         let region = alloc.alloc("objects", 64 * 1024, 64).unwrap();
         ObjectStore::new(pm, region, 1024)

@@ -443,15 +443,13 @@ impl TxnState {
                 }
             }
             self.inner.applies.set(self.inner.applies.get() + 1);
-            if let Some(j) = node.journal() {
-                j.record(
-                    Subsystem::Rpc,
-                    EventKind::TxnApply,
-                    txn,
-                    node.id.0 as u64,
-                    bytes,
-                );
-            }
+            node.journal.record(
+                Subsystem::Rpc,
+                EventKind::TxnApply,
+                txn,
+                node.id.0 as u64,
+                bytes,
+            );
         }
         self.unlock_all(txn);
         let _ = log.mark_done(st.prep_index).await;
@@ -696,9 +694,8 @@ impl ShardedClient {
     }
 
     fn jot(&self, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.txn.node.journal() {
-            j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
-        }
+        let j = &self.txn.node.journal;
+        j.record(Subsystem::Rpc, kind, rpc_id, wr_id, bytes);
     }
 
     /// Open a transaction.
@@ -885,7 +882,7 @@ impl ShardedClient {
         // on the tables a cached fleet's clients validate against.
         let mut total_bytes = 0u64;
         for &((shard, local), ref bytes) in &ws {
-            book.leases[shard].bump(local, id, book.node.journal());
+            book.leases[shard].bump(local, id, &book.node.journal);
             total_bytes += bytes.len() as u64;
         }
         self.jot(

@@ -113,9 +113,7 @@ impl FaultInjector {
 }
 
 fn jot_fault(node: &Node, kind: EventKind, wr_id: u64) {
-    if let Some(j) = node.journal() {
-        j.record(Subsystem::Fault, kind, NO_ID, wr_id, 0);
-    }
+    node.journal.record(Subsystem::Fault, kind, NO_ID, wr_id, 0);
     node.metrics.incr(
         prdma_simnet::metrics::Key::new("faults").kind(kind.name()),
         1,

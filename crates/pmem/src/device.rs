@@ -82,8 +82,8 @@ struct PmInner {
     crashes: Cell<u64>,
     /// The node's latency-breakdown sink.
     tracer: Tracer,
-    /// The node's event journal, when the run records one.
-    journal: Option<Journal>,
+    /// The node's event journal.
+    journal: Journal,
 }
 
 /// A simulated persistent-memory device. Cheap to clone (shared handle).
@@ -96,8 +96,8 @@ impl PmDevice {
     /// Create a device of `capacity` bytes on the given simulation,
     /// recording media service time as [`Phase::PmMedia`] into `tracer`
     /// and every commit of bytes to the persistence domain as a `PmWrite`
-    /// into `journal`, if given.
-    pub fn new(handle: SimHandle, capacity: u64, tracer: Tracer, journal: Option<Journal>) -> Self {
+    /// into `journal`.
+    pub fn new(handle: SimHandle, capacity: u64, tracer: Tracer, journal: Journal) -> Self {
         let media_port = FifoResource::new(handle.clone(), MEDIA_PORTS);
         PmDevice {
             inner: Rc::new(PmInner {
@@ -124,18 +124,17 @@ impl PmDevice {
         self.inner.tracer.span(Phase::PmMedia)
     }
 
-    /// The node's journal, if the run records one (lets layers above the
-    /// device record their events against the same sink).
-    pub fn journal(&self) -> Option<&Journal> {
-        self.inner.journal.as_ref()
+    /// The node's journal (lets layers above the device record their
+    /// events against the same sink).
+    pub fn journal(&self) -> &Journal {
+        &self.inner.journal
     }
 
     /// Journal a commit of `bytes` into the persistence domain. Kept in
     /// lockstep with the `bytes_persisted` accounting.
     fn jot_pm_write(&self, bytes: u64) {
-        if let Some(j) = &self.inner.journal {
-            j.record(Subsystem::Pm, EventKind::PmWrite, NO_ID, NO_ID, bytes);
-        }
+        let j = &self.inner.journal;
+        j.record(Subsystem::Pm, EventKind::PmWrite, NO_ID, NO_ID, bytes);
     }
 
     /// Device capacity in bytes.
@@ -419,7 +418,12 @@ mod tests {
     }
 
     fn device(sim: &Sim, capacity: u64) -> PmDevice {
-        PmDevice::new(sim.handle(), capacity, Tracer::new(sim.handle()), None)
+        PmDevice::new(
+            sim.handle(),
+            capacity,
+            Tracer::new(sim.handle()),
+            Journal::off(),
+        )
     }
 
     #[test]

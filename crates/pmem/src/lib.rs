@@ -10,7 +10,7 @@
 //! persistence domain; this crate makes that moment explicit and testable:
 //!
 //! ```
-//! use prdma_simnet::{Sim, Tracer};
+//! use prdma_simnet::{Journal, Sim, Tracer};
 //! use prdma_pmem::PmDevice;
 //!
 //! let mut sim = Sim::new(1);
@@ -18,7 +18,7 @@
 //! // its node's tracer, and its persistence-domain commits into the
 //! // node's journal when there is one.
 //! let tracer = Tracer::new(sim.handle());
-//! let pm = PmDevice::new(sim.handle(), 1 << 16, tracer, None);
+//! let pm = PmDevice::new(sim.handle(), 1 << 16, tracer, Journal::off());
 //! let pm2 = pm.clone();
 //! sim.block_on(async move {
 //!     // DDIO-style arrival: volatile until flushed.

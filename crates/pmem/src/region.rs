@@ -133,7 +133,7 @@ mod tests {
     fn alloc_fixture() -> DaxAllocator {
         let sim = Sim::new(1);
         let tracer = prdma_simnet::Tracer::new(sim.handle());
-        let pm = PmDevice::new(sim.handle(), 4096, tracer, None);
+        let pm = PmDevice::new(sim.handle(), 4096, tracer, prdma_simnet::Journal::off());
         DaxAllocator::new(&pm)
     }
 

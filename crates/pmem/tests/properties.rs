@@ -8,7 +8,7 @@
 
 use prdma_pmem::PmDevice;
 use prdma_simnet::rng::SmallRng;
-use prdma_simnet::{Sim, Tracer};
+use prdma_simnet::{Journal, Sim, Tracer};
 
 const CAP: u64 = 8 * 1024;
 
@@ -54,7 +54,7 @@ fn device_matches_shadow_model() {
         let ops: Vec<Op> = (0..n).map(|_| random_op(&mut rng)).collect();
 
         let mut sim = Sim::new(1);
-        let pm = PmDevice::new(sim.handle(), CAP, Tracer::new(sim.handle()), None);
+        let pm = PmDevice::new(sim.handle(), CAP, Tracer::new(sim.handle()), Journal::off());
         let pm2 = pm.clone();
         let ops2 = ops.clone();
 
@@ -152,7 +152,7 @@ fn flush_then_persisted() {
         let len = rng.gen_range(1u64..512);
 
         let mut sim = Sim::new(2);
-        let pm = PmDevice::new(sim.handle(), CAP, Tracer::new(sim.handle()), None);
+        let pm = PmDevice::new(sim.handle(), CAP, Tracer::new(sim.handle()), Journal::off());
         let pm2 = pm.clone();
         sim.block_on(async move {
             pm2.cache_write(addr, &vec![0xAB; len as usize]).unwrap();

@@ -144,14 +144,14 @@ mod tests {
     use super::*;
     use crate::nic::MemTarget;
     use crate::payload::Payload;
-    use prdma_simnet::{Sim, Tracer};
+    use prdma_simnet::{Journal, Sim, Tracer};
 
     fn two_node_fabric(sim: &Sim) -> (Fabric, NodeId, NodeId) {
         let f = Fabric::new(sim.handle(), RnicConfig::default());
         let mk = || {
             let tracer = Tracer::new(sim.handle());
             (
-                PmDevice::new(sim.handle(), 1 << 20, tracer, None),
+                PmDevice::new(sim.handle(), 1 << 20, tracer, Journal::off()),
                 VolatileMemory::new(1 << 20),
             )
         };

@@ -15,7 +15,7 @@
 //! * shared links with bandwidth, propagation, and background traffic.
 //!
 //! ```
-//! use prdma_simnet::{Sim, Tracer};
+//! use prdma_simnet::{Journal, Sim, Tracer};
 //! use prdma_pmem::{PmDevice, VolatileMemory};
 //! use prdma_rnic::{Fabric, MemTarget, Payload, QpMode, RnicConfig};
 //!
@@ -25,7 +25,7 @@
 //! // A node's RNIC records into the tracer (and journal, if any) of the
 //! // PM device it is built over.
 //! let mk = || {
-//!     let pm = PmDevice::new(sim.handle(), 1 << 20, Tracer::new(sim.handle()), None);
+//!     let pm = PmDevice::new(sim.handle(), 1 << 20, Tracer::new(sim.handle()), Journal::off());
 //!     (pm, VolatileMemory::new(1 << 20))
 //! };
 //! let (pm_a, dram_a) = mk();

@@ -178,16 +178,14 @@ impl Rnic {
         self.tracer().span(phase)
     }
 
-    /// The node's journal, if the run records one (shared with the QP
-    /// layer, which records doorbells and wire segments against it).
-    pub fn journal(&self) -> Option<&Journal> {
+    /// The node's journal (shared with the QP layer, which records
+    /// doorbells and wire segments against it).
+    pub fn journal(&self) -> &Journal {
         self.inner.pm.journal()
     }
 
     fn jot(&self, subsystem: Subsystem, kind: EventKind, wr_id: u64, bytes: u64) {
-        if let Some(j) = self.journal() {
-            j.record(subsystem, kind, NO_ID, wr_id, bytes);
-        }
+        self.journal().record(subsystem, kind, NO_ID, wr_id, bytes);
     }
 
     /// The configuration this RNIC was built with.
@@ -559,7 +557,7 @@ mod tests {
 
     fn rnic_with(sim: &Sim, cfg: RnicConfig) -> Rnic {
         let tracer = Tracer::new(sim.handle());
-        let pm = PmDevice::new(sim.handle(), 1 << 20, tracer, None);
+        let pm = PmDevice::new(sim.handle(), 1 << 20, tracer, Journal::off());
         Rnic::new(sim.handle(), cfg, pm, VolatileMemory::new(1 << 20))
     }
 

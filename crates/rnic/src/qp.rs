@@ -277,17 +277,15 @@ impl Qp {
 
     /// Journal one event on the posting (local) node's Qp track.
     fn jot_local(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
-        if let Some(j) = self.inner.local.journal() {
-            j.record(Subsystem::Qp, kind, rpc_id, NO_ID, bytes);
-        }
+        let j = self.inner.local.journal();
+        j.record(Subsystem::Qp, kind, rpc_id, NO_ID, bytes);
     }
 
     /// Journal one event on the remote node's Qp track (segments the
     /// remote NIC puts on the wire back toward us: ACKs, read data).
     fn jot_remote(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
-        if let Some(j) = self.inner.remote.journal() {
-            j.record(Subsystem::Qp, kind, rpc_id, NO_ID, bytes);
-        }
+        let j = self.inner.remote.journal();
+        j.record(Subsystem::Qp, kind, rpc_id, NO_ID, bytes);
     }
 
     async fn post_cost(&self, rpc: u64, d: SimDuration) {
@@ -648,7 +646,7 @@ mod tests {
     use crate::config::RnicConfig;
     use crate::fabric::{LINK_GBPS, PROPAGATION};
     use prdma_pmem::{PmDevice, VolatileMemory};
-    use prdma_simnet::{transfer_time, Sim, SimTime, Tracer};
+    use prdma_simnet::{transfer_time, Journal, Sim, SimTime, Tracer};
 
     fn pair(sim: &Sim, mode: QpMode) -> (Qp, Qp) {
         pair_cfg(sim, mode, RnicConfig::default())
@@ -658,7 +656,7 @@ mod tests {
         let h = sim.handle();
         let mk = |cfg: &RnicConfig| {
             let tracer = Tracer::new(h.clone());
-            let pm = PmDevice::new(h.clone(), 1 << 20, tracer, None);
+            let pm = PmDevice::new(h.clone(), 1 << 20, tracer, Journal::off());
             let dram = VolatileMemory::new(1 << 20);
             Rnic::new(h.clone(), cfg.clone(), pm, dram)
         };

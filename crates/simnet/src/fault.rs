@@ -3,17 +3,16 @@
 //!
 //! A [`FaultPlan`] is pure data — a time-sorted list of [`FaultEvent`]s —
 //! so the same plan applied to the same seeded simulation replays the
-//! exact same fault sequence. Plans are either scripted (built with
-//! [`FaultPlan::at`]) or generated stochastically from a seed
-//! ([`FaultPlan::stochastic_crashes`]); in both cases every event time is
-//! fixed *before* the simulation starts, which keeps the executor's RNG
-//! stream untouched and runs byte-reproducible.
+//! exact same fault sequence. Plans are scripted with [`FaultPlan::at`]
+//! (a seeded generator, such as the bench's `fault_insim::plan_for`, draws
+//! its times from its own RNG and scripts them the same way), so every
+//! event time is fixed *before* the simulation starts, which keeps the
+//! executor's RNG stream untouched and runs byte-reproducible.
 //!
 //! The plan itself knows nothing about NICs or clusters: an injector
 //! (see `prdma_node`) walks the schedule against the virtual clock and
 //! applies each event to the simulated hardware.
 
-use crate::rng::SmallRng;
 use crate::time::{SimDuration, SimTime};
 
 /// What a fault does to the target node.
@@ -104,13 +103,6 @@ impl FaultPlan {
         self.events.insert(pos, ev);
     }
 
-    /// Merge another plan into this one (both stay time-sorted).
-    pub fn merge(&mut self, other: &FaultPlan) {
-        for ev in &other.events {
-            self.push(*ev);
-        }
-    }
-
     /// The scheduled events, in time order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -125,46 +117,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// A seeded-stochastic crash schedule for one node: up-times are
-    /// exponential with mean `mean_uptime`, each crash keeps the node (or
-    /// service, if `service_only`) down for `down_for`, and generation
-    /// stops at `horizon`. All randomness comes from `seed`, so the plan
-    /// — and any simulation driven by it — is reproducible.
-    pub fn stochastic_crashes(
-        seed: u64,
-        node: usize,
-        mean_uptime: SimDuration,
-        down_for: SimDuration,
-        horizon: SimTime,
-        service_only: bool,
-    ) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA17_7A61);
-        let mut plan = FaultPlan::new();
-        let mut t = SimTime::ZERO;
-        loop {
-            let gap = draw_exp(&mut rng, mean_uptime);
-            t += gap;
-            if t >= horizon {
-                break;
-            }
-            let kind = if service_only {
-                FaultKind::ServiceCrash { down_for }
-            } else {
-                FaultKind::NodeCrash { down_for }
-            };
-            plan.push(FaultEvent { at: t, node, kind });
-            t += down_for;
-        }
-        plan
-    }
-}
-
-/// Exponential draw with the given mean (nanosecond-rounded, never zero).
-fn draw_exp(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
-    let u = rng.gen_range(1e-12..1.0_f64);
-    let ns = (-u.ln() * mean.as_nanos() as f64).round() as u64;
-    SimDuration::from_nanos(ns.max(1))
 }
 
 #[cfg(test)]
@@ -192,57 +144,5 @@ mod tests {
             );
         let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(times, vec![100, 200, 300]);
-    }
-
-    #[test]
-    fn stochastic_plans_are_deterministic_per_seed() {
-        let mk = |seed| {
-            FaultPlan::stochastic_crashes(
-                seed,
-                0,
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(1),
-                SimTime::from_nanos(1_000_000_000),
-                true,
-            )
-        };
-        let a = mk(7);
-        let b = mk(7);
-        assert_eq!(a.events(), b.events());
-        assert!(!a.is_empty(), "1 s horizon at 10 ms mean must crash");
-        let c = mk(8);
-        assert_ne!(a.events(), c.events());
-    }
-
-    #[test]
-    fn stochastic_crashes_respect_horizon_and_downtime() {
-        let down = SimDuration::from_millis(2);
-        let plan = FaultPlan::stochastic_crashes(
-            42,
-            3,
-            SimDuration::from_millis(5),
-            down,
-            SimTime::from_nanos(500_000_000),
-            false,
-        );
-        let mut prev_end = SimTime::ZERO;
-        for ev in plan.events() {
-            assert!(ev.at < SimTime::from_nanos(500_000_000));
-            assert!(ev.at >= prev_end, "crash scheduled inside downtime");
-            assert_eq!(ev.node, 3);
-            assert!(matches!(ev.kind, FaultKind::NodeCrash { down_for } if down_for == down));
-            prev_end = ev.at + down;
-        }
-    }
-
-    #[test]
-    fn merge_interleaves() {
-        let a = FaultPlan::new().at(SimTime::from_nanos(10), 0, FaultKind::SramLoss);
-        let mut b = FaultPlan::new()
-            .at(SimTime::from_nanos(5), 1, FaultKind::SramLoss)
-            .at(SimTime::from_nanos(15), 1, FaultKind::SramLoss);
-        b.merge(&a);
-        let times: Vec<u64> = b.events().iter().map(|e| e.at.as_nanos()).collect();
-        assert_eq!(times, vec![5, 10, 15]);
     }
 }

@@ -53,6 +53,7 @@ impl Value {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -61,6 +62,7 @@ struct Parser<'a> {
 /// with a byte offset on malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -220,10 +222,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let ch = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar (multi-byte safe) without
+                    // re-validating the rest of the input per character.
+                    let rest = self.src.get(self.pos..);
+                    let ch = rest.and_then(|r| r.chars().next()).ok_or("invalid utf-8")?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

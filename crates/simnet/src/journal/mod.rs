@@ -5,7 +5,7 @@
 //! doorbell rings, WQE fetches, wire segments, DMA bursts into staging
 //! SRAM, PM media writes, redo-log appends, flush issue/ACK pairs, RPC
 //! dispatch/complete edges, and recovery replays — as typed [`Record`]s in
-//! a bounded per-node ring buffer.
+//! a per-node stream that keeps every record.
 //!
 //! Four consumers sit on top of the raw stream (`export`, `index` and
 //! `audit` beside this file; [`json`] parses the exports back):
@@ -26,13 +26,13 @@
 //!
 //! Emission is synchronous and consumes **zero simulated time and zero
 //! randomness**, so enabling the journal never perturbs a schedule: a
-//! fixed seed yields a byte-identical export. Components hold an
-//! `Option<Journal>`; when disabled nothing is allocated on the hot path.
+//! fixed seed yields a byte-identical export. Every node has one
+//! [`Journal`], and components call it directly; a run that records
+//! nothing gives its nodes an [`off`](Journal::off) journal, which
+//! allocates nothing and returns from `record` at its first branch.
 
 use crate::executor::SimHandle;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::fmt;
 use std::rc::Rc;
 
 mod audit;
@@ -40,7 +40,7 @@ mod export;
 mod index;
 pub mod json;
 
-pub use audit::{audit, audit_journals, AuditReport, Rule, Violation, RULES};
+pub use audit::{audit, AuditReport, Rule, Violation, RULES};
 pub use export::{gauges, to_chrome_trace, to_jsonl, Gauges};
 pub use index::{Groups, Index};
 
@@ -56,11 +56,8 @@ pub const RPC_ID_BASE: u64 = 1 << 32;
 /// Per-node stride of the [`Journal::next_rpc_id`] allocator: node `n`
 /// hands out ids starting at `RPC_ID_BASE + n * NODE_RPC_SPAN`, so ids
 /// stay unique across a *merged* fleet stream (each client node runs its
-/// own journal), up to 16M allocations per node.
+/// own journal), up to 16M allocations per node; the next one panics.
 pub const NODE_RPC_SPAN: u64 = 1 << 24;
-
-/// Default ring capacity, in records, per node.
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// The component a record was emitted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -304,59 +301,64 @@ pub struct Record {
 struct JournalInner {
     node: u32,
     handle: SimHandle,
-    capacity: usize,
-    seq: Cell<u64>,
-    dropped: Cell<u64>,
     next_rpc: Cell<u64>,
-    ring: RefCell<VecDeque<Record>>,
+    records: RefCell<Vec<Record>>,
 }
 
-/// A per-node handle to the bounded event ring. Cheap to clone
-/// (reference-counted); all clones feed the same ring.
+impl JournalInner {
+    fn push(&self, subsystem: Subsystem, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {
+        let mut records = self.records.borrow_mut();
+        let rec = Record {
+            ts_ns: self.handle.now().as_nanos(),
+            node: self.node,
+            seq: records.len() as u64,
+            subsystem,
+            kind,
+            rpc_id,
+            wr_id,
+            bytes,
+        };
+        records.push(rec);
+    }
+}
+
+/// A per-node handle to the event stream. Cheap to clone
+/// (reference-counted); all clones feed the same stream, which keeps every
+/// record it is given. An [`off`](Journal::off) journal has no stream: it
+/// records nothing and allocates nothing.
 #[derive(Clone)]
 pub struct Journal {
-    inner: Rc<JournalInner>,
-}
-
-impl fmt::Debug for Journal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Journal")
-            .field("node", &self.inner.node)
-            .field("len", &self.len())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
+    inner: Option<Rc<JournalInner>>,
 }
 
 impl Journal {
-    /// A journal for `node` with the [`DEFAULT_CAPACITY`] ring.
+    /// A journal that records every event of `node`.
     pub fn new(handle: SimHandle, node: u32) -> Self {
-        Journal::with_capacity(handle, node, DEFAULT_CAPACITY)
-    }
-
-    /// A journal with an explicit ring capacity (oldest records are
-    /// dropped, and counted, once the ring is full).
-    pub fn with_capacity(handle: SimHandle, node: u32, capacity: usize) -> Self {
         Journal {
-            inner: Rc::new(JournalInner {
+            inner: Some(Rc::new(JournalInner {
                 node,
                 handle,
-                capacity: capacity.max(1),
-                seq: Cell::new(0),
-                dropped: Cell::new(0),
-                next_rpc: Cell::new(RPC_ID_BASE + node as u64 * NODE_RPC_SPAN),
-                ring: RefCell::new(VecDeque::new()),
-            }),
+                next_rpc: Cell::new(0),
+                records: RefCell::new(Vec::new()),
+            })),
         }
     }
 
-    /// The node this journal belongs to.
-    pub fn node(&self) -> u32 {
-        self.inner.node
+    /// The journal of a run that records nothing: [`record`](Journal::record)
+    /// returns at once and [`next_rpc_id`](Journal::next_rpc_id) gives
+    /// [`NO_ID`].
+    pub fn off() -> Self {
+        Journal { inner: None }
+    }
+
+    /// Whether this journal records (it was not made by [`Journal::off`]).
+    pub fn is_on(&self) -> bool {
+        self.inner.is_some()
     }
 
     /// Emit one record at the current virtual time. Synchronous, no
     /// simulated time consumed, no randomness drawn.
+    #[inline]
     pub fn record(
         &self,
         subsystem: Subsystem,
@@ -365,62 +367,59 @@ impl Journal {
         wr_id: u64,
         bytes: u64,
     ) {
-        let seq = self.inner.seq.get();
-        self.inner.seq.set(seq + 1);
-        let rec = Record {
-            ts_ns: self.inner.handle.now().as_nanos(),
-            node: self.inner.node,
-            seq,
-            subsystem,
-            kind,
-            rpc_id,
-            wr_id,
-            bytes,
-        };
-        let mut ring = self.inner.ring.borrow_mut();
-        if ring.len() == self.inner.capacity {
-            ring.pop_front();
-            self.inner.dropped.set(self.inner.dropped.get() + 1);
+        if let Some(inner) = &self.inner {
+            inner.push(subsystem, kind, rpc_id, wr_id, bytes);
         }
-        ring.push_back(rec);
     }
 
     /// Allocate a fresh causal RPC id (starts at [`RPC_ID_BASE`] plus
     /// this node's [`NODE_RPC_SPAN`] slice, so it collides neither with
     /// log-derived `(lane << 40) | index` ids nor with ids allocated by
-    /// another node's journal in a merged fleet stream).
+    /// another node's journal in a merged fleet stream). [`NO_ID`] when
+    /// the journal is off.
+    #[inline]
     pub fn next_rpc_id(&self) -> u64 {
-        let id = self.inner.next_rpc.get();
-        self.inner.next_rpc.set(id + 1);
-        id
+        let Some(inner) = &self.inner else {
+            return NO_ID;
+        };
+        let n = inner.next_rpc.get();
+        assert!(
+            n < NODE_RPC_SPAN,
+            "rpc id counter exceeded the node's id span"
+        );
+        inner.next_rpc.set(n + 1);
+        RPC_ID_BASE + inner.node as u64 * NODE_RPC_SPAN + n
     }
 
-    /// Records currently held (oldest may have been dropped).
+    /// Records held.
     pub fn len(&self) -> usize {
-        self.inner.ring.borrow().len()
+        self.inner.as_ref().map_or(0, |i| i.records.borrow().len())
     }
 
-    /// True when nothing has been recorded (or everything was dropped).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Records dropped due to the capacity bound.
+    /// Always 0: the journal keeps every record. Kept for
+    /// `examples/perfbench` only, which reports it.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.get()
+        0
     }
 
-    /// Snapshot the ring contents in emission order.
+    /// Snapshot the records in emission order.
     pub fn records(&self) -> Vec<Record> {
-        self.inner.ring.borrow().iter().cloned().collect()
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.records.borrow().clone())
     }
 }
 
 /// Merge several per-node journals into one globally ordered stream
 /// (sorted by timestamp, then node, then per-node sequence — a total,
 /// deterministic order).
-pub fn merge(journals: &[Journal]) -> Vec<Record> {
-    let mut all: Vec<Record> = journals.iter().flat_map(|j| j.records()).collect();
+pub fn merge<'a>(journals: impl IntoIterator<Item = &'a Journal>) -> Vec<Record> {
+    let mut all: Vec<Record> = journals.into_iter().flat_map(Journal::records).collect();
     all.sort_by_key(|r| (r.ts_ns, r.node, r.seq));
     all
 }
@@ -457,17 +456,41 @@ mod tests {
     #[test]
     fn ring_bounds_and_sequences() {
         let sim = Sim::new(1);
-        let j = Journal::with_capacity(sim.handle(), 3, 4);
+        let j = Journal::new(sim.handle(), 3);
         for i in 0..6 {
             j.record(Subsystem::Nic, EventKind::DmaIssue, NO_ID, i, 64);
         }
-        assert_eq!(j.len(), 4);
-        assert_eq!(j.dropped(), 2);
+        assert_eq!(j.len(), 6);
         let recs = j.records();
-        assert_eq!(recs[0].wr_id, 2);
-        assert_eq!(recs[3].wr_id, 5);
+        assert!(recs.iter().enumerate().all(|(i, r)| r.wr_id == i as u64));
         assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(recs.iter().all(|r| r.node == 3));
+    }
+
+    /// A journal keeps every record it is given, in emission order, well
+    /// past 2^20 records.
+    #[test]
+    fn on_journal_keeps_every_record() {
+        const N: u64 = (1 << 20) + 1;
+        let sim = Sim::new(1);
+        let j = Journal::new(sim.handle(), 0);
+        for i in 0..N {
+            j.record(Subsystem::Pm, EventKind::PmWrite, NO_ID, i, 64);
+        }
+        assert_eq!((j.len() as u64, j.dropped()), (N, 0));
+        let recs = j.records();
+        assert_eq!(recs[0].wr_id, 0);
+        assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq));
+    }
+
+    #[test]
+    fn off_journal_records_nothing() {
+        let j = Journal::off();
+        j.record(Subsystem::Pm, EventKind::PmWrite, NO_ID, 0, 64);
+        assert!(!j.is_on() && j.is_empty());
+        assert!(j.records().is_empty());
+        assert_eq!(j.next_rpc_id(), NO_ID);
+        assert!(merge(&[j]).is_empty());
     }
 
     #[test]
@@ -487,6 +510,18 @@ mod tests {
         let j4 = Journal::new(sim.handle(), 4);
         assert_eq!(j3.next_rpc_id(), RPC_ID_BASE + 3 * NODE_RPC_SPAN);
         assert_eq!(j4.next_rpc_id(), RPC_ID_BASE + 4 * NODE_RPC_SPAN);
+    }
+
+    /// A node's allocator stops at the end of its span instead of handing
+    /// out the next node's ids.
+    #[test]
+    #[should_panic(expected = "rpc id counter exceeded the node's id span")]
+    fn rpc_id_allocator_panics_past_its_span() {
+        let sim = Sim::new(1);
+        let j = Journal::new(sim.handle(), 3);
+        let last = (0..NODE_RPC_SPAN).fold(0, |_, _| j.next_rpc_id());
+        assert_eq!(last, RPC_ID_BASE + 4 * NODE_RPC_SPAN - 1);
+        j.next_rpc_id();
     }
 
     #[test]
@@ -1112,6 +1147,13 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("d"), Some(&json::Value::Null));
+        assert_eq!(json::parse(r#""µs → ✓""#).unwrap().as_str(), Some("µs → ✓"));
+        // Strings are scanned once: a quadratic scan takes tens of seconds here.
+        let long = format!("\"{}\"", "µ".repeat(200_000));
+        assert_eq!(
+            json::parse(&long).unwrap().as_str().map(str::len),
+            Some(400_000)
+        );
         assert!(json::parse("{\"a\":1,}").is_err());
         assert!(json::parse("[1,2] trailing").is_err());
         assert!(json::parse("").is_err());

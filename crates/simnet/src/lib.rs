@@ -17,14 +17,15 @@
 //! * [`Histogram`] — HDR-style log-linear latency recording.
 //! * [`Tracer`] / [`Span`] — zero-cost per-phase latency tracing against
 //!   the virtual clock (the paper's Fig. 20 breakdown layer).
-//! * [`Journal`] — bounded per-node rings of typed event records with
-//!   causal IDs, with Perfetto export, utilization gauges, and a
-//!   journal-driven durability auditor (see [`journal`]).
+//! * [`Journal`] — one per node, a stream of typed event records with
+//!   causal IDs that keeps every record (or records nothing, when off),
+//!   with Perfetto export, utilization gauges, and a journal-driven
+//!   durability auditor (see [`journal`]).
 //! * [`Metrics`] — always-on per-node counters, gauges, and windowed
 //!   histograms with virtual-time snapshot ticks and deterministic JSONL
 //!   export (see [`metrics`]).
 //! * [`FaultPlan`] — deterministic schedules of crash / loss /
-//!   degradation events, scripted or seeded-stochastic (see [`fault`]).
+//!   degradation events, scripted ahead of the run (see [`fault`]).
 //!
 //! Everything is deterministic: a [`Sim`] seeded identically replays the
 //! exact same event ordering, which the test suites rely on.

@@ -5,7 +5,8 @@
 //! carries. `examples/fingerprint.rs` prints both;
 //! `tests/determinism_and_properties.rs` pins both, and checks with
 //! [`run_at_metrics_interval`] that the metrics snapshot ticks move
-//! neither.
+//! neither and with [`run_unjournaled`] that journaling moves no virtual
+//! time.
 
 use std::rc::Rc;
 
@@ -157,7 +158,7 @@ async fn batch_rounds(client: &dyn RpcClient, h: &SimHandle, ops: u64) -> u64 {
 /// always have; the other shapes then drain the simulation so decoupled
 /// server-side processing and background 2PC records are in the journal.
 pub fn run(input: Input, ops: u64) -> Fingerprint {
-    let (sim, cluster, elapsed_ns) = execute(input, ops, default_interval());
+    let (sim, cluster, elapsed_ns) = execute(input, ops, default_interval(), true);
     fingerprint_of(&sim, &cluster, elapsed_ns)
 }
 
@@ -165,7 +166,7 @@ pub fn run(input: Input, ops: u64) -> Fingerprint {
 /// `Cluster::trace_report()`: the on-path total of every phase, then the
 /// off-path total of every phase, in nanoseconds and [`Phase::ALL`] order.
 pub fn trace_totals(input: Input, ops: u64) -> [u64; 14] {
-    let (_sim, cluster, _) = execute(input, ops, default_interval());
+    let (_sim, cluster, _) = execute(input, ops, default_interval(), true);
     totals_of(&cluster)
 }
 
@@ -178,7 +179,18 @@ pub fn run_at_metrics_interval(
     ops: u64,
     metrics_interval: SimDuration,
 ) -> (Fingerprint, [u64; 14]) {
-    let (sim, cluster, elapsed_ns) = execute(input, ops, metrics_interval);
+    let (sim, cluster, elapsed_ns) = execute(input, ops, metrics_interval, true);
+    (
+        fingerprint_of(&sim, &cluster, elapsed_ns),
+        totals_of(&cluster),
+    )
+}
+
+/// [`run`] and [`trace_totals`] of one execution with the journal off:
+/// journaling consumes no simulated time and no randomness, so only the
+/// journal fields (empty export) may differ from the journaled run.
+pub fn run_unjournaled(input: Input, ops: u64) -> (Fingerprint, [u64; 14]) {
+    let (sim, cluster, elapsed_ns) = execute(input, ops, default_interval(), false);
     (
         fingerprint_of(&sim, &cluster, elapsed_ns),
         totals_of(&cluster),
@@ -216,19 +228,25 @@ pub fn trace_fnv(totals: &[u64]) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Build and run `input`; returns the simulation, the cluster and the
-/// virtual nanoseconds the client-side workload took.
-fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Cluster, u64) {
+/// Build and run `input`, with every node journaling iff `journal`;
+/// returns the simulation, the cluster and the virtual nanoseconds the
+/// client-side workload took.
+fn execute(
+    input: Input,
+    ops: u64,
+    metrics_interval: SimDuration,
+    journal: bool,
+) -> (Sim, Cluster, u64) {
     let mut sim = Sim::new(SEED);
     let h = sim.handle();
-    let journaled = |mut ccfg: ClusterConfig| {
-        ccfg.journal = true;
+    let new_cluster = |mut ccfg: ClusterConfig| {
+        ccfg.journal = journal;
         ccfg.metrics_interval = metrics_interval;
         Cluster::new(h.clone(), ccfg)
     };
     let (cluster, elapsed_ns) = match input {
         Input::Micro(kind) => {
-            let cluster = journaled(ClusterConfig::with_nodes(2));
+            let cluster = new_cluster(ClusterConfig::with_nodes(2));
             let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
             let client = build_system(&cluster, kind, 1, 0, 0, &opts);
             let cfg = micro_cfg(ops, 0.5);
@@ -236,7 +254,7 @@ fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Clust
             (cluster, r.elapsed.as_nanos())
         }
         Input::Batch(kind) => {
-            let cluster = journaled(ClusterConfig::with_nodes(2));
+            let cluster = new_cluster(ClusterConfig::with_nodes(2));
             let (client, server) = build_durable(&cluster, 1, 0, 0, durable_cfg(kind));
             server.start();
             let ns = sim.block_on(async move { batch_rounds(&client, &h, ops).await });
@@ -244,7 +262,7 @@ fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Clust
             (cluster, ns)
         }
         Input::BaselineBatch(kind) => {
-            let cluster = journaled(ClusterConfig::with_nodes(2));
+            let cluster = new_cluster(ClusterConfig::with_nodes(2));
             let opts = SystemOpts::for_object_size(1024, ServerProfile::light());
             let client = build_system(&cluster, kind, 1, 0, 0, &opts);
             let ns = sim.block_on(async move { batch_rounds(client.as_ref(), &h, ops).await });
@@ -252,7 +270,7 @@ fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Clust
             (cluster, ns)
         }
         Input::Replicated(kind) => {
-            let cluster = journaled(ClusterConfig::with_nodes(3));
+            let cluster = new_cluster(ClusterConfig::with_nodes(3));
             let (client, _group) = build_replicated(&cluster, 2, &[0, 1], durable_cfg(kind));
             let cfg = micro_cfg(ops, 0.5);
             let r = sim.block_on(async move { run_micro(&client, &h, &cfg).await });
@@ -261,7 +279,7 @@ fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Clust
             (cluster, r.elapsed.as_nanos())
         }
         Input::Txn(kind) => {
-            let cluster = journaled(ClusterConfig::with_servers(2, 1));
+            let cluster = new_cluster(ClusterConfig::with_servers(2, 1));
             let spec = FleetSpec {
                 replicas: 1,
                 cache: None,
@@ -280,7 +298,7 @@ fn execute(input: Input, ops: u64, metrics_interval: SimDuration) -> (Sim, Clust
             (cluster, r.elapsed.as_nanos())
         }
         Input::Cached(kind) => {
-            let cluster = journaled(ClusterConfig::with_servers(1, 1));
+            let cluster = new_cluster(ClusterConfig::with_servers(1, 1));
             let cache = CacheConfig {
                 hot_threshold: 1,
                 ..Default::default()

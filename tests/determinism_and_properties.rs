@@ -257,42 +257,13 @@ fn payload_composite_invariants() {
     }
 }
 
-/// Pinned whole-stack fingerprints: event counts, virtual elapsed time,
-/// and journal bytes for representative journaled runs
-/// (`prdma_suite::fingerprint`). Any schedule-visible regression in the
-/// executor, network, or protocol layers trips this test.
-///
-/// The first four rows were captured before the executor hot-path
-/// rewrite (timer slab + unsynchronized ready queue). The rest were
-/// captured on the three-send-path `core::durable` before it was folded
-/// into one persist path: the other two durable kinds' single puts, and
-/// — for all four kinds — batched puts, 2-replica tagged puts, 2-shard
-/// 2PC record appends, and a 1-shard cached fleet at 5 % puts. The
-/// last nine were captured on the nine-client-struct `baselines` crate
-/// before it was folded into one `BaselineClient`: the seven baselines
-/// not pinned until then, and `call_batch` rounds through DaRPC and
-/// ScaleRPC, the two baselines that override it.
-///
-/// Regenerate the constants with `cargo run --release --example
-/// fingerprint` *only* when a deliberate, understood semantic change
-/// lands (note it in DESIGN.md). One such change is already folded in:
-/// the rewrite fixed cancelled `Sleep`s leaving stale wakers behind, so
-/// runs long enough to hit `timeout()` re-arms see slightly fewer
-/// events than the pre-rewrite executor; the constants below are the
-/// post-fix values, byte-identical journals included.
-///
-/// Second folded-in change (observability PR): the always-on metrics
-/// registry adds a handful of snapshot-ticker wakeups to
-/// `events_processed` on metrics-instrumented systems, and per-node
-/// rpc-id slices (`journal::NODE_RPC_SPAN`) shift client-allocated
-/// rpc ids, changing journal bytes. Virtual elapsed time is unchanged
-/// for all four systems — metrics consume zero simulated time.
-#[test]
-fn pinned_whole_stack_fingerprints() {
+/// The pinned fingerprint of every input at 300 ops: (input,
+/// events_processed, elapsed_ns, journal_len, journal_fnv). See
+/// [`pinned_whole_stack_fingerprints`] for when they may be regenerated.
+#[rustfmt::skip]
+const PINNED_FINGERPRINTS: [(Input, u64, u64, usize, u64); 31] = {
     use Input::{BaselineBatch, Batch, Cached, Micro, Replicated, Txn};
-    // (input, events_processed, elapsed_ns, journal_len, journal_fnv)
-    #[rustfmt::skip]
-    let pinned: [(Input, u64, u64, usize, u64); 31] = [
+    [
         (Micro(SystemKind::WFlush), 8866, 1184203, 571894, 0x54c7f211e4d11575),
         (Micro(SystemKind::SRFlush), 9630, 1293452, 631704, 0xb8b840aeb270c4b1),
         (Micro(SystemKind::Farm), 7064, 1154355, 511207, 0xfd75b30a64fbf97c),
@@ -324,33 +295,15 @@ fn pinned_whole_stack_fingerprints() {
         (Micro(SystemKind::Lite), 9464, 2342518, 634270, 0x48c74f7ad72e26fd),
         (BaselineBatch(SystemKind::Darpc), 7802, 2174437, 535953, 0x8f58f9a84181cbee),
         (BaselineBatch(SystemKind::ScaleRpc), 6240, 1032773, 411108, 0xc788f1f030b7f79b),
-    ];
-    for (input, events, elapsed_ns, journal_len, journal_fnv) in pinned {
-        let want = Fingerprint {
-            events,
-            elapsed_ns,
-            journal_len,
-            journal_fnv,
-        };
-        assert_eq!(
-            fingerprint::run(input, 300),
-            want,
-            "{input:?}: drifted from pinned fingerprint"
-        );
-    }
-}
+    ]
+};
 
-/// Pinned latency-breakdown totals: for every fingerprint input at 300
-/// ops, the FNV-1a of the merged trace report's seven on-path and seven
-/// off-path phase totals (`fingerprint::trace_totals`). The journal
-/// carries no trace data, so a component that stops recording its spans
-/// passes every pin above and fails here. Regenerate with `cargo run
-/// --release --example fingerprint` (`trace_fnv=`) under the same rule.
-#[test]
-fn pinned_trace_totals() {
+/// The pinned FNV-1a of every input's trace totals at 300 ops. See
+/// [`pinned_trace_totals`].
+#[rustfmt::skip]
+const PINNED_TRACE_FNVS: [(Input, u64); 31] = {
     use Input::{BaselineBatch, Batch, Cached, Micro, Replicated, Txn};
-    #[rustfmt::skip]
-    let pinned: [(Input, u64); 31] = [
+    [
         (Micro(SystemKind::WFlush), 0x96984b214eb1dad2),
         (Micro(SystemKind::SRFlush), 0xd23b528d4b98e8b2),
         (Micro(SystemKind::Farm), 0x4b87d96db21a0b1e),
@@ -382,13 +335,95 @@ fn pinned_trace_totals() {
         (Micro(SystemKind::Lite), 0xb6f50ffb3b73820f),
         (BaselineBatch(SystemKind::Darpc), 0x5972bda776756553),
         (BaselineBatch(SystemKind::ScaleRpc), 0x6ef144895126d02f),
-    ];
-    for (input, want) in pinned {
+    ]
+};
+
+/// Pinned whole-stack fingerprints: event counts, virtual elapsed time,
+/// and journal bytes for representative journaled runs
+/// (`prdma_suite::fingerprint`). Any schedule-visible regression in the
+/// executor, network, or protocol layers trips this test.
+///
+/// The first four rows were captured before the executor hot-path
+/// rewrite (timer slab + unsynchronized ready queue). The rest were
+/// captured on the three-send-path `core::durable` before it was folded
+/// into one persist path: the other two durable kinds' single puts, and
+/// — for all four kinds — batched puts, 2-replica tagged puts, 2-shard
+/// 2PC record appends, and a 1-shard cached fleet at 5 % puts. The
+/// last nine were captured on the nine-client-struct `baselines` crate
+/// before it was folded into one `BaselineClient`: the seven baselines
+/// not pinned until then, and `call_batch` rounds through DaRPC and
+/// ScaleRPC, the two baselines that override it.
+///
+/// Regenerate the constants with `cargo run --release --example
+/// fingerprint` *only* when a deliberate, understood semantic change
+/// lands (note it in DESIGN.md). One such change is already folded in:
+/// the rewrite fixed cancelled `Sleep`s leaving stale wakers behind, so
+/// runs long enough to hit `timeout()` re-arms see slightly fewer
+/// events than the pre-rewrite executor; the constants above are the
+/// post-fix values, byte-identical journals included.
+///
+/// Second folded-in change (observability PR): the always-on metrics
+/// registry adds a handful of snapshot-ticker wakeups to
+/// `events_processed` on metrics-instrumented systems, and per-node
+/// rpc-id slices (`journal::NODE_RPC_SPAN`) shift client-allocated
+/// rpc ids, changing journal bytes. Virtual elapsed time is unchanged
+/// for all four systems — metrics consume zero simulated time.
+#[test]
+fn pinned_whole_stack_fingerprints() {
+    for (input, events, elapsed_ns, journal_len, journal_fnv) in PINNED_FINGERPRINTS {
+        let want = Fingerprint {
+            events,
+            elapsed_ns,
+            journal_len,
+            journal_fnv,
+        };
+        assert_eq!(
+            fingerprint::run(input, 300),
+            want,
+            "{input:?}: drifted from pinned fingerprint"
+        );
+    }
+}
+
+/// Pinned latency-breakdown totals: for every fingerprint input at 300
+/// ops, the FNV-1a of the merged trace report's seven on-path and seven
+/// off-path phase totals (`fingerprint::trace_totals`). The journal
+/// carries no trace data, so a component that stops recording its spans
+/// passes every pin above and fails here. Regenerate with `cargo run
+/// --release --example fingerprint` (`trace_fnv=`) under the same rule.
+#[test]
+fn pinned_trace_totals() {
+    for (input, want) in PINNED_TRACE_FNVS {
         let totals = fingerprint::trace_totals(input, 300);
         assert_eq!(
             fingerprint::trace_fnv(&totals),
             want,
             "{input:?}: trace totals drifted from the pin: {totals:?}"
+        );
+    }
+}
+
+/// The journal moves no virtual time: every pinned input at 300 ops with
+/// the journal off gives its pinned event count, elapsed time and trace
+/// totals, and an empty journal. Off-journal emission sites return at
+/// their first branch, so the batched, replicated, 2PC and cached paths
+/// must schedule exactly as their journaled pins do.
+#[test]
+fn journal_off_keeps_every_pinned_schedule() {
+    for input in Input::all() {
+        let (fp, totals) = fingerprint::run_unjournaled(input, 300);
+        let pin = PINNED_FINGERPRINTS.iter().find(|p| p.0 == input);
+        let &(_, events, elapsed_ns, _, _) = pin.expect("every input is pinned");
+        assert_eq!(
+            (fp.events, fp.elapsed_ns, fp.journal_len),
+            (events, elapsed_ns, 0),
+            "{input:?}: journal off moved the schedule"
+        );
+        let pin = PINNED_TRACE_FNVS.iter().find(|p| p.0 == input);
+        assert_eq!(
+            fingerprint::trace_fnv(&totals),
+            pin.expect("every input is pinned").1,
+            "{input:?}: journal off moved the trace totals: {totals:?}"
         );
     }
 }

@@ -67,10 +67,10 @@ fn auditor_passes_on_every_system() {
     }
 }
 
-/// With journaling disabled (the default), no node carries a journal,
-/// the merged record stream is empty, and the auditor trivially passes —
-/// the emission call sites all gate on `Option<&Journal>`, so the hot
-/// path allocates nothing.
+/// With journaling disabled (the default), every node carries an off
+/// journal (`Node::journal()` is `None`), the merged record stream is
+/// empty, and the auditor trivially passes — an off journal's `record`
+/// returns at its first branch, so the hot path allocates nothing.
 #[test]
 fn disabled_journal_records_nothing() {
     let (cluster, ops) = smoke_run(SystemKind::WFlush, false);
