@@ -148,8 +148,7 @@ pub fn build_system(
             store_capacity: opts.store_capacity,
             ..Default::default()
         };
-        let (client, server) = build_durable(cluster, client_idx, server_idx, lane, cfg);
-        server.start();
+        let (client, _) = build_durable(cluster, client_idx, server_idx, lane, cfg);
         return Box::new(client);
     }
     Box::new(build_baseline(

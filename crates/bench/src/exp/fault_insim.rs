@@ -21,11 +21,9 @@
 //! see the same scaled constants, so the normalized ratios remain
 //! comparable.
 
-use std::rc::Rc;
-
 use prdma::{
-    build_durable, build_replicated, DurableConfig, DurableKind, RetryPolicy, RpcClient,
-    ServerProfile,
+    build_fleet, build_replicated, DurableConfig, DurableKind, Fleet, FleetSpec, RetryPolicy,
+    RpcClient, ServerProfile, ShardMap,
 };
 use prdma_baselines::{build_system, SystemKind, SystemOpts};
 use prdma_node::{Cluster, ClusterConfig};
@@ -55,6 +53,16 @@ pub(crate) const FAULT_RETRY: RetryPolicy = RetryPolicy {
     backoff_cap: SimDuration::from_micros(100),
     jitter_pct: 0,
 };
+
+/// One unreplicated durable server on node 0 for the client on
+/// `client_node`: a one-shard fleet.
+fn one_server(cluster: &Cluster, client_node: usize, cfg: &DurableConfig) -> Fleet {
+    let spec = FleetSpec {
+        replicas: 1,
+        cache: None,
+    };
+    build_fleet(cluster, ShardMap::new(1), &[client_node], cfg, spec)
+}
 
 /// Run one scheme over the micro workload, optionally under a fault
 /// plan. Returns the workload result, the number of crashes actually
@@ -87,13 +95,12 @@ fn run_scheme(
                 retry: FAULT_RETRY,
                 ..DurableConfig::for_kind(DurableKind::WFlush)
             };
-            let (c, s) = build_durable(&cluster, 1, 0, 0, cfg);
-            s.start();
+            let mut fleet = one_server(&cluster, 1, &cfg);
             let injector = inject(plan);
             if let Some(inj) = &injector {
-                Rc::new(s).wire_recovery(inj);
+                fleet.wire_recovery(inj);
             }
-            (Box::new(c), injector)
+            (Box::new(fleet.clients.remove(0)), injector)
         }
         Scheme::Traditional => {
             let opts = SystemOpts::for_object_size(OBJECT_SIZE, ServerProfile::light());
@@ -391,12 +398,11 @@ fn run_replicated_scheme(
         }
         Box::new(c)
     } else {
-        let (c, s) = build_durable(&cluster, 2, 0, 0, cfg);
-        s.start();
+        let mut fleet = one_server(&cluster, 2, &cfg);
         if let Some(inj) = &injector {
-            Rc::new(s).wire_recovery(inj);
+            fleet.wire_recovery(inj);
         }
-        Box::new(c)
+        Box::new(fleet.clients.remove(0))
     };
     let mcfg = MicroConfig {
         objects: 500,

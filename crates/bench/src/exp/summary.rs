@@ -182,7 +182,6 @@ pub fn abl_ddio(_scale: Scale) -> Vec<Table> {
             ..Default::default()
         };
         let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-        server.start();
         let log = server.log().clone();
         let pm = cluster.node(0).pm.clone();
         let h = sim.handle();
@@ -392,8 +391,7 @@ pub fn abl_log_threshold(scale: Scale) -> Vec<Table> {
             throttle_threshold: threshold,
             ..Default::default()
         };
-        let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-        server.start();
+        let (client, _) = build_durable(&cluster, 1, 0, 0, cfg);
         let ops = (scale.micro_ops / 8).max(100);
         let h = sim.handle();
         let elapsed = sim.block_on(async move {

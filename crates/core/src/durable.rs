@@ -103,11 +103,6 @@ pub struct DurableConfig {
     pub object_slot: u64,
     /// Object-store region size in PM.
     pub store_capacity: u64,
-    /// PM region name for the object store. Connections sharing a name
-    /// on one node share the store; replicated shard groups give each
-    /// group a distinct name so a node hosting shard k's primary and
-    /// shard k−1's backup keeps their object spaces apart.
-    pub store_region: String,
     /// Flow control: throttle when this many entries are outstanding.
     pub throttle_threshold: u64,
     /// Persist the log head once it is N entries past the last value
@@ -134,7 +129,6 @@ impl Default for DurableConfig {
             slot_payload: 64 * 1024,
             object_slot: 64 * 1024,
             store_capacity: 32 * 1024 * 1024,
-            store_region: "objects".to_string(),
             throttle_threshold: 128,
             head_persist_interval: 16,
             retry: RetryPolicy::default(),
@@ -182,8 +176,11 @@ const REQ_SLOT_BYTES: u64 = 256;
 /// GET descriptor size on the wire.
 const GET_DESC_BYTES: u64 = 24;
 
+/// The connection's client↔server host state: the only fields both ends
+/// touch. The client hands arrivals and GET work to the server through
+/// the two channels, registers its persist-ACK waiter, and reads how many
+/// entries the server has logged to know which ACK is the last of a batch.
 struct Shared {
-    kind: DurableKind,
     work_tx: Sender<Work>,
     arrival_tx: Sender<Arrival>,
     /// Pending persist-ack waiter (receiver-initiated kinds). One slot:
@@ -197,20 +194,6 @@ struct Shared {
     /// batched Put wait for its *last* entry's persist-ACK).
     ack_after: Cell<u64>,
     puts_logged: Cell<u64>,
-    puts_processed: Cell<u64>,
-    /// Replicated-put retry duplicates skipped at apply time (the entry
-    /// was appended again by a retry, but its causal put id had already
-    /// been applied).
-    puts_deduped: Cell<u64>,
-    /// Next log index the send-based recv ring will arm a WQE for.
-    /// Shared so node-crash recovery can flush and re-arm the ring from
-    /// the recovered tail (see `recover_and_requeue`).
-    next_recv_index: Cell<u64>,
-    /// Shard transaction table (see [`build_connection`]).
-    txn: Option<TxnState>,
-    /// Pre-resolved server-node metric handles.
-    m_puts_logged: Counter,
-    m_puts_processed: Counter,
 }
 
 /// The client endpoint of a durable RPC connection.
@@ -313,28 +296,44 @@ struct ClientMetrics {
     latency: Window,
 }
 
-/// The server endpoint of a durable RPC connection.
+/// The server endpoint of a durable RPC connection. It serves from
+/// construction: [`build_durable`] spawns its arrival loop(s) and worker
+/// pool, which keep the connection served if this handle is dropped.
 pub struct DurableServer {
     ctx: Rc<ServerCtx>,
+    /// Node-crash recovery flushes and re-arms its recv ring.
     log_qp_server: Qp,
-    get_qp_server: Qp,
-    work_rx: RefCell<Option<Receiver<Work>>>,
-    arrival_rx: RefCell<Option<Receiver<Arrival>>>,
 }
 
 /// What every server task (arrival loops, worker pool) works against.
 struct ServerCtx {
     shared: Rc<Shared>,
+    kind: DurableKind,
     node: Node,
     log: RedoLog,
     store: ObjectStore,
     resp_qp: Qp,
     profile: ServerProfile,
+    puts_processed: Cell<u64>,
+    /// Replicated-put retry duplicates skipped at apply time (the entry
+    /// was appended again by a retry, but its causal put id had already
+    /// been applied).
+    puts_deduped: Cell<u64>,
+    /// Next log index the send-based recv ring will arm a WQE for. Kept
+    /// here so node-crash recovery can flush and re-arm the ring from the
+    /// recovered tail (see `recover_and_requeue`).
+    next_recv_index: Cell<u64>,
+    /// Shard transaction table (see [`build_connection`]).
+    txn: Option<TxnState>,
+    /// Pre-resolved server-node metric handles.
+    m_puts_logged: Counter,
+    m_puts_processed: Counter,
 }
 
 /// Build a durable RPC connection between `client_idx` and `server_idx`
 /// (server owns the log and the object store). `lane` distinguishes
-/// concurrent client connections to one server.
+/// concurrent client connections to one server. The server serves from
+/// construction.
 pub fn build_durable(
     cluster: &Cluster,
     client_idx: usize,
@@ -342,25 +341,54 @@ pub fn build_durable(
     lane: usize,
     cfg: DurableConfig,
 ) -> (DurableClient, DurableServer) {
-    build_connection(cluster, client_idx, server_idx, lane, cfg, None, None)
+    build_connection(
+        cluster,
+        client_idx,
+        server_idx,
+        lane,
+        cfg,
+        ShardTables::PLAIN,
+    )
 }
 
-/// [`build_durable`] with a fleet shard's tables wired in. `lease`, when
-/// given, is the shard's lease table: every put bumps its key's epoch
-/// *before* the flush wait, revoking outstanding cached reads ahead of
-/// the durability ACK (auditor invariant I5). `txn`, when given, is the
-/// shard's transaction table: the server processes `TxnPrepare` /
-/// `TxnDecide` / `TxnCommit` / `TxnAbort` log entries against it
-/// (staging, in-doubt resolution, apply). Without them the put path —
-/// and every pinned journal fingerprint — is the plain one.
+/// What a connection shares with the other connections to its shard:
+/// wiring that [`build_connection`]'s callers pass, not settings.
+#[derive(Clone)]
+pub(crate) struct ShardTables<'a> {
+    /// PM region name of the object store. Connections sharing a name
+    /// on one node share the store; fleet shards name theirs
+    /// `objects-s<shard>`, so a node hosting shard k's primary and shard
+    /// k−1's backup keeps their object spaces apart.
+    pub store_region: &'a str,
+    /// The shard's lease table: every put bumps its key's epoch *before*
+    /// the flush wait, revoking outstanding cached reads ahead of the
+    /// durability ACK (auditor invariant I5).
+    pub lease: Option<LeaseState>,
+    /// The shard's transaction table: the server processes `TxnPrepare`
+    /// / `TxnDecide` / `TxnCommit` / `TxnAbort` log entries against it
+    /// (staging, in-doubt resolution, apply).
+    pub txn: Option<TxnState>,
+}
+
+impl ShardTables<'_> {
+    /// A lone connection's: the `objects` store and no tables, so the
+    /// put path — and every pinned journal fingerprint — is the plain
+    /// one.
+    pub const PLAIN: ShardTables<'static> = ShardTables {
+        store_region: "objects",
+        lease: None,
+        txn: None,
+    };
+}
+
+/// [`build_durable`] with a shard's tables wired in.
 pub(crate) fn build_connection(
     cluster: &Cluster,
     client_idx: usize,
     server_idx: usize,
     lane: usize,
     cfg: DurableConfig,
-    lease: Option<LeaseState>,
-    txn: Option<TxnState>,
+    tables: ShardTables,
 ) -> (DurableClient, DurableServer) {
     let server = cluster.node(server_idx).clone();
     let client = cluster.node(client_idx).clone();
@@ -382,12 +410,12 @@ pub(crate) fn build_connection(
     let layout = LogLayout::new(log_region, slot_size);
 
     // Object store: shared across lanes (per region name).
-    let store_region = match server.alloc.lookup(&cfg.store_region) {
+    let store_region = match server.alloc.lookup(tables.store_region) {
         Some(r) => r,
         None => server
             .alloc
             .alloc(
-                &cfg.store_region,
+                tables.store_region,
                 cfg.store_capacity.min(server.alloc.remaining()),
                 64,
             )
@@ -444,18 +472,11 @@ pub(crate) fn build_connection(
     let (work_tx, work_rx) = channel();
     let (arrival_tx, arrival_rx) = channel();
     let shared = Rc::new(Shared {
-        kind: cfg.kind,
         work_tx,
         arrival_tx,
         ack_waiter: RefCell::new(None),
         ack_after: Cell::new(0),
         puts_logged: Cell::new(0),
-        puts_processed: Cell::new(0),
-        puts_deduped: Cell::new(0),
-        next_recv_index: Cell::new(0),
-        txn,
-        m_puts_logged: server.metrics.counter_handle(Key::new("puts_logged")),
-        m_puts_processed: server.metrics.counter_handle(Key::new("puts_processed")),
     });
 
     let k = |name: &'static str| {
@@ -484,26 +505,145 @@ pub(crate) fn build_connection(
         client_node: client,
         lane,
         retry: cfg.retry,
-        lease,
+        lease: tables.lease,
         ack_pool: OneshotPool::new(),
         reply_pool: OneshotPool::new(),
         next_batch_id: Cell::new(0),
     };
-    let server_ep = DurableServer {
-        ctx: Rc::new(ServerCtx {
-            shared,
-            node: server,
-            log,
-            store,
-            resp_qp,
-            profile: cfg.profile,
-        }),
-        log_qp_server,
+    let ctx = Rc::new(ServerCtx {
+        shared,
+        kind: cfg.kind,
+        log,
+        store,
+        resp_qp,
+        profile: cfg.profile,
+        puts_processed: Cell::new(0),
+        puts_deduped: Cell::new(0),
+        next_recv_index: Cell::new(0),
+        txn: tables.txn,
+        m_puts_logged: server.metrics.counter_handle(Key::new("puts_logged")),
+        m_puts_processed: server.metrics.counter_handle(Key::new("puts_processed")),
+        node: server,
+    });
+    serve(
+        Rc::clone(&ctx),
+        log_qp_server.clone(),
         get_qp_server,
-        work_rx: RefCell::new(Some(work_rx)),
-        arrival_rx: RefCell::new(Some(arrival_rx)),
-    };
+        work_rx,
+        arrival_rx,
+    );
+    let server_ep = DurableServer { ctx, log_qp_server };
     (client_ep, server_ep)
+}
+
+/// Spawn the server's loops: the arrival listener(s) and the worker-pool
+/// dispatcher. Runs once, as the last step of [`build_connection`].
+fn serve(
+    ctx: Rc<ServerCtx>,
+    log_qp: Qp,
+    get_qp: Qp,
+    mut work_rx: Receiver<Work>,
+    mut arrival_rx: Receiver<Arrival>,
+) {
+    let h = log_qp.local().handle().clone();
+
+    if ctx.kind.is_send_based() {
+        // Recv loop over the log QP, pre-posting recv buffers at
+        // upcoming slots (models the SFlush RNIC resolving the
+        // destination address from the packet itself).
+        let layout = *ctx.log.layout();
+        ctx.arm_recv_ring(&log_qp, 0);
+        let ctx = Rc::clone(&ctx);
+        h.spawn(async move {
+            loop {
+                let c = log_qp.recv().await;
+                let next = ctx.next_recv_index.get();
+                log_qp.post_recv(MemTarget::Pm(layout.slot_addr(next)));
+                ctx.next_recv_index.set(next + 1);
+                // The packet identifies its own entry (the SFlush
+                // RNIC resolves the destination from the message).
+                // Counting completions instead would desynchronise
+                // across a node crash: a send in flight at the crash
+                // consumes a recv WQE that never completes.
+                let Some(index) = entry_index_from_image(&c.payload) else {
+                    continue;
+                };
+                ctx.on_arrival(index, c.payload, c.durable).await;
+            }
+        });
+
+        // GET descriptor recv loop.
+        for i in 0..16u64 {
+            get_qp.post_recv(MemTarget::Dram(i % 16 * REQ_SLOT_BYTES));
+        }
+        let mut slot = 16u64;
+        h.spawn(async move {
+            loop {
+                let _c = get_qp.recv().await;
+                get_qp.post_recv(MemTarget::Dram(slot % 16 * REQ_SLOT_BYTES));
+                slot += 1;
+                // No CPU charge here: the matching Work::Get was
+                // enqueued by the client stub (descriptor bytes only
+                // model the wire), and detection + dispatch is charged
+                // once, in serve_get — same as the write-based path.
+            }
+        });
+    } else {
+        // Write-based kinds: the server polls the log tail; the
+        // arrival channel fires when an entry's DMA lands.
+        let ctx = Rc::clone(&ctx);
+        h.spawn(async move {
+            while let Some(a) = arrival_rx.recv().await {
+                ctx.on_arrival(a.index, a.data, a.durable).await;
+            }
+        });
+    }
+
+    // Worker pool: a dispatcher spawns one handler task per RPC (the
+    // paper: "a thread is created to handle the RPC requests"), with
+    // concurrency bounded by a semaphore of `worker_threads`.
+    let pool = prdma_simnet::Semaphore::new(ctx.profile.worker_threads.max(1));
+    // Every handler marks entries done through its own copy of this
+    // copy of the log handle — the arrangement every pinned journal was
+    // captured under. `RedoLog` keeps its persisted-head bookkeeping per
+    // copy and this copy never flushes, so every handler's copy counts
+    // from 0: once the head reaches `head_persist_interval`, every
+    // advance flushes it. Sharing one handle would change journals and
+    // PM write counts, which is a change of its own (ROADMAP item
+    // 3(a)).
+    // It is a trade, not a free win: sized with the cell shared, four
+    // perfbench workloads keep their virtual metrics but
+    // `crash_replay` goes from `op_mean_us` 12.68 to 18.55 and
+    // `virt_kops` 78.9 to 53.9, because up to 16 done entries whose
+    // head advance was never flushed replay after each crash.
+    let log = ctx.log.clone();
+    h.clone().spawn(async move {
+        while let Some(work) = work_rx.recv().await {
+            ctx.node.wait_service_up().await;
+            let permit = pool.acquire().await;
+            let ctx = Rc::clone(&ctx);
+            let log = log.clone();
+            h.spawn(async move {
+                let _permit = permit;
+                match work {
+                    Work::Entry { index, data } => {
+                        // Processing is decoupled from the durability
+                        // ACK under every kind — off the critical path.
+                        let processing = ctx.process_entry(&log, index, data);
+                        ctx.node.tracer().offpath_scope(processing).await;
+                        ctx.puts_processed.set(ctx.puts_processed.get() + 1);
+                        ctx.m_puts_processed.incr(1);
+                    }
+                    Work::Get {
+                        obj,
+                        len,
+                        count,
+                        reply,
+                    } => ctx.serve_get(obj, len, count, reply).await,
+                }
+            });
+        }
+    });
 }
 
 impl DurableServer {
@@ -524,7 +664,7 @@ impl DurableServer {
 
     /// Puts processed (applied + marked done) so far.
     pub fn puts_processed(&self) -> u64 {
-        self.ctx.shared.puts_processed.get()
+        self.ctx.puts_processed.get()
     }
 
     /// Entries logged (arrived durable-or-staged) so far.
@@ -534,137 +674,12 @@ impl DurableServer {
 
     /// Replicated-put retry duplicates skipped at apply time.
     pub fn puts_deduped(&self) -> u64 {
-        self.ctx.shared.puts_deduped.get()
+        self.ctx.puts_deduped.get()
     }
 
-    /// Start the server loops: arrival listeners and the worker pool.
-    pub fn start(&self) {
-        let h = self.log_qp_server.local().handle().clone();
-        let ctx = Rc::clone(&self.ctx);
-
-        if ctx.shared.kind.is_send_based() {
-            // Recv loop over the log QP, pre-posting recv buffers at
-            // upcoming slots (models the SFlush RNIC resolving the
-            // destination address from the packet itself).
-            let qp = self.log_qp_server.clone();
-            let layout = *ctx.log.layout();
-            self.arm_recv_ring(0);
-            let ctx = Rc::clone(&ctx);
-            h.spawn(async move {
-                loop {
-                    let c = qp.recv().await;
-                    let next = ctx.shared.next_recv_index.get();
-                    qp.post_recv(MemTarget::Pm(layout.slot_addr(next)));
-                    ctx.shared.next_recv_index.set(next + 1);
-                    // The packet identifies its own entry (the SFlush
-                    // RNIC resolves the destination from the message).
-                    // Counting completions instead would desynchronise
-                    // across a node crash: a send in flight at the crash
-                    // consumes a recv WQE that never completes.
-                    let Some(index) = entry_index_from_image(&c.payload) else {
-                        continue;
-                    };
-                    ctx.on_arrival(index, c.payload, c.durable).await;
-                }
-            });
-
-            // GET descriptor recv loop.
-            let get_qp = self.get_qp_server.clone();
-            for i in 0..16u64 {
-                get_qp.post_recv(MemTarget::Dram(i % 16 * REQ_SLOT_BYTES));
-            }
-            let mut slot = 16u64;
-            h.spawn(async move {
-                loop {
-                    let _c = get_qp.recv().await;
-                    get_qp.post_recv(MemTarget::Dram(slot % 16 * REQ_SLOT_BYTES));
-                    slot += 1;
-                    // No CPU charge here: the matching Work::Get was
-                    // enqueued by the client stub (descriptor bytes only
-                    // model the wire), and detection + dispatch is charged
-                    // once, in serve_get — same as the write-based path.
-                }
-            });
-        } else {
-            // Write-based kinds: the server polls the log tail; the
-            // arrival channel fires when an entry's DMA lands.
-            let mut rx = self
-                .arrival_rx
-                .borrow_mut()
-                .take()
-                .expect("server already started");
-            let ctx = Rc::clone(&ctx);
-            h.spawn(async move {
-                while let Some(a) = rx.recv().await {
-                    ctx.on_arrival(a.index, a.data, a.durable).await;
-                }
-            });
-        }
-
-        // Worker pool: a dispatcher spawns one handler task per RPC (the
-        // paper: "a thread is created to handle the RPC requests"), with
-        // concurrency bounded by a semaphore of `worker_threads`.
-        let mut rx = self
-            .work_rx
-            .borrow_mut()
-            .take()
-            .expect("server already started");
-        let pool = prdma_simnet::Semaphore::new(ctx.profile.worker_threads.max(1));
-        // Every handler marks entries done through its own copy of this
-        // copy of the log handle — the arrangement every pinned journal was
-        // captured under. `RedoLog` keeps its persisted-head bookkeeping per
-        // copy and this copy never flushes, so every handler's copy counts
-        // from 0: once the head reaches `head_persist_interval`, every
-        // advance flushes it. Sharing one handle would change journals and
-        // PM write counts, which is a change of its own (ROADMAP item
-        // 3(a)).
-        // It is a trade, not a free win: sized with the cell shared, four
-        // perfbench workloads keep their virtual metrics but
-        // `crash_replay` goes from `op_mean_us` 12.68 to 18.55 and
-        // `virt_kops` 78.9 to 53.9, because up to 16 done entries whose
-        // head advance was never flushed replay after each crash.
-        let log = ctx.log.clone();
-        h.clone().spawn(async move {
-            while let Some(work) = rx.recv().await {
-                ctx.node.wait_service_up().await;
-                let permit = pool.acquire().await;
-                let ctx = Rc::clone(&ctx);
-                let log = log.clone();
-                h.spawn(async move {
-                    let _permit = permit;
-                    match work {
-                        Work::Entry { index, data } => {
-                            // Processing is decoupled from the durability
-                            // ACK under every kind — off the critical path.
-                            let processing = ctx.process_entry(&log, index, data);
-                            ctx.node.tracer().offpath_scope(processing).await;
-                            let shared = &ctx.shared;
-                            shared.puts_processed.set(shared.puts_processed.get() + 1);
-                            shared.m_puts_processed.incr(1);
-                        }
-                        Work::Get {
-                            obj,
-                            len,
-                            count,
-                            reply,
-                        } => ctx.serve_get(obj, len, count, reply).await,
-                    }
-                });
-            }
-        });
-    }
-
-    /// Post a full window of recv WQEs at the log slots from index `from`
-    /// on, and point the recv loop's re-arm cursor past it.
-    fn arm_recv_ring(&self, from: u64) {
-        let layout = self.ctx.log.layout();
-        let window = (layout.slots / 2).max(1);
-        for i in from..from + window {
-            self.log_qp_server
-                .post_recv(MemTarget::Pm(layout.slot_addr(i)));
-        }
-        self.ctx.shared.next_recv_index.set(from + window);
-    }
+    /// Does nothing: the server serves from construction. Kept for
+    /// `examples/perfbench` only.
+    pub fn start(&self) {}
 
     /// Hand logged entries to the worker pool.
     fn requeue(&self, entries: impl IntoIterator<Item = LogEntry>) {
@@ -688,7 +703,7 @@ impl DurableServer {
         ctx.node
             .metrics
             .incr(Key::new("log_replayed"), pending.len() as u64);
-        if ctx.shared.kind.is_send_based() {
+        if ctx.kind.is_send_based() {
             // Re-arm the recv ring. A send in flight at the crash
             // consumed a recv WQE that can never complete (the NIC that
             // would have written its CQE lost power), so the surviving
@@ -698,7 +713,7 @@ impl DurableServer {
             // Flush the ring — QP-error semantics — and re-post a full
             // window starting at the slot the client will append next.
             self.log_qp_server.flush_recvs();
-            self.arm_recv_ring(tail);
+            ctx.arm_recv_ring(&self.log_qp_server, tail);
         }
         self.requeue(pending.iter().cloned());
         pending
@@ -762,6 +777,17 @@ fn without_repl_id(data: &Payload) -> Payload {
 }
 
 impl ServerCtx {
+    /// Post a full window of recv WQEs on `log_qp` at the log slots from
+    /// index `from` on, and point the recv loop's re-arm cursor past it.
+    fn arm_recv_ring(&self, log_qp: &Qp, from: u64) {
+        let layout = self.log.layout();
+        let window = (layout.slots / 2).max(1);
+        for i in from..from + window {
+            log_qp.post_recv(MemTarget::Pm(layout.slot_addr(i)));
+        }
+        self.next_recv_index.set(from + window);
+    }
+
     /// The tail both arrival loops share. The NIC-side absorption (recv
     /// into PM slots, one-sided appends) lands regardless of software
     /// liveness — that is the log-absorption property; *noticing* an
@@ -769,7 +795,7 @@ impl ServerCtx {
     async fn on_arrival(&self, index: u64, image: Payload, durable_on_arrival: bool) {
         self.node.wait_service_up().await;
         let arrival = self.handle_arrival(index, image, durable_on_arrival);
-        if self.shared.kind.is_receiver_initiated() {
+        if self.kind.is_receiver_initiated() {
             // RFlush: the client waits for the persist-ACK this path
             // produces — it is on the critical path.
             arrival.await;
@@ -793,13 +819,13 @@ impl ServerCtx {
             _ => return,
         }
         shared.puts_logged.set(shared.puts_logged.get() + 1);
-        shared.m_puts_logged.incr(1);
+        self.m_puts_logged.incr(1);
         let data = entry_data_part(&image);
 
         // The receiver CPU notices the message by polling.
         self.node.cpu.poll_dispatch().await;
 
-        if shared.kind.is_receiver_initiated() {
+        if self.kind.is_receiver_initiated() {
             // RFlush: ensure durability, then ACK persistence immediately.
             if !durable_on_arrival {
                 // DDIO routed it into the LLC: flush the entry range.
@@ -850,7 +876,6 @@ impl ServerCtx {
     /// processing time, apply to the object store, and durable completion
     /// marking.
     async fn process_entry(&self, log: &RedoLog, index: u64, data: Payload) {
-        let shared = &self.shared;
         // Idempotence guard: a service-restart replay can race an
         // already-queued arrival (or a retried client append) for the same
         // entry; only the first processing applies it.
@@ -863,7 +888,7 @@ impl ServerCtx {
         // A put's data travelled with the work item; only the operators
         // that decode their logged payload copy it out of PM.
         let payload = match header.op.opcode {
-            OpCode::Put | OpCode::Process | OpCode::RPut => Vec::new(),
+            OpCode::Put | OpCode::RPut => Vec::new(),
             OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort => {
                 log.read_payload(&header)
             }
@@ -874,14 +899,8 @@ impl ServerCtx {
             entry.op.opcode,
             OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort
         ) {
-            crate::txn::process_txn_entry(
-                &self.node,
-                log,
-                &self.store,
-                shared.txn.as_ref(),
-                &entry,
-            )
-            .await;
+            crate::txn::process_txn_entry(&self.node, log, &self.store, self.txn.as_ref(), &entry)
+                .await;
             return;
         }
         // Apply: the operator comes from the log entry, the data travelled
@@ -897,7 +916,7 @@ impl ServerCtx {
             let at = log.layout().slot_addr(index) + ENTRY_HEADER;
             self.node.pm.copy_volatile_view(at, &mut id);
             if !log.note_applied(u64::from_le_bytes(id)) {
-                shared.puts_deduped.set(shared.puts_deduped.get() + 1);
+                self.puts_deduped.set(self.puts_deduped.get() + 1);
                 let _ = log.mark_done(index).await;
                 return;
             }
@@ -1122,6 +1141,7 @@ impl DurableClient {
     fn alloc_batch_id(&self) -> u64 {
         let n = self.next_batch_id.get();
         self.next_batch_id.set(n + 1);
+        assert!(n < 1 << 24, "batch id counter exceeded the id namespace");
         BATCH_ID_BASE | ((self.client_node.id.0 as u64) << 36) | ((self.lane as u64) << 24) | n
     }
 }
@@ -1259,7 +1279,6 @@ mod tests {
             ..Default::default()
         };
         let (c, s) = build_durable(&cluster, 1, 0, 0, cfg);
-        s.start();
         (c, s, cluster)
     }
 
@@ -1466,7 +1485,6 @@ mod tests {
             ..Default::default()
         };
         let (c, s) = build_durable(&cluster, 1, 0, 0, cfg);
-        s.start();
         (c, s, cluster)
     }
 
@@ -1576,6 +1594,40 @@ mod tests {
         assert_eq!(store.persistent_bytes(4, 12), b"logged bytes");
         // The arrival the restart released comes second and is skipped.
         assert_eq!(server.puts_deduped(), 1);
+    }
+
+    /// The counter stops at the end of its 24 bits instead of running
+    /// into the lane bits, where put `2^24 + k` would reuse put `k`'s id.
+    #[test]
+    #[should_panic(expected = "batch id counter exceeded the id namespace")]
+    fn batch_id_counter_panics_past_its_bits() {
+        let sim = Sim::new(1);
+        let (client, _server, _cluster) = setup(&sim, DurableKind::WFlush, ServerProfile::light());
+        client.next_batch_id.set((1 << 24) - 1);
+        let last = client.alloc_batch_id();
+        assert_eq!(last, BATCH_ID_BASE | 1 << 36 | ((1 << 24) - 1));
+        client.alloc_batch_id();
+    }
+
+    #[test]
+    fn a_dropped_server_handle_keeps_serving() {
+        // The server's loops run from construction and own what they
+        // need: a put and a get complete with no call on the server.
+        for kind in DurableKind::ALL {
+            let mut sim = Sim::new(17);
+            let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
+            let (client, server) = build_durable(&cluster, 1, 0, 0, DurableConfig::for_kind(kind));
+            drop(server);
+            let got = sim.block_on(async move {
+                let data = Payload::synthetic(256, 2);
+                client.call(Request::Put { obj: 2, data }).await.unwrap();
+                client
+                    .call(Request::Get { obj: 2, len: 256 })
+                    .await
+                    .unwrap()
+            });
+            assert_eq!(got.payload.unwrap().len(), 256, "{kind:?}");
+        }
     }
 
     #[test]

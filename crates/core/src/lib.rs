@@ -33,11 +33,11 @@
 //!
 //! let mut sim = Sim::new(42);
 //! let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
-//! let (client, server) = build_durable(
+//! // The server serves from construction; its handle is for inspection.
+//! let (client, _server) = build_durable(
 //!     &cluster, 1, 0, 0,
 //!     DurableConfig::for_kind(DurableKind::WFlush),
 //! );
-//! server.start();
 //! sim.block_on(async move {
 //!     let resp = client
 //!         .call(Request::Put { obj: 1, data: Payload::from_bytes(b"hi".to_vec()) })

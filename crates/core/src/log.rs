@@ -34,12 +34,12 @@
 //! zeros in PM, and copying it out to learn `done` cost two 64 KB
 //! allocations per put. The per-put paths use the header alone: the
 //! arrival check (`ServerCtx::handle_arrival`) and the worker's dispatch
-//! of a plain `Put` / `Process` (`process_entry`), whose data travels
-//! with the work item. Payload bytes are copied only by the callers
-//! that decode them: `process_entry` for `RPut` (the causal id prefix)
-//! and the four `Txn*` records, recovery ([`RedoLog::recover`],
-//! [`RedoLog::scan_pending`] — the replayed entry *is* its payload), and
-//! [`RedoLog::find_in_ring`] for the decided record it returns.
+//! of a plain `Put` (`process_entry`), whose data travels with the work
+//! item. Payload bytes are copied only by the callers that decode them:
+//! `process_entry` for `RPut` (the causal id prefix) and the four `Txn*`
+//! records, recovery ([`RedoLog::recover`], [`RedoLog::scan_pending`] —
+//! the replayed entry *is* its payload), and [`RedoLog::find_in_ring`]
+//! for the decided record it returns.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -77,8 +77,6 @@ const THROTTLE_BACKOFF: SimDuration = SimDuration::from_micros(20);
 pub enum OpCode {
     /// Store an object.
     Put,
-    /// An opaque processing request (macro-benchmarks).
-    Process,
     /// A replicated put: the payload's first [`REPL_ID_BYTES`] bytes are
     /// a little-endian causal put id shared by every replica of the same
     /// logical put, used to deduplicate retry re-appends at apply time.
@@ -104,7 +102,7 @@ impl OpCode {
     fn to_u64(self) -> u64 {
         match self {
             OpCode::Put => 1,
-            OpCode::Process => 2,
+            // 2 is unassigned and decodes as invalid.
             OpCode::RPut => 3,
             OpCode::TxnPrepare => 4,
             OpCode::TxnDecide => 5,
@@ -116,7 +114,6 @@ impl OpCode {
     fn from_u64(v: u64) -> Option<Self> {
         match v {
             1 => Some(OpCode::Put),
-            2 => Some(OpCode::Process),
             3 => Some(OpCode::RPut),
             4 => Some(OpCode::TxnPrepare),
             5 => Some(OpCode::TxnDecide),
@@ -1243,7 +1240,7 @@ mod torn_entry_tests {
         // a length whose commit offset holds payload bytes, a wrong seq.
         let addr = layout.slot_addr(2);
         let data = Payload::from_bytes(vec![0x44; 128]);
-        place(pm, addr, &encode_entry(2, op(OpCode::Process, 7), &data));
+        place(pm, addr, &encode_entry(2, op(OpCode::Put, 7), &data));
         header_read_agrees(&log, every_lap);
         for (field, bad) in [
             (8, 99),

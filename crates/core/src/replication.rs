@@ -39,8 +39,9 @@ use prdma_simnet::metrics::{Counter, Key, Window};
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::{JoinHandle, SimHandle};
 
-use crate::cache::LeaseState;
-use crate::durable::{build_connection, DurableClient, DurableConfig, DurableKind, DurableServer};
+use crate::durable::{
+    build_connection, DurableClient, DurableConfig, DurableKind, DurableServer, ShardTables,
+};
 use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
 
@@ -242,8 +243,8 @@ pub struct ReplicaGroup {
 /// Build a primary–backup replicated connection: the client at
 /// `client_idx` connects to every server in `server_idxs` (slot 0 starts
 /// as primary); all servers run the same durable RPC configuration and
-/// are started. Returns the client and the group handle (servers +
-/// failover wiring).
+/// serve from construction. Returns the client and the group handle
+/// (servers + failover wiring).
 pub fn build_replicated(
     cluster: &Cluster,
     client_idx: usize,
@@ -257,15 +258,14 @@ pub fn build_replicated(
         &cfg,
         0,
         client_idx as u64,
-        None,
+        ShardTables::PLAIN,
     )
 }
 
 /// Group builder shared with the sharded topology: `lane_base` offsets
 /// the per-replica connection lanes, `group_tag` namespaces the causal
-/// put ids. A `lease` table, when given, is wired into every replica's
-/// put path, so durable puts revoke client caches before their flush
-/// ACK.
+/// put ids. Every replica's connection gets `tables`: with a lease
+/// table, durable puts revoke client caches before their flush ACK.
 pub(crate) fn build_replicated_group(
     cluster: &Cluster,
     client_idx: usize,
@@ -273,7 +273,7 @@ pub(crate) fn build_replicated_group(
     cfg: &DurableConfig,
     lane_base: usize,
     group_tag: u64,
-    lease: Option<&LeaseState>,
+    tables: ShardTables,
 ) -> (ReplicatedClient, ReplicaGroup) {
     assert!(!server_idxs.is_empty(), "need at least one replica");
     let mut sub_cfg = cfg.clone();
@@ -289,9 +289,8 @@ pub(crate) fn build_replicated_group(
     let mut replicas = Vec::with_capacity(server_idxs.len());
     let mut servers = Vec::with_capacity(server_idxs.len());
     for (slot, &s) in server_idxs.iter().enumerate() {
-        let (sub, lease) = (sub_cfg.clone(), lease.cloned());
-        let (c, srv) = build_connection(cluster, client_idx, s, lane_base + slot, sub, lease, None);
-        srv.start();
+        let (sub, tables) = (sub_cfg.clone(), tables.clone());
+        let (c, srv) = build_connection(cluster, client_idx, s, lane_base + slot, sub, tables);
         replicas.push(Rc::new(c));
         servers.push(Rc::new(srv));
     }

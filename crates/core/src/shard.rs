@@ -17,7 +17,7 @@
 use std::rc::Rc;
 
 use crate::cache::{CacheConfig, CachedClient, LeaseState};
-use crate::durable::{build_connection, DurableConfig, DurableServer};
+use crate::durable::{build_connection, DurableConfig, DurableServer, ShardTables};
 use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
 use crate::store::MirrorRegion;
@@ -427,7 +427,7 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: Option<&CacheConfig>) -> 
 /// order and stacked per `spec`. With `spec.replicas > 1` the endpoint is
 /// a replica group's client and the routers learn each shard's promotion
 /// epoch; call [`Fleet::wire_recovery`] to attach recovery and fast
-/// failover to a fault injector. Each group keeps its own object-store
+/// failover to a fault injector. Each shard keeps its own object-store
 /// region (`objects-s<shard>`): a node hosting shard `s`'s primary and
 /// shard `s−1`'s backup never mixes their object spaces. With
 /// `spec.replicas == 1` each shard also gets a [`TxnState`] in its
@@ -440,8 +440,8 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: Option<&CacheConfig>) -> 
 /// and every durable put bumps the key's lease epoch before its flush ACK
 /// (invariant I5). Per-shard object-store regions are sized from
 /// `cfg.store_capacity` as configured by the caller (size it to
-/// `map.local_span(objects) * object_slot` so slots never wrap). All
-/// server loops are started.
+/// `map.local_span(objects) * object_slot` so slots never wrap). Every
+/// server serves from construction.
 pub fn build_fleet(
     cluster: &Cluster,
     map: ShardMap,
@@ -486,32 +486,37 @@ pub fn build_fleet(
         let (mut endpoints, mut views) = (Vec::with_capacity(shards), Vec::new());
         for shard in 0..shards {
             // Only a cache's puts revoke: without one, commits alone do.
-            let lease = cache.and(leases.get(shard));
+            let lease = cache.and(leases.get(shard)).cloned();
+            let store_region = &format!("objects-s{shard}");
             let endpoint: Box<dyn RpcClient> = if replicas > 1 {
                 // Lanes and put-id tags derive from the (client, shard) ordinal.
                 let members: Vec<usize> = (0..replicas).map(|r| (shard + r) % shards).collect();
                 let pair = c * shards + shard;
-                let cfg = DurableConfig {
-                    store_region: format!("objects-s{shard}"),
-                    ..cfg.clone()
+                let tables = ShardTables {
+                    store_region,
+                    lease,
+                    txn: None,
                 };
                 let (client, group) = build_replicated_group(
                     cluster,
                     client_idx,
                     &members,
-                    &cfg,
+                    cfg,
                     pair * replicas,
                     pair as u64,
-                    lease,
+                    tables,
                 );
                 groups[shard].push(group);
                 views.push(client.view());
                 Box::new(client)
             } else {
-                let (lease, txn) = (lease.cloned(), states.get(shard).cloned());
+                let tables = ShardTables {
+                    store_region,
+                    lease,
+                    txn: states.get(shard).cloned(),
+                };
                 let (client, server) =
-                    build_connection(cluster, client_idx, shard, c, cfg.clone(), lease, txn);
-                server.start();
+                    build_connection(cluster, client_idx, shard, c, cfg.clone(), tables);
                 directory.register(shard, server.log().clone());
                 servers[shard].push(Rc::new(server));
                 Box::new(client)

@@ -448,8 +448,7 @@ mod tests {
         let mut ccfg = ClusterConfig::with_nodes(2);
         ccfg.journal = true;
         let cluster = Cluster::new(sim.handle(), ccfg);
-        let (client, server) = build_durable(&cluster, 1, 0, 0, repl_cfg());
-        server.start();
+        let (client, _) = build_durable(&cluster, 1, 0, 0, repl_cfg());
         sim.block_on(async move {
             for i in 0..5u64 {
                 client

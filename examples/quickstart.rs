@@ -27,7 +27,6 @@ fn main() {
         ..DurableConfig::for_kind(DurableKind::WFlush)
     };
     let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-    server.start();
 
     let node = cluster.node(0).clone();
     let log = server.log().clone();

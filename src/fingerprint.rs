@@ -255,8 +255,7 @@ fn execute(
         }
         Input::Batch(kind) => {
             let cluster = new_cluster(ClusterConfig::with_nodes(2));
-            let (client, server) = build_durable(&cluster, 1, 0, 0, durable_cfg(kind));
-            server.start();
+            let (client, _) = build_durable(&cluster, 1, 0, 0, durable_cfg(kind));
             let ns = sim.block_on(async move { batch_rounds(&client, &h, ops).await });
             sim.run();
             (cluster, ns)

@@ -26,9 +26,8 @@ use std::rc::Rc;
 
 use crate::core::txn::TxnOutcome;
 use crate::core::{
-    build_durable, build_fleet, CacheConfig, DurableConfig, DurableKind, DurableServer, Fleet,
-    FleetSpec, ObjectStore, Request, RetryPolicy, RpcClient, ServerProfile, ShardMap,
-    ShardedClient,
+    build_fleet, CacheConfig, DurableConfig, DurableKind, Fleet, FleetSpec, ObjectStore, Request,
+    RetryPolicy, RpcClient, ServerProfile, ShardMap, ShardedClient,
 };
 use crate::node::{Cluster, ClusterConfig, FaultInjector, FaultStats};
 use crate::rnic::Payload;
@@ -80,7 +79,7 @@ pub fn config(kind: DurableKind) -> DurableConfig {
 /// follow them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Shape {
-    /// One `build_durable` connection (server node 0).
+    /// One server (node 0): a `build_fleet` of 1 shard × 1 replica.
     Single,
     /// A `build_fleet` of 2 shards × 1 replica (server nodes 0 and 1),
     /// with a second client that commits 2-put transactions.
@@ -116,10 +115,9 @@ impl Shape {
         1 + (self == Shape::Sharded) as usize
     }
 
-    fn spec(self) -> Option<FleetSpec> {
+    fn spec(self) -> FleetSpec {
         let (replicas, cache) = match self {
-            Shape::Single => return None,
-            Shape::Sharded => (1, None),
+            Shape::Single | Shape::Sharded => (1, None),
             Shape::Replicated => (2, None),
             Shape::Cached => {
                 let cache = CacheConfig {
@@ -129,7 +127,7 @@ impl Shape {
                 (2, Some(cache))
             }
         };
-        Some(FleetSpec { replicas, cache })
+        FleetSpec { replicas, cache }
     }
 }
 
@@ -277,12 +275,6 @@ pub struct Op {
     pub done_ns: u64,
 }
 
-/// The server side of a run.
-enum Service {
-    Single(Rc<DurableServer>),
-    Fleet(Fleet),
-}
-
 /// A finished point: the world it ran in and what its client saw.
 pub struct Run {
     pub point: Point,
@@ -290,7 +282,7 @@ pub struct Run {
     /// Kept alive: dropping the `Sim` frees its world.
     _sim: Sim,
     pub cluster: Cluster,
-    service: Service,
+    fleet: Fleet,
     inj: FaultInjector,
     /// Every client op, in completion order.
     pub ops: Vec<Op>,
@@ -313,23 +305,13 @@ pub fn run_seeded(point: Point, seed: u64) -> Run {
     let cluster = Cluster::new(h.clone(), ccfg);
     let cfg = config(point.kind);
     let inj = cluster.inject_faults(point.plan());
-    let (service, client, txns): (Service, Rc<dyn RpcClient>, _) = match point.shape.spec() {
-        None => {
-            let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-            server.start();
-            let server = Rc::new(server);
-            server.wire_recovery(&inj);
-            (Service::Single(server), Rc::new(client), None)
-        }
-        Some(spec) => {
-            let nodes: Vec<usize> = (shards..shards + point.shape.clients()).collect();
-            let mut fleet = build_fleet(&cluster, ShardMap::new(shards), &nodes, &cfg, spec);
-            fleet.wire_recovery(&inj);
-            let mut clients = std::mem::take(&mut fleet.clients).into_iter().map(Rc::new);
-            let (client, txns) = (clients.next().expect("a client"), clients.next());
-            (Service::Fleet(fleet), client, txns)
-        }
-    };
+    let nodes: Vec<usize> = (shards..shards + point.shape.clients()).collect();
+    let map = ShardMap::new(shards);
+    let mut fleet = build_fleet(&cluster, map, &nodes, &cfg, point.shape.spec());
+    fleet.wire_recovery(&inj);
+    let mut clients = std::mem::take(&mut fleet.clients).into_iter().map(Rc::new);
+    let client: Rc<dyn RpcClient> = clients.next().expect("a client");
+    let txns = clients.next();
     let ops = Rc::new(Ops(h.clone(), RefCell::default()));
     let put_stream = |s| {
         h.spawn(stream(
@@ -353,7 +335,7 @@ pub fn run_seeded(point: Point, seed: u64) -> Run {
         seed,
         _sim: sim,
         cluster,
-        service,
+        fleet,
         inj,
         ops,
     }
@@ -407,23 +389,14 @@ async fn txn_stream(client: Rc<ShardedClient>, ops: Rc<Ops>) {
 }
 
 impl Run {
-    /// The fleet behind a fleet shape.
-    ///
-    /// # Panics
-    /// On [`Shape::Single`].
+    /// The fleet that served the run.
     pub fn fleet(&self) -> &Fleet {
-        match &self.service {
-            Service::Fleet(fleet) => fleet,
-            Service::Single(_) => panic!("{:?} has no fleet", self.point.shape),
-        }
+        &self.fleet
     }
 
     /// `(shard, shard-local id)` of global object `obj`.
     pub fn route(&self, obj: u64) -> (usize, u64) {
-        match self.point.shape {
-            Shape::Single => (0, obj),
-            shape => ShardMap::new(shape.servers()).route(obj),
-        }
+        ShardMap::new(self.point.shape.servers()).route(obj)
     }
 
     /// Whether `op` returned while the faulted node was down.
@@ -446,10 +419,7 @@ impl Run {
 
     /// The stores of `shard` on replicas the client sees live.
     fn live_stores(&self, shard: usize) -> Vec<&ObjectStore> {
-        let fleet = match &self.service {
-            Service::Single(server) => return vec![server.store()],
-            Service::Fleet(fleet) => fleet,
-        };
+        let fleet = &self.fleet;
         let Some(group) = fleet.groups[shard].first() else {
             return vec![fleet.servers[shard][0].store()];
         };
@@ -501,15 +471,13 @@ impl Run {
             let failed = self.ops.iter().filter(|op| !op.ok).count();
             return fail(format!("{failed} ops failed, first {first:?}"));
         }
-        if let Service::Fleet(fleet) = &self.service {
-            let committed = self.ops.iter().filter(|op| op.what == OpKind::Txn).count() as u64;
-            for (shard, state) in fleet.states.iter().enumerate() {
-                let (doubt, applied) = (fleet.in_doubt(shard), state.applied_txns());
-                if doubt > 0 || applied < committed {
-                    return fail(format!(
-                        "shard {shard}: {doubt} txns in doubt, {applied} applied of {committed} committed"
-                    ));
-                }
+        let committed = self.ops.iter().filter(|op| op.what == OpKind::Txn).count() as u64;
+        for (shard, state) in self.fleet.states.iter().enumerate() {
+            let (doubt, applied) = (self.fleet.in_doubt(shard), state.applied_txns());
+            if doubt > 0 || applied < committed {
+                return fail(format!(
+                    "shard {shard}: {doubt} txns in doubt, {applied} applied of {committed} committed"
+                ));
             }
         }
         Ok(())

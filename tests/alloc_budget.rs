@@ -153,8 +153,7 @@ fn measure_puts(size: u64) -> Cost {
         store_capacity: OBJECTS * size,
         ..Default::default()
     };
-    let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-    server.start();
+    let (client, _) = build_durable(&cluster, 1, 0, 0, cfg);
     count_puts(&mut sim, client, size)
 }
 

@@ -131,8 +131,7 @@ fn durable_rpc_handles_arbitrary_op_sequences() {
             store_capacity: 1 << 20,
             ..Default::default()
         };
-        let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-        server.start();
+        let (client, _) = build_durable(&cluster, 1, 0, 0, cfg);
         sim.block_on(async move {
             let mut last_write: std::collections::HashMap<u64, u8> = Default::default();
             for (obj, len, is_put) in ops {
@@ -181,7 +180,6 @@ fn crash_never_loses_acked_puts() {
             ..Default::default()
         };
         let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-        server.start();
         let node = cluster.node(0).clone();
         let log = server.log().clone();
         let store = server.store().clone();

@@ -29,7 +29,6 @@ fn heavy_setup(
         ..Default::default()
     };
     let (c, s) = build_durable(&cluster, 1, 0, 0, cfg);
-    s.start();
     (c, s, cluster)
 }
 

@@ -42,7 +42,6 @@ fn durable_cluster(
         ..DurableConfig::for_kind(kind)
     };
     let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-    server.start();
     (cluster, client, Rc::new(server))
 }
 
@@ -166,7 +165,6 @@ fn crash_straddling_send_does_not_wedge_the_recv_ring() {
         );
         let inj = cluster.inject_faults(plan);
         let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-        server.start();
         Rc::new(server).wire_recovery(&inj);
         let h = sim.handle();
         sim.block_on(async move {

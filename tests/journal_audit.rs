@@ -106,7 +106,6 @@ fn recovery_replay_is_audited() {
         ..Default::default()
     };
     let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-    server.start();
     let node = cluster.node(0).clone();
     let log = server.log().clone();
     sim.block_on(async move {

@@ -30,7 +30,6 @@ fn retried_put_applies_exactly_once() {
         ..DurableConfig::for_kind(DurableKind::WFlush)
     };
     let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-    server.start();
     let h = sim.handle();
     sim.block_on(async move {
         let id = (1 << 60) | 7;

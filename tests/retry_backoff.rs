@@ -132,7 +132,6 @@ fn jittered_retries_keep_journals_byte_deterministic() {
             ..DurableConfig::for_kind(DurableKind::WFlush)
         };
         let (client, server) = build_durable(&cluster, 1, 0, 0, cfg);
-        server.start();
         let plan = FaultPlan::new().at(
             SimTime::from_nanos(30_000),
             0,
