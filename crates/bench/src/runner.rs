@@ -267,6 +267,20 @@ impl EnvResult {
 
 /// Run the micro-benchmark for `kind` under `env`.
 pub fn micro_run(kind: SystemKind, env: &ExpEnv, cfg: MicroConfig) -> EnvResult {
+    single_client_run(kind, env, Workload::Micro(cfg))
+}
+
+/// What [`single_client_run`]'s one client drives.
+enum Workload {
+    Micro(MicroConfig),
+    Ycsb(YcsbConfig),
+}
+
+/// Run `workload` from one client (node 1) against `kind`'s server
+/// (node 0) under `env`, with client CPU, server CPU and server PM media
+/// busy time per op. The run starts at t = 0, where every busy counter
+/// reads 0.
+fn single_client_run(kind: SystemKind, env: &ExpEnv, workload: Workload) -> EnvResult {
     let mut sim = Sim::new(env.seed);
     let cluster = env.build_cluster(&sim);
     let opts = env.system_opts();
@@ -275,17 +289,18 @@ pub fn micro_run(kind: SystemKind, env: &ExpEnv, cfg: MicroConfig) -> EnvResult 
     let client_cpu = cluster.node(1).cpu.clone();
     let server_pm = cluster.node(0).pm.clone();
     let h = sim.handle();
-
-    let cpu0_s = server_cpu.busy_time();
-    let cpu1_s = client_cpu.busy_time();
-    let media_s = server_pm.media_busy_time();
-    let run = sim.block_on(async move { run_micro(client.as_ref(), &h, &cfg).await });
-    export_and_audit(&cluster, &format!("micro_{}", kind.name()));
+    let (name, run) = sim.block_on(async move {
+        match &workload {
+            Workload::Micro(cfg) => ("micro", run_micro(client.as_ref(), &h, cfg).await),
+            Workload::Ycsb(cfg) => ("ycsb", run_ycsb(client.as_ref(), &h, cfg).await),
+        }
+    });
+    export_and_audit(&cluster, &format!("{name}_{}", kind.name()));
     let ops = run.ops.max(1) as f64;
     EnvResult {
-        client_cpu_us_per_op: (client_cpu.busy_time() - cpu1_s).as_micros_f64() / ops,
-        server_cpu_us_per_op: (server_cpu.busy_time() - cpu0_s).as_micros_f64() / ops,
-        server_media_us_per_op: (server_pm.media_busy_time() - media_s).as_micros_f64() / ops,
+        client_cpu_us_per_op: client_cpu.busy_time().as_micros_f64() / ops,
+        server_cpu_us_per_op: server_cpu.busy_time().as_micros_f64() / ops,
+        server_media_us_per_op: server_pm.media_busy_time().as_micros_f64() / ops,
         trace: cluster.trace_report(),
         ops: run.ops,
         run,
@@ -362,25 +377,7 @@ pub fn scaleout_run(
 
 /// Run a YCSB workload for `kind` under `env`.
 pub fn ycsb_run(kind: SystemKind, env: &ExpEnv, cfg: YcsbConfig) -> EnvResult {
-    let mut sim = Sim::new(env.seed);
-    let cluster = env.build_cluster(&sim);
-    let opts = env.system_opts();
-    let client = build_system(&cluster, kind, 1, 0, 0, &opts);
-    let server_cpu = cluster.node(0).cpu.clone();
-    let client_cpu = cluster.node(1).cpu.clone();
-    let server_pm = cluster.node(0).pm.clone();
-    let h = sim.handle();
-    let run = sim.block_on(async move { run_ycsb(client.as_ref(), &h, &cfg).await });
-    export_and_audit(&cluster, &format!("ycsb_{}", kind.name()));
-    let ops = run.ops.max(1) as f64;
-    EnvResult {
-        client_cpu_us_per_op: client_cpu.busy_time().as_micros_f64() / ops,
-        server_cpu_us_per_op: server_cpu.busy_time().as_micros_f64() / ops,
-        server_media_us_per_op: server_pm.media_busy_time().as_micros_f64() / ops,
-        trace: cluster.trace_report(),
-        ops: run.ops,
-        run,
-    }
+    single_client_run(kind, env, Workload::Ycsb(cfg))
 }
 
 /// Experiment scale: paper-size runs for `cargo bench`, smaller for CI.

@@ -43,6 +43,7 @@ use std::rc::Rc;
 
 use prdma_node::Node;
 use prdma_rnic::{MemTarget, Payload, Qp};
+use prdma_simnet::journal::ids::{self, Ids};
 use prdma_simnet::journal::{EventKind, Journal, Subsystem};
 use prdma_simnet::metrics::{Counter, Key};
 use prdma_simnet::rng::IdMap;
@@ -53,11 +54,6 @@ use crate::rpc::{
     Request, Response, RpcAppendFuture, RpcBatchFuture, RpcClient, RpcFuture, RpcResult,
 };
 use crate::store::{MirrorRegion, MIRROR_HEADER_BYTES};
-
-/// Bits of the lease key id reserved for the object id; the shard tag
-/// occupies the bits above, so merged fleet journals never conflate two
-/// shards' lease state for the same local object id.
-const KEY_OBJ_BITS: u32 = 44;
 
 /// Client-side cache behaviour knobs.
 #[derive(Debug, Clone, Copy)]
@@ -75,10 +71,6 @@ pub struct CacheConfig {
     pub churn_demote: u32,
     /// Whether the one-sided mirror tier is enabled at all.
     pub mirror: bool,
-    /// Server mirror region: published-object slots.
-    pub mirror_slots: u64,
-    /// Server mirror region: payload bytes per slot (header excluded).
-    pub mirror_value_bytes: u64,
 }
 
 impl Default for CacheConfig {
@@ -89,21 +81,12 @@ impl Default for CacheConfig {
             mirror_threshold: 8,
             churn_demote: 2,
             mirror: true,
-            mirror_slots: 1024,
-            mirror_value_bytes: 4096,
         }
     }
 }
 
-impl CacheConfig {
-    /// Bytes one mirror slot occupies in server DRAM (header included).
-    pub fn mirror_slot_bytes(&self) -> u64 {
-        MIRROR_HEADER_BYTES + self.mirror_value_bytes
-    }
-}
-
 struct LeaseInner {
-    tag: u64,
+    keys: Ids,
     epochs: RefCell<IdMap<u64>>,
     mirror: Option<MirrorRegion>,
 }
@@ -123,7 +106,7 @@ impl LeaseState {
     pub fn new(tag: u64) -> Self {
         LeaseState {
             inner: Rc::new(LeaseInner {
-                tag,
+                keys: ids::lease_keys(tag),
                 epochs: RefCell::default(),
                 mirror: None,
             }),
@@ -134,7 +117,7 @@ impl LeaseState {
     pub fn with_mirror(tag: u64, mirror: MirrorRegion) -> Self {
         LeaseState {
             inner: Rc::new(LeaseInner {
-                tag,
+                keys: ids::lease_keys(tag),
                 epochs: RefCell::default(),
                 mirror: Some(mirror),
             }),
@@ -144,8 +127,7 @@ impl LeaseState {
     /// The globally unique journal key id for `obj` under this shard's
     /// tag (`wr_id` of every lease record).
     pub fn key_id(&self, obj: u64) -> u64 {
-        debug_assert!(obj < 1 << KEY_OBJ_BITS, "object id exceeds lease key space");
-        (self.inner.tag << KEY_OBJ_BITS) | obj
+        self.inner.keys.id(obj)
     }
 
     /// Current lease epoch of `obj` (0 if never written).
@@ -770,7 +752,7 @@ mod tests {
         assert_eq!(lease.bump(7, NO_ID, &Journal::off()), 2);
         assert_eq!(lease.epoch(7), 2);
         assert_eq!(lease.epoch(8), 0);
-        assert_eq!(lease.key_id(7), (3 << KEY_OBJ_BITS) | 7);
+        assert_eq!(lease.key_id(7), (3 << 44) | 7);
     }
 
     #[test]

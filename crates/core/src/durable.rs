@@ -23,6 +23,7 @@ use std::rc::Rc;
 use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::{MemTarget, Payload, Qp, QpMode};
 use prdma_simnet::fault::FaultKind;
+use prdma_simnet::journal::ids::{self, Ids};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Gauge, Key, Window};
 use prdma_simnet::rng::SmallRng;
@@ -224,10 +225,12 @@ pub struct DurableClient {
     /// Per-connection recycler for the GET reply oneshot (same lifetime
     /// argument as `ack_pool`, payload-typed).
     reply_pool: OneshotPool<Payload>,
-    /// Next per-op causal id for batched puts (see [`BATCH_ID_BASE`]):
-    /// allocated once per logical op *before* the retry loop, so a
-    /// whole-batch retry re-appends the same ids and apply-time dedup
-    /// makes the batch exactly-once.
+    /// This connection's batched-put ids ([`ids::batched_puts`]).
+    batch_ids: Ids,
+    /// Next per-op causal id for batched puts: allocated once per
+    /// logical op *before* the retry loop, so a whole-batch retry
+    /// re-appends the same ids and apply-time dedup makes the batch
+    /// exactly-once.
     next_batch_id: Cell<u64>,
 }
 
@@ -240,7 +243,7 @@ struct Entry {
     lease_obj: Option<u64>,
     /// Causal root to `ReplLink` this entry's rpc id to (replicated puts).
     link: Option<u64>,
-    /// Journal rpc id (`lane << 40 | index`), set once appended.
+    /// Journal rpc id (a log id, [`ids::log_lane`]), set once appended.
     rpc_id: Cell<u64>,
 }
 
@@ -274,12 +277,6 @@ const DURABLE: Response = Response {
     payload: None,
     durable: true,
 };
-
-/// Causal-id namespace for batched puts: distinct from replication ids
-/// (`1 << 60 | ...`), transaction ids (`1 << 59 | ...`), log-derived rpc
-/// ids (`lane << 40 | index`), and allocator ids (`1 << 32 + ...`).
-/// Layout: `BATCH_ID_BASE | client_node << 36 | lane << 24 | counter`.
-pub const BATCH_ID_BASE: u64 = 1 << 58;
 
 /// Per-connection metric handles, resolved once at build time so the
 /// hot path never performs a key lookup. Series are labeled with the
@@ -423,19 +420,13 @@ pub(crate) fn build_connection(
     };
     let store = ObjectStore::new(server.pm.clone(), store_region, cfg.object_slot);
 
-    // Journal id namespace: a log's identity is (server, lane), not lane
-    // alone — two shards each serving the same client reuse lane numbers,
-    // and the auditor's recovery invariant must never conflate their
-    // appends. Server 0 keeps the bare lane, so single-server journals
-    // are unchanged byte for byte.
-    let journal_lane = ((server_idx as u64) << 12) | lane as u64;
-    assert!(lane < 1 << 12, "lane exceeds the journal id namespace");
+    let log_ids = ids::log_lane(server_idx, lane);
     let cursor = LogCursor::new();
     let log = RedoLog::new(
         server.pm.clone(),
         layout,
         cursor.clone(),
-        journal_lane,
+        log_ids,
         cfg.head_persist_interval,
     );
 
@@ -450,7 +441,7 @@ pub(crate) fn build_connection(
         layout,
         cursor.clone(),
         cfg.throttle_threshold,
-        journal_lane,
+        log_ids,
     );
 
     // Fleet metrics: sample this connection's log depth and flow-control
@@ -502,6 +493,7 @@ pub(crate) fn build_connection(
         shared: Rc::clone(&shared),
         metrics,
         retry_rng: RefCell::new(RetryPolicy::jitter_rng(client.id.0 as u64, lane as u64)),
+        batch_ids: ids::batched_puts(client.id.0, lane),
         client_node: client,
         lane,
         retry: cfg.retry,
@@ -535,6 +527,9 @@ pub(crate) fn build_connection(
     let server_ep = DurableServer { ctx, log_qp_server };
     (client_ep, server_ep)
 }
+
+/// Handler tasks a server runs at once (its worker pool's size).
+const WORKER_THREADS: usize = 8;
 
 /// Spawn the server's loops: the arrival listener(s) and the worker-pool
 /// dispatcher. Runs once, as the last step of [`build_connection`].
@@ -601,8 +596,8 @@ fn serve(
 
     // Worker pool: a dispatcher spawns one handler task per RPC (the
     // paper: "a thread is created to handle the RPC requests"), with
-    // concurrency bounded by a semaphore of `worker_threads`.
-    let pool = prdma_simnet::Semaphore::new(ctx.profile.worker_threads.max(1));
+    // concurrency bounded by a semaphore of `WORKER_THREADS`.
+    let pool = prdma_simnet::Semaphore::new(WORKER_THREADS);
     // Every handler marks entries done through its own copy of this
     // copy of the log handle — the arrangement every pinned journal was
     // captured under. `RedoLog` keeps its persisted-head bookkeeping per
@@ -968,7 +963,7 @@ impl DurableClient {
     }
 
     /// Journal an RPC lifecycle event on the client node. Puts reuse the
-    /// log-append id (`lane << 40 | index`) so the auditor can order the
+    /// log-append id ([`ids::log_lane`]) so the auditor can order the
     /// completion against its redo-log append; reads allocate fresh ids.
     fn jot_rpc(&self, kind: EventKind, rpc_id: u64, bytes: u64) {
         let j = &self.client_node.journal;
@@ -1141,8 +1136,7 @@ impl DurableClient {
     fn alloc_batch_id(&self) -> u64 {
         let n = self.next_batch_id.get();
         self.next_batch_id.set(n + 1);
-        assert!(n < 1 << 24, "batch id counter exceeded the id namespace");
-        BATCH_ID_BASE | ((self.client_node.id.0 as u64) << 36) | ((self.lane as u64) << 24) | n
+        self.batch_ids.id(n)
     }
 }
 
@@ -1605,7 +1599,7 @@ mod tests {
         let (client, _server, _cluster) = setup(&sim, DurableKind::WFlush, ServerProfile::light());
         client.next_batch_id.set((1 << 24) - 1);
         let last = client.alloc_batch_id();
-        assert_eq!(last, BATCH_ID_BASE | 1 << 36 | ((1 << 24) - 1));
+        assert_eq!(last, ids::batched_puts(1, 0).id((1 << 24) - 1));
         client.alloc_batch_id();
     }
 

@@ -46,6 +46,7 @@ use std::rc::Rc;
 
 use prdma_pmem::{PmDevice, PmRegion};
 use prdma_rnic::{MemTarget, Payload, PersistToken, Qp, RdmaResult};
+use prdma_simnet::journal::ids::Ids;
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::rng::IdSet;
 use prdma_simnet::trace::Phase;
@@ -385,22 +386,22 @@ pub struct RedoLog {
     /// taken from a copy that never flushed starts at 0 and, once the
     /// head reaches the interval, flushes on every advance.
     persisted_head: Cell<u64>,
-    /// Journal id namespace for this log's lane: `(lane << 40)`. Log
-    /// events carry `rpc_id = id_base | index` so the auditor can match
-    /// appends, completions, and recovery replays per lane.
-    id_base: u64,
+    /// This log's journal ids: log events carry the entry's id as
+    /// `rpc_id`, so the auditor can match appends, completions, and
+    /// recovery replays per lane.
+    ids: Ids,
 }
 
 impl RedoLog {
     /// Open a redo log over `layout`, sharing `cursor` with the client,
-    /// journaled as lane `journal_lane` and persisting its head once it
+    /// journaled under `ids` and persisting its head once it
     /// is `head_persist_interval` entries past the last persisted value
     /// (see the field docs).
     pub fn new(
         pm: PmDevice,
         layout: LogLayout,
         cursor: LogCursor,
-        journal_lane: u64,
+        ids: Ids,
         head_persist_interval: u64,
     ) -> Self {
         RedoLog {
@@ -413,7 +414,7 @@ impl RedoLog {
             applied_ids: Rc::default(),
             head_persist_interval: head_persist_interval.max(1),
             persisted_head: Cell::new(0),
-            id_base: journal_lane << 40,
+            ids,
         }
     }
 
@@ -478,7 +479,7 @@ impl RedoLog {
 
     fn jot(&self, subsystem: Subsystem, kind: EventKind, index: u64, bytes: u64) {
         let j = self.pm.journal();
-        j.record(subsystem, kind, self.id_base | index, index, bytes);
+        j.record(subsystem, kind, self.ids.id(index), index, bytes);
     }
 
     /// The log geometry.
@@ -746,8 +747,8 @@ pub struct RemoteLogWriter {
     /// Flow control: max outstanding entries before throttling (paper
     /// Section 4.2: "the receiver should notify the sender to slow down").
     throttle_threshold: u64,
-    /// Journal id namespace (`lane << 40`), mirroring [`RedoLog`].
-    id_base: u64,
+    /// Journal ids of the [`RedoLog`] this writer appends to.
+    ids: Ids,
     /// Times the flow controller put this sender to sleep (throttle
     /// threshold hit or ring-wrap safety); shared so a metrics provider
     /// can sample it.
@@ -766,15 +767,15 @@ pub struct Appended {
 
 impl RemoteLogWriter {
     /// Build a writer over `qp` appending into `layout`, flow-controlled by
-    /// the shared `cursor`, journaled as lane `journal_lane` (the lane of
-    /// the [`RedoLog`] it appends to).
+    /// the shared `cursor`, journaled under `ids` (those of the
+    /// [`RedoLog`] it appends to).
     pub fn new(
         qp: Qp,
         flush: FlushOps,
         layout: LogLayout,
         cursor: LogCursor,
         throttle_threshold: u64,
-        journal_lane: u64,
+        ids: Ids,
     ) -> Self {
         RemoteLogWriter {
             qp,
@@ -782,7 +783,7 @@ impl RemoteLogWriter {
             layout,
             cursor,
             throttle_threshold,
-            id_base: journal_lane << 40,
+            ids,
             stalls: Rc::default(),
         }
     }
@@ -792,11 +793,11 @@ impl RemoteLogWriter {
         Rc::clone(&self.stalls)
     }
 
-    /// The journal id (`lane << 40 | index`) for log entry `index` — what
-    /// LogAppend records carry, and what RPC dispatch/complete records
-    /// should reuse so the auditor can pair them.
+    /// The journal id for log entry `index` — what LogAppend records
+    /// carry, and what RPC dispatch/complete records should reuse so the
+    /// auditor can pair them.
     pub fn journal_id(&self, index: u64) -> u64 {
-        self.id_base | index
+        self.ids.id(index)
     }
 
     fn jot_append(&self, index: u64, bytes: u64) {
@@ -923,6 +924,7 @@ mod tests {
     use crate::flush::FlushImpl;
     use prdma_node::{Cluster, ClusterConfig};
     use prdma_rnic::QpMode;
+    use prdma_simnet::journal::ids;
     use prdma_simnet::Sim;
 
     fn fixture(sim: &Sim) -> (RemoteLogWriter, RedoLog, Cluster) {
@@ -941,10 +943,10 @@ mod tests {
             layout,
             cursor.clone(),
             64,
-            0,
+            ids::log_lane(0, 0),
         );
         // Tests assert exact recovery sets; persist the head eagerly.
-        let log = RedoLog::new(server.pm.clone(), layout, cursor, 0, 1);
+        let log = RedoLog::new(server.pm.clone(), layout, cursor, ids::log_lane(0, 0), 1);
         (writer, log, cluster)
     }
 
@@ -1111,7 +1113,7 @@ mod tests {
             layout,
             cursor.clone(),
             4, // throttle at 4 outstanding
-            0,
+            ids::log_lane(0, 0),
         );
         // The server "completes" the first entry only at t = 300us.
         {
@@ -1152,6 +1154,7 @@ mod tests {
 mod torn_entry_tests {
     use super::*;
     use prdma_node::{Cluster, ClusterConfig};
+    use prdma_simnet::journal::ids;
     use prdma_simnet::Sim;
 
     /// The header-only read and the whole-entry read it was split from
@@ -1197,7 +1200,13 @@ mod torn_entry_tests {
             .unwrap();
         let layout = LogLayout::new(region, 1024);
         let slots = layout.slots;
-        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new(), 0, 16);
+        let log = RedoLog::new(
+            server.pm.clone(),
+            layout,
+            LogCursor::new(),
+            ids::log_lane(0, 0),
+            16,
+        );
         let pm = &server.pm;
         let op = |opcode, obj_id| RpcOperator { opcode, obj_id };
         let every_lap = [0, 1, 2, slots, slots + 1, slots + 2, 2 * slots];
@@ -1272,7 +1281,13 @@ mod torn_entry_tests {
             .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
             .unwrap();
         let layout = LogLayout::new(region, 1024);
-        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new(), 0, 16);
+        let log = RedoLog::new(
+            server.pm.clone(),
+            layout,
+            LogCursor::new(),
+            ids::log_lane(0, 0),
+            16,
+        );
         let pm = server.pm.clone();
         sim.block_on(async move {
             // Entry 0: fully valid.
@@ -1347,7 +1362,13 @@ mod torn_entry_tests {
             .unwrap();
         let layout = LogLayout::new(region, 1024);
         let slots = layout.slots;
-        let log = RedoLog::new(server.pm.clone(), layout, LogCursor::new(), 0, 16);
+        let log = RedoLog::new(
+            server.pm.clone(),
+            layout,
+            LogCursor::new(),
+            ids::log_lane(0, 0),
+            16,
+        );
         let pm = server.pm.clone();
         sim.block_on(async move {
             // Slot 0 holds an entry committed for index 0 (lap 0)...

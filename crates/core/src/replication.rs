@@ -34,6 +34,7 @@ use std::rc::Rc;
 use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::Payload;
 use prdma_simnet::fault::FaultKind;
+use prdma_simnet::journal::ids::{self, Ids};
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Key, Window};
 use prdma_simnet::rng::SmallRng;
@@ -44,10 +45,6 @@ use crate::durable::{
 };
 use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
-
-/// High bit namespace for causal replication put ids, so they can never
-/// collide with journal log ids (`lane << 40 | index`).
-const REPL_ID_BASE: u64 = 1 << 60;
 
 /// Most replicas a group may have: replica sets are `u64` bitmasks.
 const MAX_REPLICAS: usize = 64;
@@ -82,8 +79,8 @@ struct GroupState {
     missed: RefCell<Vec<Vec<MissedPut>>>,
     /// Next causal put id counter.
     next_put: Cell<u64>,
-    /// Id namespace: `REPL_ID_BASE | (group_tag << 32)`.
-    id_base: u64,
+    /// The group's put ids ([`ids::replicated_puts`]).
+    ids: Ids,
     /// Client node, for journaling group events.
     client: Node,
 }
@@ -91,7 +88,6 @@ struct GroupState {
 impl GroupState {
     fn new(nodes: Vec<usize>, group_tag: u64, client: Node) -> Rc<Self> {
         let n = nodes.len();
-        assert!(group_tag < 1 << 28, "group tag exceeds the id namespace");
         assert!(
             (1..=MAX_REPLICAS).contains(&n),
             "a group has 1 to {MAX_REPLICAS} replicas, not {n}"
@@ -103,7 +99,7 @@ impl GroupState {
             up: Cell::new(u64::MAX >> (MAX_REPLICAS - n)),
             missed: RefCell::new((0..n).map(|_| Vec::new()).collect()),
             next_put: Cell::new(0),
-            id_base: REPL_ID_BASE | (group_tag << 32),
+            ids: ids::replicated_puts(group_tag),
             client,
         })
     }
@@ -120,8 +116,7 @@ impl GroupState {
     fn alloc_put_id(&self) -> u64 {
         let c = self.next_put.get();
         self.next_put.set(c + 1);
-        assert!(c < 1 << 32, "put id counter exceeded the id namespace");
-        self.id_base | c
+        self.ids.id(c)
     }
 
     fn jot(&self, kind: EventKind, rpc_id: u64, wr_id: u64, bytes: u64) {

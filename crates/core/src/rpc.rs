@@ -257,22 +257,11 @@ pub trait RpcClient {
 }
 
 /// Server-side behaviour knobs shared by every system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerProfile {
     /// Extra per-RPC processing time at the receiver (the paper injects
     /// 100 µs to model "heavy load" real-world RPC work; 0 = light load).
     pub processing_time: SimDuration,
-    /// Worker threads processing RPCs (bounded by CPU cores at runtime).
-    pub worker_threads: usize,
-}
-
-impl Default for ServerProfile {
-    fn default() -> Self {
-        ServerProfile {
-            processing_time: SimDuration::ZERO,
-            worker_threads: 8,
-        }
-    }
 }
 
 impl ServerProfile {
@@ -280,7 +269,6 @@ impl ServerProfile {
     pub fn heavy() -> Self {
         ServerProfile {
             processing_time: SimDuration::from_micros(100),
-            ..Default::default()
         }
     }
 

@@ -20,7 +20,7 @@ use crate::cache::{CacheConfig, CachedClient, LeaseState};
 use crate::durable::{build_connection, DurableConfig, DurableServer, ShardTables};
 use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
 use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
-use crate::store::MirrorRegion;
+use crate::store::{MirrorRegion, MIRROR_SLOTS, MIRROR_SLOT_BYTES};
 use crate::txn::{TxnBook, TxnDirectory, TxnState};
 use prdma_node::{Cluster, FaultInjector, Node};
 use prdma_rnic::QpMode;
@@ -412,8 +412,7 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: Option<&CacheConfig>) -> 
         Some(cache) if cache.mirror => {
             let dram = cluster.node(shard).dram.clone();
             let base = dram.capacity() / 2;
-            let slots = cache.mirror_slots;
-            let mirror = MirrorRegion::new(dram, base, cache.mirror_slot_bytes(), slots);
+            let mirror = MirrorRegion::new(dram, base, MIRROR_SLOT_BYTES, MIRROR_SLOTS);
             LeaseState::with_mirror(shard as u64, mirror)
         }
         _ => LeaseState::new(shard as u64),
@@ -458,10 +457,6 @@ pub fn build_fleet(
         cluster.servers() >= shards,
         "cluster has {} server nodes, need {shards}",
         cluster.servers()
-    );
-    assert!(
-        client_nodes.len() <= 1 << 27,
-        "client tag exceeds the txn id namespace"
     );
     let cache = spec.cache.map(|cache| CacheConfig {
         mirror: cache.mirror && replicas == 1,
@@ -897,8 +892,6 @@ mod tests {
             hot_threshold: 1,
             mirror_threshold: 2,
             mirror: true,
-            mirror_slots: 16,
-            mirror_value_bytes: 1024,
             ..Default::default()
         };
         let spec = FleetSpec {

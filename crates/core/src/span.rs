@@ -9,7 +9,7 @@
 //! (a monotone boundary chain whose consecutive differences telescope).
 //!
 //! Tree shape. A replicated put journals a causal root (`RpcDispatch` /
-//! `RpcComplete` under its `REPL_ID_BASE` id) plus one `ReplLink` record
+//! `RpcComplete` under its replicated-put id) plus one `ReplLink` record
 //! per per-replica sub-put, pointing at the sub-put's log-derived id.
 //! Each sub-put ("leg") carries its own dispatch/complete pair and the
 //! NIC-level records (doorbell, wire segments) the QP stamped with its
@@ -38,7 +38,7 @@
 
 use std::collections::BTreeSet;
 
-use prdma_simnet::journal::{EventKind, Index, Record, Subsystem};
+use prdma_simnet::journal::{ids, EventKind, Index, Record, Subsystem};
 
 /// Phase names, in boundary-chain order, matching [`Attribution::parts`].
 pub const PHASES: [&str; 8] = [
@@ -124,12 +124,6 @@ pub struct SpanTree {
     pub attribution: Attribution,
     /// Server node index of the critical (slowest) leg, if any.
     pub critical_node: Option<u32>,
-}
-
-/// The serving node index encoded in a log-derived rpc id
-/// (`((server << 12) | lane) << 40 | index`).
-pub fn server_of(log_id: u64) -> u32 {
-    (log_id >> 52) as u32
 }
 
 /// The span of rpc `id` from `group`, the positions of its records.
@@ -248,7 +242,7 @@ pub fn build_span_trees(records: &[Record]) -> Vec<SpanTree> {
                     repl_straggler_ns: s_end - f_end,
                     receiver_sw_ns: c - s_end,
                 },
-                Some(server_of(slow.id)),
+                Some(ids::server_of(slow.id)),
             )
         };
         trees.push(SpanTree {

@@ -125,6 +125,16 @@ impl ObjectStore {
 /// Size of the epoch header at the start of every mirror slot.
 pub const MIRROR_HEADER_BYTES: u64 = 8;
 
+/// Published-object slots in a shard's mirror region.
+pub const MIRROR_SLOTS: u64 = 1024;
+
+/// Payload bytes per slot of a shard's mirror region (header excluded).
+pub const MIRROR_VALUE_BYTES: u64 = 4096;
+
+/// Bytes one slot of a shard's mirror region occupies in server DRAM
+/// (header included).
+pub const MIRROR_SLOT_BYTES: u64 = MIRROR_HEADER_BYTES + MIRROR_VALUE_BYTES;
+
 /// A server-side DRAM mirror of hot, stable objects, readable by clients
 /// with a one-sided RDMA READ (no server CPU involvement).
 ///

@@ -47,6 +47,7 @@ use std::rc::Rc;
 
 use prdma_node::{Cluster, Node};
 use prdma_rnic::Payload;
+use prdma_simnet::journal::ids::{self, Ids};
 use prdma_simnet::journal::{EventKind, Subsystem};
 use prdma_simnet::rng::IdMap;
 use prdma_simnet::{JoinHandle, Semaphore};
@@ -57,12 +58,6 @@ use crate::log::{LogEntry, OpCode, RedoLog};
 use crate::rpc::{Request, RpcError, RpcResult};
 use crate::shard::{build_fleet, Fleet, FleetSpec, ShardMap, ShardedClient};
 use crate::store::ObjectStore;
-
-/// High-bit namespace for transaction ids: distinct from replication ids
-/// (`1 << 60`), batched-put causal ids (`1 << 58`), log-derived journal
-/// ids (`lane << 40 | index`), and allocator rpc ids (`1 << 32 + …`).
-/// Layout: `TXN_ID_BASE | client_tag << 32 | counter`.
-pub const TXN_ID_BASE: u64 = 1 << 59;
 
 // ---------------------------------------------------------------------------
 // Record encoding
@@ -641,7 +636,7 @@ pub(crate) struct TxnBook {
     append_sems: Vec<Rc<Semaphore>>,
     node: Node,
     next_txn: Cell<u64>,
-    id_base: u64,
+    ids: Ids,
     commits: Cell<u64>,
     aborts: Cell<u64>,
     #[allow(clippy::type_complexity)]
@@ -663,7 +658,7 @@ impl TxnBook {
             append_sems: states.iter().map(|_| Rc::new(Semaphore::new(1))).collect(),
             node: node.clone(),
             next_txn: Cell::new(0),
-            id_base: TXN_ID_BASE | ((lane as u64) << 32),
+            ids: ids::txns(lane),
             commits: Cell::new(0),
             aborts: Cell::new(0),
             hook: RefCell::new(None),
@@ -702,9 +697,8 @@ impl ShardedClient {
     pub fn begin(&self) -> Txn {
         let c = self.txn.next_txn.get();
         self.txn.next_txn.set(c + 1);
-        assert!(c < 1 << 32, "txn counter exceeded the id namespace");
         Txn {
-            id: self.txn.id_base | c,
+            id: self.txn.ids.id(c),
             reads: Vec::new(),
             writes: Vec::new(),
         }
@@ -1212,7 +1206,7 @@ mod tests {
         // A txn whose decide was never issued has no record to find:
         // `None`, and no ring is read to say so.
         let scans = dir.ring_scans();
-        assert_eq!(dir.decision(0, TXN_ID_BASE | 0xDEAD), None);
+        assert_eq!(dir.decision(0, ids::txns(0).id(0xDEAD)), None);
         assert_eq!(dir.ring_scans(), scans, "never-issued lookup read PM");
     }
 
@@ -1264,7 +1258,7 @@ mod tests {
         let svc = txn_fixture(&sim, 1, 1);
         let dir = svc.directory().clone();
         let client = svc.clients.into_iter().next().unwrap();
-        let id = TXN_ID_BASE | 77;
+        let id = ids::txns(0).id(77);
         dir.note_issued(id);
         sim.block_on(async move {
             // Slot 0: a truncated decide (no commit flag to decode).
@@ -1511,7 +1505,7 @@ mod tests {
             mirror: false,
             ..Default::default()
         };
-        let id = TXN_ID_BASE | 5;
+        let id = ids::txns(0).id(5);
         for cache in [None, Some(cache)] {
             let mut sim = Sim::new(151);
             let (_cluster, svc) = journaled_fleet(&sim, 1, cache);

@@ -1,7 +1,7 @@
 //! The durability auditor: the paper's ordering invariants as a table
 //! of [`RULES`], each one function over an [`Index`] of a merged stream.
 
-use super::{to_jsonl, EventKind as K, Index, Record, NO_ID};
+use super::{ids, to_jsonl, EventKind as K, Index, Record, NO_ID};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -209,23 +209,22 @@ fn completion_after_logging(ix: &Index, rep: &mut AuditReport) {
     }
 }
 
-/// I3. Ids are `(lane << 40) | index`; a `RecoveryStart` carries the
-/// persisted head index in `wr_id`, and the next one on its lane ends its
-/// replay window.
+/// I3. Ids are log ids ([`ids::log_lane`]); a `RecoveryStart` carries
+/// the persisted head index in `wr_id`, and the next one on its lane ends
+/// its replay window.
 fn recovery_exactness(ix: &Index, rep: &mut AuditReport) {
-    const INDEX: u64 = (1 << 40) - 1;
     // Per lane: how far into its group earlier scans got, and every
     // entry index appended before that.
     let mut lanes: BTreeMap<u64, (usize, BTreeSet<u64>)> = BTreeMap::new();
     for (p, r) in ix.of(&[K::RecoveryStart]) {
         rep.recoveries += 1;
-        let (lane, head) = (r.rpc_id >> 40, r.wr_id);
+        let (lane, head) = (ids::lane_of(r.rpc_id), r.wr_id);
         let group = ix.by_lane.get(lane);
         let (next, appended) = lanes.entry(lane).or_default();
         while group.get(*next).is_some_and(|&q| q < p) {
             let a = &ix.records[group[*next]];
             if a.kind == K::LogAppend {
-                appended.insert(a.rpc_id & INDEX);
+                appended.insert(ids::index_of(a.rpc_id));
             }
             *next += 1;
         }
@@ -233,8 +232,8 @@ fn recovery_exactness(ix: &Index, rep: &mut AuditReport) {
         for &q in &group[*next..] {
             let after = &ix.records[q];
             match after.kind {
-                K::RecoveryReplay => replayed.insert(after.rpc_id & INDEX),
-                K::RecoveryLost => lost.insert(after.rpc_id & INDEX),
+                K::RecoveryReplay => replayed.insert(ids::index_of(after.rpc_id)),
+                K::RecoveryLost => lost.insert(ids::index_of(after.rpc_id)),
                 K::RecoveryStart if q > p => break,
                 _ => false,
             };
@@ -756,7 +755,7 @@ pub(super) mod tests {
     }
 
     struct Lane {
-        id: u64,
+        ids: ids::Ids,
         node: u32,
         head: u64,
         next: u64,
@@ -796,7 +795,7 @@ pub(super) mod tests {
             let servers = (nodes - 1) as u64;
             let lanes = (0..rng.gen_range(1u64..=3))
                 .map(|l| Lane {
-                    id: ((l % servers) << 12) | l,
+                    ids: ids::log_lane((l % servers) as usize, l as usize),
                     node: (l % servers) as u32,
                     head: 0,
                     next: 0,
@@ -858,7 +857,7 @@ pub(super) mod tests {
             let (client, server) = (self.client(), self.lanes[lane].node);
             let idx = self.lanes[lane].next;
             self.lanes[lane].next += 1;
-            let id = (self.lanes[lane].id << 40) | idx;
+            let id = self.lanes[lane].ids.id(idx);
             self.emit(t, client, K::LogAppend, id, idx, 64);
             let ticket = self.tickets[server as usize];
             self.tickets[server as usize] += 1;
@@ -891,7 +890,7 @@ pub(super) mod tests {
             let replicas = self.lanes.len();
             let mut acked = t;
             for slot in 0..replicas {
-                let leg = (self.lanes[slot].id << 40) | self.lanes[slot].next;
+                let leg = self.lanes[slot].ids.id(self.lanes[slot].next);
                 self.emit(t + 50, client, K::ReplLink, root, leg, 0);
                 let (_, done) = self.put(slot, t + 50 + 50 * slot as u64);
                 self.emit(done + 50, client, K::ReplAppend, root, slot as u64, 64);
@@ -961,14 +960,14 @@ pub(super) mod tests {
         /// happened, then replay (or report lost) its un-done suffix.
         fn crash_cycle(&mut self, lane: usize) {
             let Lane {
-                id,
+                ids,
                 node,
                 head,
                 next,
             } = self.lanes[lane];
             let t = self.horizon + 1_000;
             self.emit(t - 500, node, K::NodeCrash, NO_ID, NO_ID, 0);
-            self.emit(t, node, K::RecoveryStart, id << 40, head, 0);
+            self.emit(t, node, K::RecoveryStart, ids.id(0), head, 0);
             for idx in head..next {
                 let kind = if self.rng.gen_bool(0.9) {
                     K::RecoveryReplay
@@ -976,7 +975,7 @@ pub(super) mod tests {
                     K::RecoveryLost
                 };
                 let ts = t + 100 * (idx - head + 1);
-                self.emit(ts, node, kind, (id << 40) | idx, idx, 64);
+                self.emit(ts, node, kind, ids.id(idx), idx, 64);
             }
             self.lanes[lane].head = next;
             self.now = self.horizon;

@@ -1,7 +1,7 @@
 //! One pass over a merged stream that every reader needing a record's
 //! relatives shares: the auditor's rules and the span builder.
 
-use super::{EventKind, Record, NO_ID};
+use super::{ids, EventKind, Record, NO_ID};
 
 /// Record positions grouped under keys: `keys[i]` is the key of
 /// `positions[i]`, the pairs sorted, so a key's group is one run of
@@ -48,7 +48,7 @@ pub struct Index<'a> {
     pub by_rpc: Groups<u64>,
     /// `DmaIssue` and `DmaComplete` records by `(node, wr_id)`.
     pub by_ticket: Groups<(u32, u64)>,
-    /// `LogAppend` and `Recovery*` records by log lane (`rpc_id >> 40`).
+    /// `LogAppend` and `Recovery*` records by log lane ([`ids::lane_of`]).
     pub by_lane: Groups<u64>,
     /// `LeaseGrant` and `LeaseInvalidate` records by lease key (`wr_id`).
     pub by_key: Groups<u64>,
@@ -79,7 +79,7 @@ impl<'a> Index<'a> {
                 K::LogAppend | K::RecoveryStart | K::RecoveryReplay | K::RecoveryLost
                     if r.rpc_id != NO_ID =>
                 {
-                    lanes.push((r.rpc_id >> 40, p))
+                    lanes.push((ids::lane_of(r.rpc_id), p))
                 }
                 K::LeaseGrant | K::LeaseInvalidate => keys.push((r.wr_id, p)),
                 _ => {}

@@ -37,6 +37,7 @@ use std::rc::Rc;
 
 mod audit;
 mod export;
+pub mod ids;
 mod index;
 pub mod json;
 
@@ -47,17 +48,6 @@ pub use index::{Groups, Index};
 /// Sentinel for "no id" in [`Record::rpc_id`] / [`Record::wr_id`]
 /// (rendered as `null` in the JSONL export).
 pub const NO_ID: u64 = u64::MAX;
-
-/// First id handed out by [`Journal::next_rpc_id`]. Durable designs use
-/// `(lane << 40) | log_index` (always below this base) as the put rpc_id,
-/// so allocator-assigned ids can never collide with log-derived ids.
-pub const RPC_ID_BASE: u64 = 1 << 32;
-
-/// Per-node stride of the [`Journal::next_rpc_id`] allocator: node `n`
-/// hands out ids starting at `RPC_ID_BASE + n * NODE_RPC_SPAN`, so ids
-/// stay unique across a *merged* fleet stream (each client node runs its
-/// own journal), up to 16M allocations per node; the next one panics.
-pub const NODE_RPC_SPAN: u64 = 1 << 24;
 
 /// The component a record was emitted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -301,6 +291,7 @@ pub struct Record {
 struct JournalInner {
     node: u32,
     handle: SimHandle,
+    rpc_ids: ids::Ids,
     next_rpc: Cell<u64>,
     records: RefCell<Vec<Record>>,
 }
@@ -338,6 +329,7 @@ impl Journal {
             inner: Some(Rc::new(JournalInner {
                 node,
                 handle,
+                rpc_ids: ids::node_rpcs(node),
                 next_rpc: Cell::new(0),
                 records: RefCell::new(Vec::new()),
             })),
@@ -372,23 +364,17 @@ impl Journal {
         }
     }
 
-    /// Allocate a fresh causal RPC id (starts at [`RPC_ID_BASE`] plus
-    /// this node's [`NODE_RPC_SPAN`] slice, so it collides neither with
-    /// log-derived `(lane << 40) | index` ids nor with ids allocated by
-    /// another node's journal in a merged fleet stream). [`NO_ID`] when
-    /// the journal is off.
+    /// Allocate a fresh causal RPC id from this node's
+    /// [`node_rpcs`](ids::node_rpcs) span. [`NO_ID`] when the journal is
+    /// off.
     #[inline]
     pub fn next_rpc_id(&self) -> u64 {
         let Some(inner) = &self.inner else {
             return NO_ID;
         };
         let n = inner.next_rpc.get();
-        assert!(
-            n < NODE_RPC_SPAN,
-            "rpc id counter exceeded the node's id span"
-        );
         inner.next_rpc.set(n + 1);
-        RPC_ID_BASE + inner.node as u64 * NODE_RPC_SPAN + n
+        inner.rpc_ids.id(n)
     }
 
     /// Records held.
@@ -499,8 +485,8 @@ mod tests {
         let j = Journal::new(sim.handle(), 0);
         let a = j.next_rpc_id();
         let b = j.next_rpc_id();
-        assert_eq!(a, RPC_ID_BASE);
-        assert_eq!(b, RPC_ID_BASE + 1);
+        assert_eq!(a, 1 << 32);
+        assert_eq!(b, (1 << 32) + 1);
     }
 
     #[test]
@@ -508,8 +494,8 @@ mod tests {
         let sim = Sim::new(1);
         let j3 = Journal::new(sim.handle(), 3);
         let j4 = Journal::new(sim.handle(), 4);
-        assert_eq!(j3.next_rpc_id(), RPC_ID_BASE + 3 * NODE_RPC_SPAN);
-        assert_eq!(j4.next_rpc_id(), RPC_ID_BASE + 4 * NODE_RPC_SPAN);
+        assert_eq!(j3.next_rpc_id(), (1 << 32) + 3 * (1 << 24));
+        assert_eq!(j4.next_rpc_id(), (1 << 32) + 4 * (1 << 24));
     }
 
     /// A node's allocator stops at the end of its span instead of handing
@@ -519,8 +505,8 @@ mod tests {
     fn rpc_id_allocator_panics_past_its_span() {
         let sim = Sim::new(1);
         let j = Journal::new(sim.handle(), 3);
-        let last = (0..NODE_RPC_SPAN).fold(0, |_, _| j.next_rpc_id());
-        assert_eq!(last, RPC_ID_BASE + 4 * NODE_RPC_SPAN - 1);
+        let last = (0..1 << 24).fold(0, |_, _| j.next_rpc_id());
+        assert_eq!(last, ids::node_rpcs(4).id(0) - 1);
         j.next_rpc_id();
     }
 
@@ -543,7 +529,7 @@ mod tests {
                 0,
                 Subsystem::Rpc,
                 EventKind::RpcDispatch,
-                RPC_ID_BASE,
+                1 << 32,
                 NO_ID,
                 64,
             ),
@@ -553,7 +539,7 @@ mod tests {
                 0,
                 Subsystem::Nic,
                 EventKind::DmaIssue,
-                RPC_ID_BASE,
+                1 << 32,
                 1,
                 64,
             ),
@@ -563,7 +549,7 @@ mod tests {
                 1,
                 Subsystem::Rpc,
                 EventKind::RpcComplete,
-                RPC_ID_BASE,
+                1 << 32,
                 NO_ID,
                 64,
             ),

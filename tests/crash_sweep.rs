@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use prdma_bench::runner::{par_level, par_map};
 use prdma_suite::core::DurableKind;
-use prdma_suite::simnet::journal::EventKind;
+use prdma_suite::simnet::journal::{ids, EventKind};
 use prdma_suite::simnet::metrics::Key;
 use prdma_suite::sweep::{self, Fault, Op, OpKind, Point, Run, Shape, DOWN, TXNS};
 
@@ -160,6 +160,45 @@ fn every_durable_kind_survives_a_mid_rpc_node_crash() {
             .iter()
             .filter(|op| op.what == OpKind::Get && op.done_ns > restarted);
         assert!(reads_after.count() > 0, "{kind:?}: no get after recovery");
+    }
+}
+
+/// Log ids name the server that holds the log. `RedoLog` journals
+/// `LogDone` and `Recovery*` records on its own server, so on the
+/// replicated shape (each server holds one shard's primary log and the
+/// other's backup) every such record's id decodes to the node that
+/// journaled it: in the clean run, and after server 1 crashes.
+#[test]
+fn log_ids_decode_to_the_server_that_holds_the_log() {
+    for kind in DurableKind::ALL {
+        let clean = Point {
+            shape: Shape::Replicated,
+            kind,
+            fault: Fault::Clean,
+            node: 0,
+            at_ns: 0,
+        };
+        let crash = row_point(Shape::Replicated, kind, Fault::NodeCrash, 1);
+        // Per server node: LogDone records, Recovery* records.
+        let mut seen = [[0usize; 2]; 2];
+        for p in [clean, crash] {
+            for r in row(p).cluster.journal_records() {
+                let recovery = match r.kind {
+                    EventKind::LogDone => 0,
+                    EventKind::RecoveryStart
+                    | EventKind::RecoveryReplay
+                    | EventKind::RecoveryLost => 1,
+                    _ => continue,
+                };
+                assert_eq!(ids::server_of(r.rpc_id), r.node, "{p:?}: {r:?}");
+                seen[r.node as usize][recovery] += 1;
+            }
+        }
+        assert!(seen[0][0] > 0 && seen[1][0] > 0, "{kind:?}: {seen:?}");
+        assert!(
+            seen[1][1] > 0,
+            "{kind:?}: server 1 recovered no log: {seen:?}"
+        );
     }
 }
 

@@ -363,7 +363,7 @@ const PINNED_TRACE_FNVS: [(Input, u64); 31] = {
 /// Second folded-in change (observability PR): the always-on metrics
 /// registry adds a handful of snapshot-ticker wakeups to
 /// `events_processed` on metrics-instrumented systems, and per-node
-/// rpc-id slices (`journal::NODE_RPC_SPAN`) shift client-allocated
+/// rpc-id slices (`journal::ids::node_rpcs`) shift client-allocated
 /// rpc ids, changing journal bytes. Virtual elapsed time is unchanged
 /// for all four systems — metrics consume zero simulated time.
 #[test]
