@@ -55,21 +55,10 @@ pub struct ServerCtx {
 
 impl ServerCtx {
     /// Build (or join) the server context: allocates the shared object
-    /// store on first use.
+    /// store region on first use.
     pub fn new(cluster: &Cluster, server_idx: usize, lane: usize, opts: &SystemOpts) -> Self {
         let node = cluster.node(server_idx).clone();
-        let region = match node.alloc.lookup("objects") {
-            Some(r) => r,
-            None => node
-                .alloc
-                .alloc(
-                    "objects",
-                    opts.store_capacity.min(node.alloc.remaining()),
-                    64,
-                )
-                .expect("PM too small for object store"),
-        };
-        let store = ObjectStore::new(node.pm.clone(), region, opts.object_slot);
+        let store = ObjectStore::open(&node, "objects", opts.store_capacity, opts.object_slot);
         ServerCtx {
             node,
             store,
@@ -101,16 +90,9 @@ impl ServerCtx {
             Request::Scan { start, count, len } => (*start, *len, *count),
         };
         self.process().await;
-        let mut total = 0u64;
-        for i in 0..count.max(1) as u64 {
-            let p = self
-                .store
-                .get(obj + i, len)
-                .await
-                .unwrap_or(Payload::synthetic(0, 0));
-            total += p.len();
-        }
-        (Some(Payload::synthetic(total, obj)), total)
+        let payload = self.store.read_range(obj, count, len).await;
+        let total = payload.len();
+        (Some(payload), total)
     }
 
     /// The injected RPC processing time (100 µs under the heavy profile).

@@ -102,24 +102,14 @@ pub struct LeaseState {
 }
 
 impl LeaseState {
-    /// A lease table for the shard identified by `tag` (no mirror).
-    pub fn new(tag: u64) -> Self {
+    /// A lease table for the shard identified by `tag`, backed by a server
+    /// DRAM `mirror` region when the one-sided tier is on.
+    pub fn new(tag: u64, mirror: Option<MirrorRegion>) -> Self {
         LeaseState {
             inner: Rc::new(LeaseInner {
                 keys: ids::lease_keys(tag),
                 epochs: RefCell::default(),
-                mirror: None,
-            }),
-        }
-    }
-
-    /// A lease table backed by a server DRAM mirror region.
-    pub fn with_mirror(tag: u64, mirror: MirrorRegion) -> Self {
-        LeaseState {
-            inner: Rc::new(LeaseInner {
-                keys: ids::lease_keys(tag),
-                epochs: RefCell::default(),
-                mirror: Some(mirror),
+                mirror,
             }),
         }
     }
@@ -352,9 +342,10 @@ pub struct CachedClient {
     lease: LeaseState,
     cfg: CacheConfig,
     node: Node,
-    /// Client→server QP for one-sided mirror reads (None disables the
-    /// mirror tier for this client).
-    mirror_qp: Option<Qp>,
+    /// The one-sided tier's switch: the client→server QP its READs take
+    /// and the shard's mirror region they read, or `None` when the tier
+    /// is off.
+    mirror: Option<(Qp, MirrorRegion)>,
     /// Replicated topology only: promotion of a backup revokes every
     /// lease this client holds (tracked by the group's view epoch).
     view: Option<GroupView>,
@@ -366,9 +357,9 @@ pub struct CachedClient {
 impl CachedClient {
     /// Wrap `inner` with a lease cache against `lease`. `shard` labels
     /// this client's metric series; `mirror_qp` (client→shard server)
-    /// enables the one-sided tier; `view` enables revocation on backup
-    /// promotion for replicated groups.
-    pub fn new(
+    /// enables the one-sided tier over `lease`'s mirror region; `view`
+    /// enables revocation on backup promotion for replicated groups.
+    pub(crate) fn new(
         inner: Box<dyn RpcClient>,
         lease: LeaseState,
         cfg: CacheConfig,
@@ -393,10 +384,10 @@ impl CachedClient {
         let seen_view_epoch = Cell::new(view.as_ref().map_or(0, |v| v.epoch()));
         CachedClient {
             inner,
-            lease,
             cfg,
             node,
-            mirror_qp,
+            mirror: mirror_qp.zip(lease.mirror().cloned()),
+            lease,
             view,
             seen_view_epoch,
             records: RefCell::new(Records::new()),
@@ -461,10 +452,10 @@ impl CachedClient {
         len: u64,
         epoch: u64,
     ) -> RpcResult<Option<Response>> {
-        let Some(qp) = &self.mirror_qp else {
+        let Some((qp, mirror)) = &self.mirror else {
             return Ok(None);
         };
-        let Some(addr) = self.lease.mirror().and_then(|m| m.addr_of(obj)) else {
+        let Some(addr) = mirror.addr_of(obj) else {
             return Ok(None);
         };
         // The journaled claim is "a one-sided read was issued under a
@@ -572,19 +563,16 @@ impl CachedClient {
         records.touch(id);
         let ks = records.rec(id);
         ks.streak += 1;
+        let Some((_, mirror)) = &self.mirror else {
+            return;
+        };
         if ks.tier == Tier::Cached
-            && self.cfg.mirror
             && ks.streak >= self.cfg.mirror_threshold
-            && self.mirror_qp.is_some()
+            && len <= mirror.value_capacity()
+            && mirror.publish(obj, self.lease.epoch(obj)).is_some()
         {
-            if let Some(mirror) = self.lease.mirror() {
-                if len <= mirror.value_capacity()
-                    && mirror.publish(obj, self.lease.epoch(obj)).is_some()
-                {
-                    ks.tier = Tier::Mirror;
-                    self.metrics.promotions.incr(1);
-                }
-            }
+            ks.tier = Tier::Mirror;
+            self.metrics.promotions.incr(1);
         }
     }
 }
@@ -746,7 +734,7 @@ mod tests {
 
     #[test]
     fn lease_epochs_start_at_zero_and_bump() {
-        let lease = LeaseState::new(3);
+        let lease = LeaseState::new(3, None);
         assert_eq!(lease.epoch(7), 0);
         assert_eq!(lease.bump(7, NO_ID, &Journal::off()), 1);
         assert_eq!(lease.bump(7, NO_ID, &Journal::off()), 2);
@@ -759,7 +747,7 @@ mod tests {
     fn bump_refreshes_published_mirror_slot() {
         let dram = VolatileMemory::new(1 << 16);
         let mirror = MirrorRegion::new(dram.clone(), 0, 72, 4);
-        let lease = LeaseState::with_mirror(0, mirror);
+        let lease = LeaseState::new(0, Some(mirror));
         let addr = lease.mirror().unwrap().publish(5, 0).unwrap();
         assert_eq!(MirrorRegion::decode_epoch(&dram.read(addr, 8)), Some(0));
         lease.bump(5, NO_ID, &Journal::off());

@@ -16,6 +16,17 @@
 //! | `SFlush`   | RDMA send  | sender-issued `SFlush` ACK |
 //! | `W-RFlush` | RDMA write | receiver CPU persists + ACK write |
 //! | `S-RFlush` | RDMA send  | receiver CPU persists + ACK write |
+//!
+//! **One persist at a time per connection.** A connection carries one
+//! persisting op — a put, a put batch or a transaction record — at a
+//! time, and enforces it itself: every persisting op holds the client's
+//! `persist_permit` across its whole retry loop, so a second op on the
+//! connection queues behind it (FIFO). Every kind rests on this.
+//! Receiver-initiated kinds keep one persist-ACK waiter per connection,
+//! which a second op would take from the first. A sender-initiated flush
+//! barrier consumes every aborted-DMA record of its QP (`rnic::nic`), so
+//! a barrier covering another op's aborted entry would leave that op's
+//! own barrier nothing to fail on. GETs touch neither and take no permit.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -28,7 +39,7 @@ use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
 use prdma_simnet::metrics::{Counter, Gauge, Key, Window};
 use prdma_simnet::rng::SmallRng;
 use prdma_simnet::trace::{Phase, Role};
-use prdma_simnet::{channel, OneshotPool, OneshotSender, Receiver, Sender, SimDuration};
+use prdma_simnet::{channel, OneshotPool, OneshotSender, Receiver, Semaphore, Sender, SimDuration};
 
 use crate::cache::LeaseState;
 use crate::flush::{FlushImpl, FlushOps};
@@ -184,12 +195,7 @@ const GET_DESC_BYTES: u64 = 24;
 struct Shared {
     work_tx: Sender<Work>,
     arrival_tx: Sender<Arrival>,
-    /// Pending persist-ack waiter (receiver-initiated kinds). One slot:
-    /// it assumes one outstanding Put, Put-batch or record per connection,
-    /// and nothing enforces that. A second op registering before the
-    /// first is ACKed replaces its waiter — e.g. a put and a `TxnPrepare`
-    /// sharing a connection, or `ReplicaGroup::recover`'s catch-up
-    /// `put_tagged`s running on the same client as a live fan-out leg.
+    /// Persist-ACK waiter of the `DurableClient::persist_permit` holder (receiver-initiated kinds).
     ack_waiter: RefCell<Option<OneshotSender<()>>>,
     /// The waiter fires once `puts_logged` reaches this index (lets a
     /// batched Put wait for its *last* entry's persist-ACK).
@@ -232,6 +238,9 @@ pub struct DurableClient {
     /// re-appends the same ids and apply-time dedup makes the batch
     /// exactly-once.
     next_batch_id: Cell<u64>,
+    /// One permit, held by the one persisting op the connection carries
+    /// (module docs, "One persist at a time per connection").
+    persist_permit: Semaphore,
 }
 
 /// One redo-log entry on its way through [`DurableClient::persist`].
@@ -406,19 +415,13 @@ pub(crate) fn build_connection(
         .expect("PM too small for log region");
     let layout = LogLayout::new(log_region, slot_size);
 
-    // Object store: shared across lanes (per region name).
-    let store_region = match server.alloc.lookup(tables.store_region) {
-        Some(r) => r,
-        None => server
-            .alloc
-            .alloc(
-                tables.store_region,
-                cfg.store_capacity.min(server.alloc.remaining()),
-                64,
-            )
-            .expect("PM too small for object store"),
-    };
-    let store = ObjectStore::new(server.pm.clone(), store_region, cfg.object_slot);
+    // Object store: one region per name, shared across lanes.
+    let store = ObjectStore::open(
+        &server,
+        tables.store_region,
+        cfg.store_capacity,
+        cfg.object_slot,
+    );
 
     let log_ids = ids::log_lane(server_idx, lane);
     let cursor = LogCursor::new();
@@ -501,6 +504,7 @@ pub(crate) fn build_connection(
         ack_pool: OneshotPool::new(),
         reply_pool: OneshotPool::new(),
         next_batch_id: Cell::new(0),
+        persist_permit: Semaphore::new(1),
     };
     let ctx = Rc::new(ServerCtx {
         shared,
@@ -597,7 +601,7 @@ fn serve(
     // Worker pool: a dispatcher spawns one handler task per RPC (the
     // paper: "a thread is created to handle the RPC requests"), with
     // concurrency bounded by a semaphore of `WORKER_THREADS`.
-    let pool = prdma_simnet::Semaphore::new(WORKER_THREADS);
+    let pool = Semaphore::new(WORKER_THREADS);
     // Every handler marks entries done through its own copy of this
     // copy of the log handle — the arrangement every pinned journal was
     // captured under. `RedoLog` keeps its persisted-head bookkeeping per
@@ -928,16 +932,7 @@ impl ServerCtx {
         // (FaRM/HERD-style); only logged updates take the handler-pool hop.
         self.node.cpu.poll_dispatch().await;
         self.inject_processing().await;
-        let mut total = 0u64;
-        for i in 0..count.max(1) as u64 {
-            let p = self
-                .store
-                .get(obj + i, len)
-                .await
-                .unwrap_or(Payload::synthetic(0, 0));
-            total += p.len();
-        }
-        let payload = Payload::synthetic(total, obj);
+        let payload = self.store.read_range(obj, count, len).await;
         if let Ok(tok) = self
             .resp_qp
             .write(MemTarget::Dram(RESP_ADDR), payload.clone())
@@ -977,7 +972,9 @@ impl DurableClient {
     /// `ReplLink`), bump its lease, hand its arrival to the server, wait
     /// for this kind's durability signal once, journal the completions and
     /// count puts (transaction records go uncounted). Each entry's
-    /// `rpc_id` is filled in as it is appended.
+    /// `rpc_id` is filled in as it is appended. Runs only under
+    /// [`persist_op`](DurableClient::persist_op)'s permit, so the waiter
+    /// it registers is the connection's only one.
     ///
     /// `batched` entries come from `call_batch`: write-based kinds post
     /// them with one doorbell (even a batch of one) and journal dispatch
@@ -1088,8 +1085,7 @@ impl DurableClient {
     /// [`RetryPolicy`] like [`RpcClient::call`].
     pub async fn put_tagged(&self, obj: u64, data: Payload, put_id: u64) -> RpcResult<Response> {
         let entry = Entry::rput(obj, data, put_id, Some(put_id));
-        self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
-            .await?;
+        self.persist_op(std::slice::from_ref(&entry), false).await?;
         Ok(DURABLE)
     }
 
@@ -1141,6 +1137,15 @@ impl DurableClient {
 }
 
 impl DurableClient {
+    /// One persisting op: [`persist`](DurableClient::persist) under the
+    /// retry policy, holding the connection's `persist_permit` across the
+    /// whole retry loop. Every put, put batch and transaction record goes
+    /// through here.
+    async fn persist_op(&self, entries: &[Entry], batched: bool) -> RpcResult<()> {
+        let _permit = self.persist_permit.acquire().await;
+        self.retry_loop(|| self.persist(entries, batched)).await
+    }
+
     /// Run `attempt` under the configured [`RetryPolicy`]: each attempt
     /// gets `request_timeout` of budget; retryable failures (transport
     /// errors, server outages, timeouts) back off and re-send. Durable-RPC
@@ -1189,8 +1194,7 @@ impl RpcClient for DurableClient {
             Request::Put { obj, data } => {
                 let entry = Entry::new(OpCode::Put, obj, data, Some(obj), None);
                 Box::pin(async move {
-                    self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
-                        .await?;
+                    self.persist_op(std::slice::from_ref(&entry), false).await?;
                     Ok(DURABLE)
                 })
             }
@@ -1220,7 +1224,7 @@ impl RpcClient for DurableClient {
                     continue;
                 }
                 if !puts.is_empty() {
-                    self.retry_loop(|| self.persist(&puts, true)).await?;
+                    self.persist_op(&puts, true).await?;
                     out.extend(puts.drain(..).map(|_| DURABLE));
                 }
                 if let Some(other) = req {
@@ -1240,8 +1244,7 @@ impl RpcClient for DurableClient {
     fn append_record(&self, opcode: OpCode, obj_id: u64, data: Payload) -> RpcAppendFuture<'_> {
         Box::pin(async move {
             let entry = Entry::new(opcode, obj_id, data, None, None);
-            self.retry_loop(|| self.persist(std::slice::from_ref(&entry), false))
-                .await?;
+            self.persist_op(std::slice::from_ref(&entry), false).await?;
             Ok(entry.rpc_id.get())
         })
     }

@@ -408,15 +408,12 @@ fn recover_node(servers: &[Vec<Rc<DurableServer>>], node: usize, kind: FaultKind
 /// shard server's DRAM (the bottom is owned by the per-lane GET
 /// descriptor slots), shared by every client of the shard.
 fn shard_lease(cluster: &Cluster, shard: usize, cache: Option<&CacheConfig>) -> LeaseState {
-    match cache {
-        Some(cache) if cache.mirror => {
-            let dram = cluster.node(shard).dram.clone();
-            let base = dram.capacity() / 2;
-            let mirror = MirrorRegion::new(dram, base, MIRROR_SLOT_BYTES, MIRROR_SLOTS);
-            LeaseState::with_mirror(shard as u64, mirror)
-        }
-        _ => LeaseState::new(shard as u64),
-    }
+    let mirror = cache.filter(|cache| cache.mirror).map(|_| {
+        let dram = cluster.node(shard).dram.clone();
+        let base = dram.capacity() / 2;
+        MirrorRegion::new(dram, base, MIRROR_SLOT_BYTES, MIRROR_SLOTS)
+    });
+    LeaseState::new(shard as u64, mirror)
 }
 
 /// Build a sharded durable KV service over `map`'s shards (on server

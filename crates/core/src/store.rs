@@ -6,6 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use prdma_node::Node;
 use prdma_pmem::{PmDevice, PmRegion, VolatileMemory};
 use prdma_rnic::{Payload, RdmaError, RdmaResult};
 
@@ -20,8 +21,10 @@ use prdma_rnic::{Payload, RdmaError, RdmaResult};
 /// (inline) puts track which live object owns each slot they touch; an
 /// inline put landing on a slot that wrapped onto a *different* live object
 /// fails with [`RdmaError::SlotAliased`] instead of silently corrupting it.
-/// The owner map is shared across clones of the store, so every connection
-/// serving the same region sees the same ownership.
+/// The owner map belongs to one store and its clones. Every connection
+/// [`open`](ObjectStore::open)s a store of its own, so the check covers
+/// the puts one connection applies: two connections sharing a region do
+/// not see each other's claims.
 #[derive(Clone)]
 pub struct ObjectStore {
     pm: PmDevice,
@@ -43,6 +46,18 @@ impl ObjectStore {
             slot_size,
             owners: Rc::new(RefCell::new(HashMap::new())),
         }
+    }
+
+    /// A store of `slot_size`-byte objects over `node`'s PM region `name`:
+    /// the region an earlier store of that name allocated, or else a new
+    /// one of `capacity` bytes (at most what the PM has left).
+    pub fn open(node: &Node, name: &str, capacity: u64, slot_size: u64) -> Self {
+        let region = node.alloc.lookup(name).unwrap_or_else(|| {
+            let capacity = capacity.min(node.alloc.remaining());
+            let region = node.alloc.alloc(name, capacity, 64);
+            region.expect("PM too small for object store")
+        });
+        ObjectStore::new(node.pm.clone(), region, slot_size)
     }
 
     /// Object slots the region holds before ids wrap; size regions to
@@ -82,11 +97,16 @@ impl ObjectStore {
         })
     }
 
-    /// Timed read of `len` bytes of `obj_id` (media read).
-    pub async fn get(&self, obj_id: u64, len: u64) -> RdmaResult<Payload> {
-        let len = len.min(self.slot_size);
-        self.pm.simulate_read_time(len).await;
-        Ok(Payload::synthetic(len, obj_id))
+    /// Timed read of `len` bytes of each of the `count` objects from
+    /// `obj_id` on (at least one: a Get is a range of one), one media read
+    /// per object, in order. The payload is timing-only, as long as the
+    /// bytes read.
+    pub async fn read_range(&self, obj_id: u64, count: u32, len: u64) -> Payload {
+        let (n, len) = (count.max(1) as u64, len.min(self.slot_size));
+        for _ in 0..n {
+            self.pm.simulate_read_time(len).await;
+        }
+        Payload::synthetic(n * len, obj_id)
     }
 
     /// Timed read returning real bytes (correctness paths).

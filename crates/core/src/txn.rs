@@ -15,7 +15,10 @@
 //!    participant's write set) is appended — and flush-ACKed, per the
 //!    connection's [`DurableKind`](crate::durable::DurableKind) — in
 //!    *each participant shard's* redo log, fanned out concurrently like
-//!    replicated puts.
+//!    replicated puts. Fan-out is parallel across shards only: records to
+//!    one shard share its connection with the client's puts and queue on
+//!    that connection's persist permit (one persisting op at a time, see
+//!    [`crate::durable`]).
 //! 4. **Decide** — a durable `decided` record (commit flag + participant
 //!    list) is appended at the *coordinator shard's* log (the lowest
 //!    participant shard). The transaction is durably committed at this
@@ -50,7 +53,7 @@ use prdma_rnic::Payload;
 use prdma_simnet::journal::ids::{self, Ids};
 use prdma_simnet::journal::{EventKind, Subsystem};
 use prdma_simnet::rng::IdMap;
-use prdma_simnet::{JoinHandle, Semaphore};
+use prdma_simnet::JoinHandle;
 
 use crate::cache::LeaseState;
 use crate::durable::DurableConfig;
@@ -628,12 +631,6 @@ const NO_TXN_TABLES: RpcError =
 pub(crate) struct TxnBook {
     states: Vec<TxnState>,
     leases: Vec<LeaseState>,
-    /// Per-connection append serialization: txn record appends from this
-    /// client to one shard never interleave (the durable connection has
-    /// a single persist-ack waiter slot), while fan-out across shards
-    /// stays parallel. Background commit/abort record appends take the
-    /// same permit.
-    append_sems: Vec<Rc<Semaphore>>,
     node: Node,
     next_txn: Cell<u64>,
     ids: Ids,
@@ -655,7 +652,6 @@ impl TxnBook {
         TxnBook {
             states: states.to_vec(),
             leases: leases.to_vec(),
-            append_sems: states.iter().map(|_| Rc::new(Semaphore::new(1))).collect(),
             node: node.clone(),
             next_txn: Cell::new(0),
             ids: ids::txns(lane),
@@ -724,24 +720,12 @@ impl ShardedClient {
         })
     }
 
-    /// Serialized txn-record append on shard `shard`'s connection, under
-    /// its retry policy.
-    async fn append(
-        &self,
-        shard: usize,
-        opcode: OpCode,
-        txn: u64,
-        data: Payload,
-    ) -> RpcResult<u64> {
-        let _permit = self.txn.append_sems[shard].acquire().await;
-        self.shards[shard].append_record(opcode, txn, data).await
-    }
-
-    /// [`append`](ShardedClient::append) as a task of its own: prepares
-    /// fan out this way and are joined; resolution records (commit-apply
-    /// or abort) are fired and forgotten — their failures are
-    /// survivable, the participant's replay resolves from the
-    /// coordinator's decided record instead.
+    /// A txn-record append on shard `shard`'s connection as a task of its
+    /// own: prepares fan out this way and are joined; resolution records
+    /// (commit-apply or abort) are fired and forgotten — their failures
+    /// are survivable, the participant's replay resolves from the
+    /// coordinator's decided record instead. Records to one shard queue
+    /// behind each other (and behind puts) on the connection's permit.
     fn spawn_append(
         &self,
         shard: usize,
@@ -750,11 +734,8 @@ impl ShardedClient {
         data: Payload,
     ) -> JoinHandle<RpcResult<u64>> {
         let client = Rc::clone(&self.shards[shard]);
-        let sem = Rc::clone(&self.txn.append_sems[shard]);
-        self.txn.node.rnic().handle().spawn(async move {
-            let _permit = sem.acquire().await;
-            client.append_record(opcode, txn, data).await
-        })
+        let h = self.txn.node.rnic().handle();
+        h.spawn(async move { client.append_record(opcode, txn, data).await })
     }
 
     /// Commit the transaction: lock + OCC-validate, durable 2PC, lease
@@ -867,7 +848,9 @@ impl ShardedClient {
         // only from here on) a lookup for this txn reads PM.
         let decide = encode_decide(true, &participants);
         book.states[coord].inner.dir.note_issued(id);
-        self.append(coord, OpCode::TxnDecide, id, decide).await?;
+        self.shards[coord]
+            .append_record(OpCode::TxnDecide, id, decide)
+            .await?;
         self.jot(EventKind::TxnDecide, id, coord as u64, 1);
         self.phase(TxnPhase::AfterDecide);
 
@@ -1264,9 +1247,14 @@ mod tests {
             // Slot 0: a truncated decide (no commit flag to decode).
             // Slot 1: the valid retry duplicate.
             let torn = Payload::from_bytes(vec![1, 0, 0]);
-            client.append(0, OpCode::TxnDecide, id, torn).await.unwrap();
-            client
-                .append(0, OpCode::TxnDecide, id, encode_decide(true, &[0]))
+            let shard = &client.shards[0];
+            shard
+                .append_record(OpCode::TxnDecide, id, torn)
+                .await
+                .unwrap();
+            let decide = encode_decide(true, &[0]);
+            shard
+                .append_record(OpCode::TxnDecide, id, decide)
                 .await
                 .unwrap();
         });
@@ -1514,8 +1502,9 @@ mod tests {
             let client = svc.clients.into_iter().next().unwrap();
             sim.block_on(async move {
                 let decide = encode_decide(true, &[0]);
-                client
-                    .append(0, OpCode::TxnDecide, id, decide)
+                let shard = &client.shards[0];
+                shard
+                    .append_record(OpCode::TxnDecide, id, decide)
                     .await
                     .unwrap();
                 let refused =

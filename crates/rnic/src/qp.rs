@@ -317,7 +317,7 @@ impl Qp {
         let rpc = self.take_tag();
         self.check_mtu(payload.len())?;
         self.post_cost(rpc, POST_ONESIDED).await;
-        self.transfer_and_ack(rpc, Delivery::Write { target }, payload, None)
+        self.transfer(rpc, Delivery::Write { target }, payload, None, true)
             .await
     }
 
@@ -332,7 +332,7 @@ impl Qp {
         let rpc = self.take_tag();
         self.check_mtu(payload.len())?;
         self.post_cost(rpc, POST_ONESIDED).await;
-        self.transfer_and_ack(rpc, Delivery::Write { target }, payload, Some(imm))
+        self.transfer(rpc, Delivery::Write { target }, payload, Some(imm), true)
             .await
     }
 
@@ -342,7 +342,7 @@ impl Qp {
         let rpc = self.take_tag();
         self.check_mtu(payload.len())?;
         self.post_cost(rpc, POST_TWOSIDED).await;
-        self.transfer_and_ack(rpc, Delivery::Send, payload, None)
+        self.transfer(rpc, Delivery::Send, payload, None, true)
             .await
     }
 
@@ -352,50 +352,44 @@ impl Qp {
         &self,
         items: Vec<(MemTarget, Payload)>,
     ) -> RdmaResult<Vec<PersistToken>> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        for (_, p) in &items {
-            self.check_mtu(p.len())?;
-        }
-        let rpc = self.take_tag();
-        let k = items.len() as u64;
-        self.post_cost(rpc, POST_ONESIDED + POST_BATCHED_EXTRA * (k - 1))
-            .await;
-        let mut tokens = Vec::with_capacity(items.len());
-        let n = items.len();
-        for (i, (target, payload)) in items.into_iter().enumerate() {
-            let last = i + 1 == n;
-            let token = self
-                .transfer(rpc, Delivery::Write { target }, payload, None, last)
-                .await?;
-            tokens.push(token);
-        }
-        Ok(tokens)
+        let wqe = |(target, payload)| (Delivery::Write { target }, payload);
+        self.post_batch(POST_ONESIDED, items, |(_, p)| p, wqe).await
     }
 
     /// Doorbell-batched sends: one post for all WQEs, messages pipelined
     /// on the wire, a single coalesced RC ACK. Each message still pays
     /// its per-message receiver costs (recv-WQE fetch, delivery).
     pub async fn send_batch(&self, payloads: Vec<Payload>) -> RdmaResult<Vec<PersistToken>> {
-        if payloads.is_empty() {
+        let wqe = |payload| (Delivery::Send, payload);
+        self.post_batch(POST_TWOSIDED, payloads, |p| p, wqe).await
+    }
+
+    /// The doorbell batch both batched verbs post: every item's MTU
+    /// checked first, one post of `post` plus the per-extra-WQE cost, then
+    /// each item's `wqe` transferred in order, the last carrying the
+    /// coalesced ACK.
+    async fn post_batch<T>(
+        &self,
+        post: SimDuration,
+        items: Vec<T>,
+        payload: impl Fn(&T) -> &Payload,
+        wqe: impl Fn(T) -> (Delivery, Payload),
+    ) -> RdmaResult<Vec<PersistToken>> {
+        if items.is_empty() {
             return Ok(Vec::new());
         }
-        for p in &payloads {
-            self.check_mtu(p.len())?;
+        for item in &items {
+            self.check_mtu(payload(item).len())?;
         }
         let rpc = self.take_tag();
-        let k = payloads.len() as u64;
-        self.post_cost(rpc, POST_TWOSIDED + POST_BATCHED_EXTRA * (k - 1))
+        let n = items.len();
+        self.post_cost(rpc, post + POST_BATCHED_EXTRA * (n as u64 - 1))
             .await;
-        let mut tokens = Vec::with_capacity(payloads.len());
-        let n = payloads.len();
-        for (i, payload) in payloads.into_iter().enumerate() {
+        let mut tokens = Vec::with_capacity(n);
+        for (i, item) in items.into_iter().enumerate() {
+            let (delivery, payload) = wqe(item);
             let last = i + 1 == n;
-            tokens.push(
-                self.transfer(rpc, Delivery::Send, payload, None, last)
-                    .await?,
-            );
+            tokens.push(self.transfer(rpc, delivery, payload, None, last).await?);
         }
         Ok(tokens)
     }
@@ -518,16 +512,6 @@ impl Qp {
     /// Non-blocking CQ poll.
     pub fn try_recv(&self) -> Option<RecvCompletion> {
         self.inner.local_ep.completions.borrow_mut().pop_front()
-    }
-
-    async fn transfer_and_ack(
-        &self,
-        rpc: u64,
-        delivery: Delivery,
-        payload: Payload,
-        imm: Option<u32>,
-    ) -> RdmaResult<PersistToken> {
-        self.transfer(rpc, delivery, payload, imm, true).await
     }
 
     /// The shared wire path: local NIC -> link -> remote NIC -> SRAM, then

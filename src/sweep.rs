@@ -75,14 +75,15 @@ pub fn config(kind: DurableKind) -> DurableConfig {
     }
 }
 
-/// What serves the traffic. Server nodes come first; client nodes
-/// follow them.
+/// What serves the traffic. Server nodes come first; the one client
+/// node follows them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Shape {
     /// One server (node 0): a `build_fleet` of 1 shard × 1 replica.
     Single,
     /// A `build_fleet` of 2 shards × 1 replica (server nodes 0 and 1),
-    /// with a second client that commits 2-put transactions.
+    /// whose client also commits 2-put transactions: puts and
+    /// transaction records share each shard's connection.
     Sharded,
     /// 2 shards × 2 replicas: each server node hosts one shard's primary
     /// and the other's backup.
@@ -106,13 +107,6 @@ impl Shape {
             Shape::Single => 1,
             _ => 2,
         }
-    }
-
-    /// Client nodes: the put streams' and, on [`Shape::Sharded`], the
-    /// transactions'. A durable connection carries one outstanding op, so
-    /// the two never share one.
-    fn clients(self) -> usize {
-        1 + (self == Shape::Sharded) as usize
     }
 
     fn spec(self) -> FleetSpec {
@@ -294,35 +288,34 @@ pub fn run(point: Point) -> Run {
 }
 
 /// Run `point` under `seed`: one put-then-get stream per shard, paced to
-/// span an outage, plus a stream of [`TXNS`] 2-put transactions from a
-/// second client on [`Shape::Sharded`]; then drain the simulation.
+/// span an outage, plus a stream of [`TXNS`] 2-put transactions through
+/// the same client on [`Shape::Sharded`]; then drain the simulation.
 pub fn run_seeded(point: Point, seed: u64) -> Run {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
     let shards = point.shape.servers();
-    let mut ccfg = ClusterConfig::with_servers(shards, point.shape.clients());
+    let mut ccfg = ClusterConfig::with_servers(shards, 1);
     ccfg.journal = true;
     let cluster = Cluster::new(h.clone(), ccfg);
     let cfg = config(point.kind);
     let inj = cluster.inject_faults(point.plan());
-    let nodes: Vec<usize> = (shards..shards + point.shape.clients()).collect();
     let map = ShardMap::new(shards);
-    let mut fleet = build_fleet(&cluster, map, &nodes, &cfg, point.shape.spec());
+    let mut fleet = build_fleet(&cluster, map, &[shards], &cfg, point.shape.spec());
     fleet.wire_recovery(&inj);
-    let mut clients = std::mem::take(&mut fleet.clients).into_iter().map(Rc::new);
-    let client: Rc<dyn RpcClient> = clients.next().expect("a client");
-    let txns = clients.next();
+    let client = Rc::new(fleet.clients.pop().expect("a client"));
     let ops = Rc::new(Ops(h.clone(), RefCell::default()));
     let put_stream = |s| {
         h.spawn(stream(
-            Rc::clone(&client),
+            Rc::clone(&client) as Rc<dyn RpcClient>,
             Rc::clone(&ops),
             shards as u64,
             s,
         ))
     };
     let mut streams: Vec<_> = (0..shards as u64).map(put_stream).collect();
-    streams.extend(txns.map(|c| h.spawn(txn_stream(c, Rc::clone(&ops)))));
+    if point.shape == Shape::Sharded {
+        streams.push(h.spawn(txn_stream(client, Rc::clone(&ops))));
+    }
     sim.block_on(async move {
         for s in streams {
             s.await;

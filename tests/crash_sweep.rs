@@ -6,12 +6,12 @@
 //!
 //! Each row strikes the first boundary at or after [`MID_STREAM_NS`], so
 //! it is a point of the sweep, and passes [`Run::check`] before its own
-//! assertions.
+//! assertions; a row that pins another point says why.
 
 use std::time::Instant;
 
 use prdma_bench::runner::{par_level, par_map};
-use prdma_suite::core::DurableKind;
+use prdma_suite::core::{DurableKind, OpCode};
 use prdma_suite::simnet::journal::{ids, EventKind};
 use prdma_suite::simnet::metrics::Key;
 use prdma_suite::sweep::{self, Fault, Op, OpKind, Point, Run, Shape, DOWN, TXNS};
@@ -200,6 +200,61 @@ fn log_ids_decode_to_the_server_that_holds_the_log() {
             "{kind:?}: server 1 recovered no log: {seen:?}"
         );
     }
+}
+
+/// The 2-shard shape runs its put streams and its transactions through
+/// one client, so each shard's one log lane carries puts and `TxnPrepare`
+/// records alike: the sweep covers connections that puts and
+/// transactions share. The point after the loop is pinned: it is the
+/// first W-RFlush point that a connection without its persist permit
+/// fails (DESIGN.md §10, mutation (iv)), a node crash 1.7 µs in where an
+/// earlier entry's persist-ACK fired the waiter of a transaction record
+/// whose entry the crash had aborted. With the permit
+/// the ops queue, so it is no longer a boundary, but it still lands
+/// while both streams are on the connection.
+#[test]
+fn puts_and_txn_prepares_share_a_log_lane() {
+    for kind in DurableKind::ALL {
+        let clean = Point {
+            shape: Shape::Sharded,
+            kind,
+            fault: Fault::Clean,
+            node: 0,
+            at_ns: 0,
+        };
+        let r = row(clean);
+        let records = r.cluster.journal_records();
+        for shard in 0..2 {
+            let appends: Vec<u64> = records
+                .iter()
+                .filter(|rec| rec.kind == EventKind::LogAppend)
+                .map(|rec| rec.rpc_id)
+                .filter(|&id| ids::server_of(id) == shard as u32)
+                .collect();
+            let lanes: Vec<u64> = appends.iter().map(|&id| ids::lane_of(id)).collect();
+            assert!(
+                lanes.windows(2).all(|w| w[0] == w[1]),
+                "{kind:?} shard {shard}: appends on lanes {lanes:?}"
+            );
+            // The clean run never wraps a ring: every index still holds
+            // what was appended there.
+            let log = r.fleet().servers[shard][0].log();
+            let opcode = |id| log.read_header(ids::index_of(id)).map(|h| h.op.opcode);
+            for want in [OpCode::Put, OpCode::TxnPrepare] {
+                assert!(
+                    appends.iter().any(|&id| opcode(id) == Some(want)),
+                    "{kind:?} shard {shard}: no {want:?} on the lane"
+                );
+            }
+        }
+    }
+    row(Point {
+        shape: Shape::Sharded,
+        kind: DurableKind::WRFlush,
+        fault: Fault::NodeCrash,
+        node: 0,
+        at_ns: 1676,
+    });
 }
 
 /// A service crash: the restarted service's scan requeues what was

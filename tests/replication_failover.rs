@@ -1,8 +1,9 @@
 //! Primary–backup fan-out: retried puts apply exactly once
 //! (causal-id dedup), a fan-out round never abandons a replica's
-//! outcome, and journals stay byte-deterministic for the same seed +
-//! plan across crash, promotion, replay and catch-up. Failover under a
-//! crash is a row of the crash-point sweep (`tests/crash_sweep.rs`).
+//! outcome, catch-up shares a rejoined replica's connection with live
+//! legs, and journals stay byte-deterministic for the same seed + plan
+//! across crash, promotion, replay and catch-up. Failover under a crash
+//! is a row of the crash-point sweep (`tests/crash_sweep.rs`).
 
 use prdma_suite::core::{
     build_durable, build_replicated, DurableConfig, DurableKind, Request, RpcClient,
@@ -10,6 +11,7 @@ use prdma_suite::core::{
 use prdma_suite::node::{Cluster, ClusterConfig};
 use prdma_suite::rnic::Payload;
 use prdma_suite::simnet::fault::{FaultKind, FaultPlan};
+use prdma_suite::simnet::metrics::Key;
 use prdma_suite::simnet::{journal, Sim, SimDuration, SimTime};
 use prdma_suite::sweep;
 
@@ -109,6 +111,74 @@ fn fan_out_reports_every_replica_and_leaves_no_orphans() {
     assert!(!view.is_up(1), "the failed replica must be marked down");
     assert_eq!(view.epoch(), 0, "backup loss must not change the primary");
     assert_eq!(logged_after[0], 1, "exactly the one put on the primary");
+}
+
+/// A rejoined backup's catch-up re-sends the puts it missed on the same
+/// connection the live fan-out uses. That connection persists one op at a
+/// time, so a catch-up put queues behind a live leg (and a live leg behind
+/// a catch-up put) instead of taking its persist-ACK waiter: under both
+/// receiver-initiated kinds every missed put reaches the backup's
+/// persistent PM, and no op on the backup's connection — live leg or
+/// catch-up put — fails an attempt after the rejoin.
+#[test]
+fn catch_up_and_live_legs_share_the_rejoined_replicas_connection() {
+    const MISSED: u64 = 8;
+    const LIVE: u64 = 8;
+    let tagged = |obj: u64| Payload::from_bytes(vec![obj as u8 + 1; VAL]);
+    for kind in [DurableKind::WRFlush, DurableKind::SRFlush] {
+        let mut sim = Sim::new(0xCA7C);
+        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(2, 1));
+        let (client, group) = build_replicated(&cluster, 2, &[0, 1], sweep::config(kind));
+        let backup = cluster.node(1).clone();
+        let retries = Key::new("rpc_retries").shard(1).kind(kind.name());
+        let client_metrics = cluster.node(2).metrics.clone();
+        let h = sim.handle();
+        let g = group.clone();
+        let (live_legs, retried) = sim.block_on(async move {
+            // The backup is down: these ACK on the primary alone, and the
+            // backup is owed them.
+            backup.crash();
+            for obj in 0..MISSED {
+                let put = Request::Put {
+                    obj,
+                    data: tagged(obj),
+                };
+                client.call(put).await.expect("the primary ACKs");
+            }
+            backup.restart();
+            let down_for = SimDuration::ZERO;
+            g.recover(1, FaultKind::NodeCrash { down_for });
+            let before = client_metrics.counter(retries);
+            // The catch-up now runs in the background; fan out beside it.
+            let mut live_legs = Vec::new();
+            for obj in MISSED..MISSED + LIVE {
+                let outcomes = client.put_once(obj, tagged(obj)).await;
+                live_legs.extend(outcomes.into_iter().filter(|o| o.replica == 1));
+            }
+            h.sleep(SimDuration::from_millis(5)).await;
+            (live_legs, client_metrics.counter(retries) - before)
+        });
+        assert_eq!(live_legs.len() as u64, LIVE, "{kind:?}");
+        for leg in &live_legs {
+            assert!(
+                leg.result.is_ok(),
+                "{kind:?}: a live leg to the backup failed: {:?}",
+                leg.result
+            );
+        }
+        assert_eq!(
+            retried, 0,
+            "{kind:?}: ops on the backup's connection retried"
+        );
+        let store = group.servers[1].store();
+        for obj in 0..MISSED + LIVE {
+            assert_eq!(
+                store.persistent_bytes(obj, VAL as u64),
+                vec![obj as u8 + 1; VAL],
+                "{kind:?}: put {obj} is not in the rejoined backup's PM"
+            );
+        }
+    }
 }
 
 /// Same seed + same plan ⇒ byte-identical journal across crash,
