@@ -201,7 +201,7 @@ pub fn abl_ddio(_scale: Scale) -> Vec<Table> {
                 // The client believes the data durable NOW. Read the
                 // persistence domain: would these bytes survive a
                 // power failure at this instant?
-                let data_addr = log.layout().slot_addr(i) + prdma::log::ENTRY_HEADER;
+                let data_addr = log.layout().value_addr(i, prdma::OpCode::Put);
                 if pm.read_persistent_view(data_addr, 512) != vec![i as u8 + 1; 512] {
                     violations += 1;
                 }

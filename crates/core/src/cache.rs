@@ -63,9 +63,6 @@ pub struct CacheConfig {
     /// GETs observed on a key before its first fill (1 = cache on first
     /// miss; higher values keep one-hit wonders out).
     pub hot_threshold: u64,
-    /// Consecutive validated hits before a key is promoted to the
-    /// one-sided mirror tier.
-    pub mirror_threshold: u64,
     /// Invalidations on a key before it is demoted back to the durable
     /// RPC tier (write-churned keys stop being cached).
     pub churn_demote: u32,
@@ -78,7 +75,6 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: 1024,
             hot_threshold: 2,
-            mirror_threshold: 8,
             churn_demote: 2,
             mirror: true,
         }
@@ -553,10 +549,15 @@ impl CachedClient {
         Ok(resp)
     }
 
+    /// Consecutive validated hits before a key is promoted to the
+    /// one-sided mirror tier.
+    const MIRROR_THRESHOLD: u64 = 8;
+
     /// A validated hit makes the entry (if it survived the serving await)
-    /// most recently used and extends the key's stability streak; a long
-    /// enough streak publishes the key into the server mirror and
-    /// promotes it to the one-sided tier.
+    /// most recently used and extends the key's stability streak; a
+    /// streak of [`MIRROR_THRESHOLD`](Self::MIRROR_THRESHOLD) publishes
+    /// the key into the server mirror and promotes it to the one-sided
+    /// tier.
     fn note_hit(&self, id: u32, obj: u64, len: u64) {
         self.metrics.hits.incr(1);
         let mut records = self.records.borrow_mut();
@@ -567,7 +568,7 @@ impl CachedClient {
             return;
         };
         if ks.tier == Tier::Cached
-            && ks.streak >= self.cfg.mirror_threshold
+            && ks.streak >= Self::MIRROR_THRESHOLD
             && len <= mirror.value_capacity()
             && mirror.publish(obj, self.lease.epoch(obj)).is_some()
         {

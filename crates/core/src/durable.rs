@@ -44,9 +44,8 @@ use prdma_simnet::{channel, OneshotPool, OneshotSender, Receiver, Semaphore, Sen
 use crate::cache::LeaseState;
 use crate::flush::{FlushImpl, FlushOps};
 use crate::log::{
-    align8, entry_data_part, entry_index_from_image, LogCursor, LogEntry, LogLayout, OpCode,
-    RedoLog, RemoteLogWriter, RpcOperator, ENTRY_FOOTER, ENTRY_HEADER, LOG_HEADER_BYTES,
-    REPL_ID_BYTES,
+    entry_data_part, entry_index_from_image, tagged, untagged, LogCursor, LogEntry, LogLayout,
+    OpCode, RedoLog, RemoteLogWriter, RpcOperator,
 };
 use crate::rpc::{
     Request, Response, RetryPolicy, RpcAppendFuture, RpcClient, RpcError, RpcFuture, RpcResult,
@@ -109,7 +108,8 @@ pub struct DurableConfig {
     pub profile: ServerProfile,
     /// Log ring slots.
     pub log_slots: u64,
-    /// Max payload bytes per log entry.
+    /// Largest value a put carries. The log adds the causal tag's
+    /// headroom to every slot, so a tagged put of this size fits too.
     pub slot_payload: u64,
     /// Object-store slot size.
     pub object_slot: u64,
@@ -273,11 +273,10 @@ impl Entry {
         }
     }
 
-    /// A put logged as [`OpCode::RPut`]: causal id `id` prefixed to the
-    /// payload for apply-time dedup.
+    /// A put logged as [`OpCode::RPut`]: tagged with causal id `id` for
+    /// apply-time dedup.
     fn rput(obj: u64, data: Payload, id: u64, link: Option<u64>) -> Self {
-        let tagged = Payload::composite_of([Payload::from_slice(&id.to_le_bytes()), data]);
-        Entry::new(OpCode::RPut, obj, tagged, Some(obj), link)
+        Entry::new(OpCode::RPut, obj, tagged(id, data), Some(obj), link)
     }
 }
 
@@ -404,16 +403,9 @@ pub(crate) fn build_connection(
     server.tracer().set_role(Role::Receiver);
 
     // Log region: one ring per connection (paper: per-connection log with
-    // connection info in the header). Every ring reserves REPL_ID_BYTES
-    // of headroom beyond the configured payload so causal-id-prefixed
-    // entries (RPut, batched puts) fit a full `slot_payload`-sized value.
-    let slot_size = align8(cfg.slot_payload + REPL_ID_BYTES) + ENTRY_HEADER + ENTRY_FOOTER;
-    let log_bytes = LOG_HEADER_BYTES + cfg.log_slots * slot_size;
-    let log_region = server
-        .alloc
-        .alloc(&format!("log-{lane}"), log_bytes, 64)
-        .expect("PM too small for log region");
-    let layout = LogLayout::new(log_region, slot_size);
+    // connection info in the header), sized for tagged values.
+    let log_name = format!("log-{lane}");
+    let layout = LogLayout::alloc(&server.alloc, &log_name, cfg.log_slots, cfg.slot_payload);
 
     // Object store: one region per name, shared across lanes.
     let store = ObjectStore::open(
@@ -759,22 +751,6 @@ impl DurableServer {
     }
 }
 
-/// A replicated put's body: its work item's payload minus the causal id
-/// prefix. An arrival carries [`Entry::rput`]'s `[id, body]` as built, so
-/// the body is shared, and a synthetic one stays timing-only; a recovery
-/// requeue carries the logged bytes, which are copied.
-fn without_repl_id(data: &Payload) -> Payload {
-    match data {
-        Payload::Composite(parts) if parts.len() == 2 && parts[0].len() == REPL_ID_BYTES => {
-            parts[1].clone()
-        }
-        Payload::Inline(bytes) => {
-            Payload::from_slice(bytes.get(REPL_ID_BYTES as usize..).unwrap_or_default())
-        }
-        other => Payload::synthetic(other.len().saturating_sub(REPL_ID_BYTES), 0),
-    }
-}
-
 impl ServerCtx {
     /// Post a full window of recv WQEs on `log_qp` at the log slots from
     /// index `from` on, and point the recv loop's re-arm cursor past it.
@@ -828,9 +804,7 @@ impl ServerCtx {
             // RFlush: ensure durability, then ACK persistence immediately.
             if !durable_on_arrival {
                 // DDIO routed it into the LLC: flush the entry range.
-                let layout = self.log.layout();
-                let addr = layout.slot_addr(index);
-                let len = ENTRY_HEADER + align8(data.len()) + ENTRY_FOOTER;
+                let (addr, len) = self.log.layout().entry_extent(index, data.len());
                 if self.node.pm.is_persisted(addr, len) {
                     // Synthetic payload path: charge the flush time.
                     self.node.pm.simulate_clflush_time(len).await;
@@ -884,45 +858,33 @@ impl ServerCtx {
         if header.done {
             return;
         }
-        // A put's data travelled with the work item; only the operators
-        // that decode their logged payload copy it out of PM.
-        let payload = match header.op.opcode {
-            OpCode::Put | OpCode::RPut => Vec::new(),
-            OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort => {
-                log.read_payload(&header)
-            }
-        };
-        let entry = header.with_payload(payload);
         self.node.cpu.dispatch_thread().await;
-        if matches!(
-            entry.op.opcode,
-            OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort
-        ) {
-            crate::txn::process_txn_entry(&self.node, log, &self.store, self.txn.as_ref(), &entry)
-                .await;
-            return;
-        }
-        // Apply: the operator comes from the log entry, the data travelled
-        // with the work item.
-        let mut body = data;
-        if entry.op.opcode == OpCode::RPut {
-            // Replicated put: the payload's first REPL_ID_BYTES are the
-            // causal put id, the only part read back from PM. A retry
-            // after a partial replication failure re-appends the same id;
-            // only the first apply hits the store (exactly-once apply
-            // under at-least-once append).
-            let mut id = [0u8; REPL_ID_BYTES as usize];
-            let at = log.layout().slot_addr(index) + ENTRY_HEADER;
-            self.node.pm.copy_volatile_view(at, &mut id);
-            if !log.note_applied(u64::from_le_bytes(id)) {
-                self.puts_deduped.set(self.puts_deduped.get() + 1);
-                let _ = log.mark_done(index).await;
+        // Apply: the operator comes from the log entry, a put's data
+        // travelled with the work item; only the operators that decode
+        // their logged payload copy it out of PM.
+        let body = match header.op.opcode {
+            OpCode::Put => data,
+            OpCode::RPut => {
+                // Tagged put: the causal tag is the only part read back
+                // from PM. A retry after a partial replication failure
+                // re-appends the same tag; only the first apply hits the
+                // store (exactly-once apply under at-least-once append).
+                if !log.note_applied(log.tag_of(index)) {
+                    self.puts_deduped.set(self.puts_deduped.get() + 1);
+                    let _ = log.mark_done(index).await;
+                    return;
+                }
+                untagged(&data)
+            }
+            OpCode::TxnPrepare | OpCode::TxnDecide | OpCode::TxnCommit | OpCode::TxnAbort => {
+                let entry = header.with_payload(log.read_payload(&header));
+                let txn = self.txn.as_ref();
+                crate::txn::process_txn_entry(&self.node, log, &self.store, txn, &entry).await;
                 return;
             }
-            body = without_repl_id(&body);
-        }
+        };
         self.inject_processing().await;
-        let _ = self.store.put(entry.op.obj_id, &body).await;
+        let _ = self.store.put(header.op.obj_id, &body).await;
         let _ = log.mark_done(index).await;
     }
 
@@ -1305,6 +1267,33 @@ mod tests {
         }
     }
 
+    /// A value of exactly `slot_payload` bytes still fits its slot once
+    /// tagged: a batch of such puts, each logged as an `RPut` under its
+    /// batch tag, ACKs and lands byte-exact under every kind.
+    #[test]
+    fn batched_puts_of_the_largest_value_fit_their_slots() {
+        const SLOT_PAYLOAD: usize = 4096; // `setup`'s
+        let value = |obj: u64| vec![0x50 + obj as u8; SLOT_PAYLOAD];
+        for kind in DurableKind::ALL {
+            let mut sim = Sim::new(19);
+            let (client, server, _cluster) = setup(&sim, kind, ServerProfile::light());
+            let store = server.store().clone();
+            sim.block_on(async move {
+                let put = |obj| Request::Put {
+                    obj,
+                    data: Payload::from_bytes(value(obj)),
+                };
+                let resps = client.call_batch((0..3).map(put).collect()).await.unwrap();
+                assert!(resps.iter().all(|r| r.durable), "{kind:?}");
+            });
+            sim.run();
+            for obj in 0..3 {
+                let got = store.persistent_bytes(obj, SLOT_PAYLOAD as u64);
+                assert_eq!(got, value(obj), "{kind:?} obj {obj}");
+            }
+        }
+    }
+
     #[test]
     fn get_returns_requested_length() {
         for kind in [DurableKind::WFlush, DurableKind::SFlush] {
@@ -1574,7 +1563,7 @@ mod tests {
         let mut sim = Sim::new(33);
         let (client, server, cluster) = rput_setup(&sim);
         let node = cluster.node(0).clone();
-        let body = server.log().layout().slot_addr(0) + ENTRY_HEADER + REPL_ID_BYTES;
+        let body = server.log().layout().value_addr(0, OpCode::RPut);
         node.pm.commit_persistent(body, b"logged bytes").unwrap();
         let (store, server) = (server.store().clone(), Rc::new(server));
         let srv = Rc::clone(&server);

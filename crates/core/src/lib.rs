@@ -64,8 +64,7 @@ pub use cache::{CacheConfig, CachedClient, LeaseState};
 pub use durable::{build_durable, DurableClient, DurableConfig, DurableKind, DurableServer};
 pub use flush::{FlushImpl, FlushOps};
 pub use log::{
-    encode_entry, entry_data_part, LogCursor, LogEntry, LogLayout, OpCode, RedoLog,
-    RemoteLogWriter, RpcOperator,
+    encode_entry, LogCursor, LogEntry, LogLayout, OpCode, RedoLog, RemoteLogWriter, RpcOperator,
 };
 pub use replication::{
     build_replicated, GroupView, ReplicaGroup, ReplicaOutcome, ReplicatedClient,

@@ -8,43 +8,52 @@
 //! is the paper's "data is always persisted before the RPC operator"
 //! invariant, realized by DMA write ordering within one transfer.
 //!
-//! Entry layout within a slot (all little-endian u64 fields):
+//! # The slot format
 //!
-//! ```text
-//! +0   seq          global slot index (monotonic across ring laps)
-//! +8   opcode       RPC operator
-//! +16  obj_id       operand
-//! +24  payload_len
-//! +32  state        0 = pending (written by client), 1 = done (server)
-//! +40  payload      payload_len bytes
-//! +pad commit       COMMIT_MAGIC ^ seq  — written last
-//! ```
+//! This module is the format's one home: it sizes every ring, builds and
+//! parses every entry image, and builds, reads and strips every causal
+//! tag. No other module adds a header, tag or footer size to an address
+//! or a length; they ask [`LogLayout`] for a slot, an entry's extent or
+//! a value's address. All fields are little-endian `u64`s.
 //!
-//! The 64-byte log header at the start of the region holds the persistent
-//! head pointer; recovery scans forward from it, accepting entries whose
-//! commit word matches their expected global index, and returns those not
-//! yet marked done — in FIFO order, preserving the paper's ordering
-//! guarantee for concurrent RPCs.
+//! | where | bytes | field | written by, when |
+//! |---|---|---|---|
+//! | region +0 | 8 | persisted head index | server CPU store + `clflush` in [`RedoLog::mark_done`], once the head is the persist interval past its last persisted value |
+//! | region +8 | 56 | unused | — |
+//! | slot +0 | 8 | `seq`: global index (monotonic across laps) | the client's RDMA write or send (DMA), as part of the entry image |
+//! | slot +8 | 8 | opcode | DMA |
+//! | slot +16 | 8 | `obj_id`, the operand | DMA |
+//! | slot +24 | 8 | `payload_len`: the tag (if any) plus the value | DMA |
+//! | slot +32 | 8 | state: 0 pending, 1 done | DMA writes 0; the server CPU stores 1 in [`RedoLog::mark_done`], unflushed |
+//! | slot +40 | 8 | causal tag, on [`OpCode::RPut`] entries only | DMA |
+//! | after the tag | value | the value | DMA |
+//! | after the value | 0–7 | zero padding to an 8-byte boundary | DMA |
+//! | slot +40 + `payload_len` rounded up to 8 | 8 | commit word, `seq` xor a fixed magic | DMA, last |
+//!
+//! The 64-byte region header holds the persistent head; recovery scans
+//! forward from it, accepting entries whose commit word matches their
+//! expected global index, and returns those not yet marked done — in
+//! FIFO order, preserving the paper's ordering guarantee for concurrent
+//! RPCs. Every ring's slot holds a tagged value of the configured
+//! largest size (`LogLayout::alloc`), so a plain put and a tagged one
+//! of the same value both fit.
 //!
 //! # Who reads payload bytes
 //!
-//! Validity, the operator and `done` are all in the 40-byte header and
-//! the commit word, so [`RedoLog::read_header`] answers them from 48
-//! bytes whatever the entry's size — a synthetic 64 KB body is 64 KB of
-//! zeros in PM, and copying it out to learn `done` cost two 64 KB
-//! allocations per put. The per-put paths use the header alone: the
-//! arrival check (`ServerCtx::handle_arrival`) and the worker's dispatch
-//! of a plain `Put` (`process_entry`), whose data travels with the work
-//! item. Payload bytes are copied only by the callers that decode them:
-//! `process_entry` for `RPut` (the causal id prefix) and the four `Txn*`
-//! records, recovery ([`RedoLog::recover`], [`RedoLog::scan_pending`] —
-//! the replayed entry *is* its payload), and [`RedoLog::find_in_ring`]
-//! for the decided record it returns.
+//! Validity, the operator and `done` sit in the header and the commit
+//! word, so [`RedoLog::read_header`] answers them from 48 bytes whatever
+//! the entry's size. The per-put paths read the header alone: the arrival
+//! check (`ServerCtx::handle_arrival`) and the worker's dispatch of a
+//! plain `Put` (`process_entry`), whose data travels with the work item.
+//! Payload bytes are read only where they are decoded: a tagged put's tag
+//! (`RedoLog::tag_of`), the four `Txn*` records, the recovery scans
+//! (the replayed entry *is* its payload) and the decided record
+//! [`RedoLog::find_in_ring`] returns.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use prdma_pmem::{PmDevice, PmRegion};
+use prdma_pmem::{DaxAllocator, PmDevice, PmRegion};
 use prdma_rnic::{MemTarget, Payload, PersistToken, Qp, RdmaResult};
 use prdma_simnet::journal::ids::Ids;
 use prdma_simnet::journal::{EventKind, Subsystem, NO_ID};
@@ -55,16 +64,19 @@ use prdma_simnet::SimDuration;
 use crate::flush::FlushOps;
 
 /// Commit-word magic; an entry is valid iff `commit == COMMIT_MAGIC ^ seq`.
-pub const COMMIT_MAGIC: u64 = 0x5052_444D_414C_4F47; // "PRDMALOG"
+const COMMIT_MAGIC: u64 = 0x5052_444D_414C_4F47; // "PRDMALOG"
 
 /// Bytes reserved at the start of the log region for the header.
-pub const LOG_HEADER_BYTES: u64 = 64;
+const LOG_HEADER_BYTES: u64 = 64;
 
 /// Fixed per-entry header bytes (seq..state).
-pub const ENTRY_HEADER: u64 = 40;
+const ENTRY_HEADER: u64 = 40;
 
 /// Commit word size.
-pub const ENTRY_FOOTER: u64 = 8;
+const ENTRY_FOOTER: u64 = 8;
+
+/// Bytes of the causal tag that prefixes a tagged entry's value.
+const TAG_BYTES: u64 = 8;
 
 const STATE_PENDING: u64 = 0;
 const STATE_DONE: u64 = 1;
@@ -78,9 +90,10 @@ const THROTTLE_BACKOFF: SimDuration = SimDuration::from_micros(20);
 pub enum OpCode {
     /// Store an object.
     Put,
-    /// A replicated put: the payload's first [`REPL_ID_BYTES`] bytes are
-    /// a little-endian causal put id shared by every replica of the same
-    /// logical put, used to deduplicate retry re-appends at apply time.
+    /// A tagged put: the payload is an 8-byte causal tag, shared by every
+    /// re-append of the same logical put (every replica's leg, every
+    /// retry of a batch), then the value; the tag deduplicates retry
+    /// re-appends at apply time.
     RPut,
     /// A transaction's prepare record at one participant shard: the
     /// payload encodes the coordinator shard and the participant's write
@@ -125,9 +138,6 @@ impl OpCode {
     }
 }
 
-/// Bytes of causal put id prefixed to every [`OpCode::RPut`] payload.
-pub const REPL_ID_BYTES: u64 = 8;
-
 /// The logged RPC operator: opcode + operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RpcOperator {
@@ -141,26 +151,25 @@ pub struct RpcOperator {
 #[derive(Debug, Clone, Copy)]
 pub struct LogLayout {
     /// The backing PM region (header + slots).
-    pub region: PmRegion,
+    region: PmRegion,
     /// Slot size in bytes (must hold header + max payload + footer).
-    pub slot_size: u64,
+    slot_size: u64,
     /// Number of slots.
     pub slots: u64,
 }
 
 impl LogLayout {
-    /// Carve a layout out of `region` with the given slot size.
+    /// Allocate region `name` from `alloc` for a ring of `slots` slots,
+    /// each holding a tagged value of up to `max_value` bytes.
     ///
     /// # Panics
-    /// Panics if the region cannot hold the header and at least two slots.
-    pub fn new(region: PmRegion, slot_size: u64) -> Self {
-        assert!(
-            slot_size >= ENTRY_HEADER + ENTRY_FOOTER + 8,
-            "slot too small"
-        );
-        assert_eq!(slot_size % 8, 0, "slot size must be 8-byte aligned");
-        let slots = (region.len - LOG_HEADER_BYTES) / slot_size;
-        assert!(slots >= 2, "log region too small for 2 slots");
+    /// Panics if the PM cannot hold the region, or `slots` is below two.
+    pub(crate) fn alloc(alloc: &DaxAllocator, name: &str, slots: u64, max_value: u64) -> Self {
+        assert!(slots >= 2, "a log ring needs at least 2 slots");
+        let slot_size = align8(TAG_BYTES + max_value) + ENTRY_HEADER + ENTRY_FOOTER;
+        let region = alloc
+            .alloc(name, LOG_HEADER_BYTES + slots * slot_size, 64)
+            .expect("PM too small for log region");
         LogLayout {
             region,
             slot_size,
@@ -169,7 +178,7 @@ impl LogLayout {
     }
 
     /// Largest payload an entry can carry.
-    pub fn max_payload(&self) -> u64 {
+    fn max_payload(&self) -> u64 {
         self.slot_size - ENTRY_HEADER - ENTRY_FOOTER
     }
 
@@ -178,21 +187,55 @@ impl LogLayout {
         self.region.offset + LOG_HEADER_BYTES + (index % self.slots) * self.slot_size
     }
 
+    /// Device address of the payload (tag, then value) of entry `index`.
+    fn payload_addr(&self, index: u64) -> u64 {
+        self.slot_addr(index) + ENTRY_HEADER
+    }
+
+    /// Device address of the value of entry `index`, logged as `opcode`:
+    /// past the tag of a tagged entry.
+    pub fn value_addr(&self, index: u64, opcode: OpCode) -> u64 {
+        self.payload_addr(index) + if opcode == OpCode::RPut { TAG_BYTES } else { 0 }
+    }
+
     /// Offset of the commit word within a slot, for a given payload size.
-    pub fn commit_offset(payload_len: u64) -> u64 {
+    fn commit_offset(payload_len: u64) -> u64 {
         ENTRY_HEADER + align8(payload_len)
     }
 
-    /// Device address of the last byte the DMA writes for this entry —
-    /// the flush probe target.
-    pub fn probe_addr(&self, index: u64, payload_len: u64) -> u64 {
-        self.slot_addr(index) + Self::commit_offset(payload_len) + ENTRY_FOOTER - 1
+    /// `(address, length)` of the bytes the DMA writes for entry `index`
+    /// with a `payload_len`-byte payload: header through commit word.
+    pub(crate) fn entry_extent(&self, index: u64, payload_len: u64) -> (u64, u64) {
+        let len = Self::commit_offset(payload_len) + ENTRY_FOOTER;
+        (self.slot_addr(index), len)
     }
 }
 
 #[inline]
-pub(crate) fn align8(v: u64) -> u64 {
+fn align8(v: u64) -> u64 {
     (v + 7) & !7
+}
+
+/// The payload of a tagged entry ([`OpCode::RPut`]): causal tag `tag`,
+/// then `value`. The value is shared, not copied.
+pub(crate) fn tagged(tag: u64, value: Payload) -> Payload {
+    Payload::composite_of([Payload::from_slice(&tag.to_le_bytes()), value])
+}
+
+/// A tagged payload's value, without its tag. An arrival carries
+/// [`tagged`]'s `[tag, value]` as built, so the value is shared, and a
+/// synthetic one stays timing-only; a recovery requeue carries the logged
+/// bytes, which are copied.
+pub(crate) fn untagged(payload: &Payload) -> Payload {
+    match payload {
+        Payload::Composite(parts) if parts.len() == 2 && parts[0].len() == TAG_BYTES => {
+            parts[1].clone()
+        }
+        Payload::Inline(bytes) => {
+            Payload::from_slice(bytes.get(TAG_BYTES as usize..).unwrap_or_default())
+        }
+        other => Payload::synthetic(other.len().saturating_sub(TAG_BYTES), 0),
+    }
 }
 
 /// Serialize a log entry as a DMA image: real header/footer bytes wrapped
@@ -241,7 +284,7 @@ pub fn entry_index_from_image(image: &Payload) -> Option<u64> {
 /// Extract the data part from an entry image produced by [`encode_entry`]
 /// (header, data, footer) — used by arrival handlers that need the payload
 /// without re-reading PM.
-pub fn entry_data_part(image: &Payload) -> Payload {
+pub(crate) fn entry_data_part(image: &Payload) -> Payload {
     match image {
         Payload::Composite(parts) if parts.len() == 3 => parts[1].clone(),
         other => other.clone(),
@@ -465,7 +508,7 @@ impl RedoLog {
     pub(crate) fn scan_ring(&self) -> Vec<LogEntry> {
         let mut out = Vec::new();
         for slot in 0..self.layout.slots {
-            let addr = self.layout.region.offset + LOG_HEADER_BYTES + slot * self.layout.slot_size;
+            let addr = self.layout.slot_addr(slot);
             let seq = u64_at(&self.pm.read_persistent_view(addr, 8), 0);
             if seq % self.layout.slots != slot {
                 continue;
@@ -492,15 +535,9 @@ impl RedoLog {
         &self.cursor
     }
 
-    /// Read a committed entry at `index` from the CPU's view of PM.
-    /// Returns `None` if the slot does not hold a valid entry for `index`.
-    pub fn read_entry(&self, index: u64) -> Option<LogEntry> {
-        self.read_entry_from(index, false)
-    }
-
     /// The header of the committed entry at `index` in the CPU's view of
-    /// PM — valid exactly when [`read_entry`](RedoLog::read_entry) is, at
-    /// the cost of 48 bytes read whatever the payload size.
+    /// PM (`None` unless the slot holds a valid entry for `index`), at the
+    /// cost of 48 bytes read whatever the payload size.
     pub fn read_header(&self, index: u64) -> Option<EntryHeader> {
         self.read_header_from(index, false)
     }
@@ -510,8 +547,17 @@ impl RedoLog {
         self.read_payload_from(header, false)
     }
 
+    /// The causal tag of tagged entry `index`, from the CPU's view of PM:
+    /// the only bytes of its payload a replicated put's apply reads back.
+    pub(crate) fn tag_of(&self, index: u64) -> u64 {
+        let mut tag = [0u8; TAG_BYTES as usize];
+        let addr = self.layout.payload_addr(index);
+        self.pm.copy_volatile_view(addr, &mut tag);
+        u64::from_le_bytes(tag)
+    }
+
     fn read_payload_from(&self, header: &EntryHeader, persistent_only: bool) -> Vec<u8> {
-        let addr = self.layout.slot_addr(header.index) + ENTRY_HEADER;
+        let addr = self.layout.payload_addr(header.index);
         if persistent_only {
             self.pm.read_persistent_view(addr, header.payload_len)
         } else {
@@ -560,9 +606,9 @@ impl RedoLog {
         Some(header.with_payload(payload))
     }
 
-    /// [`read_entry`](RedoLog::read_entry) as it was before the header
-    /// and the payload were read apart: the reference
-    /// [`read_header`](RedoLog::read_header) is tested against.
+    /// `read_entry_from` as it was before the header and the payload were
+    /// read apart: the reference [`read_header`](RedoLog::read_header) is
+    /// tested against.
     #[cfg(test)]
     fn read_entry_reference(&self, index: u64, persistent_only: bool) -> Option<LogEntry> {
         let addr = self.layout.slot_addr(index);
@@ -663,31 +709,20 @@ impl RedoLog {
         // state): its tail is how far the client had appended, which bounds
         // the slots the scan can fail to reach.
         let appended_tail = self.cursor.tail().max(head);
-        let mut pending = Vec::new();
-        let mut idx = head;
-        while let Some(entry) = self.read_entry_from(idx, true) {
-            if !entry.done {
-                self.jot(
-                    Subsystem::Recovery,
-                    EventKind::RecoveryReplay,
-                    idx,
-                    entry.payload.len() as u64,
-                );
-                pending.push(entry);
-            }
-            idx += 1;
-            if idx - head >= self.layout.slots {
-                break; // full lap: everything seen
-            }
+        // A full lap from the head sees everything.
+        let (pending, end) = self.scan(head, head + self.layout.slots, true);
+        for e in &pending {
+            let replay = EventKind::RecoveryReplay;
+            self.jot(Subsystem::Recovery, replay, e.index, e.payload.len() as u64);
         }
         // Slots appended beyond the first invalid entry did not survive
         // the crash (torn or still in volatile buffers): report them lost
         // so the auditor can account for every append.
-        for lost in idx..appended_tail {
+        for lost in end..appended_tail {
             self.jot(Subsystem::Recovery, EventKind::RecoveryLost, lost, 0);
         }
         // Rebuild volatile cursors: tail = first invalid index.
-        self.cursor.reset(head, idx);
+        self.cursor.reset(head, end);
         self.persisted_head.set(head);
         self.done_window.iter().for_each(|word| word.set(0));
         pending
@@ -707,21 +742,7 @@ impl RedoLog {
     /// volatile loss, not a live log — does not apply) carrying the number
     /// of entries to replay.
     pub fn scan_pending(&self) -> Vec<LogEntry> {
-        let head = self.cursor.head();
-        let tail = self.cursor.tail();
-        let mut pending = Vec::new();
-        let mut idx = head;
-        while idx < tail {
-            match self.read_entry(idx) {
-                Some(entry) => {
-                    if !entry.done {
-                        pending.push(entry);
-                    }
-                    idx += 1;
-                }
-                None => break,
-            }
-        }
+        let (pending, _) = self.scan(self.cursor.head(), self.cursor.tail(), false);
         self.pm.journal().record(
             Subsystem::Recovery,
             EventKind::RecoveryStart,
@@ -730,6 +751,21 @@ impl RedoLog {
             pending.len() as u64,
         );
         pending
+    }
+
+    /// The one scan both recoveries run: walk the valid entries from
+    /// `from` up to (not including) `until`, in the persistent view or the
+    /// CPU's, and stop at the first invalid slot. Returns the un-done
+    /// entries in FIFO order and the index the walk stopped at.
+    fn scan(&self, from: u64, until: u64, persistent_only: bool) -> (Vec<LogEntry>, u64) {
+        let mut end = from;
+        let pending = (from..until)
+            .map_while(|idx| self.read_header_from(idx, persistent_only))
+            .inspect(|_| end += 1)
+            .filter(|header| !header.done)
+            .map(|header| header.with_payload(self.read_payload_from(&header, persistent_only)))
+            .collect();
+        (pending, end)
     }
 }
 
@@ -855,9 +891,12 @@ impl RemoteLogWriter {
     }
 
     fn receipt(&self, index: u64, len: u64, token: PersistToken) -> Appended {
+        // The probe is the last byte the DMA writes: the commit word's.
+        let (addr, len) = self.layout.entry_extent(index, len);
+        let probe = MemTarget::Pm(addr + len - 1);
         Appended {
             index,
-            probe: MemTarget::Pm(self.layout.probe_addr(index, len)),
+            probe,
             token,
         }
     }
@@ -918,6 +957,10 @@ impl RemoteLogWriter {
     }
 }
 
+/// The largest value of the test rings, whose slots are 1 KiB.
+#[cfg(test)]
+const TEST_VALUE: u64 = 1024 - ENTRY_HEADER - TAG_BYTES - ENTRY_FOOTER;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,11 +973,7 @@ mod tests {
     fn fixture(sim: &Sim) -> (RemoteLogWriter, RedoLog, Cluster) {
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
         let server = cluster.node(0);
-        let region = server
-            .alloc
-            .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
-            .unwrap();
-        let layout = LogLayout::new(region, 1024);
+        let layout = LogLayout::alloc(&server.alloc, "log", 8, TEST_VALUE);
         let cursor = LogCursor::new();
         let (qc, _qs) = cluster.connect(1, 0, QpMode::Rc);
         let writer = RemoteLogWriter::new(
@@ -965,7 +1004,7 @@ mod tests {
             let data = Payload::from_bytes(b"hello log".to_vec());
             let a = writer.append_write(put(7), &data).await.unwrap();
             writer.flush().wflush(a.probe).await.unwrap();
-            let e = log.read_entry(a.index).expect("entry valid");
+            let e = log.read_entry_from(a.index, false).expect("entry valid");
             assert_eq!(e.op, put(7));
             assert_eq!(e.payload, b"hello log");
             assert!(!e.done);
@@ -1100,11 +1139,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
         let server = cluster.node(0);
-        let region = server
-            .alloc
-            .alloc("log", LOG_HEADER_BYTES + 64 * 1024, 64)
-            .unwrap();
-        let layout = LogLayout::new(region, 1024);
+        let layout = LogLayout::alloc(&server.alloc, "log", 64, TEST_VALUE);
         let cursor = LogCursor::new();
         let (qc, _qs) = cluster.connect(1, 0, QpMode::Rc);
         let writer = RemoteLogWriter::new(
@@ -1194,11 +1229,7 @@ mod torn_entry_tests {
         let sim = Sim::new(73);
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(1));
         let server = cluster.node(0);
-        let region = server
-            .alloc
-            .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
-            .unwrap();
-        let layout = LogLayout::new(region, 1024);
+        let layout = LogLayout::alloc(&server.alloc, "log", 8, TEST_VALUE);
         let slots = layout.slots;
         let log = RedoLog::new(
             server.pm.clone(),
@@ -1276,11 +1307,7 @@ mod torn_entry_tests {
         let mut sim = Sim::new(71);
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(1));
         let server = cluster.node(0);
-        let region = server
-            .alloc
-            .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
-            .unwrap();
-        let layout = LogLayout::new(region, 1024);
+        let layout = LogLayout::alloc(&server.alloc, "log", 8, TEST_VALUE);
         let log = RedoLog::new(
             server.pm.clone(),
             layout,
@@ -1356,11 +1383,7 @@ mod torn_entry_tests {
         let mut sim = Sim::new(72);
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(1));
         let server = cluster.node(0);
-        let region = server
-            .alloc
-            .alloc("log", LOG_HEADER_BYTES + 8 * 1024, 64)
-            .unwrap();
-        let layout = LogLayout::new(region, 1024);
+        let layout = LogLayout::alloc(&server.alloc, "log", 8, TEST_VALUE);
         let slots = layout.slots;
         let log = RedoLog::new(
             server.pm.clone(),

@@ -43,7 +43,6 @@ use prdma_simnet::{JoinHandle, SimHandle};
 use crate::durable::{
     build_connection, DurableClient, DurableConfig, DurableKind, DurableServer, ShardTables,
 };
-use crate::log::REPL_ID_BYTES;
 use crate::rpc::{Request, Response, RetryPolicy, RpcClient, RpcError, RpcFuture, RpcResult};
 
 /// Most replicas a group may have: replica sets are `u64` bitmasks.
@@ -272,8 +271,6 @@ pub(crate) fn build_replicated_group(
 ) -> (ReplicatedClient, ReplicaGroup) {
     assert!(!server_idxs.is_empty(), "need at least one replica");
     let mut sub_cfg = cfg.clone();
-    // Make room for the causal put id prefixed to every RPut payload.
-    sub_cfg.slot_payload = cfg.slot_payload + REPL_ID_BYTES;
     // Probe policy: one quick retry per round; the ReplicatedClient's
     // outer loop owns the ride-out budget.
     sub_cfg.retry = RetryPolicy {
@@ -548,6 +545,7 @@ impl RpcClient for ReplicatedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::untagged;
     use crate::rpc::ServerProfile;
     use prdma_node::ClusterConfig;
     use prdma_simnet::Sim;
@@ -589,12 +587,37 @@ mod tests {
         for (i, log) in logs.iter().enumerate() {
             let pending = log.recover();
             assert_eq!(pending.len(), 1, "replica {i}");
-            // RPut payload = 8-byte causal id, then the object bytes.
+            // RPut payload = the causal tag, then the object bytes.
+            let logged = Payload::from_bytes(pending[0].payload.clone());
             assert_eq!(
-                &pending[0].payload[REPL_ID_BYTES as usize..],
-                b"replicated",
+                untagged(&logged).bytes(),
+                Some(&b"replicated"[..]),
                 "replica {i}"
             );
+        }
+    }
+
+    /// A put of exactly `slot_payload` bytes fits every replica's slot
+    /// with its causal tag: the one headroom every ring reserves is
+    /// enough.
+    #[test]
+    fn largest_value_put_lands_on_every_replica() {
+        for kind in DurableKind::ALL {
+            let mut sim = Sim::new(79);
+            let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(3));
+            let cfg = DurableConfig { kind, ..cfg() };
+            let value = vec![0x5A; cfg.slot_payload as usize];
+            let (client, group) = build_replicated(&cluster, 2, &[0, 1], cfg.clone());
+            let data = Payload::from_bytes(value.clone());
+            sim.block_on(async move {
+                let r = client.call(Request::Put { obj: 4, data }).await.unwrap();
+                assert!(r.durable, "{kind:?}");
+            });
+            sim.run();
+            for (i, server) in group.servers.iter().enumerate() {
+                let got = server.store().persistent_bytes(4, cfg.slot_payload);
+                assert_eq!(got, value, "{kind:?} replica {i}");
+            }
         }
     }
 

@@ -887,7 +887,6 @@ mod tests {
         };
         let cache = CacheConfig {
             hot_threshold: 1,
-            mirror_threshold: 2,
             mirror: true,
             ..Default::default()
         };
@@ -901,9 +900,9 @@ mod tests {
         sim.block_on(async move {
             let data = Payload::synthetic(256, 7);
             client.call(Request::Put { obj: 7, data }).await.unwrap();
-            // Miss + fill, then enough validated hits to cross
-            // `mirror_threshold` and publish the key.
-            for _ in 0..6 {
+            // Miss + fill, then exactly the mirror threshold's 8
+            // validated hits, which publish the key.
+            for _ in 0..9 {
                 let r = client
                     .call(Request::Get { obj: 7, len: 256 })
                     .await

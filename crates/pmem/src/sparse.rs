@@ -370,18 +370,18 @@ mod tests {
 
     #[test]
     fn a_log_ring_materialises_its_headers_and_commit_words_only() {
-        // The redo-log shape: 512 slots of 1 088 B after the ring's 64 B
+        // The redo-log shape: 512 slots of 1 080 B after the ring's 64 B
         // header; per slot a 40 B entry header, its 8 B done mark and an
         // 8 B commit word at a payload-dependent offset.
         const SLOTS: u64 = 512;
-        const SLOT: u64 = 1088;
+        const SLOT: u64 = 1080;
         let mut s = SparseBytes::new(1 << 20);
         let base = 64;
         for i in 0..SLOTS {
             let slot = base + i * SLOT;
             s.write(slot, &[0xAB; 40]);
             s.write(slot + 32, &[0xCD; 8]);
-            let commit = 40 + [64, 520, 1040][i as usize % 3];
+            let commit = 40 + [64, 520, 1032][i as usize % 3];
             s.write(slot + commit, &i.to_le_bytes());
         }
         let lines = s.materialised_lines() as u64;

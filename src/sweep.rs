@@ -12,6 +12,9 @@
 //! - every ACKed put is in the owning shard's persistent PM, on every
 //!   live replica;
 //! - every op completes;
+//! - nothing is re-sent once the struck node has recovered: every log
+//!   append and RPC the client starts from then on completes
+//!   (`Run::resent_after_recovery`);
 //! - every transaction is applied on both shards, and none is left in
 //!   doubt;
 //! - the journal auditor (I1–I6) passes;
@@ -425,6 +428,36 @@ impl Run {
         live.map(|(_, s)| s.store()).collect()
     }
 
+    /// The rpc id (the lowest) of a client attempt that started at or after
+    /// the struck node's recovery point (its restart record, or its
+    /// `SramLoss`, whose NIC reset runs at once) and never completed: it
+    /// was given up on and its op re-sent with no fault on its path. An
+    /// attempt starts at its `LogAppend`, or at its `RpcDispatch` if it
+    /// appends nothing, and completes at its `RpcComplete` (DESIGN.md §10).
+    fn resent_after_recovery(&self, records: &[journal::Record]) -> Option<u64> {
+        use journal::EventKind::*;
+        let (node, client) = (self.point.node as u32, self.point.shape.servers() as u32);
+        let recovery = [NodeRestart, ServiceRestart, SramLoss];
+        let recovered = records
+            .iter()
+            .find(|r| r.node == node && recovery.contains(&r.kind));
+        let from = recovered?.ts_ns;
+        // Open attempts by start time. A log index a crash rewound starts
+        // a new attempt when it is appended again.
+        let mut open = BTreeMap::new();
+        for r in records.iter().filter(|r| r.node == client) {
+            let _ = match r.kind {
+                LogAppend => open.insert(r.rpc_id, r.ts_ns),
+                RpcDispatch => Some(*open.entry(r.rpc_id).or_insert(r.ts_ns)),
+                RpcComplete => open.remove(&r.rpc_id),
+                _ => None,
+            };
+        }
+        open.into_iter()
+            .find(|&(_, started)| started >= from)
+            .map(|(id, _)| id)
+    }
+
     /// The per-point check (module docs). The error names the point and
     /// how to replay it.
     pub fn check(&self) -> Result<(), String> {
@@ -435,7 +468,8 @@ impl Run {
                 self.seed
             ))
         };
-        let report = self.cluster.audit_journal();
+        let records = self.cluster.journal_records();
+        let report = journal::audit(&records);
         if !report.ok() {
             return fail(format!("audit failed: {report}"));
         }
@@ -463,6 +497,9 @@ impl Run {
         if let Some(first) = self.ops.iter().find(|op| !op.ok) {
             let failed = self.ops.iter().filter(|op| !op.ok).count();
             return fail(format!("{failed} ops failed, first {first:?}"));
+        }
+        if let Some(rpc) = self.resent_after_recovery(&records) {
+            return fail(format!("rpc {rpc:#x}, started after recovery, was re-sent"));
         }
         let committed = self.ops.iter().filter(|op| op.what == OpKind::Txn).count() as u64;
         for (shard, state) in self.fleet.states.iter().enumerate() {

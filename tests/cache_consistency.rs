@@ -149,7 +149,6 @@ fn eviction_run(seed: u64) -> String {
     let cache = CacheConfig {
         capacity: EVICT_CAPACITY,
         hot_threshold: 1,
-        mirror_threshold: 3,
         ..Default::default()
     };
     let (mut sim, cluster, client, lease) = cached_world(seed, cache);
