@@ -11,11 +11,10 @@
 //! which attribute the slowest 1% of requests to exact phases and name
 //! the straggling replica.
 //!
-//! Ticks are bucketed to at most 24 dashboard rows; pass `--dashboard`
-//! for full per-tick resolution. The raw
-//! artifacts (`fig_obs_metrics.jsonl`, `fig_obs_tail.txt`) are written
-//! to the output directory unconditionally — both are byte-deterministic
-//! for a given seed.
+//! Ticks are bucketed to at most 24 dashboard rows; every tick is in
+//! the raw artifacts (`fig_obs_metrics.jsonl`, `fig_obs_tail.txt`),
+//! written to the output directory unconditionally — both are
+//! byte-deterministic for a given seed.
 
 use std::collections::BTreeMap;
 
@@ -32,12 +31,6 @@ use prdma_workloads::micro::{run_micro_fleet, MicroConfig};
 
 use crate::report::{output_dir, us, Table};
 use crate::runner::Scale;
-
-/// Full per-tick dashboard resolution: `--dashboard` after `--`.
-/// Default caps the fleet table at 24 rows.
-fn dashboard_full() -> bool {
-    std::env::args().any(|a| a == "--dashboard")
-}
 
 struct ObsRun {
     snapshots: Vec<Snapshot>,
@@ -117,11 +110,15 @@ fn obs_run(scale: Scale) -> ObsRun {
     }
 }
 
+/// Most rows of the fleet dashboard.
+const DASHBOARD_ROWS: usize = 24;
+
 /// Fold the fleet snapshot stream into per-interval rows: counter
 /// *deltas* summed across nodes, latest gauge values summed across
 /// nodes, and the interval's worst windowed put-latency p99. Buckets
-/// group consecutive ticks so the table never exceeds `max_rows`.
-fn fleet_table(snaps: &[Snapshot], max_rows: usize) -> Table {
+/// group consecutive ticks so the table never exceeds
+/// [`DASHBOARD_ROWS`].
+fn fleet_table(snaps: &[Snapshot]) -> Table {
     let mut t = Table::new(
         "fig_obs_fleet",
         "Fleet dashboard: per-interval counter deltas, gauges, put p99",
@@ -149,7 +146,7 @@ fn fleet_table(snaps: &[Snapshot], max_rows: usize) -> Table {
     if ticks.is_empty() {
         return t;
     }
-    let per_bucket = ticks.len().div_ceil(max_rows.max(1)).max(1);
+    let per_bucket = ticks.len().div_ceil(DASHBOARD_ROWS);
     let mut prev: BTreeMap<(u32, Key), u64> = BTreeMap::new();
     let mut latest_gauge: BTreeMap<(u32, Key), i64> = BTreeMap::new();
     let mut next = 0usize; // index into snaps
@@ -239,9 +236,8 @@ pub fn fig_obs(scale: Scale) -> Vec<Table> {
     let _ = std::fs::write(&mp, &run.metrics_jsonl);
     let _ = std::fs::write(&tp, run.tail.render());
     println!("   (saved {} and {})", mp.display(), tp.display());
-    let max_rows = if dashboard_full() { usize::MAX } else { 24 };
     vec![
-        fleet_table(&run.snapshots, max_rows),
+        fleet_table(&run.snapshots),
         tail_table(&run.tail, run.trees),
     ]
 }

@@ -25,7 +25,7 @@
 //! | `fig19_batching` | Fig. 19 (batch sizes 1/4/8) |
 //! | `fig20_breakdown` | Fig. 20 (sender SW / RTT / receiver SW) |
 //! | `fig_scaleout` | beyond the paper: throughput/p99 vs. 1–8 shards |
-//! | `fig_obs` | fleet metrics dashboard, tail critical-path attribution, overhead gate |
+//! | `fig_obs` | fleet metrics dashboard, tail critical-path attribution |
 //! | `fig_txn` | durable 2PC transactions: commit p50/p99 + abort rate vs shards × skew |
 //! | `table2_summary` | Table 2 (qualitative summary, measured) |
 //! | `ablations` | DESIGN.md ablations (flush impl, DDIO, threshold) |
@@ -35,8 +35,8 @@
 //! collected in input order, so every table, CSV, and journal artifact
 //! is byte-identical to a serial run). `PRDMA_PAR=<n>` caps the worker
 //! count; `PRDMA_PAR=1` restores the serial runner, and journaled runs
-//! are always serial. The switches `--journal` and `--dashboard` go after
-//! `--` on the bench command line.
+//! are always serial. The switches `--journal` and (Fig. 12 only)
+//! `--in-sim` go after `--` on the bench command line.
 
 #![warn(missing_docs)]
 

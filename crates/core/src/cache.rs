@@ -13,13 +13,13 @@
 //!    epoch can never return bytes newer than the last flush-ACKed put —
 //!    auditor invariant I5 checks exactly this ordering in the journal.
 //! 2. **A one-sided mirror fast path**. Keys that stay hot and stable are
-//!    published into a server DRAM [`MirrorRegion`](crate::store::MirrorRegion)
+//!    published into a server DRAM [`MirrorRegion`]
 //!    (an 8-byte epoch header plus the object bytes); the client then
 //!    serves GETs with a single RDMA READ (`Qp::read_mirror`) and
 //!    validates the header against its lease — no server CPU at all.
 //!
 //! A per-key hotness/stability tracker promotes keys durable-RPC GET →
-//! cached → one-sided READ ([`Tier`]) and demotes them back on
+//! cached → one-sided READ (`Tier`) and demotes them back on
 //! invalidation churn. Writes and cold keys always take the durable RPC
 //! path unchanged.
 //!
@@ -332,7 +332,7 @@ struct CacheMetrics {
 /// An [`RpcClient`] decorator adding the lease cache and the adaptive
 /// one-sided fast path in front of any durable client (a per-shard
 /// `DurableClient` or a `ReplicatedClient`). Writes, scans, and cold keys
-/// pass straight through; hot keys climb the [`Tier`] ladder.
+/// pass straight through; hot keys climb the tier ladder.
 pub struct CachedClient {
     inner: Box<dyn RpcClient>,
     lease: LeaseState,

@@ -66,16 +66,14 @@ pub use flush::{FlushImpl, FlushOps};
 pub use log::{
     encode_entry, LogCursor, LogEntry, LogLayout, OpCode, RedoLog, RemoteLogWriter, RpcOperator,
 };
-pub use replication::{
-    build_replicated, GroupView, ReplicaGroup, ReplicaOutcome, ReplicatedClient,
-};
+pub use replication::{build_replicated, GroupView, ReplicaGroup, ReplicatedClient};
 pub use rpc::{
     Request, Response, RetryPolicy, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult,
     ServerProfile,
 };
 pub use shard::{
     build_fleet, build_replicated_sharded, build_sharded_durable_cached, Fleet, FleetSpec,
-    ShardBatchOutcome, ShardFailure, ShardMap, ShardedClient,
+    ShardMap, ShardedClient,
 };
 pub use span::{build_span_trees, tail_report, Attribution, Span, SpanTree, TailEntry, TailReport};
 pub use store::{MirrorRegion, ObjectStore};

@@ -169,8 +169,8 @@ impl GroupState {
     }
 }
 
-/// Read-only view of a replica group's promotion state, used by sharded
-/// routing to expose which epoch/primary each shard is on.
+/// Read-only view of a replica group's promotion state: a cache in front
+/// of the group revokes its leases when the epoch moves.
 #[derive(Clone)]
 pub struct GroupView {
     state: Rc<GroupState>,
@@ -191,16 +191,6 @@ impl GroupView {
     pub fn is_up(&self, slot: usize) -> bool {
         self.state.is_up(slot)
     }
-}
-
-/// Outcome of one replica's durable sub-put within a fan-out round.
-pub struct ReplicaOutcome {
-    /// Replica slot within the group.
-    pub replica: usize,
-    /// The replica's node index.
-    pub node: usize,
-    /// The sub-put's result.
-    pub result: RpcResult<()>,
 }
 
 /// A client replicating durable puts to a primary–backup group.
@@ -378,27 +368,21 @@ impl ReplicaGroup {
 }
 
 impl ReplicatedClient {
-    /// This client's promotion-state view.
-    pub fn view(&self) -> GroupView {
-        GroupView {
-            state: Rc::clone(&self.state),
-        }
-    }
-
     /// One fan-out round of `put_tagged(obj, data, id)` to every replica
     /// slot in `targets` (a bitmask), spawned concurrently and **all
     /// joined**, both in ascending slot order — no outcome is abandoned,
     /// so when this returns no spawned leg is still mutating a store. A
     /// failed leg marks its replica down (promoting if it was the
-    /// primary); `done` then sees the outcome.
+    /// primary) and leaves its error in `last_err`. Returns the slots
+    /// that ACKed, as a bitmask.
     async fn fan_out(
         &self,
         obj: u64,
         data: &Payload,
         id: u64,
         targets: u64,
-        mut done: impl FnMut(usize, RpcResult<()>),
-    ) {
+        last_err: &mut RpcError,
+    ) -> u64 {
         let mut joins: [Option<JoinHandle<RpcResult<()>>>; MAX_REPLICAS] =
             [const { None }; MAX_REPLICAS];
         for slot in slots(targets) {
@@ -406,30 +390,17 @@ impl ReplicatedClient {
             let leg = async move { replica.put_tagged(obj, data, id).await.map(|_| ()) };
             joins[slot] = Some(self.handle.spawn(leg));
         }
+        let mut ok = 0u64;
         for slot in slots(targets) {
-            let result = joins[slot].take().expect("spawned above").await;
-            if result.is_err() {
-                self.state.mark_down(slot);
+            match joins[slot].take().expect("spawned above").await {
+                Ok(()) => ok |= 1 << slot,
+                Err(e) => {
+                    self.state.mark_down(slot);
+                    *last_err = e;
+                }
             }
-            done(slot, result);
         }
-    }
-
-    /// A single fan-out round to every replica, returning the structured
-    /// per-replica outcomes (tests and diagnostics; [`RpcClient::call`]
-    /// wraps this in the full ride-out/ACK protocol instead).
-    pub async fn put_once(&self, obj: u64, data: Payload) -> Vec<ReplicaOutcome> {
-        let id = self.state.alloc_put_id();
-        let mut outcomes = Vec::with_capacity(self.replicas.len());
-        let done = |replica, result| {
-            outcomes.push(ReplicaOutcome {
-                replica,
-                node: self.state.nodes[replica],
-                result,
-            })
-        };
-        self.fan_out(obj, &data, id, self.state.all(), done).await;
-        outcomes
+        ok
     }
 
     async fn put_all(&self, obj: u64, data: Payload) -> RpcResult<Response> {
@@ -453,12 +424,7 @@ impl ReplicatedClient {
             if targets == 0 {
                 targets = all & !acked;
             }
-            let mut ok = 0u64;
-            let done = |slot: usize, result: RpcResult<()>| match result {
-                Ok(()) => ok |= 1 << slot,
-                Err(e) => last_err = e,
-            };
-            self.fan_out(obj, &data, id, targets, done).await;
+            let ok = self.fan_out(obj, &data, id, targets, &mut last_err).await;
             acked |= ok;
             for slot in slots(ok) {
                 // One replica's PM holds the entry durably.

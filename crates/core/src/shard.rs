@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use crate::cache::{CacheConfig, CachedClient, LeaseState};
 use crate::durable::{build_connection, DurableConfig, DurableServer, ShardTables};
-use crate::replication::{build_replicated_group, GroupView, ReplicaGroup};
-use crate::rpc::{Request, Response, RpcBatchFuture, RpcClient, RpcError, RpcFuture, RpcResult};
+use crate::replication::{build_replicated_group, ReplicaGroup};
+use crate::rpc::{Request, Response, RpcClient, RpcFuture, RpcResult};
 use crate::store::{MirrorRegion, MIRROR_SLOTS, MIRROR_SLOT_BYTES};
 use crate::txn::{TxnBook, TxnDirectory, TxnState};
 use prdma_node::{Cluster, FaultInjector, Node};
@@ -93,18 +93,15 @@ impl ShardMap {
 
 /// A client endpoint that routes each request to the owning shard's
 /// underlying [`RpcClient`]. Implements [`RpcClient`] itself, so every
-/// workload driver (micro, YCSB, PageRank) runs sharded unchanged; a
-/// client of an unreplicated [`Fleet`] also runs multi-shard transactions
+/// workload driver (micro, YCSB, PageRank) runs sharded unchanged; its
+/// `call_batch` is the trait's default (one `call` per request, in
+/// order, stopping at the first error). A client of an unreplicated
+/// [`Fleet`] also runs multi-shard transactions
 /// ([`begin`](ShardedClient::begin) / [`commit`](ShardedClient::commit),
 /// in the `txn` module).
 pub struct ShardedClient {
     pub(crate) map: ShardMap,
     pub(crate) shards: Vec<Rc<dyn RpcClient>>,
-    /// Per-shard replica-group views (replicated topologies only):
-    /// routing is promotion-aware — each shard's endpoint fails over
-    /// internally, and these views expose which epoch/primary the
-    /// routing currently targets.
-    views: Vec<GroupView>,
     /// This client's 2PC bookkeeping.
     pub(crate) txn: TxnBook,
 }
@@ -118,108 +115,8 @@ impl ShardedClient {
         ShardedClient {
             map,
             shards: shards.into_iter().map(Rc::from).collect(),
-            views: Vec::new(),
             txn: TxnBook::new(node, 0, &[], &[]),
         }
-    }
-
-    /// The promotion epoch shard `shard`'s routing is on (`None` for
-    /// unreplicated topologies).
-    pub fn shard_epoch(&self, shard: usize) -> Option<u64> {
-        self.views.get(shard).map(GroupView::epoch)
-    }
-
-    /// The node currently serving shard `shard` as primary (`None` for
-    /// unreplicated topologies).
-    pub fn primary_of(&self, shard: usize) -> Option<usize> {
-        self.views.get(shard).map(GroupView::primary_node)
-    }
-
-    /// The shard map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Batched call with structured per-shard outcomes: one shard's
-    /// failure never discards another shard's completed responses (and
-    /// the failed positions are reported, not panicked over). Within a
-    /// shard's sub-batch, puts and gets always go through the shard's
-    /// batched path (doorbell batching, coalesced flushes); only scans —
-    /// which must split across shards — take the per-call path.
-    pub async fn call_batch_outcomes(&self, reqs: Vec<Request>) -> ShardBatchOutcome {
-        // Partition the batch by owning shard (preserving each shard's
-        // sub-order); responses are restored to request order by
-        // position.
-        let mut per_shard: Vec<Vec<(usize, Request)>> =
-            (0..self.map.shards()).map(|_| Vec::new()).collect();
-        let mut total = 0usize;
-        for (pos, req) in reqs.into_iter().enumerate() {
-            total += 1;
-            let routed = match req {
-                Request::Put { obj, data } => {
-                    let (shard, local) = self.map.route(obj);
-                    (shard, Request::Put { obj: local, data })
-                }
-                Request::Get { obj, len } => {
-                    let (shard, local) = self.map.route(obj);
-                    (shard, Request::Get { obj: local, len })
-                }
-                // Scans split across shards; route through `call` on
-                // the shard owning the range start.
-                scan @ Request::Scan { .. } => {
-                    let shard = self.map.shard_of(match scan {
-                        Request::Scan { start, .. } => start,
-                        _ => unreachable!(),
-                    });
-                    (shard, scan)
-                }
-            };
-            per_shard[routed.0].push((pos, routed.1));
-        }
-        let mut out = ShardBatchOutcome {
-            responses: (0..total).map(|_| None).collect(),
-            failures: Vec::new(),
-        };
-        for (shard, items) in per_shard.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            // Scans take the per-call path; everything else stays in the
-            // shard's batched path, even when co-batched with a scan.
-            type Positioned = Vec<(usize, Request)>;
-            let (scans, batched): (Positioned, Positioned) = items
-                .into_iter()
-                .partition(|(_, r)| matches!(r, Request::Scan { .. }));
-            let mut shard_errors: Vec<(RpcError, Vec<usize>)> = Vec::new();
-            if !batched.is_empty() {
-                let (positions, sub): (Vec<usize>, Vec<Request>) = batched.into_iter().unzip();
-                match self.shards[shard].call_batch(sub).await {
-                    Ok(resps) => {
-                        for (pos, resp) in positions.into_iter().zip(resps) {
-                            out.responses[pos] = Some(resp);
-                        }
-                    }
-                    Err(e) => shard_errors.push((e, positions)),
-                }
-            }
-            for (pos, scan) in scans {
-                match self.call(scan).await {
-                    Ok(resp) => out.responses[pos] = Some(resp),
-                    Err(e) => shard_errors.push((e, vec![pos])),
-                }
-            }
-            if let Some((error, _)) = shard_errors.first().cloned() {
-                let mut positions: Vec<usize> =
-                    shard_errors.into_iter().flat_map(|(_, p)| p).collect();
-                positions.sort_unstable();
-                out.failures.push(ShardFailure {
-                    shard,
-                    error,
-                    positions,
-                });
-            }
-        }
-        out
     }
 
     /// Fan a scan across the owning shards; the closed-loop client walks
@@ -262,57 +159,8 @@ impl RpcClient for ShardedClient {
         }
     }
 
-    fn call_batch(&self, reqs: Vec<Request>) -> RpcBatchFuture<'_> {
-        Box::pin(async move { self.call_batch_outcomes(reqs).await.into_result() })
-    }
-
     fn name(&self) -> &'static str {
         self.shards[0].name()
-    }
-}
-
-/// One shard's failure within a batched call: which shard, the error,
-/// and the request positions it covers. The other shards' completed
-/// responses live on in [`ShardBatchOutcome::responses`].
-#[derive(Debug, Clone)]
-pub struct ShardFailure {
-    /// The shard whose sub-batch (or scan) failed.
-    pub shard: usize,
-    /// The first error that shard produced.
-    pub error: RpcError,
-    /// Original batch positions left unanswered by this failure, sorted.
-    pub positions: Vec<usize>,
-}
-
-/// Structured result of [`ShardedClient::call_batch_outcomes`]:
-/// per-position responses (`None` exactly at failed positions) plus one
-/// [`ShardFailure`] per shard that errored.
-#[derive(Debug)]
-pub struct ShardBatchOutcome {
-    /// Response per original request position; `None` where a failure
-    /// left the request unanswered.
-    pub responses: Vec<Option<Response>>,
-    /// One entry per shard that failed, in shard order.
-    pub failures: Vec<ShardFailure>,
-}
-
-impl ShardBatchOutcome {
-    /// `true` when every request was answered.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Collapse into the legacy all-or-nothing result: the complete
-    /// response vector, or the first shard failure's error.
-    pub fn into_result(self) -> RpcResult<Vec<Response>> {
-        if let Some(f) = self.failures.into_iter().next() {
-            return Err(f.error);
-        }
-        Ok(self
-            .responses
-            .into_iter()
-            .map(|r| r.expect("outcome with no failures has every response"))
-            .collect())
     }
 }
 
@@ -421,8 +269,8 @@ fn shard_lease(cluster: &Cluster, shard: usize, cache: Option<&CacheConfig>) -> 
 /// `client_nodes`: every client gets one endpoint — with its own
 /// per-connection redo log(s) — to every shard, built in client-major
 /// order and stacked per `spec`. With `spec.replicas > 1` the endpoint is
-/// a replica group's client and the routers learn each shard's promotion
-/// epoch; call [`Fleet::wire_recovery`] to attach recovery and fast
+/// a replica group's client (a cache in front of it follows the group's
+/// promotion epoch); call [`Fleet::wire_recovery`] to attach recovery and fast
 /// failover to a fault injector. Each shard keeps its own object-store
 /// region (`objects-s<shard>`): a node hosting shard `s`'s primary and
 /// shard `s−1`'s backup never mixes their object spaces. With
@@ -475,7 +323,7 @@ pub fn build_fleet(
     let mut clients = Vec::with_capacity(client_nodes.len());
     for (c, &client_idx) in client_nodes.iter().enumerate() {
         let node = cluster.node(client_idx);
-        let (mut endpoints, mut views) = (Vec::with_capacity(shards), Vec::new());
+        let mut endpoints = Vec::with_capacity(shards);
         for shard in 0..shards {
             // Only a cache's puts revoke: without one, commits alone do.
             let lease = cache.and(leases.get(shard)).cloned();
@@ -499,7 +347,6 @@ pub fn build_fleet(
                     tables,
                 );
                 groups[shard].push(group);
-                views.push(client.view());
                 Box::new(client)
             } else {
                 let tables = ShardTables {
@@ -526,7 +373,7 @@ pub fn build_fleet(
                         node.clone(),
                         shard as u32,
                         mirror_qp,
-                        views.get(shard).cloned(),
+                        groups[shard].last().map(ReplicaGroup::view),
                     )) as Rc<dyn RpcClient>
                 }
             });
@@ -534,7 +381,6 @@ pub fn build_fleet(
         clients.push(ShardedClient {
             map,
             shards: endpoints,
-            views,
             txn: TxnBook::new(node, c, &states, &leases),
         });
     }
@@ -697,11 +543,11 @@ mod tests {
             cache: None,
         };
         let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
-        let client = svc.clients.into_iter().next().unwrap();
-        assert_eq!(client.shard_epoch(0), Some(0));
-        assert_eq!(client.primary_of(0), Some(0));
-        assert_eq!(client.primary_of(1), Some(1));
         let groups = svc.groups;
+        assert_eq!(groups[0][0].view().epoch(), 0);
+        assert_eq!(groups[0][0].view().primary_node(), 0);
+        assert_eq!(groups[1][0].view().primary_node(), 1);
+        let client = svc.clients.into_iter().next().unwrap();
         sim.block_on(async move {
             for obj in 0..8u64 {
                 let data = Payload::from_bytes(vec![0x40 + obj as u8; 64]);
@@ -945,8 +791,8 @@ mod tests {
         };
         let svc = build_fleet(&cluster, ShardMap::new(2), &[2], &cfg, spec);
         let leases = svc.leases.clone();
+        assert_eq!(svc.groups[0][0].view().epoch(), 0);
         let client = svc.clients.into_iter().next().unwrap();
-        assert_eq!(client.shard_epoch(0), Some(0));
         sim.block_on(async move {
             for obj in 0..6u64 {
                 let data = Payload::from_bytes(vec![0x40 + obj as u8; 64]);

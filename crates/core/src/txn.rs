@@ -144,7 +144,7 @@ fn decode_decide(payload: &[u8]) -> Option<DecideRecord> {
 /// and a positive answer the table does not already hold comes only from
 /// the *persistent* view of the coordinator's rings — exactly what a
 /// recovering node can see. The table decides *whether* PM is read, never
-/// what it says: a client marks a txn [`Issued`](Decision::Issued) before
+/// what it says: a client marks a txn `Issued` before
 /// it posts the `TxnDecide` append, so a txn with no entry has no decided
 /// record in any ring and resolves to `None` without a scan. Like the
 /// shared [`LogCursor`](crate::log::LogCursor), the mark is harness-side
