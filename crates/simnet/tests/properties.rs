@@ -137,3 +137,187 @@ fn event_count_deterministic() {
         assert_eq!(run(), run(), "case {case}");
     }
 }
+
+/// One step of a task's script in [`executor_schedule_is_pinned`].
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// `sleep(d)`.
+    Sleep(u64),
+    /// `sleep_until(at)`; an instant already past completes at once.
+    SleepUntil(u64),
+    /// Two sleeps back to back in one task.
+    Chain(u64, u64),
+    /// `yield_now()`.
+    Yield,
+    /// A detached child: sleeps `d`, records, and ends.
+    Spawn(u64),
+    /// A child sleeps `d` and hands a value over a oneshot the parent awaits.
+    Oneshot(u64),
+    /// A request over a channel to the server task, which serves it for
+    /// `d` and replies over a oneshot.
+    Call(u64),
+    /// `timeout(t, sleep(d))`: fires iff `d > t`, a tie at `d == t`.
+    Timeout(u64, u64),
+    /// `timeout(t, sleep(a) then sleep(b))`.
+    TimeoutChain(u64, u64, u64),
+    /// `timeout(t, call(d))`.
+    TimeoutCall(u64, u64),
+}
+
+/// Durations drawn from a small grid so that deadlines of different
+/// tasks, and of a timeout and the sleep inside it, often coincide.
+fn grid(rng: &mut SmallRng) -> u64 {
+    const GRID: [u64; 8] = [0, 0, 1, 50, 100, 250, 500, 1_000];
+    GRID[rng.gen_range(0..GRID.len())]
+}
+
+fn script(rng: &mut SmallRng) -> Vec<Step> {
+    (0..rng.gen_range(4usize..14))
+        .map(|_| match rng.gen_range(0u32..10) {
+            0 => Step::Sleep(grid(rng)),
+            1 => Step::SleepUntil(250 * rng.gen_range(0u64..20)),
+            2 => Step::Chain(grid(rng), grid(rng)),
+            3 => Step::Yield,
+            4 => Step::Spawn(grid(rng)),
+            5 => Step::Oneshot(grid(rng)),
+            6 => Step::Call(grid(rng)),
+            7 => Step::Timeout(grid(rng), grid(rng)),
+            8 => Step::TimeoutChain(grid(rng), grid(rng), grid(rng)),
+            _ => Step::TimeoutCall(grid(rng), grid(rng)),
+        })
+        .collect()
+}
+
+type Log = Rc<RefCell<Vec<(u32, u64)>>>;
+type Request = (u64, prdma_simnet::OneshotSender<()>);
+
+async fn call(tx: &prdma_simnet::Sender<Request>, d: u64) -> Option<()> {
+    let (reply, done) = prdma_simnet::oneshot();
+    tx.send((d, reply)).ok()?;
+    done.await
+}
+
+/// The executor's schedule, pinned on its own: which task resumes at which
+/// virtual instant, in what order, and how many resumptions that took.
+/// Each case mixes spawns, zero and equal-deadline sleeps, chained sleeps,
+/// oneshot and channel hand-offs, timeouts that fire, don't, or tie with
+/// the sleep inside them, and a periodic ticker. Every resumption records
+/// `(task tag, now)`; the FNV-1a of all cases' records, event counts and
+/// final clocks is pinned, so a change to the executor that reorders ties
+/// or adds or drops a resumption fails here even where no whole-stack
+/// input reaches that order.
+#[test]
+fn executor_schedule_is_pinned() {
+    const PINNED: u64 = 0xbe43_d3b3_8669_04db;
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut resumptions = 0usize;
+    for case in 0..32u64 {
+        let mut rng = SmallRng::seed_from_u64(0x5C4E_D000 + case);
+        let mut sim = Sim::new(case);
+        let h = sim.handle();
+        let log: Log = Rc::default();
+        let rec = |log: &Log, tag: u32, h: &prdma_simnet::SimHandle| {
+            log.borrow_mut().push((tag, h.now().as_nanos()));
+        };
+        // The server: one request at a time, served for its duration.
+        let (tx, mut rx) = prdma_simnet::channel::<Request>();
+        {
+            let (h, log) = (h.clone(), Rc::clone(&log));
+            sim.spawn(async move {
+                while let Some((d, reply)) = rx.recv().await {
+                    rec(&log, 200, &h);
+                    h.sleep(SimDuration::from_nanos(d)).await;
+                    rec(&log, 200, &h);
+                    reply.send(());
+                }
+            });
+        }
+        // The ticker: a fixed period, on absolute deadlines.
+        {
+            let (h, log) = (h.clone(), Rc::clone(&log));
+            let period = 250 * rng.gen_range(1u64..5);
+            let ticks = rng.gen_range(1u64..24);
+            sim.spawn(async move {
+                for k in 1..=ticks {
+                    h.sleep_until(prdma_simnet::SimTime::from_nanos(k * period))
+                        .await;
+                    rec(&log, 0, &h);
+                }
+            });
+        }
+        for tag in 1..=rng.gen_range(1u32..7) {
+            let steps = script(&mut rng);
+            let (h, log, tx) = (h.clone(), Rc::clone(&log), tx.clone());
+            sim.spawn(async move {
+                let ns = SimDuration::from_nanos;
+                for step in steps {
+                    match step {
+                        Step::Sleep(d) => h.sleep(ns(d)).await,
+                        Step::SleepUntil(at) => {
+                            h.sleep_until(prdma_simnet::SimTime::from_nanos(at)).await
+                        }
+                        Step::Chain(a, b) => {
+                            h.sleep(ns(a)).await;
+                            rec(&log, tag, &h);
+                            h.sleep(ns(b)).await;
+                        }
+                        Step::Yield => h.yield_now().await,
+                        Step::Spawn(d) => {
+                            let (h, log) = (h.clone(), Rc::clone(&log));
+                            h.clone().spawn(async move {
+                                h.sleep(ns(d)).await;
+                                rec(&log, 100 + tag, &h);
+                            });
+                        }
+                        Step::Oneshot(d) => {
+                            let (give, take) = prdma_simnet::oneshot();
+                            let (h2, log2) = (h.clone(), Rc::clone(&log));
+                            h.spawn(async move {
+                                h2.sleep(ns(d)).await;
+                                rec(&log2, 300 + tag, &h2);
+                                give.send(d);
+                            });
+                            assert_eq!(take.await, Some(d));
+                        }
+                        Step::Call(d) => assert_eq!(call(&tx, d).await, Some(())),
+                        Step::Timeout(t, d) => {
+                            let out = prdma_simnet::timeout(&h, ns(t), h.sleep(ns(d))).await;
+                            log.borrow_mut().push((1_000 + tag, out.is_ok() as u64));
+                        }
+                        Step::TimeoutChain(t, a, b) => {
+                            let chain = async {
+                                h.sleep(ns(a)).await;
+                                rec(&log, 400 + tag, &h);
+                                h.sleep(ns(b)).await;
+                            };
+                            let out = prdma_simnet::timeout(&h, ns(t), chain).await;
+                            log.borrow_mut().push((1_000 + tag, out.is_ok() as u64));
+                        }
+                        Step::TimeoutCall(t, d) => {
+                            let out = prdma_simnet::timeout(&h, ns(t), call(&tx, d)).await;
+                            log.borrow_mut().push((1_000 + tag, out.is_ok() as u64));
+                        }
+                    }
+                    rec(&log, tag, &h);
+                }
+            });
+        }
+        drop(tx);
+        sim.run();
+        let log = log.borrow();
+        resumptions += log.len();
+        for &(tag, now) in log.iter() {
+            eat(tag as u64);
+            eat(now);
+        }
+        eat(sim.events_processed());
+        eat(sim.now().as_nanos());
+    }
+    assert!(resumptions > 1_000, "only {resumptions} records");
+    assert_eq!(fnv, PINNED, "the executor's schedule moved: {fnv:#018x}");
+}
