@@ -45,15 +45,16 @@ impl<F: Future> Future for Timeout<F> {
         // while they can still be polled; `fut` is dropped in place on
         // timeout via Option::take after its last poll.
         let this = unsafe { self.get_unchecked_mut() };
-        if let Some(fut) = this.fut.as_mut() {
-            let fut = unsafe { Pin::new_unchecked(fut) };
-            if let Poll::Ready(v) = fut.poll(cx) {
-                this.fut = None;
-                return Poll::Ready(Ok(v));
-            }
-        } else {
+        let Some(fut) = this.fut.as_mut() else {
             // Already resolved one way; stay terminal.
             return Poll::Pending;
+        };
+        let fut = unsafe { Pin::new_unchecked(fut) };
+        // Bounded by the deadline: no sleep inside the inner future may
+        // complete in place past it.
+        if let Poll::Ready(v) = this.sleep.bound(|| fut.poll(cx)) {
+            this.fut = None;
+            return Poll::Ready(Ok(v));
         }
         let sleep = unsafe { Pin::new_unchecked(&mut this.sleep) };
         if sleep.poll(cx).is_ready() {
@@ -100,6 +101,37 @@ mod tests {
         });
         assert_eq!(out, Err(Elapsed));
         assert_eq!(t.as_nanos(), 5_000);
+    }
+
+    #[test]
+    fn timeout_bounds_a_lone_inner_sleep_at_its_deadline() {
+        // Nothing else is runnable or queued, so each inner sleep would be
+        // the next event: the deadline alone stops it from completing in
+        // place past the timeout.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let h2 = h.clone();
+        let out = sim.block_on(async move {
+            let mut at = Vec::new();
+            for (limit, nap) in [(5, 1_000), (0, 5), (5, 5), (5, 1)] {
+                let start = h2.now();
+                let nap = h2.sleep(SimDuration::from_micros(nap));
+                let r = timeout(&h2, SimDuration::from_micros(limit), nap).await;
+                at.push((r, (h2.now() - start).as_nanos()));
+            }
+            at
+        });
+        assert_eq!(
+            out,
+            [
+                (Err(Elapsed), 5_000),
+                (Err(Elapsed), 0),
+                // A tie: the inner sleep registered first and wins.
+                (Ok(()), 5_000),
+                (Ok(()), 1_000)
+            ]
+        );
+        assert_eq!(sim.live_timers(), 0);
     }
 
     #[test]

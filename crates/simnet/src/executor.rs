@@ -38,11 +38,12 @@
 //!      deadline and `last`), a push appends, and a redistribution is
 //!      stable into buckets that were empty — so timers pop in
 //!      `(deadline, seq)` order, `seq` being the registration count.
-//!   2. *`last == now` whenever task code runs.* Only a live entry
+//!   2. *`last ≤ now` whenever task code runs.* Only a live entry
 //!      becomes `last`, and the run loop sets the clock to it before it
-//!      wakes anything; a cancelled ("stale") entry is dropped when its
-//!      bucket is redistributed, or skipped in `due`, and never advances
-//!      either. So no registration can land below `last`, and a
+//!      wakes anything; an in-place advance (below) moves the clock and
+//!      leaves `last` behind. A cancelled ("stale") entry is dropped when
+//!      its bucket is redistributed, or skipped in `due`, and advances
+//!      neither. So no registration can land below `last`, and a
 //!      cancelled timer still moves nothing.
 //! * **Timer slab and wake-by-id**: the queue holds only `(deadline,
 //!   seq, slot)` index entries; what to wake lives in a free-listed slab
@@ -65,6 +66,18 @@
 //!   advancing the clock) when it surfaces, or swept out earlier once
 //!   stale entries clearly outnumber live ones — every RPC cancels a far
 //!   timeout, and they would otherwise sit in the high buckets for good.
+//! * **In-place advance**: a [`Sleep`] polled under its own task's slot
+//!   waker, not yet registered, with nothing runnable, no cross-thread
+//!   wake pending and every queued entry (live or stale) due strictly
+//!   after its deadline, is the next event. It sets the clock to the
+//!   deadline, counts the event and returns `Ready`: the fire and re-poll
+//!   the run loop would do next, without the `Pending` unwind up the
+//!   task's stack, the timer push and pop, or the descent back down.
+//!   The queue answers in O(1) (`TimerQueue::all_after`). A future that
+//!   races a `Sleep` against other work polls that work inside
+//!   [`Sleep::bound`] and the `Sleep` last, as `timeout` does: a sleep
+//!   inside the work then cannot advance past the deadline, and nothing
+//!   runs after the `Sleep`'s `Pending`.
 //! * **Task cells**: a spawn is one allocation, an `Rc<TaskCell<F>>`
 //!   holding the future beside its join state; the slab keeps it as
 //!   `Rc<dyn Task>`, the [`JoinHandle`] as `Rc<dyn Joinable<T>>`. The
@@ -128,8 +141,9 @@ fn current_tid() -> ThreadId {
 ///   the owner check cannot false-positive after the owner thread exits.
 /// * Accesses on the owner thread are non-reentrant: `push` runs either
 ///   from `poll_task` (after `pop` returned) or from a timer fire, and
-///   neither holds the `&mut` obtained by the other — each method scopes
-///   its `&mut *self.local.get()` to a single non-nested call.
+///   `is_idle` from a [`Sleep`] poll inside `poll_task`; none holds the
+///   reference obtained by another — each method scopes its
+///   `*self.local.get()` to a single non-nested call.
 /// * `remote` entries are drained into `local` (preserving push order)
 ///   at the start of every `pop`, keeping cross-thread wakes FIFO with
 ///   respect to each other. A cross-thread waker cannot be ordered
@@ -192,6 +206,16 @@ impl ReadyQueue {
     #[inline]
     fn remote_pending(&self) -> bool {
         self.remote_pending.load(Ordering::Acquire)
+    }
+
+    /// Whether nothing is runnable: the local queue is empty and no
+    /// cross-thread wake is waiting. Owner-thread only (a [`Sleep`] is
+    /// `!Send`, like the `Sim`).
+    #[inline]
+    fn is_idle(&self) -> bool {
+        debug_assert_eq!(current_tid(), self.owner);
+        // SAFETY: owner-thread access, non-reentrant (see above).
+        unsafe { &*self.local.get() }.is_empty() && !self.remote_pending()
     }
 }
 
@@ -415,6 +439,28 @@ impl TimerQueue {
         self.len
     }
 
+    /// Whether every queued entry, live or stale, is due strictly after
+    /// `at`. O(1): a pending `due` entry is due at `last`, no later than
+    /// any deadline a task can ask for; otherwise the lowest occupied
+    /// bucket `b` holds the earliest entries, none below `((last >> b) +
+    /// 1) << b` (bit `b` set where `last` has it clear), and that bucket
+    /// is scanned only when it holds at most 8 entries. A `false` may be
+    /// conservative, never a `true`.
+    fn all_after(&self, at: u64) -> bool {
+        if self.due_head < self.due.len() {
+            return false;
+        }
+        if self.occupied == 0 {
+            return true;
+        }
+        let b = self.occupied.trailing_zeros();
+        if ((self.last >> b) + 1) << b > at {
+            return true;
+        }
+        let bucket = &self.buckets[b as usize];
+        bucket.len() <= 8 && bucket.iter().all(|e| e.at > at)
+    }
+
     fn push(&mut self, entry: TimerEntry) {
         debug_assert!(entry.at >= self.last, "timer registered in the past");
         self.len += 1;
@@ -552,8 +598,22 @@ struct SimInner {
     timers: RefCell<Timers>,
     /// The task being polled, if any (see [`Polling`]).
     polling: Cell<Option<Polling>>,
+    /// Open [`Sleep::bound`] scopes whose deadline is not queued; while
+    /// any is open, no sleep completes in place.
+    holds: Cell<u32>,
     rng: RefCell<SmallRng>,
     events: Cell<u64>,
+}
+
+impl SimInner {
+    /// Whether `deadline` is the next event: no [`Sleep::bound`] scope
+    /// holds advances off, nothing is runnable, and every queued timer
+    /// entry, live or stale, is due strictly after it.
+    fn next_event_is(&self, deadline: u64) -> bool {
+        self.holds.get() == 0
+            && self.ready.is_idle()
+            && self.timers.borrow().queue.all_after(deadline)
+    }
 }
 
 /// A deterministic discrete-event simulation.
@@ -620,6 +680,7 @@ impl Sim {
                 ready: Arc::new(ReadyQueue::new()),
                 timers: RefCell::new(Timers::new()),
                 polling: Cell::new(None),
+                holds: Cell::new(0),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
             }),
@@ -638,7 +699,9 @@ impl Sim {
         SimTime::from_nanos(self.inner.now.get())
     }
 
-    /// Total task polls executed so far (a determinism fingerprint).
+    /// Task resumptions so far: polls plus in-place advances (a
+    /// determinism fingerprint). An in-place advance counts as the poll
+    /// the run loop would have made at the timer's fire.
     pub fn events_processed(&self) -> u64 {
         self.inner.events.get()
     }
@@ -897,6 +960,15 @@ impl SimHandle {
 /// timer slab immediately (the queue's index entry is dropped when it
 /// surfaces, or compacted away before that), so abandoned timeouts do not
 /// accumulate state or wake their task spuriously at the stale deadline.
+///
+/// Polled under its own task's waker when its deadline is the next event
+/// — nothing runnable, no timer queued at or before it — a `Sleep` sets
+/// the clock to the deadline and completes in place: the step the run
+/// loop would take next. So a future that races a `Sleep` against other
+/// work, as [`timeout`](crate::timeout) does, polls that work inside
+/// [`Sleep::bound`] and the `Sleep` last: a sleep inside the work must not
+/// advance the clock past the deadline, and nothing may run after the
+/// `Sleep`'s `Pending` in the same poll.
 pub struct Sleep {
     handle: SimHandle,
     deadline: u64,
@@ -907,28 +979,57 @@ pub struct Sleep {
     owner: Option<usize>,
 }
 
+impl Sleep {
+    /// Run `f`, a poll of the work this `Sleep` races, so that no sleep
+    /// inside it completes in place past the deadline. While this `Sleep`
+    /// is registered and pending, its queue entry already stops every
+    /// advance at the deadline, and `f` just runs. Otherwise (before its
+    /// first poll, or once the deadline is reached) `f` runs with every
+    /// in-place advance held off: the work's sleeps register, and queue
+    /// ahead of the registration this `Sleep`'s own poll then makes.
+    pub fn bound<R>(&self, f: impl FnOnce() -> R) -> R {
+        let inner = &*self.handle.inner;
+        if self.registered.is_some() && inner.now.get() < self.deadline {
+            return f();
+        }
+        inner.holds.set(inner.holds.get() + 1);
+        let out = f();
+        inner.holds.set(inner.holds.get() - 1);
+        out
+    }
+}
+
 impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.handle.inner.now.get() >= this.deadline {
+        let inner = &*this.handle.inner;
+        if inner.now.get() >= this.deadline {
             // Fired (the slot was freed by the timer fire) or created with
             // a no-op deadline; nothing left to cancel.
             this.registered = None;
             return Poll::Ready(());
         }
         let polled = this.handle.polled_task(cx);
-        if this.registered.is_some() && polled.is_some() && polled == this.owner {
+        match (polled, this.registered) {
             // Re-polled by the task the registration already wakes.
-            return Poll::Pending;
+            (Some(_), Some(_)) if polled == this.owner => return Poll::Pending,
+            // The deadline is the next event: the run loop would fire this
+            // timer next and poll this task straight back to here.
+            (Some(_), None) if inner.next_event_is(this.deadline) => {
+                inner.now.set(this.deadline);
+                inner.events.set(inner.events.get() + 1);
+                return Poll::Ready(());
+            }
+            _ => {}
         }
         this.owner = polled;
         let target = match polled {
             Some(id) => TimerTarget::Task(id),
             None => TimerTarget::Waker(cx.waker().clone()),
         };
-        let mut timers = this.handle.inner.timers.borrow_mut();
+        let mut timers = inner.timers.borrow_mut();
         match this.registered {
             None => this.registered = Some(timers.register(this.deadline, target)),
             // Polled again before the deadline: the timer must wake the
@@ -1257,6 +1358,10 @@ mod tests {
         let mut sim = Sim::new(6);
         let h = sim.handle();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        // An earlier timer keeps every live sleep on the registered path:
+        // alone, each would be the next event and complete in place.
+        let mut earlier = Box::pin(h.sleep(SimDuration::from_micros(1)));
+        assert!(futures_poll_once(&mut earlier).is_pending());
         for i in 0..100u64 {
             let (h2, log2) = (h.clone(), Rc::clone(&log));
             sim.spawn(async move {
@@ -1340,6 +1445,13 @@ mod tests {
         const REPOLLS: usize = 50;
         let mut sim = Sim::new(1);
         let h = sim.handle();
+        // Earlier timers at both deadlines keep both sleeps on the
+        // registered path: alone, each would complete in place.
+        let mut earlier = [2, 7].map(|us| Box::pin(h.sleep(SimDuration::from_micros(us))));
+        for sleep in &mut earlier {
+            assert!(futures_poll_once(sleep).is_pending());
+        }
+        let blockers = earlier.len();
         let foreign = Arc::new(Counting(Default::default()));
         let foreign_waker = Waker::from(Arc::clone(&foreign));
         let live: Rc<Cell<usize>> = Rc::default();
@@ -1371,9 +1483,13 @@ mod tests {
             std::future::pending::<()>().await;
         });
         poll_ready(&mut sim);
-        assert_eq!(sim.live_timers(), 1, "re-polls registered nothing new");
+        assert_eq!(
+            sim.live_timers(),
+            blockers + 1,
+            "re-polls registered nothing new"
+        );
         sim.run();
-        assert_eq!(live.get(), 1);
+        assert_eq!(live.get(), blockers + 1);
         // Polled at spawn and once at the 2 us fire; the 2 + 5 us fire
         // woke the foreign waker, not the task.
         assert_eq!(sim.events_processed(), 2);
@@ -1387,6 +1503,9 @@ mod tests {
         let mut sim = Sim::new(1);
         let h = sim.handle();
         sim.spawn(async move { h.sleep(SimDuration::from_micros(1)).await });
+        // Runnable while the first task polls its sleep, so that sleep
+        // registers instead of completing in place.
+        sim.spawn(async {});
         poll_ready(&mut sim);
         {
             let timers = sim.inner.timers.borrow();
@@ -1395,6 +1514,98 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.now().as_nanos(), 1_000);
+    }
+
+    #[test]
+    fn lone_task_sleeps_advance_the_clock_in_place() {
+        // Nothing else is runnable or queued, so each sleep is the next
+        // event: it sets the clock and completes within the same poll,
+        // one event per resumption, with no timer registered.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let h2 = h.clone();
+        sim.spawn(async move {
+            for us in [1, 2, 3] {
+                h2.sleep(SimDuration::from_micros(us)).await;
+            }
+        });
+        poll_ready(&mut sim);
+        assert_eq!(sim.now().as_nanos(), 6_000, "done within the spawn poll");
+        assert_eq!(sim.events_processed(), 4, "the poll and three advances");
+        assert_eq!(sim.live_timers(), 0);
+        assert_eq!(sim.timer_slab_size(), 0, "no timer was registered");
+        assert_eq!(sim.timer_heap_len(), 0);
+    }
+
+    #[test]
+    fn a_runnable_task_or_an_earlier_timer_forces_registration() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        // A runnable task: the first sleeper polls with the second in the
+        // ready queue, and the second then finds the first's timer at the
+        // same deadline. Both register, and fire in FIFO order.
+        for i in 0..2u64 {
+            let (h2, log2) = (h.clone(), Rc::clone(&log));
+            sim.spawn(async move {
+                h2.sleep(SimDuration::from_micros(5)).await;
+                log2.borrow_mut().push(i);
+            });
+        }
+        poll_ready(&mut sim);
+        assert_eq!(sim.live_timers(), 2);
+        sim.run();
+        assert_eq!(*log.borrow(), [0, 1]);
+        assert_eq!(sim.now().as_nanos(), 5_000);
+        assert_eq!(sim.events_processed(), 4);
+
+        // An earlier registration at the same deadline (under a foreign
+        // waker) fires first: the lone task's sleep registers behind it.
+        let counter = Arc::new(Counting(Default::default()));
+        let mut earlier = Box::pin(h.sleep(SimDuration::from_micros(5)));
+        let waker = Waker::from(Arc::clone(&counter));
+        assert!(earlier
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        let (h2, seen) = (h.clone(), Arc::clone(&counter));
+        sim.spawn(async move {
+            h2.sleep(SimDuration::from_micros(5)).await;
+            assert_eq!(
+                seen.0.load(Ordering::SeqCst),
+                1,
+                "the earlier timer fired first"
+            );
+        });
+        poll_ready(&mut sim);
+        assert_eq!(sim.live_timers(), 2);
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 10_000);
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_sleep_under_a_foreign_waker_never_completes_in_place() {
+        // Inside a lone task, but polled under a combinator's own waker:
+        // the fire must wake that waker, so the sleep registers.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let counter = Arc::new(Counting(Default::default()));
+        let waker = Waker::from(Arc::clone(&counter));
+        let h2 = h.clone();
+        sim.spawn(async move {
+            let mut sleep = Box::pin(h2.sleep(SimDuration::from_micros(3)));
+            let polled = sleep.as_mut().poll(&mut Context::from_waker(&waker));
+            assert!(polled.is_pending());
+            assert_eq!(h2.now(), SimTime::ZERO);
+            std::future::pending::<()>().await;
+        });
+        poll_ready(&mut sim);
+        assert_eq!(sim.live_timers(), 1);
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 3_000);
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
+        assert_eq!(sim.events_processed(), 1);
     }
 
     /// The timer state this module had before the radix queue, kept as the
@@ -1467,6 +1678,7 @@ mod tests {
                 reg
             };
             let mut popped = 0usize;
+            let mut after = 0usize;
             for step in 0..2_500 {
                 match rng.gen_range(0..16u64) {
                     // A burst of registrations, log-uniform from +1 ns to
@@ -1512,6 +1724,23 @@ mod tests {
                         let far = register(&mut radix, &mut heap, now + 5_000_000);
                         pending.extend([far, near]);
                     }
+                    // The in-place check is conservative: when it says
+                    // every entry is due after `at`, no live timer is due
+                    // at or before it (the heap keeps stale entries the
+                    // radix queue has already dropped).
+                    12 => {
+                        let magnitude = rng.gen_range(0..=23u32);
+                        let at = now + rng.gen_range(0..=(1u64 << magnitude));
+                        if radix.queue.all_after(at) {
+                            let live = heap
+                                .heap
+                                .iter()
+                                .filter(|Reverse((_, seq, slot))| heap.slab.is_live(*slot, *seq));
+                            let first = live.map(|Reverse((due, _, _))| *due).min();
+                            assert!(first.is_none_or(|due| due > at), "case {case} step {step}");
+                            after += 1;
+                        }
+                    }
                     _ => {
                         let got = id(radix.pop());
                         assert_eq!(got, id(heap.pop()), "case {case} step {step}: pop order");
@@ -1526,6 +1755,10 @@ mod tests {
                 }
             }
             assert!(popped > 300, "case {case}: only {popped} pops");
+            assert!(
+                after > 10,
+                "case {case}: only {after} in-place checks passed"
+            );
             // Drain: the tails agree too.
             loop {
                 let got = id(radix.pop());

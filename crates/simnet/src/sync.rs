@@ -281,6 +281,7 @@ impl Drop for Notified {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combinator::timeout;
     use crate::executor::Sim;
     use crate::time::SimDuration;
     use std::cell::Cell;
@@ -397,9 +398,8 @@ mod tests {
             let h2 = h.clone();
             sim.spawn(async move {
                 h2.sleep(SimDuration::from_nanos(1)).await;
-                let acq = sem.acquire();
-                // poll once then drop: emulate with a timeout-style select
-                futures_drop_after(acq, h2, SimDuration::from_micros(5)).await;
+                let gave_up = timeout(&h2, SimDuration::from_micros(5), sem.acquire()).await;
+                assert!(gave_up.is_err());
             });
         }
         // A later waiter that must still get through.
@@ -478,24 +478,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(done.get(), 2);
-    }
-
-    /// Poll `fut` until `dur` elapses, then drop it (a tiny select/timeout).
-    async fn futures_drop_after<F: Future + Unpin>(
-        fut: F,
-        h: crate::executor::SimHandle,
-        dur: SimDuration,
-    ) {
-        use std::future::Future as _;
-        let sleep = h.sleep(dur);
-        let mut sleep = Box::pin(sleep);
-        let mut fut = fut;
-        std::future::poll_fn(move |cx| {
-            if Pin::new(&mut fut).poll(cx).is_ready() {
-                return Poll::Ready(());
-            }
-            sleep.as_mut().poll(cx)
-        })
-        .await;
     }
 }
