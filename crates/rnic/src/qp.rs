@@ -304,6 +304,25 @@ impl Qp {
         self.inner.local.tracer().span(Phase::Wire)
     }
 
+    /// One segment of `bytes` across the link in direction `leg`, under a
+    /// wire span: journaled as a `WireSegment` on the node that puts it on
+    /// the wire (the local node out, the remote node back), then
+    /// transmitted.
+    async fn wire_leg(&self, leg: Leg, rpc: u64, bytes: u64) {
+        let _span = self.wire_span();
+        let link = match leg {
+            Leg::Out => {
+                self.jot_local(EventKind::WireSegment, rpc, bytes);
+                &self.inner.out_link
+            }
+            Leg::Back => {
+                self.jot_remote(EventKind::WireSegment, rpc, bytes);
+                &self.inner.back_link
+            }
+        };
+        link.transmit(bytes).await;
+    }
+
     fn check_mtu(&self, len: u64) -> RdmaResult<()> {
         if self.inner.mode == QpMode::Ud && len > UD_MTU {
             return Err(RdmaError::MtuExceeded { len, mtu: UD_MTU });
@@ -432,20 +451,12 @@ impl Qp {
         self.post_cost(rpc, POST_ONESIDED).await;
         self.inner.local.process_message().await;
         // Read request: header-sized message.
-        {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES + 16);
-            self.inner.out_link.transmit(HEADER_BYTES + 16).await;
-        }
+        self.wire_leg(Leg::Out, rpc, HEADER_BYTES + 16).await;
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
         let remote = &self.inner.remote;
         let bytes = remote.dma_read(self.inner.id, target, len, inline).await?;
-        {
-            let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, HEADER_BYTES + len);
-            self.inner.back_link.transmit(HEADER_BYTES + len).await;
-        }
+        self.wire_leg(Leg::Back, rpc, HEADER_BYTES + len).await;
         if stage {
             self.inner.local.sram_admit(len);
         }
@@ -464,19 +475,11 @@ impl Qp {
         let rpc = self.take_tag();
         self.inner.remote.check_up()?;
         self.inner.local.process_message().await;
-        {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES);
-            self.inner.out_link.transmit(HEADER_BYTES).await;
-        }
+        self.wire_leg(Leg::Out, rpc, HEADER_BYTES).await;
         self.inner.remote.check_up()?;
         self.inner.remote.process_message().await;
         self.inner.remote.drain_posted_writes(self.inner.id).await?;
-        {
-            let _span = self.wire_span();
-            self.jot_remote(EventKind::WireSegment, rpc, ACK_BYTES);
-            self.inner.back_link.transmit(ACK_BYTES).await;
-        }
+        self.wire_leg(Leg::Back, rpc, ACK_BYTES).await;
         self.inner.local.process_message().await;
         Ok(())
     }
@@ -529,11 +532,7 @@ impl Qp {
         self.inner.remote.check_up()?;
         let len = payload.len();
         self.inner.local.process_message().await;
-        {
-            let _span = self.wire_span();
-            self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES + len);
-            self.inner.out_link.transmit(HEADER_BYTES + len).await;
-        }
+        self.wire_leg(Leg::Out, rpc, HEADER_BYTES + len).await;
         // Wire loss: RC retransmits in hardware (pure delay); UC/UD drop
         // the message silently — the sender still gets its local WC. The
         // rate is whatever loss is injected on the receiving node; the RNG
@@ -543,11 +542,12 @@ impl Qp {
         if loss_rate > 0.0 && self.inner.handle.gen_f64() < loss_rate {
             match self.inner.mode {
                 QpMode::Rc => {
-                    let _span = self.wire_span();
-                    self.inner.local.note_retransmit();
-                    self.inner.handle.sleep(RC_RETRANSMIT_DELAY).await;
-                    self.jot_local(EventKind::WireSegment, rpc, HEADER_BYTES + len);
-                    self.inner.out_link.transmit(HEADER_BYTES + len).await;
+                    {
+                        let _span = self.wire_span();
+                        self.inner.local.note_retransmit();
+                        self.inner.handle.sleep(RC_RETRANSMIT_DELAY).await;
+                    }
+                    self.wire_leg(Leg::Out, rpc, HEADER_BYTES + len).await;
                 }
                 QpMode::Uc | QpMode::Ud => {
                     return Ok(PersistToken::resolved_dropped());
@@ -607,15 +607,20 @@ impl Qp {
 
         if self.inner.mode == QpMode::Rc && ack {
             // Hardware ACK generated at SRAM arrival (NOT persistence).
-            {
-                let _span = self.wire_span();
-                self.jot_remote(EventKind::WireSegment, rpc, ACK_BYTES);
-                self.inner.back_link.transmit(ACK_BYTES).await;
-            }
+            self.wire_leg(Leg::Back, rpc, ACK_BYTES).await;
             self.inner.local.process_message().await;
         }
         Ok(PersistToken { rx })
     }
+}
+
+/// The direction of a [`Qp::wire_leg`].
+#[derive(Clone, Copy)]
+enum Leg {
+    /// Local NIC to remote NIC (requests, data out).
+    Out,
+    /// Remote NIC back to the local one (ACKs, read data).
+    Back,
 }
 
 #[derive(Clone, Copy)]

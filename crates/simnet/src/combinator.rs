@@ -49,15 +49,15 @@ impl<F: Future> Future for Timeout<F> {
             // Already resolved one way; stay terminal.
             return Poll::Pending;
         };
-        let fut = unsafe { Pin::new_unchecked(fut) };
-        // Bounded by the deadline: no sleep inside the inner future may
-        // complete in place past it.
-        if let Poll::Ready(v) = this.sleep.bound(|| fut.poll(cx)) {
+        // Armed first, so no sleep inside the inner future completes in
+        // place past the deadline; polled after it, the inner future wins
+        // a tie.
+        this.sleep.arm(cx);
+        if let Poll::Ready(v) = unsafe { Pin::new_unchecked(fut) }.poll(cx) {
             this.fut = None;
             return Poll::Ready(Ok(v));
         }
-        let sleep = unsafe { Pin::new_unchecked(&mut this.sleep) };
-        if sleep.poll(cx).is_ready() {
+        if Pin::new(&mut this.sleep).poll(cx).is_ready() {
             this.fut = None; // cancel the inner future
             return Poll::Ready(Err(Elapsed));
         }
@@ -104,10 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn timeout_bounds_a_lone_inner_sleep_at_its_deadline() {
+    fn armed_timeout_bounds_a_lone_inner_sleep_at_its_deadline() {
         // Nothing else is runnable or queued, so each inner sleep would be
-        // the next event: the deadline alone stops it from completing in
-        // place past the timeout.
+        // the next event: the deadline, armed before the inner future's
+        // first poll, alone stops it from completing in place past the
+        // timeout.
         let mut sim = Sim::new(1);
         let h = sim.handle();
         let h2 = h.clone();
@@ -125,12 +126,47 @@ mod tests {
             out,
             [
                 (Err(Elapsed), 5_000),
+                // Armed although already due.
                 (Err(Elapsed), 0),
-                // A tie: the inner sleep registered first and wins.
+                // A tie: the deadline is queued first, but the inner
+                // future is polled first at the fire and wins.
                 (Ok(()), 5_000),
                 (Ok(()), 1_000)
             ]
         );
+        assert_eq!(sim.live_timers(), 0);
+        // The first poll, the fires of the first and the tied case (each
+        // instant resumes the task once) and the last case's in-place
+        // advance; the zero timeout elapses within a poll.
+        assert_eq!(sim.events_processed(), 4);
+    }
+
+    #[test]
+    fn fired_timeout_still_bounds_its_inner_future() {
+        // The deadline's timer fires and resumes the task, and the inner
+        // future, polled first, gets past its wait at that very instant
+        // with no wake of its own. Its next sleep would be the next event:
+        // the re-armed deadline stops it, and the timeout elapses on time.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let h2 = h.clone();
+        let (out, t) = sim.block_on(async move {
+            let inner = async {
+                std::future::poll_fn(|_| {
+                    if h2.now().as_nanos() >= 5_000 {
+                        Poll::Ready(())
+                    } else {
+                        Poll::Pending
+                    }
+                })
+                .await;
+                h2.sleep(SimDuration::from_micros(3)).await;
+            };
+            let r = timeout(&h2, SimDuration::from_micros(5), inner).await;
+            (r, h2.now())
+        });
+        assert_eq!(out, Err(Elapsed));
+        assert_eq!(t.as_nanos(), 5_000);
         assert_eq!(sim.live_timers(), 0);
     }
 

@@ -74,10 +74,12 @@
 //!   the run loop would do next, without the `Pending` unwind up the
 //!   task's stack, the timer push and pop, or the descent back down.
 //!   The queue answers in O(1) (`TimerQueue::all_after`). A future that
-//!   races a `Sleep` against other work polls that work inside
-//!   [`Sleep::bound`] and the `Sleep` last, as `timeout` does: a sleep
-//!   inside the work then cannot advance past the deadline, and nothing
-//!   runs after the `Sleep`'s `Pending`.
+//!   races a `Sleep` against other work arms the `Sleep` before it polls
+//!   that work, as `timeout` does (the arm rule): the armed deadline's
+//!   queue entry stops every advance inside the work at the deadline.
+//!   A `Sleep` that completes cancels its registration if the timer has
+//!   not fired yet, so a deadline reached through another event at the
+//!   same instant resumes nothing a second time.
 //! * **Task cells**: a spawn is one allocation, an `Rc<TaskCell<F>>`
 //!   holding the future beside its join state; the slab keeps it as
 //!   `Rc<dyn Task>`, the [`JoinHandle`] as `Rc<dyn Joinable<T>>`. The
@@ -340,6 +342,16 @@ enum TimerTarget {
 }
 
 impl TimerTarget {
+    /// The target for a poll under `cx`: the task id when `polled` (the
+    /// poll is under that task's own slot waker), else a clone of the
+    /// waker.
+    fn of(polled: Option<usize>, cx: &Context<'_>) -> Self {
+        match polled {
+            Some(id) => TimerTarget::Task(id),
+            None => TimerTarget::Waker(cx.waker().clone()),
+        }
+    }
+
     fn wakes_same(&self, other: &TimerTarget) -> bool {
         match (self, other) {
             (TimerTarget::Task(a), TimerTarget::Task(b)) => a == b,
@@ -598,21 +610,15 @@ struct SimInner {
     timers: RefCell<Timers>,
     /// The task being polled, if any (see [`Polling`]).
     polling: Cell<Option<Polling>>,
-    /// Open [`Sleep::bound`] scopes whose deadline is not queued; while
-    /// any is open, no sleep completes in place.
-    holds: Cell<u32>,
     rng: RefCell<SmallRng>,
     events: Cell<u64>,
 }
 
 impl SimInner {
-    /// Whether `deadline` is the next event: no [`Sleep::bound`] scope
-    /// holds advances off, nothing is runnable, and every queued timer
-    /// entry, live or stale, is due strictly after it.
+    /// Whether `deadline` is the next event: nothing is runnable, and
+    /// every queued timer entry, live or stale, is due strictly after it.
     fn next_event_is(&self, deadline: u64) -> bool {
-        self.holds.get() == 0
-            && self.ready.is_idle()
-            && self.timers.borrow().queue.all_after(deadline)
+        self.ready.is_idle() && self.timers.borrow().queue.all_after(deadline)
     }
 }
 
@@ -680,7 +686,6 @@ impl Sim {
                 ready: Arc::new(ReadyQueue::new()),
                 timers: RefCell::new(Timers::new()),
                 polling: Cell::new(None),
-                holds: Cell::new(0),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
             }),
@@ -965,10 +970,12 @@ impl SimHandle {
 /// — nothing runnable, no timer queued at or before it — a `Sleep` sets
 /// the clock to the deadline and completes in place: the step the run
 /// loop would take next. So a future that races a `Sleep` against other
-/// work, as [`timeout`](crate::timeout) does, polls that work inside
-/// [`Sleep::bound`] and the `Sleep` last: a sleep inside the work must not
-/// advance the clock past the deadline, and nothing may run after the
-/// `Sleep`'s `Pending` in the same poll.
+/// work, as [`timeout`](crate::timeout) does, arms the `Sleep` before it
+/// polls that work (the arm rule): the deadline is queued first, and no
+/// sleep inside the work can advance the clock past it.
+///
+/// A `Sleep` that completes while its timer is still pending (another
+/// event at the same instant resumed the task first) cancels the timer.
 pub struct Sleep {
     handle: SimHandle,
     deadline: u64,
@@ -980,22 +987,36 @@ pub struct Sleep {
 }
 
 impl Sleep {
-    /// Run `f`, a poll of the work this `Sleep` races, so that no sleep
-    /// inside it completes in place past the deadline. While this `Sleep`
-    /// is registered and pending, its queue entry already stops every
-    /// advance at the deadline, and `f` just runs. Otherwise (before its
-    /// first poll, or once the deadline is reached) `f` runs with every
-    /// in-place advance held off: the work's sleeps register, and queue
-    /// ahead of the registration this `Sleep`'s own poll then makes.
-    pub fn bound<R>(&self, f: impl FnOnce() -> R) -> R {
+    /// Queue the deadline before the work this `Sleep` races is polled
+    /// (the arm rule): register the target [`poll`](Future::poll) would,
+    /// without its in-place check. A deadline already due registers at
+    /// `now`, so it still stops every advance inside the work; that
+    /// includes a deadline whose timer has fired, since the work is polled
+    /// again in the resumption the fire causes. A no-op while the
+    /// registration is pending.
+    pub(crate) fn arm(&mut self, cx: &Context<'_>) {
         let inner = &*self.handle.inner;
-        if self.registered.is_some() && inner.now.get() < self.deadline {
-            return f();
+        let now = inner.now.get();
+        if let Some((slot, seq)) = self.registered {
+            if now < self.deadline || inner.timers.borrow().slab.is_live(slot, seq) {
+                return;
+            }
         }
-        inner.holds.set(inner.holds.get() + 1);
-        let out = f();
-        inner.holds.set(inner.holds.get() - 1);
-        out
+        self.owner = self.handle.polled_task(cx);
+        let target = TimerTarget::of(self.owner, cx);
+        let at = self.deadline.max(now);
+        self.registered = Some(inner.timers.borrow_mut().register(at, target));
+    }
+
+    /// Cancel the registration if it is still pending; a no-op once the
+    /// timer fired (seq mismatch or empty slot).
+    fn cancel(&mut self) {
+        if let Some((slot, seq)) = self.registered.take() {
+            // Bound, so that a waker target is dropped after the borrow
+            // is released.
+            let cancelled = self.handle.inner.timers.borrow_mut().cancel(slot, seq);
+            drop(cancelled);
+        }
     }
 }
 
@@ -1006,9 +1027,10 @@ impl Future for Sleep {
         let this = self.get_mut();
         let inner = &*this.handle.inner;
         if inner.now.get() >= this.deadline {
-            // Fired (the slot was freed by the timer fire) or created with
-            // a no-op deadline; nothing left to cancel.
-            this.registered = None;
+            // Fired, created with a no-op deadline, or reached through
+            // another event at the same instant: then the timer is still
+            // pending, and would resume the task once more for nothing.
+            this.cancel();
             return Poll::Ready(());
         }
         let polled = this.handle.polled_task(cx);
@@ -1025,10 +1047,7 @@ impl Future for Sleep {
             _ => {}
         }
         this.owner = polled;
-        let target = match polled {
-            Some(id) => TimerTarget::Task(id),
-            None => TimerTarget::Waker(cx.waker().clone()),
-        };
+        let target = TimerTarget::of(polled, cx);
         let mut timers = inner.timers.borrow_mut();
         match this.registered {
             None => this.registered = Some(timers.register(this.deadline, target)),
@@ -1052,13 +1071,7 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Some((slot, seq)) = self.registered.take() {
-            // Cancel if still pending; a no-op when the timer already
-            // fired (seq mismatch or empty slot). Bound, so that a waker
-            // target is dropped after the borrow is released.
-            let cancelled = self.handle.inner.timers.borrow_mut().cancel(slot, seq);
-            drop(cancelled);
-        }
+        self.cancel();
     }
 }
 
@@ -1305,6 +1318,44 @@ mod tests {
         // dropped. No stale timer remains to advance the clock further.
         assert_eq!(sim.now().as_nanos(), 1_000);
         assert_eq!(polls.get(), 1, "spurious wakeups observed");
+        assert_eq!(sim.live_timers(), 0);
+    }
+
+    #[test]
+    fn a_sleep_done_before_its_timer_fires_cancels_it() {
+        // U's sleep and T's timeout are both due at 5 us, U's registered
+        // first. U's fire sends to T, T resumes, and its timeout elapses
+        // before the timeout's own timer fires: that timer must not resume
+        // T a second time at the same instant.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (tx, rx) = crate::oneshot::<()>();
+        let h2 = h.clone();
+        sim.spawn(async move {
+            h2.sleep(SimDuration::from_micros(5)).await;
+            tx.send(());
+        });
+        let polls: Rc<Cell<u64>> = Rc::default();
+        let polls2 = Rc::clone(&polls);
+        sim.spawn(async move {
+            let inner = async {
+                rx.await;
+                std::future::pending::<()>().await;
+            };
+            let r = crate::combinator::timeout(&h, SimDuration::from_micros(5), inner).await;
+            assert!(r.is_err());
+            // Parked for good; count every resumption from here on.
+            std::future::poll_fn(|_| {
+                polls2.set(polls2.get() + 1);
+                Poll::<()>::Pending
+            })
+            .await;
+        });
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 5_000);
+        assert_eq!(polls.get(), 1, "the elapsed timeout's timer resumed T");
+        // Two spawn polls, U's fire, and T's resumption by U's send.
+        assert_eq!(sim.events_processed(), 4);
         assert_eq!(sim.live_timers(), 0);
     }
 

@@ -42,22 +42,6 @@ impl FifoResource {
         self.served.set(self.served.get() + 1);
     }
 
-    /// Occupy one server while running `f` between acquire and release.
-    /// Used when the service time is decided mid-flight.
-    pub async fn with_server<T, F, Fut>(&self, f: F) -> T
-    where
-        F: FnOnce() -> Fut,
-        Fut: std::future::Future<Output = T>,
-    {
-        let _permit = self.sem.acquire().await;
-        let start = self.handle.now();
-        let out = f().await;
-        self.busy
-            .set(self.busy.get() + (self.handle.now() - start).as_nanos());
-        self.served.set(self.served.get() + 1);
-        out
-    }
-
     /// Permanently occupy `n` servers (background load that never finishes).
     /// Panics if `n >= capacity` would leave no server.
     pub fn occupy_background(&self, n: usize) {
@@ -92,14 +76,14 @@ impl FifoResource {
 
 /// A serialized transmission pipe with bandwidth and propagation delay.
 ///
-/// A transfer occupies the pipe for its serialization time
-/// (`bytes * 8 / gbps`), after which the pipe is free for the next transfer
-/// while the message propagates for `propagation` — i.e. transfers pipeline
-/// on the wire exactly like real links.
+/// A transfer occupies the pipe — a one-server [`FifoResource`] — for its
+/// serialization time (`bytes * 8 / gbps`), after which the pipe is free
+/// for the next transfer while the message propagates for `propagation` —
+/// i.e. transfers pipeline on the wire exactly like real links.
 #[derive(Clone)]
 pub struct SharedLink {
     handle: SimHandle,
-    sem: Semaphore,
+    wire: FifoResource,
     gbps: f64,
     propagation: SimDuration,
     bytes_moved: Rc<Cell<u64>>,
@@ -113,8 +97,8 @@ impl SharedLink {
     pub fn new(handle: SimHandle, gbps: f64, propagation: SimDuration) -> Self {
         assert!(gbps > 0.0, "bandwidth must be positive");
         SharedLink {
+            wire: FifoResource::new(handle.clone(), 1),
             handle,
-            sem: Semaphore::new(1),
             gbps,
             propagation,
             bytes_moved: Rc::default(),
@@ -126,11 +110,8 @@ impl SharedLink {
     /// the far end (serialization + queueing + propagation).
     pub async fn transmit(&self, bytes: u64) {
         let ser = transfer_time(bytes, self.gbps).mul_f64(self.slowdown.get());
-        {
-            let _permit = self.sem.acquire().await;
-            self.handle.sleep(ser).await;
-            self.bytes_moved.set(self.bytes_moved.get() + bytes);
-        }
+        self.wire.process(ser).await;
+        self.bytes_moved.set(self.bytes_moved.get() + bytes);
         // Pipe released; propagation overlaps with the next sender.
         self.handle.sleep(self.propagation).await;
     }
@@ -258,23 +239,5 @@ mod tests {
         assert_eq!(at.0, 9_000);
         assert_eq!(at.1, 15_000);
         assert_eq!(link.slowdown(), 1.0);
-    }
-
-    #[test]
-    fn with_server_accounts_busy_time() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let res = FifoResource::new(h.clone(), 1);
-        let res2 = res.clone();
-        let h2 = h.clone();
-        let out = sim.block_on(async move {
-            res2.with_server(|| async {
-                h2.sleep(SimDuration::from_micros(3)).await;
-                7u32
-            })
-            .await
-        });
-        assert_eq!(out, 7);
-        assert_eq!(res.busy_time(), SimDuration::from_micros(3));
     }
 }

@@ -84,25 +84,32 @@ fn fifo_resource_conservation() {
         let mut sim = Sim::new(3);
         let h = sim.handle();
         let res = FifoResource::new(h.clone(), capacity);
-        let active = Rc::new(std::cell::Cell::new(0usize));
-        let peak = Rc::new(std::cell::Cell::new(0usize));
+        // Each job's service interval: it ends when `process` returns and
+        // began its service time before that.
+        let served: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
         for &j in &jobs {
-            let res = res.clone();
-            let active = Rc::clone(&active);
-            let peak = Rc::clone(&peak);
-            let h2 = h.clone();
+            let (res, served, h2) = (res.clone(), Rc::clone(&served), h.clone());
             sim.spawn(async move {
-                res.with_server(|| async {
-                    active.set(active.get() + 1);
-                    peak.set(peak.get().max(active.get()));
-                    h2.sleep(SimDuration::from_nanos(j)).await;
-                    active.set(active.get() - 1);
-                })
-                .await;
+                res.process(SimDuration::from_nanos(j)).await;
+                let end = h2.now().as_nanos();
+                served.borrow_mut().push((end - j, end));
             });
         }
         sim.run();
-        assert!(peak.get() <= capacity, "case {case}");
+        // Peak overlap of the half-open intervals: ends sort before starts
+        // at the same instant.
+        let mut edges: Vec<(u64, i32)> = served
+            .borrow()
+            .iter()
+            .flat_map(|&(start, end)| [(start, 1), (end, -1)])
+            .collect();
+        edges.sort_unstable();
+        let (mut active, mut peak) = (0i32, 0i32);
+        for (_, step) in edges {
+            active += step;
+            peak = peak.max(active);
+        }
+        assert!(peak as usize <= capacity, "case {case}");
         assert_eq!(res.served(), jobs.len() as u64, "case {case}");
         let total: u64 = jobs.iter().sum();
         assert_eq!(res.busy_time().as_nanos(), total, "case {case}");
@@ -206,9 +213,16 @@ async fn call(tx: &prdma_simnet::Sender<Request>, d: u64) -> Option<()> {
 /// final clocks is pinned, so a change to the executor that reorders ties
 /// or adds or drops a resumption fails here even where no whole-stack
 /// input reaches that order.
+///
+/// Regenerated once, when a `Sleep` that completes before its own timer
+/// fires (another event at the same instant resumed its task first) began
+/// to cancel that timer: the stale fire that resumed the task a second
+/// time at that instant is gone. Six of the 32 cases lose one resumption
+/// each (1 833 → 1 827 events in all), and every recorded `(task tag,
+/// now)` is where it was.
 #[test]
 fn executor_schedule_is_pinned() {
-    const PINNED: u64 = 0xbe43_d3b3_8669_04db;
+    const PINNED: u64 = 0x54e6_8a2b_0847_d783;
     let mut fnv = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |x: u64| {
         for b in x.to_le_bytes() {
