@@ -123,7 +123,6 @@ struct RnicInner {
     /// and the virtual time the burst ends (ns).
     injected_loss_rate: Cell<f64>,
     injected_loss_until: Cell<u64>,
-    msgs_processed: Cell<u64>,
     /// RC hardware retransmits attributed to this NIC as the sender.
     retransmits: Cell<u64>,
 }
@@ -162,7 +161,6 @@ impl Rnic {
                 aborted: RefCell::default(),
                 injected_loss_rate: Cell::new(0.0),
                 injected_loss_until: Cell::new(0),
-                msgs_processed: Cell::new(0),
                 retransmits: Cell::new(0),
             }),
         }
@@ -212,9 +210,6 @@ impl Rnic {
     pub async fn process_message(&self) {
         let _span = self.span(Phase::Wire);
         self.inner.engine.process(NIC_PROCESS).await;
-        self.inner
-            .msgs_processed
-            .set(self.inner.msgs_processed.get() + 1);
     }
 
     /// Admit `len` payload bytes into the volatile SRAM staging buffer.
@@ -520,9 +515,10 @@ impl Rnic {
         self.inner.epoch.get()
     }
 
-    /// Messages handled by the processing engines.
+    /// Messages handled by the processing engines (the engines serve
+    /// nothing else).
     pub fn msgs_processed(&self) -> u64 {
-        self.inner.msgs_processed.get()
+        self.inner.engine.served()
     }
 
     /// Note one RC hardware retransmit with this NIC as the sender
