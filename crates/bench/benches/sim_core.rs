@@ -9,15 +9,15 @@
 //! Dependency-free harness (no criterion, so the workspace builds
 //! offline): each bench runs a fixed number of iterations and reports
 //! wall time, per-element throughput, and — for the DES paths —
-//! simulator events/sec. Under `cargo test` (which runs `harness =
-//! false` benches with `--test`) it does one quick iteration as a smoke
-//! check.
+//! simulator events/sec. With `--test` (`cargo test --bench sim_core --
+//! --test`; cargo itself passes a `harness = false` bench no argument)
+//! it does one quick iteration as a smoke check.
 //!
 //! Besides the console lines, the run writes `BENCH_simcore.json` into
 //! the output directory (`PRDMA_OUT`, default `target/paper_results`):
 //! per-bench ns/iter + events/sec, plus — outside `--test` mode — the
-//! wall time of every fig sweep at smoke scale under the current
-//! `PRDMA_PAR` — and the process's peak resident set, so the perf
+//! wall time of every `exp::FIGURES` entry at smoke scale under the
+//! current `PRDMA_PAR` — and the process's peak resident set, so the perf
 //! trajectory has machine-readable data points.
 
 use prdma::{
@@ -444,37 +444,19 @@ fn bench_build_run_drop(iters: u32) -> BenchResult {
     })
 }
 
-/// Time every fig sweep at smoke scale under the current `PRDMA_PAR`.
+/// Time every entry of `exp::FIGURES` at smoke scale under the current
+/// `PRDMA_PAR`.
 fn time_figs() -> Vec<(&'static str, f64)> {
-    let s = Scale::smoke();
-    type FigRun = Box<dyn Fn() -> usize>;
-    let figs: Vec<(&'static str, FigRun)> = vec![
-        ("fig08", Box::new(move || exp::fig08(s).len())),
-        ("fig09", Box::new(move || exp::fig09(s).len())),
-        ("fig10", Box::new(move || exp::fig10(s).len())),
-        ("fig11", Box::new(move || exp::fig11(s).len())),
-        ("fig12", Box::new(move || exp::fig12(s).len())),
-        ("fig13", Box::new(move || exp::fig13(s).len())),
-        ("fig14_15_16", Box::new(move || exp::fig14_15_16(s).len())),
-        ("fig17", Box::new(move || exp::fig17(s).len())),
-        ("fig18", Box::new(move || exp::fig18(s).len())),
-        ("fig19", Box::new(move || exp::fig19(s).len())),
-        ("fig20", Box::new(move || exp::fig20(s).len())),
-        ("table2", Box::new(move || exp::table2(s).len())),
-        ("fig_txn", Box::new(move || exp::fig_txn(s).len())),
-        ("fig12_in_sim", Box::new(move || exp::fig12_in_sim(s).len())),
-        ("fig_openloop", Box::new(move || exp::fig_openloop(s).len())),
-        ("fig_scaleout", Box::new(move || exp::fig_scaleout(s).len())),
-    ];
-    let mut out = Vec::with_capacity(figs.len());
-    for (name, f) in figs {
-        let t0 = Instant::now();
-        let tables = f();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!("fig_smoke/{name:<22} {wall_ms:>10.1} ms ({tables} tables)");
-        out.push((name, wall_ms));
-    }
-    out
+    exp::FIGURES
+        .iter()
+        .map(|&(name, run)| {
+            let t0 = Instant::now();
+            let tables = run(Scale::smoke()).len();
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            println!("fig_smoke/{name:<24} {wall_ms:>10.1} ms ({tables} tables)");
+            (name, wall_ms)
+        })
+        .collect()
 }
 
 fn write_json(micro: &[BenchResult], figs: &[(&'static str, f64)]) {
@@ -517,8 +499,8 @@ fn write_json(micro: &[BenchResult], figs: &[(&'static str, f64)]) {
 }
 
 fn main() {
-    // `cargo test` invokes harness=false benches with `--test`; run one
-    // iteration each as a smoke check and exit quickly (no fig sweeps).
+    // `--test`: run one iteration each as a smoke check and exit quickly
+    // (no fig sweeps).
     let smoke = std::env::args().any(|a| a == "--test");
     let iters = if smoke { 1 } else { 20 };
     let micro = vec![

@@ -1,4 +1,4 @@
-//! Fig. 12 measured **in the simulator** (`fig12 --in-sim`).
+//! Fig. 12 measured **in the simulator** (the `fig12_in_sim` entry).
 //!
 //! The analytic Fig. 12 (`macro_figs::fig12`) replays an op stream
 //! against a closed-form failure model. This module instead *injects
@@ -496,7 +496,7 @@ fn replicated_availability_table(ops: u64) -> Table {
     t
 }
 
-/// The `fig12 --in-sim` sweep: availability x mix, in-sim vs analytic.
+/// The `fig12_in_sim` sweep: availability x mix, in-sim vs analytic.
 pub fn fig12_in_sim(scale: Scale) -> Vec<Table> {
     let ops = scale.micro_ops.clamp(300, 1200);
     let costs = measure_clean(200, 2021);

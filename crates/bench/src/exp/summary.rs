@@ -415,3 +415,16 @@ pub fn abl_log_threshold(scale: Scale) -> Vec<Table> {
     }
     vec![t]
 }
+
+/// The `ablations` entry: flush implementation, DDIO, flow-control
+/// threshold, replication, then the Fig. 7a case study, in that order.
+pub fn ablations(scale: Scale) -> Vec<Table> {
+    let parts: [fn(Scale) -> Vec<Table>; 5] = [
+        abl_flush_impl,
+        abl_ddio,
+        abl_log_threshold,
+        abl_replication,
+        case_fig7a,
+    ];
+    parts.into_iter().flat_map(|f| f(scale)).collect()
+}

@@ -15,7 +15,7 @@ use crate::report::output_dir;
 
 /// Whether journal capture was requested for this bench process: pass
 /// `--journal` after `--` on the bench command line (e.g. `cargo bench
-/// --bench fig20_breakdown -- --journal`).
+/// --bench figs -- fig20_breakdown --journal`).
 pub fn journal_enabled() -> bool {
     std::env::args().any(|a| a == "--journal")
 }

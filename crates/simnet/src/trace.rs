@@ -19,9 +19,8 @@
 //! * **Critical-path attribution.** Durable RPCs decouple request
 //!   processing from the persistence ACK; that off-path work must not
 //!   pollute the latency breakdown. Whole futures that run after the
-//!   client-visible completion are wrapped in [`Tracer::offpath_scope`]
-//!   (synchronous stretches can use [`Tracer::offpath`]); spans opened
-//!   inside such a scope are accumulated separately. The scope is
+//!   client-visible completion are wrapped in [`Tracer::offpath_scope`];
+//!   spans opened inside such a scope are accumulated separately. The scope is
 //!   poll-local: it is only in effect while the wrapped future itself is
 //!   executing, so interleaved on-path tasks on the same node are never
 //!   misattributed.
@@ -191,15 +190,13 @@ impl Tracer {
         }
     }
 
-    /// Enter an off-critical-path scope: spans opened while the guard is
-    /// alive accumulate into the off-path totals instead of the breakdown
-    /// totals. Scopes nest.
-    ///
-    /// Do **not** hold the guard across an `await`: in the cooperative
-    /// executor other tasks run between polls, and their on-path spans
-    /// would open under this scope. Wrap the whole future in
-    /// [`offpath_scope`](Tracer::offpath_scope) instead.
-    pub fn offpath(&self) -> OffpathGuard {
+    /// Enter an off-critical-path scope for one poll of an
+    /// [`OffpathFuture`]: spans opened while the guard is alive
+    /// accumulate into the off-path totals instead of the breakdown
+    /// totals. Scopes nest. The guard never lives across an `await`: in
+    /// the cooperative executor other tasks run between polls, and their
+    /// on-path spans would open under this scope.
+    fn offpath(&self) -> OffpathGuard {
         self.inner
             .offpath_depth
             .set(self.inner.offpath_depth.get() + 1);
@@ -280,8 +277,8 @@ impl Drop for Span {
     }
 }
 
-/// RAII guard for an off-critical-path scope (see [`Tracer::offpath`]).
-pub struct OffpathGuard {
+/// RAII guard for an off-critical-path scope (see `Tracer::offpath`).
+struct OffpathGuard {
     tracer: Tracer,
 }
 
@@ -434,11 +431,13 @@ mod tests {
         let t2 = tracer.clone();
         let h = sim.handle();
         sim.block_on(async move {
-            let guard = t2.offpath();
-            let s = t2.span(Phase::ReceiverSw);
-            h.sleep(SimDuration::from_nanos(50)).await;
-            s.end();
-            drop(guard);
+            let (t3, h3) = (t2.clone(), h.clone());
+            t2.offpath_scope(async move {
+                let s = t3.span(Phase::ReceiverSw);
+                h3.sleep(SimDuration::from_nanos(50)).await;
+                s.end();
+            })
+            .await;
             let s = t2.span(Phase::ReceiverSw);
             h.sleep(SimDuration::from_nanos(20)).await;
             s.end();
