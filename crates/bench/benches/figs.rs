@@ -1,15 +1,13 @@
 //! Runs the entries of the figure registry `prdma_bench::exp::FIGURES`:
 //! the ones named after `--`, in order, or all of them. The `prdma_bench`
-//! crate docs describe the command line; given `--test` the target only
-//! checks the registry.
-use prdma_bench::exp::{check_figures, parse_figs_args, FigsCommand, FIGURES};
+//! crate docs describe the command line.
+use prdma_bench::exp::{parse_figs_args, FigsCommand, FIGURES};
 use prdma_bench::{emit_all, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_figs_args(&args) {
         Ok(FigsCommand::List) => FIGURES.iter().for_each(|(name, _)| println!("{name}")),
-        Ok(FigsCommand::Check) => check_figures().unwrap_or_else(|e| panic!("{e}")),
         Ok(FigsCommand::Run(figures)) => {
             let scale = Scale::from_env();
             for (_, run) in figures {

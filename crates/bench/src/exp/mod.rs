@@ -62,9 +62,6 @@ pub const FIGURES: &[Figure] = &[
 pub enum FigsCommand {
     /// `--list`: print every entry's name.
     List,
-    /// `--test` (`cargo test --bench figs -- --test`): check the registry
-    /// and run nothing.
-    Check,
     /// Run these entries in order: the ones named, or every entry.
     Run(Vec<Figure>),
 }
@@ -72,13 +69,9 @@ pub enum FigsCommand {
 /// Parse the `figs` target's arguments (program name excluded): entry
 /// names, `--list`, `--journal` (read by
 /// [`journal_enabled`](crate::journal_enabled)) and the `--bench` that
-/// `cargo bench` passes. Under `--test` every other argument is the test
-/// harness's and is ignored. An unknown name or flag is an error that
-/// lists the names.
+/// `cargo bench` passes. An unknown name or flag is an error that lists
+/// the names.
 pub fn parse_figs_args(args: &[String]) -> Result<FigsCommand, String> {
-    if args.iter().any(|a| a == "--test") {
-        return Ok(FigsCommand::Check);
-    }
     let (mut list, mut named) = (false, Vec::new());
     for arg in args {
         match arg.as_str() {
@@ -106,17 +99,6 @@ pub fn parse_figs_args(args: &[String]) -> Result<FigsCommand, String> {
     })
 }
 
-/// The registry's one rule: no name appears twice (a second entry under
-/// a name could never be run).
-pub fn check_figures() -> Result<(), String> {
-    for (i, (name, _)) in FIGURES.iter().enumerate() {
-        if FIGURES[..i].iter().any(|(n, _)| n == name) {
-            return Err(format!("figs: {name:?} is registered twice"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,9 +114,15 @@ mod tests {
         }
     }
 
+    /// A second entry under a name could never be run.
     #[test]
     fn figure_names_are_unique() {
-        assert_eq!(check_figures(), Ok(()));
+        for (i, (name, _)) in FIGURES.iter().enumerate() {
+            assert!(
+                !FIGURES[..i].iter().any(|(n, _)| n == name),
+                "{name:?} is registered twice"
+            );
+        }
     }
 
     #[test]
@@ -152,12 +140,9 @@ mod tests {
             parse(&["--list", "--bench"]),
             Ok(FigsCommand::List)
         ));
-        assert!(matches!(
-            parse(&["--test", "some_filter"]),
-            Ok(FigsCommand::Check)
-        ));
         for bad in [
             &["--in-sim"][..],
+            &["--test"],
             &["fig12_failure_recovery", "--in-sim"],
             &["fig_tx"],
         ] {
@@ -169,8 +154,9 @@ mod tests {
         }
     }
 
-    /// Every `--bench figs -- <name>` command the docs and CI give names
-    /// an entry of [`FIGURES`].
+    /// Every `--bench figs -- …` command the docs and CI give parses:
+    /// each name is an entry of [`FIGURES`] and each flag is one `figs`
+    /// takes.
     #[test]
     fn documented_figs_commands_name_registered_figures() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -191,12 +177,9 @@ mod tests {
                 let end = rest
                     .find(|c: char| !(c.is_ascii_alphanumeric() || " \t_-".contains(c)))
                     .unwrap_or(rest.len());
-                for arg in rest[..end].split_whitespace() {
-                    assert!(
-                        arg.starts_with('-') || FIGURES.iter().any(|(n, _)| *n == arg),
-                        "{file}: `--bench figs -- {}` names {arg:?}, which is not in FIGURES",
-                        rest[..end].trim()
-                    );
+                let args: Vec<String> = rest[..end].split_whitespace().map(String::from).collect();
+                if let Err(e) = parse_figs_args(&args) {
+                    panic!("{file}: `--bench figs -- {}`: {e}", rest[..end].trim());
                 }
             }
         }

@@ -12,10 +12,9 @@
 //!
 //! runs the named entries in order; with no name (as under a plain
 //! `cargo bench`) it runs every entry. `--journal` audits and exports
-//! every run's event journal, `--list` prints the names, an unknown name
-//! or flag exits 2 and prints them, and `--test` only checks the
-//! registry. Each
-//! entry prints its series and saves a CSV under `target/paper_results/`
+//! every run's event journal, `--list` prints the names, and an unknown
+//! name or flag exits 2 and prints them. Each entry prints its series
+//! and saves a CSV under `target/paper_results/`
 //! (override with `PRDMA_OUT`). Experiment sizes follow `PRDMA_SCALE`
 //! (`paper` / `bench` / `smoke`; default `bench` — same shapes as the
 //! paper at ~20x fewer operations).
