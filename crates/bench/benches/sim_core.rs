@@ -9,15 +9,16 @@
 //! Dependency-free harness (no criterion, so the workspace builds
 //! offline): each bench runs a fixed number of iterations and reports
 //! wall time, per-element throughput, and — for the DES paths —
-//! simulator events/sec. With `--test` (`cargo test --bench sim_core --
-//! --test`; cargo itself passes a `harness = false` bench no argument)
-//! it does one quick iteration as a smoke check.
+//! simulator events/sec. Without the `--bench` flag `cargo bench`
+//! passes (under `cargo test`, which passes a `harness = false` bench no
+//! argument) it does one quick iteration as a smoke check and writes
+//! nothing.
 //!
-//! Besides the console lines, the run writes `BENCH_simcore.json` into
-//! the output directory (`PRDMA_OUT`, default `target/paper_results`):
-//! per-bench ns/iter + events/sec, plus — outside `--test` mode — the
-//! wall time of every `exp::FIGURES` entry at smoke scale under the
-//! current `PRDMA_PAR` — and the process's peak resident set, so the perf
+//! Under `--bench`, besides the console lines, the run writes
+//! `BENCH_simcore.json` into the output directory (`PRDMA_OUT`, default
+//! `target/paper_results`): per-bench ns/iter + events/sec, the wall time
+//! of every `exp::FIGURES` entry at smoke scale under the current
+//! `PRDMA_PAR`, and the process's peak resident set, so the perf
 //! trajectory has machine-readable data points.
 
 use prdma::{
@@ -499,9 +500,10 @@ fn write_json(micro: &[BenchResult], figs: &[(&'static str, f64)]) {
 }
 
 fn main() {
-    // `--test`: run one iteration each as a smoke check and exit quickly
-    // (no fig sweeps).
-    let smoke = std::env::args().any(|a| a == "--test");
+    // No `--bench` (`cargo test`): run one iteration each as a smoke
+    // check and exit quickly (no fig sweeps, and no ledger that would
+    // overwrite a full run's).
+    let smoke = !std::env::args().any(|a| a == "--bench");
     let iters = if smoke { 1 } else { 20 };
     let micro = vec![
         bench_executor(iters),
@@ -517,8 +519,9 @@ fn main() {
         bench_txn_commit(iters),
         bench_build_run_drop(iters),
     ];
-    let figs = if smoke { Vec::new() } else { time_figs() };
-    write_json(&micro, &figs);
+    if !smoke {
+        write_json(&micro, &time_figs());
+    }
 
     // Perf gate (PRDMA_PERF_GATE=1): the channel/arbitration rewrite must
     // hold at least 5x over the pinned pre-rewrite number in

@@ -1,6 +1,8 @@
 //! Macro-benchmark figures: PageRank (Fig. 10), YCSB (Fig. 11), failure
 //! recovery (Fig. 12), and the latency breakdown (Fig. 20).
 
+use std::sync::Arc;
+
 use prdma::{
     build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, RpcClient, ServerProfile,
     ShardMap,
@@ -31,14 +33,17 @@ pub fn fig10(scale: Scale) -> Vec<Table> {
         // 4 KB pages fit, but the paper omits FaSST here too.
         .filter(|&k| k != SystemKind::Fasst)
         .collect();
+    // Every system runs on the same three graphs: generate each once.
+    let graphs = par_map(GraphDataset::ALL.to_vec(), |ds| {
+        Arc::new(generate(ds, 2021))
+    });
     let mut points = Vec::new();
     for &kind in &kinds {
-        for ds in GraphDataset::ALL {
-            points.push((kind, ds));
+        for graph in &graphs {
+            points.push((kind, Arc::clone(graph)));
         }
     }
-    let cells = par_map(points, |(kind, ds)| {
-        let graph = generate(ds, 2021);
+    let cells = par_map(points, |(kind, graph)| {
         let mut sim = Sim::new(11);
         let cluster = Cluster::new(sim.handle(), ClusterConfig::with_nodes(2));
         let opts = SystemOpts::for_object_size(4096, ServerProfile::light());

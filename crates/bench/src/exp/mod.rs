@@ -34,7 +34,7 @@ use crate::runner::Scale;
 pub type Figure = (&'static str, fn(Scale) -> Vec<Table>);
 
 /// Every table and figure the harness regenerates, in the order `figs`
-/// runs them when no name is given.
+/// runs them under `--bench` with no name.
 pub const FIGURES: &[Figure] = &[
     ("fig08_throughput", fig08),
     ("fig09_tail_latency", fig09),
@@ -62,20 +62,23 @@ pub const FIGURES: &[Figure] = &[
 pub enum FigsCommand {
     /// `--list`: print every entry's name.
     List,
-    /// Run these entries in order: the ones named, or every entry.
+    /// Run these entries in order: the ones named, every entry, or none.
     Run(Vec<Figure>),
 }
 
 /// Parse the `figs` target's arguments (program name excluded): entry
 /// names, `--list`, `--journal` (read by
 /// [`journal_enabled`](crate::journal_enabled)) and the `--bench` that
-/// `cargo bench` passes. An unknown name or flag is an error that lists
-/// the names.
+/// `cargo bench` passes. With no name, `--bench` runs every entry and
+/// its absence runs none: `cargo test` starts a `harness = false` bench
+/// with no arguments. An unknown name or flag is an error that lists the
+/// names.
 pub fn parse_figs_args(args: &[String]) -> Result<FigsCommand, String> {
-    let (mut list, mut named) = (false, Vec::new());
+    let (mut list, mut bench, mut named) = (false, false, Vec::new());
     for arg in args {
         match arg.as_str() {
-            "--journal" | "--bench" => {}
+            "--journal" => {}
+            "--bench" => bench = true,
             "--list" => list = true,
             name => match FIGURES.iter().find(|(n, _)| *n == name) {
                 Some(&entry) => named.push(entry),
@@ -92,7 +95,7 @@ pub fn parse_figs_args(args: &[String]) -> Result<FigsCommand, String> {
     }
     Ok(if list {
         FigsCommand::List
-    } else if named.is_empty() {
+    } else if named.is_empty() && bench {
         FigsCommand::Run(FIGURES.to_vec())
     } else {
         FigsCommand::Run(named)
@@ -128,7 +131,11 @@ mod tests {
     #[test]
     fn figs_accepts_names_and_its_flags_and_rejects_the_rest() {
         let all: Vec<_> = FIGURES.iter().map(|(n, _)| *n).collect();
-        assert_eq!(run_names(&[]), all);
+        assert!(
+            run_names(&[]).is_empty(),
+            "cargo test's empty argument list"
+        );
+        assert!(run_names(&["--journal"]).is_empty());
         assert_eq!(run_names(&["--bench"]), all);
         assert_eq!(run_names(&["--journal", "--bench"]), all);
         assert_eq!(

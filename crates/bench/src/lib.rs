@@ -10,8 +10,9 @@
 //! cargo bench -p prdma-bench --bench figs -- fig20_breakdown fig_txn --journal
 //! ```
 //!
-//! runs the named entries in order; with no name (as under a plain
-//! `cargo bench`) it runs every entry. `--journal` audits and exports
+//! runs the named entries in order; with no name it runs every entry
+//! under `cargo bench`, whose `--bench` flag it reads, and none under
+//! `cargo test`, which passes no argument. `--journal` audits and exports
 //! every run's event journal, `--list` prints the names, and an unknown
 //! name or flag exits 2 and prints them. Each entry prints its series
 //! and saves a CSV under `target/paper_results/`

@@ -12,9 +12,11 @@
 //!
 //! A node's [`Metrics`] handle aggregates series keyed by [`Key`]
 //! (`name` + optional `shard` / `role` / `kind` labels). A background
-//! snapshot tick runs at a fixed virtual-time interval, folding the
+//! snapshot tick runs at a fixed virtual-time interval, appending the
 //! current values (plus any registered gauge *providers*, sampled lazily)
-//! into a [`Snapshot`]. The ticker is self-quiescing: it is spawned on
+//! to the node's packed history: bare values in series registration
+//! order, with the keys kept once. [`Metrics::snapshots`] rebuilds them
+//! as [`Snapshot`]s when read. The ticker is self-quiescing: it is spawned on
 //! the first recording, exits after an interval with no activity, and is
 //! re-spawned on the next recording — so an idle cluster's event queue
 //! drains and `Sim::run` terminates.
@@ -100,15 +102,73 @@ pub struct Snapshot {
 
 type Provider = Box<dyn Fn() -> i64>;
 
+/// One kind of series in registration order, with a key lookup. Series
+/// are only ever added, so the series a tick saw are a prefix of this
+/// list, and every stored tick shares its keys.
+struct Series<T> {
+    index: BTreeMap<Key, usize>,
+    list: Vec<(Key, T)>,
+}
+
+impl<T: Clone> Series<T> {
+    fn new() -> Self {
+        Series {
+            index: BTreeMap::new(),
+            list: Vec::new(),
+        }
+    }
+
+    /// The series under `key`, registered with `make()` if it is new.
+    fn resolve(&mut self, key: Key, make: impl FnOnce() -> T) -> T {
+        let list = &mut self.list;
+        let i = *self.index.entry(key).or_insert_with(|| {
+            list.push((key, make()));
+            list.len() - 1
+        });
+        list[i].1.clone()
+    }
+
+    fn get(&self, key: &Key) -> Option<&T> {
+        self.index.get(key).map(|&i| &self.list[i].1)
+    }
+}
+
+/// How many series of each kind one stored tick holds values for: the
+/// first `counters` counters, `gauges` gauges and `providers` providers
+/// in registration order, and `windows` non-empty windows.
+struct Tick {
+    ts_ns: u64,
+    counters: u32,
+    gauges: u32,
+    providers: u32,
+    windows: u32,
+}
+
+/// Every tick a node has taken, packed: bare values in registration
+/// order, appended tick after tick, with no key beside them.
+#[derive(Default)]
+struct History {
+    ticks: Vec<Tick>,
+    counters: Vec<u64>,
+    /// Each tick's gauge values, then its provider values.
+    gauges: Vec<i64>,
+    /// Each tick's non-empty windows: registration index and summary.
+    windows: Vec<(u32, Summary)>,
+}
+
+fn series_count(n: usize) -> u32 {
+    u32::try_from(n).expect("fewer than 2^32 series on a node")
+}
+
 struct Inner {
     handle: SimHandle,
     node: u32,
     interval: SimDuration,
-    counters: RefCell<BTreeMap<Key, Rc<Cell<u64>>>>,
-    gauges: RefCell<BTreeMap<Key, Rc<Cell<i64>>>>,
-    windows: RefCell<BTreeMap<Key, Rc<RefCell<Histogram>>>>,
+    counters: RefCell<Series<Rc<Cell<u64>>>>,
+    gauges: RefCell<Series<Rc<Cell<i64>>>>,
+    windows: RefCell<Series<Rc<RefCell<Histogram>>>>,
     providers: RefCell<Vec<(Key, Provider)>>,
-    snapshots: RefCell<Vec<Snapshot>>,
+    history: RefCell<History>,
     ticking: Cell<bool>,
     dirty: Cell<bool>,
 }
@@ -116,42 +176,87 @@ struct Inner {
 impl Inner {
     fn snapshot_now(&self) {
         let ts_ns = self.handle.now().as_nanos();
-        let counters: Vec<(Key, u64)> = self
-            .counters
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, v.get()))
-            .collect();
-        let mut gauges: BTreeMap<Key, i64> = self
-            .gauges
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, v.get()))
-            .collect();
-        for (k, f) in self.providers.borrow().iter() {
-            gauges.insert(*k, f());
+        let (counters, gauges, providers) = (
+            self.counters.borrow(),
+            self.gauges.borrow(),
+            self.providers.borrow(),
+        );
+        let windows = self.windows.borrow();
+        let mut history = self.history.borrow_mut();
+        let h = &mut *history;
+        h.counters
+            .extend(counters.list.iter().map(|(_, c)| c.get()));
+        h.gauges.extend(gauges.list.iter().map(|(_, g)| g.get()));
+        h.gauges.extend(providers.iter().map(|(_, f)| f()));
+        // Summarise each window, then empty it in place, keeping the
+        // buckets it has grown.
+        let first_window = h.windows.len();
+        for (i, (_, w)) in windows.list.iter().enumerate() {
+            let mut w = w.borrow_mut();
+            if w.count() > 0 {
+                h.windows.push((series_count(i), w.summary()));
+                w.reset();
+            }
         }
-        // Summarise each window, then empty it in place: a fresh
-        // histogram per window per tick would allocate its 30 KB of buckets.
-        let windows: Vec<(Key, Summary)> = self
-            .windows
-            .borrow()
-            .iter()
-            .filter(|(_, h)| h.borrow().count() > 0)
-            .map(|(k, h)| {
-                let mut h = h.borrow_mut();
-                let summary = h.summary();
-                h.reset();
-                (*k, summary)
-            })
-            .collect();
-        self.snapshots.borrow_mut().push(Snapshot {
+        h.ticks.push(Tick {
             ts_ns,
-            node: self.node,
-            counters,
-            gauges: gauges.into_iter().collect(),
-            windows,
+            counters: series_count(counters.list.len()),
+            gauges: series_count(gauges.list.len()),
+            providers: series_count(providers.len()),
+            windows: series_count(h.windows.len() - first_window),
         });
+    }
+
+    /// The stored ticks as public [`Snapshot`]s, series in key order.
+    fn snapshots(&self) -> Vec<Snapshot> {
+        let (counters, gauges, providers) = (
+            self.counters.borrow(),
+            self.gauges.borrow(),
+            self.providers.borrow(),
+        );
+        let windows = self.windows.borrow();
+        let h = self.history.borrow();
+        let (mut c, mut g, mut w) = (0, 0, 0);
+        let mut out = Vec::with_capacity(h.ticks.len());
+        for t in &h.ticks {
+            let (nc, ng, np, nw) = (
+                t.counters as usize,
+                t.gauges as usize,
+                t.providers as usize,
+                t.windows as usize,
+            );
+            let mut tick_counters: Vec<(Key, u64)> = counters.list[..nc]
+                .iter()
+                .map(|(k, _)| *k)
+                .zip(h.counters[c..c + nc].iter().copied())
+                .collect();
+            tick_counters.sort_unstable_by_key(|&(k, _)| k);
+            // Explicit gauges, then providers: a provider's value wins
+            // over a gauge's, and a later provider's over an earlier one's.
+            let mut tick_gauges: BTreeMap<Key, i64> = BTreeMap::new();
+            let gauge_keys = gauges.list[..ng].iter().map(|(k, _)| *k);
+            let provider_keys = providers[..np].iter().map(|(k, _)| *k);
+            for (k, v) in gauge_keys
+                .chain(provider_keys)
+                .zip(&h.gauges[g..g + ng + np])
+            {
+                tick_gauges.insert(k, *v);
+            }
+            let mut tick_windows: Vec<(Key, Summary)> = h.windows[w..w + nw]
+                .iter()
+                .map(|&(i, summary)| (windows.list[i as usize].0, summary))
+                .collect();
+            tick_windows.sort_unstable_by_key(|&(k, _)| k);
+            out.push(Snapshot {
+                ts_ns: t.ts_ns,
+                node: self.node,
+                counters: tick_counters,
+                gauges: tick_gauges.into_iter().collect(),
+                windows: tick_windows,
+            });
+            (c, g, w) = (c + nc, g + ng + np, w + nw);
+        }
+        out
     }
 }
 
@@ -228,11 +333,11 @@ impl Metrics {
                 handle,
                 node,
                 interval,
-                counters: RefCell::new(BTreeMap::new()),
-                gauges: RefCell::new(BTreeMap::new()),
-                windows: RefCell::new(BTreeMap::new()),
+                counters: RefCell::new(Series::new()),
+                gauges: RefCell::new(Series::new()),
+                windows: RefCell::new(Series::new()),
                 providers: RefCell::new(Vec::new()),
-                snapshots: RefCell::new(Vec::new()),
+                history: RefCell::new(History::default()),
                 ticking: Cell::new(false),
                 dirty: Cell::new(false),
             }),
@@ -252,13 +357,7 @@ impl Metrics {
     /// Resolve a counter handle for hot-path bumping (registers the
     /// series; repeated calls for one key share the same counter).
     pub fn counter_handle(&self, key: Key) -> Counter {
-        let cell = self
-            .inner
-            .counters
-            .borrow_mut()
-            .entry(key)
-            .or_default()
-            .clone();
+        let cell = self.inner.counters.borrow_mut().resolve(key, Rc::default);
         Counter {
             cell,
             owner: self.clone(),
@@ -267,13 +366,7 @@ impl Metrics {
 
     /// Resolve a gauge handle (see [`Metrics::counter_handle`]).
     pub fn gauge_handle(&self, key: Key) -> Gauge {
-        let cell = self
-            .inner
-            .gauges
-            .borrow_mut()
-            .entry(key)
-            .or_default()
-            .clone();
+        let cell = self.inner.gauges.borrow_mut().resolve(key, Rc::default);
         Gauge {
             cell,
             owner: self.clone(),
@@ -283,13 +376,7 @@ impl Metrics {
     /// Resolve a windowed-histogram handle (see
     /// [`Metrics::counter_handle`]).
     pub fn window_handle(&self, key: Key) -> Window {
-        let hist = self
-            .inner
-            .windows
-            .borrow_mut()
-            .entry(key)
-            .or_insert_with(|| Rc::new(RefCell::new(Histogram::new())))
-            .clone();
+        let hist = self.inner.windows.borrow_mut().resolve(key, Rc::default);
         Window {
             hist,
             owner: self.clone(),
@@ -348,9 +435,10 @@ impl Metrics {
         self.inner.snapshot_now();
     }
 
-    /// All snapshots captured so far, in tick order.
+    /// All snapshots captured so far, in tick order, built from the
+    /// packed store on each call.
     pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.inner.snapshots.borrow().clone()
+        self.inner.snapshots()
     }
 
     fn mark_active(&self) {
@@ -502,6 +590,55 @@ mod tests {
         assert_eq!(w1[0].1.max_ns, 9_000);
         // Provider sampled at tick time.
         assert_eq!(snaps[0].gauges, vec![(Key::new("queue_depth"), 7)]);
+    }
+
+    /// Series registered between ticks: each snapshot holds exactly the
+    /// series live at its tick, in key order, although every tick shares
+    /// one key list per kind with the ticks after it.
+    #[test]
+    fn series_added_between_ticks_show_from_their_first_tick() {
+        let sim = Sim::new(1);
+        let m = Metrics::new(sim.handle(), 5, interval());
+        let (a, b, q) = (Key::new("a"), Key::new("b"), Key::new("q"));
+        let (w, v) = (Key::new("w"), Key::new("w").shard(0));
+        let summary = |value| {
+            let mut h = Histogram::new();
+            h.record(value);
+            h.summary()
+        };
+        m.incr(b, 1);
+        m.force_snapshot();
+        m.gauge_set(b, -5);
+        m.register_provider(q, || 7);
+        m.observe(w, 1_000);
+        m.force_snapshot();
+        m.incr(a, 2);
+        m.register_provider(b, || 9);
+        m.observe(v, 5);
+        m.force_snapshot();
+        m.force_snapshot();
+        type Live = (Vec<(Key, u64)>, Vec<(Key, i64)>, Vec<(Key, Summary)>);
+        let want: [Live; 4] = [
+            (vec![(b, 1)], vec![], vec![]),
+            (
+                vec![(b, 1)],
+                vec![(b, -5), (q, 7)],
+                vec![(w, summary(1_000))],
+            ),
+            // A provider's value wins over the gauge under its key.
+            (
+                vec![(a, 2), (b, 1)],
+                vec![(b, 9), (q, 7)],
+                vec![(v, summary(5))],
+            ),
+            (vec![(a, 2), (b, 1)], vec![(b, 9), (q, 7)], vec![]),
+        ];
+        let got: Vec<Live> = m
+            .snapshots()
+            .into_iter()
+            .map(|s| (s.counters, s.gauges, s.windows))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Measurement primitives: latency histograms and summary statistics.
 //!
-//! The histogram uses HDR-style log-linear buckets — 32 orders of magnitude,
-//! each split into 64 linear sub-buckets — giving <= 1.6 % relative error at
-//! any scale from nanoseconds to hours, with O(1) recording.
+//! The histogram uses HDR-style log-linear buckets: values below 64 get a
+//! bucket each, and each of the 58 octaves above that range, up to
+//! `u64::MAX`, is split into 64 linear sub-buckets (3 776 buckets in all).
+//! That gives <= 1.6 % relative error at any scale from nanoseconds to
+//! centuries, with O(1) recording. Like HdrHistogram's count array, the
+//! bucket storage is sized by the largest value tracked: it starts empty
+//! and grows, one whole octave at a time, to the highest octave a
+//! recorded or merged value reached, so a µs-range latency window holds a
+//! few hundred buckets, not all 3 776.
 
 use crate::time::SimDuration;
 
@@ -12,6 +18,8 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// A log-linear latency histogram over `u64` nanosecond values.
 #[derive(Clone)]
 pub struct Histogram {
+    /// Per-bucket counts up to the end of the highest octave touched;
+    /// buckets past its end are zero.
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -26,13 +34,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram; it allocates nothing until the first record.
     pub fn new() -> Self {
-        // Buckets: values < 64 map linearly; above that, one octave per
-        // leading-bit position with 64 sub-buckets each.
-        let octaves = 64 - SUB_BITS; // 58 octaves
         Histogram {
-            counts: vec![0; (octaves as usize + 1) * SUB_COUNT as usize],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -40,6 +45,8 @@ impl Histogram {
         }
     }
 
+    /// Buckets: values < 64 map linearly; above that, one octave per
+    /// leading-bit position with 64 sub-buckets each.
     fn index_of(value: u64) -> usize {
         if value < SUB_COUNT {
             return value as usize;
@@ -60,9 +67,20 @@ impl Histogram {
         (SUB_COUNT + sub) << octave
     }
 
+    /// Make `counts` cover bucket `index`: grow it, by exact reservation,
+    /// to the end of that bucket's octave.
+    fn cover(&mut self, index: usize) {
+        if index >= self.counts.len() {
+            let len = (index | (SUB_COUNT as usize - 1)) + 1;
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Record one raw value.
     pub fn record(&mut self, value: u64) {
         let idx = Self::index_of(value);
+        self.cover(idx);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value as u128;
@@ -141,15 +159,20 @@ impl Histogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        if other.total == 0 {
+            return;
+        }
+        // Only the buckets from `other`'s smallest to its largest value
+        // can be non-zero.
+        let (lo, hi) = (Self::index_of(other.min), Self::index_of(other.max));
+        self.cover(hi);
+        for (a, b) in self.counts[lo..=hi].iter_mut().zip(&other.counts[lo..=hi]) {
             *a += b;
         }
         self.total += other.total;
         self.sum += other.sum;
-        if other.total > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Back to empty in place, keeping the bucket storage: only the
@@ -297,6 +320,75 @@ mod tests {
             reused.record(v);
         }
         assert_eq!(reused.summary(), fresh.summary());
+    }
+
+    /// Every bucket there is: values below 64, then 58 octaves of 64.
+    const ALL_BUCKETS: usize = 3_776;
+
+    #[test]
+    fn bucket_storage_grows_to_the_highest_octave_touched() {
+        assert_eq!(Histogram::index_of(u64::MAX), ALL_BUCKETS - 1);
+        let mut h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0, "new allocates nothing");
+        // A µs-range latency window: 1 µs .. 1 ms.
+        for v in (1..=1_000u64).map(|us| us * 1_000) {
+            h.record(v);
+        }
+        let len = h.counts.len();
+        assert_eq!(len, Histogram::index_of(1_000_000) / 64 * 64 + 64);
+        assert!(len < ALL_BUCKETS / 3, "{len} buckets for 1 µs .. 1 ms");
+        assert_eq!(h.counts.capacity(), len, "grown by exact reservation");
+        let mut top = Histogram::new();
+        top.record(u64::MAX);
+        assert_eq!(top.counts.len(), ALL_BUCKETS);
+    }
+
+    #[test]
+    fn merge_short_and_long_matches_full_size_histograms() {
+        let (mut short, mut long) = (Histogram::new(), Histogram::new());
+        let mut x = 11u64;
+        for _ in 0..2_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            short.record(500 + x % 50_000);
+            long.record(x % 5_000_000_000);
+        }
+        assert!(short.counts.len() < long.counts.len());
+        let full = |h: &Histogram| {
+            let mut f = h.clone();
+            f.cover(ALL_BUCKETS - 1);
+            f
+        };
+        let qs = [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0];
+        for (into, from) in [(&short, &long), (&long, &short)] {
+            let mut grown = into.clone();
+            grown.merge(from);
+            let mut reference = full(into);
+            reference.merge(&full(from));
+            assert_eq!(grown.counts.len(), long.counts.len());
+            assert_eq!(grown.summary(), reference.summary());
+            for q in qs {
+                assert_eq!(grown.percentile(q), reference.percentile(q), "q={q}");
+            }
+        }
+    }
+
+    #[test]
+    fn reset_keeps_the_grown_storage() {
+        let mut h = Histogram::new();
+        h.record(3);
+        h.record(77_777_777);
+        let (len, capacity, ptr) = (h.counts.len(), h.counts.capacity(), h.counts.as_ptr());
+        h.reset();
+        assert_eq!(
+            (h.counts.len(), h.counts.capacity(), h.counts.as_ptr()),
+            (len, capacity, ptr)
+        );
+        h.record(5_000);
+        assert_eq!(
+            h.counts.as_ptr(),
+            ptr,
+            "a value below the old max reuses it"
+        );
     }
 
     #[test]

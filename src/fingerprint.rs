@@ -171,18 +171,20 @@ pub fn trace_totals(input: Input, ops: u64) -> [u64; 14] {
 }
 
 /// [`run`] and [`trace_totals`] of one execution whose nodes snapshot
-/// their metrics every `metrics_interval` instead of the default.
+/// their metrics every `metrics_interval` instead of the default, and
+/// that execution's fleet metrics export (`Cluster::metrics_jsonl`).
 /// Recording consumes no simulated time and no randomness, so only the
 /// executor's event count, which includes the snapshot ticks, may differ.
 pub fn run_at_metrics_interval(
     input: Input,
     ops: u64,
     metrics_interval: SimDuration,
-) -> (Fingerprint, [u64; 14]) {
+) -> (Fingerprint, [u64; 14], String) {
     let (sim, cluster, elapsed_ns) = execute(input, ops, metrics_interval, true);
     (
         fingerprint_of(&sim, &cluster, elapsed_ns),
         totals_of(&cluster),
+        cluster.metrics_jsonl(),
     )
 }
 

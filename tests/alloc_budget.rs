@@ -2,7 +2,7 @@
 //! machine is noise, but how often and how much the simulator allocates
 //! per operation is exact and repeats from run to run.
 //!
-//! Four shapes, each counted after a warm-up:
+//! Five shapes, the first four counted after a warm-up:
 //!
 //! * One client, one server, synthetic WFlush puts: 1 000 puts at 64 B and
 //!   at 64 KB. A synthetic body carries a length and no bytes, so the host
@@ -20,6 +20,9 @@
 //!   synthetic 64 B WFlush puts through `ShardedClient::call`: the router
 //!   and the cache forward the durable connection's future and box
 //!   nothing of their own.
+//! * The `openloop_fleet` fleet: the bytes `build_fleet` allocates, where
+//!   every connection's latency window starts without bucket storage,
+//!   and the bytes one metrics tick stores per node.
 //!
 //! The counts are pinned with 10 % headroom; the printed lines are the
 //! baseline for whoever lowers them next.
@@ -198,9 +201,11 @@ fn allocations_per_put_are_bounded_and_independent_of_size() {
     let [small, large] = &costs;
     // The largest allocation left is 8 720 B: the PM overlay's dirty-line
     // index rehashing to 512 buckets (16 B entries plus control bytes) as
-    // the standing done marks pass 224 of the 256 log slots. Until metric
-    // windows were reset in place it was each window's fresh 30 208 B
-    // histogram, once per tick.
+    // the standing done marks pass 224 of the 256 log slots. A metric
+    // window grows its buckets to the end of the highest octave its
+    // latencies reach, which stays under it below 4 ms (1 088 buckets,
+    // 8 704 B). Until windows were reset in place it was each window's
+    // fresh 30 208 B histogram, once per tick.
     assert!(
         large.largest < 9 * 1024,
         "a {} B allocation in the 64 KB run: something payload-sized is being copied",
@@ -365,5 +370,90 @@ fn allocations_per_sharded_cached_put_are_bounded() {
         cost.calls_per_op <= PINNED_CALLS_PER_SHARDED_CACHED_PUT * 1.1,
         "{:.2} allocations per sharded cached put, pinned at {PINNED_CALLS_PER_SHARDED_CACHED_PUT}",
         cost.calls_per_op
+    );
+}
+
+const FLEET_SHARDS: usize = 4;
+const FLEET_ENDPOINTS: usize = 8;
+const FLEET_OBJECTS: u64 = 2_000;
+const TICK_ROUNDS: u64 = 50;
+
+/// Bytes `build_fleet` allocates for the `openloop_fleet` shape: 4 shards
+/// of 2 replicas, 8 client endpoints, 512 log slots of 1 KB; debug and
+/// release count the same. Every connection registers a latency window,
+/// so this is where the metric windows' bucket storage shows: it read
+/// 1 541 770 B while each window's histogram zero-filled all 3 776
+/// buckets (30 208 B) when it was made.
+const PINNED_FLEET_BUILD_BYTES: u64 = 610_954;
+
+/// Bytes one metrics tick allocates on one node of that fleet, averaged
+/// over every node and `TICK_ROUNDS` ticks, each after a put through every
+/// client endpoint so that the windows hold samples; a growing history
+/// `Vec` counts each reallocation's full size. It read 4 559 B while each
+/// tick stored a `Snapshot` with every value beside its 56-byte `Key`.
+const PINNED_BYTES_PER_TICK: f64 = 1_326.0;
+
+#[test]
+fn fleet_build_and_metrics_ticks_are_bounded() {
+    let mut sim = Sim::new(36);
+    let cluster = Cluster::new(
+        sim.handle(),
+        ClusterConfig::with_servers(FLEET_SHARDS, FLEET_ENDPOINTS),
+    );
+    let map = ShardMap::new(FLEET_SHARDS);
+    let cfg = DurableConfig {
+        kind: DurableKind::WFlush,
+        profile: ServerProfile::light(),
+        slot_payload: 1024,
+        object_slot: 1024,
+        store_capacity: map.local_span(FLEET_OBJECTS) * 1024,
+        log_slots: 512,
+        ..Default::default()
+    };
+    let spec = FleetSpec {
+        replicas: 2,
+        cache: None,
+    };
+    let client_nodes: Vec<usize> = (FLEET_SHARDS..FLEET_SHARDS + FLEET_ENDPOINTS).collect();
+    let before = start_counting();
+    let fleet = build_fleet(&cluster, map, &client_nodes, &cfg, spec);
+    let build = cost_since(before, 1);
+    let clients = fleet.clients;
+    let metrics: Vec<_> = (0..cluster.len())
+        .map(|n| cluster.node(n).metrics.clone())
+        .collect();
+    let tick_bytes = sim.block_on(async move {
+        let mut bytes = 0;
+        for round in 0..TICK_ROUNDS {
+            for (i, client) in clients.iter().enumerate() {
+                let seq = round * FLEET_ENDPOINTS as u64 + i as u64;
+                let put = Request::Put {
+                    obj: seq % FLEET_OBJECTS,
+                    data: Payload::synthetic(1024, seq),
+                };
+                assert!(client.call(put).await.expect("fleet put").durable);
+            }
+            let before = start_counting();
+            for m in &metrics {
+                m.force_snapshot();
+            }
+            bytes += tally().bytes - before.bytes;
+        }
+        bytes
+    });
+    let ticks = TICK_ROUNDS * cluster.len() as u64;
+    let bytes_per_tick = tick_bytes as f64 / ticks as f64;
+    println!(
+        "alloc_budget: openloop_fleet build: {:.0} calls, {:.0} bytes, largest {} B; {bytes_per_tick:.0} bytes per metrics tick",
+        build.calls_per_op, build.bytes_per_op, build.largest
+    );
+    assert!(
+        build.bytes_per_op <= PINNED_FLEET_BUILD_BYTES as f64 * 1.1,
+        "build_fleet allocated {:.0} bytes, pinned at {PINNED_FLEET_BUILD_BYTES}",
+        build.bytes_per_op
+    );
+    assert!(
+        bytes_per_tick <= PINNED_BYTES_PER_TICK * 1.1,
+        "{bytes_per_tick:.0} bytes per metrics tick, pinned at {PINNED_BYTES_PER_TICK}"
     );
 }

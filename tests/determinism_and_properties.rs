@@ -426,6 +426,26 @@ fn journal_off_keeps_every_pinned_schedule() {
     }
 }
 
+/// The fleet metrics export, byte for byte: the replicated WFlush input
+/// at 300 ops with `fig_obs`'s 100 µs snapshot interval, three ticking
+/// nodes with counters, gauges, providers and windows. The JSONL's length
+/// and FNV-1a are pinned the way the journal fingerprints are, so a
+/// change to how snapshots are stored or rebuilt must reproduce every
+/// series of every tick.
+const PINNED_METRICS_JSONL: (usize, u64) = (66656, 0xebe75929e96af219);
+
+#[test]
+fn pinned_metrics_export() {
+    let input = Input::Replicated(DurableKind::WFlush);
+    let (_, _, jsonl) =
+        fingerprint::run_at_metrics_interval(input, 300, SimDuration::from_micros(100));
+    assert_eq!(
+        (jsonl.len(), fingerprint::fnv1a(jsonl.as_bytes())),
+        PINNED_METRICS_JSONL,
+        "the metrics export drifted from its pin"
+    );
+}
+
 /// Metrics do not move virtual time: the replicated WFlush input (three
 /// ticking nodes) at the default 1 ms snapshot interval and at
 /// `fig_obs`'s 100 µs gives the same journal, elapsed time and trace
@@ -435,8 +455,8 @@ fn metrics_interval_is_schedule_neutral() {
     let default = ClusterConfig::default().metrics_interval;
     assert_eq!(default, SimDuration::from_millis(1));
     let input = Input::Replicated(DurableKind::WFlush);
-    let (coarse, coarse_totals) = fingerprint::run_at_metrics_interval(input, 300, default);
-    let (fine, fine_totals) =
+    let (coarse, coarse_totals, _) = fingerprint::run_at_metrics_interval(input, 300, default);
+    let (fine, fine_totals, _) =
         fingerprint::run_at_metrics_interval(input, 300, SimDuration::from_micros(100));
     assert_eq!(
         (coarse.journal_len, coarse.journal_fnv),
