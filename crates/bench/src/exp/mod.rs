@@ -128,6 +128,15 @@ mod tests {
         }
     }
 
+    /// Every entry's own asserts, the paper's claims among them, hold at
+    /// smoke scale.
+    #[test]
+    fn every_figure_holds_its_claims_at_smoke_scale() {
+        for (name, run) in FIGURES {
+            assert!(!run(Scale::smoke()).is_empty(), "{name} built no table");
+        }
+    }
+
     #[test]
     fn figs_accepts_names_and_its_flags_and_rejects_the_rest() {
         let all: Vec<_> = FIGURES.iter().map(|(n, _)| *n).collect();
