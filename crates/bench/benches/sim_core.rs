@@ -1,10 +1,21 @@
-//! Microbenches of the simulator's hot paths: executor spawn/sleep,
-//! timer cancellation, an RPC-shaped timer mix, the PM dirty-line
-//! overlay, channels, histogram recording, redo-log entry
-//! encoding, the cached GET, the 2PC commit pipeline, and whole-world
-//! build/run/drop cycles. These guard
-//! the harness's own performance (a slow simulator means slow paper
-//! regeneration).
+//! Microbenches of the simulator's hot paths that the repo benchmark's
+//! `probe_*` metrics do not measure — an RPC-shaped timer mix, the PM
+//! dirty-line overlay, the evicting cached GET and whole-world
+//! build/run/drop cycles — plus the two host-time gates, and the wall time
+//! of every `exp::FIGURES` entry at smoke scale. These guard the harness's
+//! own performance (a slow simulator means slow paper regeneration).
+//!
+//! Each number has one producer. Executor spawn/sleep, timer
+//! cancellation, histogram and metrics recording and redo-log entry
+//! encoding are perfbench's probes (`examples/perfbench`,
+//! `simnet.executor.probe_spawn_sleep_ns_per_event`,
+//! `simnet.executor.probe_timeout_cancel_ns_per_op`,
+//! `simnet.stats.probe_hist_record_ns`,
+//! `simnet.metrics.probe_metrics_record_ns`,
+//! `core.log.probe_encode_entry_ns`), and the 2PC commit pipeline is its
+//! `txn_2pc` workload (`host_ns_per_op`, `core.txn.host_us_per_txn`). The
+//! channel and warm cached-GET rows repeat its `send_recv` and `get_hot`
+//! probes because the two gates in `main` read them.
 //!
 //! Dependency-free harness (no criterion, so the workspace builds
 //! offline): each bench runs a fixed number of iterations and reports
@@ -18,12 +29,13 @@
 //! `BENCH_simcore.json` into the output directory (`PRDMA_OUT`, default
 //! `target/paper_results`): per-bench ns/iter + events/sec, the wall time
 //! of every `exp::FIGURES` entry at smoke scale under the current
-//! `PRDMA_PAR`, and the process's peak resident set, so the perf
-//! trajectory has machine-readable data points.
+//! `PRDMA_PAR`, and the process's peak resident set. The root
+//! `BENCH_simcore.json` is frozen history: a change quotes
+//! `perfbench compare` and these rows instead of appending to it.
 
 use prdma::{
-    build_fleet, encode_entry, CacheConfig, DurableConfig, DurableKind, FleetSpec, OpCode, Request,
-    RpcClient, RpcOperator, ServerProfile, ShardMap, ShardedClient,
+    build_fleet, CacheConfig, DurableConfig, DurableKind, FleetSpec, Request, RpcClient,
+    ServerProfile, ShardMap, ShardedClient,
 };
 use prdma_bench::exp;
 use prdma_bench::report::output_dir;
@@ -31,10 +43,7 @@ use prdma_bench::Scale;
 use prdma_node::{Cluster, ClusterConfig};
 use prdma_pmem::PmDevice;
 use prdma_rnic::Payload;
-use prdma_simnet::metrics::{Key, Metrics};
-use prdma_simnet::{channel, timeout, Histogram, Sim, SimDuration};
-use prdma_workloads::txn_mix::{run_txn_mix, TxnMixConfig};
-use std::rc::Rc;
+use prdma_simnet::{channel, timeout, Sim, SimDuration};
 use std::time::Instant;
 
 struct BenchResult {
@@ -52,7 +61,7 @@ struct BenchResult {
 /// An events/sec figure is only emitted when the bench is actually
 /// executor-bound: at least one scheduling event per element. A bench
 /// whose per-element work happens inside a single task poll (channel
-/// drains, metrics recording) processes O(1) executor events per run;
+/// drains) processes O(1) executor events per run;
 /// dividing those few events by the iteration time yields a number that
 /// describes nothing, so we refuse to report it rather than normalize a
 /// figure we cannot attribute.
@@ -90,56 +99,16 @@ fn bench(
     }
 }
 
-fn bench_executor(iters: u32) -> BenchResult {
-    bench("executor/spawn_sleep_10k", 10_000, iters, || {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        for i in 0..10_000u64 {
-            let h2 = h.clone();
-            sim.spawn(async move {
-                h2.sleep(SimDuration::from_nanos(i % 97)).await;
-            });
-        }
-        sim.run();
-        (sim.events_processed(), sim.events_processed())
-    })
-}
-
-fn bench_timer_cancel(iters: u32) -> BenchResult {
-    // 10k tasks each register a long timeout around a short sleep: every
-    // op takes the register + cancel path of the timer slab (the Sleep
-    // inside `timeout` completes; the timeout's own timer is dropped
-    // unfired). Guards the cancelled-sleep slot reuse.
-    bench("executor/timeout_cancel_10k", 10_000, iters, || {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        for i in 0..10_000u64 {
-            let h2 = h.clone();
-            sim.spawn(async move {
-                let inner = h2.sleep(SimDuration::from_nanos(i % 97));
-                timeout(&h2, SimDuration::from_secs(3600), inner)
-                    .await
-                    .expect("inner sleep beats the 1h timeout");
-            });
-        }
-        sim.run();
-        let slab = sim.timer_slab_size() as u64;
-        (
-            sim.events_processed().wrapping_add(slab),
-            sim.events_processed(),
-        )
-    })
-}
-
 fn bench_rpc_shaped(iters: u32) -> BenchResult {
-    // What the two rows above are not: the timer population of a durable
-    // RPC workload. They keep 10 000 timers live or cancel 10 000 at one
-    // instant; `put_closed`, `txn_2pc` and `openloop_fleet` keep 6, 44
-    // and 61 (`simnet.executor.timer_slab_size`). Here 8 tasks each chain
-    // 12 500 sleeps of 50 ns - 5 us, every tenth under a 1 ms timeout
-    // that never fires — a few live timers close to `now`, a trickle of
-    // far ones cancelled young. This is the per-event floor the
-    // workloads actually pay.
+    // What perfbench's spawn/sleep and timeout-cancel probes are not: the
+    // timer population of a durable RPC workload. They keep 10 000 timers
+    // live or cancel 10 000 at one instant; `put_closed`, `txn_2pc` and
+    // `openloop_fleet` keep 6, 44 and 61
+    // (`simnet.executor.timer_slab_size`). Here 8 tasks each chain 12 500
+    // sleeps of 50 ns - 5 us, every tenth under a 1 ms timeout that never
+    // fires — a few live timers close to `now`, a trickle of far ones
+    // cancelled young. This is the per-event floor the workloads actually
+    // pay.
     bench("executor/rpc_shaped_100k", 100_000, iters, || {
         let mut sim = Sim::new(1);
         let h = sim.handle();
@@ -244,62 +213,6 @@ fn bench_channels(iters: u32) -> BenchResult {
     })
 }
 
-fn bench_histogram(iters: u32) -> BenchResult {
-    bench("histogram/record_1m", 1_000_000, iters, || {
-        let mut h = Histogram::new();
-        let mut x = 88172645463325252u64;
-        for _ in 0..1_000_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            h.record(x % 10_000_000);
-        }
-        (h.percentile(0.99), 0)
-    })
-}
-
-fn bench_metrics(iters: u32) -> BenchResult {
-    // 1M counter-bump + window-observe pairs through a live registry
-    // (ticker included), via pre-resolved `Counter`/`Window` handles —
-    // the same path the instrumented hot paths use. This is the
-    // per-record cost that the always-on fleet metrics add to every
-    // instrumented hot-path operation.
-    bench("metrics/record_1m", 1_000_000, iters, || {
-        let mut sim = Sim::new(1);
-        let m = Metrics::new(sim.handle(), 0, SimDuration::from_micros(100));
-        let ops_key = Key::new("ops").shard(1).kind("put");
-        let ops = m.counter_handle(ops_key);
-        let lat = m.window_handle(Key::new("lat").shard(1).kind("put"));
-        sim.spawn(async move {
-            let mut x = 88172645463325252u64;
-            for _ in 0..1_000_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                ops.incr(1);
-                lat.observe(x % 100_000);
-            }
-        });
-        sim.run();
-        (m.counter(ops_key), sim.events_processed())
-    })
-}
-
-fn bench_log_encode(iters: u32) -> BenchResult {
-    let op = RpcOperator {
-        opcode: OpCode::Put,
-        obj_id: 42,
-    };
-    let data = Payload::synthetic(4096, 1);
-    bench("redo_log/encode_entry_100k", 100_000, iters, || {
-        let mut total = 0u64;
-        for i in 0..100_000u64 {
-            total += encode_entry(i, op, &data).len();
-        }
-        (total, 0)
-    })
-}
-
 /// A one-shard WFlush fleet with one client caching at the default
 /// capacity from the first miss (`fig_cache` / perfbench `cached_read95`
 /// shape, mirror tier off).
@@ -391,47 +304,6 @@ fn bench_evicting_get(iters: u32) -> BenchResult {
     })
 }
 
-fn bench_txn_commit(iters: u32) -> BenchResult {
-    // Host cost of the whole 2PC pipeline per attempted txn: 4 clients
-    // x 250 txns (2R+2W, theta 0.9) over 4 shards, the `fig_txn` /
-    // perfbench `txn_2pc` shape. Guards the prepare path against paying
-    // a recovery-only cost (a coordinator ring scan per prepare made
-    // this row 4x slower: BENCH_simcore.json `txn_decision_table`).
-    const SHARDS: usize = 4;
-    const CLIENTS: usize = 4;
-    bench("txn/commit_2pc_1k", 1_000, iters, || {
-        let mut sim = Sim::new(1);
-        let cluster = Cluster::new(sim.handle(), ClusterConfig::with_servers(SHARDS, CLIENTS));
-        let map = ShardMap::new(SHARDS);
-        let cfg = DurableConfig {
-            profile: ServerProfile::light(),
-            slot_payload: 1024,
-            object_slot: 1024,
-            store_capacity: map.local_span(1_000) * 1024,
-            log_slots: 256,
-            ..Default::default()
-        };
-        let client_nodes: Vec<usize> = (SHARDS..SHARDS + CLIENTS).collect();
-        let spec = FleetSpec {
-            replicas: 1,
-            cache: None,
-        };
-        let svc = build_fleet(&cluster, map, &client_nodes, &cfg, spec);
-        let clients: Vec<_> = svc.clients.into_iter().map(Rc::new).collect();
-        let mix = TxnMixConfig {
-            txns: 250,
-            objects: 1_000,
-            theta: 0.9,
-            ..Default::default()
-        };
-        let h = sim.handle();
-        let r = sim.block_on(async move { run_txn_mix(&h, &clients, &mix).await });
-        sim.run();
-        assert_eq!(r.attempted, 1_000);
-        (r.committed, sim.events_processed())
-    })
-}
-
 fn bench_build_run_drop(iters: u32) -> BenchResult {
     // Twenty worlds built, crashed, recovered and dropped in a row, the
     // shape of a crash-point sweep: ns_per_iter / 20 is the wall time of
@@ -506,17 +378,11 @@ fn main() {
     let smoke = !std::env::args().any(|a| a == "--bench");
     let iters = if smoke { 1 } else { 20 };
     let micro = vec![
-        bench_executor(iters),
-        bench_timer_cancel(iters),
         bench_rpc_shaped(iters),
         bench_mark_done_overlay(iters),
         bench_channels(iters),
-        bench_histogram(iters),
-        bench_metrics(iters),
-        bench_log_encode(iters),
         bench_cached_get(iters),
         bench_evicting_get(iters),
-        bench_txn_commit(iters),
         bench_build_run_drop(iters),
     ];
     if smoke {

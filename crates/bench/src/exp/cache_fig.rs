@@ -32,7 +32,7 @@ use prdma_simnet::Sim;
 use prdma_workloads::micro::{run_micro_split, MicroConfig, SplitResult};
 
 use crate::report::{kops, us, Table};
-use crate::runner::{export_and_audit, journal_enabled, par_map, Scale};
+use crate::runner::{export_and_audit, journal_enabled, par_map, Scale, SEED};
 
 /// One system under test in the cache sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,7 @@ fn cache_point(
         read_ratio,
         ..Default::default()
     };
-    let mut sim = Sim::new(20211114);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_servers(1, 1);
     ccfg.journal = journal_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);

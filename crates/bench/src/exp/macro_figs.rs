@@ -18,7 +18,7 @@ use prdma_workloads::ycsb::{run_ycsb, YcsbConfig, YcsbWorkload};
 
 use crate::report::{us, Table};
 use crate::runner::{
-    export_and_audit, journal_enabled, micro_run, par_map, ycsb_run, ExpEnv, Scale,
+    export_and_audit, journal_enabled, micro_run, par_map, ycsb_run, ExpEnv, Scale, SEED,
 };
 
 /// Fig. 10: PageRank execution time per dataset per system.
@@ -124,7 +124,7 @@ pub fn fig11(scale: Scale) -> Vec<Table> {
 /// One fig11 cell for WFlush-RPC fronted by the hot-key lease cache:
 /// a single-shard cached durable service under the given YCSB mix.
 fn ycsb_cached_cell(w: YcsbWorkload, scale: Scale) -> String {
-    let mut sim = Sim::new(20211114);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_servers(1, 1);
     ccfg.journal = journal_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);

@@ -14,7 +14,7 @@ use prdma_workloads::micro::MicroConfig;
 use SystemKind::{Darpc, Farm, Octopus, SFlush, WFlush, WRFlush, L5};
 
 use crate::report::{kops_or_dash, us, us_or_dash, Table};
-use crate::runner::{micro_run, micro_run_concurrent, par_map, ExpEnv, Scale};
+use crate::runner::{micro_run, micro_run_concurrent, par_map, ExpEnv, Scale, SEED};
 
 /// The result of sweep point `key`: `par_map` returns `results` in the
 /// order of `points`.
@@ -394,7 +394,7 @@ pub fn fig19(scale: Scale) -> Vec<Table> {
     }
     let elapsed = par_map(points.clone(), |(kind, k)| {
         let env = ExpEnv::sized(1024, ServerProfile::light());
-        let mut sim = Sim::new(env.seed);
+        let mut sim = Sim::new(SEED);
         let cluster = {
             // Reuse runner plumbing by rebuilding inline.
             let mut ccfg = prdma_node::ClusterConfig::with_nodes(2);

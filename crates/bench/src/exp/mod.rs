@@ -105,6 +105,7 @@ pub fn parse_figs_args(args: &[String]) -> Result<FigsCommand, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn parse(args: &[&str]) -> Result<FigsCommand, String> {
         parse_figs_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -129,12 +130,33 @@ mod tests {
     }
 
     /// Every entry's own asserts, the paper's claims among them, hold at
-    /// smoke scale.
+    /// smoke scale; and the tables the registry builds are exactly the
+    /// pinned CSVs of `results/bench/`, one table per file name, so a new
+    /// or renamed table without a pin fails here.
     #[test]
     fn every_figure_holds_its_claims_at_smoke_scale() {
+        let mut ids = BTreeSet::new();
         for (name, run) in FIGURES {
-            assert!(!run(Scale::smoke()).is_empty(), "{name} built no table");
+            let tables = run(Scale::smoke());
+            assert!(!tables.is_empty(), "{name} built no table");
+            for t in tables {
+                assert!(ids.insert(t.id.clone()), "{name}: a second table {}", t.id);
+            }
         }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench");
+        let pinned: BTreeSet<String> = std::fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+            .filter_map(|e| {
+                let name = e.expect("directory entry").file_name().into_string().ok()?;
+                name.strip_suffix(".csv").map(String::from)
+            })
+            .collect();
+        let unpinned: Vec<_> = ids.difference(&pinned).collect();
+        let stale: Vec<_> = pinned.difference(&ids).collect();
+        assert!(
+            unpinned.is_empty() && stale.is_empty(),
+            "tables without a pinned CSV: {unpinned:?}; pinned CSVs no table builds: {stale:?}"
+        );
     }
 
     #[test]

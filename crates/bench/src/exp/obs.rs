@@ -30,7 +30,7 @@ use prdma_simnet::{Sim, SimDuration, SimTime};
 use prdma_workloads::micro::{run_micro_fleet, MicroConfig};
 
 use crate::report::{output_dir, us, Table};
-use crate::runner::Scale;
+use crate::runner::{Scale, SEED};
 
 struct ObsRun {
     snapshots: Vec<Snapshot>,
@@ -45,7 +45,7 @@ fn obs_run(scale: Scale) -> ObsRun {
     let clients = 2;
     let replicas = 2;
     let objects = scale.objects.min(1_500);
-    let mut sim = Sim::new(20211114);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_servers(shards, clients);
     ccfg.journal = true;
     // Finer ticks than the 1 ms default: the smoke-scale run lasts only

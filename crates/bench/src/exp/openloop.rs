@@ -23,7 +23,7 @@ use prdma_workloads::openloop::{
 };
 
 use crate::report::{kops_or_dash, us_or_dash, Table};
-use crate::runner::{export_and_audit, journal_enabled, par_map, Scale};
+use crate::runner::{export_and_audit, journal_enabled, par_map, Scale, SEED};
 
 /// Offered aggregate loads the sweep visits (KOPS). The top end sits
 /// past every durable kind's single-connection saturation point, so
@@ -51,7 +51,7 @@ pub const LOGICAL_CLIENTS: u64 = 10_000;
 /// endpoint routers, 1 KB objects, zipfian 0.99, 1:1 read/write.
 pub fn openloop_point(kind: DurableKind, rate_kops: f64, scale: Scale) -> OpenLoopResult {
     let objects = scale.objects.min(2_000);
-    let mut sim = Sim::new(20211114);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_servers(SHARDS, ENDPOINTS);
     ccfg.journal = journal_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);
@@ -86,7 +86,7 @@ pub fn openloop_point(kind: DurableKind, rate_kops: f64, scale: Scale) -> OpenLo
         read_ratio: 0.5,
         theta: 0.99,
         skew_shift: None,
-        seed: 20211114,
+        seed: SEED,
     };
     let h = sim.handle();
     let r = sim.block_on(async move { run_openloop(endpoints, &h, &cfg).await });

@@ -54,7 +54,7 @@ pub fn scaleout_point(kind: SystemKind, shards: usize, scale: Scale) -> Scaleout
         object_size: 1024,
         ..Default::default()
     };
-    let run = scaleout_run(kind, shards, FLEET, ServerProfile::heavy(), cfg, 20211114);
+    let run = scaleout_run(kind, shards, FLEET, ServerProfile::heavy(), cfg);
     ScaleoutPoint {
         kops: run.kops,
         p99_us: run.latency.p99_us(),

@@ -13,21 +13,13 @@ use prdma_workloads::micro::MicroConfig;
 use crate::report::{us, us_or_dash, Table};
 use crate::runner::{micro_run, micro_run_concurrent, par_map, ExpEnv, Scale};
 
-fn classify(ratio: f64, low: f64, high: f64) -> &'static str {
-    if ratio < low {
-        "Low"
-    } else if ratio < high {
-        "Medium"
-    } else {
-        "High"
-    }
-}
-
 /// Table 2: summary of RPC properties, derived from measurements rather
 /// than assertion — network-load sensitivity (busy/idle ratio), receiver
 /// CPU requirement (µs of server CPU per op), tail behaviour (p99/avg),
 /// scalability (latency growth from 10 to 50 senders), and the trace
 /// layer's critical-path software share (Fig. 20's headline number).
+/// Each cell is the measured number without a class label: EXPERIMENTS.md
+/// compares each column's order with the paper's classes.
 pub fn table2(scale: Scale) -> Vec<Table> {
     let systems = [
         SystemKind::SRFlush,
@@ -39,7 +31,7 @@ pub fn table2(scale: Scale) -> Vec<Table> {
     ];
     let mut t = Table::new(
         "table2_summary",
-        "Summary of RPCs (measured; classification thresholds in parentheses)",
+        "Summary of RPCs (measured)",
         &[
             "system",
             "net_sensitivity(busy/idle)",
@@ -89,14 +81,14 @@ pub fn table2(scale: Scale) -> Vec<Table> {
         let scal = l50.latency.mean_ns / l10.latency.mean_ns.max(1.0);
         vec![
             kind.name().into(),
-            format!("{net_ratio:.2} ({})", classify(net_ratio, 1.3, 2.0)),
-            format!("{recv_cpu:.2} ({})", classify(recv_cpu, 1.0, 3.0)),
+            format!("{net_ratio:.2}"),
+            format!("{recv_cpu:.2}"),
             us_or_dash(idle.run.ops, idle.run.latency.p50_us()),
             us_or_dash(idle.run.ops, idle.run.latency.p99_us()),
             us_or_dash(idle.run.ops, idle.run.latency.p999_us()),
             us_or_dash(idle.run.ops, idle.run.latency.max_us()),
-            format!("{tail:.2} ({})", classify(tail, 1.5, 3.0)),
-            format!("{scal:.2} ({})", if scal < 1.5 { "Good" } else { "Medium" }),
+            format!("{tail:.2}"),
+            format!("{scal:.2}"),
             format!("{:.1}%", sw_share * 100.0),
         ]
     });

@@ -23,7 +23,7 @@ use prdma_simnet::Sim;
 use prdma_workloads::txn_mix::{run_txn_mix, TxnMixConfig, TxnMixResult};
 
 use crate::report::{kops, us, Table};
-use crate::runner::{export_and_audit, journal_enabled, par_map, Scale};
+use crate::runner::{export_and_audit, journal_enabled, par_map, Scale, SEED};
 
 const CLIENTS: usize = 4;
 const OBJECT_SLOT: u64 = 1024;
@@ -39,7 +39,7 @@ fn txn_point(shards: usize, theta: f64, scale: Scale) -> TxnMixResult {
         theta,
         ..Default::default()
     };
-    let mut sim = Sim::new(20211114);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_servers(shards, CLIENTS);
     ccfg.journal = journal_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);

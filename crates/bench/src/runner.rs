@@ -33,7 +33,6 @@ pub(crate) fn export_and_audit(cluster: &Cluster, tag: &str) {
     let t0 = std::time::Instant::now();
     let report = journal::audit(&records);
     let audit_ns = t0.elapsed().as_nanos() as usize / records.len().max(1);
-    let gauges = journal::gauges(&records);
     let dir = output_dir();
     let _ = std::fs::create_dir_all(&dir);
     let slug: String = tag
@@ -54,7 +53,7 @@ pub(crate) fn export_and_audit(cluster: &Cluster, tag: &str) {
         dir.join(format!("journal_{slug}.trace.json")),
         journal::to_chrome_trace(&records),
     );
-    println!("   journal[{tag}]: {report} ({audit_ns} ns/record); {gauges:?}");
+    println!("   journal[{tag}]: {report} ({audit_ns} ns/record)");
     report.assert_ok();
 }
 
@@ -141,6 +140,10 @@ where
         .collect()
 }
 
+/// The simulation seed of every experiment run: the paper's conference
+/// date.
+pub const SEED: u64 = 20211114;
+
 /// Environment knobs an experiment can toggle.
 #[derive(Debug, Clone)]
 pub struct ExpEnv {
@@ -160,8 +163,6 @@ pub struct ExpEnv {
     pub receiver_busy: bool,
     /// Saturate the sender's CPU with background compute.
     pub sender_busy: bool,
-    /// Simulation seed.
-    pub seed: u64,
 }
 
 impl Default for ExpEnv {
@@ -175,7 +176,6 @@ impl Default for ExpEnv {
             network_busy: false,
             receiver_busy: false,
             sender_busy: false,
-            seed: 20211114, // the paper's conference date
         }
     }
 }
@@ -281,7 +281,7 @@ enum Workload {
 /// busy time per op. The run starts at t = 0, where every busy counter
 /// reads 0.
 fn single_client_run(kind: SystemKind, env: &ExpEnv, workload: Workload) -> EnvResult {
-    let mut sim = Sim::new(env.seed);
+    let mut sim = Sim::new(SEED);
     let cluster = env.build_cluster(&sim);
     let opts = env.system_opts();
     let client = build_system(&cluster, kind, 1, 0, 0, &opts);
@@ -318,7 +318,7 @@ pub fn micro_run_concurrent(
         nodes: senders + 1,
         ..env.clone()
     };
-    let mut sim = Sim::new(env.seed);
+    let mut sim = Sim::new(SEED);
     let cluster = env.build_cluster(&sim);
     let opts = env.system_opts();
     let clients: Vec<Box<dyn prdma::RpcClient>> = (1..=senders)
@@ -343,9 +343,8 @@ pub fn scaleout_run(
     clients: usize,
     profile: ServerProfile,
     cfg: MicroConfig,
-    seed: u64,
 ) -> RunResult {
-    let mut sim = Sim::new(seed);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_servers(shards, clients);
     ccfg.journal = journal_enabled();
     let cluster = Cluster::new(sim.handle(), ccfg);

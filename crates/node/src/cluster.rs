@@ -221,8 +221,9 @@ impl Cluster {
             let alloc = DaxAllocator::new(&pm);
             let rnic = fabric.rnic(id);
             // One metrics registry per node; gauge providers expose the
-            // NIC/PM occupancy numbers journal::gauges derives offline,
-            // so the dashboard sees utilization without full journaling.
+            // NIC's staging-SRAM occupancy, DMA depth and the PM's media
+            // busy time live, so the dashboard sees utilization without
+            // journaling.
             let metrics = Metrics::new(handle.clone(), i as u32, cfg.metrics_interval);
             let nic = rnic.clone();
             metrics.register_provider(Key::new("nic_sram_bytes"), move || nic.sram_bytes() as i64);

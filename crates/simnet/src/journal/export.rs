@@ -1,10 +1,7 @@
-//! Journal exporters and derived gauges: JSON Lines, Chrome trace-event
-//! JSON, and resource-utilization histograms folded from a merged stream.
+//! Journal exporters: JSON Lines and Chrome trace-event JSON.
 
 use super::{EventKind, Record, Subsystem, NO_ID};
-use crate::stats::Histogram;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::collections::BTreeSet;
 
 /// Renders an id as its decimal value, or `null` for [`NO_ID`], without
 /// allocating an intermediate `String` per field.
@@ -127,103 +124,4 @@ pub fn to_chrome_trace(records: &[Record]) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// Resource-utilization gauges derived from a merged record stream.
-pub struct Gauges {
-    /// Staging-SRAM occupancy in bytes, sampled after every
-    /// admit/release transition (all nodes).
-    pub sram_occupancy: Histogram,
-    /// DMA queue depth (posted, not yet completed bursts), sampled after
-    /// every issue/complete transition (all nodes).
-    pub dma_queue_depth: Histogram,
-    /// Fraction of the journal's time span during which at least one DMA
-    /// burst was in flight on some PCIe link.
-    pub pcie_busy_frac: f64,
-    /// Aggregate PM media write bandwidth over the journal span, Gbit/s.
-    pub pm_write_gbps: f64,
-}
-
-impl fmt::Debug for Gauges {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Gauges")
-            .field("sram_occupancy", &self.sram_occupancy.summary())
-            .field("dma_queue_depth", &self.dma_queue_depth.summary())
-            .field("pcie_busy_frac", &self.pcie_busy_frac)
-            .field("pm_write_gbps", &self.pm_write_gbps)
-            .finish()
-    }
-}
-
-/// Fold a merged record stream into utilization gauges.
-pub fn gauges(records: &[Record]) -> Gauges {
-    let mut sram = Histogram::new();
-    let mut depth = Histogram::new();
-    let mut sram_now: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut depth_now: BTreeMap<u32, u64> = BTreeMap::new();
-    // PCIe busy: union of intervals during which any node's DMA queue is
-    // non-empty. Records are time-sorted, so a running scan suffices.
-    let mut busy_ns = 0u64;
-    let mut busy_since: Option<u64> = None;
-    let mut inflight_total = 0u64;
-    let mut pm_bytes = 0u64;
-    for r in records {
-        match r.kind {
-            EventKind::SramAdmit => {
-                let v = sram_now.entry(r.node).or_insert(0);
-                *v += r.bytes;
-                sram.record(*v);
-            }
-            EventKind::SramRelease => {
-                let v = sram_now.entry(r.node).or_insert(0);
-                *v = v.saturating_sub(r.bytes);
-                sram.record(*v);
-            }
-            EventKind::DmaIssue => {
-                let v = depth_now.entry(r.node).or_insert(0);
-                *v += 1;
-                depth.record(*v);
-                inflight_total += 1;
-                if inflight_total == 1 {
-                    busy_since = Some(r.ts_ns);
-                }
-            }
-            EventKind::DmaComplete => {
-                let v = depth_now.entry(r.node).or_insert(0);
-                *v = v.saturating_sub(1);
-                depth.record(*v);
-                inflight_total = inflight_total.saturating_sub(1);
-                if inflight_total == 0 {
-                    if let Some(s) = busy_since.take() {
-                        busy_ns += r.ts_ns - s;
-                    }
-                }
-            }
-            EventKind::PmWrite => pm_bytes += r.bytes,
-            _ => {}
-        }
-    }
-    let span_ns = match (records.first(), records.last()) {
-        (Some(a), Some(b)) if b.ts_ns > a.ts_ns => b.ts_ns - a.ts_ns,
-        _ => 0,
-    };
-    if let Some(s) = busy_since {
-        if let Some(last) = records.last() {
-            busy_ns += last.ts_ns - s;
-        }
-    }
-    Gauges {
-        sram_occupancy: sram,
-        dma_queue_depth: depth,
-        pcie_busy_frac: if span_ns == 0 {
-            0.0
-        } else {
-            busy_ns as f64 / span_ns as f64
-        },
-        pm_write_gbps: if span_ns == 0 {
-            0.0
-        } else {
-            pm_bytes as f64 * 8.0 / span_ns as f64
-        },
-    }
 }

@@ -7,12 +7,9 @@
 //! dispatch/complete edges, and recovery replays — as typed [`Record`]s in
 //! a per-node stream that keeps every record.
 //!
-//! Four consumers sit on top of the raw stream (`export`, `index` and
+//! Three consumers sit on top of the raw stream (`export`, `index` and
 //! `audit` beside this file; [`json`] parses the exports back):
 //!
-//! * [`gauges`] — resource-utilization histograms sampled from the journal
-//!   (staging-SRAM occupancy, DMA queue depth, PCIe busy fraction, PM
-//!   write bandwidth);
 //! * [`to_chrome_trace`] / [`to_jsonl`] — a Chrome-trace-event JSON
 //!   export (loadable in Perfetto / `chrome://tracing`, one track per
 //!   node×subsystem, flow arrows per `rpc_id`) and a machine-readable
@@ -42,7 +39,7 @@ mod index;
 pub mod json;
 
 pub use audit::{audit, AuditReport, Rule, Violation, RULES};
-pub use export::{gauges, to_chrome_trace, to_jsonl, Gauges};
+pub use export::{to_chrome_trace, to_jsonl};
 pub use index::{Groups, Index};
 
 /// Sentinel for "no id" in [`Record::rpc_id`] / [`Record::wr_id`]
@@ -592,71 +589,6 @@ mod tests {
         assert_eq!(merged[0].wr_id, 1);
         assert_eq!(merged[1].kind, EventKind::DmaComplete);
         assert_eq!(merged[2].node, 1);
-    }
-
-    #[test]
-    fn gauges_fold_occupancy_and_bandwidth() {
-        let records = vec![
-            rec(
-                0,
-                0,
-                0,
-                Subsystem::Nic,
-                EventKind::SramAdmit,
-                NO_ID,
-                NO_ID,
-                100,
-            ),
-            rec(10, 0, 1, Subsystem::Nic, EventKind::DmaIssue, NO_ID, 0, 100),
-            rec(
-                50,
-                0,
-                2,
-                Subsystem::Nic,
-                EventKind::DmaComplete,
-                NO_ID,
-                0,
-                100,
-            ),
-            rec(
-                50,
-                0,
-                3,
-                Subsystem::Pm,
-                EventKind::PmWrite,
-                NO_ID,
-                NO_ID,
-                100,
-            ),
-            rec(
-                60,
-                0,
-                4,
-                Subsystem::Nic,
-                EventKind::SramRelease,
-                NO_ID,
-                NO_ID,
-                100,
-            ),
-            rec(
-                100,
-                0,
-                5,
-                Subsystem::Rpc,
-                EventKind::RpcComplete,
-                1,
-                NO_ID,
-                0,
-            ),
-        ];
-        let g = gauges(&records);
-        assert_eq!(g.sram_occupancy.count(), 2);
-        assert_eq!(g.sram_occupancy.max(), 100);
-        assert_eq!(g.dma_queue_depth.max(), 1);
-        // DMA in flight 10..50 of a 0..100 span.
-        assert!((g.pcie_busy_frac - 0.4).abs() < 1e-9);
-        // 100 bytes over 100 ns = 8 Gbit/s.
-        assert!((g.pm_write_gbps - 8.0).abs() < 1e-9);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   the virtual clock (the paper's Fig. 20 breakdown layer).
 //! * [`Journal`] — one per node, a stream of typed event records with
 //!   causal IDs that keeps every record (or records nothing, when off),
-//!   with Perfetto export, utilization gauges, and a journal-driven
-//!   durability auditor (see [`journal`]).
+//!   with JSONL and Perfetto export and a journal-driven durability
+//!   auditor (see [`journal`]).
 //! * [`Metrics`] — always-on per-node counters, gauges, and windowed
 //!   histograms with virtual-time snapshot ticks and deterministic JSONL
 //!   export (see [`metrics`]).

@@ -14,7 +14,7 @@
 
 use prdma::ServerProfile;
 use prdma_baselines::{build_system, SystemKind, SystemOpts};
-use prdma_bench::runner::{ycsb_run, EnvResult, ExpEnv};
+use prdma_bench::runner::{ycsb_run, EnvResult, ExpEnv, SEED};
 use prdma_node::{Cluster, ClusterConfig};
 use prdma_simnet::journal::{EventKind, Record};
 use prdma_simnet::trace::{Phase, TraceReport};
@@ -43,7 +43,7 @@ fn ycsb_a(kind: SystemKind, value_size: u64) -> EnvResult {
 /// are the unjournaled run's.
 fn ycsb_a_journaled(kind: SystemKind, value_size: u64) -> (TraceReport, Vec<Record>) {
     let env = ExpEnv::sized(value_size, ServerProfile::light());
-    let mut sim = Sim::new(env.seed);
+    let mut sim = Sim::new(SEED);
     let mut ccfg = ClusterConfig::with_nodes(2);
     ccfg.journal = true;
     let cluster = Cluster::new(sim.handle(), ccfg);
